@@ -15,21 +15,23 @@ degenerate ray at the first eigenvalue, clipped for display).
 """
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField
+from .grid import DiscreteField, TridiagonalFactor
 from .model import critical_cap, eval_nonlinearity
 from .solver import (
+    ARMIJO_MIN_STEP,
     NEWTON_TOL,
+    PIVOT_RTOL,
     Diverged,
     NonConvergence,
     Problem,
     SingularJacobian,
     SolutionPoint,
     classify_state,
+    finalize_point,
     newton_solve,
     time_march,
 )
@@ -54,22 +56,6 @@ REGIMES = (
     "at-lambda2",
     "above-lambda2",
 )
-
-
-def default_thread_count() -> int:
-    """Worker count for the multistart oracle, from BIFURCATE_THREADS.
-
-    Defaults to 1 (sequential); the solves are tiny tridiagonal problems, so
-    threads only pay off for very large start counts.
-    """
-    raw = os.environ.get("BIFURCATE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"BIFURCATE_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"BIFURCATE_THREADS must be >= 1, got {n}")
-    return n
 
 
 @dataclass(frozen=True)
@@ -143,6 +129,107 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed, span):
     return seeds[:n_starts]
 
 
+# Starts per batched Newton solve in count_solutions. Larger chunks cut the
+# per-iteration interpreter overhead further but grow the working set; 32
+# keeps peak memory within a few MB of the one-start-at-a-time loop.
+_CHUNK = 32
+
+
+def _stacked_factor(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
+    """Factor the block-diagonal tridiagonal whose blocks have the rows of
+    diag as diagonals and off as their shared off-diagonal, with zero
+    couplings at the seams."""
+    seams = np.tile(np.append(off, 0.0), len(diag))[:-1]
+    return TridiagonalFactor(diag.ravel(), seams)
+
+
+def _newton_chunk(problem: Problem, starts, a: float, c: float, tol: float,
+                  max_iter: int):
+    """Damped Newton on a stack of start fields at fixed (a, c): each row
+    goes through exactly the iteration of solver.newton_solve.
+
+    All rows share one long-double residual evaluation over the (rows, n)
+    stack and one gttrf/gttrs over the block-diagonal stack of their
+    float64 Jacobians; the zero seam couplings keep every block's pivots and
+    solution those of the block alone. The line search halves the step of
+    all rows still searching at once. A row leaves the stack when it
+    converges, when its Jacobian fails the pivot check (newton_solve raises
+    SingularJacobian), or when its line search stalls or the iterations run
+    out (NonConvergence).
+
+    Returns (row, float64 iterate, residual norm, residual history) for the
+    converged rows, in row order.
+    """
+    ld = np.longdouble
+    n = problem.domain.n_interior
+    lap = problem.laplacian
+    pad = np.concatenate(([0.0], np.abs(lap.off)))
+    pad2 = np.concatenate((np.abs(lap.off), [0.0]))
+
+    rows = np.arange(len(starts))
+    u = np.asarray(starts, dtype=float).astype(ld)
+    r = problem.residual_values(u, a, c)
+    rnorm = np.max(np.abs(r), axis=1).astype(float)
+    history = [[x] for x in rnorm.tolist()]
+    done = []
+
+    for _ in range(max_iter):
+        if not rows.size:
+            break
+        u64 = u.astype(float)
+        diag = lap.diag + (a - eval_nonlinearity(problem.nonlinearity, u64)[1])
+        # the pivot test of solver._checked_factor, row by row
+        threshold = PIVOT_RTOL * n * np.max(np.abs(diag) + pad + pad2, axis=1)
+        fac = _stacked_factor(diag, lap.off)
+        sound = fac.block_min_pivots(len(diag)) >= threshold
+        finished = sound & (rnorm < tol)
+        for i in np.flatnonzero(finished):
+            done.append((rows[i], u64[i], float(rnorm[i]), tuple(history[i])))
+        go = np.flatnonzero(sound & ~finished)
+        if not go.size:
+            break
+        rhs = (-r).astype(float)
+        if sound.all():
+            delta = fac.solve(rhs.ravel()).reshape(rhs.shape)[go]
+        else:
+            # an exactly singular block would feed 0 * inf = NaN through
+            # its seam into the block above it: factor again without it
+            delta = _stacked_factor(diag[go], lap.off).solve(rhs[go].ravel())
+        delta = delta.reshape(len(go), n).astype(ld)
+        rows, u, r, rnorm = rows[go], u[go], r[go], rnorm[go]
+        history = [history[i] for i in go]
+
+        step = 1.0
+        searching = np.arange(len(go))
+        while True:
+            u_trial = u[searching] + ld(step) * delta[searching]
+            r_trial = problem.residual_values(u_trial, a, c)
+            rnorm_trial = np.max(np.abs(r_trial), axis=1).astype(float)
+            accept = np.isfinite(rnorm_trial) & (
+                rnorm_trial <= (1.0 - 1e-4 * step) * rnorm[searching]
+            )
+            moved = searching[accept]
+            u[moved], r[moved], rnorm[moved] = (
+                u_trial[accept], r_trial[accept], rnorm_trial[accept]
+            )
+            searching = searching[~accept]
+            if not searching.size:
+                break
+            step *= 0.5
+            if step < ARMIJO_MIN_STEP:
+                break
+        if searching.size:
+            keep = np.ones(len(rows), dtype=bool)
+            keep[searching] = False
+            rows, u, r, rnorm = rows[keep], u[keep], r[keep], rnorm[keep]
+            history = [h for h, k in zip(history, keep) if k]
+        for h, x in zip(history, rnorm.tolist()):
+            h.append(x)
+
+    done.sort(key=lambda item: item[0])
+    return done
+
+
 def count_solutions(
     problem: Problem,
     a: float,
@@ -155,43 +242,32 @@ def count_solutions(
     tol: float = NEWTON_TOL,
     max_iter: int = 30,
     k_eigs: int = 3,
-    threads: int | None = None,
 ) -> SolutionSet:
     """Enumerate the steady states at (a, c) by multistart Newton.
 
-    Starts that fail to converge are discarded; the survivors are
-    deduplicated at relative L2 threshold `dedup` and each member carries
-    its Morse index. Deterministic for a fixed seed.
+    The starts are solved in fixed chunks by a batched damped Newton that
+    repeats solver.newton_solve row by row; starts that fail to converge or
+    meet a singular Jacobian are discarded. The converged iterates are
+    deduplicated in start order at relative L2 threshold `dedup`, and only
+    the survivors are classified, so each member carries its Morse index.
+    Deterministic for a fixed seed, and bit-identical whatever the chunking.
     """
     if n_starts < 50:
         raise ValueError(f"need n_starts >= 50, got {n_starts}")
     dom = problem.domain
     seeds = _multistart_seeds(problem, a, n_starts, seed, span)
 
-    def attempt(u0):
-        try:
-            return newton_solve(
-                problem, DiscreteField(dom, u0), a, c,
-                tol=tol, max_iter=max_iter, k_eigs=k_eigs,
-            )
-        except (NonConvergence, SingularJacobian, Diverged):
-            return None
-
-    threads = default_thread_count() if threads is None else threads
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(attempt, seeds))
-    else:
-        results = [attempt(u0) for u0 in seeds]
-
-    members: list[SolutionPoint] = []
-    for pt in results:
-        if pt is None:
-            continue
-        if all(_rel_distance(pt.u, m.u) > dedup for m in members):
-            members.append(pt)
+    kept: list[tuple[DiscreteField, float, tuple[float, ...]]] = []
+    for lo in range(0, n_starts, _CHUNK):
+        chunk = _newton_chunk(problem, seeds[lo:lo + _CHUNK], a, c, tol, max_iter)
+        for _, u64, rnorm, history in chunk:
+            u = DiscreteField(dom, u64)
+            if all(_rel_distance(u, m[0]) > dedup for m in kept):
+                kept.append((u, rnorm, history))
+    members = [
+        finalize_point(problem, u.values, a, c, rnorm, history, k_eigs)
+        for u, rnorm, history in kept
+    ]
     members.sort(key=lambda p: (
         np.sqrt(dom.inner(p.u.values, p.u.values)),
         float(p.u.values.max()),

@@ -131,6 +131,16 @@ class TridiagonalFactor:
         self.min_pivot = 0.0 if info > 0 else float(np.min(np.abs(d)))
         self.n = n
 
+    def block_min_pivots(self, blocks: int) -> np.ndarray:
+        """Smallest pivot magnitude within each of `blocks` equal diagonal
+        blocks, exact zeros included as 0.
+
+        Meant for a block-diagonal matrix (zero couplings at the seams):
+        pivoting then never crosses a seam, so each block's pivots are those
+        of factoring the block on its own.
+        """
+        return np.min(np.abs(self._parts[1]).reshape(blocks, -1), axis=1)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         dl, d, du, du2, ipiv = self._parts
         x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)

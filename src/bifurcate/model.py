@@ -50,17 +50,32 @@ class Nonlinearity:
         return self.p_f >= 3
 
 
+def _excess(nl: Nonlinearity, u) -> np.ndarray:
+    """(u - M)+ elementwise; long double stays long double, the rest is
+    evaluated in float64."""
+    arr = np.asarray(u)
+    if arr.dtype != np.longdouble:
+        arr = arr.astype(float)
+    one = arr.dtype.type
+    return np.maximum(arr - one(nl.M), one(0.0))
+
+
+def ramp_values(nl: Nonlinearity, u) -> np.ndarray:
+    """f alone, ((u - M)+)^p_f, for array u of any shape.
+
+    The residual needs no derivatives; this is the f of eval_nonlinearity
+    without computing f' and f'' alongside it.
+    """
+    return _excess(nl, u) ** nl.p_f
+
+
 def eval_nonlinearity(nl: Nonlinearity, u):
     """f, f', f'' of the ramp at u (scalar or array, evaluated elementwise).
 
     Long-double input is evaluated in long double (the Newton working
     precision); everything else goes through float64.
     """
-    arr = np.asarray(u)
-    if arr.dtype != np.longdouble:
-        arr = arr.astype(float)
-    one = arr.dtype.type
-    r = np.maximum(arr - one(nl.M), one(0.0))
+    r = _excess(nl, u)
     p = nl.p_f
     f = r**p
     fp = p * r ** (p - 1)

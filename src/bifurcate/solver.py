@@ -21,7 +21,13 @@ from .grid import (
     LinearOperatorBanded,
     assemble_laplacian,
 )
-from .model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
+from .model import (
+    HarvestSpec,
+    Nonlinearity,
+    critical_cap,
+    eval_nonlinearity,
+    ramp_values,
+)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -93,12 +99,14 @@ class Problem:
         # field are exact in floating point, which keeps the evaluation
         # noise near 1e-13 instead of the ~1e-9 the 1/h^2-scaled products
         # would give. The input dtype (float64 or long double) is preserved.
+        # Rows of a (..., n) stack are evaluated independently, each exactly
+        # as it would be on its own.
         u = np.asarray(u)
         one = u.dtype.type
-        z = np.zeros(1, dtype=u.dtype)
-        padded = np.concatenate((z, u, z))
-        lap = np.diff(padded, n=2) / one(self.domain.spacing) ** 2
-        f = eval_nonlinearity(self.nonlinearity, u)[0]
+        z = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
+        padded = np.concatenate((z, u, z), axis=-1)
+        lap = np.diff(padded, n=2, axis=-1) / one(self.domain.spacing) ** 2
+        f = ramp_values(self.nonlinearity, u)
         return lap + one(a) * u - f - one(c) * self.harvest.values.astype(u.dtype)
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
@@ -341,8 +349,7 @@ def residual_sup_extended(
     h = ld(dom.length) / ld(dom.n_interior + 1)
     padded = np.concatenate((np.zeros(1, ld), v, np.zeros(1, ld)))
     lap = np.diff(padded, n=2) / (h * h)
-    nl = problem.nonlinearity
-    ramp = np.maximum(v - ld(nl.M), ld(0.0)) ** nl.p_f
+    ramp = ramp_values(problem.nonlinearity, v)
     r = lap + ld(a) * v - ramp - ld(c) * problem.harvest.values.astype(ld)
     return float(np.max(np.abs(r)))
 

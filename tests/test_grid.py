@@ -7,6 +7,7 @@ from bifurcate.grid import (
     DiscreteDomain,
     DiscreteField,
     DomainMismatch,
+    TridiagonalFactor,
     assemble_laplacian,
     build_grid,
     dirichlet_eigenvalue_exact,
@@ -209,6 +210,25 @@ def test_factor_pivot_reveals_singular_shift(domain):
     singular = lap.shifted(lam1).factor().min_pivot
     assert healthy > 1e4
     assert singular < 1e-4
+
+
+def test_block_pivots_of_a_stack_match_each_block_alone(domain):
+    """Blocks stacked with zero couplings at the seams keep the pivots they
+    have when factored alone, an exactly singular block included."""
+    n = domain.n_interior
+    lap = assemble_laplacian(domain)
+    rng = np.random.default_rng(11)
+    diags = np.stack([
+        lap.diag + 20.0,
+        rng.uniform(-2.0, 2.0, n) * lap.off[0],
+        np.zeros(n),  # tridiag(o, 0, o) of odd size: singular
+        rng.uniform(-2.0, 2.0, n) * lap.off[0],
+    ])
+    seams = np.tile(np.append(lap.off, 0.0), len(diags))[:-1]
+    stacked = TridiagonalFactor(diags.ravel(), seams)
+    alone = [TridiagonalFactor(d, lap.off) for d in diags]
+    assert alone[2].exactly_singular
+    assert stacked.block_min_pivots(len(diags)).tolist() == [f.min_pivot for f in alone]
 
 
 def test_shifted_changes_diag_only(domain):
