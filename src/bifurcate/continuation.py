@@ -1,6 +1,6 @@
-"""Pseudo-arclength continuation in the harvest amplitude, extended systems
-for degenerate states, and the curves those states sweep when the growth
-rate or a projection coordinate varies.
+"""Pseudo-arclength continuation in the harvest amplitude, minimally extended
+systems for degenerate states, and the curves those states sweep when the
+growth rate or a projection coordinate varies.
 
 Conventions shared by everything in this module:
 
@@ -11,6 +11,14 @@ Conventions shared by everything in this module:
   moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
   defect at this stencil scale, so the reported residuals are those of the
   long-double iterate and the stored fields are float64 roundings.
+- Every linear solve is one bordered tridiagonal solve (grid.solve_bordered)
+  on the symmetric Jacobian J: one border for the arclength corrector, the
+  chart projection and the fold system, two for the index-1 family.
+- Degenerate points are found from the minimally extended system (Griewank
+  & Reddien 1984): the test function g(u, a) solves
+  [[J, w0], [w0^T, 0]] [v; g] = [0; 1] for a fixed bordering vector w0 near
+  the kernel, vanishes exactly where J is singular, and v is the kernel
+  vector there.
 - Kernel vectors w are normalized so their square integral matches that of
   the first Laplacian eigenfunction for index-0 kinds and the second for
   index-1 kinds, and their sign follows the corresponding eigenfunction
@@ -22,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .grid import (
     DiscreteField,
-    PI_LONGDOUBLE,
+    exact_mode_longdouble,
     inner_product,
     renormalize_l2,
+    solve_bordered,
 )
 from .model import critical_cap, eval_nonlinearity
 from .solver import (
@@ -218,15 +225,6 @@ def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.n
     return lap + (one(a) - fp.astype(w.dtype)) * w
 
 
-def _bordered_matrix(J, harvest: np.ndarray, row_u: np.ndarray, row_c: float):
-    n = J.diag.size
-    idx = np.arange(n)
-    rows = np.concatenate((idx, idx[1:], idx[:-1], idx, np.full(n, n), [n]))
-    cols = np.concatenate((idx, idx[:-1], idx[1:], np.full(n, n), idx, [n]))
-    data = np.concatenate((J.diag, J.off, J.off, -harvest, row_u, [row_c]))
-    return csc_matrix((data, (rows, cols)), shape=(n + 1, n + 1))
-
-
 def _constrained_solve(
     problem: Problem,
     a: float,
@@ -248,8 +246,6 @@ def _constrained_solve(
     number of iterations used.
     """
     ld = np.longdouble
-    dom = problem.domain
-    n = dom.n_interior
     u = np.asarray(u0, dtype=ld)
     c = ld(c0)
     row_ld = np.asarray(row_u, dtype=ld)
@@ -263,18 +259,18 @@ def _constrained_solve(
         if not np.isfinite(rF) or rF > 1e8:
             break
         J = problem.jacobian_operator(u.astype(float), a)
-        A = _bordered_matrix(J, problem.harvest.values, np.asarray(row_u, float), row_c)
-        rhs = np.concatenate((np.asarray(-F, dtype=float), [-float(N)]))
         try:
-            delta = splu(A).solve(rhs)
-        except RuntimeError as exc:
-            raise NonConvergence(
-                f"bordered factorization failed: {exc}", u.astype(float), rF
+            du, dc = solve_bordered(
+                J, -problem.harvest.values, row_u, row_c, -F.astype(float), -float(N)
             )
-        if not np.all(np.isfinite(delta)):
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(
+                f"bordered system is singular: {exc}", u.astype(float), rF
+            )
+        if not (np.all(np.isfinite(du)) and np.isfinite(dc[0])):
             break
-        u = u + delta[:n].astype(ld)
-        c = c + ld(delta[n])
+        u = u + du.astype(ld)
+        c = c + ld(dc[0])
     raise NonConvergence(
         "bordered Newton did not converge", u.astype(float), rF
     )
@@ -472,85 +468,72 @@ def _detect_event(problem, prev, new, k_eigs):
     return None
 
 
-def _fold_system_newton(problem, a, u0, c0, w0, S, tol, max_iter):
-    """Newton on {F(u, c) = 0, J(u) w = 0, <w, w> = S} at fixed a.
+def _test_function(problem, u, a, w0):
+    """The minimally extended system's test function at (u, a).
 
-    Long-double iterate, float64 sparse LU for the corrections. Returns the
-    iterate and the converged residual sup norm.
+    Solves [[J, w0], [w0^T, 0]] [v; g] = [0; 1] with J = J(u) symmetric, so
+    g vanishes exactly where J is singular and v then spans its kernel. The
+    float64 solve is refined once against the long-double J(u), which is
+    what lets v meet the kernel residual bound. Returns the float64 J
+    (shared with the Newton step), v and g in long double.
     """
     ld = np.longdouble
-    dom = problem.domain
-    n = dom.n_interior
-    sp = ld(dom.spacing)
+    J = problem.jacobian_operator(u.astype(float), float(a))
+    w0_ld = np.asarray(w0, dtype=ld)
+    try:
+        v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0)
+        v, g = v.astype(ld), ld(g[0])
+        rv = _linearized_apply(problem, u, v, a) + g * w0_ld
+        rg = w0_ld @ v - ld(1)
+        dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg))
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(
+            f"test-function system is singular: {exc}", u.astype(float), np.inf
+        )
+    return J, v + dv.astype(ld), g + ld(dg[0])
+
+
+def _kernel_residual(problem, u, a, v, S):
+    """Sup norm of J(u) w in long double, w = v scaled to square integral S
+    (the bound _package_degenerate re-verifies)."""
+    w = v * np.sqrt(np.longdouble(S) / (np.longdouble(problem.domain.spacing) * (v @ v)))
+    return float(np.max(np.abs(_linearized_apply(problem, u, w, a))))
+
+
+def _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter):
+    """Newton on the minimally extended fold system {F(u, c) = 0, g(u) = 0}
+    at fixed a, unknowns (u, c), with g from _test_function.
+
+    Because J is symmetric and the test function is bordered by w0 on both
+    sides, g_u = f''(u) v^2, and each step is the one-border solve of
+    [[J, -h], [g_u^T, 0]]. Returns the long-double (u, c), the kernel vector
+    v and the converged residual: the sup of F and of the kernel residual
+    with v scaled to square integral S.
+    """
+    ld = np.longdouble
     u = np.asarray(u0, dtype=ld)
     c = ld(c0)
-    w = np.asarray(w0, dtype=ld)
-    harvest = problem.harvest.values
-    idx = np.arange(n)
     res = np.inf
     for _ in range(max_iter):
         F = problem.residual_values(u, a, c)
-        G = _linearized_apply(problem, u, w, a)
-        Nw = sp * (w @ w) - ld(S)
-        res = max(
-            float(np.max(np.abs(F))),
-            float(np.max(np.abs(G))),
-            abs(float(Nw)),
-        )
+        J, v, g = _test_function(problem, u, a, w0)
+        res = max(float(np.max(np.abs(F))), _kernel_residual(problem, u, a, v, S))
         if res < tol:
-            return u, c, w, res
+            return u, c, v, res
         if not np.isfinite(res) or res > 1e8:
             break
         u64 = u.astype(float)
-        w64 = w.astype(float)
-        J = problem.jacobian_operator(u64, a)
-        fpp = eval_nonlinearity(problem.nonlinearity, u64)[2]
-        # unknown layout: u -> 0..n-1, c -> n, w -> n+1..2n
-        rows = np.concatenate(
-            (
-                idx, idx[1:], idx[:-1], idx,            # F rows
-                idx + n, idx[1:] + n, idx[:-1] + n,     # G rows, w block
-                idx + n,                                # G rows, u block
-                np.full(n, 2 * n),                      # norm row
-            )
-        )
-        cols = np.concatenate(
-            (
-                idx, idx[:-1], idx[1:], np.full(n, n),
-                idx + n + 1, idx[:-1] + n + 1, idx[1:] + n + 1,
-                idx,
-                idx + n + 1,
-            )
-        )
-        data = np.concatenate(
-            (
-                J.diag, J.off, J.off, -harvest,
-                J.diag, J.off, J.off,
-                -fpp * w64,
-                2.0 * float(sp) * w64,
-            )
-        )
-        A = csc_matrix((data, (rows, cols)), shape=(2 * n + 1, 2 * n + 1))
-        rhs = np.concatenate(
-            (
-                np.asarray(-F, dtype=float),
-                np.asarray(-G, dtype=float),
-                [-float(Nw)],
-            )
-        )
+        g_u = eval_nonlinearity(problem.nonlinearity, u64)[2] * v.astype(float) ** 2
         try:
-            delta = splu(A).solve(rhs)
-        except RuntimeError as exc:
-            raise NonConvergence(
-                f"extended-system factorization failed: {exc}",
-                u.astype(float),
-                res,
+            du, dc = solve_bordered(
+                J, -problem.harvest.values, g_u, 0.0, -F.astype(float), -float(g)
             )
-        if not np.all(np.isfinite(delta)):
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"fold system is singular: {exc}", u64, res)
+        if not (np.all(np.isfinite(du)) and np.isfinite(dc[0])):
             break
-        u = u + delta[:n].astype(ld)
-        c = c + ld(delta[n])
-        w = w + delta[n + 1 :].astype(ld)
+        u = u + du.astype(ld)
+        c = c + ld(dc[0])
     raise NonConvergence(
         "extended fold system did not converge", u.astype(float), res
     )
@@ -630,9 +613,11 @@ def refine_fold(
     """Collapse a bracketing pair onto the degenerate point between them.
 
     The endpoints must share a growth rate and straddle a sign change of some
-    linearization eigenvalue. Solves {F = 0, J w = 0, <w, w> fixed} for
-    (u, c, w), seeded at the eigenvalue-weighted interpolation of the bracket
-    with w from the endpoint closer to the crossing. The returned kind
+    linearization eigenvalue. Solves the minimally extended system
+    {F(u, c) = 0, g(u) = 0} for (u, c) (Griewank & Reddien 1984), seeded at
+    the eigenvalue-weighted interpolation of the bracket; g is bordered by
+    the eigenfunction of the endpoint closer to the crossing, and its
+    bordered solve also yields the kernel vector. The returned kind
     reflects which eigenvalue actually vanished; pass expected_kind to get a
     WrongKind error (carrying the point) when a different one does.
     """
@@ -658,7 +643,7 @@ def refine_fold(
     phi = problem.modes()[0]
     S = inner_product(phi.eigenfunction, phi.eigenfunction)
     w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-    u_ld, c_ld, w_ld, _ = _fold_system_newton(problem, a, u0, c0, w0, S, tol, max_iter)
+    u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter)
     return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs)
 
 
@@ -722,9 +707,10 @@ def trace_fold_curve(
 ) -> DegenerateCurve:
     """Sweep a degenerate point across a window of growth rates.
 
-    Natural-parameter marching: at each new a the extended fold system is
-    re-solved from a secant predictor in a; steps halve on failure and grow
-    by 1.3, and both window edges are hit exactly. Each interior point gets
+    Natural-parameter marching: at each new a the minimally extended fold
+    system is re-solved from a secant predictor in a (the predicted kernel
+    vector borders its test function); steps halve on failure and grow by
+    1.3, and both window edges are hit exactly. Each interior point gets
     the identity check dc/da = int(u w)/int(h w) against the secant slope,
     recorded in slope_check as relative mismatches.
     """
@@ -756,7 +742,7 @@ def trace_fold_curve(
             else:
                 u0, c0, w0 = prev.u.values, prev.c, prev.w.values
             try:
-                u_ld, c_ld, w_ld, _ = _fold_system_newton(
+                u_ld, c_ld, w_ld, _ = _fold_newton(
                     problem, a_new, u0, c0, w0, S, tol, 16
                 )
                 dp = _package_degenerate(
@@ -793,7 +779,7 @@ def trace_fold_curve(
         try:
             sides = []
             for sign in (-1.0, 1.0):
-                u_ld, c_ld, w_ld, _ = _fold_system_newton(
+                u_ld, c_ld, w_ld, _ = _fold_newton(
                     problem, p.a + sign * probe, p.u.values, p.c, w, S, tol, 16
                 )
                 sides.append(float(c_ld))
@@ -804,97 +790,56 @@ def trace_fold_curve(
     return DegenerateCurve(tuple(pts), params, seed.kind, tuple(checks))
 
 
-def _sigma_system_newton(problem, t, a0, y0, c0, z0, psi_v, S2, tol, max_iter):
-    """Newton for the index-1 degenerate family in the chart coordinate t:
-    unknowns (a, y, c, zeta) with u = t psi + y, <y, psi> = 0, J zeta = 0 and
-    <zeta, zeta> = S2, all at fixed t."""
+def _index1_newton(problem, t, a0, u0, c0, w0, psi_v, S2, tol, max_iter):
+    """Newton for the index-1 degenerate family at fixed chart coordinate t:
+    unknowns (u, a, c), equations F(u, a, c) = 0, the chart row
+    <u, psi> = t <psi, psi> and the test function g(u, a) = 0.
+
+    With dF/da = u, dF/dc = -h, g_u = f''(u) v^2 and g_a = -v.v (J depends
+    on a through its diagonal), each step is one two-border solve.
+    Returns the long-double (a, u, c), the kernel vector and the residual.
+    """
     ld = np.longdouble
-    dom = problem.domain
-    n = dom.n_interior
-    sp = ld(dom.spacing)
+    sp = problem.domain.spacing
     aa = ld(a0)
-    y = np.asarray(y0, dtype=ld)
+    u = np.asarray(u0, dtype=ld)
     cc = ld(c0)
-    z = np.asarray(z0, dtype=ld)
     psi_ld = np.asarray(psi_v, dtype=ld)
-    harvest = problem.harvest.values
-    idx = np.arange(n)
     res = np.inf
     for _ in range(max_iter):
-        u = ld(t) * psi_ld + y
         F = problem.residual_values(u, aa, cc)
-        G = _linearized_apply(problem, u, z, aa)
-        N1 = sp * (y @ psi_ld)
-        N2 = sp * (z @ z) - ld(S2)
+        N = ld(sp) * (psi_ld @ u) - ld(t) * ld(S2)
+        J, v, g = _test_function(problem, u, aa, w0)
         res = max(
             float(np.max(np.abs(F))),
-            float(np.max(np.abs(G))),
-            abs(float(N1)),
-            abs(float(N2)),
+            abs(float(N)),
+            _kernel_residual(problem, u, aa, v, S2),
         )
         if res < tol:
-            return aa, y, cc, z, res
+            return aa, u, cc, v, res
         if not np.isfinite(res) or res > 1e8:
             break
         u64 = u.astype(float)
-        z64 = z.astype(float)
-        J = problem.jacobian_operator(u64, aa.astype(float))
-        fpp = eval_nonlinearity(problem.nonlinearity, u64)[2]
-        # unknown layout: a -> 0, y -> 1..n, c -> n+1, zeta -> n+2..2n+1
-        rows = np.concatenate(
-            (
-                idx, idx, idx[1:], idx[:-1], idx,          # F rows
-                idx + n, idx + n, idx + n,                 # G rows: a, y columns
-                idx[1:] + n, idx[:-1] + n,                 # G rows: zeta off-diagonals
-                np.full(n, 2 * n),                         # <y, psi> row
-                np.full(n, 2 * n + 1),                     # norm row
-            )
-        )
-        cols = np.concatenate(
-            (
-                np.zeros(n, dtype=int), idx + 1, idx[:-1] + 1, idx[1:] + 1,
-                np.full(n, n + 1),
-                np.zeros(n, dtype=int), idx + 1, idx + n + 2,
-                idx[:-1] + n + 2, idx[1:] + n + 2,
-                idx + 1,
-                idx + n + 2,
-            )
-        )
-        data = np.concatenate(
-            (
-                u64, J.diag, J.off, J.off, -harvest,
-                z64, -fpp * z64, J.diag,
-                J.off, J.off,
-                float(sp) * psi_v,
-                2.0 * float(sp) * z64,
-            )
-        )
-        A = csc_matrix((data, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
-        rhs = np.concatenate(
-            (
-                np.asarray(-F, dtype=float),
-                np.asarray(-G, dtype=float),
-                [-float(N1), -float(N2)],
-            )
-        )
+        v64 = v.astype(float)
+        g_u = eval_nonlinearity(problem.nonlinearity, u64)[2] * v64**2
         try:
-            delta = splu(A).solve(rhs)
-        except RuntimeError as exc:
-            raise NonConvergence(
-                f"degenerate-family factorization failed: {exc}",
-                u64,
-                res,
+            du, (da, dc) = solve_bordered(
+                J,
+                np.column_stack((u64, -problem.harvest.values)),
+                np.column_stack((sp * psi_v, g_u)),
+                [[0.0, 0.0], [-(v64 @ v64), 0.0]],
+                -F.astype(float),
+                [-float(N), -float(g)],
             )
-        if not np.all(np.isfinite(delta)):
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"degenerate-family system is singular: {exc}", u64, res)
+        if not (np.all(np.isfinite(du)) and np.isfinite(da) and np.isfinite(dc)):
             break
-        aa = aa + ld(delta[0])
-        y = y + delta[1 : n + 1].astype(ld)
-        cc = cc + ld(delta[n + 1])
-        z = z + delta[n + 2 :].astype(ld)
+        aa = aa + ld(da)
+        u = u + du.astype(ld)
+        cc = cc + ld(dc)
     raise NonConvergence(
-        "degenerate-family system did not converge",
-        (ld(t) * psi_ld + y).astype(float),
-        res,
+        "degenerate-family system did not converge", u.astype(float), res
     )
 
 
@@ -914,9 +859,10 @@ def trace_index1_degenerate_curve(
 
     Inside [-M/beta, M] the family is the exact line (a at the second
     eigenvalue, u = t psi, c = 0, kernel psi) and each sample is solved
-    directly from that seed. Outside, the extended system (unknowns a, y, c,
-    zeta with u = t psi + y and y orthogonal to psi) is marched outward with
-    adaptive steps. When t_range is omitted it extends sigma beyond the
+    directly from that seed. Outside, the minimally extended system
+    (unknowns u, a, c; equations F = 0, the chart row and the test function
+    g = 0) is marched outward with adaptive steps, predicting the offset
+    u - t psi, a, c and the bordering kernel vector by secants. When t_range is omitted it extends sigma beyond the
     segment on both sides; an explicit range must cover the segment.
     """
     dom = problem.domain
@@ -936,15 +882,17 @@ def trace_index1_degenerate_curve(
     lam2 = psi.eigenvalue
     n = dom.n_interior
 
+    psi_ld = psi_v.astype(np.longdouble)
+
     def solve_at(t, a0, y0, c0, z0):
-        aa, y, cc, z, _ = _sigma_system_newton(
-            problem, t, a0, y0, c0, z0, psi_v, S2, tol, 16
+        t_psi = np.longdouble(t) * psi_ld
+        aa, u_ld, cc, v, _ = _index1_newton(
+            problem, t, a0, t_psi + y0, c0, z0, psi_v, S2, tol, 16
         )
-        u_ld = np.longdouble(t) * psi_v.astype(np.longdouble) + y
         dp = _package_degenerate(
-            problem, float(aa), u_ld, cc, z, "degenerate-index1", tol, k_eigs
+            problem, float(aa), u_ld, cc, v, "degenerate-index1", tol, k_eigs
         )
-        return dp, (float(aa), y.astype(float), float(cc), z.astype(float))
+        return dp, (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
 
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
@@ -1201,15 +1149,9 @@ def build_degenerate_segment(
         raise ValueError("second eigenfunction has no negative part")
     t_lo, t_hi = -nl.M / beta, nl.M
 
-    n = dom.n_interior
-    L = ld(dom.length)
-    h = L / ld(n + 1)
-    x = np.arange(1, n + 1, dtype=ld) * h
-    raw = -np.sin(2 * PI_LONGDOUBLE * x / L)
-    if float(np.dot(raw.astype(float), psi64.values)) < 0:
-        raw = -raw
-    psi_ld = raw / np.max(np.abs(raw))
-    lam2_ld = (ld(4) / h**2) * np.sin(PI_LONGDOUBLE * h / L) ** 2
+    lam2_ld, psi_ld = exact_mode_longdouble(dom, 2)
+    if float(np.dot(psi_ld.astype(float), psi64.values)) < 0:
+        psi_ld = -psi_ld
 
     ts = np.linspace(t_lo, t_hi, n_check) if t_hi > t_lo else np.array([t_lo])
     worst = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField, TridiagonalFactor
+from .grid import DiscreteField, TridiagonalFactor, exact_mode_longdouble
 from .model import critical_cap, eval_nonlinearity
 from .solver import (
     ARMIJO_MIN_STEP,
@@ -33,6 +33,7 @@ from .solver import (
     classify_state,
     finalize_point,
     newton_solve,
+    residual_sup_extended,
     time_march,
 )
 from .continuation import (
@@ -532,17 +533,29 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
     # c = 0 carries a ray of degenerate states t*phi (t <= M); the display
     # clips it to [-M, M]. For c < 0 the stable sheet hangs off the ray's
     # upper edge.
+    # The ray is built from the closed-form long-double mode and certified
+    # in long double (as the degenerate segment is): multiples of the
+    # float64 eigenvector miss the steady-state tolerance on fine grids.
     phi = problem.modes()[0]
     M = problem.nonlinearity.M
     dom = problem.domain
+    lam1_ld, phi_ld = exact_mode_longdouble(dom, 1)
     ts = np.linspace(-M, M, 41) if M > 0 else np.array([0.0])
-    ray_pts = tuple(
-        classify_state(problem, DiscreteField(dom, t * phi.eigenfunction.values), a, 0.0)
-        for t in ts
-    )
+    ray_pts = []
+    for t in ts:
+        u_ld = np.longdouble(t) * phi_ld
+        r = residual_sup_extended(problem, u_ld, lam1_ld, 0.0)
+        if not r < kw["tol"]:
+            raise NonConvergence(
+                f"ray state t={t:.6g} fails extended-precision verification "
+                f"({r:.3e})", u_ld.astype(float), r,
+            )
+        ray_pts.append(finalize_point(
+            problem, u_ld.astype(float), a, 0.0, r, k_eigs=kw["k_eigs"]
+        ))
     norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
     branches.append(Branch(
-        ray_pts,
+        tuple(ray_pts),
         tuple(norm * (t - ts[0]) for t in ts),
         "phi",
         tuple(float(t) for t in ts),

@@ -192,9 +192,80 @@ class LinearOperatorBanded:
         return TridiagonalFactor(self.diag, self.off)
 
     def norm_inf(self) -> float:
-        pad = np.concatenate(([0.0], np.abs(self.off)))
-        pad2 = np.concatenate((np.abs(self.off), [0.0]))
-        return float(np.max(np.abs(self.diag) + pad + pad2))
+        rows = np.abs(self.diag)
+        off = np.abs(self.off)
+        rows[1:] += off
+        rows[:-1] += off
+        return float(np.max(rows))
+
+
+#: Largest condition estimate of J (norm of J times the growth of J^{-1} over
+#: a right-hand column) for which plain block elimination is trusted: its
+#: cancellation costs about eps times this much accuracy, which one step of
+#: refinement then squares away. Above it J is deflated first.
+BORDERED_COND_LIMIT = 1e8
+
+
+def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g):
+    """Solve [[J, B], [C^T, D]] [x; y] = [f; g] for the symmetric tridiagonal
+    J of op and k <= 2 dense borders, in O(n).
+
+    B and C are (n, k) (a 1-D array counts as k = 1), D is (k, k) and g has
+    k entries; returns x (n,) and y (k,). J is factored once and eliminated
+    by blocks (Chan 1984): one multi-column gttrs for f and B, the k x k
+    Schur complement, then one step of iterative refinement against the
+    full bordered matrix. Where J is exactly singular or too close to it for
+    elimination to keep its accuracy (BORDERED_COND_LIMIT), its near-null
+    direction is deflated first (Govaerts 2000, ch. 3): J + s e_j e_j^T,
+    with j the node where the inverse-iteration vector of J peaks and
+    s = ||J||_inf, is regular, and the shift comes back as one extra border
+    that pins the extra unknown to x_j. The bordered matrix itself must be
+    regular: an exactly singular Schur complement raises LinAlgError, and a
+    numerically singular one gives non-finite or meaningless output.
+    """
+    n = op.diag.size
+    f = np.asarray(f, dtype=float)
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    C = np.asarray(C, dtype=float).reshape(n, -1)
+    k = B.shape[1]
+    D = np.asarray(D, dtype=float).reshape(k, k)
+    g = np.asarray(g, dtype=float).reshape(k)
+    scale = op.norm_inf()
+    fac = op.factor()
+    cols = np.empty((n, k + 1), order="F")  # gttrs's layout, and fast column maxima
+    cols[:, 0] = f
+    cols[:, 1:] = B
+    if fac.exactly_singular:
+        # only the direction of the near-null vector is needed from this
+        Z = op.shifted(1e-10 * scale).factor().solve(cols)
+    else:
+        Z = fac.solve(cols)
+    growth = np.max(np.abs(Z), axis=0) / np.maximum(
+        np.max(np.abs(cols), axis=0), np.finfo(float).tiny
+    )
+    gx = g
+    if fac.exactly_singular or not scale * np.max(growth) < BORDERED_COND_LIMIT:
+        e_j = np.zeros(n)
+        e_j[int(np.argmax(np.abs(Z[:, np.argmax(growth)])))] = 1.0
+        fac = op.add_diagonal(scale * e_j).factor()
+        B = np.column_stack((B, -scale * e_j))
+        C = np.column_stack((C, e_j))
+        D = np.block([[D, np.zeros((k, 1))], [np.zeros((1, k)), -np.ones((1, 1))]])
+        gx = np.append(g, 0.0)
+        Z = fac.solve(np.column_stack((cols, -scale * e_j)))
+    ZB = Z[:, 1:]
+    S = D - C.T.dot(ZB)
+    y = np.linalg.solve(S, gx - C.T.dot(Z[:, 0]))
+    x = Z[:, 0] - ZB.dot(y)
+    # (ndarray.dot costs a fraction of the call overhead of @ on these small
+    # products.) One refinement step against the original bordered matrix;
+    # in the deflated case the extra unknown's row gets a zero residual,
+    # which makes the correction solve the original system exactly.
+    rf = f - op.apply(x) - B[:, :k].dot(y[:k])
+    rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
+    zr = fac.solve(rf)
+    dy = np.linalg.solve(S, np.append(rg, np.zeros(y.size - k)) - C.T.dot(zr))
+    return x + zr - ZB.dot(dy), (y + dy)[:k]
 
 
 @dataclass(frozen=True)
@@ -253,6 +324,23 @@ def dirichlet_eigenvalue_exact(domain: DiscreteDomain, k: int) -> float:
     """
     h = domain.spacing
     return (4.0 / h**2) * float(np.sin(k * np.pi * h / (2.0 * domain.length)) ** 2)
+
+
+def exact_mode_longdouble(domain: DiscreteDomain, k: int):
+    """Closed-form k-th eigenpair of the discrete -Laplacian in long double.
+
+    Returns (4/h^2) sin^2(k pi h / (2L)) and the samples of sin(k pi x / L)
+    scaled to unit sup norm (positive first node). Exact to long-double
+    rounding, so multiples of it certify as steady states far below what a
+    float64 eigenvector can.
+    """
+    ld = np.longdouble
+    L = ld(domain.length)
+    h = L / ld(domain.n_interior + 1)
+    x = np.arange(1, domain.n_interior + 1, dtype=ld) * h
+    raw = np.sin(k * PI_LONGDOUBLE * x / L)
+    lam = (ld(4) / h**2) * np.sin(k * PI_LONGDOUBLE * h / (2 * L)) ** 2
+    return lam, raw / np.max(np.abs(raw))
 
 
 def _rayleigh_polish(diag: np.ndarray, off: np.ndarray, vec: np.ndarray) -> float:

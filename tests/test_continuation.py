@@ -16,7 +16,7 @@ import pytest
 
 from bifurcate.grid import DiscreteField, build_grid, inner_product
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
-from bifurcate.solver import NonConvergence, Problem, classify_state, newton_solve
+from bifurcate.solver import NEWTON_TOL, NonConvergence, Problem, classify_state, newton_solve
 from bifurcate.continuation import (
     Branch,
     DegenerateCurve,
@@ -154,6 +154,22 @@ def _assert_index_changes_only_at_events(branch: Branch):
             assert i in event_sites, f"silent index change after point {i}"
 
 
+def _assert_kernel_conventions(problem, modes, dp):
+    """Residual bound, normalization and sign of a degenerate point's kernel
+    vector: square integral of the first (index-0) or second (index-1)
+    eigenfunction; positive peak for folds, positive pairing with the second
+    eigenfunction for index-1 points."""
+    dom = problem.domain
+    assert dp.residual_sup < NEWTON_TOL
+    w = dp.w.values
+    ref = modes[0 if dp.kind == "fold-index0" else 1].eigenfunction
+    assert dom.inner(w, w) == pytest.approx(inner_product(ref, ref), rel=1e-9)
+    if dp.kind == "fold-index0":
+        assert w[np.argmax(np.abs(w))] > 0
+    else:
+        assert np.dot(ref.values, w) > 0
+
+
 class TestBranchTracing:
     def test_stable_branch_runs_to_fold(self, branch20, stable20):
         kinds = [e.kind for e in branch20.events]
@@ -263,6 +279,16 @@ class TestDegeneratePoints:
             refine_fold(problem, low, high, expected_kind="fold-index0")
         assert err.value.point.kind == "degenerate-index1"
         assert err.value.point.morse_index_at_point == 1
+        _assert_kernel_conventions(problem, problem.modes(), err.value.point)
+
+    def test_refined_fold_conventions(self, problem, modes, fold20, window_pieces):
+        folds = [fold20] + [
+            dp for br in window_pieces.values() if isinstance(br, Branch)
+            for dp in br.fold_points()
+        ]
+        assert {dp.kind for dp in folds} == {"fold-index0", "degenerate-index1"}
+        for dp in folds:
+            _assert_kernel_conventions(problem, modes, dp)
 
     def test_bracket_validation(self, problem, branch20, stable20):
         with pytest.raises(ValueError):
@@ -293,7 +319,7 @@ class TestDegeneratePoints:
 
 
 class TestFoldSweep:
-    def test_covers_window_with_growing_amplitude(self, modes, fold_sweep):
+    def test_covers_window_with_growing_amplitude(self, problem, modes, fold_sweep):
         lam1 = modes[0].eigenvalue
         a = fold_sweep.a_values()
         c = fold_sweep.c_values()
@@ -305,6 +331,8 @@ class TestFoldSweep:
         assert c[-1] == pytest.approx(FOLD_SWEEP_C_HI, rel=1e-6)
         assert {p.kind for p in fold_sweep.points} == {"fold-index0"}
         assert max(p.residual_sup for p in fold_sweep.points) < 1e-10
+        for p in fold_sweep.points:
+            _assert_kernel_conventions(problem, modes, p)
 
     def test_slope_identity_along_sweep(self, fold_sweep):
         assert len(fold_sweep.slope_check) >= len(fold_sweep.points) - 2
@@ -347,6 +375,8 @@ class TestDegenerateFamily:
         assert {p.kind for p in sigma_curve.points} == {"degenerate-index1"}
         assert all(p.morse_index_at_point == 1 for p in sigma_curve.points)
         assert max(p.residual_sup for p in sigma_curve.points) < 1e-10
+        for p in sigma_curve.points:
+            _assert_kernel_conventions(problem, modes, p)
 
     def test_window_must_cover_segment(self, problem):
         with pytest.raises(ValueError):

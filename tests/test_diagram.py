@@ -401,6 +401,20 @@ class TestAssembly:
         assert len(diagram_lam1.degenerate_points) == 1
         assert abs(diagram_lam1.degenerate_points[0].c) < 1e-9
 
+    def test_at_lambda1_on_a_fine_grid(self):
+        """At n = 1599 multiples of the float64 first eigenvector miss the
+        steady-state tolerance; the ray is certified in long double instead
+        and the diagram completes."""
+        problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        diag = assemble_diagram(problem, problem.modes()[0].eigenvalue, tol=1e-10)
+        assert diag.complete and diag.regime == "at-lambda1"
+        assert set(diag.tags()) == {"ray", "Mstar"}
+        ray = diag.branch("ray")
+        assert len(ray.points) == 41
+        assert all(p.degenerate and p.morse_index == 0 for p in ray.points)
+        assert max(p.residual_norm for p in ray.points) < NEWTON_TOL
+        assert abs(diag.degenerate_points[0].c) < 1e-9
+
     def test_below_single_stable_sweep(self, diagram_below):
         assert diagram_below.regime == "below-lambda1"
         assert set(diagram_below.tags()) == {"Mstar"}

@@ -7,14 +7,17 @@ from bifurcate.grid import (
     DiscreteDomain,
     DiscreteField,
     DomainMismatch,
+    LinearOperatorBanded,
     TridiagonalFactor,
     assemble_laplacian,
     build_grid,
     dirichlet_eigenvalue_exact,
     inner_product,
     l2_norm,
+    exact_mode_longdouble,
     laplacian_eigenpairs,
     renormalize_l2,
+    solve_bordered,
 )
 
 # Reference values. The sine integrals against x(1-x)^2 have closed forms;
@@ -229,6 +232,82 @@ def test_block_pivots_of_a_stack_match_each_block_alone(domain):
     alone = [TridiagonalFactor(d, lap.off) for d in diags]
     assert alone[2].exactly_singular
     assert stacked.block_min_pivots(len(diags)).tolist() == [f.min_pivot for f in alone]
+
+
+def _dense_bordered(op, B, C, D):
+    n = op.diag.size
+    J = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+    B = B.reshape(n, -1)
+    C = C.reshape(n, -1)
+    return np.block([[J, B], [C.T, np.reshape(D, (B.shape[1],) * 2)]])
+
+
+def _check_bordered(op, B, C, D, seed):
+    """solve_bordered against a dense solve of the same assembled matrix,
+    to within a small multiple of eps * cond of the bordered matrix."""
+    n = op.diag.size
+    k = B.reshape(n, -1).shape[1]
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(n)
+    g = rng.standard_normal(k)
+    A = _dense_bordered(op, B, C, D)
+    ref = np.linalg.solve(A, np.concatenate((f, g)))
+    x, y = solve_bordered(op, B, C, D, f, g)
+    assert x.shape == (n,) and y.shape == (k,)
+    bound = 100 * np.finfo(float).eps * np.linalg.cond(A) * np.max(np.abs(ref))
+    assert np.max(np.abs(np.concatenate((x, y)) - ref)) < bound
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [99, 399])
+def test_bordered_solve_regular(n, k):
+    op = assemble_laplacian(build_grid(n, 1.0)).shifted(20.0)
+    rng = np.random.default_rng(n + k)
+    B, C = rng.standard_normal((2, n, k))
+    _check_bordered(op, B, C, rng.standard_normal((k, k)), seed=k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("n", [99, 399])
+def test_bordered_solve_at_polished_first_eigenvalue(n, k):
+    """J = Laplacian + lambda1 is singular to working precision (tiny
+    pivot); the bordered matrix is regular through the harvest-like border,
+    and D = 0 as in the fold systems."""
+    dom = build_grid(n, 1.0)
+    pair = laplacian_eigenpairs(dom, 1)[0]
+    op = assemble_laplacian(dom).shifted(pair.eigenvalue)
+    assert op.factor().min_pivot < 1e-6 * op.norm_inf()
+    x = dom.nodes
+    B = np.column_stack((x * (1 - x) ** 2, np.cos(3 * x)))[:, :k]
+    C = np.column_stack((pair.eigenfunction.values, x))[:, :k]
+    _check_bordered(op, B, C, np.zeros((k, k)), seed=3 * k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bordered_solve_with_exact_zero_pivot(k):
+    """gttrf meets an exact zero pivot (the leading 2x2 block of J is
+    [[1, 1], [1, 1]] and the rest is decoupled from it), yet the border
+    reaches the null vector (1, -1, 0, ...) and the bordered matrix is
+    regular."""
+    n = 9
+    diag = np.array([1.0, 1.0] + [2.0] * (n - 2))
+    off = np.array([1.0, 0.0] + [-1.0] * (n - 3))
+    op = LinearOperatorBanded(build_grid(n, 1.0), diag, off)
+    assert op.factor().exactly_singular
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((n, k))
+    C = rng.standard_normal((n, k))
+    _check_bordered(op, B, C, np.zeros((k, k)), seed=k)
+
+
+def test_exact_modes_match_closed_form(domain):
+    for k, pair in enumerate(laplacian_eigenpairs(domain, 2), start=1):
+        lam, mode = exact_mode_longdouble(domain, k)
+        assert mode.dtype == np.longdouble
+        assert float(lam) == pytest.approx(dirichlet_eigenvalue_exact(domain, k), rel=1e-14)
+        assert float(np.max(np.abs(mode))) == 1.0 and mode[0] > 0
+        assert np.max(np.abs(mode.astype(float) - np.sign(pair.eigenfunction.values[0])
+                             * pair.eigenfunction.values)) < 1e-9
 
 
 def test_shifted_changes_diag_only(domain):

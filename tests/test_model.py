@@ -11,6 +11,7 @@ from bifurcate.model import (
     check_hypotheses,
     critical_cap,
     eval_nonlinearity,
+    ramp_values,
 )
 
 CANONICAL = Nonlinearity(M=0.2, p_f=3)
@@ -34,6 +35,34 @@ def test_ramp_vectorized():
     assert np.allclose(f, [0.0, 0.0, 1.0], atol=1e-14)
     assert np.allclose(fp, [0.0, 0.0, 3.0], atol=1e-14)
     assert np.allclose(fpp, [0.0, 0.0, 6.0], atol=1e-14)
+
+
+def _long_double_samples():
+    rng = np.random.default_rng(17)
+    return rng.uniform(-1.0, 6.0, (64, 399)).astype(np.longdouble)
+
+
+def test_ramp_values_bit_identical_to_power_at_cubic():
+    """Repeated multiplication gives np.power's long-double result bit for
+    bit at the default p_f = 3."""
+    nl = Nonlinearity(M=0.2, p_f=3)
+    u = _long_double_samples()
+    r = np.maximum(u - np.longdouble(0.2), np.longdouble(0.0))
+    out = ramp_values(nl, u)
+    assert out.dtype == np.longdouble
+    assert np.array_equal(out, np.power(r, 3))
+
+
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_ramp_values_within_a_few_ulps_of_power(p):
+    """Higher powers round once per multiplication, so they may differ from
+    np.power in the last bits, but by no more than p ulps."""
+    nl = Nonlinearity(M=0.2, p_f=p)
+    u = _long_double_samples()
+    r = np.maximum(u - np.longdouble(0.2), np.longdouble(0.0))
+    ref = np.power(r, p)
+    out = ramp_values(nl, u)
+    assert np.all(np.abs(out - ref) <= p * np.spacing(ref))
 
 
 def test_nonlinearity_validation():
