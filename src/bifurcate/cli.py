@@ -8,15 +8,17 @@ same config byte-reproduces every CSV and JSON artifact.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .grid import DiscreteField, build_grid
-from .model import HarvestSpec, Nonlinearity, check_hypotheses, critical_cap
+from .model import HarvestSpec, Nonlinearity, check_hypotheses
 from .solver import (
     NEWTON_TOL,
     Diverged,
@@ -45,6 +47,7 @@ from .diagram import (
     REGIMES,
     AssemblyIncomplete,
     BifurcationDiagram,
+    _stable_seed,
     assemble_diagram,
     count_solutions,
     verify_structure,
@@ -279,14 +282,14 @@ def _require(cfg: RunConfig, key: str):
 # CSV emission
 
 
-def _branch_rows(branch: Branch):
+def _branch_rows(branch: Branch, key: str):
     dom = branch.points[0].u.domain
     for i, p in enumerate(branch.points):
         u = p.u.values
         mu = p.spectrum.eigenvalues
         yield ",".join([
             _fmt(branch.arclengths[i]),
-            _fmt(p.c),
+            _fmt(getattr(p, key)),
             _fmt(branch.t_proj[i]),
             _fmt(np.sqrt(dom.inner(u, u))),
             _fmt(u.max()),
@@ -300,22 +303,20 @@ def _branch_rows(branch: Branch):
 
 def emit_csv(branch: Branch, path) -> None:
     """Write one branch as CSV under the fixed ten-column header."""
-    if not branch.points:
-        raise ValueError("refusing to emit an empty branch")
-    lines = [CSV_HEADER, *_branch_rows(branch)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _emit_branches_csv([branch], path)
 
 
-def _emit_branches_csv(branches, path) -> None:
-    """All branches of a diagram in one file; the tag column tells them
-    apart."""
+def _emit_branches_csv(branches, path, key: str = "c") -> None:
+    """Branches in one file under the ten-column header; the tag column
+    tells them apart. `key` names the second column: the harvest level c,
+    or the growth rate a for a sweep at c = 0."""
     if not branches:
         raise ValueError("refusing to emit an empty branch set")
-    lines = [CSV_HEADER]
+    lines = [CSV_HEADER.replace("s,c,", f"s,{key},", 1)]
     for br in branches:
         if not br.points:
-            raise ValueError(f"branch {br.tag!r} has no points")
-        lines.extend(_branch_rows(br))
+            raise ValueError(f"refusing to emit an empty branch {br.tag!r}")
+        lines.extend(_branch_rows(br, key))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -336,29 +337,12 @@ def _emit_curve_csv(curve, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _emit_sweep_csv(branch: Branch, path) -> None:
-    """Growth-rate sweep CSV: like the branch format but keyed by a."""
-    if not branch.points:
-        raise ValueError("refusing to emit an empty branch")
-    dom = branch.points[0].u.domain
-    lines = ["s,a,t_proj,u_l2,u_max,u_min,mu1,mu2,morse_index,tag"]
-    for i, p in enumerate(branch.points):
-        u = p.u.values
-        mu = p.spectrum.eigenvalues
-        lines.append(",".join([
-            _fmt(branch.arclengths[i]), _fmt(p.a), _fmt(branch.t_proj[i]),
-            _fmt(np.sqrt(dom.inner(u, u))), _fmt(u.max()), _fmt(u.min()),
-            _fmt(mu[0]), _fmt(mu[1]), str(p.morse_index), branch.tag,
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # JSON payloads and the loader
 
 
 def _values(arr) -> list:
-    return [float(v) for v in np.asarray(arr, dtype=float)]
+    return np.asarray(arr, dtype=float).tolist()
 
 
 def _jsonable(value):
@@ -465,8 +449,90 @@ def _report_payload(report) -> dict | None:
     }
 
 
+_JSON_INDENT = "  "
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _emit_json(value, pad: str, write, float_lists: dict) -> None:
+    """Write value at indent pad; float_lists caches, per item indent, the
+    C encoder used for lists of plain floats."""
+    if isinstance(value, str):
+        write(encode_basestring_ascii(value))
+    elif value is None:
+        write("null")
+    elif value is True:
+        write("true")
+    elif value is False:
+        write("false")
+    elif isinstance(value, int):
+        write(int.__repr__(value))
+    elif isinstance(value, float):
+        write(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = pad + _JSON_INDENT
+        if set(map(type, value)) == {float}:
+            encode = float_lists.get(inner)
+            if encode is None:
+                encode = float_lists[inner] = json.JSONEncoder(
+                    check_circular=False, separators=(",\n" + inner, ": "),
+                ).encode
+            write("[\n" + inner)
+            write(encode(value)[1:-1])
+        else:
+            sep = "[\n" + inner
+            for item in value:
+                write(sep)
+                _emit_json(item, inner, write, float_lists)
+                sep = ",\n" + inner
+        write("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = pad + _JSON_INDENT
+        sep = "{\n" + inner
+        for key, item in sorted(value.items()):
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _emit_json(item, inner, write, float_lists)
+            sep = ",\n" + inner
+        write("\n" + pad + "}")
+    else:
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} is not JSON serializable"
+        )
+
+
 def _write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\\n".
+
+    The document is walked and written to the file as it goes instead of
+    being built as one string by json's pure-Python encoder (any indent
+    selects it). Lists of plain floats carry almost all of the bytes; each
+    one is encoded in a single call of json's C encoder, whose item
+    separator is the line break and indent of the list's items. Every other
+    value is spelled as json spells it, and a value json cannot encode
+    raises TypeError. Dict keys must be strings.
+    """
+    path = Path(path)
+    try:
+        with path.open("w", encoding="ascii") as fh:
+            _emit_json(doc, "", fh.write, {})
+            fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)  # leave no truncated artifact
+        raise
 
 
 def _load_point(problem: Problem, doc: dict, k_eigs: int) -> SolutionPoint:
@@ -724,15 +790,6 @@ def _projection(diagram: BifurcationDiagram, dp: DegeneratePoint) -> float:
 # Command handlers
 
 
-def _stable_start(problem: Problem, a: float, tol: float) -> SolutionPoint:
-    phi = problem.modes()[0].eigenfunction
-    amp = critical_cap(problem.nonlinearity, a)
-    return newton_solve(
-        problem, DiscreteField(problem.domain, amp * phi.values), a, 0.0,
-        tol=tol,
-    )
-
-
 def _doc(cfg: RunConfig, **extra) -> dict:
     doc = {"schema_version": SCHEMA_VERSION, "config_echo": cfg.echo}
     doc.update(extra)
@@ -783,7 +840,7 @@ def _cmd_continue(problem, cfg, outdir, force):
     a = float(_require(cfg, "a"))
     window = tuple(run["c_range"]) if run["c_range"] else (run["c_min"], 1e6)
     if run["start"] == "stable":
-        start = _stable_start(problem, a, run["tol"])
+        start = _stable_seed(problem, a, run["tol"])
     elif run["start"] == "zero":
         start = newton_solve(
             problem, DiscreteField.zero(problem.domain), a, 0.0,
@@ -819,7 +876,7 @@ def _cmd_fold_curve(problem, cfg, outdir, force):
         raise ConfigError("run.a_range is required for fold-curve")
     a_lo, a_hi = (float(v) for v in a_range)
     a_seed = float(run["a"]) if run["a"] is not None else a_hi
-    start = _stable_start(problem, a_seed, run["tol"])
+    start = _stable_seed(problem, a_seed, run["tol"])
     branch = continue_branch(
         problem, start, +1, (run["c_min"], 1e9),
         chart=run["chart"], max_step=run["max_step"], tol=run["tol"],
@@ -872,7 +929,7 @@ def _cmd_czero_branch(problem, cfg, outdir, force):
         tol=run["tol"], k_eigs=run["k_eigs"],
     ).with_tag(run["which"])
     if "csv" in cfg.output["formats"]:
-        _emit_sweep_csv(branch, outdir / "czero_branch.csv")
+        _emit_branches_csv([branch], outdir / "czero_branch.csv", key="a")
     _write_json(_doc(
         cfg,
         command="czero-branch",

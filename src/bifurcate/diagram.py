@@ -412,7 +412,11 @@ def _terminal_fold(br: Branch) -> DegeneratePoint:
     for ev in reversed(br.events):
         if ev.kind == "fold" and ev.degenerate_point is not None:
             return ev.degenerate_point
-    raise ValueError("branch has no refined fold event")
+    raise NonConvergence(
+        f"branch has no refined fold event; its trace ends with "
+        f"{_terminal_kind(br)!r}",
+        None, np.inf,
+    )
 
 
 def _dedup_degenerate(points, tol=1e-6):
@@ -512,12 +516,12 @@ def _pick_terminal(pair, kind):
     return hits[0]
 
 
-def _stable_seed(problem, a):
+def _stable_seed(problem, a, tol=NEWTON_TOL):
     phi = problem.modes()[0]
     amp = critical_cap(problem.nonlinearity, a)
     return newton_solve(
         problem, DiscreteField(problem.domain, amp * phi.eigenfunction.values),
-        a, 0.0,
+        a, 0.0, tol=tol,
     )
 
 

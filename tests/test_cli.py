@@ -7,10 +7,13 @@ drive main() with real config files in temporary directories.
 """
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bifurcate.cli as cli
 from bifurcate.grid import build_grid
 from bifurcate.model import HarvestSpec, Nonlinearity
 from bifurcate.solver import Problem
@@ -46,6 +49,27 @@ def diagram20(problem):
 @pytest.fixture(scope="module")
 def diagram_lam2(problem):
     return assemble_diagram(problem, problem.modes()[1].eigenvalue)
+
+
+def reference_json(doc) -> str:
+    """The layout every JSON artifact must have, byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def written_json(monkeypatch):
+    """Check every JSON artifact a test writes against json.dumps of the same
+    document; the list collects the names of the files checked."""
+    written = []
+    write = cli._write_json
+
+    def checked(doc, path):
+        write(doc, path)
+        assert Path(path).read_text() == reference_json(doc)
+        written.append(Path(path).name)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    return written
 
 
 def write_config(tmp_path, body):
@@ -232,6 +256,51 @@ class TestJsonRoundTrip:
         assert not diagrams_equal(diagram20, diagram_lam2)
 
 
+class TestJsonWriter:
+    """The streaming writer against json.dumps on hand-made documents; the
+    command tests check it on every document the CLI writes."""
+
+    @pytest.mark.parametrize("doc", [
+        {"floats": [1.0, -0.0, 1e-300, 2.5e17, math.nan, math.inf, -math.inf]},
+        {"scalars": [math.nan, math.inf, -math.inf], "x": math.nan,
+         "y": math.inf, "z": -math.inf},
+        {"empty_list": [], "empty_dict": {}, "nested": {"a": [], "b": {}}},
+        {"rows": [[1.0, 2.0], [], [3.0, [4.0, {"k": [5.0]}]]]},
+        {"mixed": [1.0, 2, True, False, None, "s", -3, 0.5]},
+        {"tuple": (1.0, 2.0), "tuples": ((1, "a"), (0.5,)), "pair": (None, True)},
+        {"caf\u00e9": "\u03b4 = 0.96 \u2014 \"quoted\"\n\ttab", "\u00e9": ["\u2603"]},
+        {"f64": np.float64(0.1), "f64_nan": np.float64(math.nan),
+         "in_list": [1.0, np.float64(2.5), 3.0], "all_f64": [np.float64(-1.5)]},
+        {"b": {"z": 1, "a": {"y": [0.25], "b": 2}}, "a": 0},
+        [1.0, 2.0, 3.0],
+        [],
+        "top",
+        None,
+        12345678901234567890,
+    ])
+    def test_matches_json_dumps(self, doc, tmp_path):
+        path = tmp_path / "doc.json"
+        cli._write_json(doc, path)
+        assert path.read_bytes() == reference_json(doc).encode("ascii")
+
+    @pytest.mark.parametrize("leaf", [np.int64(3), {1, 2}, np.bool_(True), object()])
+    def test_unsupported_leaf_raises_type_error(self, leaf, tmp_path):
+        doc = {"ok": [1.0, 2.0], "bad": [0.5, leaf]}
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._write_json(doc, path)
+        assert not path.exists()
+
+    def test_non_string_key_raises_type_error(self, tmp_path):
+        # json.dumps would print 1 as "1"; no CLI document has such keys
+        path = tmp_path / "doc.json"
+        with pytest.raises(TypeError):
+            cli._write_json({"ok": {1: 2.0}}, path)
+        assert not path.exists()
+
+
 class TestRenderSvg:
     def test_dash_styles_and_markers(self, diagram20, tmp_path):
         path = tmp_path / "d.svg"
@@ -267,7 +336,7 @@ class TestRenderSvg:
 
 
 class TestCountCommand:
-    def test_prints_and_records_count(self, tmp_path, capsys):
+    def test_prints_and_records_count(self, tmp_path, capsys, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\n"
             "run:\n  command: count\n  a: 40.0\n  c: -0.005\n"
@@ -282,6 +351,7 @@ class TestCountCommand:
         assert len(doc["members"]) == 4
         assert all(m["residual_norm"] < 1e-8 for m in doc["members"])
         assert doc["config_echo"]["run"]["a"] == 40.0
+        assert written_json == ["count.json"]
 
     def test_missing_parameter_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, (
@@ -293,7 +363,7 @@ class TestCountCommand:
 
 
 class TestDiagramCommand:
-    def test_produces_three_artifacts(self, tmp_path):
+    def test_produces_three_artifacts(self, tmp_path, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\nrun:\n  command: diagram\n  a: 20.0\n"
             f"output:\n  directory: {tmp_path / 'out'}\n"
@@ -312,6 +382,7 @@ class TestDiagramCommand:
         tags = {row.rsplit(",", 1)[1]
                 for row in (out / "branches.csv").read_text().splitlines()[1:]}
         assert tags == {"Mstar", "Msharp"}
+        assert written_json == ["diagram.json"]
 
     def test_byte_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, (
@@ -344,9 +415,24 @@ class TestDiagramCommand:
         assert not (tmp_path / "out" / "diagram.json").exists()
         assert not (tmp_path / "out" / "diagram.svg").exists()
 
+    def test_incomplete_assembly_writes_partial_diagram(
+        self, tmp_path, capsys, problem, written_json,
+    ):
+        a = problem.modes()[1].eigenvalue + 3.0  # past the four-solution window
+        cfg = write_config(tmp_path, (
+            f"schema_version: 1\nrun:\n  command: diagram\n  a: {a!r}\n"
+            f"output:\n  directory: {tmp_path / 'out'}\n"
+        ))
+        assert main(["diagram", "--config", cfg]) == 1
+        assert "assembly incomplete" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        assert doc["complete"] is False
+        assert doc["regime"] == "above-lambda2"
+        assert written_json == ["diagram.json"]
+
 
 class TestVerifyCommand:
-    def test_matching_regime_passes(self, tmp_path, capsys):
+    def test_matching_regime_passes(self, tmp_path, capsys, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\n"
             "run:\n  command: verify\n  a: 20.0\n  regime: theorem1\n"
@@ -363,6 +449,7 @@ class TestVerifyCommand:
         assert doc["regime_matches"] is True
         assert doc["report"]["passed"] is True
         assert all(c["passed"] for c in doc["report"]["checks"])
+        assert written_json == ["verification_report.json"]
 
     def test_wrong_regime_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, (
@@ -380,7 +467,7 @@ class TestVerifyCommand:
 
 
 class TestOtherCommands:
-    def test_check_hypotheses(self, tmp_path, capsys):
+    def test_check_hypotheses(self, tmp_path, capsys, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\nrun:\n  command: check-hypotheses\n  a: 20.0\n"
             f"output:\n  directory: {tmp_path / 'out'}\n"
@@ -390,6 +477,7 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
         assert doc["satisfied"] is True
         assert any(c["label"] == "alpha" for c in doc["checks"])
+        assert written_json == ["hypotheses.json"]
 
     def test_check_hypotheses_failure_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, (
@@ -401,7 +489,7 @@ class TestOtherCommands:
         doc = json.loads((tmp_path / "out" / "hypotheses.json").read_text())
         assert doc["satisfied"] is False
 
-    def test_continue_traces_to_fold(self, tmp_path):
+    def test_continue_traces_to_fold(self, tmp_path, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\n"
             "run:\n  command: continue\n  a: 20.0\n  start: stable\n"
@@ -416,8 +504,9 @@ class TestOtherCommands:
         assert "fold" in kinds
         fold_c = [ev["c"] for ev in doc["events"] if ev["kind"] == "fold"][0]
         assert fold_c == pytest.approx(C_FOLD_20, rel=1e-9)
+        assert written_json == ["run.json"]
 
-    def test_fold_curve_sweep(self, tmp_path):
+    def test_fold_curve_sweep(self, tmp_path, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\n"
             "run:\n  command: fold-curve\n  a: 20.0\n  a_range: [15.0, 25.0]\n"
@@ -432,8 +521,9 @@ class TestOtherCommands:
         assert all(np.diff(c_vals) > 0)
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert doc["max_slope_mismatch"] < 0.05
+        assert written_json == ["run.json"]
 
-    def test_dsigma_curve(self, tmp_path):
+    def test_dsigma_curve(self, tmp_path, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\nrun:\n  command: dsigma-curve\n"
             f"output:\n  directory: {tmp_path / 'out'}\n"
@@ -441,8 +531,9 @@ class TestOtherCommands:
         assert main(["dsigma-curve", "--config", cfg]) == 0
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert doc["delta"] == pytest.approx(0.962759859621, rel=1e-6)
+        assert written_json == ["run.json"]
 
-    def test_czero_branch(self, tmp_path):
+    def test_czero_branch(self, tmp_path, written_json):
         cfg = write_config(tmp_path, (
             "schema_version: 1\n"
             "run:\n  command: czero-branch\n  which: dagger\n"
@@ -455,6 +546,7 @@ class TestOtherCommands:
         assert rows[1].endswith(",dagger")
         a_vals = [float(r.split(",")[1]) for r in rows[1:]]
         assert a_vals[0] == 11.0 and a_vals[-1] == 20.0
+        assert written_json == ["run.json"]
 
 
 class TestGateAndErrors:

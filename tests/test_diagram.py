@@ -443,6 +443,17 @@ class TestAssembly:
         assert isinstance(partial, BifurcationDiagram)
         assert not partial.complete
 
+    def test_above_the_window_is_incomplete_not_a_bare_error(self, problem, eigs):
+        # well past lambda2 + delta the middle piece runs to the c window
+        # edge instead of folding; the builder must report that as a typed
+        # failure with the partial diagram
+        with pytest.raises(AssemblyIncomplete, match="ends with 'endpoint'") as err:
+            assemble_diagram(problem, eigs[1] + 3.0)
+        assert isinstance(err.value.__cause__, NonConvergence)
+        partial = err.value.partial
+        assert partial.regime == "above-lambda2"
+        assert not partial.complete
+
     def test_diagram_validates_regime_label(self, problem):
         with pytest.raises(ValueError):
             BifurcationDiagram(problem, 20.0, "sideways", (), (), None, -10.0)
