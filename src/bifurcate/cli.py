@@ -24,12 +24,11 @@ from .solver import (
     Diverged,
     NonConvergence,
     Problem,
-    ProblemState,
     SingularJacobian,
     SolutionPoint,
+    classify_state,
     newton_solve,
 )
-from .spectral import linearized_spectrum
 from .continuation import (
     Branch,
     BranchEvent,
@@ -537,15 +536,8 @@ def _write_json(doc: dict, path) -> None:
 
 def _load_point(problem: Problem, doc: dict, k_eigs: int) -> SolutionPoint:
     u = DiscreteField(problem.domain, np.array(doc["u"], dtype=float))
-    state = ProblemState(problem, u, doc["a"], doc["c"])
-    spectrum = linearized_spectrum(state, k_eigs)
-    return SolutionPoint(
-        state,
-        doc["residual_norm"],
-        doc["morse_index"],
-        spectrum,
-        doc["degenerate"],
-        doc["tag"],
+    return classify_state(
+        problem, u, doc["a"], doc["c"], k_eigs=k_eigs, rnorm=doc["residual_norm"]
     )
 
 
@@ -564,8 +556,9 @@ def _load_degenerate(problem: Problem, doc: dict) -> DegeneratePoint:
 def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagram:
     """Rebuild a BifurcationDiagram from its JSON document.
 
-    Stored classifications are kept verbatim so the payload round-trips
-    bit for bit; spectra are recomputed since they are derived data.
+    Each point is reclassified by classify_state from its stored state, with
+    the stored residual norm taken as given. The classification is a
+    function of that state, so the payload round-trips bit for bit.
     """
     if problem is None:
         cfg = RunConfig(

@@ -46,9 +46,8 @@ from .solver import (
     SingularJacobian,
     SolutionPoint,
     _checked_factor,
-    finalize_point,
+    classify_state,
     newton_solve,
-    residual_sup_extended,
 )
 
 MIN_ARCLENGTH_STEP = 1e-8
@@ -219,10 +218,8 @@ def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.n
     as nested first differences so neighbor cancellation stays exact."""
     w = np.asarray(w)
     one = w.dtype.type
-    z = np.zeros(1, dtype=w.dtype)
-    lap = np.diff(np.concatenate((z, w, z)), n=2) / one(problem.domain.spacing) ** 2
     fp = eval_nonlinearity(problem.nonlinearity, u)[1]
-    return lap + (one(a) - fp.astype(w.dtype)) * w
+    return problem._nested_laplacian(w) + (one(a) - fp.astype(w.dtype)) * w
 
 
 def _constrained_solve(
@@ -304,7 +301,10 @@ def solve_at_projection(
     u, c, rF, _ = _constrained_solve(
         problem, a, u0, c0, row_u, 0.0, -float(t_target), tol=tol, max_iter=max_iter
     )
-    return finalize_point(problem, u.astype(float), a, float(c), rF, k_eigs=k_eigs)
+    return classify_state(
+        problem, DiscreteField(problem.domain, u.astype(float)), a, float(c),
+        k_eigs=k_eigs, rnorm=rF,
+    )
 
 
 def continue_branch(
@@ -432,7 +432,9 @@ def continue_branch(
                 )
             continue
 
-        new = finalize_point(problem, u64, a, c64, rF, k_eigs=k_eigs)
+        new = classify_state(
+            problem, DiscreteField(dom, u64), a, c64, k_eigs=k_eigs, rnorm=rF
+        )
         points.append(new)
         svals.append(svals[-1] + dist)
         tvals.append(dom.inner(e_vals, u64) / e_sq)
@@ -547,8 +549,9 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs
     sp = ld(dom.spacing)
     phi, psi = problem.modes()
 
-    point = finalize_point(
-        problem, u_ld.astype(float), a, float(c_ld), 0.0, k_eigs=k_eigs
+    point = classify_state(
+        problem, DiscreteField(dom, u_ld.astype(float)), a, float(c_ld),
+        k_eigs=k_eigs, rnorm=0.0,
     )
     if not point.degenerate:
         raise NonConvergence(
@@ -1135,9 +1138,10 @@ def build_degenerate_segment(
     The states t*psi for t in [-M/beta, M] keep the ramp inactive, so with
     the exact long-double sine samples of psi and the closed-form discrete
     eigenvalue they satisfy the steady equation to rounding. Verification
-    evaluates the extended-precision residual on a sample of t values and
-    requires the worst case below tol; the returned segment stores the
-    float64 eigenfunction for downstream use.
+    evaluates the long-double residual on a sample of t values and requires
+    the worst case below tol, raising NonConvergence with the worst state
+    otherwise; the returned segment stores the float64 eigenfunction for
+    downstream use.
     """
     ld = np.longdouble
     dom = problem.domain
@@ -1154,14 +1158,19 @@ def build_degenerate_segment(
         psi_ld = -psi_ld
 
     ts = np.linspace(t_lo, t_hi, n_check) if t_hi > t_lo else np.array([t_lo])
-    worst = 0.0
-    for t in ts:
-        r = residual_sup_extended(problem, ld(t) * psi_ld, lam2_ld, ld(0))
-        worst = max(worst, float(r))
+    states = [ld(t) * psi_ld for t in ts]
+    sups = [
+        float(np.max(np.abs(problem.residual_values(u, lam2_ld, ld(0)))))
+        for u in states
+    ]
+    k = int(np.argmax(sups))
+    worst = sups[k]
     if not worst < tol:
-        raise ValueError(
+        raise NonConvergence(
             f"segment states fail extended-precision verification "
-            f"({worst:.3e} >= {tol:.3e})"
+            f"({worst:.3e} >= {tol:.3e})",
+            states[k].astype(float),
+            worst,
         )
     return DegenerateSegment(
         float(psi_pair.eigenvalue), float(t_lo), float(t_hi), psi64, worst

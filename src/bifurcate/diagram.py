@@ -31,9 +31,7 @@ from .solver import (
     SingularJacobian,
     SolutionPoint,
     classify_state,
-    finalize_point,
     newton_solve,
-    residual_sup_extended,
     time_march,
 )
 from .continuation import (
@@ -266,7 +264,8 @@ def count_solutions(
             if all(_rel_distance(u, m[0]) > dedup for m in kept):
                 kept.append((u, rnorm, history))
     members = [
-        finalize_point(problem, u.values, a, c, rnorm, history, k_eigs)
+        classify_state(problem, u, a, c, k_eigs=k_eigs,
+                       residual_history=history, rnorm=rnorm)
         for u, rnorm, history in kept
     ]
     members.sort(key=lambda p: (
@@ -548,14 +547,15 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
     ray_pts = []
     for t in ts:
         u_ld = np.longdouble(t) * phi_ld
-        r = residual_sup_extended(problem, u_ld, lam1_ld, 0.0)
+        r = float(np.max(np.abs(problem.residual_values(u_ld, lam1_ld, 0.0))))
         if not r < kw["tol"]:
             raise NonConvergence(
                 f"ray state t={t:.6g} fails extended-precision verification "
                 f"({r:.3e})", u_ld.astype(float), r,
             )
-        ray_pts.append(finalize_point(
-            problem, u_ld.astype(float), a, 0.0, r, k_eigs=kw["k_eigs"]
+        ray_pts.append(classify_state(
+            problem, DiscreteField(dom, u_ld.astype(float)), a, 0.0,
+            k_eigs=kw["k_eigs"], rnorm=r,
         ))
     norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
     branches.append(Branch(
@@ -619,10 +619,7 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
     if _terminal_kind(top_in) == "endpoint":
         # zero threshold: the segment is a point, the inward trace stepped
         # across the origin and ran on to the far c-limit; split it there
-        joined = _stitch(top_in, toward_fold, "joined")
-        k = int(np.argmin(np.abs(np.asarray(joined.t_values()))))
-        branches.append(_slice_branch_head(joined, k, "Mflat"))
-        branches.append(_slice_branch(joined, k, "Msharp"))
+        branches.extend(_split_at_origin(_stitch(top_in, toward_fold, "joined")))
     else:
         # the inward trace parked on (or at) the segment
         branches.append(_stitch(top_in, toward_fold, "Msharp"))
@@ -636,10 +633,9 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
             # the through-trace subsumes the sharp side; rebuild both pieces
             # from it so the junctions stay consistent
             branches.pop()
-            joined = _stitch(bottom_out, bottom_in, "joined")
-            k = int(np.argmin(np.abs(np.asarray(joined.t_values()))))
-            branches.append(_slice_branch_head(joined, k, "Mflat"))
-            branches.append(_slice_branch(joined, k, "Msharp"))
+            branches.extend(
+                _split_at_origin(_stitch(bottom_out, bottom_in, "joined"))
+            )
         else:
             branches.append(_stitch(bottom_out, bottom_in, "Mflat"))
 
@@ -662,6 +658,13 @@ def _slice_branch_head(br: Branch, stop: int, tag: str) -> Branch:
     )
 
 
+def _split_at_origin(joined: Branch) -> tuple[Branch, Branch]:
+    """Split a trace that runs through the origin at its point nearest
+    t = 0: the head is Mflat, the tail Msharp."""
+    k = int(np.argmin(np.abs(np.asarray(joined.t_values()))))
+    return _slice_branch_head(joined, k, "Mflat"), _slice_branch(joined, k, "Msharp")
+
+
 def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
     # The three index-one/two junctions live in a compact |c| window where
     # the sheets pass close to each other; large arclength steps can hop
@@ -677,15 +680,18 @@ def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
     zero = newton_solve(problem, DiscreteField.zero(dom), a, 0.0)
     nat_up = continue_branch(problem, zero, +1, window, chart="psi", **small)
     nat_down = continue_branch(problem, zero, -1, window, chart="psi", **small)
+    # each piece and each fold goes into the diagram as soon as it exists,
+    # so a partial diagram shows how far the assembly got
+    branches.append(_stitch(nat_up, nat_down, "Mnatural"))
     p_flat = _terminal_fold(nat_up)
+    degenerate.append(p_flat)
     p_sharp = _terminal_fold(nat_down)
+    degenerate.append(p_sharp)
     if not p_sharp.c < 0 < p_flat.c:
         raise NonConvergence(
             "middle piece did not terminate at folds on both sides of c=0",
             None, np.inf,
         )
-    branches.append(_stitch(nat_up, nat_down, "Mnatural"))
-    degenerate.extend([p_flat, p_sharp])
 
     plus = newton_solve(problem, DiscreteField(dom, psi.eigenfunction.values), a, 0.0)
     sharp_down = continue_branch(problem, plus, -1, window, chart="psi", **small)
@@ -1032,20 +1038,15 @@ def _check_stable_sheet(diagram):
         "stable-monotone-in-c", "> -1e-10", worst, 1e-10, worst > -1e-10
     ))
 
-    worst_sh = np.inf
-    n_near = 0
-    for p in pts:
-        if abs(p.c) <= 0.01:
-            f = eval_nonlinearity(problem.nonlinearity, p.u.values)[0]
-            fieldvals = diagram.a * p.u.values - f - p.c * problem.harvest.values
-            worst_sh = min(worst_sh, float(np.min(fieldvals)))
-            n_near += 1
-    if n_near == 0:
-        pt = _refined_crossing(problem, star, _branch_crossings(star, 0.005)[0],
-                               0.005, NEWTON_TOL)
-        f = eval_nonlinearity(problem.nonlinearity, pt.u.values)[0]
-        fieldvals = diagram.a * pt.u.values - f - pt.c * problem.harvest.values
-        worst_sh = float(np.min(fieldvals))
+    def superharmonic_margin(p):
+        f = eval_nonlinearity(problem.nonlinearity, p.u.values)[0]
+        return float(np.min(diagram.a * p.u.values - f - p.c * problem.harvest.values))
+
+    near = [p for p in pts if abs(p.c) <= 0.01]
+    if not near:
+        near = [_refined_crossing(problem, star, _branch_crossings(star, 0.005)[0],
+                                  0.005, NEWTON_TOL)]
+    worst_sh = min(superharmonic_margin(p) for p in near)
     out.append(ClaimCheck(
         "stable-superharmonic-small-c", "> -1e-10", worst_sh, 1e-10,
         worst_sh > -1e-10,

@@ -98,7 +98,10 @@ class HarvestSpec:
 
     Profiles on (0, length): "bump" is x(1-x)^2 (scaled to unit length),
     "constant" is 1, "sine" is the first Dirichlet eigenfunction shape
-    sin(pi x / length).
+    sin(pi x / length). "constant" and "sine" are negative fixtures: both
+    are symmetric about the midpoint, so they are orthogonal to the second
+    eigenfunction and fail hypothesis (c). Every CLI command but
+    check-hypotheses refuses them unless run with --force.
     """
 
     profile: str = "bump"

@@ -94,20 +94,29 @@ class Problem:
         object.__setattr__(self, "laplacian", assemble_laplacian(self.domain))
 
     def residual_values(self, u: np.ndarray, a: float, c: float) -> np.ndarray:
-        # The Laplacian is evaluated as nested first differences rather than
-        # through the expanded stencil: neighbor subtractions of a smooth
-        # field are exact in floating point, which keeps the evaluation
-        # noise near 1e-13 instead of the ~1e-9 the 1/h^2-scaled products
-        # would give. The input dtype (float64 or long double) is preserved.
-        # Rows of a (..., n) stack are evaluated independently, each exactly
-        # as it would be on its own.
+        # The input dtype (float64 or long double) is preserved, and rows of
+        # a (..., n) stack are evaluated independently, each exactly as it
+        # would be on its own.
         u = np.asarray(u)
         one = u.dtype.type
-        z = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
-        padded = np.concatenate((z, u, z), axis=-1)
-        lap = np.diff(padded, n=2, axis=-1) / one(self.domain.spacing) ** 2
         f = ramp_values(self.nonlinearity, u)
-        return lap + one(a) * u - f - one(c) * self.harvest.values.astype(u.dtype)
+        return (
+            self._nested_laplacian(u) + one(a) * u - f
+            - one(c) * self.harvest.values.astype(u.dtype)
+        )
+
+    def _nested_laplacian(self, v: np.ndarray) -> np.ndarray:
+        """Delta_h v along the last axis in the dtype of v.
+
+        Evaluated as nested first differences rather than through the
+        expanded stencil: neighbor subtractions of a smooth field are exact
+        in floating point, which keeps the evaluation noise near 1e-13
+        instead of the ~1e-9 the 1/h^2-scaled products would give.
+        """
+        one = v.dtype.type
+        z = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
+        padded = np.concatenate((z, v, z), axis=-1)
+        return np.diff(padded, n=2, axis=-1) / one(self.domain.spacing) ** 2
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
         fp = eval_nonlinearity(self.nonlinearity, u)[1]
@@ -178,14 +187,6 @@ def _classification_tag(index: int, degenerate: bool) -> str:
     return f"index-{index}"
 
 
-def residual(state: ProblemState) -> DiscreteField:
-    """Steady-state defect Delta_h u + a u - f(u) - c h, nodewise."""
-    return DiscreteField(
-        state.problem.domain,
-        state.problem.residual_values(state.u.values, state.a, state.c),
-    )
-
-
 def jacobian(state: ProblemState) -> LinearOperatorBanded:
     """Linearization Delta_h + a I - diag(f'(u)) at the state."""
     return state.problem.jacobian_operator(state.u.values, state.a)
@@ -208,22 +209,28 @@ def classify_state(
     tol: float = NEWTON_TOL,
     k_eigs: int = 3,
     residual_history: tuple[float, ...] = (),
+    rnorm: float | None = None,
 ) -> SolutionPoint:
     """Wrap an already-steady field as a SolutionPoint.
 
-    Verifies the residual and attaches the spectrum, but runs no Newton
+    Attaches the spectrum and its Morse classification but runs no Newton
     iteration, so it also accepts degenerate states (where newton_solve
-    would raise SingularJacobian). Raises ValueError if the field is not
-    actually steady to within tol.
+    would raise SingularJacobian). With rnorm omitted the residual sup norm
+    is measured, and ValueError is raised unless it is below tol. A caller
+    that converged the state by its own criteria (a Newton or extended
+    system solve, a certified exact state, a stored diagram) passes that
+    residual as rnorm, and it is taken as given.
     """
     from .spectral import linearized_spectrum, morse_index
 
     state = problem.state(u, a, c)
-    rnorm = float(np.max(np.abs(problem.residual_values(u.values, a, c))))
-    if not rnorm < tol:
-        raise ValueError(
-            f"field is not a steady state: residual sup norm {rnorm:.3e} >= {tol:.3e}"
-        )
+    if rnorm is None:
+        rnorm = float(np.max(np.abs(problem.residual_values(u.values, a, c))))
+        if not rnorm < tol:
+            raise ValueError(
+                f"field is not a steady state: residual sup norm {rnorm:.3e} "
+                f">= {tol:.3e}"
+            )
     spectrum = linearized_spectrum(state, k_eigs)
     index, degenerate = morse_index(spectrum)
     return SolutionPoint(
@@ -234,37 +241,6 @@ def classify_state(
         degenerate,
         _classification_tag(index, degenerate),
         residual_history,
-    )
-
-
-def finalize_point(
-    problem: Problem,
-    u64: np.ndarray,
-    a: float,
-    c: float,
-    rnorm: float,
-    history: tuple[float, ...] = (),
-    k_eigs: int = 3,
-) -> SolutionPoint:
-    """Package an already-converged iterate as a SolutionPoint.
-
-    The caller vouches for rnorm; no residual re-check happens here. Meant
-    for solvers (arclength correctors, extended systems) that converge by
-    their own criteria and only need the spectral classification attached.
-    """
-    from .spectral import linearized_spectrum, morse_index
-
-    state = problem.state(DiscreteField(problem.domain, u64), a, c)
-    spectrum = linearized_spectrum(state, k_eigs)
-    index, degenerate = morse_index(spectrum)
-    return SolutionPoint(
-        state,
-        rnorm,
-        index,
-        spectrum,
-        degenerate,
-        _classification_tag(index, degenerate),
-        history,
     )
 
 
@@ -304,8 +280,9 @@ def newton_solve(
         u64 = u.astype(float)
         fac = _checked_factor(problem, problem.jacobian_operator(u64, a))
         if rnorm < tol:
-            return finalize_point(
-                problem, u64, a, c, rnorm, tuple(history), k_eigs
+            return classify_state(
+                problem, DiscreteField(problem.domain, u64), a, c, k_eigs=k_eigs,
+                residual_history=tuple(history), rnorm=rnorm,
             )
         delta = fac.solve((-r).astype(float)).astype(ld)
         step = 1.0
@@ -330,28 +307,6 @@ def newton_solve(
         u.astype(float),
         rnorm,
     )
-
-
-def residual_sup_extended(
-    problem: Problem, values: np.ndarray, a: float, c: float
-) -> float:
-    """Sup norm of the steady-state defect, accumulated in long double.
-
-    float64 evaluation of the residual bottoms out around 1e-11 at this
-    operator scale (the 1/h^2 stencil amplifies the rounding of the nodal
-    values), which is too coarse to certify analytically exact states such
-    as the degenerate segment. Pass values already computed in long double
-    to verify such states; float64 input is upcast as-is.
-    """
-    ld = np.longdouble
-    v = np.asarray(values, dtype=ld)
-    dom = problem.domain
-    h = ld(dom.length) / ld(dom.n_interior + 1)
-    padded = np.concatenate((np.zeros(1, ld), v, np.zeros(1, ld)))
-    lap = np.diff(padded, n=2) / (h * h)
-    ramp = ramp_values(problem.nonlinearity, v)
-    r = lap + ld(a) * v - ramp - ld(c) * problem.harvest.values.astype(ld)
-    return float(np.max(np.abs(r)))
 
 
 def _truncated_antiderivative(nl: Nonlinearity, u: np.ndarray, K: float) -> np.ndarray:

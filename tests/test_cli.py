@@ -47,6 +47,11 @@ def diagram20(problem):
 
 
 @pytest.fixture(scope="module")
+def diagram_lam1(problem):
+    return assemble_diagram(problem, problem.modes()[0].eigenvalue)
+
+
+@pytest.fixture(scope="module")
 def diagram_lam2(problem):
     return assemble_diagram(problem, problem.modes()[1].eigenvalue)
 
@@ -251,6 +256,17 @@ class TestJsonRoundTrip:
         assert seg.t_min == diagram_lam2.segment.t_min
         assert seg.t_max == diagram_lam2.segment.t_max
 
+    def test_degenerate_ray_survives_reload(self, problem, diagram_lam1):
+        # reloading reclassifies every point; the ray states are degenerate,
+        # where that is most fragile
+        doc = json.loads(json.dumps(diagram_payload(diagram_lam1)))
+        rebuilt = load_diagram(
+            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
+        )
+        assert diagrams_equal(rebuilt, diagram_lam1)
+        ray = rebuilt.branch("ray")
+        assert all(p.degenerate and p.tag == "degenerate-0" for p in ray.points)
+
     def test_diagrams_equal_detects_difference(self, diagram20, diagram_lam2):
         assert diagrams_equal(diagram20, diagram20)
         assert not diagrams_equal(diagram20, diagram_lam2)
@@ -428,6 +444,8 @@ class TestDiagramCommand:
         doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
         assert doc["complete"] is False
         assert doc["regime"] == "above-lambda2"
+        assert [b["tag"] for b in doc["branches"]] == ["Mnatural"]
+        assert (tmp_path / "out" / "branches.csv").exists()
         assert written_json == ["diagram.json"]
 
 

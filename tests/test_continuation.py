@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bifurcate.grid import DiscreteField, build_grid, inner_product
+from bifurcate.grid import DiscreteField, build_grid, exact_mode_longdouble, inner_product
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
 from bifurcate.solver import NEWTON_TOL, NonConvergence, Problem, classify_state, newton_solve
 from bifurcate.continuation import (
@@ -481,6 +481,36 @@ class TestAtSecondEigenvalue:
         assert mid.degenerate and mid.morse_index == 1
         with pytest.raises(ValueError):
             seg.state_at(0.3)
+
+    @pytest.mark.parametrize("n", [49, 99, 399, 1599])
+    def test_segment_certified_by_the_newton_residual(self, n):
+        """The stored residual is the worst long-double residual_values sup
+        over the sampled segment states."""
+        problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        seg = build_degenerate_segment(problem)
+        lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
+        sups = [
+            float(np.max(np.abs(problem.residual_values(
+                np.longdouble(t) * psi_ld, lam2_ld, np.longdouble(0)
+            ))))
+            for t in np.linspace(seg.t_min, seg.t_max, 9)
+        ]
+        assert seg.verified_residual == max(sups) < 1e-12
+
+    def test_segment_failure_is_nonconvergence(self):
+        """At n = 2399 the exact states miss the 1e-12 bound at rounding
+        level (1.015e-12). The failure carries the worst sampled state, a
+        multiple of psi inside the segment, and its residual."""
+        problem = Problem(build_grid(2399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        with pytest.raises(NonConvergence, match="segment states") as err:
+            build_degenerate_segment(problem)
+        assert 1e-12 <= err.value.residual_norm < 2e-12
+        dom = problem.domain
+        psi = problem.modes()[1].eigenfunction.values
+        u = err.value.last_iterate
+        t = dom.inner(u, psi) / dom.inner(psi, psi)
+        assert 0.2 / psi.min() - 1e-9 <= t <= 0.2 + 1e-9
+        assert np.max(np.abs(u - t * psi)) < 1e-9
 
     def test_branch_from_segment_edge(self, problem, modes):
         psi = modes[1].eigenfunction

@@ -14,7 +14,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bifurcate.grid import DiscreteField, build_grid, laplacian_eigenpairs
+from bifurcate.grid import (
+    DiscreteField,
+    build_grid,
+    exact_mode_longdouble,
+    laplacian_eigenpairs,
+)
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 import bifurcate.diagram as diagram_mod
 import bifurcate.spectral as spectral_mod
@@ -398,6 +403,13 @@ class TestAssembly:
         assert ray.t_values()[0] == pytest.approx(-0.2, abs=1e-12)
         assert ray.t_values()[-1] == pytest.approx(0.2, abs=1e-12)
         assert all(abs(p.c) < 1e-12 for p in ray.points)
+        # each ray state is certified by the residual Newton converges on,
+        # evaluated in long double on the closed-form mode
+        problem = diagram_lam1.problem
+        lam1_ld, phi_ld = exact_mode_longdouble(problem.domain, 1)
+        for t, p in zip(ray.t_values(), ray.points):
+            r = problem.residual_values(np.longdouble(t) * phi_ld, lam1_ld, 0.0)
+            assert p.residual_norm == float(np.max(np.abs(r))) < 1e-12
         assert len(diagram_lam1.degenerate_points) == 1
         assert abs(diagram_lam1.degenerate_points[0].c) < 1e-9
 
@@ -453,6 +465,25 @@ class TestAssembly:
         partial = err.value.partial
         assert partial.regime == "above-lambda2"
         assert not partial.complete
+        # the middle piece was traced before the failure: one trace folds,
+        # the other runs to the c window edge, and both stay in the partial
+        assert partial.tags() == ("Mnatural",)
+        nat = partial.branch("Mnatural")
+        assert [ev.kind for ev in nat.events] == ["fold", "endpoint"]
+        assert len(partial.degenerate_points) == 1
+        assert partial.degenerate_points[0] is nat.events[0].degenerate_point
+
+    def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self):
+        """At n = 2399 the exact segment states miss the 1e-12 bound at
+        rounding level (1.015e-12); assembly reports the failed
+        certification as a typed failure with the partial diagram."""
+        problem = Problem(build_grid(2399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        with pytest.raises(AssemblyIncomplete, match="segment states") as err:
+            assemble_diagram(problem, problem.modes()[1].eigenvalue)
+        assert isinstance(err.value.__cause__, NonConvergence)
+        partial = err.value.partial
+        assert partial.regime == "at-lambda2" and not partial.complete
+        assert partial.branches == () and partial.segment is None
 
     def test_diagram_validates_regime_label(self, problem):
         with pytest.raises(ValueError):

@@ -18,8 +18,6 @@ from bifurcate.solver import (
     energy_functional,
     jacobian,
     newton_solve,
-    residual,
-    residual_sup_extended,
     time_march,
 )
 
@@ -45,13 +43,15 @@ def u_plus(problem, modes):
 
 
 def test_residual_zero_state(problem, domain):
-    state = problem.state(DiscreteField.zero(domain), 37.0, 0.0)
-    assert np.all(residual(state).values == 0.0)
+    zero = DiscreteField.zero(domain).values
+    assert np.all(problem.residual_values(zero, 37.0, 0.0) == 0.0)
 
 
 def test_residual_pure_harvest(problem, domain):
-    state = problem.state(DiscreteField.zero(domain), A_REF, 1.0)
-    assert np.allclose(residual(state).values, -problem.harvest.values, atol=0)
+    zero = DiscreteField.zero(domain).values
+    assert np.allclose(
+        problem.residual_values(zero, A_REF, 1.0), -problem.harvest.values, atol=0
+    )
 
 
 def test_residual_on_first_eigenray(problem, domain, modes):
@@ -68,7 +68,9 @@ def test_residual_on_first_eigenray(problem, domain, modes):
         1, domain.n_interior + 1, dtype=ld
     )
     phi_ld = np.sin(PI_LONGDOUBLE * x)
-    assert residual_sup_extended(problem, ld(t) * phi_ld, lam1, 0.0) < 1e-12
+    r_ld = problem.residual_values(ld(t) * phi_ld, lam1, 0.0)
+    assert r_ld.dtype == ld
+    assert np.max(np.abs(r_ld)) < 1e-12
 
 
 def test_residual_preserves_long_double(problem, domain):
@@ -172,6 +174,21 @@ def test_classify_state_rejects_nonsteady(problem, domain, modes):
     phi = modes[0].eigenfunction
     with pytest.raises(ValueError):
         classify_state(problem, phi, A_REF, 0.0)
+
+
+def test_classify_state_takes_a_given_residual(problem, domain, modes, u_plus):
+    # no residual check when the caller vouches for rnorm
+    phi = modes[0].eigenfunction
+    pt = classify_state(problem, phi, A_REF, 0.0, rnorm=0.5)
+    assert pt.residual_norm == 0.5
+    # Newton's points are classified on the same path
+    again = classify_state(
+        problem, u_plus.u, A_REF, 0.0, rnorm=u_plus.residual_norm,
+        residual_history=u_plus.residual_history,
+    )
+    for attr in ("residual_norm", "residual_history", "morse_index", "degenerate", "tag"):
+        assert getattr(again, attr) == getattr(u_plus, attr)
+    assert np.array_equal(again.spectrum.eigenvalues, u_plus.spectrum.eigenvalues)
 
 
 def test_state_validation(problem, domain):
