@@ -23,10 +23,14 @@ Conventions shared by everything in this module:
   the first Laplacian eigenfunction for index-0 kinds and the second for
   index-1 kinds, and their sign follows the corresponding eigenfunction
   convention.
+- The fold sweep in a, the index-1 family in t and the zero-harvest sweep
+  in a share one natural-parameter march (_march); only the arclength
+  tracer steps on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +42,7 @@ from .grid import (
     renormalize_l2,
     solve_bordered,
 )
-from .model import critical_cap, eval_nonlinearity
+from .model import critical_cap, eval_nonlinearity, ramp_slope
 from .solver import (
     NEWTON_TOL,
     NonConvergence,
@@ -218,7 +222,7 @@ def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.n
     as nested first differences so neighbor cancellation stays exact."""
     w = np.asarray(w)
     one = w.dtype.type
-    fp = eval_nonlinearity(problem.nonlinearity, u)[1]
+    fp = ramp_slope(problem.nonlinearity, u)
     return problem._nested_laplacian(w) + (one(a) - fp.astype(w.dtype)) * w
 
 
@@ -697,6 +701,45 @@ def fold_normal_form_checks(
     }
 
 
+def _march(x0, x_stop, carry0, state0, solve, step0, min_step, max_step, what):
+    """Natural-parameter continuation (Allgower & Georg 1990) of x from x0
+    to exactly x_stop, yielding (x, result) for each accepted step.
+
+    solve(x, guess) returns (result, carry), the state in result.u. The
+    guess predicts every carry component by the secant q + r (q - p)
+    through the last two accepted carries; the first step gets carry0 as
+    given. A solve raising NonConvergence, SingularJacobian or WrongKind
+    halves the step, and each accept grows it by STEP_GROWTH up to
+    max_step. Below min_step the march raises NonConvergence naming what,
+    the stalled x, the last accepted x and the last failure; its
+    last_iterate is the last accepted state (state0 before any accept).
+    """
+    x, carry, state = float(x0), carry0, state0
+    x_prev = prev = None
+    step = float(step0)
+    while abs(x_stop - x) > 1e-12:
+        x_new = x + math.copysign(min(step, abs(x_stop - x)), x_stop - x)
+        if prev is not None and x != x_prev:
+            r = (x_new - x) / (x - x_prev)
+            guess = tuple(q + r * (q - p) for q, p in zip(carry, prev))
+        else:
+            guess = carry
+        try:
+            result, new_carry = solve(x_new, guess)
+        except (NonConvergence, SingularJacobian, WrongKind) as exc:
+            step *= 0.5
+            if step < min_step:
+                raise NonConvergence(
+                    f"{what} stalled near {x_new:.10g} (last accepted {x:.10g}): {exc}",
+                    state,
+                    np.nan,
+                ) from exc
+            continue
+        yield x_new, result
+        x_prev, x, prev, carry, state = x, x_new, carry, new_carry, result.u.values
+        step = min(step * STEP_GROWTH, max_step)
+
+
 def trace_fold_curve(
     problem: Problem,
     seed: DegeneratePoint,
@@ -710,10 +753,10 @@ def trace_fold_curve(
 ) -> DegenerateCurve:
     """Sweep a degenerate point across a window of growth rates.
 
-    Natural-parameter marching: at each new a the minimally extended fold
-    system is re-solved from a secant predictor in a (the predicted kernel
-    vector borders its test function); steps halve on failure and grow by
-    1.3, and both window edges are hit exactly. Each interior point gets
+    Natural-parameter marching (_march) up and down from the seed: at each
+    new a the minimally extended fold system is re-solved from a secant
+    predictor in a (the predicted kernel vector borders its test function),
+    and both window edges are hit exactly. Each interior point gets
     the identity check dc/da = int(u w)/int(h w) against the secant slope,
     recorded in slope_check as relative mismatches.
     """
@@ -728,47 +771,21 @@ def trace_fold_curve(
     dom = problem.domain
     S = dom.inner(seed.w.values, seed.w.values)
 
-    def walk(a_stop: float) -> list[DegeneratePoint]:
-        out: list[DegeneratePoint] = []
-        prev = seed
-        prev2 = None
-        step = float(step0)
-        a_cur = seed.a
-        while abs(a_stop - a_cur) > 1e-12:
-            da = np.sign(a_stop - a_cur) * min(step, abs(a_stop - a_cur))
-            a_new = a_cur + da
-            if prev2 is not None and prev.a != prev2.a:
-                r = (a_new - prev.a) / (prev.a - prev2.a)
-                u0 = prev.u.values + r * (prev.u.values - prev2.u.values)
-                c0 = prev.c + r * (prev.c - prev2.c)
-                w0 = prev.w.values + r * (prev.w.values - prev2.w.values)
-            else:
-                u0, c0, w0 = prev.u.values, prev.c, prev.w.values
-            try:
-                u_ld, c_ld, w_ld, _ = _fold_newton(
-                    problem, a_new, u0, c0, w0, S, tol, 16
-                )
-                dp = _package_degenerate(
-                    problem, a_new, u_ld, c_ld, w_ld, seed.kind, tol, k_eigs
-                )
-            except (NonConvergence, WrongKind):
-                step *= 0.5
-                if step < min_step:
-                    raise NonConvergence(
-                        f"fold sweep stalled near a={a_new:.6g}",
-                        prev.u.values,
-                        np.nan,
-                    )
-                continue
-            out.append(dp)
-            prev2, prev = prev, dp
-            a_cur = a_new
-            step = min(step * STEP_GROWTH, max_step)
-        return out
+    def solve_at(a, guess):
+        u0, c0, w0 = guess
+        u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, tol, 16)
+        dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind, tol, k_eigs)
+        return dp, (dp.u.values, dp.c, dp.w.values)
 
-    up = walk(a_hi)
-    down = walk(a_lo)
-    pts = list(reversed(down)) + [seed] + up
+    start = (seed.u.values, seed.c, seed.w.values)
+    up, down = (
+        [dp for _, dp in _march(
+            seed.a, a_stop, start, seed.u.values, solve_at,
+            step0, min_step, max_step, "fold sweep in a",
+        )]
+        for a_stop in (a_hi, a_lo)
+    )
+    pts = down[::-1] + [seed] + up
     params = tuple(p.a for p in pts)
 
     # Identity check dc/da = int(u w)/int(h w) at every point, against a
@@ -864,9 +881,10 @@ def trace_index1_degenerate_curve(
     eigenvalue, u = t psi, c = 0, kernel psi) and each sample is solved
     directly from that seed. Outside, the minimally extended system
     (unknowns u, a, c; equations F = 0, the chart row and the test function
-    g = 0) is marched outward with adaptive steps, predicting the offset
-    u - t psi, a, c and the bordering kernel vector by secants. When t_range is omitted it extends sigma beyond the
-    segment on both sides; an explicit range must cover the segment.
+    g = 0) is marched outward from both segment ends (_march), predicting
+    the offset u - t psi, a, c and the bordering kernel vector by secants.
+    When t_range is omitted it extends sigma beyond the segment on both
+    sides; an explicit range must cover the segment.
     """
     dom = problem.domain
     M = problem.nonlinearity.M
@@ -887,7 +905,8 @@ def trace_index1_degenerate_curve(
 
     psi_ld = psi_v.astype(np.longdouble)
 
-    def solve_at(t, a0, y0, c0, z0):
+    def solve_at(t, guess):
+        a0, y0, c0, z0 = guess
         t_psi = np.longdouble(t) * psi_ld
         aa, u_ld, cc, v, _ = _index1_newton(
             problem, t, a0, t_psi + y0, c0, z0, psi_v, S2, tol, 16
@@ -900,51 +919,13 @@ def trace_index1_degenerate_curve(
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
         inside_ts = np.array([seg_lo])
-    inside = []
-    for t in inside_ts:
-        dp, _ = solve_at(float(t), lam2, np.zeros(n), 0.0, psi_v)
-        inside.append((float(t), dp))
-
-    def march(t_start, t_stop):
-        out = []
-        carry = (lam2, np.zeros(n), 0.0, psi_v)
-        prev_carry = None
-        prev_t = t_start
-        prev2_t = None
-        step = float(dt0)
-        t_cur = t_start
-        while abs(t_stop - t_cur) > 1e-12:
-            dt = np.sign(t_stop - t_cur) * min(step, abs(t_stop - t_cur))
-            t_new = t_cur + dt
-            if prev_carry is not None and prev_t != prev2_t:
-                r = (t_new - prev_t) / (prev_t - prev2_t)
-                a0 = carry[0] + r * (carry[0] - prev_carry[0])
-                y0 = carry[1] + r * (carry[1] - prev_carry[1])
-                c0 = carry[2] + r * (carry[2] - prev_carry[2])
-                z0 = carry[3] + r * (carry[3] - prev_carry[3])
-            else:
-                a0, y0, c0, z0 = carry
-            try:
-                dp, new_carry = solve_at(float(t_new), a0, y0, c0, z0)
-            except (NonConvergence, WrongKind):
-                step *= 0.5
-                if step < min_dt:
-                    raise NonConvergence(
-                        f"degenerate family stalled near t={t_new:.6g}",
-                        np.zeros(n),
-                        np.nan,
-                    )
-                continue
-            out.append((float(t_new), dp))
-            prev_carry, carry = carry, new_carry
-            prev2_t, prev_t = prev_t, t_new
-            t_cur = t_new
-            step = min(step * STEP_GROWTH, max_dt)
-        return out
-
-    upper = march(seg_hi, t_hi) if t_hi > seg_hi else []
-    lower = march(seg_lo, t_lo) if t_lo < seg_lo else []
-    samples = list(reversed(lower)) + inside + upper
+    on_line = (lam2, np.zeros(n), 0.0, psi_v)
+    samples = [(float(t), solve_at(float(t), on_line)[0]) for t in inside_ts]
+    for (t_edge, edge), t_stop in ((samples[-1], t_hi), (samples[0], t_lo)):
+        samples += _march(
+            t_edge, t_stop, on_line, edge.u.values, solve_at,
+            dt0, min_dt, max_dt, "index-1 family in t",
+        )
     samples.sort(key=lambda pair: pair[0])
     ts = tuple(t for t, _ in samples)
     pts = tuple(dp for _, dp in samples)
@@ -1043,51 +1024,33 @@ def continue_czero_branch(
     def partial() -> Branch:
         return Branch(tuple(points), tuple(svals), chart, tuple(tvals), tuple(events))
 
-    step = float(step0)
-    a_cur = a_lo
-    prev_u = None
-    prev_a = None
-    while abs(a_hi - a_cur) > 1e-12:
-        da = min(step, a_hi - a_cur)
-        a_new = a_cur + da
-        base = points[-1]
-        if prev_u is not None and a_cur != prev_a:
-            r = (a_new - a_cur) / (a_cur - prev_a)
-            u0 = base.u.values + r * (base.u.values - prev_u)
-        else:
-            u0 = base.u.values
-        try:
-            pt = newton_solve(
-                problem, DiscreteField(dom, u0), a_new, 0.0, tol=tol, k_eigs=k_eigs
-            )
-        except (NonConvergence, SingularJacobian):
-            step *= 0.5
-            if step < min_step:
-                raise StepUnderflow(
-                    f"zero-harvest sweep stalled near a={a_new:.6g}", partial()
-                )
-            continue
+    def solve_at(a, guess):
+        pt = newton_solve(
+            problem, DiscreteField(dom, guess[0]), a, 0.0, tol=tol, k_eigs=k_eigs
+        )
         if dom.l2_norm(pt.u.values) < 1e-6:
-            # fell onto the zero state; treat like a failed step
-            step *= 0.5
-            if step < min_step:
-                raise StepUnderflow(
-                    f"zero-harvest sweep collapsed onto zero near a={a_new:.6g}",
-                    partial(),
-                )
-            continue
-        dist = dom.l2_norm(pt.u.values - base.u.values) + abs(a_new - a_cur)
-        prev_u, prev_a = base.u.values, a_cur
-        points.append(pt)
-        svals.append(svals[-1] + dist)
-        tvals.append(dom.inner(e_vals, pt.u.values) / e_sq)
-        a_cur = a_new
-        if pt.degenerate:
-            events.append(BranchEvent("degeneracy", len(points) - 1))
-            break
-        step = min(step * STEP_GROWTH, max_step)
-    else:
-        events.append(BranchEvent("endpoint", len(points) - 1))
+            raise NonConvergence(
+                "collapsed onto the zero state", pt.u.values, pt.residual_norm
+            )
+        return pt, (pt.u.values,)
+
+    try:
+        for a, pt in _march(
+            a_lo, a_hi, (seed.u.values,), seed.u.values, solve_at,
+            step0, min_step, max_step, "zero-harvest sweep in a",
+        ):
+            base = points[-1]
+            dist = dom.l2_norm(pt.u.values - base.u.values) + abs(a - base.a)
+            points.append(pt)
+            svals.append(svals[-1] + dist)
+            tvals.append(dom.inner(e_vals, pt.u.values) / e_sq)
+            if pt.degenerate:
+                events.append(BranchEvent("degeneracy", len(points) - 1))
+                break
+        else:
+            events.append(BranchEvent("endpoint", len(points) - 1))
+    except NonConvergence as exc:
+        raise StepUnderflow(str(exc), partial()) from exc
     return partial()
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DiscreteField, TridiagonalFactor, exact_mode_longdouble
-from .model import critical_cap, eval_nonlinearity
+from .model import critical_cap, eval_nonlinearity, ramp_slope
 from .solver import (
     ARMIJO_MIN_STEP,
     NEWTON_TOL,
@@ -40,11 +40,14 @@ from .continuation import (
     DegeneratePoint,
     DegenerateSegment,
     StepUnderflow,
+    WrongKind,
     branch_derivative_at_zero,
     build_degenerate_segment,
     continue_branch,
+    delta_window,
     fold_normal_form_checks,
     solve_at_projection,
+    trace_index1_degenerate_curve,
 )
 
 DEDUP_REL = 1e-4
@@ -176,7 +179,7 @@ def _newton_chunk(problem: Problem, starts, a: float, c: float, tol: float,
         if not rows.size:
             break
         u64 = u.astype(float)
-        diag = lap.diag + (a - eval_nonlinearity(problem.nonlinearity, u64)[1])
+        diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
         # the pivot test of solver._checked_factor, row by row
         threshold = PIVOT_RTOL * n * np.max(np.abs(diag) + pad + pad2, axis=1)
         fac = _stacked_factor(diag, lap.off)
@@ -344,12 +347,15 @@ class BifurcationDiagram:
             return True
         if abs(pt.c - self.c_min) < 1e-9 * max(1.0, abs(self.c_min)):
             return True
-        if self.segment is not None and abs(pt.c) < 1e-3:
-            t = br.t_proj[idx]
-            slack = 0.1
-            if self.segment.t_min - slack <= t <= self.segment.t_max + slack:
-                return True
-        return False
+        return self.segment is not None and _on_segment(
+            self.segment, pt.c, br.t_proj[idx]
+        )
+
+
+def _on_segment(segment: DegenerateSegment, c: float, t: float) -> bool:
+    """Whether a branch end at (c, chart coordinate t) lies on the neutral
+    segment: c within 1e-3 of zero and t within 0.1 of [t_min, t_max]."""
+    return abs(c) < 1e-3 and segment.t_min - 0.1 <= t <= segment.t_max + 0.1
 
 
 def _reindexed_events(down: Branch, up: Branch) -> tuple[BranchEvent, ...]:
@@ -490,13 +496,26 @@ def assemble_diagram(
             problem, a, regime, tuple(branches), _dedup_degenerate(degenerate),
             segment, c_min, complete=False,
         )
+        where = _window_position(problem, a) if regime == "above-lambda2" else ""
         raise AssemblyIncomplete(
-            f"{regime} assembly stopped early: {exc}", partial
+            f"{regime} assembly stopped early: {exc}{where}", partial
         ) from exc
     return BifurcationDiagram(
         problem, a, regime, tuple(branches), _dedup_degenerate(degenerate),
         segment, c_min,
     )
+
+
+def _window_position(problem, a):
+    """Where a failed above-lambda2 assembly sits relative to the
+    four-solution window lambda2 + delta; delta is traced only here."""
+    gap = a - problem.modes()[1].eigenvalue
+    try:
+        delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+    except (NonConvergence, WrongKind, ValueError) as exc:
+        return f" (a - lambda2 = {gap:.6g}; the window half-width delta failed: {exc})"
+    side = "past" if gap > delta else "within"
+    return f" (a - lambda2 = {gap:.6g}, delta = {delta:.6g}: a lies {side} lambda2 + delta)"
 
 
 def _both_directions(problem, start, window, chart, kw):
@@ -857,11 +876,9 @@ def _check_connectivity(diagram) -> ClaimCheck:
                 for e in ends
             )
         if kind_j == "segment":
-            for e, t in ((obj_i.points[0], obj_i.t_proj[0]),
-                         (obj_i.points[-1], obj_i.t_proj[-1])):
-                if abs(e.c) < 1e-3 and obj_j.t_min - 0.1 <= t <= obj_j.t_max + 0.1:
-                    return True
-            return False
+            return any(
+                _on_segment(obj_j, obj_i.points[k].c, obj_i.t_proj[k]) for k in (0, -1)
+            )
         return False
 
     for i in range(n):
@@ -881,8 +898,7 @@ def _check_connectivity(diagram) -> ClaimCheck:
     return ClaimCheck("connectivity", n, len(seen), "all nodes reachable", ok)
 
 
-_DOMINANT_INDEX = {"Mstar": 0, "Msharp": 1, "Mflat": 1, "Mnatural": 2,
-                   "ray": 0, "joined": 1}
+_DOMINANT_INDEX = {"Mstar": 0, "Msharp": 1, "Mflat": 1, "Mnatural": 2, "ray": 0}
 
 
 def _check_index_sequences(diagram):

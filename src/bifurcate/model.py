@@ -76,6 +76,16 @@ def ramp_values(nl: Nonlinearity, u) -> np.ndarray:
     return f
 
 
+def _slope(r: np.ndarray, p: int) -> np.ndarray:
+    return p * r ** (p - 1)
+
+
+def ramp_slope(nl: Nonlinearity, u) -> np.ndarray:
+    """f' alone, p_f ((u - M)+)^(p_f - 1), for array u of any shape: all the
+    linearization needs, without computing f and f'' alongside it."""
+    return _slope(_excess(nl, u), nl.p_f)
+
+
 def eval_nonlinearity(nl: Nonlinearity, u):
     """f, f', f'' of the ramp at u (scalar or array, evaluated elementwise).
 
@@ -85,7 +95,7 @@ def eval_nonlinearity(nl: Nonlinearity, u):
     r = _excess(nl, u)
     p = nl.p_f
     f = r**p
-    fp = p * r ** (p - 1)
+    fp = _slope(r, p)
     fpp = p * (p - 1) * r ** (p - 2) if p >= 2 else np.zeros_like(r)
     if np.isscalar(u):
         return float(f), float(fp), float(fpp)

@@ -17,6 +17,7 @@ import pytest
 from bifurcate.grid import DiscreteField, build_grid, exact_mode_longdouble, inner_product
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
 from bifurcate.solver import NEWTON_TOL, NonConvergence, Problem, classify_state, newton_solve
+from bifurcate import continuation
 from bifurcate.continuation import (
     Branch,
     DegenerateCurve,
@@ -344,6 +345,69 @@ class TestFoldSweep:
             trace_fold_curve(problem, fold20, (lam1 - 1.0, 30.0))
         with pytest.raises(ValueError):
             trace_fold_curve(problem, fold20, (21.0, 30.0))
+
+
+class TestMarchStall:
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("family", ["fold", "index1", "czero"])
+    def test_stall_names_family_parameter_and_cause(
+        self, problem, modes, fold20, monkeypatch, family, k
+    ):
+        """The sweep's solve fails for good once the march has accepted k
+        steps: the step halves below its minimum and the stall is reported
+        with the family, where it stalled, the last accepted parameter, the
+        last failure and the last accepted state."""
+        lam1 = modes[0].eigenvalue
+        M = problem.nonlinearity.M
+        name, pos, x0, state_of, sweep, what, min_step = {
+            "fold": (
+                "_fold_newton", 1, fold20.a, lambda out: out[0].astype(float),
+                lambda: trace_fold_curve(problem, fold20, (lam1 + 0.5, 30.0)),
+                "fold sweep in a", 1e-4,
+            ),
+            "index1": (
+                "_index1_newton", 1, M, lambda out: out[1].astype(float),
+                lambda: trace_index1_degenerate_curve(problem),
+                "index-1 family in t", 1e-5,
+            ),
+            "czero": (
+                "newton_solve", 2, lam1 + 0.3, lambda out: out.u.values,
+                lambda: continue_czero_branch(problem, "dagger", (lam1 + 0.3, 20.0)),
+                "zero-harvest sweep in a", 1e-6,
+            ),
+        }[family]
+        real = getattr(continuation, name)
+        # the march starts at x0 and steps upward first; solves at or below
+        # x0 (the segment samples, the zero-harvest seed) pass through
+        seen = {"accepts": 0, "x": x0, "state": fold20.u.values}
+
+        def failing(*args, **kwargs):
+            x = args[pos]
+            if x > x0 and seen["accepts"] == k:
+                raise NonConvergence("injected failure", None, np.inf)
+            out = real(*args, **kwargs)
+            if x > x0:
+                seen["accepts"] += 1
+                seen["x"] = x
+            seen["state"] = state_of(out)
+            return out
+
+        monkeypatch.setattr(continuation, name, failing)
+        with pytest.raises((NonConvergence, StepUnderflow)) as err:
+            sweep()
+        exc = err.value
+        if family == "czero":
+            assert isinstance(exc, StepUnderflow)
+            assert len(exc.partial.points) == 1 + k
+            np.testing.assert_array_equal(exc.partial.points[-1].u.values, seen["state"])
+            exc = exc.__cause__
+        assert type(exc) is NonConvergence
+        msg = str(exc)
+        assert msg.startswith(f"{what} stalled near ")
+        assert msg.endswith(f" (last accepted {seen['x']:.10g}): injected failure")
+        stalled = float(msg.split("stalled near ")[1].split()[0])
+        assert 0 < stalled - seen["x"] < 2 * min_step
+        np.testing.assert_array_equal(exc.last_iterate, seen["state"])
 
 
 class TestDegenerateFamily:

@@ -455,7 +455,9 @@ class TestAssembly:
         assert isinstance(partial, BifurcationDiagram)
         assert not partial.complete
 
-    def test_above_the_window_is_incomplete_not_a_bare_error(self, problem, eigs):
+    def test_above_the_window_is_incomplete_not_a_bare_error(
+        self, problem, eigs, monkeypatch
+    ):
         # well past lambda2 + delta the middle piece runs to the c window
         # edge instead of folding; the builder must report that as a typed
         # failure with the partial diagram
@@ -472,6 +474,21 @@ class TestAssembly:
         assert [ev.kind for ev in nat.events] == ["fold", "endpoint"]
         assert len(partial.degenerate_points) == 1
         assert partial.degenerate_points[0] is nat.events[0].degenerate_point
+        # the message says how far past the window the growth rate lies
+        assert "(a - lambda2 = 3, delta = 0.96276: a lies past lambda2 + delta)" in str(
+            err.value
+        )
+        # and says so when the window half-width cannot be traced either
+        def stalled(problem):
+            raise NonConvergence("index-1 family in t stalled", None, np.nan)
+
+        monkeypatch.setattr(diagram_mod, "trace_index1_degenerate_curve", stalled)
+        with pytest.raises(AssemblyIncomplete, match="ends with 'endpoint'") as err:
+            assemble_diagram(problem, eigs[1] + 3.0)
+        assert str(err.value).endswith(
+            "(a - lambda2 = 3; the window half-width delta failed: "
+            "index-1 family in t stalled)"
+        )
 
     def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self):
         """At n = 2399 the exact segment states miss the 1e-12 bound at
