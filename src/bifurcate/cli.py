@@ -965,10 +965,7 @@ def _cmd_verify(problem, cfg, outdir, force):
         problem, a, c_min=run["c_min"], tol=run["tol"],
         max_step=run["max_step"], k_eigs=run["k_eigs"],
     )
-    report = verify_structure(
-        diagram, oracle_budget=run["n_starts"], seed=run["seed"],
-        k_eigs=run["k_eigs"],
-    )
+    report = verify_structure(diagram, oracle_budget=run["n_starts"], seed=run["seed"])
     regime_ok = run["regime"] is None or run["regime"] == diagram.regime
     _write_json(_doc(
         cfg,

@@ -793,20 +793,29 @@ def _refined_crossing(problem, branch: Branch, i: int, c: float, tol):
     )
 
 
-def diagram_solutions_at(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
-    """All solutions the diagram's branches predict at level c, refined by
-    fixed-parameter Newton and deduplicated."""
+def _refined_states(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
+    """The refined branch crossings at level c, deduplicated at DEDUP_REL as
+    the oracle deduplicates, and the number of crossings whose Newton polish
+    failed."""
     problem = diagram.problem
     found: list[SolutionPoint] = []
+    failed = 0
     for br in diagram.branches:
         for i in _branch_crossings(br, c):
             try:
                 pt = _refined_crossing(problem, br, i, c, tol)
             except (NonConvergence, SingularJacobian, Diverged):
+                failed += 1
                 continue
             if all(_rel_distance(pt.u, m.u) > DEDUP_REL for m in found):
                 found.append(pt)
-    return found
+    return found, failed
+
+
+def diagram_solutions_at(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
+    """All solutions the diagram's branches predict at level c, refined by
+    fixed-parameter Newton and deduplicated."""
+    return _refined_states(diagram, c, tol)[0]
 
 
 def verify_structure(
@@ -815,41 +824,52 @@ def verify_structure(
     seed=0,
     *,
     match_tol: float = 1e-6,
-    k_eigs: int = 3,
 ) -> VerificationReport:
     """Replay the structural claims of the diagram's regime and record one
-    ClaimCheck per claim; failures are recorded, never raised."""
+    ClaimCheck per claim; failures are recorded, never raised.
+
+    Each level is solved once: one count_solutions set (at the given budget
+    and seed) per count sample and at c = 0, and one refined prediction per
+    sample. count@c holds the oracle count to the distinct refined states
+    plus the crossings whose polish failed, so a failed refinement cannot
+    lower the expectation; oracle-equivalence@c matches the two sets; the
+    static-stability and dichotomy claims read the c = 0 set; the window's
+    at-least-three@c claims read the sets at the two samples next to c = 0.
+    The other claims read the diagram or run their own probes."""
     problem = diagram.problem
     checks: list[ClaimCheck] = []
     regime = diagram.regime
 
     checks.append(_check_connectivity(diagram))
     checks.extend(_check_index_sequences(diagram))
-    checks.extend(_check_fold_formulas(problem, diagram, k_eigs))
+    checks.extend(_check_fold_formulas(problem, diagram))
     checks.append(_check_signc(diagram))
     checks.extend(_check_junction_agreement(diagram, match_tol))
 
-    for c in _count_samples(diagram):
-        expected = _expected_count(diagram, c)
-        got = count_solutions(problem, diagram.a, c, oracle_budget, seed)
+    samples = _count_samples(diagram)
+    oracle = {c: count_solutions(problem, diagram.a, c, oracle_budget, seed)
+              for c in (*samples, 0.0)}
+    for c in samples:
+        predicted, failed = _refined_states(diagram, c)
+        got, expected = oracle[c], len(predicted) + failed
         checks.append(ClaimCheck(
             f"count@c={c:.6g}", expected, got.count, "exact", got.count == expected
         ))
-        checks.append(_check_equivalence(diagram, got, c, match_tol))
+        checks.append(_check_equivalence(predicted, got, match_tol))
 
     if regime in ("between-lambda1-lambda2", "at-lambda2", "above-lambda2"):
         checks.extend(_check_stable_sheet(diagram))
 
-    czero = count_solutions(problem, diagram.a, 0.0, oracle_budget, seed)
-    checks.append(_check_static_stability(problem, czero))
+    czero = oracle[0.0]
+    checks.append(_check_static_stability(czero))
 
     if regime == "at-lambda2":
-        checks.append(_check_segment_degeneracy(diagram, k_eigs))
+        checks.append(_check_segment_degeneracy(diagram))
         checks.append(_check_dichotomy(diagram, czero, match_tol))
         if problem.nonlinearity.M == 0.0:
             checks.append(_check_cusp(diagram))
     if regime == "above-lambda2":
-        checks.extend(_check_window_claims(diagram, czero, oracle_budget, seed))
+        checks.extend(_check_window_claims(diagram, [oracle[c] for c in samples[:2]]))
 
     return VerificationReport(regime, diagram.a, tuple(checks))
 
@@ -924,11 +944,11 @@ def _check_index_sequences(diagram):
     return out
 
 
-def _check_fold_formulas(problem, diagram, k_eigs):
+def _check_fold_formulas(problem, diagram):
     out = []
     for dp in diagram.degenerate_points:
         try:
-            chk = fold_normal_form_checks(problem, dp, k_eigs=k_eigs)
+            chk = fold_normal_form_checks(problem, dp)
         except (NonConvergence, SingularJacobian) as exc:
             out.append(ClaimCheck(
                 f"normal-form@c={dp.c:.6g}", "probe solves converge", str(exc),
@@ -988,10 +1008,7 @@ def _count_samples(diagram):
     regime = diagram.regime
     if regime in ("below-lambda1", "at-lambda1"):
         return [diagram.c_min / 2.0]
-    if regime == "between-lambda1-lambda2":
-        c_star = folds[-1]
-        return [-1.0, 0.5 * c_star, c_star + 0.5]
-    if regime == "at-lambda2":
+    if regime in ("between-lambda1-lambda2", "at-lambda2"):
         c_star = folds[-1]
         return [-1.0, 0.5 * c_star, c_star + 0.5]
     c_sharp, c_flat, c_star = folds
@@ -999,22 +1016,8 @@ def _count_samples(diagram):
     return [-small, small, 0.5 * (c_flat + c_star), c_star + 0.5]
 
 
-def _expected_count(diagram, c):
-    total = 0
-    seen = []
-    for br in diagram.branches:
-        for i in _branch_crossings(br, c):
-            p = br.points[i]
-            if all(_rel_distance(p.u, q.u) > DEDUP_REL or abs(p.c - q.c) > 0.5
-                   for q in seen):
-                seen.append(p)
-                total += 1
-    return total
-
-
-def _check_equivalence(diagram, oracle_set, c, match_tol) -> ClaimCheck:
+def _check_equivalence(predicted, oracle_set, match_tol) -> ClaimCheck:
     """Oracle solutions and refined branch crossings agree both ways."""
-    predicted = diagram_solutions_at(diagram, c)
     worst = 0.0
     ok = len(predicted) == len(oracle_set.members)
     for m in oracle_set:
@@ -1027,7 +1030,7 @@ def _check_equivalence(diagram, oracle_set, c, match_tol) -> ClaimCheck:
         worst = max(worst, best)
     ok = ok and worst < match_tol
     return ClaimCheck(
-        f"oracle-equivalence@c={c:.6g}",
+        f"oracle-equivalence@c={oracle_set.c:.6g}",
         f"{len(oracle_set.members)} matched", f"{len(predicted)} within {worst:.2e}",
         match_tol, ok,
     )
@@ -1070,42 +1073,44 @@ def _check_stable_sheet(diagram):
     return out
 
 
-def _check_static_stability(problem, czero_set) -> ClaimCheck:
-    """Stability of a c=0 solution is equivalent to being nonnegative with
-    maximum beyond the ramp threshold.
+def _violates_static_criterion(point: SolutionPoint) -> bool:
+    """Whether a c=0 state breaks the static stability criterion: it is
+    stable exactly when nonnegative with maximum beyond the ramp threshold.
 
     The comparison uses the raw sign of the first eigenvalue: within the
     degeneracy tolerance of a junction the flag-based classification cannot
     certify the strict inequality the criterion asserts, while the computed
     eigenvalue still carries the right sign at accessible points. The zero
-    state is excluded when the growth rate does not exceed the principal
+    state is exempt when the growth rate does not exceed the principal
     eigenvalue; there it is stable with maximum zero, outside the scope of
     the criterion (whose converse needs a nontrivial state)."""
-    M = problem.nonlinearity.M
+    problem = point.state.problem
+    u = point.u.values
     lam1 = problem.modes()[0].eigenvalue
-    bad = 0
-    for p in czero_set:
-        if czero_set.a <= lam1 + 1e-8 and float(np.max(np.abs(p.u.values))) < 1e-8:
-            continue
-        static = (p.u.values.min() > -1e-10) and (p.u.values.max() > M)
-        dyn = p.spectrum.eigenvalues[0] > 0.0
-        if static != dyn:
-            bad += 1
+    if point.a <= lam1 + 1e-8 and float(np.max(np.abs(u))) < 1e-8:
+        return False
+    static = (u.min() > -1e-10) and (u.max() > problem.nonlinearity.M)
+    return static != (point.spectrum.eigenvalues[0] > 0.0)
+
+
+def _check_static_stability(czero_set) -> ClaimCheck:
+    """Every c=0 solution the oracle finds obeys the static stability
+    criterion."""
+    bad = sum(_violates_static_criterion(p) for p in czero_set)
     return ClaimCheck(
         "static-stability-criterion", 0, bad, "agreement on all c=0 solutions",
         bad == 0,
     )
 
 
-def _check_segment_degeneracy(diagram, k_eigs) -> ClaimCheck:
+def _check_segment_degeneracy(diagram) -> ClaimCheck:
     """Sampled states on the neutral segment must have a vanishing second
     eigenvalue."""
     seg = diagram.segment
     problem = diagram.problem
     worst = 0.0
     for t in np.linspace(seg.t_min, seg.t_max, 5):
-        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0,
-                            k_eigs=k_eigs)
+        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0)
         worst = max(worst, abs(pt.spectrum.eigenvalues[1]))
     return ClaimCheck(
         "segment-second-eigenvalue-zero", "|mu2| <= 1e-10", worst, 1e-10,
@@ -1170,15 +1175,12 @@ def _check_cusp(diagram) -> ClaimCheck:
     )
 
 
-def _check_window_claims(diagram, czero_set, oracle_budget, seed):
+def _check_window_claims(diagram, near_zero_sets):
     out = []
-    folds = sorted(dp.c for dp in diagram.degenerate_points)
-    small = 0.2 * abs(folds[0])
-    for c in (-small, small):
-        got = count_solutions(diagram.problem, diagram.a, c, oracle_budget, seed)
+    for got in near_zero_sets:
         out.append(ClaimCheck(
-            f"at-least-three@c={c:.6g}", ">= 3", got.count, "Morse-theoretic minimum",
-            got.count >= 3,
+            f"at-least-three@c={got.c:.6g}", ">= 3", got.count,
+            "Morse-theoretic minimum", got.count >= 3,
         ))
     slope, _ = branch_derivative_at_zero(diagram.problem, diagram.a, "psi")
     out.append(ClaimCheck(
@@ -1214,13 +1216,8 @@ def stability_crosscheck(
     def l2(v):
         return float(np.sqrt(dom.inner(v, v)))
 
-    lam1 = problem.modes()[0].eigenvalue
-    trivial_low = a <= lam1 + 1e-8 and float(np.max(np.abs(u))) < 1e-8
-    if abs(c) < 1e-12 and not trivial_low:
-        static = (u.min() > -1e-10) and (u.max() > problem.nonlinearity.M)
-        dyn = point.spectrum.eigenvalues[0] > 0.0
-        if static != dyn:
-            return "fail"
+    if abs(c) < 1e-12 and _violates_static_criterion(point):
+        return "fail"
 
     modes = point.spectrum.eigenfunctions
     if point.morse_index == 0:
