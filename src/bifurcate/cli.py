@@ -534,10 +534,13 @@ def _write_json(doc: dict, path) -> None:
         raise
 
 
-def _load_point(problem: Problem, doc: dict, k_eigs: int) -> SolutionPoint:
+def _load_point(
+    problem: Problem, doc: dict, k_eigs: int, prev: SolutionPoint | None
+) -> SolutionPoint:
     u = DiscreteField(problem.domain, np.array(doc["u"], dtype=float))
     return classify_state(
-        problem, u, doc["a"], doc["c"], k_eigs=k_eigs, rnorm=doc["residual_norm"]
+        problem, u, doc["a"], doc["c"], k_eigs=k_eigs, rnorm=doc["residual_norm"],
+        prev=None if prev is None else prev.spectrum,
     )
 
 
@@ -557,8 +560,9 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
     """Rebuild a BifurcationDiagram from its JSON document.
 
     Each point is reclassified by classify_state from its stored state, with
-    the stored residual norm taken as given. The classification is a
-    function of that state, so the payload round-trips bit for bit.
+    the stored residual norm taken as given and the spectrum tracked from
+    the branch's previous point. The certified classification is a function
+    of that state, so the payload round-trips bit for bit.
     """
     if problem is None:
         cfg = RunConfig(
@@ -571,7 +575,10 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
     k_eigs = int(doc["config_echo"]["run"].get("k_eigs", 3))
     branches = []
     for b in doc["branches"]:
-        points = tuple(_load_point(problem, p, k_eigs) for p in b["points"])
+        points, prev = [], None
+        for p in b["points"]:
+            prev = _load_point(problem, p, k_eigs, prev)
+            points.append(prev)
         events = tuple(
             BranchEvent(
                 ev["kind"],
@@ -582,7 +589,7 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
             for ev in b["events"]
         )
         branches.append(Branch(
-            points,
+            tuple(points),
             tuple(b["arclengths"]),
             b["chart"],
             tuple(b["t_proj"]),

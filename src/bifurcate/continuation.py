@@ -437,7 +437,8 @@ def continue_branch(
             continue
 
         new = classify_state(
-            problem, DiscreteField(dom, u64), a, c64, k_eigs=k_eigs, rnorm=rF
+            problem, DiscreteField(dom, u64), a, c64, k_eigs=k_eigs, rnorm=rF,
+            prev=base.spectrum,
         )
         points.append(new)
         svals.append(svals[-1] + dist)

@@ -525,13 +525,54 @@ def _both_directions(problem, start, window, chart, kw):
 
 
 def _pick_terminal(pair, kind):
+    """The one trace of the pair that ends with an event of this kind.
+
+    Otherwise raises NonConvergence naming every trace's terminal kind and
+    last c; its last_iterate is the last point of the nearest trace (the
+    first of several that end with the kind, else the longest trace), with
+    that point's residual.
+    """
     hits = [br for br in pair if _terminal_kind(br) == kind]
     if len(hits) != 1:
+        ends = ", ".join(
+            f"{_terminal_kind(br)!r} at c={br.points[-1].c:.6g}" for br in pair
+        )
+        nearest = hits[0] if hits else max(pair, key=lambda br: len(br.points))
+        last = nearest.points[-1]
         raise NonConvergence(
-            f"expected exactly one trace ending with {kind!r}, got {len(hits)}",
-            None, np.inf,
+            f"expected exactly one trace ending with {kind!r}, got {len(hits)} "
+            f"(traces end with {ends})",
+            last.u.values, last.residual_norm,
         )
     return hits[0]
+
+
+#: Doublings of the offset tried for a branch start next to a degenerate
+#: edge (the ray's end at lambda1, the segment's ends at lambda2).
+EDGE_START_DOUBLINGS = 4
+
+
+def _edge_start(problem, a, mode, edge, offset):
+    """Branch start with chart coordinate <u, e> / <e, e> = edge + offset,
+    e the mode's eigenfunction, at c = 0.
+
+    Next to a degenerate edge the vanishing eigenvalue grows only like
+    |t - edge|^(p_f - 1), so on a steep ramp the first offset can still
+    classify as degenerate, where continuation cannot start; the offset is
+    then doubled, at most EDGE_START_DOUBLINGS times.
+    """
+    e = mode.eigenfunction
+    for _ in range(EDGE_START_DOUBLINGS + 1):
+        t = edge + offset
+        start = solve_at_projection(problem, a, e, t, t * e.values, 0.0)
+        if not start.degenerate:
+            return start
+        offset *= 2.0
+    raise NonConvergence(
+        f"every branch start up to t={t:.6g} next to the degenerate edge "
+        f"t={edge:.6g} is degenerate",
+        start.u.values, start.residual_norm,
+    )
 
 
 def _stable_seed(problem, a, tol=NEWTON_TOL):
@@ -584,10 +625,7 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
         tuple(float(t) for t in ts),
         tag="ray",
     ))
-    start = solve_at_projection(
-        problem, a, phi.eigenfunction, M + eps_t,
-        (M + eps_t) * phi.eigenfunction.values, 0.0,
-    )
+    start = _edge_start(problem, a, phi, M, eps_t)
     pair = _both_directions(problem, start, (c_min, 1.0), "phi", kw)
     toward_cmin = _pick_terminal(pair, "endpoint")
     toward_ray = _pick_terminal(pair, "degeneracy")
@@ -624,14 +662,8 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
     psi = problem.modes()[1]
     window = (c_min, 1e9)
     segment = build_degenerate_segment(problem)
-
-    def edge_start(t):
-        return solve_at_projection(
-            problem, a, psi.eigenfunction, t, t * psi.eigenfunction.values, 0.0
-        )
-
     top_pair = _both_directions(
-        problem, edge_start(segment.t_max + eps_t), window, "psi", kw
+        problem, _edge_start(problem, a, psi, segment.t_max, eps_t), window, "psi", kw
     )
     toward_fold = _pick_terminal(top_pair, "fold")
     top_in = top_pair[0] if top_pair[1] is toward_fold else top_pair[1]
@@ -643,7 +675,8 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
         # the inward trace parked on (or at) the segment
         branches.append(_stitch(top_in, toward_fold, "Msharp"))
         bottom_pair = _both_directions(
-            problem, edge_start(segment.t_min - eps_t), window, "psi", kw
+            problem, _edge_start(problem, a, psi, segment.t_min, -eps_t), window,
+            "psi", kw,
         )
         bottom_out = _pick_terminal(bottom_pair, "endpoint")
         bottom_in = bottom_pair[0] if bottom_pair[1] is bottom_out else bottom_pair[1]

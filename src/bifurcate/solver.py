@@ -210,6 +210,7 @@ def classify_state(
     k_eigs: int = 3,
     residual_history: tuple[float, ...] = (),
     rnorm: float | None = None,
+    prev: "SpectrumSlice | None" = None,  # noqa: F821
 ) -> SolutionPoint:
     """Wrap an already-steady field as a SolutionPoint.
 
@@ -219,7 +220,9 @@ def classify_state(
     is measured, and ValueError is raised unless it is below tol. A caller
     that converged the state by its own criteria (a Newton or extended
     system solve, a certified exact state, a stored diagram) passes that
-    residual as rnorm, and it is taken as given.
+    residual as rnorm, and it is taken as given. prev, the spectrum of the
+    previous point of a branch, lets linearized_spectrum track the
+    eigenpairs from it instead of solving afresh.
     """
     from .spectral import linearized_spectrum, morse_index
 
@@ -231,7 +234,7 @@ def classify_state(
                 f"field is not a steady state: residual sup norm {rnorm:.3e} "
                 f">= {tol:.3e}"
             )
-    spectrum = linearized_spectrum(state, k_eigs)
+    spectrum = linearized_spectrum(state, k_eigs, prev)
     index, degenerate = morse_index(spectrum)
     return SolutionPoint(
         state,

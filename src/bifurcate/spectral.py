@@ -18,6 +18,7 @@ from .grid import (
     inner_product,
     laplacian_eigenpairs,
     symmetric_tridiagonal_eigenpairs,
+    track_tridiagonal_eigenpairs,
 )
 from .solver import ProblemState, degeneracy_tolerance, jacobian
 
@@ -30,8 +31,11 @@ class InsufficientSpectrum(ValueError):
 class SpectrumSlice:
     """The k lowest eigenpairs of the linearization, ascending.
 
-    Eigenfunctions carry the quadrature L2 normalization of the ambient
-    Laplacian eigenfunctions: the first matches the squared norm of the
+    The pairs come from a full eigensolve or, along a branch, are tracked
+    from the previous point's slice and certified by a Sturm count
+    (linearized_spectrum); both give the same conventions. Eigenfunctions
+    carry the quadrature L2 normalization of the ambient Laplacian
+    eigenfunctions: the first matches the squared norm of the
     (max-normalized) ground mode, the second that of the second mode, and
     further ones reuse the first target. The first eigenfunction is
     sign-fixed positive; higher ones get their largest-magnitude entry made
@@ -66,12 +70,20 @@ def _reference_square_norms(domain: DiscreteDomain) -> tuple[float, float]:
     )
 
 
-def linearized_spectrum(state: ProblemState, k: int = 3) -> SpectrumSlice:
+def linearized_spectrum(
+    state: ProblemState, k: int = 3, prev: SpectrumSlice | None = None
+) -> SpectrumSlice:
     """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the state.
 
-    Bisection plus inverse iteration on the symmetric tridiagonal band, with
-    a long-double Rayleigh polish of each eigenvalue; the residual of every
-    returned pair is comfortably below 1e-10.
+    With prev, the spectrum of a nearby state on the same grid (the previous
+    point of a branch), its k eigenpairs are tracked by Rayleigh-quotient
+    iteration and accepted only when certified: residual intervals disjoint
+    and ascending, and a Sturm count placing exactly k eigenvalues below a
+    shift just above the k-th (grid.track_tridiagonal_eigenpairs). Start
+    points (prev=None) and points whose certificate fails get the full
+    eigensolve: bisection plus inverse iteration on the tridiagonal band.
+    Either way each eigenvalue is polished in long double, and the residual
+    of every returned pair is comfortably below 1e-10.
     """
     if k < 2:
         raise ValueError(
@@ -79,11 +91,17 @@ def linearized_spectrum(state: ProblemState, k: int = 3) -> SpectrumSlice:
         )
     dom = state.problem.domain
     J = jacobian(state)
-    vals, vecs = symmetric_tridiagonal_eigenpairs(-J.diag, -J.off, k)
+    pairs = None
+    if prev is not None and prev.k == k and prev.eigenfunctions[0].domain == dom:
+        guesses = [f.values for f in prev.eigenfunctions]
+        pairs = track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses)
+    if pairs is None:
+        pairs = symmetric_tridiagonal_eigenpairs(-J.diag, -J.off, k)
+    vals, vecs = pairs
     phi_sq, psi_sq = _reference_square_norms(dom)
     fields = []
     for j in range(k):
-        v = vecs[:, j].copy()
+        v = vecs[j].copy()
         peak = np.argmax(np.abs(v))
         if v[peak] < 0:
             v = -v

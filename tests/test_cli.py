@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import bifurcate.cli as cli
+import bifurcate.spectral as spectral_mod
 from bifurcate.grid import build_grid
 from bifurcate.model import HarvestSpec, Nonlinearity
 from bifurcate.solver import Problem
@@ -266,6 +267,32 @@ class TestJsonRoundTrip:
         assert diagrams_equal(rebuilt, diagram_lam1)
         ray = rebuilt.branch("ray")
         assert all(p.degenerate and p.tag == "degenerate-0" for p in ray.points)
+
+    def test_window_reload_keeps_every_classification(self, problem, monkeypatch):
+        # reloading tracks each point's spectrum from the branch's previous
+        # point; only the first point of a branch gets the full eigensolve
+        a = problem.modes()[1].eigenvalue + 0.5 * 0.962759859621
+        window = assemble_diagram(problem, a)
+        doc = json.loads(json.dumps(diagram_payload(window)))
+        outcome = {"certified": 0, "refused": 0}
+        track = spectral_mod.track_tridiagonal_eigenpairs
+
+        def spy(*args):
+            pairs = track(*args)
+            outcome["refused" if pairs is None else "certified"] += 1
+            return pairs
+
+        monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", spy)
+        rebuilt = load_diagram(
+            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
+        )
+        points = sum(len(b["points"]) for b in doc["branches"])
+        assert outcome == {"certified": points - len(doc["branches"]), "refused": 0}
+        for stored, br in zip(doc["branches"], rebuilt.branches):
+            assert [
+                (p["morse_index"], p["degenerate"], p["tag"]) for p in stored["points"]
+            ] == [(p.morse_index, p.degenerate, p.tag) for p in br.points]
+        assert diagrams_equal(rebuilt, window)
 
     def test_diagrams_equal_detects_difference(self, diagram20, diagram_lam2):
         assert diagrams_equal(diagram20, diagram20)

@@ -309,9 +309,9 @@ class TestBatchedOracle:
         spectra = []
         original = spectral_mod.linearized_spectrum
 
-        def counting(state, k=3):
+        def counting(state, k=3, prev=None):
             spectra.append(state)
-            return original(state, k)
+            return original(state, k, prev)
 
         monkeypatch.setattr(spectral_mod, "linearized_spectrum", counting)
         a = eigs[1] + 0.5 * DELTA_WINDOW
@@ -489,6 +489,40 @@ class TestAssembly:
             "(a - lambda2 = 3; the window half-width delta failed: "
             "index-1 family in t stalled)"
         )
+
+    @pytest.mark.parametrize("relabel, hits", [("endpoint", 2), ("index-change", 0)])
+    def test_ambiguous_trace_ends_name_every_trace(
+        self, problem, monkeypatch, relabel, hits
+    ):
+        # relabel the first fold-ending trace at a = 20: the stable pair then
+        # ends with two 'endpoint' traces, or with none ending in 'fold'
+        original = diagram_mod.continue_branch
+        relabelled = []
+
+        def continue_branch(*args, **kwargs):
+            br = original(*args, **kwargs)
+            if not relabelled and br.events and br.events[-1].kind == "fold":
+                last = dataclasses.replace(br.events[-1], kind=relabel)
+                br = dataclasses.replace(br, events=br.events[:-1] + (last,))
+                relabelled.append(br)
+            return br
+
+        monkeypatch.setattr(diagram_mod, "continue_branch", continue_branch)
+        with pytest.raises(AssemblyIncomplete) as err:
+            assemble_diagram(problem, 20.0)
+        cause = err.value.__cause__
+        assert isinstance(cause, NonConvergence)
+        wanted = "endpoint" if hits == 2 else "fold"
+        fold_c = relabelled[0].points[-1].c
+        assert (
+            f"expected exactly one trace ending with {wanted!r}, got {hits} "
+            f"(traces end with {relabel!r} at c={fold_c:.6g}, 'endpoint' at c=-10)"
+        ) in str(err.value)
+        # the nearest trace is the relabelled one: the first of two hits,
+        # or the longer of two misses
+        last = relabelled[0].points[-1]
+        assert np.array_equal(cause.last_iterate, last.u.values)
+        assert cause.residual_norm == last.residual_norm < NEWTON_TOL
 
     def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self):
         """At n = 2399 the exact segment states miss the 1e-12 bound at

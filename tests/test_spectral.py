@@ -1,20 +1,30 @@
 import numpy as np
 import pytest
 
+from bifurcate import spectral as spectral_mod
+from bifurcate.diagram import assemble_diagram
 from bifurcate.grid import (
     DiscreteField,
+    build_grid,
     dirichlet_eigenvalue_exact,
     inner_product,
     laplacian_eigenpairs,
+    track_tridiagonal_eigenpairs,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity
 from bifurcate.solver import (
     Problem,
+    classify_state,
     degeneracy_tolerance,
     jacobian,
     newton_solve,
 )
-from bifurcate.spectral import InsufficientSpectrum, linearized_spectrum, morse_index
+from bifurcate.spectral import (
+    InsufficientSpectrum,
+    SpectrumSlice,
+    linearized_spectrum,
+    morse_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +134,175 @@ def test_degeneracy_tolerance_shared(problem):
     assert spec.tol == degeneracy_tolerance(20.0)
     assert degeneracy_tolerance(20.0) == pytest.approx(2e-5, rel=1e-12)
     assert degeneracy_tolerance(0.5) == pytest.approx(1e-6, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Spectra tracked from the previous branch point
+
+#: Largest eigenvalue gap, relative to max(1, |mu|), allowed between a
+#: tracked spectrum and the full eigensolve of the same state.
+TRACKED_GAP = 1e-10
+
+#: Half-width of the four-solution window per mesh (index-1 family trace).
+DELTA = {399: 0.962759859621, 1599: 0.9627627317253058}
+
+BENCH_DIAGRAMS = [(399, r) for r in (
+    "below-lambda1", "at-lambda1", "between-lambda1-lambda2", "at-lambda2", "window",
+)] + [(1599, "at-lambda2"), (1599, "window")]
+
+
+def _bench_problem(n):
+    return Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+
+
+def _growth_rate(problem, regime):
+    phi, psi = problem.modes()
+    return {
+        "below-lambda1": 5.0,
+        "at-lambda1": phi.eigenvalue,
+        "between-lambda1-lambda2": 20.0,
+        "at-lambda2": psi.eigenvalue,
+        "window": psi.eigenvalue + 0.5 * DELTA[problem.domain.n_interior],
+    }[regime]
+
+
+def _assert_same_spectrum(got, want):
+    assert got.eigenvalues == want.eigenvalues
+    for f, g in zip(got.eigenfunctions, want.eigenfunctions):
+        assert np.array_equal(f.values, g.values)
+
+
+def _gap(got, want):
+    return max(
+        abs(x - y) / max(1.0, abs(y)) for x, y in zip(got.eigenvalues, want.eigenvalues)
+    )
+
+
+@pytest.fixture(scope="module")
+def bench_diagrams():
+    """Diagrams of the benchmark configurations, assembled once on demand,
+    with the number of tracked spectra certified and refused during each."""
+    built = {}
+
+    def get(n, regime):
+        if (n, regime) not in built:
+            outcome = {"certified": 0, "refused": 0}
+
+            def spy(*args):
+                pairs = track_tridiagonal_eigenpairs(*args)
+                outcome["refused" if pairs is None else "certified"] += 1
+                return pairs
+
+            problem = _bench_problem(n)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral_mod, "track_tridiagonal_eigenpairs", spy)
+                diagram = assemble_diagram(problem, _growth_rate(problem, regime))
+            built[n, regime] = diagram, outcome
+        return built[n, regime]
+
+    return get
+
+
+class TestTrackedSpectrum:
+    @pytest.mark.parametrize("n, regime", BENCH_DIAGRAMS)
+    def test_matches_full_eigensolve_at_every_point(self, bench_diagrams, n, regime):
+        diagram, outcome = bench_diagrams(n, regime)
+        # every accepted corrector step was tracked and certified; a refusal
+        # would still be correct (full eigensolve), only slower
+        assert outcome["certified"] > 0 and outcome["refused"] == 0
+        problem = diagram.problem
+        for br in diagram.branches:
+            for p in br.points:
+                full = classify_state(problem, p.u, p.a, p.c, rnorm=p.residual_norm)
+                assert (p.morse_index, p.degenerate, p.tag) == (
+                    full.morse_index, full.degenerate, full.tag
+                )
+                assert _gap(p.spectrum, full.spectrum) < TRACKED_GAP
+
+    @pytest.mark.parametrize("regime", ["at-lambda2", "window"])
+    def test_degenerate_points_match_full_eigensolve(
+        self, bench_diagrams, monkeypatch, regime
+    ):
+        tracked, _ = bench_diagrams(399, regime)
+        # every certificate refused: the full eigensolve at every point
+        monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", lambda *a: None)
+        problem = _bench_problem(399)
+        full = assemble_diagram(problem, _growth_rate(problem, regime))
+        got = [(dp.kind, dp.c) for dp in tracked.degenerate_points]
+        want = [(dp.kind, dp.c) for dp in full.degenerate_points]
+        assert [k for k, _ in got] == [k for k, _ in want] and got
+        for (_, c1), (_, c2) in zip(got, want):
+            assert abs(c1 - c2) <= 1e-9
+        for b1, b2 in zip(tracked.branches, full.branches):
+            assert b1.tag == b2.tag
+            assert [(ev.kind, ev.point_index) for ev in b1.events] == [
+                (ev.kind, ev.point_index) for ev in b2.events
+            ]
+            for ev1, ev2 in zip(b1.events, b2.events):
+                if ev1.degenerate_point is not None:
+                    assert abs(ev1.degenerate_point.c - ev2.degenerate_point.c) <= 1e-9
+
+    def test_swapped_eigenpairs_fall_back_bit_for_bit(self, problem, domain):
+        phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
+        pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
+        spec = pt.spectrum
+        order = (1, 0, 2)
+        swapped = SpectrumSlice(
+            tuple(spec.eigenvalues[j] for j in order),
+            tuple(spec.eigenfunctions[j] for j in order),
+            spec.a,
+            spec.tol,
+        )
+        J = jacobian(pt.state)
+        guesses = [f.values for f in swapped.eigenfunctions]
+        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None
+        _assert_same_spectrum(
+            linearized_spectrum(pt.state, 3, swapped), linearized_spectrum(pt.state, 3)
+        )
+        # the unswapped slice certifies and agrees
+        again = linearized_spectrum(pt.state, 3, spec)
+        assert _gap(again, spec) < TRACKED_GAP
+
+    def test_skipped_eigenvalue_falls_back_bit_for_bit(self, problem, domain):
+        # guesses for the second to fourth eigenpairs: the Sturm count finds
+        # four eigenvalues below the third tracked one
+        phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
+        pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
+        wide = linearized_spectrum(pt.state, 4)
+        shifted = SpectrumSlice(
+            wide.eigenvalues[1:], wide.eigenfunctions[1:], wide.a, wide.tol
+        )
+        J = jacobian(pt.state)
+        guesses = [f.values for f in shifted.eigenfunctions]
+        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None
+        _assert_same_spectrum(
+            linearized_spectrum(pt.state, 3, shifted), linearized_spectrum(pt.state, 3)
+        )
+
+    def test_prev_on_another_grid_falls_back(self, problem):
+        coarse = _bench_problem(99)
+        prev = linearized_spectrum(zero_state(coarse, 20.0), 3)
+        state = zero_state(problem, 20.0)
+        _assert_same_spectrum(
+            linearized_spectrum(state, 3, prev), linearized_spectrum(state, 3)
+        )
+
+    def test_prev_from_another_branch_is_certified_or_refused(self, bench_diagrams):
+        # Rayleigh-quotient iteration from another branch's eigenpairs may
+        # still land on the right ones; then the certificate holds and the
+        # values agree. Where it does not, the result is the full eigensolve.
+        diagram, _ = bench_diagrams(399, "window")
+        target = diagram.branch("Mstar").points[0]
+        full = linearized_spectrum(target.state, 3)
+        J = jacobian(target.state)
+        refused = 0
+        for p in diagram.branch("Msharp").points[::10]:
+            guesses = [f.values for f in p.spectrum.eigenfunctions]
+            got = linearized_spectrum(target.state, 3, p.spectrum)
+            if track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None:
+                refused += 1
+                _assert_same_spectrum(got, full)
+            else:
+                assert morse_index(got) == morse_index(full)
+                assert _gap(got, full) < TRACKED_GAP
+        assert refused > 0
