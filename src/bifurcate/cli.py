@@ -138,7 +138,7 @@ _RUN_DEFAULTS = {
     "seed": 0,
     "tol": NEWTON_TOL,
     "k_eigs": 3,
-    "max_step": 2.0,
+    "max_step": None,
     "sigma": 1.0,
     "which": "dagger",
     "start": "stable",
@@ -214,11 +214,12 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     run["n_starts"] = int(run["n_starts"])
     run["tol"] = float(run["tol"])
     run["k_eigs"] = int(run["k_eigs"])
-    run["max_step"] = float(run["max_step"])
+    if run["max_step"] is not None:
+        run["max_step"] = float(run["max_step"])
 
     if run["tol"] <= 0:
         raise ConfigError(f"{source}: run.tol must be positive")
-    if run["max_step"] <= 0:
+    if run["max_step"] is not None and run["max_step"] <= 0:
         raise ConfigError(f"{source}: run.max_step must be positive")
 
     command = run.get("command")

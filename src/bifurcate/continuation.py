@@ -24,14 +24,19 @@ Conventions shared by everything in this module:
   index-1 kinds, and their sign follows the corresponding eigenfunction
   convention.
 - The fold sweep in a, the index-1 family in t and the zero-harvest sweep
-  in a share one natural-parameter march (_march); only the arclength
-  tracer steps on its own.
+  in a share one natural-parameter march (_march) that grows its step by
+  STEP_GROWTH. The arclength tracer sets its step from the branch geometry
+  instead: the curvature estimated from the turn between successive
+  secants gives the step whose chord deviates CHORD_TOL from the branch,
+  and a step is redone at half length when its own chord deviation exceeds
+  2 CHORD_TOL or its corrector lands far from the predictor (a jump to
+  another sheet). max_step is only an optional ceiling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -56,12 +61,48 @@ from .solver import (
 
 MIN_ARCLENGTH_STEP = 1e-8
 STEP_GROWTH = 1.3
+#: Chord tolerance of the arclength tracer in the product norm: the step is
+#: sized so that the chord between neighbouring branch points deviates from
+#: the branch by about this much (the sagitta kappa ds^2 / 8 of a circle of
+#: curvature kappa), and a step whose chord deviates by more than twice this
+#: is redone at half length.
+CHORD_TOL = 2.5e-3
+#: Branch-jump guard: a corrector that lands farther from its predictor than
+#: this multiple of the expected predictor-corrector distance is taken to
+#: have jumped to another sheet, and the step is redone at half length.
+JUMP_FACTOR = 8.0
+
+
+@dataclass(frozen=True)
+class StepCounts:
+    """Arclength steps of a trace: the accepted ones, and the rejected ones
+    by cause. nonconvergence: the corrector did not converge; collapse: it
+    converged back onto the base point; boundary: the solve at the c window
+    boundary failed; chord: the chord deviated by more than 2 CHORD_TOL;
+    jump: the corrector landed more than JUMP_FACTOR times the expected
+    distance from its predictor."""
+
+    accepted: int = 0
+    nonconvergence: int = 0
+    collapse: int = 0
+    boundary: int = 0
+    chord: int = 0
+    jump: int = 0
+
+    def __add__(self, other: "StepCounts") -> "StepCounts":
+        return StepCounts(*(x + y for x, y in zip(astuple(self), astuple(other))))
+
+    def __str__(self) -> str:
+        rejected = ", ".join(
+            f"{f.name} {getattr(self, f.name)}" for f in fields(self)[1:]
+        )
+        return f"{self.accepted} accepted, rejected: {rejected}"
 
 
 class StepUnderflow(RuntimeError):
     """The arclength step was halved below the minimum without the corrector
     converging. Carries the branch traced so far; its last point is the last
-    good one."""
+    good one, and its steps count the accepted and rejected steps."""
 
     def __init__(self, msg: str, partial: "Branch"):
         super().__init__(msg)
@@ -100,7 +141,9 @@ class Branch:
     t_proj[i] is the chart coordinate of points[i]: the L2 projection of u
     onto the first ('phi') or second ('psi') Laplacian eigenfunction, divided
     by that eigenfunction's square integral. arclengths are cumulative
-    product-norm distances along the trace.
+    product-norm distances along the trace. steps counts the arclength steps
+    of the continue_branch traces the branch was cut or stitched from (all
+    zero for branches built otherwise); it is not part of any output file.
     """
 
     points: tuple[SolutionPoint, ...]
@@ -109,6 +152,7 @@ class Branch:
     t_proj: tuple[float, ...]
     events: tuple[BranchEvent, ...] = ()
     tag: str = ""
+    steps: StepCounts = StepCounts()
 
     def __post_init__(self):
         if self.chart not in ("phi", "psi"):
@@ -237,6 +281,7 @@ def _constrained_solve(
     *,
     tol: float = NEWTON_TOL,
     max_iter: int = 8,
+    stop_on_growth: bool = False,
 ):
     """Newton on the state equation coupled with one affine constraint
     N(u, c) = row_u . u + row_c c + offset = 0, c free.
@@ -244,7 +289,9 @@ def _constrained_solve(
     The border keeps the system regular where the plain Jacobian is singular,
     provided the kernel is not annihilated by the constraint row. Returns the
     long-double iterate (u, c), the converged residual sup norm and the
-    number of iterations used.
+    number of iterations used. With stop_on_growth, an iteration that
+    increases the residual sup norm ends the solve as not converged: the
+    iteration is not contracting (Den Heijer & Rheinboldt 1981).
     """
     ld = np.longdouble
     u = np.asarray(u0, dtype=ld)
@@ -254,10 +301,10 @@ def _constrained_solve(
     for it in range(max_iter):
         F = problem.residual_values(u, a, c)
         N = row_ld @ u + ld(row_c) * c + ld(offset)
-        rF = float(np.max(np.abs(F)))
+        r_prev, rF = rF, float(np.max(np.abs(F)))
         if rF < tol and abs(float(N)) < tol:
             return u, c, rF, it
-        if not np.isfinite(rF) or rF > 1e8:
+        if not np.isfinite(rF) or rF > 1e8 or (stop_on_growth and rF > r_prev):
             break
         J = problem.jacobian_operator(u.astype(float), a)
         try:
@@ -311,6 +358,20 @@ def solve_at_projection(
     )
 
 
+def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, tol, max_iter):
+    """One pseudo-arclength corrector: the state on the hyperplane through
+    the predictor (ub, cb) + ds (Tu, Tc), orthogonal to (Tu, Tc) in the L2
+    inner product plus c times c. A corrector whose residual grows is given
+    up at once. Returns what _constrained_solve returns."""
+    row_u = problem.domain.spacing * Tu
+    u_pred = ub + ds * Tu
+    c_pred = cb + ds * Tc
+    return _constrained_solve(
+        problem, a, u_pred, c_pred, row_u, Tc, -(row_u @ u_pred + Tc * c_pred),
+        tol=tol, max_iter=max_iter, stop_on_growth=True,
+    )
+
+
 def continue_branch(
     problem: Problem,
     start: SolutionPoint,
@@ -319,7 +380,7 @@ def continue_branch(
     *,
     chart: str = "phi",
     step0: float = 0.02,
-    max_step: float = 0.2,
+    max_step: float | None = None,
     min_step: float = MIN_ARCLENGTH_STEP,
     tol: float = NEWTON_TOL,
     max_corrector: int = 8,
@@ -329,11 +390,23 @@ def continue_branch(
 ) -> Branch:
     """Trace the solution family through start by pseudo-arclength steps.
 
-    The predictor extrapolates along the secant tangent (for the first step,
-    along the c-derivative of the state), the corrector is a bordered Newton
-    solve with the arclength constraint, and the step halves on corrector
-    failure and grows by 1.3 after easy accepts, capped at max_step. direction
-    is the initial sign of dc.
+    The predictor extrapolates along the secant through the last two points
+    (for the first step, along the c-derivative of the state), and the
+    corrector is a bordered Newton solve on the hyperplane through the
+    predictor orthogonal to that direction. direction is the initial sign
+    of dc.
+
+    The step follows the branch geometry (Allgower & Georg 1990, ch. 6).
+    After each accepted step the curvature kappa is estimated from the turn
+    between successive unit secants in the product norm, and the next step
+    is sqrt(8 CHORD_TOL / kappa), the length whose chord deviates CHORD_TOL
+    from a circle of that curvature, kept within [ds/2, 2 ds] of the step
+    just taken and at most max_step when a ceiling is given. A step is
+    redone at half length when the corrector fails or collapses onto the
+    base point, when its own chord deviation kappa dist^2 / 8 exceeds
+    2 CHORD_TOL, or when the corrector lands more than JUMP_FACTOR times the
+    expected distance from the predictor (a jump to another sheet). The
+    returned branch counts its accepted and rejected steps (Branch.steps).
 
     Tracing stops at the c window boundary (solved at the boundary value
     exactly, event 'endpoint'), or at the first eigenvalue sign change, where
@@ -341,7 +414,8 @@ def continue_branch(
     event; set stop_at_events=False to record events and keep going. Morse
     index changes along the returned branch happen only across recorded
     events. Raises StepUnderflow, carrying the partial branch, if the step
-    drops below min_step.
+    drops below min_step; its message names the last accepted c, t and
+    step and the step counts.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -352,9 +426,9 @@ def continue_branch(
     c_lo, c_hi = sorted(map(float, c_limits))
     if not c_lo <= start.c <= c_hi:
         raise ValueError("start lies outside the c window")
+    ceiling = math.inf if max_step is None else float(max_step)
 
     dom = problem.domain
-    sp = dom.spacing
     pair = _chart_pair(problem, chart)
     e_vals = pair.eigenfunction.values
     e_sq = dom.inner(e_vals, e_vals)
@@ -364,6 +438,7 @@ def continue_branch(
     svals = [0.0]
     tvals = [dom.inner(e_vals, start.u.values) / e_sq]
     events: list[BranchEvent] = []
+    counts = dict.fromkeys((f.name for f in fields(StepCounts)), 0)
 
     fac = _checked_factor(problem, problem.jacobian_operator(start.u.values, a))
     u_c = fac.solve(problem.harvest.values)
@@ -372,9 +447,29 @@ def continue_branch(
     Tc = direction / scale
 
     def partial() -> Branch:
-        return Branch(tuple(points), tuple(svals), chart, tuple(tvals), tuple(events))
+        return Branch(
+            tuple(points), tuple(svals), chart, tuple(tvals), tuple(events),
+            steps=StepCounts(**counts),
+        )
 
-    ds = float(step0)
+    ds = min(float(step0), ceiling)
+    last_ds = None  # the step of the last accepted point
+    kappa = 0.0  # curvature from the last secant turn
+    d_prev = 0.0  # length of the last chord; 0 while (Tu, Tc) is the start tangent
+
+    def reject(cause, why):
+        nonlocal ds
+        counts[cause] += 1
+        ds *= 0.5
+        if ds < min_step:
+            step = "none" if last_ds is None else f"{last_ds:.6g}"
+            raise StepUnderflow(
+                f"step underflow: {why} (last accepted point {len(points) - 1}: "
+                f"c={points[-1].c:.10g}, t={tvals[-1]:.10g}, ds={step}; "
+                f"steps {StepCounts(**counts)})",
+                partial(),
+            )
+
     while len(points) < max_points:
         base = points[-1]
         ub = base.u.values
@@ -388,52 +483,41 @@ def continue_branch(
             try:
                 end_pt = newton_solve(problem, init, a, target, tol=tol, k_eigs=k_eigs)
             except (NonConvergence, SingularJacobian):
-                ds *= 0.5
-                if ds < min_step:
-                    raise StepUnderflow(
-                        f"step underflow at the c={target} boundary", partial()
-                    )
+                reject("boundary", f"no solution found at the c={target} boundary")
                 continue
             dist = dom.l2_norm(end_pt.u.values - ub) + abs(end_pt.c - cb)
             points.append(end_pt)
             svals.append(svals[-1] + dist)
             tvals.append(dom.inner(e_vals, end_pt.u.values) / e_sq)
             events.append(BranchEvent("endpoint", len(points) - 1))
+            counts["accepted"] += 1
             break
 
-        row_u = sp * Tu
-        offset = -(row_u @ ub + Tc * cb) - ds
         try:
-            u_ld, c_ld, rF, iters = _constrained_solve(
-                problem,
-                a,
-                ub + ds * Tu,
-                c_pred,
-                row_u,
-                Tc,
-                offset,
-                tol=tol,
-                max_iter=max_corrector,
+            u_ld, c_ld, rF, _ = _arclength_corrector(
+                problem, a, ub, cb, Tu, Tc, ds, tol, max_corrector
             )
         except NonConvergence:
-            ds *= 0.5
-            if ds < min_step:
-                raise StepUnderflow(
-                    f"step underflow near c={cb:.6g} after {len(points)} points",
-                    partial(),
-                )
+            reject("nonconvergence", f"the corrector did not converge near c={cb:.6g}")
             continue
 
         u64 = u_ld.astype(float)
         c64 = float(c_ld)
         dist = dom.l2_norm(u64 - ub) + abs(c64 - cb)
         if dist < 1e-13:
-            ds *= 0.5
-            if ds < min_step:
-                raise StepUnderflow(
-                    f"corrector collapsed onto the current point at c={cb:.6g}",
-                    partial(),
-                )
+            reject("collapse", f"the corrector collapsed onto the point at c={cb:.6g}")
+            continue
+        off = dom.l2_norm(u64 - (ub + ds * Tu)) + abs(c64 - c_pred)
+        expected = max(0.5 * kappa * ds * (ds + d_prev), CHORD_TOL)
+        if off > JUMP_FACTOR * expected:
+            reject("jump", f"the corrector left the branch near c={cb:.6g}")
+            continue
+        Tu_new = (u64 - ub) / dist
+        Tc_new = (c64 - cb) / dist
+        turn = dom.l2_norm(Tu_new - Tu) + abs(Tc_new - Tc)
+        kappa_new = 2.0 * turn / (d_prev + dist)
+        if kappa_new * dist**2 / 8.0 > 2.0 * CHORD_TOL:
+            reject("chord", f"the branch bends too sharply near c={cb:.6g}")
             continue
 
         new = classify_state(
@@ -443,33 +527,63 @@ def continue_branch(
         points.append(new)
         svals.append(svals[-1] + dist)
         tvals.append(dom.inner(e_vals, u64) / e_sq)
-        Tu = (u64 - ub) / dist
-        Tc = (c64 - cb) / dist
+        counts["accepted"] += 1
+        Tu, Tc, kappa, d_prev, last_ds = Tu_new, Tc_new, kappa_new, dist, ds
 
-        event = _detect_event(problem, points[-2], new, k_eigs)
+        event = _detect_event(problem, base, new, k_eigs, tol)
         if event is not None:
             kind, dp = event
             events.append(BranchEvent(kind, len(points) - 2, dp))
             if stop_at_events:
                 break
-        if iters <= 4:
-            ds = min(ds * STEP_GROWTH, max_step)
+        proposal = math.sqrt(8.0 * CHORD_TOL / kappa) if kappa > 0 else math.inf
+        ds = min(max(proposal, 0.5 * ds), 2.0 * ds, ceiling)
 
     return partial()
 
 
-def _detect_event(problem, prev, new, k_eigs):
-    if new.degenerate:
-        return ("degeneracy", None)
+def _flips(prev, new) -> bool:
     mu_p = np.asarray(prev.spectrum.eigenvalues)
     mu_n = np.asarray(new.spectrum.eigenvalues)
-    for j in range(min(mu_p.size, mu_n.size)):
-        if mu_p[j] * mu_n[j] < 0:
-            try:
-                dp = refine_fold(problem, prev, new, k_eigs=k_eigs)
-            except NonConvergence:
-                return ("index-change", None)
-            return ("fold", dp)
+    m = min(mu_p.size, mu_n.size)
+    return bool(np.any(mu_p[:m] * mu_n[:m] < 0))
+
+
+def _detect_event(problem, prev, new, k_eigs, tol=NEWTON_TOL):
+    """The event between neighbouring branch points, as (kind, refined point
+    or None), or None.
+
+    A landing within the degeneracy tolerance is a fold when the eigenvalue
+    changes sign one step further on: the pair (prev, the state one chord
+    past new along the chord) then brackets the fold. At a ray or segment
+    edge the eigenvalue stays at zero past the landing, and the event is
+    'degeneracy'.
+    """
+    if new.degenerate:
+        dist = problem.domain.l2_norm(new.u.values - prev.u.values) + abs(new.c - prev.c)
+        try:
+            u_ld, c_ld, rF, _ = _arclength_corrector(
+                problem, new.a, new.u.values, new.c,
+                (new.u.values - prev.u.values) / dist, (new.c - prev.c) / dist,
+                dist, tol, 8,
+            )
+        except NonConvergence:
+            return ("degeneracy", None)
+        past = classify_state(
+            problem, DiscreteField(problem.domain, u_ld.astype(float)), new.a,
+            float(c_ld), k_eigs=k_eigs, rnorm=rF, prev=new.spectrum,
+        )
+        if past.degenerate or not _flips(prev, past):
+            return ("degeneracy", None)
+        try:
+            return ("fold", refine_fold(problem, prev, past, k_eigs=k_eigs))
+        except NonConvergence:
+            return ("degeneracy", None)
+    if _flips(prev, new):
+        try:
+            return ("fold", refine_fold(problem, prev, new, k_eigs=k_eigs))
+        except NonConvergence:
+            return ("index-change", None)
     if new.morse_index != prev.morse_index:
         return ("index-change", None)
     return None

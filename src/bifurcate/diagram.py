@@ -387,7 +387,7 @@ def _stitch(down: Branch, up: Branch, tag: str) -> Branch:
     s += [total + v for v in up.arclengths[1:]]
     return Branch(
         points, tuple(s), down.chart, t_proj,
-        events=_reindexed_events(down, up), tag=tag,
+        events=_reindexed_events(down, up), tag=tag, steps=down.steps + up.steps,
     )
 
 
@@ -406,6 +406,7 @@ def _slice_branch(br: Branch, start: int, tag: str) -> Branch:
         br.t_proj[start:],
         events=events,
         tag=tag,
+        steps=br.steps,
     )
 
 
@@ -445,7 +446,7 @@ def assemble_diagram(
     c_min: float = -10.0,
     *,
     step0: float = 0.05,
-    max_step: float = 2.0,
+    max_step: float | None = None,
     tol: float = NEWTON_TOL,
     k_eigs: int = 3,
     max_points: int = 4000,
@@ -457,7 +458,9 @@ def assemble_diagram(
     critical-cap amplitude, the trivial or near-trivial states, the segment
     edges for the at-lambda2 regime), folds are refined, and the pieces are
     stitched at degenerate points. Continuation failures raise
-    AssemblyIncomplete carrying the partial diagram.
+    AssemblyIncomplete carrying the partial diagram. Every trace steps by
+    continue_branch's chord-error controller; max_step, when given, is a
+    ceiling on its steps.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -575,6 +578,23 @@ def _edge_start(problem, a, mode, edge, offset):
     )
 
 
+def _edge_pair(problem, a, mode, edge, offset, window, chart, kw):
+    """Both traces from the branch start next to a degenerate edge
+    (_edge_start). Their first step moves the chart coordinate by twice the
+    start's distance from the edge, so the trace toward the edge lands about
+    as far inside the ray or segment as it started outside: past the states
+    next to the edge whose vanishing eigenvalue is too small to tell from
+    zero, and far enough inside for probes on both sides of the landed
+    state to stay on the ray or segment."""
+    start = _edge_start(problem, a, mode, edge, offset)
+    e = mode.eigenfunction.values
+    norm = np.sqrt(problem.domain.inner(e, e))
+    gap = abs(problem.domain.inner(e, start.u.values) / norm**2 - edge)
+    return _both_directions(
+        problem, start, window, chart, {**kw, "step0": 2.0 * gap * norm}
+    )
+
+
 def _stable_seed(problem, a, tol=NEWTON_TOL):
     phi = problem.modes()[0]
     amp = critical_cap(problem.nonlinearity, a)
@@ -625,14 +645,15 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
         tuple(float(t) for t in ts),
         tag="ray",
     ))
-    start = _edge_start(problem, a, phi, M, eps_t)
-    pair = _both_directions(problem, start, (c_min, 1.0), "phi", kw)
+    pair = _edge_pair(problem, a, phi, M, eps_t, (c_min, 1.0), "phi", kw)
     toward_cmin = _pick_terminal(pair, "endpoint")
     toward_ray = _pick_terminal(pair, "degeneracy")
     branches.append(_stitch(toward_cmin, toward_ray, "Mstar"))
     # The trace stops by landing on a degenerate state of the ray; that
     # landed point is the junction marker (degeneracy events carry no
-    # separately refined point).
+    # separately refined point). Every ray state has the same vanishing
+    # normal form, which the verification checks by probes on both sides of
+    # the marker; _edge_pair lands it inside the ray, clear of its end.
     end = toward_ray.points[-1]
     degenerate.append(DegeneratePoint(
         a, end.c, end.u, end.spectrum.eigenfunctions[0],
@@ -662,9 +683,7 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
     psi = problem.modes()[1]
     window = (c_min, 1e9)
     segment = build_degenerate_segment(problem)
-    top_pair = _both_directions(
-        problem, _edge_start(problem, a, psi, segment.t_max, eps_t), window, "psi", kw
-    )
+    top_pair = _edge_pair(problem, a, psi, segment.t_max, eps_t, window, "psi", kw)
     toward_fold = _pick_terminal(top_pair, "fold")
     top_in = top_pair[0] if top_pair[1] is toward_fold else top_pair[1]
     if _terminal_kind(top_in) == "endpoint":
@@ -674,9 +693,8 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
     else:
         # the inward trace parked on (or at) the segment
         branches.append(_stitch(top_in, toward_fold, "Msharp"))
-        bottom_pair = _both_directions(
-            problem, _edge_start(problem, a, psi, segment.t_min, -eps_t), window,
-            "psi", kw,
+        bottom_pair = _edge_pair(
+            problem, a, psi, segment.t_min, -eps_t, window, "psi", kw
         )
         bottom_out = _pick_terminal(bottom_pair, "endpoint")
         bottom_in = bottom_pair[0] if bottom_pair[1] is bottom_out else bottom_pair[1]
@@ -706,7 +724,7 @@ def _slice_branch_head(br: Branch, stop: int, tag: str) -> Branch:
     events = tuple(ev for ev in br.events if ev.point_index < stop)
     return Branch(
         br.points[: stop + 1], br.arclengths[: stop + 1], br.chart,
-        br.t_proj[: stop + 1], events=events, tag=tag,
+        br.t_proj[: stop + 1], events=events, tag=tag, steps=br.steps,
     )
 
 
@@ -718,20 +736,14 @@ def _split_at_origin(joined: Branch) -> tuple[Branch, Branch]:
 
 
 def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
-    # The three index-one/two junctions live in a compact |c| window where
-    # the sheets pass close to each other; large arclength steps can hop
-    # between sheets around a fold without tripping any event. Those pieces
-    # get a tight step cap; only the long climb to the index-zero fold and
-    # the stable sheet use the caller's cap. Direction +1 always starts
-    # toward increasing c.
+    # Direction +1 always starts toward increasing c.
     psi = problem.modes()[1]
     dom = problem.domain
     window = (c_min, 1e9)
-    small = {**kw, "max_step": min(kw["max_step"], 0.25)}
 
     zero = newton_solve(problem, DiscreteField.zero(dom), a, 0.0)
-    nat_up = continue_branch(problem, zero, +1, window, chart="psi", **small)
-    nat_down = continue_branch(problem, zero, -1, window, chart="psi", **small)
+    nat_up = continue_branch(problem, zero, +1, window, chart="psi", **kw)
+    nat_down = continue_branch(problem, zero, -1, window, chart="psi", **kw)
     # each piece and each fold goes into the diagram as soon as it exists,
     # so a partial diagram shows how far the assembly got
     branches.append(_stitch(nat_up, nat_down, "Mnatural"))
@@ -746,14 +758,14 @@ def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
         )
 
     plus = newton_solve(problem, DiscreteField(dom, psi.eigenfunction.values), a, 0.0)
-    sharp_down = continue_branch(problem, plus, -1, window, chart="psi", **small)
+    sharp_down = continue_branch(problem, plus, -1, window, chart="psi", **kw)
     sharp_up = continue_branch(problem, plus, +1, window, chart="psi", **kw)
     branches.append(_stitch(sharp_down, sharp_up, "Msharp"))
     degenerate.extend([_terminal_fold(sharp_down), _terminal_fold(sharp_up)])
 
     minus = newton_solve(problem, DiscreteField(dom, -psi.eigenfunction.values), a, 0.0)
-    flat_up = continue_branch(problem, minus, +1, window, chart="psi", **small)
-    flat_down = continue_branch(problem, minus, -1, window, chart="psi", **small)
+    flat_up = continue_branch(problem, minus, +1, window, chart="psi", **kw)
+    flat_down = continue_branch(problem, minus, -1, window, chart="psi", **kw)
     if _terminal_kind(flat_down) != "endpoint":
         raise NonConvergence(
             f"flat sheet did not reach the c window edge: {_terminal_kind(flat_down)}",

@@ -103,6 +103,14 @@ class TestParseConfig:
         assert set(echo) == {"schema_version", "grid", "model", "run", "output"}
         assert echo["run"]["a"] == 20.0
 
+    @pytest.mark.parametrize("body,max_step", [
+        ("", None),
+        ("run:\n  max_step: null\n", None),
+        ("run:\n  max_step: 0.5\n", 0.5),
+    ])
+    def test_max_step_is_an_optional_ceiling(self, body, max_step):
+        assert parse_config("schema_version: 1\n" + body).run["max_step"] == max_step
+
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema_version is mandatory"):
             parse_config("run:\n  a: 1.0\n")
@@ -446,6 +454,7 @@ class TestDiagramCommand:
         ))
         assert main(["diagram", "--config", cfg]) == 0
         doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        assert doc["config_echo"]["run"]["max_step"] is None
         assert diagrams_equal(load_diagram(doc), diagram20)
 
     def test_formats_subset_respected(self, tmp_path):

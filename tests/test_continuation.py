@@ -21,6 +21,7 @@ from bifurcate import continuation
 from bifurcate.continuation import (
     Branch,
     DegenerateCurve,
+    StepCounts,
     StepUnderflow,
     WrongKind,
     branch_derivative_at_zero,
@@ -269,6 +270,105 @@ class TestBranchTracing:
         partial = err.value.partial
         assert isinstance(partial, Branch)
         assert partial.points[-1] is stable20
+        # one corrector iteration never converges here, so step0 = 0.01 is
+        # halved 20 times to below MIN_ARCLENGTH_STEP, each time for that cause
+        assert partial.steps == StepCounts(nonconvergence=20)
+        assert str(err.value) == (
+            f"step underflow: the corrector did not converge near "
+            f"c={stable20.c:.6g} (last accepted point 0: c={stable20.c:.10g}, "
+            f"t={partial.t_proj[0]:.10g}, ds=none; steps 0 accepted, rejected: "
+            "nonconvergence 20, collapse 0, boundary 0, chord 0, jump 0)"
+        )
+
+    def test_step_underflow_names_the_last_accepted_step(
+        self, problem, stable20, monkeypatch
+    ):
+        corrector = continuation._arclength_corrector
+        calls = []
+
+        def fails_after_three(*args):
+            calls.append(args[6])
+            if len(calls) > 3:
+                raise NonConvergence("forced", None, np.inf)
+            return corrector(*args)
+
+        monkeypatch.setattr(continuation, "_arclength_corrector", fails_after_three)
+        with pytest.raises(StepUnderflow) as err:
+            continue_branch(problem, stable20, +1, (-10.0, 1e6), step0=0.05)
+        partial = err.value.partial
+        assert partial.steps.accepted == 3
+        assert partial.steps.nonconvergence == len(calls) - 3
+        last = partial.points[-1]
+        assert (
+            f"(last accepted point 3: c={last.c:.10g}, t={partial.t_proj[-1]:.10g}, "
+            f"ds={calls[2]:.6g}; steps {partial.steps})"
+        ) in str(err.value)
+
+    def test_steps_are_counted(self, branch20):
+        steps = branch20.steps
+        assert steps.accepted == len(branch20.points) - 1
+        assert steps.collapse == steps.boundary == steps.jump == 0
+
+
+class TestStepController:
+    def test_max_step_caps_every_step(self, problem, stable20):
+        """The corrector solves on the hyperplane through the predictor,
+        orthogonal to the previous unit secant, so each step is the next
+        chord's projection onto that secant; an explicit max_step caps it."""
+        dom = problem.domain
+        capped = continue_branch(problem, stable20, +1, (-10.0, 1e6), max_step=0.5)
+        free = continue_branch(problem, stable20, +1, (-10.0, 1e6))
+        assert len(capped.points) > 2 * len(free.points)
+        pts = capped.points
+        steps = []
+        for p, q, r in zip(pts, pts[1:], pts[2:]):
+            du, dc = q.u.values - p.u.values, q.c - p.c
+            dist = dom.l2_norm(du) + abs(dc)
+            Tu, Tc = du / dist, dc / dist
+            eu, ec = r.u.values - q.u.values, r.c - q.c
+            steps.append((dom.inner(Tu, eu) + Tc * ec) / (dom.inner(Tu, Tu) + Tc * Tc))
+        assert max(steps) <= 0.5 + 1e-8
+        assert max(steps) > 0.45
+        assert capped.fold_points()[0].c == pytest.approx(
+            free.fold_points()[0].c, abs=1e-9
+        )
+
+    def test_a_corrector_that_leaves_the_branch_is_redone(
+        self, problem, modes, stable20, fold20, monkeypatch
+    ):
+        """A corrector that lands far from its predictor, as on another
+        sheet, is rejected as a jump and the step redone at half length."""
+        corrector = continuation._arclength_corrector
+        off_branch = 0.1 * modes[1].eigenfunction.values
+        steps = []
+
+        def jumps_once(*args):
+            u, c, rF, iters = corrector(*args)
+            steps.append(args[6])
+            if len(steps) == 3:
+                u = u + off_branch
+            return u, c, rF, iters
+
+        monkeypatch.setattr(continuation, "_arclength_corrector", jumps_once)
+        br = continue_branch(problem, stable20, +1, (-10.0, 1e6))
+        assert br.steps.jump == 1
+        assert steps[3] == 0.5 * steps[2]
+        assert abs(br.fold_points()[0].c - fold20.c) < 1e-9
+
+    def test_landing_on_a_fold_refines_it(self, problem, branch20, fold20):
+        """A corrector step can land within the degeneracy tolerance of a
+        fold. The eigenvalue changes sign one step further on, so the event
+        is the refined fold, not a degeneracy."""
+        prev = branch20.points[branch20.events[-1].point_index]
+        landed = classify_state(
+            problem, fold20.u, fold20.a, fold20.c, rnorm=fold20.residual_sup,
+            prev=prev.spectrum,
+        )
+        assert landed.degenerate
+        kind, dp = continuation._detect_event(problem, prev, landed, 3)
+        assert kind == "fold"
+        assert dp.kind == "fold-index0"
+        assert abs(dp.c - fold20.c) < 1e-9
 
 
 class TestDegeneratePoints:

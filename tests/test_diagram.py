@@ -31,7 +31,12 @@ from bifurcate.solver import (
     classify_state,
     newton_solve,
 )
-from bifurcate.continuation import delta_window, trace_index1_degenerate_curve
+from bifurcate.continuation import (
+    CHORD_TOL,
+    _constrained_solve,
+    delta_window,
+    trace_index1_degenerate_curve,
+)
 from bifurcate.diagram import (
     REGIMES,
     AssemblyIncomplete,
@@ -660,18 +665,63 @@ class TestCoarseWindow:
         refined = diagram_solutions_at(diagram_window99, c)
         assert sorted(p.morse_index for p in refined) == [0, 1]
 
+    def test_flat_sheet_stops_at_its_fold(self, diagram_window99, diagram_window):
+        """Mflat ends at the upper natural fold at n = 99 as at n = 399.
+        Near c = 6.15 a corrector step can converge onto the index-1 sheet
+        that Msharp covers (a chord 1.84 long for a step of 0.25) with no
+        eigenvalue changing sign; unless the jump and chord checks redo
+        that step, the trace follows the sheet to the terminal fold."""
+        flat99 = diagram_window99.branch("Mflat")
+        assert flat99.events[-1].kind == "fold"
+        assert len(flat99.points) <= 2 * len(diagram_window.branch("Mflat").points)
+        fold = flat99.events[-1].degenerate_point
+        natural = [dp.c for dp in diagram_window99.branch("Mnatural").fold_points()]
+        assert fold.kind == "degenerate-index1"
+        assert min(abs(fold.c - c) for c in natural) < 1e-9
+
     def test_verify_passes(self, diagram_window99):
-        """Guards the count claim against counting one state twice. At this
-        mesh Mflat runs on past its fold onto the index-1 sheet that Msharp
-        covers, so two branches cross this level at the same state, next to
-        raw branch points 1.3 apart in c (285.94 and 287.27). The claim must
-        expect the two distinct refined states the oracle finds, and the
-        whole report must pass."""
+        """Guards the count claim at this level, which Msharp and Mstar
+        cross once each: the claim must expect the two distinct refined
+        states the oracle finds, and the whole report must pass."""
         report = verify_structure(diagram_window99, seed=0)
         count = next(chk for chk in report.checks
                      if chk.claim == f"count@c={self.level(diagram_window99):.6g}")
         assert count.expected == 2
         assert report.failures() == ()
+
+
+class TestChordTolerance:
+    """The piecewise-linear branches that the CSV and SVG draw stay close to
+    the solution set. For each chord between neighbouring branch points, the
+    state on the hyperplane through the chord's midpoint, orthogonal to it,
+    lies within 4 CHORD_TOL of that midpoint in the product norm. The step
+    controller sizes chords to a deviation of CHORD_TOL and redoes those it
+    estimates above 2 CHORD_TOL; the remaining factor 2 covers curvature
+    that grows along a chord, as it does approaching a fold."""
+
+    @pytest.mark.parametrize("fixture", [
+        "diagram_below", "diagram_lam1", "diagram20", "diagram_lam2", "diagram_window",
+    ])
+    def test_chord_midpoints_lie_within_the_tolerance(self, fixture, request):
+        bound = 4.0 * CHORD_TOL
+        assert bound <= 1e-2
+        diag = request.getfixturevalue(fixture)
+        problem = diag.problem
+        dom = problem.domain
+        worst = 0.0
+        for br in diag.branches:
+            if br.tag == "ray":
+                continue
+            for p, q in zip(br.points, br.points[1:]):
+                du, dc = q.u.values - p.u.values, q.c - p.c
+                um, cm = 0.5 * (p.u.values + q.u.values), 0.5 * (p.c + q.c)
+                row = dom.spacing * du
+                u, c, _, _ = _constrained_solve(
+                    problem, diag.a, um, cm, row, dc, -(row @ um + dc * cm)
+                )
+                dev = dom.l2_norm(u.astype(float) - um) + abs(float(c) - cm)
+                worst = max(worst, dev)
+        assert worst <= bound
 
 
 class TestStabilityCrosscheck:

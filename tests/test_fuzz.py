@@ -2,15 +2,18 @@
 parameters, assemble_diagram either produces a diagram that passes
 verify_structure or raises AssemblyIncomplete, and nothing else.
 
-The steep-ramp corner next to a degenerate edge (p_f = 5 at lambda1,
-p_f >= 6 at lambda2) is outside the fuzzed space and pinned below as
-strict xfails: there the trace toward the ray or segment stops at the
-first state that classifies as degenerate, which lies far from the true
-junction because the vanishing eigenvalue grows like |t - edge|^(p_f - 1).
+Steep ramps next to a degenerate edge are pinned below. There the
+vanishing eigenvalue grows only like |t - edge|^(p_f - 1), so states well
+outside the ray or segment already classify as degenerate. The trace
+toward the edge starts outside them and its first step lands as far
+inside the edge; up to p_f = 7 at n = 49 the diagrams verify. From a start
+doubled far off the edge (p_f = 9 at lambda1, p_f = 8 at lambda2) that
+step is halved, the trace stops at the first state that classifies as
+degenerate, short of the edge, and verification fails: strict xfails.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifurcate.diagram import AssemblyIncomplete, assemble_diagram, verify_structure
@@ -44,7 +47,6 @@ def _assembles_or_fails_cleanly(n, M, p_f, a, c_min):
     c_min=st.floats(-20.0, -1.0),
 )
 def test_assembly_verifies_or_is_incomplete(n, M, p_f, a, c_min):
-    assume(not (a == "lambda1" and p_f == 5))
     _assembles_or_fails_cleanly(n, M, p_f, a, c_min)
 
 
@@ -54,11 +56,19 @@ def test_steep_ramp_at_lambda2_starts_off_the_segment():
     _assembles_or_fails_cleanly(99, 0.3, 5, "lambda2", -10.0)
 
 
+@pytest.mark.parametrize(
+    "p_f, a", [(5, "lambda1"), (7, "lambda1"), (6, "lambda2"), (7, "lambda2")]
+)
+def test_steep_ramp_next_to_degenerate_edge(p_f, a):
+    _assembles_or_fails_cleanly(49, 0.3, p_f, a, -10.0)
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="trace stops short of the degenerate edge"
 )
-@pytest.mark.parametrize("p_f, a", [(5, "lambda1"), (6, "lambda2")])
-def test_steep_ramp_next_to_degenerate_edge(p_f, a):
-    # lambda1: the junction lands at c = -3.2e-8 with its normal form 66 %
-    # off; lambda2: the Mflat and Msharp ends miss the segment (connectivity)
+@pytest.mark.parametrize("p_f, a", [(9, "lambda1"), (8, "lambda2")])
+def test_steeper_ramp_next_to_degenerate_edge(p_f, a):
+    # lambda1: the junction lands at t = 0.3095, outside the ray's end at
+    # M = 0.3, with its normal form 22 times off; lambda2: the Mflat and
+    # Msharp ends miss the segment (connectivity)
     _assembles_or_fails_cleanly(49, 0.3, p_f, a, -10.0)
