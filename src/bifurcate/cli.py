@@ -20,7 +20,6 @@ import yaml
 from .grid import DiscreteField, build_grid
 from .model import HarvestSpec, Nonlinearity, check_hypotheses
 from .solver import (
-    NEWTON_TOL,
     Diverged,
     NonConvergence,
     Problem,
@@ -47,6 +46,7 @@ from .diagram import (
     AssemblyIncomplete,
     BifurcationDiagram,
     _stable_seed,
+    _stopped_at,
     assemble_diagram,
     count_solutions,
     verify_structure,
@@ -136,9 +136,6 @@ _RUN_DEFAULTS = {
     "a_range": None,
     "n_starts": 400,
     "seed": 0,
-    "tol": NEWTON_TOL,
-    "k_eigs": 3,
-    "max_step": None,
     "sigma": 1.0,
     "which": "dagger",
     "start": "stable",
@@ -212,15 +209,6 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     model["p_f"] = int(model["p_f"])
     model["scale"] = float(model["scale"])
     run["n_starts"] = int(run["n_starts"])
-    run["tol"] = float(run["tol"])
-    run["k_eigs"] = int(run["k_eigs"])
-    if run["max_step"] is not None:
-        run["max_step"] = float(run["max_step"])
-
-    if run["tol"] <= 0:
-        raise ConfigError(f"{source}: run.tol must be positive")
-    if run["max_step"] is not None and run["max_step"] <= 0:
-        raise ConfigError(f"{source}: run.max_step must be positive")
 
     command = run.get("command")
     if command is not None and command not in COMMANDS:
@@ -535,12 +523,10 @@ def _write_json(doc: dict, path) -> None:
         raise
 
 
-def _load_point(
-    problem: Problem, doc: dict, k_eigs: int, prev: SolutionPoint | None
-) -> SolutionPoint:
+def _load_point(problem: Problem, doc: dict, prev: SolutionPoint | None) -> SolutionPoint:
     u = DiscreteField(problem.domain, np.array(doc["u"], dtype=float))
     return classify_state(
-        problem, u, doc["a"], doc["c"], k_eigs=k_eigs, rnorm=doc["residual_norm"],
+        problem, u, doc["a"], doc["c"], rnorm=doc["residual_norm"],
         prev=None if prev is None else prev.spectrum,
     )
 
@@ -573,12 +559,11 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
             dict(doc["config_echo"]["output"]),
         )
         problem = cfg.build_problem()
-    k_eigs = int(doc["config_echo"]["run"].get("k_eigs", 3))
     branches = []
     for b in doc["branches"]:
         points, prev = [], None
         for p in b["points"]:
-            prev = _load_point(problem, p, k_eigs, prev)
+            prev = _load_point(problem, p, prev)
             points.append(prev)
         events = tuple(
             BranchEvent(
@@ -841,18 +826,13 @@ def _cmd_continue(problem, cfg, outdir, force):
     a = float(_require(cfg, "a"))
     window = tuple(run["c_range"]) if run["c_range"] else (run["c_min"], 1e6)
     if run["start"] == "stable":
-        start = _stable_seed(problem, a, run["tol"])
+        start = _stable_seed(problem, a)
     elif run["start"] == "zero":
-        start = newton_solve(
-            problem, DiscreteField.zero(problem.domain), a, 0.0,
-            tol=run["tol"],
-        )
+        start = newton_solve(problem, DiscreteField.zero(problem.domain), a, 0.0)
     else:
         raise ConfigError(f"run.start must be 'stable' or 'zero', got {run['start']!r}")
     branch = continue_branch(
-        problem, start, int(run["direction"]), window,
-        chart=run["chart"], max_step=run["max_step"], tol=run["tol"],
-        k_eigs=run["k_eigs"],
+        problem, start, int(run["direction"]), window, chart=run["chart"],
     ).with_tag("trace")
     if "csv" in cfg.output["formats"]:
         emit_csv(branch, outdir / "branch.csv")
@@ -877,18 +857,12 @@ def _cmd_fold_curve(problem, cfg, outdir, force):
         raise ConfigError("run.a_range is required for fold-curve")
     a_lo, a_hi = (float(v) for v in a_range)
     a_seed = float(run["a"]) if run["a"] is not None else a_hi
-    start = _stable_seed(problem, a_seed, run["tol"])
-    branch = continue_branch(
-        problem, start, +1, (run["c_min"], 1e9),
-        chart=run["chart"], max_step=run["max_step"], tol=run["tol"],
-        k_eigs=run["k_eigs"],
-    )
+    start = _stable_seed(problem, a_seed)
+    branch = continue_branch(problem, start, +1, (run["c_min"], 1e9), chart=run["chart"])
     folds = branch.fold_points()
     if not folds:
-        raise NonConvergence("no fold found on the seeding branch", None, np.inf)
-    curve = trace_fold_curve(
-        problem, folds[0], (a_lo, a_hi), tol=run["tol"], k_eigs=run["k_eigs"],
-    )
+        raise _stopped_at(branch, "no fold found on the seeding branch")
+    curve = trace_fold_curve(problem, folds[0], (a_lo, a_hi))
     if "csv" in cfg.output["formats"]:
         _emit_curve_csv(curve, outdir / "fold_curve.csv")
     _write_json(_doc(
@@ -905,10 +879,7 @@ def _cmd_fold_curve(problem, cfg, outdir, force):
 
 def _cmd_dsigma_curve(problem, cfg, outdir, force):
     run = cfg.run
-    curve = trace_index1_degenerate_curve(
-        problem, sigma=float(run["sigma"]), tol=run["tol"],
-        k_eigs=run["k_eigs"],
-    )
+    curve = trace_index1_degenerate_curve(problem, sigma=float(run["sigma"]))
     if "csv" in cfg.output["formats"]:
         _emit_curve_csv(curve, outdir / "dsigma_curve.csv")
     _write_json(_doc(
@@ -926,8 +897,7 @@ def _cmd_czero_branch(problem, cfg, outdir, force):
     if not a_range:
         raise ConfigError("run.a_range is required for czero-branch")
     branch = continue_czero_branch(
-        problem, run["which"], tuple(float(v) for v in a_range),
-        tol=run["tol"], k_eigs=run["k_eigs"],
+        problem, run["which"], tuple(float(v) for v in a_range)
     ).with_tag(run["which"])
     if "csv" in cfg.output["formats"]:
         _emit_branches_csv([branch], outdir / "czero_branch.csv", key="a")
@@ -945,10 +915,7 @@ def _cmd_diagram(problem, cfg, outdir, force):
     a = float(_require(cfg, "a"))
     status = 0
     try:
-        diagram = assemble_diagram(
-            problem, a, c_min=run["c_min"], tol=run["tol"],
-            max_step=run["max_step"], k_eigs=run["k_eigs"],
-        )
+        diagram = assemble_diagram(problem, a, c_min=run["c_min"])
     except AssemblyIncomplete as exc:
         print(f"assembly incomplete: {exc}", file=sys.stderr)
         diagram = exc.partial
@@ -969,10 +936,7 @@ def _cmd_diagram(problem, cfg, outdir, force):
 def _cmd_verify(problem, cfg, outdir, force):
     run = cfg.run
     a = float(_require(cfg, "a"))
-    diagram = assemble_diagram(
-        problem, a, c_min=run["c_min"], tol=run["tol"],
-        max_step=run["max_step"], k_eigs=run["k_eigs"],
-    )
+    diagram = assemble_diagram(problem, a, c_min=run["c_min"])
     report = verify_structure(diagram, oracle_budget=run["n_starts"], seed=run["seed"])
     regime_ok = run["regime"] is None or run["regime"] == diagram.regime
     _write_json(_doc(
@@ -996,10 +960,7 @@ def _cmd_count(problem, cfg, outdir, force):
     run = cfg.run
     a = float(_require(cfg, "a"))
     c = float(_require(cfg, "c"))
-    result = count_solutions(
-        problem, a, c, run["n_starts"], run["seed"],
-        tol=run["tol"], k_eigs=run["k_eigs"],
-    )
+    result = count_solutions(problem, a, c, run["n_starts"], run["seed"])
     print(f"count={result.count}")
     dom = problem.domain
     _write_json(_doc(

@@ -25,12 +25,13 @@ Conventions shared by everything in this module:
   convention.
 - The fold sweep in a, the index-1 family in t and the zero-harvest sweep
   in a share one natural-parameter march (_march) that grows its step by
-  STEP_GROWTH. The arclength tracer sets its step from the branch geometry
-  instead: the curvature estimated from the turn between successive
-  secants gives the step whose chord deviates CHORD_TOL from the branch,
-  and a step is redone at half length when its own chord deviation exceeds
-  2 CHORD_TOL or its corrector lands far from the predictor (a jump to
-  another sheet). max_step is only an optional ceiling.
+  STEP_GROWTH, within the first, smallest and largest step of the sweep's
+  *_SWEEP_STEPS constant. The arclength tracer sets its step from the
+  branch geometry instead: the curvature estimated from the turn between
+  successive secants gives the step whose chord deviates CHORD_TOL from the
+  branch, and a step is redone at half length when its own chord deviation
+  exceeds 2 CHORD_TOL or its corrector lands far from the predictor (a jump
+  to another sheet). max_step is only an optional ceiling.
 """
 
 from __future__ import annotations
@@ -61,6 +62,18 @@ from .solver import (
 
 MIN_ARCLENGTH_STEP = 1e-8
 STEP_GROWTH = 1.3
+#: First, smallest and largest step of the fold sweep in a, the index-1
+#: family in t and the zero-harvest sweep in a (_march).
+FOLD_SWEEP_STEPS = (0.5, 1e-4, 2.0)
+INDEX1_SWEEP_STEPS = (0.05, 1e-5, 0.1)
+CZERO_SWEEP_STEPS = (0.25, 1e-6, 1.0)
+#: Offset above the threshold M of the first amplitude a zero-harvest seed
+#: tries.
+CZERO_SEED_OFFSET = 0.05
+#: Chart samples of the degenerate segment checked in long double, and the
+#: bound their residual must stay below.
+SEGMENT_CHECKS = 9
+SEGMENT_TOL = 1e-12
 #: Chord tolerance of the arclength tracer in the product norm: the step is
 #: sized so that the chord between neighbouring branch points deviates from
 #: the branch by about this much (the sagitta kappa ds^2 / 8 of a circle of
@@ -279,7 +292,6 @@ def _constrained_solve(
     row_c: float,
     offset: float,
     *,
-    tol: float = NEWTON_TOL,
     max_iter: int = 8,
     stop_on_growth: bool = False,
 ):
@@ -302,7 +314,7 @@ def _constrained_solve(
         F = problem.residual_values(u, a, c)
         N = row_ld @ u + ld(row_c) * c + ld(offset)
         r_prev, rF = rF, float(np.max(np.abs(F)))
-        if rF < tol and abs(float(N)) < tol:
+        if rF < NEWTON_TOL and abs(float(N)) < NEWTON_TOL:
             return u, c, rF, it
         if not np.isfinite(rF) or rF > 1e8 or (stop_on_growth and rF > r_prev):
             break
@@ -332,9 +344,7 @@ def solve_at_projection(
     u0: np.ndarray,
     c0: float,
     *,
-    tol: float = NEWTON_TOL,
     max_iter: int = 12,
-    k_eigs: int = 3,
 ) -> SolutionPoint:
     """Steady state with c free, pinned by the chart constraint
     <u, e>/<e, e> = t_target.
@@ -350,15 +360,14 @@ def solve_at_projection(
         raise ValueError("chart field is identically zero")
     row_u = dom.spacing * e_vals / e_sq
     u, c, rF, _ = _constrained_solve(
-        problem, a, u0, c0, row_u, 0.0, -float(t_target), tol=tol, max_iter=max_iter
+        problem, a, u0, c0, row_u, 0.0, -float(t_target), max_iter=max_iter
     )
     return classify_state(
-        problem, DiscreteField(problem.domain, u.astype(float)), a, float(c),
-        k_eigs=k_eigs, rnorm=rF,
+        problem, DiscreteField(problem.domain, u.astype(float)), a, float(c), rnorm=rF,
     )
 
 
-def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, tol, max_iter):
+def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, max_iter):
     """One pseudo-arclength corrector: the state on the hyperplane through
     the predictor (ub, cb) + ds (Tu, Tc), orthogonal to (Tu, Tc) in the L2
     inner product plus c times c. A corrector whose residual grows is given
@@ -368,7 +377,7 @@ def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, tol, max_iter):
     c_pred = cb + ds * Tc
     return _constrained_solve(
         problem, a, u_pred, c_pred, row_u, Tc, -(row_u @ u_pred + Tc * c_pred),
-        tol=tol, max_iter=max_iter, stop_on_growth=True,
+        max_iter=max_iter, stop_on_growth=True,
     )
 
 
@@ -381,12 +390,9 @@ def continue_branch(
     chart: str = "phi",
     step0: float = 0.02,
     max_step: float | None = None,
-    min_step: float = MIN_ARCLENGTH_STEP,
-    tol: float = NEWTON_TOL,
     max_corrector: int = 8,
     stop_at_events: bool = True,
     max_points: int = 4000,
-    k_eigs: int = 3,
 ) -> Branch:
     """Trace the solution family through start by pseudo-arclength steps.
 
@@ -414,8 +420,8 @@ def continue_branch(
     event; set stop_at_events=False to record events and keep going. Morse
     index changes along the returned branch happen only across recorded
     events. Raises StepUnderflow, carrying the partial branch, if the step
-    drops below min_step; its message names the last accepted c, t and
-    step and the step counts.
+    drops below MIN_ARCLENGTH_STEP; its message names the last accepted c,
+    t and step and the step counts.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
@@ -461,7 +467,7 @@ def continue_branch(
         nonlocal ds
         counts[cause] += 1
         ds *= 0.5
-        if ds < min_step:
+        if ds < MIN_ARCLENGTH_STEP:
             step = "none" if last_ds is None else f"{last_ds:.6g}"
             raise StepUnderflow(
                 f"step underflow: {why} (last accepted point {len(points) - 1}: "
@@ -481,7 +487,7 @@ def continue_branch(
             frac = (target - cb) / (ds * Tc)
             init = DiscreteField(dom, ub + frac * ds * Tu)
             try:
-                end_pt = newton_solve(problem, init, a, target, tol=tol, k_eigs=k_eigs)
+                end_pt = newton_solve(problem, init, a, target)
             except (NonConvergence, SingularJacobian):
                 reject("boundary", f"no solution found at the c={target} boundary")
                 continue
@@ -495,7 +501,7 @@ def continue_branch(
 
         try:
             u_ld, c_ld, rF, _ = _arclength_corrector(
-                problem, a, ub, cb, Tu, Tc, ds, tol, max_corrector
+                problem, a, ub, cb, Tu, Tc, ds, max_corrector
             )
         except NonConvergence:
             reject("nonconvergence", f"the corrector did not converge near c={cb:.6g}")
@@ -521,8 +527,7 @@ def continue_branch(
             continue
 
         new = classify_state(
-            problem, DiscreteField(dom, u64), a, c64, k_eigs=k_eigs, rnorm=rF,
-            prev=base.spectrum,
+            problem, DiscreteField(dom, u64), a, c64, rnorm=rF, prev=base.spectrum,
         )
         points.append(new)
         svals.append(svals[-1] + dist)
@@ -530,7 +535,7 @@ def continue_branch(
         counts["accepted"] += 1
         Tu, Tc, kappa, d_prev, last_ds = Tu_new, Tc_new, kappa_new, dist, ds
 
-        event = _detect_event(problem, base, new, k_eigs, tol)
+        event = _detect_event(problem, base, new)
         if event is not None:
             kind, dp = event
             events.append(BranchEvent(kind, len(points) - 2, dp))
@@ -549,7 +554,7 @@ def _flips(prev, new) -> bool:
     return bool(np.any(mu_p[:m] * mu_n[:m] < 0))
 
 
-def _detect_event(problem, prev, new, k_eigs, tol=NEWTON_TOL):
+def _detect_event(problem, prev, new):
     """The event between neighbouring branch points, as (kind, refined point
     or None), or None.
 
@@ -565,23 +570,23 @@ def _detect_event(problem, prev, new, k_eigs, tol=NEWTON_TOL):
             u_ld, c_ld, rF, _ = _arclength_corrector(
                 problem, new.a, new.u.values, new.c,
                 (new.u.values - prev.u.values) / dist, (new.c - prev.c) / dist,
-                dist, tol, 8,
+                dist, 8,
             )
         except NonConvergence:
             return ("degeneracy", None)
         past = classify_state(
             problem, DiscreteField(problem.domain, u_ld.astype(float)), new.a,
-            float(c_ld), k_eigs=k_eigs, rnorm=rF, prev=new.spectrum,
+            float(c_ld), rnorm=rF, prev=new.spectrum,
         )
         if past.degenerate or not _flips(prev, past):
             return ("degeneracy", None)
         try:
-            return ("fold", refine_fold(problem, prev, past, k_eigs=k_eigs))
+            return ("fold", refine_fold(problem, prev, past))
         except NonConvergence:
             return ("degeneracy", None)
     if _flips(prev, new):
         try:
-            return ("fold", refine_fold(problem, prev, new, k_eigs=k_eigs))
+            return ("fold", refine_fold(problem, prev, new))
         except NonConvergence:
             return ("index-change", None)
     if new.morse_index != prev.morse_index:
@@ -621,7 +626,7 @@ def _kernel_residual(problem, u, a, v, S):
     return float(np.max(np.abs(_linearized_apply(problem, u, w, a))))
 
 
-def _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter):
+def _fold_newton(problem, a, u0, c0, w0, S, max_iter):
     """Newton on the minimally extended fold system {F(u, c) = 0, g(u) = 0}
     at fixed a, unknowns (u, c), with g from _test_function.
 
@@ -639,7 +644,7 @@ def _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter):
         F = problem.residual_values(u, a, c)
         J, v, g = _test_function(problem, u, a, w0)
         res = max(float(np.max(np.abs(F))), _kernel_residual(problem, u, a, v, S))
-        if res < tol:
+        if res < NEWTON_TOL:
             return u, c, v, res
         if not np.isfinite(res) or res > 1e8:
             break
@@ -660,7 +665,7 @@ def _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter):
     )
 
 
-def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs):
+def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
     """Classify a converged extended-system iterate, fix the kernel vector's
     normalization and sign by kind, and re-verify the residual invariants."""
     ld = np.longdouble
@@ -669,8 +674,7 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs
     phi, psi = problem.modes()
 
     point = classify_state(
-        problem, DiscreteField(dom, u_ld.astype(float)), a, float(c_ld),
-        k_eigs=k_eigs, rnorm=0.0,
+        problem, DiscreteField(dom, u_ld.astype(float)), a, float(c_ld), rnorm=0.0,
     )
     if not point.degenerate:
         raise NonConvergence(
@@ -702,7 +706,7 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs
     F = problem.residual_values(u_ld, a, c_ld)
     G = _linearized_apply(problem, u_ld, w, a)
     res = max(float(np.max(np.abs(F))), float(np.max(np.abs(G))))
-    if not res < tol:
+    if not res < NEWTON_TOL:
         raise NonConvergence(
             f"degenerate point failed re-verification ({res:.3e})",
             u_ld.astype(float),
@@ -728,9 +732,7 @@ def refine_fold(
     high: SolutionPoint,
     *,
     expected_kind: str | None = None,
-    tol: float = NEWTON_TOL,
     max_iter: int = 16,
-    k_eigs: int = 3,
 ) -> DegeneratePoint:
     """Collapse a bracketing pair onto the degenerate point between them.
 
@@ -765,8 +767,8 @@ def refine_fold(
     phi = problem.modes()[0]
     S = inner_product(phi.eigenfunction, phi.eigenfunction)
     w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-    u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, tol, max_iter)
-    return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, tol, k_eigs)
+    u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, max_iter)
+    return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind)
 
 
 def fold_normal_form_checks(
@@ -774,7 +776,6 @@ def fold_normal_form_checks(
     dp: DegeneratePoint,
     *,
     offset: float = 0.02,
-    k_eigs: int = 3,
 ) -> dict:
     """Finite-difference cross-check of the quadratic normal form at a
     degenerate point.
@@ -796,12 +797,10 @@ def fold_normal_form_checks(
     t_star = dom.inner(dp.u.values, w) / wsq
     j = 0 if dp.kind == "fold-index0" else 1
     plus = solve_at_projection(
-        problem, dp.a, dp.w, t_star + offset, dp.u.values + offset * w, dp.c,
-        k_eigs=k_eigs,
+        problem, dp.a, dp.w, t_star + offset, dp.u.values + offset * w, dp.c
     )
     minus = solve_at_projection(
-        problem, dp.a, dp.w, t_star - offset, dp.u.values - offset * w, dp.c,
-        k_eigs=k_eigs,
+        problem, dp.a, dp.w, t_star - offset, dp.u.values - offset * w, dp.c
     )
     mu_p = float(plus.spectrum.eigenvalues[j])
     mu_m = float(minus.spectrum.eigenvalues[j])
@@ -816,22 +815,23 @@ def fold_normal_form_checks(
     }
 
 
-def _march(x0, x_stop, carry0, state0, solve, step0, min_step, max_step, what):
+def _march(x0, x_stop, carry0, state0, solve, steps, what):
     """Natural-parameter continuation (Allgower & Georg 1990) of x from x0
     to exactly x_stop, yielding (x, result) for each accepted step.
 
     solve(x, guess) returns (result, carry), the state in result.u. The
     guess predicts every carry component by the secant q + r (q - p)
     through the last two accepted carries; the first step gets carry0 as
-    given. A solve raising NonConvergence, SingularJacobian or WrongKind
-    halves the step, and each accept grows it by STEP_GROWTH up to
-    max_step. Below min_step the march raises NonConvergence naming what,
-    the stalled x, the last accepted x and the last failure; its
-    last_iterate is the last accepted state (state0 before any accept).
+    given. steps is (first, smallest, largest step). A solve raising
+    NonConvergence, SingularJacobian or WrongKind halves the step, and each
+    accept grows it by STEP_GROWTH up to the largest. Below the smallest the
+    march raises NonConvergence naming what, the stalled x, the last
+    accepted x and the last failure; its last_iterate is the last accepted
+    state (state0 before any accept).
     """
     x, carry, state = float(x0), carry0, state0
     x_prev = prev = None
-    step = float(step0)
+    step, min_step, max_step = steps
     while abs(x_stop - x) > 1e-12:
         x_new = x + math.copysign(min(step, abs(x_stop - x)), x_stop - x)
         if prev is not None and x != x_prev:
@@ -856,24 +856,16 @@ def _march(x0, x_stop, carry0, state0, solve, step0, min_step, max_step, what):
 
 
 def trace_fold_curve(
-    problem: Problem,
-    seed: DegeneratePoint,
-    a_range,
-    *,
-    step0: float = 0.5,
-    min_step: float = 1e-4,
-    max_step: float = 2.0,
-    tol: float = NEWTON_TOL,
-    k_eigs: int = 3,
+    problem: Problem, seed: DegeneratePoint, a_range
 ) -> DegenerateCurve:
     """Sweep a degenerate point across a window of growth rates.
 
-    Natural-parameter marching (_march) up and down from the seed: at each
-    new a the minimally extended fold system is re-solved from a secant
-    predictor in a (the predicted kernel vector borders its test function),
-    and both window edges are hit exactly. Each interior point gets
-    the identity check dc/da = int(u w)/int(h w) against the secant slope,
-    recorded in slope_check as relative mismatches.
+    Natural-parameter marching (_march, FOLD_SWEEP_STEPS) up and down from
+    the seed: at each new a the minimally extended fold system is re-solved
+    from a secant predictor in a (the predicted kernel vector borders its
+    test function), and both window edges are hit exactly. Each interior
+    point gets the identity check dc/da = int(u w)/int(h w) against the
+    secant slope, recorded in slope_check as relative mismatches.
     """
     a_lo, a_hi = map(float, a_range)
     if not a_lo < a_hi:
@@ -888,15 +880,15 @@ def trace_fold_curve(
 
     def solve_at(a, guess):
         u0, c0, w0 = guess
-        u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, tol, 16)
-        dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind, tol, k_eigs)
+        u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, 16)
+        dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind)
         return dp, (dp.u.values, dp.c, dp.w.values)
 
     start = (seed.u.values, seed.c, seed.w.values)
     up, down = (
         [dp for _, dp in _march(
             seed.a, a_stop, start, seed.u.values, solve_at,
-            step0, min_step, max_step, "fold sweep in a",
+            FOLD_SWEEP_STEPS, "fold sweep in a",
         )]
         for a_stop in (a_hi, a_lo)
     )
@@ -907,6 +899,7 @@ def trace_fold_curve(
     # centered secant from two nearby extended solves. The probe spacing is
     # kept small so the secant resolves the curve even where it bends hard.
     checks = []
+    min_step = FOLD_SWEEP_STEPS[1]
     probe = max(min_step, 1e-2 * min(np.diff(params).min(), 1.0)) if len(pts) > 1 else min_step
     for p in pts:
         w = p.w.values
@@ -915,7 +908,7 @@ def trace_fold_curve(
             sides = []
             for sign in (-1.0, 1.0):
                 u_ld, c_ld, w_ld, _ = _fold_newton(
-                    problem, p.a + sign * probe, p.u.values, p.c, w, S, tol, 16
+                    problem, p.a + sign * probe, p.u.values, p.c, w, S, 16
                 )
                 sides.append(float(c_ld))
             secant = (sides[1] - sides[0]) / (2.0 * probe)
@@ -925,7 +918,7 @@ def trace_fold_curve(
     return DegenerateCurve(tuple(pts), params, seed.kind, tuple(checks))
 
 
-def _index1_newton(problem, t, a0, u0, c0, w0, psi_v, S2, tol, max_iter):
+def _index1_newton(problem, t, a0, u0, c0, w0, psi_v, S2, max_iter):
     """Newton for the index-1 degenerate family at fixed chart coordinate t:
     unknowns (u, a, c), equations F(u, a, c) = 0, the chart row
     <u, psi> = t <psi, psi> and the test function g(u, a) = 0.
@@ -950,7 +943,7 @@ def _index1_newton(problem, t, a0, u0, c0, w0, psi_v, S2, tol, max_iter):
             abs(float(N)),
             _kernel_residual(problem, u, aa, v, S2),
         )
-        if res < tol:
+        if res < NEWTON_TOL:
             return aa, u, cc, v, res
         if not np.isfinite(res) or res > 1e8:
             break
@@ -983,20 +976,16 @@ def trace_index1_degenerate_curve(
     t_range=None,
     *,
     sigma: float = 1.0,
-    dt0: float = 0.05,
-    min_dt: float = 1e-5,
-    max_dt: float = 0.1,
-    tol: float = NEWTON_TOL,
-    k_eigs: int = 3,
 ) -> DegenerateCurve:
     """The index-1 degenerate family parametrized by the second-eigenfunction
     projection t, swept across and beyond the exact segment.
 
     Inside [-M/beta, M] the family is the exact line (a at the second
-    eigenvalue, u = t psi, c = 0, kernel psi) and each sample is solved
-    directly from that seed. Outside, the minimally extended system
-    (unknowns u, a, c; equations F = 0, the chart row and the test function
-    g = 0) is marched outward from both segment ends (_march), predicting
+    eigenvalue, u = t psi, c = 0, kernel psi) and each sample, spaced by the
+    first step of INDEX1_SWEEP_STEPS, is solved directly from that seed.
+    Outside, the minimally extended system (unknowns u, a, c; equations
+    F = 0, the chart row and the test function g = 0) is marched outward
+    from both segment ends (_march, INDEX1_SWEEP_STEPS), predicting
     the offset u - t psi, a, c and the bordering kernel vector by secants.
     When t_range is omitted it extends sigma beyond the segment on both
     sides; an explicit range must cover the segment.
@@ -1024,13 +1013,12 @@ def trace_index1_degenerate_curve(
         a0, y0, c0, z0 = guess
         t_psi = np.longdouble(t) * psi_ld
         aa, u_ld, cc, v, _ = _index1_newton(
-            problem, t, a0, t_psi + y0, c0, z0, psi_v, S2, tol, 16
+            problem, t, a0, t_psi + y0, c0, z0, psi_v, S2, 16
         )
-        dp = _package_degenerate(
-            problem, float(aa), u_ld, cc, v, "degenerate-index1", tol, k_eigs
-        )
+        dp = _package_degenerate(problem, float(aa), u_ld, cc, v, "degenerate-index1")
         return dp, (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
 
+    dt0 = INDEX1_SWEEP_STEPS[0]
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
         inside_ts = np.array([seg_lo])
@@ -1039,7 +1027,7 @@ def trace_index1_degenerate_curve(
     for (t_edge, edge), t_stop in ((samples[-1], t_hi), (samples[0], t_lo)):
         samples += _march(
             t_edge, t_stop, on_line, edge.u.values, solve_at,
-            dt0, min_dt, max_dt, "index-1 family in t",
+            INDEX1_SWEEP_STEPS, "index-1 family in t",
         )
     samples.sort(key=lambda pair: pair[0])
     ts = tuple(t for t, _ in samples)
@@ -1064,19 +1052,17 @@ def delta_window(problem: Problem, curve: DegenerateCurve) -> float:
     return float(delta)
 
 
-def _czero_seed(problem, a, e_vals, eps, tol, k_eigs, positive):
+def _czero_seed(problem, a, e_vals, positive):
     """First point of a zero-harvest family at growth rate a: try the offset
-    start (M + eps) e, then a geometric amplitude scan (the Newton basin of
+    start (M + CZERO_SEED_OFFSET) e, then a geometric amplitude scan (the Newton basin of
     the eigenfunction start can collapse onto zero when M = 0)."""
     dom = problem.domain
     M = problem.nonlinearity.M
     K = critical_cap(problem.nonlinearity, a)
-    amplitudes = [M + eps] + list(np.geomspace(0.05, 2.0 * max(K, 1.0), 10))
+    amplitudes = [M + CZERO_SEED_OFFSET] + list(np.geomspace(0.05, 2.0 * max(K, 1.0), 10))
     for s in amplitudes:
         try:
-            pt = newton_solve(
-                problem, DiscreteField(dom, s * e_vals), a, 0.0, tol=tol, k_eigs=k_eigs
-            )
+            pt = newton_solve(problem, DiscreteField(dom, s * e_vals), a, 0.0)
         except (NonConvergence, SingularJacobian):
             continue
         if dom.l2_norm(pt.u.values) < 1e-6 or pt.degenerate:
@@ -1091,18 +1077,7 @@ def _czero_seed(problem, a, e_vals, eps, tol, k_eigs, positive):
     )
 
 
-def continue_czero_branch(
-    problem: Problem,
-    which: str,
-    a_range,
-    *,
-    step0: float = 0.25,
-    min_step: float = 1e-6,
-    max_step: float = 1.0,
-    eps_seed: float = 0.05,
-    tol: float = NEWTON_TOL,
-    k_eigs: int = 3,
-) -> Branch:
+def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
     """Zero-harvest solution family swept in the growth rate.
 
     which='dagger' follows the positive family above the first eigenvalue in
@@ -1110,7 +1085,7 @@ def continue_czero_branch(
     second in the psi chart (the side with positive chart coordinate). The
     window must start strictly above the relevant eigenvalue. Points carry
     c = 0 and their own growth rates; arclengths accumulate
-    ||du||_L2 + |da|.
+    ||du||_L2 + |da|. The sweep marches with CZERO_SWEEP_STEPS (_march).
     """
     phi, psi = problem.modes()
     if which == "dagger":
@@ -1129,7 +1104,7 @@ def continue_czero_branch(
 
     dom = problem.domain
     e_sq = dom.inner(e_vals, e_vals)
-    seed = _czero_seed(problem, a_lo, e_vals, eps_seed, tol, k_eigs, positive)
+    seed = _czero_seed(problem, a_lo, e_vals, positive)
 
     points = [seed]
     svals = [0.0]
@@ -1140,9 +1115,7 @@ def continue_czero_branch(
         return Branch(tuple(points), tuple(svals), chart, tuple(tvals), tuple(events))
 
     def solve_at(a, guess):
-        pt = newton_solve(
-            problem, DiscreteField(dom, guess[0]), a, 0.0, tol=tol, k_eigs=k_eigs
-        )
+        pt = newton_solve(problem, DiscreteField(dom, guess[0]), a, 0.0)
         if dom.l2_norm(pt.u.values) < 1e-6:
             raise NonConvergence(
                 "collapsed onto the zero state", pt.u.values, pt.residual_norm
@@ -1152,7 +1125,7 @@ def continue_czero_branch(
     try:
         for a, pt in _march(
             a_lo, a_hi, (seed.u.values,), seed.u.values, solve_at,
-            step0, min_step, max_step, "zero-harvest sweep in a",
+            CZERO_SWEEP_STEPS, "zero-harvest sweep in a",
         ):
             base = points[-1]
             dist = dom.l2_norm(pt.u.values - base.u.values) + abs(a - base.a)
@@ -1204,20 +1177,15 @@ def branch_derivative_at_zero(problem: Problem, a: float, chart: str = "phi"):
     return float(dc_dt), DiscreteField(problem.domain, v)
 
 
-def build_degenerate_segment(
-    problem: Problem,
-    *,
-    n_check: int = 9,
-    tol: float = 1e-12,
-) -> DegenerateSegment:
+def build_degenerate_segment(problem: Problem) -> DegenerateSegment:
     """Construct and verify the analytic degenerate segment at the second
     eigenvalue.
 
     The states t*psi for t in [-M/beta, M] keep the ramp inactive, so with
     the exact long-double sine samples of psi and the closed-form discrete
     eigenvalue they satisfy the steady equation to rounding. Verification
-    evaluates the long-double residual on a sample of t values and requires
-    the worst case below tol, raising NonConvergence with the worst state
+    evaluates the long-double residual at SEGMENT_CHECKS values of t and
+    requires the worst case below SEGMENT_TOL, raising NonConvergence with the worst state
     otherwise; the returned segment stores the float64 eigenfunction for
     downstream use.
     """
@@ -1235,7 +1203,7 @@ def build_degenerate_segment(
     if float(np.dot(psi_ld.astype(float), psi64.values)) < 0:
         psi_ld = -psi_ld
 
-    ts = np.linspace(t_lo, t_hi, n_check) if t_hi > t_lo else np.array([t_lo])
+    ts = np.linspace(t_lo, t_hi, SEGMENT_CHECKS) if t_hi > t_lo else np.array([t_lo])
     states = [ld(t) * psi_ld for t in ts]
     sups = [
         float(np.max(np.abs(problem.residual_values(u, lam2_ld, ld(0)))))
@@ -1243,10 +1211,10 @@ def build_degenerate_segment(
     ]
     k = int(np.argmax(sups))
     worst = sups[k]
-    if not worst < tol:
+    if not worst < SEGMENT_TOL:
         raise NonConvergence(
             f"segment states fail extended-precision verification "
-            f"({worst:.3e} >= {tol:.3e})",
+            f"({worst:.3e} >= {SEGMENT_TOL:.3e})",
             states[k].astype(float),
             worst,
         )

@@ -51,6 +51,9 @@ from .continuation import (
 )
 
 DEDUP_REL = 1e-4
+#: First arclength step of every assembly trace but those from an edge
+#: start, whose first step _edge_pair sets.
+ASSEMBLY_STEP0 = 0.05
 REGIMES = (
     "below-lambda1",
     "at-lambda1",
@@ -145,8 +148,7 @@ def _stacked_factor(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
     return TridiagonalFactor(diag.ravel(), seams)
 
 
-def _newton_chunk(problem: Problem, starts, a: float, c: float, tol: float,
-                  max_iter: int):
+def _newton_chunk(problem: Problem, starts, a: float, c: float, max_iter: int):
     """Damped Newton on a stack of start fields at fixed (a, c): each row
     goes through exactly the iteration of solver.newton_solve.
 
@@ -184,7 +186,7 @@ def _newton_chunk(problem: Problem, starts, a: float, c: float, tol: float,
         threshold = PIVOT_RTOL * n * np.max(np.abs(diag) + pad + pad2, axis=1)
         fac = _stacked_factor(diag, lap.off)
         sound = fac.block_min_pivots(len(diag)) >= threshold
-        finished = sound & (rnorm < tol)
+        finished = sound & (rnorm < NEWTON_TOL)
         for i in np.flatnonzero(finished):
             done.append((rows[i], u64[i], float(rnorm[i]), tuple(history[i])))
         go = np.flatnonzero(sound & ~finished)
@@ -241,9 +243,7 @@ def count_solutions(
     *,
     span: float | None = None,
     dedup: float = DEDUP_REL,
-    tol: float = NEWTON_TOL,
     max_iter: int = 30,
-    k_eigs: int = 3,
 ) -> SolutionSet:
     """Enumerate the steady states at (a, c) by multistart Newton.
 
@@ -261,14 +261,13 @@ def count_solutions(
 
     kept: list[tuple[DiscreteField, float, tuple[float, ...]]] = []
     for lo in range(0, n_starts, _CHUNK):
-        chunk = _newton_chunk(problem, seeds[lo:lo + _CHUNK], a, c, tol, max_iter)
+        chunk = _newton_chunk(problem, seeds[lo:lo + _CHUNK], a, c, max_iter)
         for _, u64, rnorm, history in chunk:
             u = DiscreteField(dom, u64)
             if all(_rel_distance(u, m[0]) > dedup for m in kept):
                 kept.append((u, rnorm, history))
     members = [
-        classify_state(problem, u, a, c, k_eigs=k_eigs,
-                       residual_history=history, rnorm=rnorm)
+        classify_state(problem, u, a, c, residual_history=history, rnorm=rnorm)
         for u, rnorm, history in kept
     ]
     members.sort(key=lambda p: (
@@ -414,14 +413,21 @@ def _terminal_kind(br: Branch) -> str:
     return br.events[-1].kind if br.events else "none"
 
 
+def _stopped_at(br: Branch, msg: str) -> NonConvergence:
+    """NonConvergence naming the trace's tag, if it has one, and carrying
+    its last point with that point's residual."""
+    last = br.points[-1]
+    name = f"{br.tag}: " if br.tag else ""
+    return NonConvergence(name + msg, last.u.values, last.residual_norm)
+
+
 def _terminal_fold(br: Branch) -> DegeneratePoint:
     for ev in reversed(br.events):
         if ev.kind == "fold" and ev.degenerate_point is not None:
             return ev.degenerate_point
-    raise NonConvergence(
-        f"branch has no refined fold event; its trace ends with "
-        f"{_terminal_kind(br)!r}",
-        None, np.inf,
+    raise _stopped_at(
+        br,
+        f"branch has no refined fold event; its trace ends with {_terminal_kind(br)!r}",
     )
 
 
@@ -445,12 +451,7 @@ def assemble_diagram(
     a: float,
     c_min: float = -10.0,
     *,
-    step0: float = 0.05,
-    max_step: float | None = None,
-    tol: float = NEWTON_TOL,
-    k_eigs: int = 3,
     max_points: int = 4000,
-    eps_t: float = 0.05,
 ) -> BifurcationDiagram:
     """Assemble the bifurcation diagram of the regime containing a.
 
@@ -459,8 +460,10 @@ def assemble_diagram(
     edges for the at-lambda2 regime), folds are refined, and the pieces are
     stitched at degenerate points. Continuation failures raise
     AssemblyIncomplete carrying the partial diagram. Every trace steps by
-    continue_branch's chord-error controller; max_step, when given, is a
-    ceiling on its steps.
+    continue_branch's chord-error controller from a first step of
+    ASSEMBLY_STEP0, with no ceiling, and holds at most max_points points;
+    a start next to a degenerate edge sits EDGE_OFFSET off it in the chart
+    coordinate.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -480,8 +483,7 @@ def assemble_diagram(
     else:
         regime = "above-lambda2"
 
-    kw = dict(step0=step0, max_step=max_step, tol=tol, k_eigs=k_eigs,
-              max_points=max_points)
+    kw = dict(step0=ASSEMBLY_STEP0, max_points=max_points)
     build = {
         "below-lambda1": _assemble_below,
         "at-lambda1": _assemble_at_lambda1,
@@ -493,7 +495,7 @@ def assemble_diagram(
     degenerate: list[DegeneratePoint] = []
     segment = None
     try:
-        segment = build(problem, a, c_min, eps_t, kw, branches, degenerate)
+        segment = build(problem, a, c_min, kw, branches, degenerate)
     except (StepUnderflow, NonConvergence, SingularJacobian, Diverged) as exc:
         partial = BifurcationDiagram(
             problem, a, regime, tuple(branches), _dedup_degenerate(degenerate),
@@ -541,17 +543,18 @@ def _pick_terminal(pair, kind):
             f"{_terminal_kind(br)!r} at c={br.points[-1].c:.6g}" for br in pair
         )
         nearest = hits[0] if hits else max(pair, key=lambda br: len(br.points))
-        last = nearest.points[-1]
-        raise NonConvergence(
+        raise _stopped_at(
+            nearest,
             f"expected exactly one trace ending with {kind!r}, got {len(hits)} "
             f"(traces end with {ends})",
-            last.u.values, last.residual_norm,
         )
     return hits[0]
 
 
-#: Doublings of the offset tried for a branch start next to a degenerate
-#: edge (the ray's end at lambda1, the segment's ends at lambda2).
+#: Chart-coordinate offset of a branch start next to a degenerate edge (the
+#: ray's end at lambda1, the segment's ends at lambda2), and the doublings of
+#: it tried when the start still classifies as degenerate.
+EDGE_OFFSET = 0.05
 EDGE_START_DOUBLINGS = 4
 
 
@@ -595,16 +598,15 @@ def _edge_pair(problem, a, mode, edge, offset, window, chart, kw):
     )
 
 
-def _stable_seed(problem, a, tol=NEWTON_TOL):
+def _stable_seed(problem, a):
     phi = problem.modes()[0]
     amp = critical_cap(problem.nonlinearity, a)
     return newton_solve(
-        problem, DiscreteField(problem.domain, amp * phi.eigenfunction.values),
-        a, 0.0, tol=tol,
+        problem, DiscreteField(problem.domain, amp * phi.eigenfunction.values), a, 0.0
     )
 
 
-def _assemble_below(problem, a, c_min, eps_t, kw, branches, degenerate):
+def _assemble_below(problem, a, c_min, kw, branches, degenerate):
     zero = newton_solve(problem, DiscreteField.zero(problem.domain), a, 0.0)
     window = (c_min, -c_min)
     plus, minus = _both_directions(problem, zero, window, "phi", kw)
@@ -612,7 +614,7 @@ def _assemble_below(problem, a, c_min, eps_t, kw, branches, degenerate):
     return None
 
 
-def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
+def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     # c = 0 carries a ray of degenerate states t*phi (t <= M); the display
     # clips it to [-M, M]. For c < 0 the stable sheet hangs off the ray's
     # upper edge.
@@ -628,14 +630,13 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
     for t in ts:
         u_ld = np.longdouble(t) * phi_ld
         r = float(np.max(np.abs(problem.residual_values(u_ld, lam1_ld, 0.0))))
-        if not r < kw["tol"]:
+        if not r < NEWTON_TOL:
             raise NonConvergence(
                 f"ray state t={t:.6g} fails extended-precision verification "
                 f"({r:.3e})", u_ld.astype(float), r,
             )
         ray_pts.append(classify_state(
-            problem, DiscreteField(dom, u_ld.astype(float)), a, 0.0,
-            k_eigs=kw["k_eigs"], rnorm=r,
+            problem, DiscreteField(dom, u_ld.astype(float)), a, 0.0, rnorm=r,
         ))
     norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
     branches.append(Branch(
@@ -645,7 +646,7 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
         tuple(float(t) for t in ts),
         tag="ray",
     ))
-    pair = _edge_pair(problem, a, phi, M, eps_t, (c_min, 1.0), "phi", kw)
+    pair = _edge_pair(problem, a, phi, M, EDGE_OFFSET, (c_min, 1.0), "phi", kw)
     toward_cmin = _pick_terminal(pair, "endpoint")
     toward_ray = _pick_terminal(pair, "degeneracy")
     branches.append(_stitch(toward_cmin, toward_ray, "Mstar"))
@@ -662,7 +663,7 @@ def _assemble_at_lambda1(problem, a, c_min, eps_t, kw, branches, degenerate):
     return None
 
 
-def _assemble_between(problem, a, c_min, eps_t, kw, branches, degenerate):
+def _assemble_between(problem, a, c_min, kw, branches, degenerate):
     window = (c_min, 1e9)
     stable = _stable_seed(problem, a)
     pair = _both_directions(problem, stable, window, "phi", kw)
@@ -679,11 +680,11 @@ def _assemble_between(problem, a, c_min, eps_t, kw, branches, degenerate):
     return None
 
 
-def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
+def _assemble_at_lambda2(problem, a, c_min, kw, branches, degenerate):
     psi = problem.modes()[1]
     window = (c_min, 1e9)
     segment = build_degenerate_segment(problem)
-    top_pair = _edge_pair(problem, a, psi, segment.t_max, eps_t, window, "psi", kw)
+    top_pair = _edge_pair(problem, a, psi, segment.t_max, EDGE_OFFSET, window, "psi", kw)
     toward_fold = _pick_terminal(top_pair, "fold")
     top_in = top_pair[0] if top_pair[1] is toward_fold else top_pair[1]
     if _terminal_kind(top_in) == "endpoint":
@@ -694,7 +695,7 @@ def _assemble_at_lambda2(problem, a, c_min, eps_t, kw, branches, degenerate):
         # the inward trace parked on (or at) the segment
         branches.append(_stitch(top_in, toward_fold, "Msharp"))
         bottom_pair = _edge_pair(
-            problem, a, psi, segment.t_min, -eps_t, window, "psi", kw
+            problem, a, psi, segment.t_min, -EDGE_OFFSET, window, "psi", kw
         )
         bottom_out = _pick_terminal(bottom_pair, "endpoint")
         bottom_in = bottom_pair[0] if bottom_pair[1] is bottom_out else bottom_pair[1]
@@ -735,15 +736,21 @@ def _split_at_origin(joined: Branch) -> tuple[Branch, Branch]:
     return _slice_branch_head(joined, k, "Mflat"), _slice_branch(joined, k, "Msharp")
 
 
-def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
+def _assemble_window(problem, a, c_min, kw, branches, degenerate):
     # Direction +1 always starts toward increasing c.
     psi = problem.modes()[1]
     dom = problem.domain
     window = (c_min, 1e9)
 
+    def trace(start, direction, tag, chart="psi"):
+        # tagged so that a failure names the branch it was tracing
+        return continue_branch(
+            problem, start, direction, window, chart=chart, **kw
+        ).with_tag(tag)
+
     zero = newton_solve(problem, DiscreteField.zero(dom), a, 0.0)
-    nat_up = continue_branch(problem, zero, +1, window, chart="psi", **kw)
-    nat_down = continue_branch(problem, zero, -1, window, chart="psi", **kw)
+    nat_up = trace(zero, +1, "Mnatural")
+    nat_down = trace(zero, -1, "Mnatural")
     # each piece and each fold goes into the diagram as soon as it exists,
     # so a partial diagram shows how far the assembly got
     branches.append(_stitch(nat_up, nat_down, "Mnatural"))
@@ -752,31 +759,31 @@ def _assemble_window(problem, a, c_min, eps_t, kw, branches, degenerate):
     p_sharp = _terminal_fold(nat_down)
     degenerate.append(p_sharp)
     if not p_sharp.c < 0 < p_flat.c:
-        raise NonConvergence(
+        raise _stopped_at(
+            nat_down if p_flat.c > 0 else nat_up,
             "middle piece did not terminate at folds on both sides of c=0",
-            None, np.inf,
         )
 
     plus = newton_solve(problem, DiscreteField(dom, psi.eigenfunction.values), a, 0.0)
-    sharp_down = continue_branch(problem, plus, -1, window, chart="psi", **kw)
-    sharp_up = continue_branch(problem, plus, +1, window, chart="psi", **kw)
+    sharp_down = trace(plus, -1, "Msharp")
+    sharp_up = trace(plus, +1, "Msharp")
     branches.append(_stitch(sharp_down, sharp_up, "Msharp"))
     degenerate.extend([_terminal_fold(sharp_down), _terminal_fold(sharp_up)])
 
     minus = newton_solve(problem, DiscreteField(dom, -psi.eigenfunction.values), a, 0.0)
-    flat_up = continue_branch(problem, minus, +1, window, chart="psi", **kw)
-    flat_down = continue_branch(problem, minus, -1, window, chart="psi", **kw)
+    flat_up = trace(minus, +1, "Mflat")
+    flat_down = trace(minus, -1, "Mflat")
     if _terminal_kind(flat_down) != "endpoint":
-        raise NonConvergence(
+        raise _stopped_at(
+            flat_down,
             f"flat sheet did not reach the c window edge: {_terminal_kind(flat_down)}",
-            None, np.inf,
         )
     branches.append(_stitch(flat_down, flat_up, "Mflat"))
     degenerate.append(_terminal_fold(flat_up))
 
     stable = _stable_seed(problem, a)
-    star_up = continue_branch(problem, stable, +1, window, chart="phi", **kw)
-    star_down = continue_branch(problem, stable, -1, window, chart="phi", **kw)
+    star_up = trace(stable, +1, "Mstar", "phi")
+    star_down = trace(stable, -1, "Mstar", "phi")
     branches.append(_stitch(star_down, star_up, "Mstar"))
     degenerate.append(_terminal_fold(star_up))
     return None
@@ -824,7 +831,7 @@ def _branch_crossings(branch: Branch, c: float):
     return hits
 
 
-def _refined_crossing(problem, branch: Branch, i: int, c: float, tol):
+def _refined_crossing(problem, branch: Branch, i: int, c: float):
     """Newton-polish the linear interpolant of a crossing back onto the
     solution manifold at exactly this c."""
     p, q = branch.points[i], branch.points[min(i + 1, len(branch.points) - 1)]
@@ -833,12 +840,10 @@ def _refined_crossing(problem, branch: Branch, i: int, c: float, tol):
     else:
         w = 0.0
     u0 = (1 - w) * p.u.values + w * q.u.values
-    return newton_solve(
-        problem, DiscreteField(problem.domain, u0), branch.points[0].a, c, tol=tol
-    )
+    return newton_solve(problem, DiscreteField(problem.domain, u0), branch.points[0].a, c)
 
 
-def _refined_states(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
+def _refined_states(diagram: BifurcationDiagram, c: float):
     """The refined branch crossings at level c, deduplicated at DEDUP_REL as
     the oracle deduplicates, and the number of crossings whose Newton polish
     failed."""
@@ -848,7 +853,7 @@ def _refined_states(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
     for br in diagram.branches:
         for i in _branch_crossings(br, c):
             try:
-                pt = _refined_crossing(problem, br, i, c, tol)
+                pt = _refined_crossing(problem, br, i, c)
             except (NonConvergence, SingularJacobian, Diverged):
                 failed += 1
                 continue
@@ -857,10 +862,10 @@ def _refined_states(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
     return found, failed
 
 
-def diagram_solutions_at(diagram: BifurcationDiagram, c: float, tol=NEWTON_TOL):
+def diagram_solutions_at(diagram: BifurcationDiagram, c: float):
     """All solutions the diagram's branches predict at level c, refined by
     fixed-parameter Newton and deduplicated."""
-    return _refined_states(diagram, c, tol)[0]
+    return _refined_states(diagram, c)[0]
 
 
 def verify_structure(
@@ -1108,8 +1113,7 @@ def _check_stable_sheet(diagram):
 
     near = [p for p in pts if abs(p.c) <= 0.01]
     if not near:
-        near = [_refined_crossing(problem, star, _branch_crossings(star, 0.005)[0],
-                                  0.005, NEWTON_TOL)]
+        near = [_refined_crossing(problem, star, _branch_crossings(star, 0.005)[0], 0.005)]
     worst_sh = min(superharmonic_margin(p) for p in near)
     out.append(ClaimCheck(
         "stable-superharmonic-small-c", "> -1e-10", worst_sh, 1e-10,

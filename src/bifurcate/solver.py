@@ -26,11 +26,19 @@ from .model import (
     Nonlinearity,
     critical_cap,
     eval_nonlinearity,
+    ramp_slope,
     ramp_values,
 )
 
+#: Residual sup norm below which a state counts as steady. Every downstream
+#: bound (fold re-verification, ray certification, the oracle) is tied to it.
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+#: Eigenvalues of the linearization computed per state. f' >= 0, so no state
+#: has more negative eigenvalues than the zero state, which has at most two
+#: for a < lambda3: three always certify the index, and a state of index 3
+#: or more raises InsufficientSpectrum.
+K_EIGS = 3
 ARMIJO_MIN_STEP = 2.0**-20
 PIVOT_RTOL = 1e-13
 
@@ -119,8 +127,7 @@ class Problem:
         return np.diff(padded, n=2, axis=-1) / one(self.domain.spacing) ** 2
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
-        fp = eval_nonlinearity(self.nonlinearity, u)[1]
-        return self.laplacian.add_diagonal(a - fp)
+        return self.laplacian.add_diagonal(a - ramp_slope(self.nonlinearity, u))
 
     def state(self, u: DiscreteField, a: float, c: float) -> "ProblemState":
         return ProblemState(self, u, a, c)
@@ -206,8 +213,6 @@ def classify_state(
     a: float,
     c: float,
     *,
-    tol: float = NEWTON_TOL,
-    k_eigs: int = 3,
     residual_history: tuple[float, ...] = (),
     rnorm: float | None = None,
     prev: "SpectrumSlice | None" = None,  # noqa: F821
@@ -217,7 +222,7 @@ def classify_state(
     Attaches the spectrum and its Morse classification but runs no Newton
     iteration, so it also accepts degenerate states (where newton_solve
     would raise SingularJacobian). With rnorm omitted the residual sup norm
-    is measured, and ValueError is raised unless it is below tol. A caller
+    is measured, and ValueError is raised unless it is below NEWTON_TOL. A caller
     that converged the state by its own criteria (a Newton or extended
     system solve, a certified exact state, a stored diagram) passes that
     residual as rnorm, and it is taken as given. prev, the spectrum of the
@@ -229,12 +234,12 @@ def classify_state(
     state = problem.state(u, a, c)
     if rnorm is None:
         rnorm = float(np.max(np.abs(problem.residual_values(u.values, a, c))))
-        if not rnorm < tol:
+        if not rnorm < NEWTON_TOL:
             raise ValueError(
                 f"field is not a steady state: residual sup norm {rnorm:.3e} "
-                f">= {tol:.3e}"
+                f">= {NEWTON_TOL:.3e}"
             )
-    spectrum = linearized_spectrum(state, k_eigs, prev)
+    spectrum = linearized_spectrum(state, K_EIGS, prev)
     index, degenerate = morse_index(spectrum)
     return SolutionPoint(
         state,
@@ -253,9 +258,7 @@ def newton_solve(
     a: float,
     c: float,
     *,
-    tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
-    k_eigs: int = 3,
 ) -> SolutionPoint:
     """Damped Newton from init at fixed (a, c).
 
@@ -269,7 +272,7 @@ def newton_solve(
     through the float64 factorization. This matters: a float64 vector of
     amplitude ~4 cannot represent the steady state to better than a ~1e-10
     sup-norm defect at this stencil scale, so a pure float64 iteration can
-    stall right at the default tolerance. The reported residual_norm is the
+    stall right at NEWTON_TOL. The reported residual_norm is the
     converged residual of the working iterate; the stored field is its
     float64 rounding.
     """
@@ -282,9 +285,9 @@ def newton_solve(
     for _ in range(max_iter):
         u64 = u.astype(float)
         fac = _checked_factor(problem, problem.jacobian_operator(u64, a))
-        if rnorm < tol:
+        if rnorm < NEWTON_TOL:
             return classify_state(
-                problem, DiscreteField(problem.domain, u64), a, c, k_eigs=k_eigs,
+                problem, DiscreteField(problem.domain, u64), a, c,
                 residual_history=tuple(history), rnorm=rnorm,
             )
         delta = fac.solve((-r).astype(float)).astype(ld)

@@ -91,7 +91,7 @@ class TestParseConfig:
         assert cfg.model["M"] == 0.2
         assert cfg.model["p_f"] == 3
         assert cfg.model["harvest"] == "bump"
-        assert cfg.run["tol"] == 1e-10
+        assert set(cfg.run).isdisjoint({"tol", "k_eigs", "max_step"})
         assert cfg.run["n_starts"] == 400
         assert cfg.output["formats"] == ["csv", "json", "svg"]
         assert cfg.output["directory"] == "out"
@@ -102,14 +102,6 @@ class TestParseConfig:
         assert echo["schema_version"] == "1"
         assert set(echo) == {"schema_version", "grid", "model", "run", "output"}
         assert echo["run"]["a"] == 20.0
-
-    @pytest.mark.parametrize("body,max_step", [
-        ("", None),
-        ("run:\n  max_step: null\n", None),
-        ("run:\n  max_step: 0.5\n", 0.5),
-    ])
-    def test_max_step_is_an_optional_ceiling(self, body, max_step):
-        assert parse_config("schema_version: 1\n" + body).run["max_step"] == max_step
 
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema_version is mandatory"):
@@ -131,6 +123,14 @@ class TestParseConfig:
         text = "schema_version: 1\nrun:\n  a: 20.0\n  bogus: 1\n"
         with pytest.raises(ConfigError, match=r"'bogus' in block 'run' \(line 4\)"):
             parse_config(text)
+        # the Newton tolerance, the spectrum size and the step ceiling are
+        # fixed, so configs naming them are rejected
+        for key, value in (("tol", "1.0e-10"), ("k_eigs", "3"), ("max_step", "0.5")):
+            text = f"schema_version: 1\nrun:\n  a: 20.0\n  seed: 1\n  {key}: {value}\n"
+            with pytest.raises(
+                ConfigError, match=rf"'{key}' in block 'run' \(line 5\)"
+            ):
+                parse_config(text)
 
     def test_unknown_block_rejected(self):
         with pytest.raises(ConfigError, match="unknown block 'extras'"):
@@ -145,8 +145,6 @@ class TestParseConfig:
             parse_config("schema_version: 1\nrun: 7\n")
 
     @pytest.mark.parametrize("body,message", [
-        ("run:\n  tol: 0.0\n", "tol must be positive"),
-        ("run:\n  max_step: -1.0\n", "max_step must be positive"),
         ("run:\n  command: explode\n", "unknown run.command"),
         ("run:\n  regime: sideways\n", "unknown run.regime"),
         ("run:\n  direction: 2\n", "direction must be 1 or -1"),
@@ -247,18 +245,14 @@ class TestJsonRoundTrip:
 
     def test_reload_preserves_everything(self, problem, diagram20):
         doc = json.loads(json.dumps(diagram_payload(diagram20)))
-        rebuilt = load_diagram(
-            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
-        )
+        rebuilt = load_diagram(doc, problem=problem)
         assert diagrams_equal(rebuilt, diagram20)
         assert rebuilt.regime == diagram20.regime
         assert rebuilt.complete
 
     def test_segment_survives_reload(self, problem, diagram_lam2):
         doc = json.loads(json.dumps(diagram_payload(diagram_lam2)))
-        rebuilt = load_diagram(
-            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
-        )
+        rebuilt = load_diagram(doc, problem=problem)
         assert diagrams_equal(rebuilt, diagram_lam2)
         seg = rebuilt.segment
         assert seg is not None
@@ -269,9 +263,7 @@ class TestJsonRoundTrip:
         # reloading reclassifies every point; the ray states are degenerate,
         # where that is most fragile
         doc = json.loads(json.dumps(diagram_payload(diagram_lam1)))
-        rebuilt = load_diagram(
-            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
-        )
+        rebuilt = load_diagram(doc, problem=problem)
         assert diagrams_equal(rebuilt, diagram_lam1)
         ray = rebuilt.branch("ray")
         assert all(p.degenerate and p.tag == "degenerate-0" for p in ray.points)
@@ -291,9 +283,7 @@ class TestJsonRoundTrip:
             return pairs
 
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", spy)
-        rebuilt = load_diagram(
-            {"config_echo": {"run": {"k_eigs": 3}}, **doc}, problem=problem
-        )
+        rebuilt = load_diagram(doc, problem=problem)
         points = sum(len(b["points"]) for b in doc["branches"])
         assert outcome == {"certified": points - len(doc["branches"]), "refused": 0}
         for stored, br in zip(doc["branches"], rebuilt.branches):
@@ -454,8 +444,14 @@ class TestDiagramCommand:
         ))
         assert main(["diagram", "--config", cfg]) == 0
         doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
-        assert doc["config_echo"]["run"]["max_step"] is None
+        echo = doc["config_echo"]
+        assert set(echo["run"]).isdisjoint({"tol", "k_eigs", "max_step"})
         assert diagrams_equal(load_diagram(doc), diagram20)
+        # documents written while the run block still carried the solver
+        # settings reload all the same
+        old_run = {**echo["run"], "tol": 1e-10, "k_eigs": 3, "max_step": None}
+        old = {**doc, "config_echo": {**echo, "run": old_run}}
+        assert diagrams_equal(load_diagram(old), diagram20)
 
     def test_formats_subset_respected(self, tmp_path):
         cfg = write_config(tmp_path, (

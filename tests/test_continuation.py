@@ -220,9 +220,7 @@ class TestBranchTracing:
         u_seed, c_seed = fold20.u.values, fold20.c
 
         def c_of(t):
-            pt = solve_at_projection(
-                problem, 20.0, phi, t, u_seed, c_seed, k_eigs=2
-            )
+            pt = solve_at_projection(problem, 20.0, phi, t, u_seed, c_seed)
             return pt.c
 
         g = (np.sqrt(5.0) - 1.0) / 2.0
@@ -365,7 +363,7 @@ class TestStepController:
             prev=prev.spectrum,
         )
         assert landed.degenerate
-        kind, dp = continuation._detect_event(problem, prev, landed, 3)
+        kind, dp = continuation._detect_event(problem, prev, landed)
         assert kind == "fold"
         assert dp.kind == "fold-index0"
         assert abs(dp.c - fold20.c) < 1e-9

@@ -98,45 +98,43 @@ def problem0(domain):
 
 @pytest.fixture(scope="module")
 def diagram20(problem):
-    return assemble_diagram(problem, 20.0, tol=1e-10)
+    return assemble_diagram(problem, 20.0)
 
 
 @pytest.fixture(scope="module")
 def diagram20_m0(problem0):
-    return assemble_diagram(problem0, 20.0, tol=1e-10)
+    return assemble_diagram(problem0, 20.0)
 
 
 @pytest.fixture(scope="module")
 def diagram_below(problem):
-    return assemble_diagram(problem, 5.0, tol=1e-10)
+    return assemble_diagram(problem, 5.0)
 
 
 @pytest.fixture(scope="module")
 def diagram_lam1(problem, eigs):
-    return assemble_diagram(problem, eigs[0], tol=1e-10)
+    return assemble_diagram(problem, eigs[0])
 
 
 @pytest.fixture(scope="module")
 def diagram_lam2(problem, eigs):
-    return assemble_diagram(problem, eigs[1], tol=1e-10)
+    return assemble_diagram(problem, eigs[1])
 
 
 @pytest.fixture(scope="module")
 def diagram_lam2_m0(problem0, eigs):
-    return assemble_diagram(problem0, eigs[1], tol=1e-10)
+    return assemble_diagram(problem0, eigs[1])
 
 
 @pytest.fixture(scope="module")
 def diagram_window(problem, eigs):
-    return assemble_diagram(problem, eigs[1] + 0.5 * DELTA_WINDOW, tol=1e-10)
+    return assemble_diagram(problem, eigs[1] + 0.5 * DELTA_WINDOW)
 
 
 @pytest.fixture(scope="module")
 def diagram_window99(problem99):
     delta = delta_window(problem99, trace_index1_degenerate_curve(problem99))
-    return assemble_diagram(
-        problem99, problem99.modes()[1].eigenvalue + 0.5 * delta, tol=1e-10
-    )
+    return assemble_diagram(problem99, problem99.modes()[1].eigenvalue + 0.5 * delta)
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +270,7 @@ class TestBatchedOracle:
         with pytest.raises(SingularJacobian):
             newton_solve(problem, DiscreteField(problem.domain, flat), 2.0, 1.0)
         want = newton_solve(problem, DiscreteField(problem.domain, good), 2.0, 1.0)
-        rows = diagram_mod._newton_chunk(problem, [good, flat], 2.0, 1.0, NEWTON_TOL, 30)
+        rows = diagram_mod._newton_chunk(problem, [good, flat], 2.0, 1.0, 30)
         assert [row for row, *_ in rows] == [0]
         _, u64, rnorm, history = rows[0]
         assert np.array_equal(u64, want.u.values)
@@ -288,9 +286,9 @@ class TestBatchedOracle:
             newton_solve(problem, DiscreteField(problem.domain, on_segment), lam2, 0.0)
 
         seeds = diagram_mod._multistart_seeds(problem, lam2, 60, 0, None)
-        alone = diagram_mod._newton_chunk(problem, seeds[:8], lam2, 0.0, NEWTON_TOL, 30)
+        alone = diagram_mod._newton_chunk(problem, seeds[:8], lam2, 0.0, 30)
         mixed = diagram_mod._newton_chunk(
-            problem, seeds[:4] + [on_segment] + seeds[4:8], lam2, 0.0, NEWTON_TOL, 30
+            problem, seeds[:4] + [on_segment] + seeds[4:8], lam2, 0.0, 30
         )
         assert len(alone) >= 3
         assert [row for row, *_ in mixed] == [
@@ -423,7 +421,7 @@ class TestAssembly:
         steady-state tolerance; the ray is certified in long double instead
         and the diagram completes."""
         problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
-        diag = assemble_diagram(problem, problem.modes()[0].eigenvalue, tol=1e-10)
+        diag = assemble_diagram(problem, problem.modes()[0].eigenvalue)
         assert diag.complete and diag.regime == "at-lambda1"
         assert set(diag.tags()) == {"ray", "Mstar"}
         ray = diag.branch("ray")
@@ -447,15 +445,15 @@ class TestAssembly:
 
     def test_rejects_nonpositive_growth_rate(self, problem):
         with pytest.raises(ValueError):
-            assemble_diagram(problem, 0.0, tol=1e-10)
+            assemble_diagram(problem, 0.0)
 
     def test_rejects_nonnegative_c_floor(self, problem):
         with pytest.raises(ValueError):
-            assemble_diagram(problem, 20.0, c_min=1.0, tol=1e-10)
+            assemble_diagram(problem, 20.0, c_min=1.0)
 
     def test_truncated_run_carries_partial_diagram(self, problem):
         with pytest.raises(AssemblyIncomplete) as err:
-            assemble_diagram(problem, 20.0, tol=1e-10, max_points=5)
+            assemble_diagram(problem, 20.0, max_points=5)
         partial = err.value.partial
         assert isinstance(partial, BifurcationDiagram)
         assert not partial.complete
@@ -477,6 +475,11 @@ class TestAssembly:
         assert partial.tags() == ("Mnatural",)
         nat = partial.branch("Mnatural")
         assert [ev.kind for ev in nat.events] == ["fold", "endpoint"]
+        # the cause names the branch and carries the state its trace stopped at
+        cause = err.value.__cause__
+        assert str(cause).startswith("Mnatural: ")
+        np.testing.assert_array_equal(cause.last_iterate, nat.points[-1].u.values)
+        assert cause.residual_norm == nat.points[-1].residual_norm
         assert len(partial.degenerate_points) == 1
         assert partial.degenerate_points[0] is nat.events[0].degenerate_point
         # the message says how far past the window the growth rate lies
@@ -627,11 +630,11 @@ class TestVerifyStructure:
         real = diagram_mod._refined_crossing
         failed = []
 
-        def flaky(problem, branch, i, c, tol):
+        def flaky(problem, branch, i, c):
             if c == -1.0 and not failed:
                 failed.append(branch.tag)
                 raise NonConvergence("forced polish failure", None, np.inf)
-            return real(problem, branch, i, c, tol)
+            return real(problem, branch, i, c)
 
         monkeypatch.setattr(diagram_mod, "_refined_crossing", flaky)
         report = verify_structure(diagram20, oracle_budget=60, seed=0)

@@ -51,7 +51,7 @@ def test_assembly_verifies_or_is_incomplete(n, M, p_f, a, c_min):
 
 
 def test_steep_ramp_at_lambda2_starts_off_the_segment():
-    # with p_f = 5 the state eps_t past the segment's end still classifies
+    # with p_f = 5 the state EDGE_OFFSET past the segment's end still classifies
     # as degenerate; the start moves out until it does not
     _assembles_or_fails_cleanly(99, 0.3, 5, "lambda2", -10.0)
 
