@@ -11,9 +11,12 @@ Conventions shared by everything in this module:
   moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
   defect at this stencil scale, so the reported residuals are those of the
   long-double iterate and the stored fields are float64 roundings.
-- Every linear solve is one bordered tridiagonal solve (grid.solve_bordered)
-  on the symmetric Jacobian J: one border for the arclength corrector, the
-  chart projection and the fold system, two for the index-1 family.
+- Every extended system is solved by one Newton loop (_extended_newton):
+  the state equation with c free, bordered by an affine row (the arclength
+  corrector and the chart projection), by the test function g below (the
+  fold system), or by both with a free too (the index-1 family). Each step
+  is one bordered tridiagonal solve (grid.solve_bordered) on the symmetric
+  Jacobian J: one border, or two for the index-1 family.
 - Degenerate points are found from the minimally extended system (Griewank
   & Reddien 1984): the test function g(u, a) solves
   [[J, w0], [w0^T, 0]] [v; g] = [0; 1] for a fixed bordering vector w0 near
@@ -48,7 +51,7 @@ from .grid import (
     renormalize_l2,
     solve_bordered,
 )
-from .model import critical_cap, eval_nonlinearity, ramp_slope
+from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
     NEWTON_TOL,
     NonConvergence,
@@ -283,59 +286,6 @@ def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.n
     return problem._nested_laplacian(w) + (one(a) - fp.astype(w.dtype)) * w
 
 
-def _constrained_solve(
-    problem: Problem,
-    a: float,
-    u0: np.ndarray,
-    c0: float,
-    row_u: np.ndarray,
-    row_c: float,
-    offset: float,
-    *,
-    max_iter: int = 8,
-    stop_on_growth: bool = False,
-):
-    """Newton on the state equation coupled with one affine constraint
-    N(u, c) = row_u . u + row_c c + offset = 0, c free.
-
-    The border keeps the system regular where the plain Jacobian is singular,
-    provided the kernel is not annihilated by the constraint row. Returns the
-    long-double iterate (u, c), the converged residual sup norm and the
-    number of iterations used. With stop_on_growth, an iteration that
-    increases the residual sup norm ends the solve as not converged: the
-    iteration is not contracting (Den Heijer & Rheinboldt 1981).
-    """
-    ld = np.longdouble
-    u = np.asarray(u0, dtype=ld)
-    c = ld(c0)
-    row_ld = np.asarray(row_u, dtype=ld)
-    rF = np.inf
-    for it in range(max_iter):
-        F = problem.residual_values(u, a, c)
-        N = row_ld @ u + ld(row_c) * c + ld(offset)
-        r_prev, rF = rF, float(np.max(np.abs(F)))
-        if rF < NEWTON_TOL and abs(float(N)) < NEWTON_TOL:
-            return u, c, rF, it
-        if not np.isfinite(rF) or rF > 1e8 or (stop_on_growth and rF > r_prev):
-            break
-        J = problem.jacobian_operator(u.astype(float), a)
-        try:
-            du, dc = solve_bordered(
-                J, -problem.harvest.values, row_u, row_c, -F.astype(float), -float(N)
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(
-                f"bordered system is singular: {exc}", u.astype(float), rF
-            )
-        if not (np.all(np.isfinite(du)) and np.isfinite(dc[0])):
-            break
-        u = u + du.astype(ld)
-        c = c + ld(dc[0])
-    raise NonConvergence(
-        "bordered Newton did not converge", u.astype(float), rF
-    )
-
-
 def solve_at_projection(
     problem: Problem,
     a: float,
@@ -358,10 +308,8 @@ def solve_at_projection(
     e_sq = dom.inner(e_vals, e_vals)
     if e_sq == 0.0:
         raise ValueError("chart field is identically zero")
-    row_u = dom.spacing * e_vals / e_sq
-    u, c, rF, _ = _constrained_solve(
-        problem, a, u0, c0, row_u, 0.0, -float(t_target), max_iter=max_iter
-    )
+    row = (1.0, dom.spacing * e_vals / e_sq, 0.0, -float(t_target))
+    _, u, c, _, rF = _extended_newton(problem, a, u0, c0, max_iter, row=row)
     return classify_state(
         problem, DiscreteField(problem.domain, u.astype(float)), a, float(c), rnorm=rF,
     )
@@ -371,14 +319,15 @@ def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, max_iter):
     """One pseudo-arclength corrector: the state on the hyperplane through
     the predictor (ub, cb) + ds (Tu, Tc), orthogonal to (Tu, Tc) in the L2
     inner product plus c times c. A corrector whose residual grows is given
-    up at once. Returns what _constrained_solve returns."""
+    up at once. Returns the long-double (u, c) and the residual sup norm."""
     row_u = problem.domain.spacing * Tu
     u_pred = ub + ds * Tu
     c_pred = cb + ds * Tc
-    return _constrained_solve(
-        problem, a, u_pred, c_pred, row_u, Tc, -(row_u @ u_pred + Tc * c_pred),
-        max_iter=max_iter, stop_on_growth=True,
+    row = (1.0, row_u, Tc, -(row_u @ u_pred + Tc * c_pred))
+    _, u, c, _, rF = _extended_newton(
+        problem, a, u_pred, c_pred, max_iter, row=row, stop_on_growth=True
     )
+    return u, c, rF
 
 
 def continue_branch(
@@ -500,7 +449,7 @@ def continue_branch(
             break
 
         try:
-            u_ld, c_ld, rF, _ = _arclength_corrector(
+            u_ld, c_ld, rF = _arclength_corrector(
                 problem, a, ub, cb, Tu, Tc, ds, max_corrector
             )
         except NonConvergence:
@@ -567,7 +516,7 @@ def _detect_event(problem, prev, new):
     if new.degenerate:
         dist = problem.domain.l2_norm(new.u.values - prev.u.values) + abs(new.c - prev.c)
         try:
-            u_ld, c_ld, rF, _ = _arclength_corrector(
+            u_ld, c_ld, rF = _arclength_corrector(
                 problem, new.a, new.u.values, new.c,
                 (new.u.values - prev.u.values) / dist, (new.c - prev.c) / dist,
                 dist, 8,
@@ -626,43 +575,83 @@ def _kernel_residual(problem, u, a, v, S):
     return float(np.max(np.abs(_linearized_apply(problem, u, w, a))))
 
 
-def _fold_newton(problem, a, u0, c0, w0, S, max_iter):
-    """Newton on the minimally extended fold system {F(u, c) = 0, g(u) = 0}
-    at fixed a, unknowns (u, c), with g from _test_function.
+def _extended_newton(
+    problem, a, u0, c0, max_iter, *, row=None, w0=None, S=None, stop_on_growth=False
+):
+    """Newton on an extended system (Govaerts 2000, ch. 3): the state
+    equation F(u, a, c) = 0 with c free, plus the affine row
+    N(u, c) = scale (e . u) + row_c c + offset = 0, given as
+    row = (scale, e, row_c, offset), or the test function g(u, a) = 0 of
+    _test_function bordered by w0, or both, in which case a is free too.
 
-    Because J is symmetric and the test function is bordered by w0 on both
-    sides, g_u = f''(u) v^2, and each step is the one-border solve of
-    [[J, -h], [g_u^T, 0]]. Returns the long-double (u, c), the kernel vector
-    v and the converged residual: the sup of F and of the kernel residual
-    with v scaled to square integral S.
+    Each step is one solve_bordered on J(u), with the columns dF/da = u (a
+    free only) and dF/dc = -h and the rows scale e and g_u = f''(u) v^2
+    (J is symmetric and bordered by w0 on both sides), and g_a = -v.v (J
+    depends on a through its diagonal). The iterate converges when sup|F|,
+    |N| and the kernel residual of v scaled to square integral S
+    (_kernel_residual) are all below NEWTON_TOL. The borders keep the step
+    regular where J alone is singular, provided they do not annihilate its
+    kernel. Returns the long-double (a, u, c), the kernel vector v (None
+    without w0) and sup|F|. With stop_on_growth, an iteration whose sup|F|
+    grows ends the solve as not converged: the iteration is not contracting
+    (Den Heijer & Rheinboldt 1981). A singular step or no convergence raises
+    NonConvergence naming the system, with the last float64 iterate.
     """
     ld = np.longdouble
+    a_free = row is not None and w0 is not None
+    system = (
+        "degenerate-family system" if a_free
+        else "bordered system" if w0 is None
+        else "fold system"
+    )
     u = np.asarray(u0, dtype=ld)
     c = ld(c0)
-    res = np.inf
+    minus_h = -problem.harvest.values
+    if row is not None:
+        scale, e, row_c, offset = row
+        e_ld = np.asarray(e, dtype=ld)
+        row_b = scale * e
+    v = None
+    rF = res = np.inf
     for _ in range(max_iter):
         F = problem.residual_values(u, a, c)
-        J, v, g = _test_function(problem, u, a, w0)
-        res = max(float(np.max(np.abs(F))), _kernel_residual(problem, u, a, v, S))
+        r_prev, rF = rF, float(np.max(np.abs(F)))
+        checks = [rF]
+        if row is not None:
+            N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
+            checks.append(abs(float(N)))
+        if w0 is not None:
+            J, v, g = _test_function(problem, u, a, w0)
+            checks.append(_kernel_residual(problem, u, a, v, S))
+        res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
         if res < NEWTON_TOL:
-            return u, c, v, res
-        if not np.isfinite(res) or res > 1e8:
+            return ld(a), u, c, v, rF
+        if not np.isfinite(res) or res > 1e8 or (stop_on_growth and rF > r_prev):
             break
         u64 = u.astype(float)
-        g_u = eval_nonlinearity(problem.nonlinearity, u64)[2] * v.astype(float) ** 2
+        if w0 is None:
+            J = problem.jacobian_operator(u64, float(a))
+        else:
+            v64 = v.astype(float)
+            g_u = ramp_curvature(problem.nonlinearity, u64) * v64**2
+        if a_free:
+            B, C = np.column_stack((u64, minus_h)), np.column_stack((row_b, g_u))
+            D, rhs = [[0.0, row_c], [-(v64 @ v64), 0.0]], [-float(N), -float(g)]
+        elif w0 is None:
+            B, C, D, rhs = minus_h, row_b, row_c, -float(N)
+        else:
+            B, C, D, rhs = minus_h, g_u, 0.0, -float(g)
         try:
-            du, dc = solve_bordered(
-                J, -problem.harvest.values, g_u, 0.0, -F.astype(float), -float(g)
-            )
+            du, y = solve_bordered(J, B, C, D, -F.astype(float), rhs)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"fold system is singular: {exc}", u64, res)
-        if not (np.all(np.isfinite(du)) and np.isfinite(dc[0])):
+            raise NonConvergence(f"{system} is singular: {exc}", u64, res)
+        if not (np.isfinite(du).all() and np.isfinite(y).all()):
             break
+        if a_free:
+            a = a + ld(y[0])
         u = u + du.astype(ld)
-        c = c + ld(dc[0])
-    raise NonConvergence(
-        "extended fold system did not converge", u.astype(float), res
-    )
+        c = c + ld(y[-1])
+    raise NonConvergence(f"{system} did not converge", u.astype(float), res)
 
 
 def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
@@ -767,7 +756,7 @@ def refine_fold(
     phi = problem.modes()[0]
     S = inner_product(phi.eigenfunction, phi.eigenfunction)
     w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-    u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, max_iter)
+    _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, max_iter, w0=w0, S=S)
     return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind)
 
 
@@ -804,7 +793,7 @@ def fold_normal_form_checks(
     )
     mu_p = float(plus.spectrum.eigenvalues[j])
     mu_m = float(minus.spectrum.eigenvalues[j])
-    fpp = eval_nonlinearity(problem.nonlinearity, dp.u.values)[2]
+    fpp = ramp_curvature(problem.nonlinearity, dp.u.values)
     cubic = dom.inner(fpp * w * w, w)
     return {
         "mu_slope_fd": (mu_p - mu_m) / (2.0 * offset),
@@ -880,7 +869,7 @@ def trace_fold_curve(
 
     def solve_at(a, guess):
         u0, c0, w0 = guess
-        u_ld, c_ld, w_ld, _ = _fold_newton(problem, a, u0, c0, w0, S, 16)
+        _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, 16, w0=w0, S=S)
         dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind)
         return dp, (dp.u.values, dp.c, dp.w.values)
 
@@ -907,8 +896,8 @@ def trace_fold_curve(
         try:
             sides = []
             for sign in (-1.0, 1.0):
-                u_ld, c_ld, w_ld, _ = _fold_newton(
-                    problem, p.a + sign * probe, p.u.values, p.c, w, S, 16
+                _, _, c_ld, _, _ = _extended_newton(
+                    problem, p.a + sign * probe, p.u.values, p.c, 16, w0=w, S=S
                 )
                 sides.append(float(c_ld))
             secant = (sides[1] - sides[0]) / (2.0 * probe)
@@ -916,59 +905,6 @@ def trace_fold_curve(
             continue
         checks.append(abs(secant - formula) / max(abs(formula), 1e-12))
     return DegenerateCurve(tuple(pts), params, seed.kind, tuple(checks))
-
-
-def _index1_newton(problem, t, a0, u0, c0, w0, psi_v, S2, max_iter):
-    """Newton for the index-1 degenerate family at fixed chart coordinate t:
-    unknowns (u, a, c), equations F(u, a, c) = 0, the chart row
-    <u, psi> = t <psi, psi> and the test function g(u, a) = 0.
-
-    With dF/da = u, dF/dc = -h, g_u = f''(u) v^2 and g_a = -v.v (J depends
-    on a through its diagonal), each step is one two-border solve.
-    Returns the long-double (a, u, c), the kernel vector and the residual.
-    """
-    ld = np.longdouble
-    sp = problem.domain.spacing
-    aa = ld(a0)
-    u = np.asarray(u0, dtype=ld)
-    cc = ld(c0)
-    psi_ld = np.asarray(psi_v, dtype=ld)
-    res = np.inf
-    for _ in range(max_iter):
-        F = problem.residual_values(u, aa, cc)
-        N = ld(sp) * (psi_ld @ u) - ld(t) * ld(S2)
-        J, v, g = _test_function(problem, u, aa, w0)
-        res = max(
-            float(np.max(np.abs(F))),
-            abs(float(N)),
-            _kernel_residual(problem, u, aa, v, S2),
-        )
-        if res < NEWTON_TOL:
-            return aa, u, cc, v, res
-        if not np.isfinite(res) or res > 1e8:
-            break
-        u64 = u.astype(float)
-        v64 = v.astype(float)
-        g_u = eval_nonlinearity(problem.nonlinearity, u64)[2] * v64**2
-        try:
-            du, (da, dc) = solve_bordered(
-                J,
-                np.column_stack((u64, -problem.harvest.values)),
-                np.column_stack((sp * psi_v, g_u)),
-                [[0.0, 0.0], [-(v64 @ v64), 0.0]],
-                -F.astype(float),
-                [-float(N), -float(g)],
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"degenerate-family system is singular: {exc}", u64, res)
-        if not (np.all(np.isfinite(du)) and np.isfinite(da) and np.isfinite(dc)):
-            break
-        aa = aa + ld(da)
-        u = u + du.astype(ld)
-        cc = cc + ld(dc)
-    raise NonConvergence(
-        "degenerate-family system did not converge", u.astype(float), res
-    )
 
 
 def trace_index1_degenerate_curve(
@@ -1012,8 +948,9 @@ def trace_index1_degenerate_curve(
     def solve_at(t, guess):
         a0, y0, c0, z0 = guess
         t_psi = np.longdouble(t) * psi_ld
-        aa, u_ld, cc, v, _ = _index1_newton(
-            problem, t, a0, t_psi + y0, c0, z0, psi_v, S2, 16
+        row = (dom.spacing, psi_v, 0.0, -np.longdouble(t) * np.longdouble(S2))
+        aa, u_ld, cc, v, _ = _extended_newton(
+            problem, a0, t_psi + y0, c0, 16, row=row, w0=z0, S=S2
         )
         dp = _package_degenerate(problem, float(aa), u_ld, cc, v, "degenerate-index1")
         return dp, (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)

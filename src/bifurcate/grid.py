@@ -66,10 +66,6 @@ class DiscreteDomain:
 
     # quadrature on raw value arrays (the hot path; DiscreteField wraps these)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Trapezoid rule with the zero boundary values, i.e. spacing * sum."""
-        return self.spacing * float(np.sum(values))
-
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return self.spacing * float(np.dot(u, v))
 

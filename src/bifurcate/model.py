@@ -86,6 +86,17 @@ def ramp_slope(nl: Nonlinearity, u) -> np.ndarray:
     return _slope(_excess(nl, u), nl.p_f)
 
 
+def _curvature(r: np.ndarray, p: int) -> np.ndarray:
+    # zero below p = 2, where the power formula would give 0 * inf at r = 0
+    return p * (p - 1) * r ** (p - 2) if p >= 2 else np.zeros_like(r)
+
+
+def ramp_curvature(nl: Nonlinearity, u) -> np.ndarray:
+    """f'' alone, p_f (p_f - 1) ((u - M)+)^(p_f - 2), for array u of any
+    shape: what the extended systems' test-function derivative needs."""
+    return _curvature(_excess(nl, u), nl.p_f)
+
+
 def eval_nonlinearity(nl: Nonlinearity, u):
     """f, f', f'' of the ramp at u (scalar or array, evaluated elementwise).
 
@@ -96,7 +107,7 @@ def eval_nonlinearity(nl: Nonlinearity, u):
     p = nl.p_f
     f = r**p
     fp = _slope(r, p)
-    fpp = p * (p - 1) * r ** (p - 2) if p >= 2 else np.zeros_like(r)
+    fpp = _curvature(r, p)
     if np.isscalar(u):
         return float(f), float(fp), float(fpp)
     return f, fp, fpp

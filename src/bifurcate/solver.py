@@ -1,5 +1,5 @@
-"""Steady-state residual/Jacobian, damped Newton, truncated energy, and an
-IMEX time integrator used as an independent stability oracle.
+"""Steady-state residual/Jacobian, damped Newton, and an IMEX time
+integrator used as an independent stability oracle.
 
 The steady equation on the grid is
 
@@ -312,46 +312,6 @@ def newton_solve(
         f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
         u.astype(float),
         rnorm,
-    )
-
-
-def _truncated_antiderivative(nl: Nonlinearity, u: np.ndarray, K: float) -> np.ndarray:
-    """F_K(u): antiderivative of f truncated to linear growth above K."""
-    p = nl.p_f
-    rK = max(K - nl.M, 0.0)
-    fK = rK**p
-    fpK = p * rK ** (p - 1)
-    below = np.minimum(u, K)
-    F = np.maximum(below - nl.M, 0.0) ** (p + 1) / (p + 1)
-    over = np.maximum(u - K, 0.0)
-    return F + fK * over + 0.5 * fpK * over**2
-
-
-def energy_functional(
-    problem: Problem, u: DiscreteField, a: float, c: float, K: float
-) -> float:
-    """Truncated energy I_K(u).
-
-    One-half the Dirichlet energy minus the quadratic growth term, plus the
-    antiderivative of the linearly-truncated ramp, plus the harvest work
-    term. The gradient part uses forward differences over all n+1 cells, so
-    the zero boundary values contribute; this makes I_K exactly compatible
-    with the discrete Laplacian (its gradient is minus the residual below
-    the truncation level).
-    """
-    if not K > 0:
-        raise ValueError(f"truncation level must be positive, got {K}")
-    dom = problem.domain
-    h = dom.spacing
-    v = u.values
-    diffs = np.diff(np.concatenate(([0.0], v, [0.0])))
-    dirichlet = float(np.sum(diffs**2)) / h
-    quad = dom.inner(v, v)
-    FK = _truncated_antiderivative(problem.nonlinearity, v, K)
-    return (
-        0.5 * (dirichlet - a * quad)
-        + dom.integrate(FK)
-        + c * dom.inner(problem.harvest.values, v)
     )
 
 

@@ -341,11 +341,11 @@ class TestStepController:
         steps = []
 
         def jumps_once(*args):
-            u, c, rF, iters = corrector(*args)
+            u, c, rF = corrector(*args)
             steps.append(args[6])
             if len(steps) == 3:
                 u = u + off_branch
-            return u, c, rF, iters
+            return u, c, rF
 
         monkeypatch.setattr(continuation, "_arclength_corrector", jumps_once)
         br = continue_branch(problem, stable20, +1, (-10.0, 1e6))
@@ -457,19 +457,25 @@ class TestMarchStall:
         last failure and the last accepted state."""
         lam1 = modes[0].eigenvalue
         M = problem.nonlinearity.M
-        name, pos, x0, state_of, sweep, what, min_step = {
+        psi = modes[1].eigenfunction.values
+        S2 = np.longdouble(problem.domain.inner(psi, psi))
+        name, x_of, x0, state_of, sweep, what, min_step = {
             "fold": (
-                "_fold_newton", 1, fold20.a, lambda out: out[0].astype(float),
+                "_extended_newton", lambda args, kw: args[1], fold20.a,
+                lambda out: out[1].astype(float),
                 lambda: trace_fold_curve(problem, fold20, (lam1 + 0.5, 30.0)),
                 "fold sweep in a", 1e-4,
             ),
             "index1": (
-                "_index1_newton", 1, M, lambda out: out[1].astype(float),
+                # the chart row's offset -t <psi, psi> gives t back exactly
+                "_extended_newton", lambda args, kw: float(-kw["row"][3] / S2), M,
+                lambda out: out[1].astype(float),
                 lambda: trace_index1_degenerate_curve(problem),
                 "index-1 family in t", 1e-5,
             ),
             "czero": (
-                "newton_solve", 2, lam1 + 0.3, lambda out: out.u.values,
+                "newton_solve", lambda args, kw: args[2], lam1 + 0.3,
+                lambda out: out.u.values,
                 lambda: continue_czero_branch(problem, "dagger", (lam1 + 0.3, 20.0)),
                 "zero-harvest sweep in a", 1e-6,
             ),
@@ -480,7 +486,7 @@ class TestMarchStall:
         seen = {"accepts": 0, "x": x0, "state": fold20.u.values}
 
         def failing(*args, **kwargs):
-            x = args[pos]
+            x = x_of(args, kwargs)
             if x > x0 and seen["accepts"] == k:
                 raise NonConvergence("injected failure", None, np.inf)
             out = real(*args, **kwargs)
@@ -506,6 +512,111 @@ class TestMarchStall:
         stalled = float(msg.split("stalled near ")[1].split()[0])
         assert 0 < stalled - seen["x"] < 2 * min_step
         np.testing.assert_array_equal(exc.last_iterate, seen["state"])
+
+
+class TestExtendedNewton:
+    """The one Newton loop behind the arclength corrector, the chart
+    projection, the fold system and the index-1 family."""
+
+    @pytest.mark.parametrize("system", ["bordered", "fold", "degenerate-family"])
+    def test_singular_step_is_a_nonconvergence(
+        self, problem, modes, fold20, monkeypatch, system
+    ):
+        """A LinAlgError from a step's bordered solve comes out as a
+        NonConvergence that names the system and carries the float64
+        iterate the step was taken from."""
+        dom = problem.domain
+        phi, psi = (m.eigenfunction.values for m in modes)
+        h = problem.harvest.values
+        ld = np.longdouble
+        S1, S2 = dom.inner(phi, phi), dom.inner(psi, psi)
+        t, lam2 = problem.nonlinearity.M + 0.5, modes[1].eigenvalue
+        u0, run = {
+            "bordered": (
+                fold20.u.values + 0.01 * phi,
+                lambda u0: solve_at_projection(
+                    problem, fold20.a, modes[0].eigenfunction, 2.0, u0, fold20.c
+                ),
+            ),
+            "fold": (
+                fold20.u.values + 0.01 * phi,
+                lambda u0: continuation._extended_newton(
+                    problem, fold20.a, u0, fold20.c, 16, w0=fold20.w.values, S=S1
+                ),
+            ),
+            "degenerate-family": (
+                t * psi + 0.01 * phi,
+                lambda u0: continuation._extended_newton(
+                    problem, lam2 + 0.05, u0, 0.0, 16,
+                    row=(dom.spacing, psi, 0.0, -ld(t) * ld(S2)), w0=psi, S=S2,
+                ),
+            ),
+        }[system]
+        real = continuation.solve_bordered
+        steps = []
+
+        def singular_step(op, B, *rest):
+            # every step has the column dF/dc = -h; the test function's
+            # solves are bordered by w0 and pass through
+            if np.array_equal(np.asarray(B).reshape(h.size, -1)[:, -1], -h):
+                steps.append(B)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(op, B, *rest)
+
+        monkeypatch.setattr(continuation, "solve_bordered", singular_step)
+        with pytest.raises(NonConvergence) as err:
+            run(u0)
+        assert len(steps) == 1
+        assert str(err.value) == f"{system} system is singular: Singular matrix"
+        assert err.value.last_iterate.dtype == np.float64
+        np.testing.assert_array_equal(err.value.last_iterate, u0)
+
+    def test_growing_corrector_gives_up_where_projection_iterates_on(
+        self, problem, modes, branch20, monkeypatch
+    ):
+        """A first step that overshoots tenfold makes sup|F| grow. The
+        arclength corrector gives up at that iterate after one bordered
+        solve; solve_at_projection, from the same start, keeps iterating
+        past the growth and converges."""
+        real_solve, real_residual = continuation.solve_bordered, Problem.residual_values
+        steps, sups = [], []
+
+        def overshoot(*args):
+            x, y = real_solve(*args)
+            steps.append(x)
+            return (10.0 * x, 10.0 * y) if len(steps) == 1 else (x, y)
+
+        def recorded(self, u, a, c):
+            F = real_residual(self, u, a, c)
+            sups.append(float(np.max(np.abs(F))))
+            return F
+
+        monkeypatch.setattr(continuation, "solve_bordered", overshoot)
+        monkeypatch.setattr(Problem, "residual_values", recorded)
+        dom = problem.domain
+        p, q = branch20.points[1], branch20.points[2]
+        dist = dom.l2_norm(q.u.values - p.u.values) + abs(q.c - p.c)
+        Tu, Tc = (q.u.values - p.u.values) / dist, (q.c - p.c) / dist
+        ds = 0.5 * dist
+        u_pred, c_pred = p.u.values + ds * Tu, p.c + ds * Tc
+
+        with pytest.raises(NonConvergence) as err:
+            continuation._arclength_corrector(problem, p.a, p.u.values, p.c, Tu, Tc, ds, 8)
+        assert len(steps) == 1
+        assert len(sups) == 2 and NEWTON_TOL < sups[0] < sups[1]
+        assert str(err.value) == "bordered system did not converge"
+        assert err.value.residual_norm == sups[1]
+        grown = u_pred.astype(np.longdouble) + (10.0 * steps[0]).astype(np.longdouble)
+        np.testing.assert_array_equal(err.value.last_iterate, grown.astype(float))
+
+        steps.clear()
+        sups.clear()
+        phi = modes[0].eigenfunction
+        t_pred = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
+        pt = solve_at_projection(problem, p.a, phi, t_pred, u_pred, c_pred)
+        assert NEWTON_TOL < sups[0] < sups[1]
+        assert len(steps) >= 2
+        assert pt.residual_norm < NEWTON_TOL
 
 
 class TestDegenerateFamily:

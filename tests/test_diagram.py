@@ -33,7 +33,7 @@ from bifurcate.solver import (
 )
 from bifurcate.continuation import (
     CHORD_TOL,
-    _constrained_solve,
+    _extended_newton,
     delta_window,
     trace_index1_degenerate_curve,
 )
@@ -719,8 +719,9 @@ class TestChordTolerance:
                 du, dc = q.u.values - p.u.values, q.c - p.c
                 um, cm = 0.5 * (p.u.values + q.u.values), 0.5 * (p.c + q.c)
                 row = dom.spacing * du
-                u, c, _, _ = _constrained_solve(
-                    problem, diag.a, um, cm, row, dc, -(row @ um + dc * cm)
+                _, u, c, _, _ = _extended_newton(
+                    problem, diag.a, um, cm, 8,
+                    row=(1.0, row, dc, -(row @ um + dc * cm)),
                 )
                 dev = dom.l2_norm(u.astype(float) - um) + abs(float(c) - cm)
                 worst = max(worst, dev)

@@ -11,6 +11,7 @@ from bifurcate.model import (
     check_hypotheses,
     critical_cap,
     eval_nonlinearity,
+    ramp_curvature,
     ramp_values,
 )
 
@@ -63,6 +64,23 @@ def test_ramp_values_within_a_few_ulps_of_power(p):
     ref = np.power(r, p)
     out = ramp_values(nl, u)
     assert np.all(np.abs(out - ref) <= p * np.spacing(ref))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_ramp_curvature_bit_identical_to_eval_nonlinearity(p, dtype):
+    """f'' alone equals eval_nonlinearity's f'' bit for bit, which is the
+    power formula from p_f = 2 on and zero below, where the formula would
+    give 0 * inf at the threshold."""
+    nl = Nonlinearity(M=0.2, p_f=p, validate=False)
+    u = _long_double_samples().astype(dtype)
+    u[:, 0] = 0.2  # exactly at the threshold
+    out = ramp_curvature(nl, u)
+    assert out.dtype == dtype
+    assert np.array_equal(out, eval_nonlinearity(nl, u)[2])
+    r = np.maximum(u - dtype(0.2), dtype(0.0))
+    expected = p * (p - 1) * r ** (p - 2) if p >= 2 else np.zeros_like(r)
+    assert np.array_equal(out, expected)
 
 
 def test_nonlinearity_validation():

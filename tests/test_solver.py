@@ -15,7 +15,6 @@ from bifurcate.solver import (
     Problem,
     SingularJacobian,
     classify_state,
-    energy_functional,
     jacobian,
     newton_solve,
     time_march,
@@ -197,41 +196,6 @@ def test_state_validation(problem, domain):
     other = build_grid(11, 1.0)
     with pytest.raises(ValueError):
         problem.state(DiscreteField.zero(other), 10.0, 0.0)
-
-
-def test_energy_zero_field(problem, domain):
-    assert energy_functional(problem, DiscreteField.zero(domain), A_REF, 0.0, 1.0) == 0.0
-
-
-def test_energy_vanishes_on_eigenray(problem, domain, modes):
-    # quadratic terms cancel at the eigenvalue and f is inactive below M
-    lam1 = modes[0].eigenvalue
-    u = DiscreteField(domain, 0.2 * modes[0].eigenfunction.values)
-    K = critical_cap(problem.nonlinearity, lam1)
-    assert abs(energy_functional(problem, u, lam1, 0.0, K)) < 1e-12
-
-
-def test_energy_critical_at_solution(problem, domain, u_plus):
-    K = critical_cap(problem.nonlinearity, A_REF)
-    rng = np.random.default_rng(23)
-    base = energy_functional(problem, u_plus.u, A_REF, 0.0, K)
-    assert np.isfinite(base)
-    for _ in range(3):
-        v = np.sin(np.pi * domain.nodes) * rng.standard_normal()
-        v += 0.3 * np.sin(2 * np.pi * domain.nodes) * rng.standard_normal()
-        eps = 1e-5
-        up = DiscreteField(domain, u_plus.u.values + eps * v)
-        dn = DiscreteField(domain, u_plus.u.values - eps * v)
-        dI = (
-            energy_functional(problem, up, A_REF, 0.0, K)
-            - energy_functional(problem, dn, A_REF, 0.0, K)
-        ) / (2 * eps)
-        assert abs(dI) < 1e-6 * (1.0 + np.max(np.abs(v)))
-
-
-def test_energy_requires_positive_truncation(problem, domain):
-    with pytest.raises(ValueError):
-        energy_functional(problem, DiscreteField.zero(domain), A_REF, 0.0, 0.0)
 
 
 def test_march_decay_below_first_eigenvalue(problem, domain):
