@@ -53,7 +53,9 @@ from .grid import (
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
+    FOLD_MAX_ITER,
     NEWTON_TOL,
+    PROJECTION_MAX_ITER,
     NonConvergence,
     Problem,
     SingularJacobian,
@@ -87,6 +89,8 @@ CHORD_TOL = 2.5e-3
 #: this multiple of the expected predictor-corrector distance is taken to
 #: have jumped to another sheet, and the step is redone at half length.
 JUMP_FACTOR = 8.0
+#: Chart offset of the two probes of fold_normal_form_checks.
+NORMAL_FORM_OFFSET = 0.02
 
 
 @dataclass(frozen=True)
@@ -293,8 +297,6 @@ def solve_at_projection(
     t_target: float,
     u0: np.ndarray,
     c0: float,
-    *,
-    max_iter: int = 12,
 ) -> SolutionPoint:
     """Steady state with c free, pinned by the chart constraint
     <u, e>/<e, e> = t_target.
@@ -309,7 +311,7 @@ def solve_at_projection(
     if e_sq == 0.0:
         raise ValueError("chart field is identically zero")
     row = (1.0, dom.spacing * e_vals / e_sq, 0.0, -float(t_target))
-    _, u, c, _, rF = _extended_newton(problem, a, u0, c0, max_iter, row=row)
+    _, u, c, _, rF = _extended_newton(problem, a, u0, c0, PROJECTION_MAX_ITER, row=row)
     return classify_state(
         problem, DiscreteField(problem.domain, u.astype(float)), a, float(c), rnorm=rF,
     )
@@ -721,7 +723,6 @@ def refine_fold(
     high: SolutionPoint,
     *,
     expected_kind: str | None = None,
-    max_iter: int = 16,
 ) -> DegeneratePoint:
     """Collapse a bracketing pair onto the degenerate point between them.
 
@@ -756,23 +757,18 @@ def refine_fold(
     phi = problem.modes()[0]
     S = inner_product(phi.eigenfunction, phi.eigenfunction)
     w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-    _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, max_iter, w0=w0, S=S)
+    _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S)
     return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind)
 
 
-def fold_normal_form_checks(
-    problem: Problem,
-    dp: DegeneratePoint,
-    *,
-    offset: float = 0.02,
-) -> dict:
+def fold_normal_form_checks(problem: Problem, dp: DegeneratePoint) -> dict:
     """Finite-difference cross-check of the quadratic normal form at a
     degenerate point.
 
-    Probes the family at chart offsets +-offset around the point, with the
-    chart pinned by the kernel vector itself (so du/dt = w at the point), and
-    returns FD and closed-form values for the eigenvalue slope and the c
-    curvature:
+    Probes the family at chart offsets +-NORMAL_FORM_OFFSET around the
+    point, with the chart pinned by the kernel vector itself (so du/dt = w
+    at the point), and returns FD and closed-form values for the eigenvalue
+    slope and the c curvature:
 
         mu'(t*) = int f''(u) w^3 / int w^2
         c''(t*) = -int f''(u) w^3 / int h w
@@ -785,6 +781,7 @@ def fold_normal_form_checks(
     wsq = dom.inner(w, w)
     t_star = dom.inner(dp.u.values, w) / wsq
     j = 0 if dp.kind == "fold-index0" else 1
+    offset = NORMAL_FORM_OFFSET
     plus = solve_at_projection(
         problem, dp.a, dp.w, t_star + offset, dp.u.values + offset * w, dp.c
     )

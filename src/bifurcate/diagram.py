@@ -19,17 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField, TridiagonalFactor, exact_mode_longdouble
-from .model import critical_cap, eval_nonlinearity, ramp_slope
+from .grid import DiscreteField, exact_mode_longdouble
+from .model import critical_cap, eval_nonlinearity
 from .solver import (
-    ARMIJO_MIN_STEP,
+    COUNT_MAX_ITER,
     NEWTON_TOL,
-    PIVOT_RTOL,
     Diverged,
     NonConvergence,
     Problem,
     SingularJacobian,
     SolutionPoint,
+    _newton_rows,
     classify_state,
     newton_solve,
     time_march,
@@ -51,6 +51,9 @@ from .continuation import (
 )
 
 DEDUP_REL = 1e-4
+#: Largest sup-norm distance at which verify_structure takes two states for
+#: the same one (junction ends, predicted and oracle states, segment states).
+MATCH_TOL = 1e-6
 #: First arclength step of every assembly trace but those from an edge
 #: start, whose first step _edge_pair sets.
 ASSEMBLY_STEP0 = 0.05
@@ -106,17 +109,17 @@ def _rel_distance(u: DiscreteField, v: DiscreteField) -> float:
     return dist / max(nu, nv, 1.0)
 
 
-def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed, span):
+def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
     """Deterministic start fields: zero, +-span times each of the first two
-    modes, then random low-frequency combinations."""
+    modes, then random low-frequency combinations. span is twice the
+    critical cap K_a for a > 0."""
     from .grid import laplacian_eigenpairs
 
     dom = problem.domain
-    if span is None:
-        if a > 0:
-            span = 2.0 * critical_cap(problem.nonlinearity, a)
-        else:
-            span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
+    if a > 0:
+        span = 2.0 * critical_cap(problem.nonlinearity, a)
+    else:
+        span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
     phi, psi = problem.modes()
     seeds = [
         np.zeros(dom.n_interior),
@@ -140,131 +143,32 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed, span):
 _CHUNK = 32
 
 
-def _stacked_factor(diag: np.ndarray, off: np.ndarray) -> TridiagonalFactor:
-    """Factor the block-diagonal tridiagonal whose blocks have the rows of
-    diag as diagonals and off as their shared off-diagonal, with zero
-    couplings at the seams."""
-    seams = np.tile(np.append(off, 0.0), len(diag))[:-1]
-    return TridiagonalFactor(diag.ravel(), seams)
-
-
-def _newton_chunk(problem: Problem, starts, a: float, c: float, max_iter: int):
-    """Damped Newton on a stack of start fields at fixed (a, c): each row
-    goes through exactly the iteration of solver.newton_solve.
-
-    All rows share one long-double residual evaluation over the (rows, n)
-    stack and one gttrf/gttrs over the block-diagonal stack of their
-    float64 Jacobians; the zero seam couplings keep every block's pivots and
-    solution those of the block alone. The line search halves the step of
-    all rows still searching at once. A row leaves the stack when it
-    converges, when its Jacobian fails the pivot check (newton_solve raises
-    SingularJacobian), or when its line search stalls or the iterations run
-    out (NonConvergence).
-
-    Returns (row, float64 iterate, residual norm, residual history) for the
-    converged rows, in row order.
-    """
-    ld = np.longdouble
-    n = problem.domain.n_interior
-    lap = problem.laplacian
-    pad = np.concatenate(([0.0], np.abs(lap.off)))
-    pad2 = np.concatenate((np.abs(lap.off), [0.0]))
-
-    rows = np.arange(len(starts))
-    u = np.asarray(starts, dtype=float).astype(ld)
-    r = problem.residual_values(u, a, c)
-    rnorm = np.max(np.abs(r), axis=1).astype(float)
-    history = [[x] for x in rnorm.tolist()]
-    done = []
-
-    for _ in range(max_iter):
-        if not rows.size:
-            break
-        u64 = u.astype(float)
-        diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
-        # the pivot test of solver._checked_factor, row by row
-        threshold = PIVOT_RTOL * n * np.max(np.abs(diag) + pad + pad2, axis=1)
-        fac = _stacked_factor(diag, lap.off)
-        sound = fac.block_min_pivots(len(diag)) >= threshold
-        finished = sound & (rnorm < NEWTON_TOL)
-        for i in np.flatnonzero(finished):
-            done.append((rows[i], u64[i], float(rnorm[i]), tuple(history[i])))
-        go = np.flatnonzero(sound & ~finished)
-        if not go.size:
-            break
-        rhs = (-r).astype(float)
-        if sound.all():
-            delta = fac.solve(rhs.ravel()).reshape(rhs.shape)[go]
-        else:
-            # an exactly singular block would feed 0 * inf = NaN through
-            # its seam into the block above it: factor again without it
-            delta = _stacked_factor(diag[go], lap.off).solve(rhs[go].ravel())
-        delta = delta.reshape(len(go), n).astype(ld)
-        rows, u, r, rnorm = rows[go], u[go], r[go], rnorm[go]
-        history = [history[i] for i in go]
-
-        step = 1.0
-        searching = np.arange(len(go))
-        while True:
-            u_trial = u[searching] + ld(step) * delta[searching]
-            r_trial = problem.residual_values(u_trial, a, c)
-            rnorm_trial = np.max(np.abs(r_trial), axis=1).astype(float)
-            accept = np.isfinite(rnorm_trial) & (
-                rnorm_trial <= (1.0 - 1e-4 * step) * rnorm[searching]
-            )
-            moved = searching[accept]
-            u[moved], r[moved], rnorm[moved] = (
-                u_trial[accept], r_trial[accept], rnorm_trial[accept]
-            )
-            searching = searching[~accept]
-            if not searching.size:
-                break
-            step *= 0.5
-            if step < ARMIJO_MIN_STEP:
-                break
-        if searching.size:
-            keep = np.ones(len(rows), dtype=bool)
-            keep[searching] = False
-            rows, u, r, rnorm = rows[keep], u[keep], r[keep], rnorm[keep]
-            history = [h for h, k in zip(history, keep) if k]
-        for h, x in zip(history, rnorm.tolist()):
-            h.append(x)
-
-    done.sort(key=lambda item: item[0])
-    return done
-
-
 def count_solutions(
-    problem: Problem,
-    a: float,
-    c: float,
-    n_starts: int = 400,
-    seed=0,
-    *,
-    span: float | None = None,
-    dedup: float = DEDUP_REL,
-    max_iter: int = 30,
+    problem: Problem, a: float, c: float, n_starts: int = 400, seed=0
 ) -> SolutionSet:
     """Enumerate the steady states at (a, c) by multistart Newton.
 
-    The starts are solved in fixed chunks by a batched damped Newton that
-    repeats solver.newton_solve row by row; starts that fail to converge or
-    meet a singular Jacobian are discarded. The converged iterates are
-    deduplicated in start order at relative L2 threshold `dedup`, and only
-    the survivors are classified, so each member carries its Morse index.
-    Deterministic for a fixed seed, and bit-identical whatever the chunking.
+    The starts are solved in fixed chunks by solver._newton_rows, the damped
+    Newton of newton_solve, at most COUNT_MAX_ITER iterations each; starts
+    that stall, run out of iterations or meet a singular Jacobian are
+    discarded. The converged iterates are deduplicated in start order at
+    relative L2 distance DEDUP_REL, and only the survivors are classified,
+    so each member carries its Morse index. Deterministic for a fixed seed,
+    and bit-identical whatever the chunking.
     """
     if n_starts < 50:
         raise ValueError(f"need n_starts >= 50, got {n_starts}")
     dom = problem.domain
-    seeds = _multistart_seeds(problem, a, n_starts, seed, span)
+    seeds = _multistart_seeds(problem, a, n_starts, seed)
 
     kept: list[tuple[DiscreteField, float, tuple[float, ...]]] = []
     for lo in range(0, n_starts, _CHUNK):
-        chunk = _newton_chunk(problem, seeds[lo:lo + _CHUNK], a, c, max_iter)
-        for _, u64, rnorm, history in chunk:
+        for end in _newton_rows(problem, seeds[lo:lo + _CHUNK], a, c, COUNT_MAX_ITER):
+            if isinstance(end, Exception):
+                continue
+            u64, rnorm, history = end
             u = DiscreteField(dom, u64)
-            if all(_rel_distance(u, m[0]) > dedup for m in kept):
+            if all(_rel_distance(u, m[0]) > DEDUP_REL for m in kept):
                 kept.append((u, rnorm, history))
     members = [
         classify_state(problem, u, a, c, residual_history=history, rnorm=rnorm)
@@ -275,7 +179,7 @@ def count_solutions(
         float(p.u.values.max()),
         p.morse_index,
     ))
-    return SolutionSet(tuple(members), a, c, n_starts, dedup)
+    return SolutionSet(tuple(members), a, c, n_starts, DEDUP_REL)
 
 
 class AssemblyIncomplete(RuntimeError):
@@ -869,11 +773,7 @@ def diagram_solutions_at(diagram: BifurcationDiagram, c: float):
 
 
 def verify_structure(
-    diagram: BifurcationDiagram,
-    oracle_budget: int = 400,
-    seed=0,
-    *,
-    match_tol: float = 1e-6,
+    diagram: BifurcationDiagram, oracle_budget: int = 400, seed=0
 ) -> VerificationReport:
     """Replay the structural claims of the diagram's regime and record one
     ClaimCheck per claim; failures are recorded, never raised.
@@ -894,7 +794,7 @@ def verify_structure(
     checks.extend(_check_index_sequences(diagram))
     checks.extend(_check_fold_formulas(problem, diagram))
     checks.append(_check_signc(diagram))
-    checks.extend(_check_junction_agreement(diagram, match_tol))
+    checks.extend(_check_junction_agreement(diagram))
 
     samples = _count_samples(diagram)
     oracle = {c: count_solutions(problem, diagram.a, c, oracle_budget, seed)
@@ -905,7 +805,7 @@ def verify_structure(
         checks.append(ClaimCheck(
             f"count@c={c:.6g}", expected, got.count, "exact", got.count == expected
         ))
-        checks.append(_check_equivalence(predicted, got, match_tol))
+        checks.append(_check_equivalence(predicted, got))
 
     if regime in ("between-lambda1-lambda2", "at-lambda2", "above-lambda2"):
         checks.extend(_check_stable_sheet(diagram))
@@ -915,7 +815,7 @@ def verify_structure(
 
     if regime == "at-lambda2":
         checks.append(_check_segment_degeneracy(diagram))
-        checks.append(_check_dichotomy(diagram, czero, match_tol))
+        checks.append(_check_dichotomy(diagram, czero))
         if problem.nonlinearity.M == 0.0:
             checks.append(_check_cusp(diagram))
     if regime == "above-lambda2":
@@ -1028,7 +928,7 @@ def _check_signc(diagram) -> ClaimCheck:
     )
 
 
-def _check_junction_agreement(diagram, match_tol):
+def _check_junction_agreement(diagram):
     """Junction points reached from two branches must coincide; measures the
     uniqueness content of the degenerate-solution curves."""
     out = []
@@ -1047,8 +947,8 @@ def _check_junction_agreement(diagram, match_tol):
             du = float(np.max(np.abs(pi.u.values - pj.u.values)))
             mismatch = du + dc
             out.append(ClaimCheck(
-                f"junction-match[{ti}~{tj}]", 0.0, mismatch, match_tol,
-                mismatch < match_tol,
+                f"junction-match[{ti}~{tj}]", 0.0, mismatch, MATCH_TOL,
+                mismatch < MATCH_TOL,
             ))
     return out
 
@@ -1066,7 +966,7 @@ def _count_samples(diagram):
     return [-small, small, 0.5 * (c_flat + c_star), c_star + 0.5]
 
 
-def _check_equivalence(predicted, oracle_set, match_tol) -> ClaimCheck:
+def _check_equivalence(predicted, oracle_set) -> ClaimCheck:
     """Oracle solutions and refined branch crossings agree both ways."""
     worst = 0.0
     ok = len(predicted) == len(oracle_set.members)
@@ -1078,11 +978,11 @@ def _check_equivalence(predicted, oracle_set, match_tol) -> ClaimCheck:
         dists = [float(np.max(np.abs(m.u.values - p.u.values))) for m in oracle_set]
         best = min(dists) if dists else np.inf
         worst = max(worst, best)
-    ok = ok and worst < match_tol
+    ok = ok and worst < MATCH_TOL
     return ClaimCheck(
         f"oracle-equivalence@c={oracle_set.c:.6g}",
         f"{len(oracle_set.members)} matched", f"{len(predicted)} within {worst:.2e}",
-        match_tol, ok,
+        MATCH_TOL, ok,
     )
 
 
@@ -1167,7 +1067,7 @@ def _check_segment_degeneracy(diagram) -> ClaimCheck:
     )
 
 
-def _check_dichotomy(diagram, czero_set, match_tol) -> ClaimCheck:
+def _check_dichotomy(diagram, czero_set) -> ClaimCheck:
     """At the second eigenvalue every c=0 solution is stable or sits on the
     neutral segment.
 
@@ -1187,7 +1087,7 @@ def _check_dichotomy(diagram, czero_set, match_tol) -> ClaimCheck:
         on_segment = (
             seg is not None
             and seg.t_min - slack <= t <= seg.t_max + slack
-            and float(np.max(np.abs(p.u.values - t * psi.values))) < match_tol
+            and float(np.max(np.abs(p.u.values - t * psi.values))) < MATCH_TOL
         )
         if not on_segment:
             bad += 1
@@ -1238,16 +1138,19 @@ def _check_window_claims(diagram, near_zero_sets):
     return out
 
 
-def stability_crosscheck(
-    point: SolutionPoint,
-    *,
-    dt: float = 2e-3,
-    T: float = 3.0,
-    amplitude: float = 1e-3,
-    seed=0,
-    growth: float = 3.0,
-    decay: float = 0.3,
-) -> str:
+#: stability_crosscheck's kick and time march: the kick's amplitude, the seed
+#: of an index-0 kick's random direction, the IMEX step and the horizon. A
+#: deviation that grows CROSSCHECK_GROWTH-fold counts as repelled, one that
+#: shrinks to CROSSCHECK_DECAY of the kick as attracted.
+CROSSCHECK_AMPLITUDE = 1e-3
+CROSSCHECK_SEED = 0
+CROSSCHECK_DT = 2e-3
+CROSSCHECK_T = 3.0
+CROSSCHECK_GROWTH = 3.0
+CROSSCHECK_DECAY = 0.3
+
+
+def stability_crosscheck(point: SolutionPoint) -> str:
     """Dynamic test of the Morse classification: 'pass', 'fail' or
     'inconclusive'.
 
@@ -1270,7 +1173,7 @@ def stability_crosscheck(
 
     modes = point.spectrum.eigenfunctions
     if point.morse_index == 0:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(CROSSCHECK_SEED)
         direction = sum(
             rng.standard_normal() * m.values for m in modes[: min(3, len(modes))]
         )
@@ -1278,34 +1181,36 @@ def stability_crosscheck(
         direction = modes[0].values.copy()
     direction /= l2(direction)
 
-    state = DiscreteField(dom, u + amplitude * direction)
+    state = DiscreteField(dom, u + CROSSCHECK_AMPLITUDE * direction)
     chunks = 10
     diverged = False
     for _ in range(chunks):
         try:
-            state = time_march(problem, state, a, c, dt=dt, T=T / chunks)
+            state = time_march(
+                problem, state, a, c, dt=CROSSCHECK_DT, T=CROSSCHECK_T / chunks
+            )
         except Diverged:
             diverged = True
             break
-        if l2(state.values - u) > growth * max(
-            amplitude, 0.1 * max(1.0, l2(u))
+        if l2(state.values - u) > CROSSCHECK_GROWTH * max(
+            CROSSCHECK_AMPLITUDE, 0.1 * max(1.0, l2(u))
         ):
             break
     dev = state.values - u
-    ratio = l2(dev) / amplitude
+    ratio = l2(dev) / CROSSCHECK_AMPLITUDE
 
     if point.morse_index == 0 and not point.degenerate:
-        if ratio <= decay:
+        if ratio <= CROSSCHECK_DECAY:
             return "pass"
-        if diverged or ratio >= growth:
+        if diverged or ratio >= CROSSCHECK_GROWTH:
             return "fail"
         return "inconclusive"
 
-    if diverged or ratio >= growth:
+    if diverged or ratio >= CROSSCHECK_GROWTH:
         aligned = abs(dom.inner(dev, direction)) / max(l2(dev), 1e-30)
         if point.degenerate:
             return "pass" if aligned > 0.5 else "inconclusive"
         return "pass" if aligned > 0.6 else "fail"
     if point.degenerate:
         return "inconclusive"
-    return "fail" if ratio <= decay else "inconclusive"
+    return "fail" if ratio <= CROSSCHECK_DECAY else "inconclusive"

@@ -19,21 +19,21 @@ from .grid import (
     DiscreteDomain,
     DiscreteField,
     LinearOperatorBanded,
+    TridiagonalFactor,
     assemble_laplacian,
 )
-from .model import (
-    HarvestSpec,
-    Nonlinearity,
-    critical_cap,
-    eval_nonlinearity,
-    ramp_slope,
-    ramp_values,
-)
+from .model import HarvestSpec, Nonlinearity, critical_cap, ramp_slope, ramp_values
 
 #: Residual sup norm below which a state counts as steady. Every downstream
 #: bound (fold re-verification, ray certification, the oracle) is tied to it.
 NEWTON_TOL = 1e-10
+#: Iteration caps of the Newton solves: newton_solve, each multistart start
+#: of the counting oracle, the c-free chart solve (solve_at_projection) and
+#: the fold system (refine_fold).
 NEWTON_MAX_ITER = 50
+COUNT_MAX_ITER = 30
+PROJECTION_MAX_ITER = 12
+FOLD_MAX_ITER = 16
 #: Eigenvalues of the linearization computed per state. f' >= 0, so no state
 #: has more negative eigenvalues than the zero state, which has at most two
 #: for a < lambda3: three always certify the index, and a state of index 3
@@ -199,9 +199,15 @@ def jacobian(state: ProblemState) -> LinearOperatorBanded:
     return state.problem.jacobian_operator(state.u.values, state.a)
 
 
+def _pivot_threshold(problem: Problem, norm_inf):
+    """Pivot magnitude below which a Jacobian of sup norm norm_inf (a float
+    or an array of them) counts as numerically singular."""
+    return PIVOT_RTOL * problem.domain.n_interior * norm_inf
+
+
 def _checked_factor(problem: Problem, op: LinearOperatorBanded):
     fac = op.factor()
-    threshold = PIVOT_RTOL * problem.domain.n_interior * op.norm_inf()
+    threshold = _pivot_threshold(problem, op.norm_inf())
     if fac.exactly_singular or fac.min_pivot < threshold:
         raise SingularJacobian(fac.min_pivot, threshold)
     return fac
@@ -252,66 +258,139 @@ def classify_state(
     )
 
 
-def newton_solve(
-    problem: Problem,
-    init: DiscreteField,
-    a: float,
-    c: float,
-    *,
-    max_iter: int = NEWTON_MAX_ITER,
-) -> SolutionPoint:
-    """Damped Newton from init at fixed (a, c).
+def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
+    """Damped Newton from each of a stack of start fields at fixed (a, c).
 
     Backtracking halves the step until the residual sup norm decreases
-    (factor-1/2 Armijo, floor 2^-20); the ramp kink at u = M is what makes
-    the damping necessary. The Jacobian is factored and pivot-checked before
-    convergence is declared, so landing exactly on a degenerate point raises
-    SingularJacobian rather than returning silently.
+    (factor-1/2 Armijo, floor ARMIJO_MIN_STEP); the ramp kink at u = M is
+    what makes the damping necessary. Each Jacobian is factored and
+    pivot-checked before convergence is declared, so a start that lands
+    exactly on a degenerate point ends in SingularJacobian.
 
-    The working iterate is kept in long double while corrections are solved
-    through the float64 factorization. This matters: a float64 vector of
-    amplitude ~4 cannot represent the steady state to better than a ~1e-10
-    sup-norm defect at this stencil scale, so a pure float64 iteration can
-    stall right at NEWTON_TOL. The reported residual_norm is the
-    converged residual of the working iterate; the stored field is its
-    float64 rounding.
+    The working iterates are kept in long double while corrections are
+    solved through the float64 factorization: a float64 vector of amplitude
+    ~4 cannot represent the steady state to better than a ~1e-10 sup-norm
+    defect at this stencil scale, so a pure float64 iteration can stall
+    right at NEWTON_TOL.
+
+    All rows share one long-double residual evaluation over the (rows, n)
+    stack and one gttrf/gttrs over the block-diagonal stack of their float64
+    Jacobians; the zero seam couplings keep every block's pivots and
+    solution those of the block alone, so each row ends exactly as it does
+    alone. The line search halves the step of all rows still searching at
+    once.
+
+    Returns one entry per start, in start order: (float64 iterate, residual
+    norm, residual history) for a start that converged, else the
+    SingularJacobian or NonConvergence that ended it.
     """
     ld = np.longdouble
-    u = init.values.astype(ld)
+    n = problem.domain.n_interior
+    lap = problem.laplacian
+    pad = np.concatenate(([0.0], np.abs(lap.off)))
+    pad2 = np.concatenate((np.abs(lap.off), [0.0]))
+    # off-diagonal of a block-diagonal stack of k Jacobians: its first
+    # k n - 1 entries, each block's couplings followed by a zero seam
+    seams = np.tile(np.append(lap.off, 0.0), len(starts))
+
+    out: list = [None] * len(starts)
+    rows = np.arange(len(starts))
+    u = np.asarray(starts, dtype=float).astype(ld)
     r = problem.residual_values(u, a, c)
-    rnorm = float(np.max(np.abs(r)))
-    history = [rnorm]
+    rnorm = np.max(np.abs(r), axis=1).astype(float)
+    history = [[x] for x in rnorm.tolist()]
 
     for _ in range(max_iter):
+        if not rows.size:
+            break
         u64 = u.astype(float)
-        fac = _checked_factor(problem, problem.jacobian_operator(u64, a))
-        if rnorm < NEWTON_TOL:
-            return classify_state(
-                problem, DiscreteField(problem.domain, u64), a, c,
-                residual_history=tuple(history), rnorm=rnorm,
-            )
-        delta = fac.solve((-r).astype(float)).astype(ld)
+        diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
+        threshold = _pivot_threshold(problem, np.max(np.abs(diag) + pad + pad2, axis=1))
+        fac = TridiagonalFactor(diag.ravel(), seams[:diag.size - 1])
+        pivots = fac.block_min_pivots(len(diag))
+        sound = pivots >= threshold
+        leaving = ~sound | (rnorm < NEWTON_TOL)
+        rhs = (-r).astype(float)
+        if sound.all():
+            delta = fac.solve(rhs.ravel()).reshape(rhs.shape)
+        if leaving.any():
+            for i in np.flatnonzero(leaving):
+                out[rows[i]] = (
+                    (u64[i], float(rnorm[i]), tuple(history[i])) if sound[i]
+                    else SingularJacobian(float(pivots[i]), float(threshold[i]))
+                )
+            go = np.flatnonzero(~leaving)
+            rows, u, u64, r, rnorm = rows[go], u[go], u64[go], r[go], rnorm[go]
+            history = [history[i] for i in go]
+            if not go.size:
+                break
+            if sound.all():
+                delta = delta[go]
+            else:
+                # an exactly singular block would feed 0 * inf = NaN through
+                # its seam into the block above it: factor again without it
+                delta = TridiagonalFactor(
+                    diag[go].ravel(), seams[:go.size * n - 1]
+                ).solve(rhs[go].ravel()).reshape(len(go), n)
+        delta = delta.astype(ld)
+
         step = 1.0
+        searching = np.arange(len(rows))
         while True:
-            u_trial = u + ld(step) * delta
+            u_trial = u[searching] + ld(step) * delta[searching]
             r_trial = problem.residual_values(u_trial, a, c)
-            rnorm_trial = float(np.max(np.abs(r_trial)))
-            if np.isfinite(rnorm_trial) and rnorm_trial <= (1.0 - 1e-4 * step) * rnorm:
+            rnorm_trial = np.max(np.abs(r_trial), axis=1).astype(float)
+            accept = np.isfinite(rnorm_trial) & (
+                rnorm_trial <= (1.0 - 1e-4 * step) * rnorm[searching]
+            )
+            moved = searching[accept]
+            u[moved], r[moved], rnorm[moved] = (
+                u_trial[accept], r_trial[accept], rnorm_trial[accept]
+            )
+            searching = searching[~accept]
+            if not searching.size:
                 break
             step *= 0.5
             if step < ARMIJO_MIN_STEP:
-                raise NonConvergence(
-                    f"line search stalled at residual {rnorm:.3e}",
-                    u.astype(float),
-                    rnorm,
+                break
+        if searching.size:
+            for i in searching:
+                out[rows[i]] = NonConvergence(
+                    f"line search stalled at residual {rnorm[i]:.3e}",
+                    u64[i],
+                    float(rnorm[i]),
                 )
-        u, r, rnorm = u_trial, r_trial, rnorm_trial
-        history.append(rnorm)
+            keep = np.ones(len(rows), dtype=bool)
+            keep[searching] = False
+            rows, u, r, rnorm = rows[keep], u[keep], r[keep], rnorm[keep]
+            history = [h for h, k in zip(history, keep) if k]
+        for h, x in zip(history, rnorm.tolist()):
+            h.append(x)
 
-    raise NonConvergence(
-        f"no convergence in {max_iter} iterations (residual {rnorm:.3e})",
-        u.astype(float),
-        rnorm,
+    for i, row in enumerate(rows):
+        out[row] = NonConvergence(
+            f"no convergence in {max_iter} iterations (residual {rnorm[i]:.3e})",
+            u[i].astype(float),
+            float(rnorm[i]),
+        )
+    return out
+
+
+def newton_solve(
+    problem: Problem, init: DiscreteField, a: float, c: float
+) -> SolutionPoint:
+    """Damped Newton from init at fixed (a, c), at most NEWTON_MAX_ITER
+    iterations: the one-start case of _newton_rows. Raises the
+    SingularJacobian or NonConvergence that ended it; the reported
+    residual_norm is the converged residual of the long-double iterate, the
+    stored field its float64 rounding."""
+    (end,) = _newton_rows(problem, [init.values], a, c, NEWTON_MAX_ITER)
+    if isinstance(end, Exception):
+        raise end
+    u64, rnorm, history = end
+    return classify_state(
+        problem, DiscreteField(problem.domain, u64), a, c,
+        residual_history=history, rnorm=rnorm,
     )
 
 
@@ -346,7 +425,7 @@ def time_march(
     n_steps = max(1, int(round(T / dt)))
     ch = c * problem.harvest.values
     for k in range(1, n_steps + 1):
-        f = eval_nonlinearity(problem.nonlinearity, u)[0]
+        f = ramp_values(problem.nonlinearity, u)
         u = stepper.solve(u + dt * (-f - ch))
         norm = float(np.max(np.abs(u)))
         if not np.isfinite(norm) or norm > bound:

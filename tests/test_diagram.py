@@ -24,10 +24,12 @@ from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 import bifurcate.diagram as diagram_mod
 import bifurcate.spectral as spectral_mod
 from bifurcate.solver import (
+    COUNT_MAX_ITER,
     NEWTON_TOL,
     NonConvergence,
     Problem,
     SingularJacobian,
+    _newton_rows,
     classify_state,
     newton_solve,
 )
@@ -200,29 +202,65 @@ class TestCountSolutions:
 
 
 def _per_start_count(problem, a, c, n_starts, seed):
-    """count_solutions as one newton_solve per start: the same seeds, dedup
-    and member order. Also tallies how each start ended."""
+    """count_solutions with every start solved in a stack of one: the same
+    seeds, dedup and member order. Also tallies how each start ended."""
     dom = problem.domain
-    members, outcomes = [], Counter()
-    for u0 in diagram_mod._multistart_seeds(problem, a, n_starts, seed, None):
-        try:
-            pt = newton_solve(problem, DiscreteField(dom, u0), a, c, max_iter=30)
-        except NonConvergence as exc:
-            outcomes["stalled" if "stalled" in str(exc) else "iterations"] += 1
+    kept, outcomes = [], Counter()
+    for u0 in diagram_mod._multistart_seeds(problem, a, n_starts, seed):
+        (end,) = _newton_rows(problem, [u0], a, c, COUNT_MAX_ITER)
+        outcomes[_ending(end)] += 1
+        if isinstance(end, Exception):
             continue
-        except SingularJacobian:
-            outcomes["singular"] += 1
-            continue
-        outcomes["converged"] += 1
-        if all(diagram_mod._rel_distance(pt.u, m.u) > diagram_mod.DEDUP_REL
-               for m in members):
-            members.append(pt)
+        u64, rnorm, history = end
+        u = DiscreteField(dom, u64)
+        if all(diagram_mod._rel_distance(u, m[0]) > diagram_mod.DEDUP_REL
+               for m in kept):
+            kept.append((u, rnorm, history))
+    members = [
+        classify_state(problem, u, a, c, residual_history=history, rnorm=rnorm)
+        for u, rnorm, history in kept
+    ]
     members.sort(key=lambda p: (
         np.sqrt(dom.inner(p.u.values, p.u.values)),
         float(p.u.values.max()),
         p.morse_index,
     ))
     return members, outcomes
+
+
+def _ending(end):
+    if isinstance(end, SingularJacobian):
+        return "singular"
+    if isinstance(end, NonConvergence):
+        return "stalled" if "stalled" in str(end) else "iterations"
+    return "converged"
+
+
+def _assert_same_end(got, want):
+    """Two _newton_rows entries end alike: the same iterate, residual and
+    history, or the same exception type, message and fields."""
+    assert type(got) is type(want)
+    if isinstance(want, SingularJacobian):
+        assert str(got) == str(want)
+        assert (got.min_pivot, got.threshold) == (want.min_pivot, want.threshold)
+    elif isinstance(want, NonConvergence):
+        assert str(got) == str(want)
+        assert np.array_equal(got.last_iterate, want.last_iterate)
+        assert got.residual_norm == want.residual_norm
+    else:
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+
+def _assert_ends_as_alone(problem, starts, a, c, max_iter):
+    """Each start's entry in one stacked _newton_rows call is the entry it
+    gets alone; returns the stacked entries."""
+    stacked = _newton_rows(problem, starts, a, c, max_iter)
+    assert len(stacked) == len(starts)
+    for start, got in zip(starts, stacked):
+        (want,) = _newton_rows(problem, [start], a, c, max_iter)
+        _assert_same_end(got, want)
+    return stacked
 
 
 def _assert_bit_identical(got, want):
@@ -264,39 +302,50 @@ class TestBatchedOracle:
         has the Jacobian tridiag(1, 0, 1), whose last pivot is exactly zero.
         Solved in one stacked call, its inf would reach the row above it as
         0 * inf = NaN through the zero seam; that row must end as it does
-        alone."""
+        alone, whether it converges, stalls (c = 50, beyond the fold) or
+        runs out of iterations (a cap of 2), and the singular row must end
+        in the SingularJacobian it gets alone."""
         problem = Problem(build_grid(3, 4.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         good, flat = 2.0 * np.ones(3), np.zeros(3)
         with pytest.raises(SingularJacobian):
             newton_solve(problem, DiscreteField(problem.domain, flat), 2.0, 1.0)
         want = newton_solve(problem, DiscreteField(problem.domain, good), 2.0, 1.0)
-        rows = diagram_mod._newton_chunk(problem, [good, flat], 2.0, 1.0, 30)
-        assert [row for row, *_ in rows] == [0]
-        _, u64, rnorm, history = rows[0]
+        rows = _newton_rows(problem, [good, flat], 2.0, 1.0, COUNT_MAX_ITER)
+        assert _ending(rows[1]) == "singular"
+        u64, rnorm, history = rows[0]
         assert np.array_equal(u64, want.u.values)
         assert (rnorm, history) == (want.residual_norm, want.residual_history)
+
+        endings = {
+            (c, cap): [_ending(end) for end in
+                       _assert_ends_as_alone(problem, [good, flat], 2.0, c, cap)]
+            for c in (1.0, 50.0) for cap in (COUNT_MAX_ITER, 2)
+        }
+        assert endings[1.0, COUNT_MAX_ITER] == ["converged", "singular"]
+        assert endings[50.0, COUNT_MAX_ITER] == ["stalled", "singular"]
+        assert endings[1.0, 2] == ["iterations", "singular"]
 
     def test_degenerate_start_dropped_alone(self, problem, monkeypatch):
         """A start on the degenerate segment at a = lambda2, c = 0 is
         dropped like the SingularJacobian it raises on its own, and the rows
-        solved alongside it end exactly as they do without it."""
+        solved alongside it end exactly as they do without it. Every row,
+        whether it converges, meets a singular Jacobian or runs out of
+        iterations, gets the entry it gets alone."""
         lam2 = problem.modes()[1].eigenvalue
         on_segment = 0.1 * problem.modes()[1].eigenfunction.values
         with pytest.raises(SingularJacobian):
             newton_solve(problem, DiscreteField(problem.domain, on_segment), lam2, 0.0)
 
-        seeds = diagram_mod._multistart_seeds(problem, lam2, 60, 0, None)
-        alone = diagram_mod._newton_chunk(problem, seeds[:8], lam2, 0.0, 30)
-        mixed = diagram_mod._newton_chunk(
-            problem, seeds[:4] + [on_segment] + seeds[4:8], lam2, 0.0, 30
-        )
-        assert len(alone) >= 3
-        assert [row for row, *_ in mixed] == [
-            row if row < 4 else row + 1 for row, *_ in alone
-        ]
-        for (_, u1, r1, h1), (_, u2, r2, h2) in zip(alone, mixed):
-            assert np.array_equal(u1, u2)
-            assert (r1, h1) == (r2, h2)
+        seeds = diagram_mod._multistart_seeds(problem, lam2, 60, 0)
+        alone = _newton_rows(problem, seeds[:8], lam2, 0.0, COUNT_MAX_ITER)
+        mixed = seeds[:4] + [on_segment] + seeds[4:8]
+        stacked = _assert_ends_as_alone(problem, mixed, lam2, 0.0, COUNT_MAX_ITER)
+        endings = [_ending(end) for end in stacked]
+        assert endings[4] == "singular"
+        assert endings.count("converged") >= 3
+        assert {"singular", "iterations"} <= set(endings[:4] + endings[5:])
+        for got, want in zip(stacked[:4] + stacked[5:], alone):
+            _assert_same_end(got, want)
 
         original = diagram_mod._multistart_seeds
 

@@ -6,7 +6,8 @@ import bifurcate
 # sweeps' *_SWEEP_STEPS, ...) that no public callable may take again.
 FIXED_SETTINGS = {
     "tol", "k_eigs", "min_step", "dt0", "min_dt", "max_dt", "eps_seed", "eps_t",
-    "n_check",
+    "n_check", "max_iter", "span", "dedup", "match_tol", "offset", "amplitude",
+    "growth", "decay",
 }
 # The arclength tracer's first step and ceiling stay options of it alone.
 TRACER_ONLY = {"max_step", "step0"}

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bifurcate.solver import (
     NonConvergence,
     Problem,
     SingularJacobian,
+    _newton_rows,
     classify_state,
     jacobian,
     newton_solve,
@@ -135,21 +138,42 @@ def test_newton_quadratic_convergence(u_plus):
         assert r_next <= 0.5 * r_k**2
 
 
+def _sha16(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
+
+
 def test_newton_singular_at_eigenvalue(problem, domain):
     lam1 = dirichlet_eigenvalue_exact(domain, 1)
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(SingularJacobian) as info:
         newton_solve(problem, DiscreteField.zero(domain), lam1, 0.0)
+    assert str(info.value) == "Jacobian numerically singular (pivot 7.199e-07 < 2.554e-05)"
+    assert info.value.min_pivot == 7.198623279691674e-07
+    assert info.value.threshold == 2.5535606204808677e-05
 
 
 def test_newton_nonconvergence_paths(problem, domain, modes):
+    """Both NonConvergence endings, pinned to the values the separate
+    single-start loop gave: its message, residual and float64 last iterate
+    (sup norm and a sha256 prefix of its bytes)."""
+    # an iteration cap of 2 stops the climb from 3 phi short of the state
     phi = modes[0].eigenfunction.values
-    with pytest.raises(NonConvergence):
-        newton_solve(
-            problem, DiscreteField(domain, 3 * phi), A_REF, 0.0, max_iter=2
-        )
+    (end,) = _newton_rows(problem, [3 * phi], A_REF, 0.0, 2)
+    assert isinstance(end, NonConvergence)
+    assert str(end) == "no convergence in 2 iterations (residual 3.888e-02)"
+    assert end.residual_norm == 0.038883377382831194
+    last = end.last_iterate
+    assert (last.dtype, last.shape) == (np.float64, (399,))
+    assert float(np.max(np.abs(last))) == 3.926673526990311
+    assert _sha16(last) == "2d0f804fdf555c26"
     # far beyond the fold there is nothing to converge to
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence) as info:
         newton_solve(problem, DiscreteField.zero(domain), A_REF, 1e3)
+    assert str(info.value) == "line search stalled at residual 1.215e+02"
+    assert info.value.residual_norm == 121.51656996664654
+    last = info.value.last_iterate
+    assert (last.dtype, last.shape) == (np.float64, (399,))
+    assert float(np.max(np.abs(last))) == 2.756703207634248
+    assert _sha16(last) == "02dad3f139a90d87"
 
 
 def test_newton_deterministic(problem, domain, modes):
