@@ -40,6 +40,9 @@ FOLD_MAX_ITER = 16
 #: or more raises InsufficientSpectrum.
 K_EIGS = 3
 ARMIJO_MIN_STEP = 2.0**-20
+#: Residual sup norm above which a Newton row evaluates its trial residuals
+#: in float64 (see _newton_rows); at or below it, in long double.
+FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 
 
@@ -258,27 +261,66 @@ def classify_state(
     )
 
 
+def _residual_rows(problem: Problem, u, a: float, c: float, cheap):
+    """Residuals of the long-double rows u at (a, c) and their sup norms.
+
+    The rows where cheap is set are evaluated in float64, about eight times
+    cheaper; a float64 norm at or below FLOAT64_PHASE_TOL is measured again
+    in long double with the other rows. So every norm at or below the
+    switch, where the convergence test and converged residuals live, is a
+    long-double one.
+    """
+    r = np.empty_like(u)
+    norm = np.zeros(len(u))
+    if cheap.any():
+        r[cheap] = problem.residual_values(u[cheap].astype(float), a, c)
+        norm[cheap] = np.max(np.abs(r[cheap]), axis=1)
+    exact = ~cheap | (norm <= FLOAT64_PHASE_TOL)
+    if exact.any():
+        r[exact] = problem.residual_values(u[exact], a, c)
+        norm[exact] = np.max(np.abs(r[exact]), axis=1)
+    return r, norm
+
+
 def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     """Damped Newton from each of a stack of start fields at fixed (a, c).
 
-    Backtracking halves the step until the residual sup norm decreases
-    (factor-1/2 Armijo, floor ARMIJO_MIN_STEP); the ramp kink at u = M is
-    what makes the damping necessary. Each Jacobian is factored and
-    pivot-checked before convergence is declared, so a start that lands
-    exactly on a degenerate point ends in SingularJacobian.
+    Line search: safeguarded quadratic backtracking on the residual sup
+    norm (Dennis & Schnabel, Numerical Methods for Unconstrained
+    Optimization and Nonlinear Equations, 1983, A6.3.1). A trial at step s
+    is accepted when its norm is finite and at most (1 - 1e-4 s) times the
+    current norm f0. After a rejected trial with norm ft, the quadratic
+    through f0, the Newton slope -f0 and ft has its minimum at f0 / 2q, with
+    q = (ft - f0 + s f0) / s^2; the next step is that minimum clipped to
+    [0.1 s, 0.5 s] (0.1 s when ft is not finite). A row whose next step
+    would fall below ARMIJO_MIN_STEP has stalled; no shorter step is ever
+    tried. The ramp kink at u = M is what makes the damping necessary. Each
+    Jacobian is factored and pivot-checked before convergence is declared,
+    so a start that lands exactly on a degenerate point ends in
+    SingularJacobian; the iterate of the last allowed step is tested like
+    any other.
 
-    The working iterates are kept in long double while corrections are
-    solved through the float64 factorization: a float64 vector of amplitude
-    ~4 cannot represent the steady state to better than a ~1e-10 sup-norm
-    defect at this stencil scale, so a pure float64 iteration can stall
-    right at NEWTON_TOL.
+    Precision: the working iterates are kept in long double while
+    corrections are solved through the float64 factorization: a float64
+    vector of amplitude ~4 cannot represent the steady state to better than
+    a ~1e-10 sup-norm defect at this stencil scale, so a pure float64
+    iteration can stall right at NEWTON_TOL. Residuals have two phases per
+    row (_residual_rows): while the row's residual norm is above
+    FLOAT64_PHASE_TOL they are evaluated in float64 on the float64 rounding
+    of the iterate; from there on in long double.
+    The rounding moves the residual by up to (4 / h^2) ulp(|u|) / 2, about
+    2e-10 at n = 399 and 4e-9 at n = 1599: far below the switch, so the
+    line search is not misled, but a step taken from a float64 residual
+    lands no closer than that, and the last steps are taken in long double.
+    The convergence test, and the residual and history entries at or below
+    the switch, are long double; a NonConvergence that ends above the switch
+    carries a float64 norm.
 
-    All rows share one long-double residual evaluation over the (rows, n)
-    stack and one gttrf/gttrs over the block-diagonal stack of their float64
-    Jacobians; the zero seam couplings keep every block's pivots and
-    solution those of the block alone, so each row ends exactly as it does
-    alone. The line search halves the step of all rows still searching at
-    once.
+    All rows share each residual evaluation of their phase over the
+    (rows, n) stack and one gttrf/gttrs over the block-diagonal stack of
+    their float64 Jacobians; the zero seam couplings keep every block's
+    pivots and solution those of the block alone, and each row has its own
+    step length, so each row ends exactly as it does alone.
 
     Returns one entry per start, in start order: (float64 iterate, residual
     norm, residual history) for a start that converged, else the
@@ -296,11 +338,10 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     out: list = [None] * len(starts)
     rows = np.arange(len(starts))
     u = np.asarray(starts, dtype=float).astype(ld)
-    r = problem.residual_values(u, a, c)
-    rnorm = np.max(np.abs(r), axis=1).astype(float)
+    r, rnorm = _residual_rows(problem, u, a, c, np.ones(len(u), dtype=bool))
     history = [[x] for x in rnorm.tolist()]
 
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         if not rows.size:
             break
         u64 = u.astype(float)
@@ -309,16 +350,25 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
         fac = TridiagonalFactor(diag.ravel(), seams[:diag.size - 1])
         pivots = fac.block_min_pivots(len(diag))
         sound = pivots >= threshold
-        leaving = ~sound | (rnorm < NEWTON_TOL)
+        converged = rnorm < NEWTON_TOL
+        out_of_steps = it == max_iter
+        leaving = ~sound | converged | out_of_steps
         rhs = (-r).astype(float)
         if sound.all():
             delta = fac.solve(rhs.ravel()).reshape(rhs.shape)
         if leaving.any():
             for i in np.flatnonzero(leaving):
-                out[rows[i]] = (
-                    (u64[i], float(rnorm[i]), tuple(history[i])) if sound[i]
-                    else SingularJacobian(float(pivots[i]), float(threshold[i]))
-                )
+                if out_of_steps and not converged[i]:
+                    out[rows[i]] = NonConvergence(
+                        f"no convergence in {max_iter} iterations "
+                        f"(residual {rnorm[i]:.3e})",
+                        u64[i],
+                        float(rnorm[i]),
+                    )
+                elif sound[i]:
+                    out[rows[i]] = (u64[i], float(rnorm[i]), tuple(history[i]))
+                else:
+                    out[rows[i]] = SingularJacobian(float(pivots[i]), float(threshold[i]))
             go = np.flatnonzero(~leaving)
             rows, u, u64, r, rnorm = rows[go], u[go], u64[go], r[go], rnorm[go]
             history = [history[i] for i in go]
@@ -334,45 +384,39 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
                 ).solve(rhs[go].ravel()).reshape(len(go), n)
         delta = delta.astype(ld)
 
-        step = 1.0
+        step = np.ones(len(rows))
         searching = np.arange(len(rows))
-        while True:
-            u_trial = u[searching] + ld(step) * delta[searching]
-            r_trial = problem.residual_values(u_trial, a, c)
-            rnorm_trial = np.max(np.abs(r_trial), axis=1).astype(float)
-            accept = np.isfinite(rnorm_trial) & (
-                rnorm_trial <= (1.0 - 1e-4 * step) * rnorm[searching]
+        while searching.size:
+            s, f0 = step[searching], rnorm[searching]
+            u_trial = u[searching] + s.astype(ld)[:, None] * delta[searching]
+            r_trial, f_trial = _residual_rows(
+                problem, u_trial, a, c, f0 > FLOAT64_PHASE_TOL
             )
+            accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
             moved = searching[accept]
             u[moved], r[moved], rnorm[moved] = (
-                u_trial[accept], r_trial[accept], rnorm_trial[accept]
+                u_trial[accept], r_trial[accept], f_trial[accept]
             )
+            s, f0, f_trial = s[~accept], f0[~accept], f_trial[~accept]
             searching = searching[~accept]
-            if not searching.size:
-                break
-            step *= 0.5
-            if step < ARMIJO_MIN_STEP:
-                break
-        if searching.size:
-            for i in searching:
+            # fmax turns the NaN of a non-finite trial into the lower bound
+            q = (f_trial - f0 + s * f0) / s**2
+            step[searching] = np.minimum(np.fmax(f0 / (2.0 * q), 0.1 * s), 0.5 * s)
+            searching = searching[step[searching] >= ARMIJO_MIN_STEP]
+        stalled = step < ARMIJO_MIN_STEP
+        if stalled.any():
+            for i in np.flatnonzero(stalled):
                 out[rows[i]] = NonConvergence(
                     f"line search stalled at residual {rnorm[i]:.3e}",
                     u64[i],
                     float(rnorm[i]),
                 )
-            keep = np.ones(len(rows), dtype=bool)
-            keep[searching] = False
+            keep = ~stalled
             rows, u, r, rnorm = rows[keep], u[keep], r[keep], rnorm[keep]
             history = [h for h, k in zip(history, keep) if k]
         for h, x in zip(history, rnorm.tolist()):
             h.append(x)
 
-    for i, row in enumerate(rows):
-        out[row] = NonConvergence(
-            f"no convergence in {max_iter} iterations (residual {rnorm[i]:.3e})",
-            u[i].astype(float),
-            float(rnorm[i]),
-        )
     return out
 
 

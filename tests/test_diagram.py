@@ -25,6 +25,7 @@ import bifurcate.diagram as diagram_mod
 import bifurcate.spectral as spectral_mod
 from bifurcate.solver import (
     COUNT_MAX_ITER,
+    FLOAT64_PHASE_TOL,
     NEWTON_TOL,
     NonConvergence,
     Problem,
@@ -229,11 +230,13 @@ def _per_start_count(problem, a, c, n_starts, seed):
 
 
 def _ending(end):
+    """How a _newton_rows entry ended; "last step" is a start that reached
+    the tolerance on the last of COUNT_MAX_ITER allowed steps."""
     if isinstance(end, SingularJacobian):
         return "singular"
     if isinstance(end, NonConvergence):
         return "stalled" if "stalled" in str(end) else "iterations"
-    return "converged"
+    return "last step" if len(end[2]) == COUNT_MAX_ITER + 1 else "converged"
 
 
 def _assert_same_end(got, want):
@@ -277,11 +280,12 @@ def _oracle_level(problem, level):
     """(a, c) of a level whose starts do not all converge, and how they
     fail: next to the index-1 crossing in the window some line searches
     stall; at the second eigenvalue with c = 0 the starts below the
-    threshold meet a singular Jacobian and others run out of iterations."""
+    threshold meet a singular Jacobian and others converge linearly next to
+    the degenerate segment, some only on the last allowed step."""
     lam2 = problem.modes()[1].eigenvalue
     if level == "stalls":
         return lam2 + 0.5 * DELTA_WINDOW, 287.35, ("stalled",)
-    return lam2, 0.0, ("singular", "iterations")
+    return lam2, 0.0, ("singular", "last step")
 
 
 class TestBatchedOracle:
@@ -329,8 +333,8 @@ class TestBatchedOracle:
         """A start on the degenerate segment at a = lambda2, c = 0 is
         dropped like the SingularJacobian it raises on its own, and the rows
         solved alongside it end exactly as they do without it. Every row,
-        whether it converges, meets a singular Jacobian or runs out of
-        iterations, gets the entry it gets alone."""
+        whether it converges, meets a singular Jacobian or converges only on
+        the last allowed step, gets the entry it gets alone."""
         lam2 = problem.modes()[1].eigenvalue
         on_segment = 0.1 * problem.modes()[1].eigenfunction.values
         with pytest.raises(SingularJacobian):
@@ -343,7 +347,7 @@ class TestBatchedOracle:
         endings = [_ending(end) for end in stacked]
         assert endings[4] == "singular"
         assert endings.count("converged") >= 3
-        assert {"singular", "iterations"} <= set(endings[:4] + endings[5:])
+        assert {"singular", "last step"} <= set(endings[:4] + endings[5:])
         for got, want in zip(stacked[:4] + stacked[5:], alone):
             _assert_same_end(got, want)
 
@@ -378,6 +382,98 @@ class TestBatchedOracle:
         want = count_solutions(problem, a, c, 60, 0)
         monkeypatch.setattr(diagram_mod, "_CHUNK", chunk)
         _assert_bit_identical(count_solutions(problem, a, c, 60, 0).members, want.members)
+
+
+class TestDampedNewton:
+    """The line search and the residual precision phases of _newton_rows,
+    the damped Newton behind newton_solve and count_solutions."""
+
+    def test_stalled_start_spends_few_residual_rows(self, problem, eigs, monkeypatch):
+        """Above the top fold of the window nothing converges: the starts
+        stall, most at the fold's residual minimum (sup norm about 0.105).
+        Halving would take 20 cuts from a full step to ARMIJO_MIN_STEP, about
+        98 residual rows per start here; quadratic backtracking cuts by up to
+        a factor of 10 and spends about 28."""
+        rows = []
+        original = Problem.residual_values
+
+        def counting(self, u, a, c):
+            rows.append(len(u))
+            return original(self, u, a, c)
+
+        monkeypatch.setattr(Problem, "residual_values", counting)
+        a = eigs[1] + 0.5 * DELTA_WINDOW
+        seeds = diagram_mod._multistart_seeds(problem, a, 100, 0)
+        ends = _newton_rows(problem, seeds, a, C_FOLD_WINDOW + 0.5, COUNT_MAX_ITER)
+        assert {_ending(end) for end in ends} == {"stalled"}
+        assert np.median([end.residual_norm for end in ends]) == pytest.approx(0.105, abs=0.005)
+        assert sum(rows) / len(seeds) < 40
+
+    @pytest.mark.parametrize("level", ["stalls", "degenerate"])
+    def test_no_nonconvergence_below_the_tolerance(self, problem, level):
+        """The iterate of the last allowed step is tested like any other: at
+        the second eigenvalue with c = 0, starts that converge linearly next
+        to the degenerate segment reach the tolerance only on that step, and
+        they end converged. No start is reported as not converged with a
+        residual below NEWTON_TOL."""
+        a, c, _ = _oracle_level(problem, level)
+        seeds = diagram_mod._multistart_seeds(problem, a, 400, 0)
+        ends = [end for lo in range(0, len(seeds), 32)
+                for end in _newton_rows(problem, seeds[lo:lo + 32], a, c, COUNT_MAX_ITER)]
+        failed = [end for end in ends if isinstance(end, NonConvergence)]
+        assert all(end.residual_norm >= NEWTON_TOL for end in failed)
+        if level == "degenerate":
+            assert Counter(map(_ending, ends))["last step"] >= 10
+
+    @pytest.mark.parametrize("n", [99, 399, 1599])
+    def test_float64_residual_is_exact_enough(self, n):
+        """At the converged members of the README count, the float64 and the
+        long-double residual of the same field differ by less than
+        NEWTON_TOL / 10. The float64 phase evaluates the float64 rounding of
+        a long-double iterate; that rounding moves the residual by at most
+        about (4 / h^2) ulp(|u|) / 2, which stays a hundred times below the
+        switch FLOAT64_PHASE_TOL."""
+        problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        a, c = 40.0, -0.005
+        members = count_solutions(problem, a, c, 50, 0).members
+        assert len(members) == 4
+        rng = np.random.default_rng(0)
+        for m in members:
+            u = m.u.values
+            f64 = problem.residual_values(u, a, c)
+            gap = np.max(np.abs(f64 - problem.residual_values(u.astype(np.longdouble), a, c)))
+            assert gap < NEWTON_TOL / 10
+            # a long-double field whose float64 rounding is u
+            v = u.astype(np.longdouble) + (
+                rng.uniform(-0.49, 0.49, n) * np.spacing(u)
+            ).astype(np.longdouble)
+            assert np.array_equal(v.astype(float), u)
+            gap = np.max(np.abs(f64 - problem.residual_values(v, a, c)))
+            assert gap < FLOAT64_PHASE_TOL / 100
+
+    def test_reported_residuals_are_long_double(self, problem, monkeypatch):
+        """Residuals above FLOAT64_PHASE_TOL are evaluated in float64, and
+        every converged entry's residual, like every history entry at or
+        below the switch, is the sup norm of a long-double evaluation."""
+        norms = {np.dtype(float): set(), np.dtype(np.longdouble): set()}
+        original = Problem.residual_values
+
+        def recording(self, u, a, c):
+            r = original(self, u, a, c)
+            norms[r.dtype].update(np.max(np.abs(r), axis=-1).astype(float).ravel().tolist())
+            return r
+
+        monkeypatch.setattr(Problem, "residual_values", recording)
+        seeds = diagram_mod._multistart_seeds(problem, 40.0, 100, 0)
+        ends = _newton_rows(problem, seeds, 40.0, -0.005, COUNT_MAX_ITER)
+        converged = [end for end in ends if not isinstance(end, Exception)]
+        assert len(converged) >= 50
+        f64, ld = norms[np.dtype(float)], norms[np.dtype(np.longdouble)]
+        for u64, rnorm, history in converged:
+            assert rnorm < NEWTON_TOL
+            assert rnorm in ld
+            assert all(x in ld for x in history if x <= FLOAT64_PHASE_TOL)
+            assert all(x in f64 for x in history if x > FLOAT64_PHASE_TOL)
 
 
 class TestAssembly:

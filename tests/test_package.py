@@ -7,7 +7,7 @@ import bifurcate
 FIXED_SETTINGS = {
     "tol", "k_eigs", "min_step", "dt0", "min_dt", "max_dt", "eps_seed", "eps_t",
     "n_check", "max_iter", "span", "dedup", "match_tol", "offset", "amplitude",
-    "growth", "decay",
+    "growth", "decay", "float64_phase_tol",
 }
 # The arclength tracer's first step and ceiling stay options of it alone.
 TRACER_ONLY = {"max_step", "step0"}

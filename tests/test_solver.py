@@ -12,6 +12,8 @@ from bifurcate.grid import (
 )
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 from bifurcate.solver import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     Diverged,
     NonConvergence,
     Problem,
@@ -152,28 +154,44 @@ def test_newton_singular_at_eigenvalue(problem, domain):
 
 
 def test_newton_nonconvergence_paths(problem, domain, modes):
-    """Both NonConvergence endings, pinned to the values the separate
-    single-start loop gave: its message, residual and float64 last iterate
-    (sup norm and a sha256 prefix of its bytes)."""
+    """Both NonConvergence endings, pinned to the values the quadratic
+    backtracking of _newton_rows gives: the message, residual and float64
+    last iterate (sup norm and a sha256 prefix of its bytes)."""
     # an iteration cap of 2 stops the climb from 3 phi short of the state
     phi = modes[0].eigenfunction.values
     (end,) = _newton_rows(problem, [3 * phi], A_REF, 0.0, 2)
     assert isinstance(end, NonConvergence)
-    assert str(end) == "no convergence in 2 iterations (residual 3.888e-02)"
-    assert end.residual_norm == 0.038883377382831194
+    assert str(end) == "no convergence in 2 iterations (residual 7.126e+00)"
+    assert end.residual_norm == 7.1258712774596376
     last = end.last_iterate
     assert (last.dtype, last.shape) == (np.float64, (399,))
-    assert float(np.max(np.abs(last))) == 3.926673526990311
-    assert _sha16(last) == "2d0f804fdf555c26"
+    assert float(np.max(np.abs(last))) == 4.185293742556032
+    assert _sha16(last) == "3471bfbc6beaac85"
     # far beyond the fold there is nothing to converge to
     with pytest.raises(NonConvergence) as info:
         newton_solve(problem, DiscreteField.zero(domain), A_REF, 1e3)
-    assert str(info.value) == "line search stalled at residual 1.215e+02"
-    assert info.value.residual_norm == 121.51656996664654
+    assert str(info.value) == "line search stalled at residual 1.250e+02"
+    assert info.value.residual_norm == 125.01431512489046
     last = info.value.last_iterate
     assert (last.dtype, last.shape) == (np.float64, (399,))
-    assert float(np.max(np.abs(last))) == 2.756703207634248
-    assert _sha16(last) == "02dad3f139a90d87"
+    assert float(np.max(np.abs(last))) == 2.5328466817069377
+    assert _sha16(last) == "c3ad57415060f6a5"
+
+
+def test_last_allowed_step_is_tested(problem, modes):
+    """A start that reaches the tolerance on its last allowed step is
+    converged, with the entry a larger cap gives it; one step fewer leaves it
+    out of iterations above the tolerance."""
+    phi = modes[0].eigenfunction.values
+    (want,) = _newton_rows(problem, [3 * phi], A_REF, 0.0, NEWTON_MAX_ITER)
+    steps = len(want[2]) - 1
+    (got,) = _newton_rows(problem, [3 * phi], A_REF, 0.0, steps)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    (short,) = _newton_rows(problem, [3 * phi], A_REF, 0.0, steps - 1)
+    assert isinstance(short, NonConvergence)
+    assert str(short).startswith(f"no convergence in {steps - 1} iterations")
+    assert short.residual_norm == want[2][-2] >= NEWTON_TOL
 
 
 def test_newton_deterministic(problem, domain, modes):
