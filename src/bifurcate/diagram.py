@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DiscreteField, exact_mode_longdouble
-from .model import critical_cap, eval_nonlinearity
+from .model import critical_cap, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
     NEWTON_TOL,
@@ -138,8 +138,10 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
 
 
 # Starts per batched Newton solve in count_solutions. Larger chunks cut the
-# per-iteration interpreter overhead further but grow the working set; 32
-# keeps peak memory within a few MB of the one-start-at-a-time loop.
+# per-iteration interpreter overhead further but grow the working set; with
+# 32, the arrays of a 400-start count peak 2.6 MB above those of the
+# one-start-at-a-time loop at n = 399 (4.1 against 1.4 MB) and 10.9 MB
+# above at n = 1599 (16.5 against 5.6 MB), measured with tracemalloc.
 _CHUNK = 32
 
 
@@ -1008,7 +1010,7 @@ def _check_stable_sheet(diagram):
     ))
 
     def superharmonic_margin(p):
-        f = eval_nonlinearity(problem.nonlinearity, p.u.values)[0]
+        f = ramp_values(problem.nonlinearity, p.u.values)
         return float(np.min(diagram.a * p.u.values - f - p.c * problem.harvest.values))
 
     near = [p for p in pts if abs(p.c) <= 0.01]

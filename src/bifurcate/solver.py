@@ -40,8 +40,8 @@ FOLD_MAX_ITER = 16
 #: or more raises InsufficientSpectrum.
 K_EIGS = 3
 ARMIJO_MIN_STEP = 2.0**-20
-#: Residual sup norm above which a Newton row evaluates its trial residuals
-#: in float64 (see _newton_rows); at or below it, in long double.
+#: Residual sup norm above which a Newton row iterates in float64 (see
+#: _newton_rows); from the first accepted step at or below it, in long double.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 
@@ -261,27 +261,6 @@ def classify_state(
     )
 
 
-def _residual_rows(problem: Problem, u, a: float, c: float, cheap):
-    """Residuals of the long-double rows u at (a, c) and their sup norms.
-
-    The rows where cheap is set are evaluated in float64, about eight times
-    cheaper; a float64 norm at or below FLOAT64_PHASE_TOL is measured again
-    in long double with the other rows. So every norm at or below the
-    switch, where the convergence test and converged residuals live, is a
-    long-double one.
-    """
-    r = np.empty_like(u)
-    norm = np.zeros(len(u))
-    if cheap.any():
-        r[cheap] = problem.residual_values(u[cheap].astype(float), a, c)
-        norm[cheap] = np.max(np.abs(r[cheap]), axis=1)
-    exact = ~cheap | (norm <= FLOAT64_PHASE_TOL)
-    if exact.any():
-        r[exact] = problem.residual_values(u[exact], a, c)
-        norm[exact] = np.max(np.abs(r[exact]), axis=1)
-    return r, norm
-
-
 def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     """Damped Newton from each of a stack of start fields at fixed (a, c).
 
@@ -300,65 +279,107 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     SingularJacobian; the iterate of the last allowed step is tested like
     any other.
 
-    Precision: the working iterates are kept in long double while
-    corrections are solved through the float64 factorization: a float64
-    vector of amplitude ~4 cannot represent the steady state to better than
-    a ~1e-10 sup-norm defect at this stencil scale, so a pure float64
-    iteration can stall right at NEWTON_TOL. Residuals have two phases per
-    row (_residual_rows): while the row's residual norm is above
-    FLOAT64_PHASE_TOL they are evaluated in float64 on the float64 rounding
-    of the iterate; from there on in long double.
-    The rounding moves the residual by up to (4 / h^2) ulp(|u|) / 2, about
-    2e-10 at n = 399 and 4e-9 at n = 1599: far below the switch, so the
-    line search is not misled, but a step taken from a float64 residual
-    lands no closer than that, and the last steps are taken in long double.
+    Precision: two stages of one loop (_newton_stage), both solving their
+    corrections through the float64 factorization at the float64 iterate.
+    A start whose residual norm is above FLOAT64_PHASE_TOL begins in the
+    float64 stage, which holds its iterate, residual and step in float64. A
+    trial whose float64 norm is at or below the switch is measured again in
+    long double, on the exact long-double promotion of the float64 trial,
+    and the Armijo test decides on that norm; once such a trial is accepted
+    the row leaves for the long-double stage with its promoted iterate,
+    long-double residual, history and iteration count. A start already at
+    or below the switch begins there. The split is forced by the stencil: a
+    float64 vector of amplitude ~4 cannot represent the steady state to
+    better than a (4 / h^2) ulp(|u|) / 2 sup-norm defect, about 2e-10 at
+    n = 399 and 4e-9 at n = 1599, far below the switch but at or above
+    NEWTON_TOL, so a pure float64 iteration stalls right at the tolerance.
     The convergence test, and the residual and history entries at or below
-    the switch, are long double; a NonConvergence that ends above the switch
-    carries a float64 norm.
+    the switch, are long double; a NonConvergence that ends in the float64
+    stage carries a float64 norm. COUNT_MAX_ITER and NEWTON_MAX_ITER count
+    the iterations of both stages.
 
-    All rows share each residual evaluation of their phase over the
-    (rows, n) stack and one gttrf/gttrs over the block-diagonal stack of
-    their float64 Jacobians; the zero seam couplings keep every block's
-    pivots and solution those of the block alone, and each row has its own
-    step length, so each row ends exactly as it does alone.
+    All rows of a stage share each residual evaluation over the (rows, n)
+    stack and one gttrf/gttrs over the block-diagonal stack of their float64
+    Jacobians; the zero seam couplings keep every block's pivots and
+    solution those of the block alone, and each row has its own step length
+    and iteration count, so each row ends exactly as it does alone.
 
     Returns one entry per start, in start order: (float64 iterate, residual
     norm, residual history) for a start that converged, else the
     SingularJacobian or NonConvergence that ended it.
     """
     ld = np.longdouble
+    u = np.array(starts, dtype=float)
+    r = problem.residual_values(u, a, c)
+    rnorm = _row_norms(r)
+    out: list = [None] * len(u)
+    near = rnorm <= FLOAT64_PHASE_TOL
+    u_near = u[near].astype(ld)
+    r_near = problem.residual_values(u_near, a, c)
+    handed = [
+        (i, v, rv, x, [x], 0) for i, v, rv, x in
+        zip(np.flatnonzero(near), u_near, r_near, _row_norms(r_near).tolist())
+    ]
+    rows = [(i, u[i], r[i], x, [x], 0) for i, x in zip(np.flatnonzero(~near),
+                                                        rnorm[~near].tolist())]
+    # each stage stacks its rows into arrays of its own; dropping these names
+    # lets the stacked copies be the only ones alive
+    del u, r, u_near, r_near
+    handed += _newton_stage(problem, a, c, max_iter, out, rows)
+    handed.sort(key=lambda row: row[0])
+    _newton_stage(problem, a, c, max_iter, out, handed)
+    return out
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """Sup norm of each row of r, as float64."""
+    return np.max(np.abs(r), axis=1).astype(float, copy=False)
+
+
+def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entries):
+    """The loop of _newton_rows over one stage, in the dtype of its iterates:
+    float64 or long double.
+
+    entries lists the stage's rows in start order, each as (start index,
+    iterate, residual, residual norm, history, iterations taken); the list
+    is emptied once the rows are stacked, so that only the stacked copies
+    stay alive. Each row that ends here gets its entry in out. The float64
+    stage returns the rows it hands to the long-double stage, in the same
+    form; the long-double stage hands none on.
+    """
+    if not entries:
+        return []
+    index, u, r, rnorm, history, iters = zip(*entries)
+    entries.clear()
+    rows, u, r = np.array(index), np.stack(u), np.stack(r)
+    rnorm, history, iters = np.array(rnorm), list(history), np.array(iters)
+    ld = np.longdouble
+    wide = u.dtype == ld
     n = problem.domain.n_interior
     lap = problem.laplacian
     pad = np.concatenate(([0.0], np.abs(lap.off)))
     pad2 = np.concatenate((np.abs(lap.off), [0.0]))
     # off-diagonal of a block-diagonal stack of k Jacobians: its first
     # k n - 1 entries, each block's couplings followed by a zero seam
-    seams = np.tile(np.append(lap.off, 0.0), len(starts))
+    seams = np.tile(np.append(lap.off, 0.0), len(rows))
+    handed = []
 
-    out: list = [None] * len(starts)
-    rows = np.arange(len(starts))
-    u = np.asarray(starts, dtype=float).astype(ld)
-    r, rnorm = _residual_rows(problem, u, a, c, np.ones(len(u), dtype=bool))
-    history = [[x] for x in rnorm.tolist()]
-
-    for it in range(max_iter + 1):
-        if not rows.size:
-            break
-        u64 = u.astype(float)
+    while rows.size:
+        u64 = u.astype(float) if wide else u
         diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
         threshold = _pivot_threshold(problem, np.max(np.abs(diag) + pad + pad2, axis=1))
         fac = TridiagonalFactor(diag.ravel(), seams[:diag.size - 1])
         pivots = fac.block_min_pivots(len(diag))
         sound = pivots >= threshold
         converged = rnorm < NEWTON_TOL
-        out_of_steps = it == max_iter
+        out_of_steps = iters == max_iter
         leaving = ~sound | converged | out_of_steps
-        rhs = (-r).astype(float)
+        rhs = (-r).astype(float, copy=False)
         if sound.all():
             delta = fac.solve(rhs.ravel()).reshape(rhs.shape)
         if leaving.any():
             for i in np.flatnonzero(leaving):
-                if out_of_steps and not converged[i]:
+                if out_of_steps[i] and not converged[i]:
                     out[rows[i]] = NonConvergence(
                         f"no convergence in {max_iter} iterations "
                         f"(residual {rnorm[i]:.3e})",
@@ -370,7 +391,7 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
                 else:
                     out[rows[i]] = SingularJacobian(float(pivots[i]), float(threshold[i]))
             go = np.flatnonzero(~leaving)
-            rows, u, u64, r, rnorm = rows[go], u[go], u64[go], r[go], rnorm[go]
+            rows, u, r, rnorm, iters = rows[go], u[go], r[go], rnorm[go], iters[go]
             history = [history[i] for i in go]
             if not go.size:
                 break
@@ -382,17 +403,25 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
                 delta = TridiagonalFactor(
                     diag[go].ravel(), seams[:go.size * n - 1]
                 ).solve(rhs[go].ravel()).reshape(len(go), n)
-        delta = delta.astype(ld)
+        delta = delta.astype(u.dtype, copy=False)
 
         step = np.ones(len(rows))
         searching = np.arange(len(rows))
+        switch = {}
         while searching.size:
             s, f0 = step[searching], rnorm[searching]
-            u_trial = u[searching] + s.astype(ld)[:, None] * delta[searching]
-            r_trial, f_trial = _residual_rows(
-                problem, u_trial, a, c, f0 > FLOAT64_PHASE_TOL
-            )
+            u_trial = u[searching] + s.astype(u.dtype)[:, None] * delta[searching]
+            r_trial = problem.residual_values(u_trial, a, c)
+            f_trial = _row_norms(r_trial)
+            near = [] if wide else np.flatnonzero(f_trial <= FLOAT64_PHASE_TOL)
+            if len(near):
+                promoted = u_trial[near].astype(ld)
+                r_promoted = problem.residual_values(promoted, a, c)
+                f_trial[near] = _row_norms(r_promoted)
             accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
+            for j, k in enumerate(near):
+                if accept[k]:
+                    switch[searching[k]] = (promoted[j], r_promoted[j])
             moved = searching[accept]
             u[moved], r[moved], rnorm[moved] = (
                 u_trial[accept], r_trial[accept], f_trial[accept]
@@ -403,21 +432,25 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
             q = (f_trial - f0 + s * f0) / s**2
             step[searching] = np.minimum(np.fmax(f0 / (2.0 * q), 0.1 * s), 0.5 * s)
             searching = searching[step[searching] >= ARMIJO_MIN_STEP]
-        stalled = step < ARMIJO_MIN_STEP
-        if stalled.any():
-            for i in np.flatnonzero(stalled):
-                out[rows[i]] = NonConvergence(
-                    f"line search stalled at residual {rnorm[i]:.3e}",
-                    u64[i],
-                    float(rnorm[i]),
-                )
-            keep = ~stalled
-            rows, u, r, rnorm = rows[keep], u[keep], r[keep], rnorm[keep]
-            history = [h for h, k in zip(history, keep) if k]
+        iters += 1
         for h, x in zip(history, rnorm.tolist()):
             h.append(x)
+        stalled = step < ARMIJO_MIN_STEP
+        for i in np.flatnonzero(stalled):
+            out[rows[i]] = NonConvergence(
+                f"line search stalled at residual {rnorm[i]:.3e}",
+                u[i].astype(float),
+                float(rnorm[i]),
+            )
+        for i, (v, rv) in switch.items():
+            handed.append((rows[i], v, rv, rnorm[i], history[i], iters[i]))
+        keep = ~stalled
+        keep[list(switch)] = False
+        if not keep.all():
+            rows, u, r, rnorm, iters = rows[keep], u[keep], r[keep], rnorm[keep], iters[keep]
+            history = [h for h, k in zip(history, keep) if k]
 
-    return out
+    return handed
 
 
 def newton_solve(

@@ -361,6 +361,38 @@ class TestBatchedOracle:
         assert outcomes["singular"] >= 2
         _assert_bit_identical(count_solutions(problem, lam2, 0.0, 60, 0).members, want)
 
+    def test_precision_stages_mixed_in_one_stack(self, problem):
+        """One stack at a = lambda2, c = -1 holds rows on every path through
+        the two precision stages of _newton_rows: a member perturbed by 1e-8
+        starts in the long-double stage, most starts are handed to it
+        part-way, some stall in the float64 stage, and the start on the
+        degenerate segment of test_degenerate_start_dropped_alone meets a
+        singular Jacobian (c does not enter the Jacobian). Each row gets the
+        entry it gets alone."""
+        lam2 = problem.modes()[1].eigenvalue
+        psi = problem.modes()[1].eigenfunction.values
+        c = -1.0
+        seeds = diagram_mod._multistart_seeds(problem, lam2, 16, 0)
+        member = next(end[0] for end in _newton_rows(problem, seeds, lam2, c, COUNT_MAX_ITER)
+                      if not isinstance(end, Exception))
+        near = member + 1e-8 * psi / np.max(np.abs(psi))
+        assert np.max(np.abs(problem.residual_values(near, lam2, c))) <= FLOAT64_PHASE_TOL
+        mixed = seeds[:8] + [near] + seeds[8:] + [0.1 * psi]
+        stacked = _assert_ends_as_alone(problem, mixed, lam2, c, COUNT_MAX_ITER)
+        endings = [_ending(end) for end in stacked]
+        assert endings[8] == "converged"
+        assert all(x <= FLOAT64_PHASE_TOL for x in stacked[8][2])
+        assert endings[-1] == "singular"
+        assert endings.count("stalled") >= 2
+        # handed off part-way: long-double steps follow the first history
+        # entry at or below the switch
+        handoffs = [
+            [x <= FLOAT64_PHASE_TOL for x in end[2]].index(True)
+            for end in stacked if not isinstance(end, Exception)
+        ]
+        lengths = [len(end[2]) for end in stacked if not isinstance(end, Exception)]
+        assert sum(0 < k < m - 1 for k, m in zip(handoffs, lengths)) >= 5
+
     def test_classifies_only_survivors(self, problem, eigs, monkeypatch):
         spectra = []
         original = spectral_mod.linearized_spectrum
@@ -385,8 +417,8 @@ class TestBatchedOracle:
 
 
 class TestDampedNewton:
-    """The line search and the residual precision phases of _newton_rows,
-    the damped Newton behind newton_solve and count_solutions."""
+    """The line search and the float64 and long-double stages of
+    _newton_rows, the damped Newton behind newton_solve and count_solutions."""
 
     def test_stalled_start_spends_few_residual_rows(self, problem, eigs, monkeypatch):
         """Above the top fold of the window nothing converges: the starts
@@ -425,14 +457,40 @@ class TestDampedNewton:
         if level == "degenerate":
             assert Counter(map(_ending, ends))["last step"] >= 10
 
+    def test_handoff_on_the_last_allowed_step(self, problem):
+        """A row handed to the long-double stage on its last allowed step is
+        tested there before its iterations run out, as in
+        test_last_allowed_step_is_tested. At the README level, start 12
+        converges on the step that hands it off and start 3 one step later;
+        with a cap at that step, start 12 keeps the entry a larger cap gives
+        it and start 3 ends out of iterations at the long-double residual
+        of its handoff, converging with one more step allowed."""
+        seeds = diagram_mod._multistart_seeds(problem, 40.0, 16, 0)
+        late, direct = seeds[3], seeds[12]
+        want = [_newton_rows(problem, [u0], 40.0, -0.005, COUNT_MAX_ITER)[0]
+                for u0 in (late, direct)]
+        step = len(want[1][2]) - 1
+        assert want[1][2][-2] > FLOAT64_PHASE_TOL
+        assert len(want[0][2]) == step + 2
+        assert want[0][2][step - 1] > FLOAT64_PHASE_TOL >= want[0][2][step] >= NEWTON_TOL
+        short, got = _assert_ends_as_alone(problem, [late, direct], 40.0, -0.005, step)
+        _assert_same_end(got, want[1])
+        assert isinstance(short, NonConvergence)
+        assert str(short).startswith(f"no convergence in {step} iterations")
+        assert short.residual_norm == want[0][2][step]
+        (got,) = _newton_rows(problem, [late], 40.0, -0.005, step + 1)
+        _assert_same_end(got, want[0])
+
     @pytest.mark.parametrize("n", [99, 399, 1599])
     def test_float64_residual_is_exact_enough(self, n):
         """At the converged members of the README count, the float64 and the
         long-double residual of the same field differ by less than
-        NEWTON_TOL / 10. The float64 phase evaluates the float64 rounding of
-        a long-double iterate; that rounding moves the residual by at most
+        NEWTON_TOL / 10, so the float64 stage's test of a trial against the
+        switch FLOAT64_PHASE_TOL is not misled. The float64 stage iterates on
+        float64 fields, which sit up to half an ulp from the long-double
+        field they stand for; that rounding moves the residual by at most
         about (4 / h^2) ulp(|u|) / 2, which stays a hundred times below the
-        switch FLOAT64_PHASE_TOL."""
+        switch, so float64 iterates can reach it."""
         problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         a, c = 40.0, -0.005
         members = count_solutions(problem, a, c, 50, 0).members
