@@ -782,7 +782,7 @@ def _doc(cfg: RunConfig, **extra) -> dict:
     return doc
 
 
-def _cmd_check_hypotheses(problem, cfg, outdir, force):
+def _cmd_check_hypotheses(problem, cfg, outdir):
     run = cfg.run
     report = check_hypotheses(
         problem.nonlinearity, problem.harvest_spec, problem.domain,
@@ -821,7 +821,7 @@ def _gate(problem, cfg, force) -> None:
     )
 
 
-def _cmd_continue(problem, cfg, outdir, force):
+def _cmd_continue(problem, cfg, outdir):
     run = cfg.run
     a = float(_require(cfg, "a"))
     window = tuple(run["c_range"]) if run["c_range"] else (run["c_min"], 1e6)
@@ -850,7 +850,7 @@ def _cmd_continue(problem, cfg, outdir, force):
     return 0
 
 
-def _cmd_fold_curve(problem, cfg, outdir, force):
+def _cmd_fold_curve(problem, cfg, outdir):
     run = cfg.run
     a_range = run["a_range"]
     if not a_range:
@@ -877,7 +877,7 @@ def _cmd_fold_curve(problem, cfg, outdir, force):
     return 0
 
 
-def _cmd_dsigma_curve(problem, cfg, outdir, force):
+def _cmd_dsigma_curve(problem, cfg, outdir):
     run = cfg.run
     curve = trace_index1_degenerate_curve(problem, sigma=float(run["sigma"]))
     if "csv" in cfg.output["formats"]:
@@ -891,7 +891,7 @@ def _cmd_dsigma_curve(problem, cfg, outdir, force):
     return 0
 
 
-def _cmd_czero_branch(problem, cfg, outdir, force):
+def _cmd_czero_branch(problem, cfg, outdir):
     run = cfg.run
     a_range = run["a_range"]
     if not a_range:
@@ -910,7 +910,7 @@ def _cmd_czero_branch(problem, cfg, outdir, force):
     return 0
 
 
-def _cmd_diagram(problem, cfg, outdir, force):
+def _cmd_diagram(problem, cfg, outdir):
     run = cfg.run
     a = float(_require(cfg, "a"))
     status = 0
@@ -933,7 +933,7 @@ def _cmd_diagram(problem, cfg, outdir, force):
     return status
 
 
-def _cmd_verify(problem, cfg, outdir, force):
+def _cmd_verify(problem, cfg, outdir):
     run = cfg.run
     a = float(_require(cfg, "a"))
     diagram = assemble_diagram(problem, a, c_min=run["c_min"])
@@ -956,7 +956,7 @@ def _cmd_verify(problem, cfg, outdir, force):
     return 0 if (report.passed and regime_ok) else 2
 
 
-def _cmd_count(problem, cfg, outdir, force):
+def _cmd_count(problem, cfg, outdir):
     run = cfg.run
     a = float(_require(cfg, "a"))
     c = float(_require(cfg, "c"))
@@ -1027,7 +1027,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         if args.command != "check-hypotheses":
             _gate(problem, cfg, args.force)
-        return _HANDLERS[args.command](problem, cfg, outdir, args.force)
+        return _HANDLERS[args.command](problem, cfg, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

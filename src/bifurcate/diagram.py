@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField, exact_mode_longdouble
+from .grid import DiscreteField, exact_mode_longdouble, laplacian_eigenpairs
 from .model import critical_cap, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
@@ -113,8 +113,6 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
     """Deterministic start fields: zero, +-span times each of the first two
     modes, then random low-frequency combinations. span is twice the
     critical cap K_a for a > 0."""
-    from .grid import laplacian_eigenpairs
-
     dom = problem.domain
     if a > 0:
         span = 2.0 * critical_cap(problem.nonlinearity, a)

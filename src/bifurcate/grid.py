@@ -1,10 +1,14 @@
 """Interval discretization: uniform grid, Dirichlet Laplacian, quadrature,
-Laplacian eigenpairs.
+Laplacian eigenpairs and symmetric tridiagonal eigensolvers.
 
 Everything downstream (Newton solves, spectra, continuation) works on the
 interior nodes of a uniform grid over (0, length) with homogeneous Dirichlet
 boundary values. Boundary nodes are never stored; the stencils and the
 quadrature rule account for the implicit zeros.
+
+The Laplacian's eigenpairs come from their closed form
+(exact_mode_longdouble), never from an eigensolve; the eigensolvers serve
+the linearizations of the spectral module.
 """
 
 from __future__ import annotations
@@ -168,10 +172,7 @@ class LinearOperatorBanded:
         object.__setattr__(self, "off", off)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        out = self.diag * values
-        out[:-1] += self.off * values[1:]
-        out[1:] += self.off * values[:-1]
-        return out
+        return _tridiagonal_apply(self.diag, self.off, values)
 
     def apply_field(self, f: DiscreteField) -> DiscreteField:
         if f.domain != self.domain:
@@ -189,11 +190,27 @@ class LinearOperatorBanded:
         return TridiagonalFactor(self.diag, self.off)
 
     def norm_inf(self) -> float:
-        rows = np.abs(self.diag)
-        off = np.abs(self.off)
-        rows[1:] += off
-        rows[:-1] += off
-        return float(np.max(rows))
+        return float(np.max(_row_abs_sums(self.diag, self.off)))
+
+
+def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (diag, off) times v, in the dtype the
+    operands promote to."""
+    out = diag * v
+    out[:-1] += off * v[1:]
+    out[1:] += off * v[:-1]
+    return out
+
+
+def _row_abs_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Absolute row sums of the symmetric tridiagonal matrix (diag, off),
+    row by row along the last axis of diag: a stack of diagonals shares the
+    one off-diagonal. Their maximum is the matrix's infinity norm."""
+    rows = np.abs(diag)
+    off = np.abs(off)
+    rows[..., 1:] += off
+    rows[..., :-1] += off
+    return rows
 
 
 #: Largest condition estimate of J (norm of J times the growth of J^{-1} over
@@ -313,16 +330,6 @@ def renormalize_l2(f: DiscreteField, target: float = 1.0) -> DiscreteField:
     return DiscreteField(f.domain, f.values * (target / norm))
 
 
-def dirichlet_eigenvalue_exact(domain: DiscreteDomain, k: int) -> float:
-    """Closed-form k-th eigenvalue of the discrete -Laplacian.
-
-    (2/h^2)(1 - cos(k pi h / L)), evaluated in the cancellation-free form
-    (4/h^2) sin^2(k pi h / (2L)); the naive form loses ~5 digits at n ~ 400.
-    """
-    h = domain.spacing
-    return (4.0 / h**2) * float(np.sin(k * np.pi * h / (2.0 * domain.length)) ** 2)
-
-
 def exact_mode_longdouble(domain: DiscreteDomain, k: int):
     """Closed-form k-th eigenpair of the discrete -Laplacian in long double.
 
@@ -352,9 +359,7 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray, vecs) -> np.ndarray:
     out = []
     for vec in vecs:
         v = vec.astype(np.longdouble)
-        av = d * v
-        av[:-1] += e * v[1:]
-        av[1:] += e * v[:-1]
+        av = _tridiagonal_apply(d, e, v)
         out.append(float((v @ av) / (v @ v)))
     return np.array(out)
 
@@ -415,9 +420,7 @@ def track_tridiagonal_eigenpairs(
     rtol = np.sqrt(n) * eps_a
 
     def quotient_and_residual(v):
-        av = diag * v
-        av[:-1] += off * v[1:]
-        av[1:] += off * v[:-1]
+        av = _tridiagonal_apply(diag, off, v)
         sigma = float(v @ av)
         return sigma, np.linalg.norm(av - sigma * v)
 
@@ -456,42 +459,32 @@ def track_tridiagonal_eigenpairs(
 def laplacian_eigenpairs(
     domain: DiscreteDomain, k: int, harvest: DiscreteField | None = None
 ) -> list[EigenPair]:
-    """k smallest eigenpairs of -Laplacian, max-normalized.
+    """k smallest eigenpairs of -Laplacian, max-normalized: the closed form
+    of exact_mode_longdouble rounded to float64, with no eigensolve.
 
     Sign conventions: the first eigenfunction is positive. When a harvest
     field is supplied, the second eigenfunction's sign is fixed so that its
     harvest-weighted integral is negative (the orientation every
     second-eigenvalue formula downstream assumes); if that integral vanishes
-    the pair is flagged sign_ambiguous instead. Higher modes get a positive
-    first node.
+    the pair is flagged sign_ambiguous instead. Higher modes, and the second
+    without a harvest, get a positive first node.
     """
-    h2 = domain.spacing**2
     n = domain.n_interior
-    vals, vecs = symmetric_tridiagonal_eigenpairs(
-        np.full(n, 2.0 / h2), np.full(n - 1, -1.0 / h2), k
-    )
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range 1..{n}")
     pairs: list[EigenPair] = []
-    for j in range(k):
-        v = vecs[j].copy()
+    for j in range(1, k + 1):
+        lam, mode = exact_mode_longdouble(domain, j)
+        v = mode.astype(float)  # positive first node, so mode 1 is positive
         ambiguous = False
-        if j == 0:
-            if v[np.argmax(np.abs(v))] < 0:
-                v = -v
-        elif j == 1 and harvest is not None:
+        if j == 2 and harvest is not None:
             weighted = domain.inner(harvest.values, v)
             if abs(weighted) <= 1e-12 * domain.l2_norm(v) * max(
                 1.0, domain.l2_norm(harvest.values)
             ):
                 ambiguous = True
-                if v[0] < 0:
-                    v = -v
             elif weighted > 0:
                 v = -v
-        else:
-            if v[0] < 0:
-                v = -v
         v /= np.max(v)
-        pairs.append(
-            EigenPair(float(vals[j]), DiscreteField(domain, v), ambiguous)
-        )
+        pairs.append(EigenPair(float(lam), DiscreteField(domain, v), ambiguous))
     return pairs

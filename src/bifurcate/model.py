@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .grid import DiscreteDomain, DiscreteField, dirichlet_eigenvalue_exact, laplacian_eigenpairs
+from .grid import DiscreteDomain, DiscreteField, laplacian_eigenpairs
 
 HARVEST_PROFILES = ("bump", "constant", "sine")
 
@@ -64,14 +64,17 @@ def ramp_values(nl: Nonlinearity, u) -> np.ndarray:
     """f alone, ((u - M)+)^p_f, for array u of any shape.
 
     The residual needs no derivatives; this is the f of eval_nonlinearity
-    without computing f' and f'' alongside it. The integer power is taken
-    by repeated multiplication: the generic power routine (powl for long
-    double) costs several times as much, and at p_f = 3 the two agreed bit
-    for bit on every long-double sample tested.
+    without computing f' and f'' alongside it.
     """
-    r = _excess(nl, u)
+    return _power(_excess(nl, u), nl.p_f)
+
+
+def _power(r: np.ndarray, p: int) -> np.ndarray:
+    # by repeated multiplication: the generic power routine (powl for long
+    # double) costs several times as much, and at p = 3 the two agreed bit
+    # for bit on every long-double sample tested
     f = r.copy()
-    for _ in range(nl.p_f - 1):
+    for _ in range(p - 1):
         f *= r
     return f
 
@@ -105,7 +108,7 @@ def eval_nonlinearity(nl: Nonlinearity, u):
     """
     r = _excess(nl, u)
     p = nl.p_f
-    f = r**p
+    f = _power(r, p)
     fp = _slope(r, p)
     fpp = _curvature(r, p)
     if np.isscalar(u):
@@ -244,8 +247,11 @@ def check_hypotheses(
     Dirichlet eigenvalue of the grid is used, which is the regime the rest of
     the toolkit revolves around.
     """
+    h = hs.build(domain)
+    hv = h.values
+    pairs = laplacian_eigenpairs(domain, 3, harvest=h)
     if a is None:
-        a = dirichlet_eigenvalue_exact(domain, 2)
+        a = pairs[1].eigenvalue
     cap = critical_cap(nl, a)
     span = 2.0 * max(cap, nl.M + 1.0)
     u = np.linspace(-span, span, 2001)
@@ -292,8 +298,6 @@ def check_hypotheses(
         )
     )
 
-    h = hs.build(domain)
-    hv = h.values
     checks.append(
         HypothesisCheck(
             "a",
@@ -312,7 +316,6 @@ def check_hypotheses(
         )
     )
 
-    pairs = laplacian_eigenpairs(domain, 3, harvest=h)
     phi, psi = pairs[0].eigenfunction, pairs[1].eigenfunction
     h_phi = domain.inner(hv, phi.values)
     checks.append(

@@ -20,7 +20,9 @@ from .grid import (
     DiscreteField,
     LinearOperatorBanded,
     TridiagonalFactor,
+    _row_abs_sums,
     assemble_laplacian,
+    laplacian_eigenpairs,
 )
 from .model import HarvestSpec, Nonlinearity, critical_cap, ramp_slope, ramp_values
 
@@ -136,12 +138,11 @@ class Problem:
         return ProblemState(self, u, a, c)
 
     def modes(self):
-        """First two Laplacian eigenpairs with the harvest sign convention,
-        computed once per problem and cached."""
+        """First two Laplacian eigenpairs, phi and psi, from the closed form
+        with the harvest sign convention (grid.laplacian_eigenpairs), built
+        once per problem and cached."""
         cached = getattr(self, "_modes", None)
         if cached is None:
-            from .grid import laplacian_eigenpairs
-
             cached = tuple(laplacian_eigenpairs(self.domain, 2, harvest=self.harvest))
             object.__setattr__(self, "_modes", cached)
         return cached
@@ -357,8 +358,6 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
     wide = u.dtype == ld
     n = problem.domain.n_interior
     lap = problem.laplacian
-    pad = np.concatenate(([0.0], np.abs(lap.off)))
-    pad2 = np.concatenate((np.abs(lap.off), [0.0]))
     # off-diagonal of a block-diagonal stack of k Jacobians: its first
     # k n - 1 entries, each block's couplings followed by a zero seam
     seams = np.tile(np.append(lap.off, 0.0), len(rows))
@@ -367,7 +366,7 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
     while rows.size:
         u64 = u.astype(float) if wide else u
         diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
-        threshold = _pivot_threshold(problem, np.max(np.abs(diag) + pad + pad2, axis=1))
+        threshold = _pivot_threshold(problem, np.max(_row_abs_sums(diag, lap.off), axis=1))
         fac = TridiagonalFactor(diag.ravel(), seams[:diag.size - 1])
         pivots = fac.block_min_pivots(len(diag))
         sound = pivots >= threshold

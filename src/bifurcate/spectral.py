@@ -8,15 +8,12 @@ Morse index, and degeneracy everywhere else in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .grid import (
-    DiscreteDomain,
     DiscreteField,
     inner_product,
-    laplacian_eigenpairs,
     symmetric_tridiagonal_eigenpairs,
     track_tridiagonal_eigenpairs,
 )
@@ -61,15 +58,6 @@ class SpectrumSlice:
         return self.eigenvalues[1]
 
 
-@lru_cache(maxsize=8)
-def _reference_square_norms(domain: DiscreteDomain) -> tuple[float, float]:
-    pairs = laplacian_eigenpairs(domain, 2)
-    return (
-        inner_product(pairs[0].eigenfunction, pairs[0].eigenfunction),
-        inner_product(pairs[1].eigenfunction, pairs[1].eigenfunction),
-    )
-
-
 def linearized_spectrum(
     state: ProblemState, k: int = 3, prev: SpectrumSlice | None = None
 ) -> SpectrumSlice:
@@ -98,7 +86,8 @@ def linearized_spectrum(
     if pairs is None:
         pairs = symmetric_tridiagonal_eigenpairs(-J.diag, -J.off, k)
     vals, vecs = pairs
-    phi_sq, psi_sq = _reference_square_norms(dom)
+    phi, psi = (p.eigenfunction for p in state.problem.modes())
+    phi_sq, psi_sq = inner_product(phi, phi), inner_product(psi, psi)
     fields = []
     for j in range(k):
         v = vecs[j].copy()

@@ -11,14 +11,18 @@ from bifurcate.grid import (
     TridiagonalFactor,
     assemble_laplacian,
     build_grid,
-    dirichlet_eigenvalue_exact,
     inner_product,
     l2_norm,
     exact_mode_longdouble,
     laplacian_eigenpairs,
     renormalize_l2,
     solve_bordered,
+    symmetric_tridiagonal_eigenpairs,
 )
+from bifurcate import grid as grid_mod
+from bifurcate.diagram import _multistart_seeds
+from bifurcate.model import HarvestSpec, Nonlinearity, check_hypotheses
+from bifurcate.solver import Problem
 
 # Reference values. The sine integrals against x(1-x)^2 have closed forms;
 # the trapezoid error for both happens to be O(h^4) because the integrands'
@@ -103,19 +107,32 @@ def test_inner_product_field_wrapper(domain, harvest_field):
         inner_product(phi, other)
 
 
-def test_eigenvalues_match_closed_form(domain, harvest_field):
-    pairs = laplacian_eigenpairs(domain, 3, harvest=harvest_field)
-    for k, pair in enumerate(pairs, start=1):
-        assert pair.eigenvalue == pytest.approx(
-            dirichlet_eigenvalue_exact(domain, k), abs=1e-10
-        )
+def _laplacian_band_eigenpairs(domain, k):
+    """The k smallest eigenpairs of the -Laplacian band by the numerical
+    eigensolver: the independent reference for the closed form."""
+    h2 = domain.spacing**2
+    n = domain.n_interior
+    return symmetric_tridiagonal_eigenpairs(
+        np.full(n, 2.0 / h2), np.full(n - 1, -1.0 / h2), k
+    )
+
+
+def test_eigenvalues_match_closed_form():
+    for n in (49, 399, 1599):
+        domain = build_grid(n, 1.0)
+        x = domain.nodes
+        harvest = DiscreteField(domain, x * (1 - x) ** 2)
+        pairs = laplacian_eigenpairs(domain, 3, harvest=harvest)
+        vals, _ = _laplacian_band_eigenpairs(domain, 3)
+        for pair, lam in zip(pairs, vals):
+            assert pair.eigenvalue == pytest.approx(lam, abs=1e-10)
 
 
 def test_eigenvalue_second_order_consistency(domain):
     # discrete eigenvalues undershoot (k pi)^2 by (k pi h)^2/12 to leading order
     h = domain.spacing
     for k in (1, 2, 3):
-        lam = dirichlet_eigenvalue_exact(domain, k)
+        lam = float(exact_mode_longdouble(domain, k)[0])
         continuum = (k * np.pi) ** 2
         rel = (continuum - lam) / continuum
         predicted = (k * np.pi * h) ** 2 / 12.0
@@ -123,7 +140,7 @@ def test_eigenvalue_second_order_consistency(domain):
 
 
 def test_frozen_eigenvalues(domain):
-    lam = [dirichlet_eigenvalue_exact(domain, k) for k in (1, 2, 3)]
+    lam = [float(exact_mode_longdouble(domain, k)[0]) for k in (1, 2, 3)]
     assert lam[0] == pytest.approx(9.869553667292095, abs=1e-9)
     assert lam[1] == pytest.approx(39.477605868608435, abs=1e-9)
     assert lam[2] == pytest.approx(88.82233023982288, abs=1e-9)
@@ -208,7 +225,7 @@ def test_factor_solve_roundtrip(domain):
 
 def test_factor_pivot_reveals_singular_shift(domain):
     lap = assemble_laplacian(domain)
-    lam1 = dirichlet_eigenvalue_exact(domain, 1)
+    lam1 = float(exact_mode_longdouble(domain, 1)[0])
     healthy = lap.shifted(20.0).factor().min_pivot
     singular = lap.shifted(lam1).factor().min_pivot
     assert healthy > 1e4
@@ -300,14 +317,40 @@ def test_bordered_solve_with_exact_zero_pivot(k):
     _check_bordered(op, B, C, np.zeros((k, k)), seed=k)
 
 
-def test_exact_modes_match_closed_form(domain):
-    for k, pair in enumerate(laplacian_eigenpairs(domain, 2), start=1):
-        lam, mode = exact_mode_longdouble(domain, k)
-        assert mode.dtype == np.longdouble
-        assert float(lam) == pytest.approx(dirichlet_eigenvalue_exact(domain, k), rel=1e-14)
-        assert float(np.max(np.abs(mode))) == 1.0 and mode[0] > 0
-        assert np.max(np.abs(mode.astype(float) - np.sign(pair.eigenfunction.values[0])
-                             * pair.eigenfunction.values)) < 1e-9
+def test_exact_modes_match_closed_form():
+    """The first two modes are the float64 rounding of the long-double
+    closed form, sign-adjusted, bit for bit, and the eigensolver's vectors
+    agree with them."""
+    for n in (49, 399, 1599):
+        domain = build_grid(n, 1.0)
+        x = domain.nodes
+        harvest = DiscreteField(domain, x * (1 - x) ** 2)
+        _, vecs = _laplacian_band_eigenpairs(domain, 2)
+        for k, pair in enumerate(laplacian_eigenpairs(domain, 2, harvest=harvest), start=1):
+            lam, mode = exact_mode_longdouble(domain, k)
+            assert mode.dtype == np.longdouble
+            assert float(np.max(np.abs(mode))) == 1.0 and mode[0] > 0
+            assert pair.eigenvalue == float(lam)
+            values = pair.eigenfunction.values
+            assert np.array_equal(values, np.sign(values[0]) * mode.astype(float))
+            ref = vecs[k - 1] / vecs[k - 1][np.argmax(np.abs(vecs[k - 1]))]
+            assert np.max(np.abs(mode.astype(float) - np.sign(ref[0]) * ref)) < 1e-9
+
+
+def test_laplacian_modes_need_no_eigensolver(monkeypatch):
+    """The Laplacian's modes come from the closed form: with the numerical
+    eigensolver unavailable, everything built on them still runs."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve of the Laplacian")
+
+    monkeypatch.setattr(grid_mod, "symmetric_tridiagonal_eigenpairs", refuse)
+    domain = build_grid(99, 1.0)
+    problem = Problem(domain, Nonlinearity(0.2, 3), HarvestSpec("bump"))
+    phi, psi = problem.modes()
+    assert phi.eigenvalue < psi.eigenvalue
+    assert check_hypotheses(problem.nonlinearity, problem.harvest_spec, domain).satisfied
+    assert len(_multistart_seeds(problem, 20.0, 12, 0)) == 12
 
 
 def test_shifted_changes_diag_only(domain):

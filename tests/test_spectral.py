@@ -6,7 +6,7 @@ from bifurcate.diagram import assemble_diagram
 from bifurcate.grid import (
     DiscreteField,
     build_grid,
-    dirichlet_eigenvalue_exact,
+    exact_mode_longdouble,
     inner_product,
     laplacian_eigenpairs,
     track_tridiagonal_eigenpairs,
@@ -45,7 +45,7 @@ def test_spectrum_at_zero_is_shifted_laplacian(problem, domain):
     spec = linearized_spectrum(zero_state(problem, 20.0), 3)
     for k, mu in enumerate(spec.eigenvalues, start=1):
         assert mu == pytest.approx(
-            dirichlet_eigenvalue_exact(domain, k) - 20.0, abs=1e-10
+            float(exact_mode_longdouble(domain, k)[0]) - 20.0, abs=1e-10
         )
     assert spec.mu1 == pytest.approx(-10.13, abs=1e-2)
     assert spec.mu2 == pytest.approx(19.48, abs=1e-2)
