@@ -551,23 +551,25 @@ def _test_function(problem, u, a, w0):
     Solves [[J, w0], [w0^T, 0]] [v; g] = [0; 1] with J = J(u) symmetric, so
     g vanishes exactly where J is singular and v then spans its kernel. The
     float64 solve is refined once against the long-double J(u), which is
-    what lets v meet the kernel residual bound. Returns the float64 J
-    (shared with the Newton step), v and g in long double.
+    what lets v meet the kernel residual bound. Returns the float64 J and
+    its factorization (both shared with the Newton step), v and g in long
+    double.
     """
     ld = np.longdouble
     J = problem.jacobian_operator(u.astype(float), float(a))
+    fac = J.factor()
     w0_ld = np.asarray(w0, dtype=ld)
     try:
-        v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0)
+        v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0, fac)
         v, g = v.astype(ld), ld(g[0])
         rv = _linearized_apply(problem, u, v, a) + g * w0_ld
         rg = w0_ld @ v - ld(1)
-        dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg))
+        dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg), fac)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(
             f"test-function system is singular: {exc}", u.astype(float), np.inf
         )
-    return J, v + dv.astype(ld), g + ld(dg[0])
+    return J, fac, v + dv.astype(ld), g + ld(dg[0])
 
 
 def _kernel_residual(problem, u, a, v, S):
@@ -586,7 +588,8 @@ def _extended_newton(
     row = (scale, e, row_c, offset), or the test function g(u, a) = 0 of
     _test_function bordered by w0, or both, in which case a is free too.
 
-    Each step is one solve_bordered on J(u), with the columns dF/da = u (a
+    Each step is one solve_bordered on J(u), which reuses the factorization
+    of J(u) that _test_function made, with the columns dF/da = u (a
     free only) and dF/dc = -h and the rows scale e and g_u = f''(u) v^2
     (J is symmetric and bordered by w0 on both sides), and g_a = -v.v (J
     depends on a through its diagonal). The iterate converges when sup|F|,
@@ -623,7 +626,7 @@ def _extended_newton(
             N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
             checks.append(abs(float(N)))
         if w0 is not None:
-            J, v, g = _test_function(problem, u, a, w0)
+            J, fac, v, g = _test_function(problem, u, a, w0)
             checks.append(_kernel_residual(problem, u, a, v, S))
         res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
         if res < NEWTON_TOL:
@@ -632,7 +635,7 @@ def _extended_newton(
             break
         u64 = u.astype(float)
         if w0 is None:
-            J = problem.jacobian_operator(u64, float(a))
+            J, fac = problem.jacobian_operator(u64, float(a)), None
         else:
             v64 = v.astype(float)
             g_u = ramp_curvature(problem.nonlinearity, u64) * v64**2
@@ -644,7 +647,7 @@ def _extended_newton(
         else:
             B, C, D, rhs = minus_h, g_u, 0.0, -float(g)
         try:
-            du, y = solve_bordered(J, B, C, D, -F.astype(float), rhs)
+            du, y = solve_bordered(J, B, C, D, -F.astype(float), rhs, fac)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"{system} is singular: {exc}", u64, res)
         if not (np.isfinite(du).all() and np.isfinite(y).all()):

@@ -31,6 +31,7 @@ from .solver import (
     SolutionPoint,
     _newton_rows,
     classify_state,
+    newton_ball,
     newton_solve,
     time_march,
 )
@@ -68,13 +69,20 @@ REGIMES = (
 
 @dataclass(frozen=True)
 class SolutionSet:
-    """Deduplicated steady states found at one (a, c) by multistart Newton."""
+    """Deduplicated steady states found at one (a, c) by multistart Newton.
+
+    radii holds, member by member, the certified Newton ball radius of
+    solver.newton_ball (Euclidean on R^n) or the reason the member has
+    none; exited counts the starts that ended inside such a ball.
+    """
 
     members: tuple[SolutionPoint, ...]
     a: float
     c: float
     n_starts: int
     dedup_threshold: float
+    radii: tuple[float | str, ...]
+    exited: int
 
     def __post_init__(self):
         for i in range(len(self.members)):
@@ -110,29 +118,29 @@ def _rel_distance(u: DiscreteField, v: DiscreteField) -> float:
 
 
 def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
-    """Deterministic start fields: zero, +-span times each of the first two
-    modes, then random low-frequency combinations. span is twice the
-    critical cap K_a for a > 0."""
+    """Deterministic start fields, yielded as (k, n) stacks of at most
+    _CHUNK starts so that only one chunk is alive at a time: zero, +-span
+    times each of the first two modes, then random low-frequency
+    combinations. span is twice the critical cap K_a for a > 0. The fields
+    do not depend on the chunk size."""
     dom = problem.domain
     if a > 0:
         span = 2.0 * critical_cap(problem.nonlinearity, a)
     else:
         span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
-    phi, psi = problem.modes()
-    seeds = [
-        np.zeros(dom.n_interior),
-        span * phi.eigenfunction.values,
-        -span * phi.eigenfunction.values,
-        span * psi.eigenfunction.values,
-        -span * psi.eigenfunction.values,
-    ]
-    modes4 = laplacian_eigenpairs(dom, 4, harvest=problem.harvest)
-    basis = np.stack([p.eigenfunction.values for p in modes4])
+    phi, psi = (p.eigenfunction.values for p in problem.modes())
+    fixed = [np.zeros(dom.n_interior), span * phi, -span * phi, span * psi, -span * psi]
+    basis = np.stack([
+        p.eigenfunction.values
+        for p in laplacian_eigenpairs(dom, 4, harvest=problem.harvest)
+    ])
     rng = np.random.default_rng(seed)
-    while len(seeds) < n_starts:
-        coef = rng.uniform(-span, span, size=4)
-        seeds.append(coef @ basis)
-    return seeds[:n_starts]
+    for lo in range(0, n_starts, _CHUNK):
+        chunk = np.empty((min(_CHUNK, n_starts - lo), dom.n_interior))
+        for i, row in enumerate(chunk, lo):
+            # one product per start: a stacked product rounds differently
+            row[:] = fixed[i] if i < len(fixed) else rng.uniform(-span, span, size=4) @ basis
+        yield chunk
 
 
 # Starts per batched Newton solve in count_solutions. Larger chunks cut the
@@ -152,34 +160,52 @@ def count_solutions(
     Newton of newton_solve, at most COUNT_MAX_ITER iterations each; starts
     that stall, run out of iterations or meet a singular Jacobian are
     discarded. The converged iterates are deduplicated in start order at
-    relative L2 distance DEDUP_REL, and only the survivors are classified,
-    so each member carries its Morse index. Deterministic for a fixed seed,
-    and bit-identical whatever the chunking.
+    relative L2 distance DEDUP_REL; each survivor is classified when it is
+    first kept, so each member carries its Morse index, and given the
+    radius of its certified Newton ball (solver.newton_ball) or the reason
+    it has none. A start of a later chunk whose float64 iterate enters the
+    half ball of a member kept in an earlier chunk stops there: the ball
+    holds no other zero and the damped Newton cannot leave it, so the start
+    would have ended on that member, within half DEDUP_REL of it, or
+    failed, and either way been discarded. Balls of members kept in the
+    same chunk are not used, since the first start to converge need not be
+    the first in start order. Deterministic for a fixed seed, and
+    bit-identical whatever the chunking.
     """
     if n_starts < 50:
         raise ValueError(f"need n_starts >= 50, got {n_starts}")
     dom = problem.domain
-    seeds = _multistart_seeds(problem, a, n_starts, seed)
-
-    kept: list[tuple[DiscreteField, float, tuple[float, ...]]] = []
-    for lo in range(0, n_starts, _CHUNK):
-        for end in _newton_rows(problem, seeds[lo:lo + _CHUNK], a, c, COUNT_MAX_ITER):
+    kept: list[tuple[SolutionPoint, float | str]] = []
+    centers, radii = [], []
+    exited = 0
+    for starts in _multistart_seeds(problem, a, n_starts, seed):
+        balls = (np.stack(centers), np.array(radii)) if centers else None
+        for end in _newton_rows(problem, starts, a, c, COUNT_MAX_ITER, balls):
+            if isinstance(end, int):
+                exited += 1
+                continue
             if isinstance(end, Exception):
                 continue
             u64, rnorm, history = end
             u = DiscreteField(dom, u64)
-            if all(_rel_distance(u, m[0]) > DEDUP_REL for m in kept):
-                kept.append((u, rnorm, history))
-    members = [
-        classify_state(problem, u, a, c, residual_history=history, rnorm=rnorm)
-        for u, rnorm, history in kept
-    ]
-    members.sort(key=lambda p: (
-        np.sqrt(dom.inner(p.u.values, p.u.values)),
-        float(p.u.values.max()),
-        p.morse_index,
+            if all(_rel_distance(u, m.u) > DEDUP_REL for m, _ in kept):
+                point = classify_state(problem, u, a, c, residual_history=history,
+                                       rnorm=rnorm)
+                capture = 0.5 * DEDUP_REL * max(dom.l2_norm(u64), 1.0) / np.sqrt(dom.spacing)
+                radius = newton_ball(problem, point, capture)
+                kept.append((point, radius))
+                if not isinstance(radius, str):
+                    centers.append(u64)
+                    radii.append(radius)
+    kept.sort(key=lambda m: (
+        np.sqrt(dom.inner(m[0].u.values, m[0].u.values)),
+        float(m[0].u.values.max()),
+        m[0].morse_index,
     ))
-    return SolutionSet(tuple(members), a, c, n_starts, DEDUP_REL)
+    return SolutionSet(
+        tuple(p for p, _ in kept), a, c, n_starts, DEDUP_REL,
+        tuple(r for _, r in kept), exited,
+    )
 
 
 class AssemblyIncomplete(RuntimeError):
@@ -1054,12 +1080,19 @@ def _check_static_stability(czero_set) -> ClaimCheck:
 
 def _check_segment_degeneracy(diagram) -> ClaimCheck:
     """Sampled states on the neutral segment must have a vanishing second
-    eigenvalue."""
+    eigenvalue. Each sample's residual is that of the exact state t psi at
+    lambda2 in long double, as the segment was certified (the float64
+    rounding of a segment state misses NEWTON_TOL on fine grids)."""
     seg = diagram.segment
     problem = diagram.problem
+    lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
+    if float(np.dot(psi_ld.astype(float), seg.psi.values)) < 0:
+        psi_ld = -psi_ld
     worst = 0.0
     for t in np.linspace(seg.t_min, seg.t_max, 5):
-        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0)
+        r = problem.residual_values(np.longdouble(t) * psi_ld, lam2_ld, 0.0)
+        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0,
+                            rnorm=float(np.max(np.abs(r))))
         worst = max(worst, abs(pt.spectrum.eigenvalues[1]))
     return ClaimCheck(
         "segment-second-eigenvalue-zero", "|mu2| <= 1e-10", worst, 1e-10,

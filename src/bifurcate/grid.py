@@ -220,13 +220,14 @@ def _row_abs_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 BORDERED_COND_LIMIT = 1e8
 
 
-def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g):
+def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
     """Solve [[J, B], [C^T, D]] [x; y] = [f; g] for the symmetric tridiagonal
     J of op and k <= 2 dense borders, in O(n).
 
     B and C are (n, k) (a 1-D array counts as k = 1), D is (k, k) and g has
-    k entries; returns x (n,) and y (k,). J is factored once and eliminated
-    by blocks (Chan 1984): one multi-column gttrs for f and B, the k x k
+    k entries; returns x (n,) and y (k,). fac, op.factor() made once by a
+    caller that solves several systems on the same J, saves refactoring it;
+    without it J is factored here. J is eliminated by blocks (Chan 1984): one multi-column gttrs for f and B, the k x k
     Schur complement, then one step of iterative refinement against the
     full bordered matrix. Where J is exactly singular or too close to it for
     elimination to keep its accuracy (BORDERED_COND_LIMIT), its near-null
@@ -245,7 +246,8 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g):
     D = np.asarray(D, dtype=float).reshape(k, k)
     g = np.asarray(g, dtype=float).reshape(k)
     scale = op.norm_inf()
-    fac = op.factor()
+    if fac is None:
+        fac = op.factor()
     cols = np.empty((n, k + 1), order="F")  # gttrs's layout, and fast column maxima
     cols[:, 0] = f
     cols[:, 1:] = B
@@ -451,9 +453,18 @@ def track_tridiagonal_eigenpairs(
     # eps ||A|| of A; the shift clears the k-th interval by far more
     lower = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off), initial=0.0)) - 1.0
     shift = float(mu[-1]) + rho + 1e3 * eps_a
-    if dstebz(diag, off, 1, lower, shift, 0, 0, np.inf, b"E")[0] != k:
+    if sturm_count(diag, off, lower, shift) != k:
         return None
     return mu, vecs
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
+    """Number of eigenvalues of the symmetric tridiagonal matrix (diag, off)
+    in (lo, hi], by Sturm sequences (LAPACK stebz). The count is exact for a
+    matrix within a small multiple of eps ||A||_inf of A, so a caller that
+    needs it for A itself keeps its bounds that far (1e3 eps ||A||_inf
+    suffices) from what it certifies."""
+    return int(dstebz(diag, off, 1, lo, hi, 0, 0, np.inf, b"E")[0])
 
 
 def laplacian_eigenpairs(

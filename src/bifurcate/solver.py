@@ -21,10 +21,19 @@ from .grid import (
     LinearOperatorBanded,
     TridiagonalFactor,
     _row_abs_sums,
+    _tridiagonal_apply,
     assemble_laplacian,
     laplacian_eigenpairs,
+    sturm_count,
 )
-from .model import HarvestSpec, Nonlinearity, critical_cap, ramp_slope, ramp_values
+from .model import (
+    HarvestSpec,
+    Nonlinearity,
+    critical_cap,
+    ramp_curvature,
+    ramp_slope,
+    ramp_values,
+)
 
 #: Residual sup norm below which a state counts as steady. Every downstream
 #: bound (fold re-verification, ray certification, the oracle) is tied to it.
@@ -262,7 +271,108 @@ def classify_state(
     )
 
 
-def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
+def newton_ball(problem: Problem, point: SolutionPoint, capture: float):
+    """Radius rho of a certified Newton ball about a steady state u*, or a
+    string saying why it has none.
+
+    Norms are Euclidean on R^n. The local Newton theory (Ortega & Rheinboldt,
+    Iterative Solution of Nonlinear Equations in Several Variables, 1970,
+    12.6; Dennis & Schnabel 1983, Thm 5.2.1) needs three numbers:
+
+    - beta >= ||J(u*)^-1||_2 = 1 / min |mu| over the whole spectrum of the
+      symmetric J. From the k = 3 spectrum, each mu_j loses the residual
+      norm of its eigenfunction plus rounding, and a Sturm count must find
+      no eigenvalue within the smallest of the results, less the count's
+      own backward error (grid.sturm_count); beta is one over what is left.
+    - L(rho) = f''(max u* + rho) = p (p - 1) (max u* + rho - M)+^(p - 2),
+      which bounds ||J(x) - J(y)||_2 <= L ||x - y||_inf <= L ||x - y||_2 on
+      the ball of radius rho, since J depends on u only through the
+      diagonal f'(u) and f'' is nondecreasing for p >= 2.
+    - eta = beta ||F(u*)||_2, with the residual of the float64 field u*
+      evaluated in long double.
+
+    rho solves beta L(rho) rho = 1/2; the left side is nondecreasing in rho
+    and 0 at rho = 0 (L(0) itself is 0 for the zero state at M = 0), so it
+    is found by doubling and bisection. A ball needs rho >= 4 eta. Then,
+    for x within rho / 2 of u*: J(x) is invertible with ||J(x)^-1|| <=
+    4 beta / 3, and the full Newton point x - J(x)^-1 F(x) lies within
+    rho / 12 + 4 eta / 3 <= 5 rho / 12 of u*; B(u*, rho) holds at most one
+    zero (two zeros z, z' would give ||z - z'|| <= beta L rho ||z - z'||),
+    and the Kantorovich condition beta L eta <= 1/8 puts one next to u*.
+    A point of the half ball whose residual has 2-norm r lies within
+    (8/7) beta (r + ||F(u*)||_2) of u*. No ball is given where that bound
+    at r = sqrt(n) NEWTON_TOL, plus the float64 rounding of such a point,
+    exceeds capture: the largest distance at which the caller still takes
+    a converged iterate for u* itself.
+
+    Degenerate states (an eigenvalue within the degeneracy tolerance: the
+    lambda1 ray, the lambda2 segment, states next to a fold) get no ball.
+    """
+    if point.degenerate:
+        return "degenerate"
+    nl = problem.nonlinearity
+    if nl.p_f < 2:
+        return "f' is not Lipschitz (ramp power below 2)"
+    u = point.u.values
+    n = u.size
+    J = problem.jacobian_operator(u, point.a)
+    diag, off = -J.diag, -J.off
+    eps = np.finfo(float).eps
+    eps_a = eps * J.norm_inf()
+    gap = min(
+        abs(mu) - np.linalg.norm(_tridiagonal_apply(diag, off, v) - mu * v) / np.linalg.norm(v)
+        for mu, v in zip(point.spectrum.eigenvalues,
+                         (f.values for f in point.spectrum.eigenfunctions))
+    ) - np.sqrt(n) * eps_a
+    if not gap > 1e3 * eps_a or sturm_count(diag, off, -gap, gap) != 0:
+        return "smallest eigenvalue magnitude not certified"
+    beta = 1.0 / (gap - 1e3 * eps_a)
+    f0 = float(np.linalg.norm(
+        problem.residual_values(u.astype(np.longdouble), point.a, point.c)
+    ))
+    top = float(np.max(u))
+
+    def contraction(rho):
+        return beta * float(ramp_curvature(nl, top + rho)) * rho
+
+    hi = 1.0
+    while contraction(hi) <= 0.5:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if contraction(mid) <= 0.5:
+            lo = mid
+        else:
+            hi = mid
+    rho = lo
+    if not rho >= 4.0 * beta * f0:
+        return "residual too large for a ball"
+    reach = (8.0 / 7.0) * beta * (np.sqrt(n) * NEWTON_TOL + f0)
+    reach += np.sqrt(n) * eps * (float(np.max(np.abs(u))) + rho)
+    if not reach <= capture:
+        return "capture distance above the caller's"
+    return rho
+
+
+def _ball_index(u: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Index of the first ball (centers[k], radii[k] / 2) that holds each row
+    of u, else -1. The squared distances come from one product u centers^T;
+    each is taken as inside only when it stays inside after adding a bound
+    on its rounding, (n + 2) eps (|u| + |c|)^2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, 3.1)."""
+    usq = np.einsum("ij,ij->i", u, u)
+    csq = np.einsum("ij,ij->i", centers, centers)
+    d2 = usq[:, None] - 2.0 * (u @ centers.T) + csq
+    slack = (u.shape[1] + 2) * np.finfo(float).eps * (
+        np.sqrt(usq)[:, None] + np.sqrt(csq)
+    ) ** 2
+    inside = d2 + slack < (0.5 * radii) ** 2
+    return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+
+def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
+                 balls=None):
     """Damped Newton from each of a stack of start fields at fixed (a, c).
 
     Line search: safeguarded quadratic backtracking on the residual sup
@@ -305,9 +415,23 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     solution those of the block alone, and each row has its own step length
     and iteration count, so each row ends exactly as it does alone.
 
+    Early exit: balls = (centers, radii) holds zeros u* as a (k, n) float64
+    stack and their newton_ball radii rho. After each step of the float64
+    stage, a row whose iterate lies within rho / 2 of a center (_ball_index,
+    which keeps a margin for the rounding of the distance) ends there,
+    before any hand-off to the long-double stage. Soundness: from the half
+    ball the full Newton point lies within 5 rho / 12 of u*, and a damped
+    step is a convex combination of the iterate and that point, so the row
+    cannot leave the half ball; computed steps miss the exact ones by
+    orders of magnitude less than the rho / 12 to spare. The ball holds one
+    zero, so the row would have ended on u*, within newton_ball's capture
+    distance, or failed: a caller that keeps zeros farther apart than that
+    keeps the same set either way.
+
     Returns one entry per start, in start order: (float64 iterate, residual
-    norm, residual history) for a start that converged, else the
-    SingularJacobian or NonConvergence that ended it.
+    norm, residual history) for a start that converged, the index of the
+    ball for a start that exited there, else the SingularJacobian or
+    NonConvergence that ended it.
     """
     ld = np.longdouble
     u = np.array(starts, dtype=float)
@@ -326,7 +450,7 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     # each stage stacks its rows into arrays of its own; dropping these names
     # lets the stacked copies be the only ones alive
     del u, r, u_near, r_near
-    handed += _newton_stage(problem, a, c, max_iter, out, rows)
+    handed += _newton_stage(problem, a, c, max_iter, out, rows, balls)
     handed.sort(key=lambda row: row[0])
     _newton_stage(problem, a, c, max_iter, out, handed)
     return out
@@ -337,9 +461,10 @@ def _row_norms(r: np.ndarray) -> np.ndarray:
     return np.max(np.abs(r), axis=1).astype(float, copy=False)
 
 
-def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entries):
+def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entries,
+                  balls=None):
     """The loop of _newton_rows over one stage, in the dtype of its iterates:
-    float64 or long double.
+    float64 or long double. Only the float64 stage is given balls.
 
     entries lists the stage's rows in start order, each as (start index,
     iterate, residual, residual norm, history, iterations taken); the list
@@ -441,9 +566,15 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
                 u[i].astype(float),
                 float(rnorm[i]),
             )
-        for i, (v, rv) in switch.items():
-            handed.append((rows[i], v, rv, rnorm[i], history[i], iters[i]))
         keep = ~stalled
+        if balls is not None:
+            ball = _ball_index(u, *balls)
+            for i in np.flatnonzero(keep & (ball >= 0)):
+                out[rows[i]] = int(ball[i])
+            keep &= ball < 0
+        for i, (v, rv) in switch.items():
+            if keep[i]:
+                handed.append((rows[i], v, rv, rnorm[i], history[i], iters[i]))
         keep[list(switch)] = False
         if not keep.all():
             rows, u, r, rnorm, iters = rows[keep], u[keep], r[keep], rnorm[keep], iters[keep]

@@ -199,7 +199,13 @@ class TestCountSolutions:
     def test_set_rejects_members_below_threshold(self, problem0):
         pt = newton_solve(problem0, DiscreteField.zero(problem0.domain), 20.0, -1.0)
         with pytest.raises(ValueError):
-            SolutionSet((pt, pt), 20.0, -1.0, 60, 1e-4)
+            SolutionSet((pt, pt), 20.0, -1.0, 60, 1e-4, (1.0, 1.0), 0)
+
+
+def _seeds(problem, a, n_starts, seed):
+    """The start fields of count_solutions as one list, in start order."""
+    return [u for chunk in diagram_mod._multistart_seeds(problem, a, n_starts, seed)
+            for u in chunk]
 
 
 def _per_start_count(problem, a, c, n_starts, seed):
@@ -207,7 +213,7 @@ def _per_start_count(problem, a, c, n_starts, seed):
     seeds, dedup and member order. Also tallies how each start ended."""
     dom = problem.domain
     kept, outcomes = [], Counter()
-    for u0 in diagram_mod._multistart_seeds(problem, a, n_starts, seed):
+    for u0 in _seeds(problem, a, n_starts, seed):
         (end,) = _newton_rows(problem, [u0], a, c, COUNT_MAX_ITER)
         outcomes[_ending(end)] += 1
         if isinstance(end, Exception):
@@ -340,7 +346,7 @@ class TestBatchedOracle:
         with pytest.raises(SingularJacobian):
             newton_solve(problem, DiscreteField(problem.domain, on_segment), lam2, 0.0)
 
-        seeds = diagram_mod._multistart_seeds(problem, lam2, 60, 0)
+        seeds = _seeds(problem, lam2, 60, 0)
         alone = _newton_rows(problem, seeds[:8], lam2, 0.0, COUNT_MAX_ITER)
         mixed = seeds[:4] + [on_segment] + seeds[4:8]
         stacked = _assert_ends_as_alone(problem, mixed, lam2, 0.0, COUNT_MAX_ITER)
@@ -351,10 +357,12 @@ class TestBatchedOracle:
         for got, want in zip(stacked[:4] + stacked[5:], alone):
             _assert_same_end(got, want)
 
-        original = diagram_mod._multistart_seeds
+        starts = _seeds(problem, lam2, 60, 0)
+        starts = (starts[:5] + [on_segment] + starts[5:])[:-1]
 
-        def with_segment_start(*args):
-            return (original(*args)[:5] + [on_segment] + original(*args)[5:])[:-1]
+        def with_segment_start(problem, a, n_starts, seed):
+            for lo in range(0, n_starts, diagram_mod._CHUNK):
+                yield np.array(starts[lo:lo + diagram_mod._CHUNK])
 
         monkeypatch.setattr(diagram_mod, "_multistart_seeds", with_segment_start)
         want, outcomes = _per_start_count(problem, lam2, 0.0, 60, 0)
@@ -372,7 +380,7 @@ class TestBatchedOracle:
         lam2 = problem.modes()[1].eigenvalue
         psi = problem.modes()[1].eigenfunction.values
         c = -1.0
-        seeds = diagram_mod._multistart_seeds(problem, lam2, 16, 0)
+        seeds = _seeds(problem, lam2, 16, 0)
         member = next(end[0] for end in _newton_rows(problem, seeds, lam2, c, COUNT_MAX_ITER)
                       if not isinstance(end, Exception))
         near = member + 1e-8 * psi / np.max(np.abs(psi))
@@ -416,6 +424,99 @@ class TestBatchedOracle:
         _assert_bit_identical(count_solutions(problem, a, c, 60, 0).members, want.members)
 
 
+def _without_balls(monkeypatch):
+    """Make count_solutions give no member a ball, so no start exits early."""
+    monkeypatch.setattr(diagram_mod, "newton_ball", lambda *args: "disabled")
+
+
+class TestNewtonBalls:
+    """Each member kept by count_solutions carries a certified Newton ball
+    (solver.newton_ball) or the reason it has none, and starts of later
+    chunks that enter a ball stop there. The members must not change."""
+
+    @pytest.mark.parametrize("window", ["diagram_window99", "diagram_window"])
+    def test_window_levels_match_the_reference(self, window, request, monkeypatch):
+        """At every level verify_structure counts in the window (the four
+        samples and c = 0), the members are bit-identical to those of one
+        start at a time and to those of a count with no balls; every
+        member has a ball there, and some starts exit in one."""
+        diag = request.getfixturevalue(window)
+        problem = diag.problem
+        levels = [*diagram_mod._count_samples(diag), 0.0]
+        got = {c: count_solutions(problem, diag.a, c, 100, 0) for c in levels}
+        for c in levels:
+            want, _ = _per_start_count(problem, diag.a, c, 100, 0)
+            _assert_bit_identical(got[c].members, want)
+            assert len(got[c].radii) == got[c].count
+            assert all(r > 0 for r in got[c].radii)
+        assert sum(s.exited for s in got.values()) > 100
+        _without_balls(monkeypatch)
+        for c in levels:
+            plain = count_solutions(problem, diag.a, c, 100, 0)
+            _assert_bit_identical(got[c].members, plain.members)
+            assert plain.exited == 0
+
+    def test_degenerate_level_matches_the_reference(self, problem, monkeypatch):
+        """At the second eigenvalue with c = 0 the segment's landings get no
+        ball, with the reason, and the members are those of one start at a
+        time and of a count with no balls."""
+        a, c, _ = _oracle_level(problem, "degenerate")
+        got = count_solutions(problem, a, c, 100, 0)
+        want, _ = _per_start_count(problem, a, c, 100, 0)
+        _assert_bit_identical(got.members, want)
+        for m, r in zip(got.members, got.radii):
+            assert (r == "degenerate") == m.degenerate
+            assert m.degenerate or r > 0
+        assert any(m.degenerate for m in got.members)
+        _without_balls(monkeypatch)
+        _assert_bit_identical(count_solutions(problem, a, c, 100, 0).members, got.members)
+
+    @pytest.mark.parametrize("chunk", [1, 32, 400])
+    def test_members_invariant_under_chunking(self, problem, eigs, monkeypatch, chunk):
+        a, c = eigs[1] + 0.5 * DELTA_WINDOW, 0.2 * C_NATURAL_FOLD_NEG
+        want = count_solutions(problem, a, c, 400, 0)
+        monkeypatch.setattr(diagram_mod, "_CHUNK", chunk)
+        got = count_solutions(problem, a, c, 400, 0)
+        _assert_bit_identical(got.members, want.members)
+        assert got.radii == want.radii
+        # one chunk has no earlier chunk, so no balls
+        assert (got.exited == 0) == (chunk == 400)
+
+    def test_damped_newton_inside_a_ball_ends_on_its_member(self):
+        """From random points of a member's ball, including its rim, the
+        damped Newton with no balls ends on that member, within DEDUP_REL,
+        or fails; never on another state."""
+        problem = Problem(build_grid(49, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        lam2 = problem.modes()[1].eigenvalue
+        got = count_solutions(problem, lam2 + 0.4, -1.0, 100, 0)
+        assert got.count == 4
+        rng = np.random.default_rng(1)
+        for m, radius in zip(got.members, got.radii):
+            direction = rng.standard_normal((40, 49))
+            direction /= np.linalg.norm(direction, axis=1)[:, None]
+            scale = radius * np.append(rng.uniform(0.0, 1.0, 36), [1.0] * 4)
+            starts = m.u.values + scale[:, None] * direction
+            ends = _newton_rows(problem, starts, got.a, got.c, COUNT_MAX_ITER)
+            converged = [end for end in ends if not isinstance(end, Exception)]
+            assert len(converged) >= 30
+            for u64, _, _ in converged:
+                dist = diagram_mod._rel_distance(DiscreteField(problem.domain, u64), m.u)
+                assert dist <= diagram_mod.DEDUP_REL
+
+    def test_radius_of_the_zero_state_without_threshold(self):
+        """With M = 0, p_f = 4 and a below lambda1, the zero state solves
+        c = 0 exactly and L(rho) = 12 rho^2 vanishes at rho = 0; beta L rho
+        = 1/2 then gives rho = (24 beta)^(-1/3) with beta = 1 / (lambda1 - a),
+        the smallest eigenvalue of the linearization."""
+        problem = Problem(build_grid(49, 1.0), Nonlinearity(0.0, 4), HarvestSpec("bump"))
+        got = count_solutions(problem, 2.0, 0.0, 50, 0)
+        assert got.count == 1
+        (zero,), (radius,) = got.members, got.radii
+        assert not zero.u.values.any()
+        beta = 1.0 / zero.spectrum.mu1
+        assert radius == pytest.approx((24.0 * beta) ** (-1.0 / 3.0), rel=1e-6)
+
+
 class TestDampedNewton:
     """The line search and the float64 and long-double stages of
     _newton_rows, the damped Newton behind newton_solve and count_solutions."""
@@ -435,7 +536,7 @@ class TestDampedNewton:
 
         monkeypatch.setattr(Problem, "residual_values", counting)
         a = eigs[1] + 0.5 * DELTA_WINDOW
-        seeds = diagram_mod._multistart_seeds(problem, a, 100, 0)
+        seeds = _seeds(problem, a, 100, 0)
         ends = _newton_rows(problem, seeds, a, C_FOLD_WINDOW + 0.5, COUNT_MAX_ITER)
         assert {_ending(end) for end in ends} == {"stalled"}
         assert np.median([end.residual_norm for end in ends]) == pytest.approx(0.105, abs=0.005)
@@ -449,7 +550,7 @@ class TestDampedNewton:
         they end converged. No start is reported as not converged with a
         residual below NEWTON_TOL."""
         a, c, _ = _oracle_level(problem, level)
-        seeds = diagram_mod._multistart_seeds(problem, a, 400, 0)
+        seeds = _seeds(problem, a, 400, 0)
         ends = [end for lo in range(0, len(seeds), 32)
                 for end in _newton_rows(problem, seeds[lo:lo + 32], a, c, COUNT_MAX_ITER)]
         failed = [end for end in ends if isinstance(end, NonConvergence)]
@@ -465,7 +566,7 @@ class TestDampedNewton:
         with a cap at that step, start 12 keeps the entry a larger cap gives
         it and start 3 ends out of iterations at the long-double residual
         of its handoff, converging with one more step allowed."""
-        seeds = diagram_mod._multistart_seeds(problem, 40.0, 16, 0)
+        seeds = _seeds(problem, 40.0, 16, 0)
         late, direct = seeds[3], seeds[12]
         want = [_newton_rows(problem, [u0], 40.0, -0.005, COUNT_MAX_ITER)[0]
                 for u0 in (late, direct)]
@@ -522,7 +623,7 @@ class TestDampedNewton:
             return r
 
         monkeypatch.setattr(Problem, "residual_values", recording)
-        seeds = diagram_mod._multistart_seeds(problem, 40.0, 100, 0)
+        seeds = _seeds(problem, 40.0, 100, 0)
         ends = _newton_rows(problem, seeds, 40.0, -0.005, COUNT_MAX_ITER)
         converged = [end for end in ends if not isinstance(end, Exception)]
         assert len(converged) >= 50
@@ -794,6 +895,20 @@ class TestVerifyStructure:
         ids = [chk.claim for chk in report.checks]
         assert "segment-second-eigenvalue-zero" in ids
         assert "czero-dichotomy" in ids
+
+    def test_at_lambda2_on_a_fine_grid_records_the_segment_claim(self):
+        """At n = 1599 the float64 rounding of a segment state misses
+        NEWTON_TOL; the segment claim takes the long-double residual of the
+        exact state, so the report comes back with the claim recorded,
+        whatever its verdict, and nothing is raised."""
+        problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        diag = assemble_diagram(problem, problem.modes()[1].eigenvalue)
+        seg = diag.segment
+        rounded = seg.state_at(seg.t_max).values
+        assert np.max(np.abs(problem.residual_values(rounded, diag.a, 0.0))) >= NEWTON_TOL
+        report = verify_structure(diag, oracle_budget=60, seed=0)
+        ids = [chk.claim for chk in report.checks]
+        assert ids.count("segment-second-eigenvalue-zero") == 1
 
     def test_zero_threshold_cusp_claim(self, diagram_lam2_m0):
         report = verify_structure(diagram_lam2_m0, oracle_budget=60, seed=0)

@@ -350,7 +350,7 @@ def test_laplacian_modes_need_no_eigensolver(monkeypatch):
     phi, psi = problem.modes()
     assert phi.eigenvalue < psi.eigenvalue
     assert check_hypotheses(problem.nonlinearity, problem.harvest_spec, domain).satisfied
-    assert len(_multistart_seeds(problem, 20.0, 12, 0)) == 12
+    assert sum(len(chunk) for chunk in _multistart_seeds(problem, 20.0, 12, 0)) == 12
 
 
 def test_shifted_changes_diag_only(domain):

@@ -1,6 +1,11 @@
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 
 import bifurcate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Settings fixed as module constants (solver.NEWTON_TOL, solver.K_EIGS, the
 # sweeps' *_SWEEP_STEPS, ...) that no public callable may take again.
@@ -37,3 +42,27 @@ def test_fixed_settings_are_not_options():
         banned = FIXED_SETTINGS | (set() if name == "continue_branch" else TRACER_ONLY)
         offenders += [f"{name}({p})" for p in sorted(params & banned)]
     assert offenders == []
+
+
+def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
+    """Under the suite's warning filters, a hypothesis test that fails is
+    reported as one failed test, not as an internal error that ends the
+    run before the remaining tests."""
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "@settings(max_examples=5, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_falsified.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
