@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import DiscreteField, exact_mode_longdouble, laplacian_eigenpairs
-from .model import critical_cap, ramp_values
+from .model import critical_cap, ramp_slope, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
     NEWTON_TOL,
@@ -557,6 +557,10 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     lam1_ld, phi_ld = exact_mode_longdouble(dom, 1)
     ts = np.linspace(-M, M, 41) if M > 0 else np.array([0.0])
     ray_pts = []
+    # On the ray |u| <= M, so f' vanishes and every ray state has the
+    # Jacobian Delta_h + a I: one classification serves them all. The check
+    # is exact, and a state where f' does not vanish is classified itself.
+    flat = None
     for t in ts:
         u_ld = np.longdouble(t) * phi_ld
         r = float(np.max(np.abs(problem.residual_values(u_ld, lam1_ld, 0.0))))
@@ -565,9 +569,16 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
                 f"ray state t={t:.6g} fails extended-precision verification "
                 f"({r:.3e})", u_ld.astype(float), r,
             )
-        ray_pts.append(classify_state(
-            problem, DiscreteField(dom, u_ld.astype(float)), a, 0.0, rnorm=r,
-        ))
+        u = DiscreteField(dom, u_ld.astype(float))
+        if np.any(ramp_slope(problem.nonlinearity, u.values)):
+            point = classify_state(problem, u, a, 0.0, rnorm=r)
+        elif flat is None:
+            point = flat = classify_state(problem, u, a, 0.0, rnorm=r)
+        else:
+            point = dataclasses.replace(
+                flat, state=problem.state(u, a, 0.0), residual_norm=r
+            )
+        ray_pts.append(point)
     norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
     branches.append(Branch(
         tuple(ray_pts),

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .grid import DiscreteDomain, DiscreteField, laplacian_eigenpairs
 
@@ -151,11 +150,77 @@ class HarvestSpec:
         return DiscreteField(domain, self.scale * vals)
 
 
+#: Brent's stopping rule: the bracket half width falls below
+#: (_BRENT_XTOL + _BRENT_RTOL |x|) / 2. _BRENT_RTOL is four machine epsilons,
+#: the floor below which the rule can never be met.
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 8.9e-16
+_BRENT_MAX_ITER = 100
+
+
+def _brent_root(g, lo: float, hi: float) -> float:
+    """Root of g in [lo, hi], where g(lo) and g(hi) must differ in sign, by
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): secant or inverse quadratic steps inside the bracket, and
+    bisection whenever such a step would not shrink it fast enough.
+
+    The steps, their order and the stopping rule are those of
+    scipy.optimize.brentq with xtol=_BRENT_XTOL and rtol=_BRENT_RTOL, in
+    double precision throughout, so both return the same double; this spares
+    the package the import of scipy.optimize.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(g(xpre)), float(g(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            # the root lies between xpre and xcur: xblk is the far end
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant through the two ends
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(g(xcur))
+    raise ModelError(
+        f"Brent's method did not converge in {_BRENT_MAX_ITER} iterations "
+        f"(last iterate {xcur!r})"
+    )
+
+
 def critical_cap(nl: Nonlinearity, a: float) -> float:
     """Positive root K of a*K = f(K), i.e. the cap on steady states.
 
-    Closed form for M = 0 (K = a^(1/(p-1))); otherwise bracketing plus a
-    Newton polish, landing the residual a*K - f(K) below 1e-12.
+    Closed form for M = 0 (K = a^(1/(p-1))); otherwise a bracket [M, hi]
+    doubled until a*hi < f(hi), Brent's method on it (_brent_root) and a
+    three-step Newton polish, landing the residual a*K - f(K) below 1e-12.
     """
     if not (a > 0):
         raise ValueError(f"growth rate must be positive, got {a}")
@@ -176,7 +241,7 @@ def critical_cap(nl: Nonlinearity, a: float) -> float:
         hi *= 2.0
     else:
         raise ModelError("no positive cap root found; f fails superlinearity")
-    k = brentq(g, nl.M, hi, xtol=1e-14, rtol=8.9e-16)
+    k = _brent_root(g, nl.M, hi)
     for _ in range(3):
         slope = a - p * (k - nl.M) ** (p - 1)
         if slope == 0.0:

@@ -3,17 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifurcate.continuation import delta_window, trace_index1_degenerate_curve
 from bifurcate.grid import build_grid
 from bifurcate.model import (
     HarvestSpec,
     ModelError,
     Nonlinearity,
+    _brent_root,
     check_hypotheses,
     critical_cap,
     eval_nonlinearity,
     ramp_curvature,
     ramp_values,
 )
+from bifurcate.solver import Problem
 
 CANONICAL = Nonlinearity(M=0.2, p_f=3)
 
@@ -129,6 +132,57 @@ def test_critical_cap_flags_missing_root():
     lin = Nonlinearity(M=0.0, p_f=1, validate=False)
     with pytest.raises(ModelError):
         critical_cap(lin, 2.0)
+
+
+def test_brent_root_gives_up_after_its_iteration_cap():
+    """A step function on a bracket 1e300 wide needs about a thousand
+    bisections; the iteration stops at its cap with a ModelError."""
+    with pytest.raises(ModelError, match="did not converge"):
+        _brent_root(lambda x: 1.0 if x < 1e-3 else -1.0, -1e300, 1e300)
+
+
+def _scipy_critical_cap(nl, a):
+    """critical_cap with scipy.optimize.brentq in place of the package's
+    Brent iteration: the same bracket doubling and three-step Newton
+    polish."""
+    from scipy.optimize import brentq
+
+    p = nl.p_f
+
+    def g(k):
+        return a * k - (k - nl.M) ** p
+
+    hi = nl.M + max(1.0, a) ** (1.0 / (p - 1)) + nl.M
+    while not g(hi) < 0:
+        hi *= 2.0
+    k = brentq(g, nl.M, hi, xtol=1e-14, rtol=8.9e-16)
+    for _ in range(3):
+        slope = a - p * (k - nl.M) ** (p - 1)
+        if slope == 0.0:
+            break
+        k -= g(k) / slope
+    return float(k)
+
+
+def test_critical_cap_bit_identical_to_brentq():
+    """The package's own Brent iteration lands on brentq's double at every
+    (M, p_f, a) of the grid, the regime anchors lambda1, lambda2 and the
+    window centre at n = 399 included. A plain bisection to the same
+    tolerance differs by an ulp at about one case in thirteen here, e.g.
+    M = 0.01, p_f = 3, a = 3.8529411764705883."""
+    problem = Problem(build_grid(399, 1.0), CANONICAL, HarvestSpec("bump"))
+    lam1, lam2 = (m.eigenvalue for m in problem.modes())
+    delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+    rates = [*np.linspace(0.5, 200.0, 120)[1:], lam1, lam2, lam2 + 0.5 * delta]
+    differ = [
+        (m, p, a)
+        for m in (0.01, 0.05, 0.13, 0.2, 0.3, 1.0, 2.0)
+        for p in range(3, 10)
+        for a in rates
+        if critical_cap(Nonlinearity(M=m, p_f=p), a)
+        != _scipy_critical_cap(Nonlinearity(M=m, p_f=p), a)
+    ]
+    assert differ == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import inspect
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +67,39 @@ def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+# Subpackages and stdlib modules the package never calls. Importing
+# scipy.optimize pulls in all of them, with the _qhull, _decimal and
+# _special_ufuncs libraries.
+UNUSED_MODULES = (
+    "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special",
+    "scipy.fft", "decimal",
+)
+
+
+def test_import_and_diagram_run_load_no_unused_modules(tmp_path):
+    """A fresh interpreter that imports the package and runs the CLI
+    diagram command loads none of UNUSED_MODULES or their submodules."""
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "schema_version: 1\ngrid:\n  n_interior: 49\n"
+        "run:\n  command: diagram\n  a: 20.0\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n"
+    )
+    script = (
+        "import sys\n"
+        "import bifurcate, bifurcate.cli\n"
+        f"rc = bifurcate.cli.main(['diagram', '--config', {str(config)!r}])\n"
+        f"unused = {UNUSED_MODULES!r}\n"
+        "print(rc, [u for u in unused "
+        "if any(m == u or m.startswith(u + '.') for m in sys.modules)])\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0 []\n"
+    assert (tmp_path / "out" / "diagram.json").exists()

@@ -219,6 +219,21 @@ class TestTrackedSpectrum:
                 )
                 assert _gap(p.spectrum, full.spectrum) < TRACKED_GAP
 
+    def test_ray_states_share_one_exact_spectrum(self, bench_diagrams):
+        """f' vanishes on the lambda1 ray, so one eigensolve classifies all
+        its states, and that classification is each state's own, bit for
+        bit."""
+        diagram, _ = bench_diagrams(399, "at-lambda1")
+        ray = next(br for br in diagram.branches if br.tag == "ray")
+        assert len(ray.points) == 41
+        assert len({id(p.spectrum) for p in ray.points}) == 1
+        for p in ray.points:
+            full = classify_state(diagram.problem, p.u, p.a, p.c, rnorm=p.residual_norm)
+            assert (p.morse_index, p.degenerate, p.tag) == (
+                full.morse_index, full.degenerate, full.tag
+            )
+            _assert_same_spectrum(p.spectrum, full.spectrum)
+
     @pytest.mark.parametrize("regime", ["at-lambda2", "window"])
     def test_degenerate_points_match_full_eigensolve(
         self, bench_diagrams, monkeypatch, regime
