@@ -329,14 +329,19 @@ def _emit_curve_csv(curve, path) -> None:
 # JSON payloads and the loader
 
 
-def _values(arr) -> list:
-    return np.asarray(arr, dtype=float).tolist()
+def _values(arr) -> np.ndarray:
+    return np.asarray(arr, dtype=float)
 
 
 def _jsonable(value):
-    """Plain-Python view of a value that may carry numpy scalars or tuples."""
+    """Plain-Python view of a value that may carry numpy scalars or arrays,
+    tuples or dicts."""
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
@@ -403,7 +408,10 @@ def _segment_payload(seg) -> dict | None:
     }
 
 
-def diagram_payload(diagram: BifurcationDiagram) -> dict:
+def _diagram_arrays(diagram: BifurcationDiagram) -> dict:
+    """The diagram's JSON document with every float vector (states, null
+    vectors, arclengths, chart coordinates) left a float64 ndarray;
+    _write_json spells each one as its list of floats."""
     return {
         "a": float(diagram.a),
         "c_min": float(diagram.c_min),
@@ -415,6 +423,12 @@ def diagram_payload(diagram: BifurcationDiagram) -> dict:
         ],
         "segment": _segment_payload(diagram.segment),
     }
+
+
+def diagram_payload(diagram: BifurcationDiagram) -> dict:
+    """The diagram as a JSON-native document (lists of floats for vectors),
+    as the diagram command writes it."""
+    return _jsonable(_diagram_arrays(diagram))
 
 
 def _report_payload(report) -> dict | None:
@@ -496,6 +510,8 @@ def _emit_json(value, pad: str, write, float_lists: dict) -> None:
             _emit_json(item, inner, write, float_lists)
             sep = ",\n" + inner
         write("\n" + pad + "}")
+    elif isinstance(value, np.ndarray):
+        _emit_json(value.tolist(), pad, write, float_lists)
     else:
         raise TypeError(
             f"Object of type {value.__class__.__name__} is not JSON serializable"
@@ -509,9 +525,11 @@ def _write_json(doc: dict, path) -> None:
     being built as one string by json's pure-Python encoder (any indent
     selects it). Lists of plain floats carry almost all of the bytes; each
     one is encoded in a single call of json's C encoder, whose item
-    separator is the line break and indent of the list's items. Every other
-    value is spelled as json spells it, and a value json cannot encode
-    raises TypeError. Dict keys must be strings.
+    separator is the line break and indent of the list's items. An ndarray
+    is written as its tolist(), one array at a time, so a document of float64
+    vectors never holds all of its floats as Python objects at once. Every
+    other value is spelled as json spells it, and a value json cannot
+    encode raises TypeError. Dict keys must be strings.
     """
     path = Path(path)
     try:
@@ -923,7 +941,7 @@ def _cmd_diagram(problem, cfg, outdir):
     formats = cfg.output["formats"]
     if "json" in formats:
         _write_json(
-            _doc(cfg, report=None, **diagram_payload(diagram)),
+            _doc(cfg, report=None, **_diagram_arrays(diagram)),
             outdir / "diagram.json",
         )
     if "csv" in formats and diagram.branches:

@@ -9,16 +9,63 @@ quadrature rule account for the implicit zeros.
 The Laplacian's eigenpairs come from their closed form
 (exact_mode_longdouble), never from an eigensolve; the eigensolvers serve
 the linearizations of the spectral module.
+
+The four LAPACK routines used here (dgttrf, dgttrs, dstebz, dstein) are
+bound from scipy's compiled LAPACK extension, scipy.linalg._flapack, loaded
+on its own (_load_flapack) rather than through scipy.linalg, whose Python
+layer would more than double the package's import time and loaded modules.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg import get_lapack_funcs
-from scipy.linalg.lapack import dstebz
+
+
+def _load_flapack():
+    """scipy.linalg._flapack without importing scipy or scipy.linalg.
+
+    Reuses the module if it is already imported; otherwise loads the
+    extension file found under scipy's package directory and leaves it out
+    of sys.modules. CPython caches a single-phase extension module by name
+    and file, so the routines bound here are the very objects
+    scipy.linalg.lapack exposes, whichever of the two is imported first.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+                # loading a single-phase extension registers it; a submodule
+                # in sys.modules without its parent packages is a state that
+                # scipy's own later import should not meet
+                sys.modules.pop(name, None)
+                return module
+    raise ImportError(
+        "scipy's LAPACK extension scipy/linalg/_flapack was not found; "
+        "bifurcate needs scipy installed"
+    )
+
+
+_flapack = _load_flapack()
+_dgttrf, _dgttrs = _flapack.dgttrf, _flapack.dgttrs
+_dstebz, _dstein = _flapack.dstebz, _flapack.dstein
+del _flapack
 
 
 #: pi to long-double precision; np.pi widened from float64 carries a phase
@@ -116,17 +163,17 @@ class DiscreteField:
 class TridiagonalFactor:
     """LU factorization (with partial pivoting) of a tridiagonal matrix.
 
-    Wraps LAPACK gttrf/gttrs. Exposes the magnitude of the smallest diagonal
-    entry of U, which is how near-singularity is detected downstream.
+    Wraps LAPACK dgttrf/dgttrs. Exposes the magnitude of the smallest
+    diagonal entry of U, which is how near-singularity is detected
+    downstream.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         n = diag.size
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-        dl, d, du, du2, ipiv, info = gttrf(off.copy(), diag.copy(), off.copy())
+        # dgttrf factors copies of its inputs (no overwrite_* flag is set)
+        dl, d, du, du2, ipiv, info = _dgttrf(off, diag, off)
         if info < 0:
             raise ValueError(f"gttrf: illegal argument {-info}")
-        self._gttrs = gttrs
         self._parts = (dl, d, du, du2, ipiv)
         self.exactly_singular = info > 0
         self.min_pivot = 0.0 if info > 0 else float(np.min(np.abs(d)))
@@ -144,7 +191,7 @@ class TridiagonalFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         dl, d, du, du2, ipiv = self._parts
-        x, info = self._gttrs(dl, d, du, du2, ipiv, rhs)
+        x, info = _dgttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:
             raise np.linalg.LinAlgError(f"gttrs failed with info={info}")
         return x
@@ -366,20 +413,39 @@ def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray, vecs) -> np.ndarray:
     return np.array(out)
 
 
+def _check_info(info: int, routine: str) -> None:
+    """Raise on a LAPACK info code as scipy.linalg's eigensolvers do."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+
+
 def symmetric_tridiagonal_eigenpairs(
     diag: np.ndarray, off: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenpairs of a symmetric tridiagonal matrix.
 
-    Bisection for the eigenvalues, inverse iteration for the eigenvectors,
-    then a long-double Rayleigh polish per eigenvalue. Vectors come back
-    euclidean-orthonormal, as a list of 1-D arrays in ascending eigenvalue
-    order.
+    Bisection for the eigenvalues (LAPACK dstebz, by index, in blocks),
+    inverse iteration for the eigenvectors (dstein), then a long-double
+    Rayleigh polish per eigenvalue: the calls and checks of
+    scipy.linalg.eigh_tridiagonal(select="i"), with its ValueError on
+    non-finite input. Vectors come back euclidean-orthonormal, as a list of
+    1-D arrays in ascending eigenvalue order.
     """
     n = diag.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    diag, off = np.asarray_chkfinite(diag), np.asarray_chkfinite(off)
+    if n == 1:
+        vecs = np.ones((1, 1))  # the wrappers reject an empty off-diagonal
+    else:
+        m, w, iblock, isplit, info = _dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "B")
+        _check_info(info, "stebz")
+        w = w[:m]
+        vecs, info = _dstein(diag, off, w, iblock, isplit)
+        _check_info(info, "stein")
+        vecs = vecs[:, np.argsort(w)]  # block order to ascending order
     vecs = [vecs[:, j] for j in range(k)]
     return _rayleigh_quotients(diag, off, vecs), vecs
 
@@ -464,7 +530,7 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:
     matrix within a small multiple of eps ||A||_inf of A, so a caller that
     needs it for A itself keeps its bounds that far (1e3 eps ||A||_inf
     suffices) from what it certifies."""
-    return int(dstebz(diag, off, 1, lo, hi, 0, 0, np.inf, b"E")[0])
+    return int(_dstebz(diag, off, 1, lo, hi, 0, 0, np.inf, b"E")[0])
 
 
 def laplacian_eigenpairs(

@@ -58,8 +58,9 @@ def diagram_lam2(problem):
 
 
 def reference_json(doc) -> str:
-    """The layout every JSON artifact must have, byte for byte."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The layout every JSON artifact must have, byte for byte; an ndarray
+    in the document is spelled as its tolist()."""
+    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 @pytest.fixture(autouse=True)
@@ -318,6 +319,9 @@ class TestJsonWriter:
         "top",
         None,
         12345678901234567890,
+        {"vec": np.array([0.1, -0.0, 1e-300, math.nan, -math.inf]),
+         "empty": np.zeros(0), "rows": [np.arange(3.0), np.ones(1)],
+         "nested": {"w": np.linspace(0.0, 1.0, 7)}},
     ])
     def test_matches_json_dumps(self, doc, tmp_path):
         path = tmp_path / "doc.json"
@@ -333,6 +337,17 @@ class TestJsonWriter:
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._write_json(doc, path)
         assert not path.exists()
+
+    def test_array_payload_writes_the_bytes_of_the_list_payload(
+        self, diagram_lam2, tmp_path,
+    ):
+        """The diagram command writes float vectors straight from their
+        arrays; the bytes are json.dumps of the JSON-native diagram_payload."""
+        path = tmp_path / "diagram.json"
+        cli._write_json(cli._diagram_arrays(diagram_lam2), path)
+        assert path.read_bytes() == reference_json(
+            diagram_payload(diagram_lam2)
+        ).encode("ascii")
 
     def test_non_string_key_raises_type_error(self, tmp_path):
         # json.dumps would print 1 as "1"; no CLI document has such keys

@@ -205,6 +205,43 @@ def test_eigenpair_count_validation(domain):
         laplacian_eigenpairs(domain, domain.n_interior + 1)
 
 
+@pytest.mark.parametrize("n, k", [
+    (n, k) for n in (2, 3, 49, 399, 1599) for k in (1, 2, 3) if k <= n
+])
+def test_eigenpairs_bit_identical_to_scipy_eigh_tridiagonal(n, k):
+    """The direct dstebz/dstein calls give the vectors of
+    scipy.linalg.eigh_tridiagonal(select='i'), bit for bit, and so the same
+    polished values; the band is a linearization's, -Laplacian plus a
+    varying diagonal."""
+    from scipy.linalg import eigh_tridiagonal
+
+    h2 = (1.0 / (n + 1)) ** 2
+    rng = np.random.default_rng(n + k)
+    diag = 2.0 / h2 + 30.0 * rng.standard_normal(n)
+    off = np.full(n - 1, -1.0 / h2)
+    vals, vecs = symmetric_tridiagonal_eigenpairs(diag, off, k)
+    _, ref = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
+    ref = [ref[:, j] for j in range(k)]
+    assert len(vecs) == k
+    assert all(np.array_equal(v, r) for v, r in zip(vecs, ref))
+    assert np.array_equal(vals, grid_mod._rayleigh_quotients(diag, off, ref))
+
+
+def test_eigenpairs_of_a_1x1_matrix():
+    vals, vecs = symmetric_tridiagonal_eigenpairs(np.array([2.5]), np.zeros(0), 1)
+    assert vals.tolist() == [2.5]
+    assert [v.tolist() for v in vecs] == [[1.0]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigenpairs_reject_non_finite_input(bad):
+    diag, off = np.full(5, 2.0), np.full(4, -1.0)
+    with pytest.raises(ValueError):
+        symmetric_tridiagonal_eigenpairs(np.where(np.arange(5) == 2, bad, diag), off, 2)
+    with pytest.raises(ValueError):
+        symmetric_tridiagonal_eigenpairs(diag, np.where(np.arange(4) == 1, bad, off), 2)
+
+
 def test_renormalize_l2(domain, harvest_field):
     pairs = laplacian_eigenpairs(domain, 1)
     unit = renormalize_l2(pairs[0].eigenfunction)
@@ -221,6 +258,15 @@ def test_factor_solve_roundtrip(domain):
     b = rng.standard_normal(domain.n_interior)
     x = op.factor().solve(b)
     assert np.max(np.abs(op.apply(x) - b)) < 1e-9 * np.max(np.abs(b))
+
+
+def test_factor_leaves_its_bands_unchanged(domain):
+    """dgttrf factors copies of writable bands too, so callers may share
+    them with the factorization."""
+    op = assemble_laplacian(domain).add_diagonal(np.linspace(0.0, 50.0, domain.n_interior))
+    diag, off = op.diag.copy(), op.off.copy()
+    TridiagonalFactor(diag, off).solve(np.ones(domain.n_interior))
+    assert np.array_equal(diag, op.diag) and np.array_equal(off, op.off)
 
 
 def test_factor_pivot_reveals_singular_shift(domain):

@@ -70,11 +70,14 @@ def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
 
 
 # Subpackages and stdlib modules the package never calls. Importing
-# scipy.optimize pulls in all of them, with the _qhull, _decimal and
-# _special_ufuncs libraries.
+# scipy.optimize pulls in the first six, with the _qhull, _decimal and
+# _special_ufuncs libraries; scipy.linalg's Python layer pulls in
+# numpy.f2py and numpy.testing (its array-API shim clones numpy). The
+# package binds its LAPACK routines from the compiled scipy/linalg/_flapack
+# extension alone.
 UNUSED_MODULES = (
     "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special",
-    "scipy.fft", "decimal",
+    "scipy.fft", "decimal", "scipy.linalg", "numpy.f2py", "numpy.testing",
 )
 
 
@@ -103,3 +106,53 @@ def test_import_and_diagram_run_load_no_unused_modules(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout == "0 []\n"
     assert (tmp_path / "out" / "diagram.json").exists()
+
+
+def _run_in_import_order(work: Path, scipy_first: bool) -> list[str]:
+    """In a fresh interpreter under work/, import scipy.linalg before or
+    after the package, then run CLI diagram at n = 49 and a 100-start CLI
+    count; returns whether grid's LAPACK routines are scipy.linalg.lapack's,
+    then the exit codes and the sha256 of the two JSON artifacts."""
+    for command, run in (
+        ("diagram", "  a: 20.0\n"),
+        ("count", "  a: 40.0\n  c: -0.005\n  n_starts: 100\n  seed: 0\n"),
+    ):
+        (work / f"{command}.yaml").write_text(
+            "schema_version: 1\ngrid:\n  n_interior: 49\n"
+            f"run:\n  command: {command}\n{run}"
+            f"output:\n  directory: {command}\n"
+        )
+    imports = ["import scipy.linalg.lapack", "import bifurcate, bifurcate.cli"]
+    script = "\n".join([
+        "import hashlib, sys",
+        *(imports[::-1] if scipy_first else imports),
+        "from bifurcate import grid",
+        "same = all(getattr(grid, '_' + name) is getattr(scipy.linalg.lapack, name)",
+        "           for name in ('dgttrf', 'dgttrs', 'dstebz', 'dstein'))",
+        "rcs = [bifurcate.cli.main([cmd, '--config', cmd + '.yaml'])",
+        "       for cmd in ('diagram', 'count')]",
+        "digests = [hashlib.sha256(open(path, 'rb').read()).hexdigest()",
+        "           for path in ('diagram/diagram.json', 'count/count.json')]",
+        "print(same, *rcs, *digests)",
+    ])
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=work, capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()[-5:]
+
+
+def test_lapack_routines_and_results_are_the_same_in_either_import_order(tmp_path):
+    """Whether scipy.linalg is imported before or after the package, grid's
+    LAPACK routines are the very objects scipy.linalg.lapack exposes, and an
+    n = 49 diagram and a 100-start count write the same bytes."""
+    runs = []
+    for scipy_first in (False, True):
+        work = tmp_path / f"scipy_first={scipy_first}"
+        work.mkdir()
+        runs.append(_run_in_import_order(work, scipy_first))
+    package_first, scipy_first = runs
+    assert package_first[:3] == scipy_first[:3] == ["True", "0", "0"]
+    assert package_first == scipy_first
