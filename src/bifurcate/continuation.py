@@ -91,6 +91,8 @@ CHORD_TOL = 2.5e-3
 JUMP_FACTOR = 8.0
 #: Chart offset of the two probes of fold_normal_form_checks.
 NORMAL_FORM_OFFSET = 0.02
+#: Newton iterations of one arclength corrector.
+MAX_CORRECTOR = 8
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,10 @@ class Branch:
     onto the first ('phi') or second ('psi') Laplacian eigenfunction, divided
     by that eigenfunction's square integral. arclengths are cumulative
     product-norm distances along the trace. steps counts the arclength steps
-    of the continue_branch traces the branch was cut or stitched from (all
-    zero for branches built otherwise); it is not part of any output file.
+    of the continue_branch traces the branch was stitched from; of the
+    pieces a trace is cut into, the first carries its counts and the others
+    none, so a diagram's branches count each step once (all zero for
+    branches built otherwise). It is not part of any output file.
     """
 
     points: tuple[SolutionPoint, ...]
@@ -341,7 +345,6 @@ def continue_branch(
     chart: str = "phi",
     step0: float = 0.02,
     max_step: float | None = None,
-    max_corrector: int = 8,
     stop_at_events: bool = True,
     max_points: int = 4000,
 ) -> Branch:
@@ -349,9 +352,9 @@ def continue_branch(
 
     The predictor extrapolates along the secant through the last two points
     (for the first step, along the c-derivative of the state), and the
-    corrector is a bordered Newton solve on the hyperplane through the
-    predictor orthogonal to that direction. direction is the initial sign
-    of dc.
+    corrector is a bordered Newton solve, at most MAX_CORRECTOR iterations,
+    on the hyperplane through the predictor orthogonal to that direction.
+    direction is the initial sign of dc.
 
     The step follows the branch geometry (Allgower & Georg 1990, ch. 6).
     After each accepted step the curvature kappa is estimated from the turn
@@ -452,7 +455,7 @@ def continue_branch(
 
         try:
             u_ld, c_ld, rF = _arclength_corrector(
-                problem, a, ub, cb, Tu, Tc, ds, max_corrector
+                problem, a, ub, cb, Tu, Tc, ds, MAX_CORRECTOR
             )
         except NonConvergence:
             reject("nonconvergence", f"the corrector did not converge near c={cb:.6g}")
@@ -521,7 +524,7 @@ def _detect_event(problem, prev, new):
             u_ld, c_ld, rF = _arclength_corrector(
                 problem, new.a, new.u.values, new.c,
                 (new.u.values - prev.u.values) / dist, (new.c - prev.c) / dist,
-                dist, 8,
+                dist, MAX_CORRECTOR,
             )
         except NonConvergence:
             return ("degeneracy", None)
@@ -869,7 +872,9 @@ def trace_fold_curve(
 
     def solve_at(a, guess):
         u0, c0, w0 = guess
-        _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, 16, w0=w0, S=S)
+        _, u_ld, c_ld, w_ld, _ = _extended_newton(
+            problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S
+        )
         dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind)
         return dp, (dp.u.values, dp.c, dp.w.values)
 
@@ -897,7 +902,7 @@ def trace_fold_curve(
             sides = []
             for sign in (-1.0, 1.0):
                 _, _, c_ld, _, _ = _extended_newton(
-                    problem, p.a + sign * probe, p.u.values, p.c, 16, w0=w, S=S
+                    problem, p.a + sign * probe, p.u.values, p.c, FOLD_MAX_ITER, w0=w, S=S
                 )
                 sides.append(float(c_ld))
             secant = (sides[1] - sides[0]) / (2.0 * probe)
@@ -927,13 +932,9 @@ def trace_index1_degenerate_curve(
     sides; an explicit range must cover the segment.
     """
     dom = problem.domain
-    M = problem.nonlinearity.M
-    phi, psi = problem.modes()
+    psi = problem.modes()[1]
     psi_v = psi.eigenfunction.values
-    beta = -float(np.min(psi_v))
-    if beta <= 0:
-        raise ValueError("second eigenfunction has no negative part")
-    seg_lo, seg_hi = -M / beta, M
+    seg_lo, seg_hi, _, _ = _segment_line(problem)
     if t_range is None:
         t_range = (seg_lo - sigma, seg_hi + sigma)
     t_lo, t_hi = map(float, t_range)
@@ -950,7 +951,7 @@ def trace_index1_degenerate_curve(
         t_psi = np.longdouble(t) * psi_ld
         row = (dom.spacing, psi_v, 0.0, -np.longdouble(t) * np.longdouble(S2))
         aa, u_ld, cc, v, _ = _extended_newton(
-            problem, a0, t_psi + y0, c0, 16, row=row, w0=z0, S=S2
+            problem, a0, t_psi + y0, c0, FOLD_MAX_ITER, row=row, w0=z0, S=S2
         )
         dp = _package_degenerate(problem, float(aa), u_ld, cc, v, "degenerate-index1")
         return dp, (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
@@ -1127,19 +1128,8 @@ def build_degenerate_segment(problem: Problem) -> DegenerateSegment:
     downstream use.
     """
     ld = np.longdouble
-    dom = problem.domain
-    nl = problem.nonlinearity
     psi_pair = problem.modes()[1]
-    psi64 = psi_pair.eigenfunction
-    beta = -float(np.min(psi64.values))
-    if beta <= 0:
-        raise ValueError("second eigenfunction has no negative part")
-    t_lo, t_hi = -nl.M / beta, nl.M
-
-    lam2_ld, psi_ld = exact_mode_longdouble(dom, 2)
-    if float(np.dot(psi_ld.astype(float), psi64.values)) < 0:
-        psi_ld = -psi_ld
-
+    t_lo, t_hi, lam2_ld, psi_ld = _segment_line(problem)
     ts = np.linspace(t_lo, t_hi, SEGMENT_CHECKS) if t_hi > t_lo else np.array([t_lo])
     states = [ld(t) * psi_ld for t in ts]
     sups = [
@@ -1156,5 +1146,20 @@ def build_degenerate_segment(problem: Problem) -> DegenerateSegment:
             worst,
         )
     return DegenerateSegment(
-        float(psi_pair.eigenvalue), float(t_lo), float(t_hi), psi64, worst
+        float(psi_pair.eigenvalue), float(t_lo), float(t_hi), psi_pair.eigenfunction, worst
     )
+
+
+def _segment_line(problem: Problem):
+    """The exact line of degenerate states at the second eigenvalue: its
+    chart ends -M/beta and M (beta the magnitude of the negative extreme of
+    the float64 psi), and the closed-form long-double second eigenvalue and
+    mode, signed like the float64 psi."""
+    psi64 = problem.modes()[1].eigenfunction.values
+    beta = -float(np.min(psi64))
+    if beta <= 0:
+        raise ValueError("second eigenfunction has no negative part")
+    lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
+    if float(np.dot(psi_ld.astype(float), psi64)) < 0:
+        psi_ld = -psi_ld
+    return -problem.nonlinearity.M / beta, problem.nonlinearity.M, lam2_ld, psi_ld

@@ -4,10 +4,14 @@ structural claims the diagram is supposed to realize.
 
 The five regimes are keyed off the discrete eigenvalues: below-lambda1,
 at-lambda1, between-lambda1-lambda2, at-lambda2 and above-lambda2 (the
-four-solution window). Assembly launches branches from canonical zero-harvest
-seeds, refines every fold, and stitches the pieces at degenerate points or at
-the neutral segment; verification replays the regime's claims against the
-multistart oracle and records one ClaimCheck per claim.
+four-solution window). Assembly traces each curve of steady states once:
+from its seed one trace runs to the c window edge or to the ray or
+segment, the other through every fold of the curve, refining each fold
+once, to the c window edge. The traces are stitched at the seed and cut at
+the folds (and, at lambda2 with a zero threshold, at the origin) into the
+tagged sheets, adjacent sheets sharing the refined fold. Verification
+replays the regime's claims against the multistart oracle and records one
+ClaimCheck per claim.
 
 Branch tags use the ASCII names Mstar (stable sheet), Msharp and Mflat (the
 index-one sheets), Mnatural (the index-two middle piece) and ray (the
@@ -15,6 +19,7 @@ degenerate ray at the first eigenvalue, clipped for display).
 """
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +42,12 @@ from .solver import (
 )
 from .continuation import (
     Branch,
-    BranchEvent,
     DegeneratePoint,
     DegenerateSegment,
+    StepCounts,
     StepUnderflow,
     WrongKind,
+    _segment_line,
     branch_derivative_at_zero,
     build_degenerate_segment,
     continue_branch,
@@ -56,7 +62,7 @@ DEDUP_REL = 1e-4
 #: the same one (junction ends, predicted and oracle states, segment states).
 MATCH_TOL = 1e-6
 #: First arclength step of every assembly trace but those from an edge
-#: start, whose first step _edge_pair sets.
+#: start, whose first step _edge_start sets.
 ASSEMBLY_STEP0 = 0.05
 REGIMES = (
     "below-lambda1",
@@ -287,18 +293,19 @@ def _on_segment(segment: DegenerateSegment, c: float, t: float) -> bool:
     return abs(c) < 1e-3 and segment.t_min - 0.1 <= t <= segment.t_max + 0.1
 
 
-def _reindexed_events(down: Branch, up: Branch) -> tuple[BranchEvent, ...]:
-    m = len(down.points)
-    out = []
-    for ev in down.events:
-        if ev.kind == "endpoint":
-            new = m - 1 - ev.point_index
-        else:
-            new = m - 2 - ev.point_index
-        out.append(dataclasses.replace(ev, point_index=max(new, 0)))
-    for ev in up.events:
-        out.append(dataclasses.replace(ev, point_index=m - 1 + ev.point_index))
-    return tuple(sorted(out, key=lambda e: e.point_index))
+def _reversed(br: Branch) -> Branch:
+    """The branch run backwards: an event between points i and i + 1 moves
+    to m - 2 - i, an endpoint at i to m - 1 - i (m points)."""
+    m = len(br.points)
+    total = br.arclengths[-1]
+    events = tuple(
+        dataclasses.replace(ev, point_index=m - 1 - ev.point_index - (ev.kind != "endpoint"))
+        for ev in reversed(br.events)
+    )
+    arclengths = tuple(total - v for v in reversed(br.arclengths))
+    return dataclasses.replace(
+        br, points=br.points[::-1], arclengths=arclengths, t_proj=br.t_proj[::-1], events=events
+    )
 
 
 def _stitch(down: Branch, up: Branch, tag: str) -> Branch:
@@ -308,35 +315,50 @@ def _stitch(down: Branch, up: Branch, tag: str) -> Branch:
         raise ValueError("cannot stitch branches with different charts")
     if down.points[0] is not up.points[0]:
         raise ValueError("stitched traces must share their first point")
-    points = tuple(reversed(down.points)) + up.points[1:]
-    t_proj = tuple(reversed(down.t_proj)) + up.t_proj[1:]
-    s_down = down.arclengths
-    total = s_down[-1]
-    s = [total - v for v in reversed(s_down)]
-    s += [total + v for v in up.arclengths[1:]]
+    back = _reversed(down)
+    m, total = len(down.points), back.arclengths[-1]
+    events = back.events + tuple(
+        dataclasses.replace(ev, point_index=m - 1 + ev.point_index) for ev in up.events
+    )
     return Branch(
-        points, tuple(s), down.chart, t_proj,
-        events=_reindexed_events(down, up), tag=tag, steps=down.steps + up.steps,
+        back.points + up.points[1:],
+        back.arclengths + tuple(total + v for v in up.arclengths[1:]),
+        down.chart, back.t_proj + up.t_proj[1:], events, tag, down.steps + up.steps,
     )
 
 
-def _slice_branch(br: Branch, start: int, tag: str) -> Branch:
-    """Tail of a branch from index `start` on, re-based at arclength zero."""
-    base = br.arclengths[start]
-    events = tuple(
-        dataclasses.replace(ev, point_index=ev.point_index - start)
-        for ev in br.events
-        if ev.point_index >= start
-    )
-    return Branch(
-        br.points[start:],
-        tuple(v - base for v in br.arclengths[start:]),
-        br.chart,
-        br.t_proj[start:],
-        events=events,
-        tag=tag,
-        steps=br.steps,
-    )
+def _cut(problem, br: Branch, cuts, tags, chart) -> list[Branch]:
+    """Cut a trace at cuts, (lo, hi) point indices, into pieces tagged tags:
+    the piece before a cut ends at point hi, the one after starts at lo. A
+    fold cut is the pair bracketing the fold, so both pieces carry its
+    event; the origin cut is one shared point. A piece tagged Mstar is
+    charted in phi, any other in chart, with t_proj recomputed as
+    <u, e>/<e, e> as continue_branch computes it, and arclengths from zero.
+    The first piece carries the trace's step counts, the others none."""
+    dom = problem.domain
+    starts = [0] + [lo for lo, _ in cuts]
+    ends = [hi for _, hi in cuts] + [len(br.points) - 1]
+    pieces = []
+    for tag, first, last in zip(tags, starts, ends):
+        piece_chart = "phi" if tag == "Mstar" else chart
+        e = problem.modes()[0 if piece_chart == "phi" else 1].eigenfunction.values
+        e_sq = dom.inner(e, e)
+        points = br.points[first:last + 1]
+        pieces.append(Branch(
+            points,
+            tuple(v - br.arclengths[first] for v in br.arclengths[first:last + 1]),
+            piece_chart,
+            tuple(dom.inner(e, p.u.values) / e_sq for p in points),
+            events=tuple(
+                dataclasses.replace(ev, point_index=ev.point_index - first)
+                for ev in br.events
+                if first <= ev.point_index
+                and ev.point_index + (ev.kind != "endpoint") <= last
+            ),
+            tag=tag,
+            steps=br.steps if first == 0 else StepCounts(),
+        ))
+    return pieces
 
 
 def _terminal_kind(br: Branch) -> str:
@@ -351,31 +373,6 @@ def _stopped_at(br: Branch, msg: str) -> NonConvergence:
     return NonConvergence(name + msg, last.u.values, last.residual_norm)
 
 
-def _terminal_fold(br: Branch) -> DegeneratePoint:
-    for ev in reversed(br.events):
-        if ev.kind == "fold" and ev.degenerate_point is not None:
-            return ev.degenerate_point
-    raise _stopped_at(
-        br,
-        f"branch has no refined fold event; its trace ends with {_terminal_kind(br)!r}",
-    )
-
-
-def _dedup_degenerate(points, tol=1e-6):
-    kept: list[DegeneratePoint] = []
-    for p in points:
-        duplicate = False
-        for q in kept:
-            du = np.max(np.abs(p.u.values - q.u.values))
-            if du + abs(p.c - q.c) < tol * max(1.0, abs(q.c)):
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(p)
-    kept.sort(key=lambda p: p.c)
-    return tuple(kept)
-
-
 def assemble_diagram(
     problem: Problem,
     a: float,
@@ -385,15 +382,19 @@ def assemble_diagram(
 ) -> BifurcationDiagram:
     """Assemble the bifurcation diagram of the regime containing a.
 
-    Branches are launched from canonical seeds (the stable state at the
-    critical-cap amplitude, the trivial or near-trivial states, the segment
-    edges for the at-lambda2 regime), folds are refined, and the pieces are
-    stitched at degenerate points. Continuation failures raise
-    AssemblyIncomplete carrying the partial diagram. Every trace steps by
-    continue_branch's chord-error controller from a first step of
-    ASSEMBLY_STEP0, with no ceiling, and holds at most max_points points;
-    a start next to a degenerate edge sits EDGE_OFFSET off it in the chart
-    coordinate.
+    Each curve is traced once from its seed: the zero state below lambda1,
+    the state next to the ray's edge at lambda1, the stable state at the
+    critical-cap amplitude between lambda1 and lambda2 and in the window,
+    and the states next to the segment's edges at lambda2. A curve with
+    folds is traced through them and cut there into its sheets
+    (_add_curve), so every fold is refined once, and the diagram's
+    degenerate points are those folds, by c. Continuation failures, and
+    traces whose events are not those of the regime's curves, raise
+    AssemblyIncomplete carrying the partial diagram with the sheets
+    finished so far. Every trace steps by continue_branch's chord-error
+    controller from a first step of ASSEMBLY_STEP0, with no ceiling, and
+    holds at most max_points points; a start next to a degenerate edge sits
+    EDGE_OFFSET off it in the chart coordinate.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -424,21 +425,22 @@ def assemble_diagram(
     branches: list[Branch] = []
     degenerate: list[DegeneratePoint] = []
     segment = None
+
+    def diagram(complete=True):
+        folds = tuple(sorted(degenerate, key=lambda p: p.c))
+        return BifurcationDiagram(
+            problem, a, regime, tuple(branches), folds, segment, c_min, complete
+        )
+
     try:
         segment = build(problem, a, c_min, kw, branches, degenerate)
     except (StepUnderflow, NonConvergence, SingularJacobian, Diverged) as exc:
-        partial = BifurcationDiagram(
-            problem, a, regime, tuple(branches), _dedup_degenerate(degenerate),
-            segment, c_min, complete=False,
-        )
+        partial = diagram(complete=False)
         where = _window_position(problem, a) if regime == "above-lambda2" else ""
         raise AssemblyIncomplete(
             f"{regime} assembly stopped early: {exc}{where}", partial
         ) from exc
-    return BifurcationDiagram(
-        problem, a, regime, tuple(branches), _dedup_degenerate(degenerate),
-        segment, c_min,
-    )
+    return diagram()
 
 
 def _window_position(problem, a):
@@ -488,43 +490,36 @@ EDGE_OFFSET = 0.05
 EDGE_START_DOUBLINGS = 4
 
 
-def _edge_start(problem, a, mode, edge, offset):
+def _edge_start(problem, a, mode, edge, offset, kw):
     """Branch start with chart coordinate <u, e> / <e, e> = edge + offset,
-    e the mode's eigenfunction, at c = 0.
+    e the mode's eigenfunction, at c = 0, and the trace settings kw with the
+    first step its traces take.
 
     Next to a degenerate edge the vanishing eigenvalue grows only like
     |t - edge|^(p_f - 1), so on a steep ramp the first offset can still
     classify as degenerate, where continuation cannot start; the offset is
     then doubled, at most EDGE_START_DOUBLINGS times.
+
+    The first step moves the chart coordinate by twice the start's distance
+    from the edge, so the trace toward the edge lands about as far inside
+    the ray or segment as it started outside: past the states next to the
+    edge whose vanishing eigenvalue is too small to tell from zero, and far
+    enough inside for probes on both sides of the landed state to stay on
+    the ray or segment.
     """
     e = mode.eigenfunction
     for _ in range(EDGE_START_DOUBLINGS + 1):
         t = edge + offset
         start = solve_at_projection(problem, a, e, t, t * e.values, 0.0)
         if not start.degenerate:
-            return start
+            norm = np.sqrt(problem.domain.inner(e.values, e.values))
+            gap = abs(problem.domain.inner(e.values, start.u.values) / norm**2 - edge)
+            return start, {**kw, "step0": 2.0 * gap * norm}
         offset *= 2.0
     raise NonConvergence(
         f"every branch start up to t={t:.6g} next to the degenerate edge "
         f"t={edge:.6g} is degenerate",
         start.u.values, start.residual_norm,
-    )
-
-
-def _edge_pair(problem, a, mode, edge, offset, window, chart, kw):
-    """Both traces from the branch start next to a degenerate edge
-    (_edge_start). Their first step moves the chart coordinate by twice the
-    start's distance from the edge, so the trace toward the edge lands about
-    as far inside the ray or segment as it started outside: past the states
-    next to the edge whose vanishing eigenvalue is too small to tell from
-    zero, and far enough inside for probes on both sides of the landed
-    state to stay on the ray or segment."""
-    start = _edge_start(problem, a, mode, edge, offset)
-    e = mode.eigenfunction.values
-    norm = np.sqrt(problem.domain.inner(e, e))
-    gap = abs(problem.domain.inner(e, start.u.values) / norm**2 - edge)
-    return _both_directions(
-        problem, start, window, chart, {**kw, "step0": 2.0 * gap * norm}
     )
 
 
@@ -534,6 +529,62 @@ def _stable_seed(problem, a):
     return newton_solve(
         problem, DiscreteField(problem.domain, amp * phi.eigenfunction.values), a, 0.0
     )
+
+
+def _add_curve(problem, back, window, chart, kw, tags, branches, degenerate, *, origin=False):
+    """Trace a curve through its folds in one pass, and add its sheets,
+    tagged tags in order from back's far end, and their folds to the diagram.
+
+    back is the trace from the curve's start toward decreasing c, stopped at
+    its first event. The trace toward increasing c runs on through each fold
+    (stop_at_events=False), refining it once, and must end at the c window
+    edge after one fold between each two sheets. It is cut at its folds
+    (_cut); its first piece is stitched to back, and each later piece is
+    reversed to end at the fold where the trace entered it. With origin,
+    back crossed the chart origin, and the stitched sheet is cut at its
+    point nearest t = 0 into tags[0] and tags[1].
+
+    If the trace stops short or sees other events, the pieces before its
+    last leading fold go into the diagram with their folds, and the
+    StepUnderflow, or a NonConvergence naming the trace (its sheets joined
+    by '|'), its events and its last point, is raised.
+    """
+    sheets = tags[1:] if origin else tags
+    tag = "|".join(sheets)
+    failure = None
+    try:
+        through = continue_branch(
+            problem, back.points[0], +1, window, chart=chart, stop_at_events=False, **kw
+        ).with_tag(tag)
+    except StepUnderflow as exc:
+        through, failure = exc.partial.with_tag(tag), exc
+    want = ["fold"] * (len(sheets) - 1) + ["endpoint"]
+    if failure is None and [ev.kind for ev in through.events] != want:
+        seen = ", ".join(
+            f"{ev.kind} at c={(ev.degenerate_point or through.points[ev.point_index]).c:.6g}"
+            for ev in through.events
+        )
+        failure = _stopped_at(
+            through, f"expected the events {', '.join(want)}; the trace saw {seen or 'none'}"
+        )
+    folds = list(itertools.takewhile(
+        lambda ev: ev.kind == "fold", through.events[: len(sheets) - 1]
+    ))
+    cuts = [(ev.point_index, ev.point_index + 1) for ev in folds]
+    pieces = _cut(problem, through, cuts, sheets, chart)
+    if failure is not None:
+        pieces.pop()
+    if pieces:
+        first = _stitch(back, pieces[0], pieces[0].tag)
+        if origin:
+            k = int(np.argmin(np.abs(first.t_values())))
+            branches.extend(_cut(problem, first, [(k, k)], tags[:2], chart))
+        else:
+            branches.append(first)
+        branches.extend(_reversed(p) for p in pieces[1:])
+    degenerate.extend(ev.degenerate_point for ev in folds)
+    if failure is not None:
+        raise failure
 
 
 def _assemble_below(problem, a, c_min, kw, branches, degenerate):
@@ -587,7 +638,8 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
         tuple(float(t) for t in ts),
         tag="ray",
     ))
-    pair = _edge_pair(problem, a, phi, M, EDGE_OFFSET, (c_min, 1.0), "phi", kw)
+    start, edge_kw = _edge_start(problem, a, phi, M, EDGE_OFFSET, kw)
+    pair = _both_directions(problem, start, (c_min, 1.0), "phi", edge_kw)
     toward_cmin = _pick_terminal(pair, "endpoint")
     toward_ray = _pick_terminal(pair, "degeneracy")
     branches.append(_stitch(toward_cmin, toward_ray, "Mstar"))
@@ -595,7 +647,7 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     # landed point is the junction marker (degeneracy events carry no
     # separately refined point). Every ray state has the same vanishing
     # normal form, which the verification checks by probes on both sides of
-    # the marker; _edge_pair lands it inside the ray, clear of its end.
+    # the marker; _edge_start lands it inside the ray, clear of its end.
     end = toward_ray.points[-1]
     degenerate.append(DegeneratePoint(
         a, end.c, end.u, end.spectrum.eigenfunctions[0],
@@ -604,130 +656,62 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     return None
 
 
-def _assemble_between(problem, a, c_min, kw, branches, degenerate):
+def _stable_curve(problem, a, c_min, kw, chart, tags, branches, degenerate):
+    """The curve through the stable seed, traced down the stable sheet to
+    c_min and up it through the folds between the sheets tags to c_min."""
     window = (c_min, 1e9)
-    stable = _stable_seed(problem, a)
-    pair = _both_directions(problem, stable, window, "phi", kw)
-    branches.append(_stitch(
-        _pick_terminal(pair, "endpoint"), _pick_terminal(pair, "fold"), "Mstar"
-    ))
-    zero = newton_solve(problem, DiscreteField.zero(problem.domain), a, 0.0)
-    pair = _both_directions(problem, zero, window, "phi", kw)
-    branches.append(_stitch(
-        _pick_terminal(pair, "endpoint"), _pick_terminal(pair, "fold"), "Msharp"
-    ))
-    for br in branches:
-        degenerate.append(_terminal_fold(br))
-    return None
+    back = continue_branch(problem, _stable_seed(problem, a), -1, window, chart="phi", **kw)
+    back = _pick_terminal((back.with_tag("Mstar"),), "endpoint")
+    _add_curve(problem, back, window, chart, kw, tags, branches, degenerate)
+
+
+def _assemble_between(problem, a, c_min, kw, branches, degenerate):
+    # Mstar up to the fold, then Msharp down to c_min
+    _stable_curve(problem, a, c_min, kw, "phi", ("Mstar", "Msharp"), branches, degenerate)
 
 
 def _assemble_at_lambda2(problem, a, c_min, kw, branches, degenerate):
+    # Msharp runs from the segment's upper edge through the fold onto Mstar
+    # and down to c_min; Mflat from c_min up to the segment's lower edge.
+    # The traces toward the segment stop at their first event: traced on,
+    # they would run along the segment with a degeneracy event at every step.
     psi = problem.modes()[1]
     window = (c_min, 1e9)
     segment = build_degenerate_segment(problem)
-    top_pair = _edge_pair(problem, a, psi, segment.t_max, EDGE_OFFSET, window, "psi", kw)
-    toward_fold = _pick_terminal(top_pair, "fold")
-    top_in = top_pair[0] if top_pair[1] is toward_fold else top_pair[1]
-    if _terminal_kind(top_in) == "endpoint":
-        # zero threshold: the segment is a point, the inward trace stepped
-        # across the origin and ran on to the far c-limit; split it there
-        branches.extend(_split_at_origin(_stitch(top_in, toward_fold, "joined")))
-    else:
-        # the inward trace parked on (or at) the segment
-        branches.append(_stitch(top_in, toward_fold, "Msharp"))
-        bottom_pair = _edge_pair(
-            problem, a, psi, segment.t_min, -EDGE_OFFSET, window, "psi", kw
-        )
-        bottom_out = _pick_terminal(bottom_pair, "endpoint")
-        bottom_in = bottom_pair[0] if bottom_pair[1] is bottom_out else bottom_pair[1]
-        if _terminal_kind(bottom_in) == "fold":
-            # zero threshold with only this side stepping across the origin:
-            # the through-trace subsumes the sharp side; rebuild both pieces
-            # from it so the junctions stay consistent
-            branches.pop()
-            branches.extend(
-                _split_at_origin(_stitch(bottom_out, bottom_in, "joined"))
-            )
-        else:
-            branches.append(_stitch(bottom_out, bottom_in, "Mflat"))
-
-    stable = _stable_seed(problem, a)
-    pair = _both_directions(problem, stable, window, "phi", kw)
-    branches.append(_stitch(
-        _pick_terminal(pair, "endpoint"), _pick_terminal(pair, "fold"), "Mstar"
-    ))
-    for br in branches:
-        if any(ev.kind == "fold" for ev in br.events):
-            degenerate.append(_terminal_fold(br))
+    start, edge_kw = _edge_start(problem, a, psi, segment.t_max, EDGE_OFFSET, kw)
+    top_in = continue_branch(problem, start, -1, window, chart="psi", **edge_kw)
+    top_in = top_in.with_tag("Msharp")
+    # zero threshold: the segment is a point, and the inward trace stepped
+    # across the origin and ran on to c_min along Mflat
+    joined = _terminal_kind(top_in) == "endpoint"
+    if not joined:
+        _pick_terminal((top_in,), "degeneracy")
+    _add_curve(
+        problem, top_in, window, "psi", edge_kw,
+        ("Mflat", "Msharp", "Mstar") if joined else ("Msharp", "Mstar"),
+        branches, degenerate, origin=joined,
+    )
+    if not joined:
+        start, edge_kw = _edge_start(problem, a, psi, segment.t_min, -EDGE_OFFSET, kw)
+        bottom_pair = _both_directions(problem, start, window, "psi", edge_kw)
+        branches.append(_stitch(
+            _pick_terminal(bottom_pair, "endpoint"),
+            _pick_terminal(bottom_pair, "degeneracy"),
+            "Mflat",
+        ))
     return segment
 
 
-def _slice_branch_head(br: Branch, stop: int, tag: str) -> Branch:
-    events = tuple(ev for ev in br.events if ev.point_index < stop)
-    return Branch(
-        br.points[: stop + 1], br.arclengths[: stop + 1], br.chart,
-        br.t_proj[: stop + 1], events=events, tag=tag, steps=br.steps,
-    )
-
-
-def _split_at_origin(joined: Branch) -> tuple[Branch, Branch]:
-    """Split a trace that runs through the origin at its point nearest
-    t = 0: the head is Mflat, the tail Msharp."""
-    k = int(np.argmin(np.abs(np.asarray(joined.t_values()))))
-    return _slice_branch_head(joined, k, "Mflat"), _slice_branch(joined, k, "Msharp")
-
-
 def _assemble_window(problem, a, c_min, kw, branches, degenerate):
-    # Direction +1 always starts toward increasing c.
-    psi = problem.modes()[1]
-    dom = problem.domain
-    window = (c_min, 1e9)
-
-    def trace(start, direction, tag, chart="psi"):
-        # tagged so that a failure names the branch it was tracing
-        return continue_branch(
-            problem, start, direction, window, chart=chart, **kw
-        ).with_tag(tag)
-
-    zero = newton_solve(problem, DiscreteField.zero(dom), a, 0.0)
-    nat_up = trace(zero, +1, "Mnatural")
-    nat_down = trace(zero, -1, "Mnatural")
-    # each piece and each fold goes into the diagram as soon as it exists,
-    # so a partial diagram shows how far the assembly got
-    branches.append(_stitch(nat_up, nat_down, "Mnatural"))
-    p_flat = _terminal_fold(nat_up)
-    degenerate.append(p_flat)
-    p_sharp = _terminal_fold(nat_down)
-    degenerate.append(p_sharp)
+    # Mstar up to its fold, Msharp down to p_sharp (c < 0), the middle piece
+    # Mnatural up to p_flat (c > 0), then Mflat down to c_min
+    tags = ("Mstar", "Msharp", "Mnatural", "Mflat")
+    _stable_curve(problem, a, c_min, kw, "psi", tags, branches, degenerate)
+    _, p_sharp, p_flat = degenerate
     if not p_sharp.c < 0 < p_flat.c:
         raise _stopped_at(
-            nat_down if p_flat.c > 0 else nat_up,
-            "middle piece did not terminate at folds on both sides of c=0",
+            branches[2], "middle piece did not terminate at folds on both sides of c=0"
         )
-
-    plus = newton_solve(problem, DiscreteField(dom, psi.eigenfunction.values), a, 0.0)
-    sharp_down = trace(plus, -1, "Msharp")
-    sharp_up = trace(plus, +1, "Msharp")
-    branches.append(_stitch(sharp_down, sharp_up, "Msharp"))
-    degenerate.extend([_terminal_fold(sharp_down), _terminal_fold(sharp_up)])
-
-    minus = newton_solve(problem, DiscreteField(dom, -psi.eigenfunction.values), a, 0.0)
-    flat_up = trace(minus, +1, "Mflat")
-    flat_down = trace(minus, -1, "Mflat")
-    if _terminal_kind(flat_down) != "endpoint":
-        raise _stopped_at(
-            flat_down,
-            f"flat sheet did not reach the c window edge: {_terminal_kind(flat_down)}",
-        )
-    branches.append(_stitch(flat_down, flat_up, "Mflat"))
-    degenerate.append(_terminal_fold(flat_up))
-
-    stable = _stable_seed(problem, a)
-    star_up = trace(stable, +1, "Mstar", "phi")
-    star_down = trace(stable, -1, "Mstar", "phi")
-    branches.append(_stitch(star_down, star_up, "Mstar"))
-    degenerate.append(_terminal_fold(star_up))
-    return None
 
 
 @dataclass(frozen=True)
@@ -1096,9 +1080,7 @@ def _check_segment_degeneracy(diagram) -> ClaimCheck:
     rounding of a segment state misses NEWTON_TOL on fine grids)."""
     seg = diagram.segment
     problem = diagram.problem
-    lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
-    if float(np.dot(psi_ld.astype(float), seg.psi.values)) < 0:
-        psi_ld = -psi_ld
+    _, _, lam2_ld, psi_ld = _segment_line(problem)
     worst = 0.0
     for t in np.linspace(seg.t_min, seg.t_max, 5):
         r = problem.residual_values(np.longdouble(t) * psi_ld, lam2_ld, 0.0)

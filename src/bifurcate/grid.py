@@ -221,11 +221,6 @@ class LinearOperatorBanded:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return _tridiagonal_apply(self.diag, self.off, values)
 
-    def apply_field(self, f: DiscreteField) -> DiscreteField:
-        if f.domain != self.domain:
-            raise DomainMismatch("field and operator live on different grids")
-        return DiscreteField(self.domain, self.apply(f.values))
-
     def shifted(self, sigma: float) -> "LinearOperatorBanded":
         """Operator plus sigma times the identity."""
         return LinearOperatorBanded(self.domain, self.diag + sigma, self.off)

@@ -491,7 +491,7 @@ class TestDiagramCommand:
         doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
         assert doc["complete"] is False
         assert doc["regime"] == "above-lambda2"
-        assert [b["tag"] for b in doc["branches"]] == ["Mnatural"]
+        assert [b["tag"] for b in doc["branches"]] == ["Mstar"]
         assert (tmp_path / "out" / "branches.csv").exists()
         assert written_json == ["diagram.json"]
 

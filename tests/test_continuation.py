@@ -260,11 +260,10 @@ class TestBranchTracing:
         with pytest.raises(ValueError):
             continue_branch(problem, stable20, +1, (1.0, 2.0))
 
-    def test_step_underflow_carries_partial_branch(self, problem, stable20):
+    def test_step_underflow_carries_partial_branch(self, problem, stable20, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_CORRECTOR", 1)
         with pytest.raises(StepUnderflow) as err:
-            continue_branch(
-                problem, stable20, +1, (-10.0, 1e6), max_corrector=1, step0=0.01
-            )
+            continue_branch(problem, stable20, +1, (-10.0, 1e6), step0=0.01)
         partial = err.value.partial
         assert isinstance(partial, Branch)
         assert partial.points[-1] is stable20

@@ -21,6 +21,7 @@ from bifurcate.grid import (
     laplacian_eigenpairs,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
+import bifurcate.continuation as continuation_mod
 import bifurcate.diagram as diagram_mod
 import bifurcate.spectral as spectral_mod
 from bifurcate.solver import (
@@ -36,6 +37,8 @@ from bifurcate.solver import (
 )
 from bifurcate.continuation import (
     CHORD_TOL,
+    StepCounts,
+    StepUnderflow,
     _extended_newton,
     delta_window,
     trace_index1_degenerate_curve,
@@ -765,27 +768,39 @@ class TestAssembly:
     def test_above_the_window_is_incomplete_not_a_bare_error(
         self, problem, eigs, monkeypatch
     ):
-        # well past lambda2 + delta the middle piece runs to the c window
-        # edge instead of folding; the builder must report that as a typed
-        # failure with the partial diagram
-        with pytest.raises(AssemblyIncomplete, match="ends with 'endpoint'") as err:
+        # well past lambda2 + delta the curve from the stable seed passes the
+        # stable sheet's fold and then runs to the c window edge without the
+        # two index-1 folds; the builder must report that as a typed failure
+        # with the partial diagram
+        traces = []
+        original = diagram_mod.continue_branch
+
+        def continue_branch(*args, **kwargs):
+            traces.append(original(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(diagram_mod, "continue_branch", continue_branch)
+        with pytest.raises(AssemblyIncomplete, match="the trace saw fold at c=630.639, "
+                           "endpoint at c=-10") as err:
             assemble_diagram(problem, eigs[1] + 3.0)
         assert isinstance(err.value.__cause__, NonConvergence)
         partial = err.value.partial
         assert partial.regime == "above-lambda2"
         assert not partial.complete
-        # the middle piece was traced before the failure: one trace folds,
-        # the other runs to the c window edge, and both stay in the partial
-        assert partial.tags() == ("Mnatural",)
-        nat = partial.branch("Mnatural")
-        assert [ev.kind for ev in nat.events] == ["fold", "endpoint"]
-        # the cause names the branch and carries the state its trace stopped at
+        # the stable sheet up to its fold was finished before the failure and
+        # stays in the partial diagram, with its fold
+        assert partial.tags() == ("Mstar",)
+        star = partial.branch("Mstar")
+        assert [ev.kind for ev in star.events] == ["endpoint", "fold"]
+        assert partial.degenerate_points == (star.events[-1].degenerate_point,)
+        # the cause names the trace and carries the state it stopped at
         cause = err.value.__cause__
-        assert str(cause).startswith("Mnatural: ")
-        np.testing.assert_array_equal(cause.last_iterate, nat.points[-1].u.values)
-        assert cause.residual_norm == nat.points[-1].residual_norm
-        assert len(partial.degenerate_points) == 1
-        assert partial.degenerate_points[0] is nat.events[0].degenerate_point
+        assert str(cause).startswith(
+            "Mstar|Msharp|Mnatural|Mflat: expected the events fold, fold, fold, endpoint; "
+        )
+        through = traces[-1]
+        np.testing.assert_array_equal(cause.last_iterate, through.points[-1].u.values)
+        assert cause.residual_norm == through.points[-1].residual_norm
         # the message says how far past the window the growth rate lies
         assert "(a - lambda2 = 3, delta = 0.96276: a lies past lambda2 + delta)" in str(
             err.value
@@ -795,7 +810,7 @@ class TestAssembly:
             raise NonConvergence("index-1 family in t stalled", None, np.nan)
 
         monkeypatch.setattr(diagram_mod, "trace_index1_degenerate_curve", stalled)
-        with pytest.raises(AssemblyIncomplete, match="ends with 'endpoint'") as err:
+        with pytest.raises(AssemblyIncomplete, match="the trace saw fold") as err:
             assemble_diagram(problem, eigs[1] + 3.0)
         assert str(err.value).endswith(
             "(a - lambda2 = 3; the window half-width delta failed: "
@@ -804,37 +819,103 @@ class TestAssembly:
 
     @pytest.mark.parametrize("relabel, hits", [("endpoint", 2), ("index-change", 0)])
     def test_ambiguous_trace_ends_name_every_trace(
-        self, problem, monkeypatch, relabel, hits
+        self, problem, eigs, monkeypatch, relabel, hits
     ):
-        # relabel the first fold-ending trace at a = 20: the stable pair then
-        # ends with two 'endpoint' traces, or with none ending in 'fold'
+        # relabel the trace that lands on the ray at lambda1: the pair from
+        # the ray's edge then ends with two 'endpoint' traces, or with none
+        # ending in 'degeneracy'
+        original = diagram_mod.continue_branch
+        relabelled, traces = [], []
+
+        def continue_branch(*args, **kwargs):
+            br = original(*args, **kwargs)
+            if not relabelled and br.events and br.events[-1].kind == "degeneracy":
+                last = dataclasses.replace(br.events[-1], kind=relabel)
+                br = dataclasses.replace(br, events=br.events[:-1] + (last,))
+                relabelled.append(br)
+            traces.append(br)
+            return br
+
+        monkeypatch.setattr(diagram_mod, "continue_branch", continue_branch)
+        with pytest.raises(AssemblyIncomplete) as err:
+            assemble_diagram(problem, eigs[0])
+        cause = err.value.__cause__
+        assert isinstance(cause, NonConvergence)
+        wanted = "endpoint" if hits == 2 else "degeneracy"
+        ray_c = relabelled[0].points[-1].c
+        assert (
+            f"expected exactly one trace ending with {wanted!r}, got {hits} "
+            f"(traces end with {relabel!r} at c={ray_c:.6g}, 'endpoint' at c=-10)"
+        ) in str(err.value)
+        # the nearest trace is the first of two hits (the relabelled one),
+        # or the longer of two misses
+        nearest = relabelled[0] if hits else max(traces, key=lambda br: len(br.points))
+        last = nearest.points[-1]
+        assert np.array_equal(cause.last_iterate, last.u.values)
+        assert cause.residual_norm == last.residual_norm < NEWTON_TOL
+
+    def test_unexpected_events_name_the_trace(self, problem, monkeypatch):
+        # relabel the fold the curve at a = 20 passes: the trace through it
+        # then sees no fold, so nothing is finished and the failure names the
+        # trace, the events it saw and its last state
         original = diagram_mod.continue_branch
         relabelled = []
 
         def continue_branch(*args, **kwargs):
             br = original(*args, **kwargs)
-            if not relabelled and br.events and br.events[-1].kind == "fold":
-                last = dataclasses.replace(br.events[-1], kind=relabel)
-                br = dataclasses.replace(br, events=br.events[:-1] + (last,))
+            if any(ev.kind == "fold" for ev in br.events):
+                br = dataclasses.replace(br, events=tuple(
+                    dataclasses.replace(ev, kind="index-change", degenerate_point=None)
+                    if ev.kind == "fold" else ev
+                    for ev in br.events
+                ))
                 relabelled.append(br)
             return br
 
         monkeypatch.setattr(diagram_mod, "continue_branch", continue_branch)
         with pytest.raises(AssemblyIncomplete) as err:
             assemble_diagram(problem, 20.0)
+        [through] = relabelled
+        change = through.points[through.events[0].point_index].c
+        assert str(err.value) == (
+            "between-lambda1-lambda2 assembly stopped early: Mstar|Msharp: expected "
+            "the events fold, endpoint; the trace saw "
+            f"index-change at c={change:.6g}, endpoint at c=-10"
+        )
         cause = err.value.__cause__
         assert isinstance(cause, NonConvergence)
-        wanted = "endpoint" if hits == 2 else "fold"
-        fold_c = relabelled[0].points[-1].c
-        assert (
-            f"expected exactly one trace ending with {wanted!r}, got {hits} "
-            f"(traces end with {relabel!r} at c={fold_c:.6g}, 'endpoint' at c=-10)"
-        ) in str(err.value)
-        # the nearest trace is the relabelled one: the first of two hits,
-        # or the longer of two misses
-        last = relabelled[0].points[-1]
+        last = through.points[-1]
         assert np.array_equal(cause.last_iterate, last.u.values)
         assert cause.residual_norm == last.residual_norm < NEWTON_TOL
+        partial = err.value.partial
+        assert partial.branches == () and partial.degenerate_points == ()
+
+    def test_step_underflow_keeps_the_finished_sheets(self, problem, diagram20, monkeypatch):
+        # the trace through the fold at a = 20 stops short four points past
+        # it: the stable sheet up to the fold is finished and stays in the
+        # partial diagram with its fold, the index-1 sheet does not
+        original = diagram_mod.continue_branch
+
+        def stops_past_the_fold(*args, **kwargs):
+            br = original(*args, **kwargs)
+            if kwargs.get("stop_at_events", True):
+                return br
+            k = br.events[0].point_index + 5
+            raise StepUnderflow("step underflow: forced", dataclasses.replace(
+                br, points=br.points[:k], arclengths=br.arclengths[:k],
+                t_proj=br.t_proj[:k], events=br.events[:1],
+            ))
+
+        monkeypatch.setattr(diagram_mod, "continue_branch", stops_past_the_fold)
+        with pytest.raises(AssemblyIncomplete, match="step underflow: forced") as err:
+            assemble_diagram(problem, 20.0)
+        assert isinstance(err.value.__cause__, StepUnderflow)
+        partial = err.value.partial
+        assert partial.tags() == ("Mstar",)
+        star = partial.branch("Mstar")
+        assert [ev.kind for ev in star.events] == ["endpoint", "fold"]
+        np.testing.assert_array_equal(star.c_values(), diagram20.branch("Mstar").c_values())
+        assert partial.degenerate_points == (star.events[-1].degenerate_point,)
 
     def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self):
         """At n = 2399 the exact segment states miss the 1e-12 bound at
@@ -851,6 +932,72 @@ class TestAssembly:
     def test_diagram_validates_regime_label(self, problem):
         with pytest.raises(ValueError):
             BifurcationDiagram(problem, 20.0, "sideways", (), (), None, -10.0)
+
+
+class TestOnePassAssembly:
+    """Each curve of a diagram is traced once, through its folds: every fold
+    is refined once, the diagram's degenerate points are its branches'
+    fold events, and the branches count each arclength step once."""
+
+    @pytest.mark.parametrize("fixture, a, refines", [
+        ("problem", 5.0, 0),
+        ("problem", "lambda1", 0),
+        ("problem", 20.0, 1),
+        ("problem0", 20.0, 1),
+        ("problem", "lambda2", 1),
+        ("problem0", "lambda2", 1),
+        ("problem", "window", 3),
+    ])
+    def test_folds_refined_once_and_steps_counted_once(
+        self, fixture, a, refines, eigs, request, monkeypatch
+    ):
+        problem = request.getfixturevalue(fixture)
+        a = {
+            "lambda1": eigs[0], "lambda2": eigs[1], "window": eigs[1] + 0.5 * DELTA_WINDOW,
+        }.get(a, a)
+        traced, refined = [], []
+        trace, refine = diagram_mod.continue_branch, continuation_mod.refine_fold
+
+        def counted_trace(*args, **kwargs):
+            traced.append(trace(*args, **kwargs))
+            return traced[-1]
+
+        def counted_refine(*args, **kwargs):
+            refined.append(refine(*args, **kwargs))
+            return refined[-1]
+
+        monkeypatch.setattr(diagram_mod, "continue_branch", counted_trace)
+        monkeypatch.setattr(continuation_mod, "refine_fold", counted_refine)
+        diag = assemble_diagram(problem, a)
+        assert len(refined) == refines
+        total = sum((br.steps for br in traced), StepCounts())
+        assert sum((br.steps for br in diag.branches), StepCounts()) == total
+
+    @pytest.mark.parametrize("fixture", [
+        "diagram_below", "diagram20", "diagram20_m0", "diagram_lam2", "diagram_lam2_m0",
+        "diagram_window", "diagram_window99",
+    ])
+    def test_degenerate_points_are_the_fold_events(self, fixture, request):
+        diag = request.getfixturevalue(fixture)
+        events = {id(dp) for br in diag.branches for dp in br.fold_points()}
+        points = [id(dp) for dp in diag.degenerate_points]
+        assert len(set(points)) == len(points) and set(points) == events
+
+    def test_high_threshold_window_on_a_coarse_grid(self):
+        """At n = 99 with M = 0.5 the window diagram assembles in one pass
+        from the stable seed and verifies; traced sheet by sheet from
+        separate seeds, the trace from -psi ran to the upper natural fold
+        instead of the c window edge."""
+        problem = Problem(build_grid(99, 1.0), Nonlinearity(0.5, 3), HarvestSpec("bump"))
+        delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+        diag = assemble_diagram(problem, problem.modes()[1].eigenvalue + 0.5 * delta)
+        assert diag.complete
+        assert diag.tags() == ("Mstar", "Msharp", "Mnatural", "Mflat")
+        assert [dp.kind for dp in diag.degenerate_points] == [
+            "degenerate-index1", "degenerate-index1", "fold-index0"
+        ]
+        report = verify_structure(diag, seed=0)
+        assert report.failures() == ()
 
 
 class TestDiagramSolutionsAt:
@@ -1000,18 +1147,20 @@ class TestCoarseWindow:
         assert sorted(p.morse_index for p in refined) == [0, 1]
 
     def test_flat_sheet_stops_at_its_fold(self, diagram_window99, diagram_window):
-        """Mflat ends at the upper natural fold at n = 99 as at n = 399.
-        Near c = 6.15 a corrector step can converge onto the index-1 sheet
-        that Msharp covers (a chord 1.84 long for a step of 0.25) with no
-        eigenvalue changing sign; unless the jump and chord checks redo
-        that step, the trace follows the sheet to the terminal fold."""
+        """Mflat ends at the upper natural fold at n = 99 as at n = 399: the
+        curve from the stable seed passes p_flat at the end of Mnatural and
+        runs down Mflat to the c window edge, and the two sheets share that
+        one refined fold. Near c = 6.15 a corrector step can converge onto
+        the index-1 sheet that Msharp covers (a chord 1.84 long for a step
+        of 0.25) with no eigenvalue changing sign; unless the jump and chord
+        checks redo that step, the trace follows the wrong sheet."""
         flat99 = diagram_window99.branch("Mflat")
-        assert flat99.events[-1].kind == "fold"
+        assert [ev.kind for ev in flat99.events] == ["endpoint", "fold"]
         assert len(flat99.points) <= 2 * len(diagram_window.branch("Mflat").points)
         fold = flat99.events[-1].degenerate_point
-        natural = [dp.c for dp in diagram_window99.branch("Mnatural").fold_points()]
+        natural = diagram_window99.branch("Mnatural").fold_points()
         assert fold.kind == "degenerate-index1"
-        assert min(abs(fold.c - c) for c in natural) < 1e-9
+        assert fold is max(natural, key=lambda dp: dp.c) and fold.c > 0
 
     def test_verify_passes(self, diagram_window99):
         """Guards the count claim at this level, which Msharp and Mstar

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXED_SETTINGS = {
     "tol", "k_eigs", "min_step", "dt0", "min_dt", "max_dt", "eps_seed", "eps_t",
     "n_check", "max_iter", "span", "dedup", "match_tol", "offset", "amplitude",
-    "growth", "decay", "float64_phase_tol",
+    "growth", "decay", "float64_phase_tol", "max_corrector",
 }
 # The arclength tracer's first step and ceiling stay options of it alone.
 TRACER_ONLY = {"max_step", "step0"}
