@@ -556,22 +556,17 @@ def _test_function(problem, u, a, w0):
     float64 solve is refined once against the long-double J(u), which is
     what lets v meet the kernel residual bound. Returns the float64 J and
     its factorization (both shared with the Newton step), v and g in long
-    double.
+    double. A singular bordered system raises LinAlgError.
     """
     ld = np.longdouble
     J = problem.jacobian_operator(u.astype(float), float(a))
     fac = J.factor()
     w0_ld = np.asarray(w0, dtype=ld)
-    try:
-        v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0, fac)
-        v, g = v.astype(ld), ld(g[0])
-        rv = _linearized_apply(problem, u, v, a) + g * w0_ld
-        rg = w0_ld @ v - ld(1)
-        dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg), fac)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(
-            f"test-function system is singular: {exc}", u.astype(float), np.inf
-        )
+    v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0, fac)
+    v, g = v.astype(ld), ld(g[0])
+    rv = _linearized_apply(problem, u, v, a) + g * w0_ld
+    rg = w0_ld @ v - ld(1)
+    dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg), fac)
     return J, fac, v + dv.astype(ld), g + ld(dg[0])
 
 
@@ -603,7 +598,8 @@ def _extended_newton(
     without w0) and sup|F|. With stop_on_growth, an iteration whose sup|F|
     grows ends the solve as not converged: the iteration is not contracting
     (Den Heijer & Rheinboldt 1981). A singular step or no convergence raises
-    NonConvergence naming the system, with the last float64 iterate.
+    NonConvergence naming the system, with the last float64 iterate and the
+    sup|F| of every iterate (residual_history).
     """
     ld = np.longdouble
     a_free = row is not None and w0 is not None
@@ -621,15 +617,23 @@ def _extended_newton(
         row_b = scale * e
     v = None
     rF = res = np.inf
+    history = []
     for _ in range(max_iter):
         F = problem.residual_values(u, a, c)
-        r_prev, rF = rF, float(np.max(np.abs(F)))
+        r_prev, rF = rF, float(np.abs(F).max())
+        history.append(rF)
         checks = [rF]
         if row is not None:
             N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
             checks.append(abs(float(N)))
         if w0 is not None:
-            J, fac, v, g = _test_function(problem, u, a, w0)
+            try:
+                J, fac, v, g = _test_function(problem, u, a, w0)
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergence(
+                    f"test-function system is singular: {exc}", u.astype(float), np.inf,
+                    history,
+                )
             checks.append(_kernel_residual(problem, u, a, v, S))
         res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
         if res < NEWTON_TOL:
@@ -652,14 +656,14 @@ def _extended_newton(
         try:
             du, y = solve_bordered(J, B, C, D, -F.astype(float), rhs, fac)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"{system} is singular: {exc}", u64, res)
+            raise NonConvergence(f"{system} is singular: {exc}", u64, res, history)
         if not (np.isfinite(du).all() and np.isfinite(y).all()):
             break
         if a_free:
             a = a + ld(y[0])
         u = u + du.astype(ld)
         c = c + ld(y[-1])
-    raise NonConvergence(f"{system} did not converge", u.astype(float), res)
+    raise NonConvergence(f"{system} did not converge", u.astype(float), res, history)
 
 
 def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):

@@ -951,27 +951,36 @@ def _check_signc(diagram) -> ClaimCheck:
 
 def _check_junction_agreement(diagram):
     """Junction points reached from two branches must coincide; measures the
-    uniqueness content of the degenerate-solution curves."""
-    out = []
-    fold_ended = []
-    for br in diagram.branches:
+    uniqueness content of the degenerate-solution curves.
+
+    Each sheet next to a fold carries the fold's event. An event is paired
+    only with another branch's event on the same refined fold, the
+    diagram's degenerate point nearest to both, never with another fold's
+    event however close in c, nor with the other end of its own sheet.
+    """
+    folds = diagram.degenerate_points
+    ends = []
+    for b, br in enumerate(diagram.branches):
         for ev in br.events:
-            if ev.kind == "fold" and ev.degenerate_point is not None:
-                fold_ended.append((br.tag, ev.degenerate_point))
-    for i in range(len(fold_ended)):
-        for j in range(i + 1, len(fold_ended)):
-            ti, pi = fold_ended[i]
-            tj, pj = fold_ended[j]
-            dc = abs(pi.c - pj.c)
-            if dc > 1.0:
-                continue
-            du = float(np.max(np.abs(pi.u.values - pj.u.values)))
-            mismatch = du + dc
-            out.append(ClaimCheck(
-                f"junction-match[{ti}~{tj}]", 0.0, mismatch, MATCH_TOL,
-                mismatch < MATCH_TOL,
-            ))
+            dp = ev.degenerate_point
+            if ev.kind == "fold" and dp is not None and folds:
+                k = min(range(len(folds)), key=lambda k: _mismatch(dp, folds[k]))
+                ends.append((b, br.tag, k, dp))
+    out = []
+    for i, (bi, ti, ki, pi) in enumerate(ends):
+        for bj, tj, kj, pj in ends[i + 1:]:
+            if bi != bj and ki == kj:
+                mismatch = _mismatch(pi, pj)
+                out.append(ClaimCheck(
+                    f"junction-match[{ti}~{tj}]", 0.0, mismatch, MATCH_TOL,
+                    mismatch < MATCH_TOL,
+                ))
     return out
+
+
+def _mismatch(p, q) -> float:
+    """sup|u_p - u_q| + |c_p - c_q| of two degenerate points."""
+    return float(np.max(np.abs(p.u.values - q.u.values))) + abs(p.c - q.c)
 
 
 def _count_samples(diagram):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -121,7 +122,8 @@ class DiscreteDomain:
         return self.spacing * float(np.dot(u, v))
 
     def l2_norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.spacing) * np.linalg.norm(values))
+        # sqrt(v . v) is what np.linalg.norm computes for a 1-D array
+        return float(np.sqrt(self.spacing) * np.sqrt(values.dot(values)))
 
 
 @dataclass(frozen=True)
@@ -163,21 +165,24 @@ class DiscreteField:
 class TridiagonalFactor:
     """LU factorization (with partial pivoting) of a tridiagonal matrix.
 
-    Wraps LAPACK dgttrf/dgttrs. Exposes the magnitude of the smallest
-    diagonal entry of U, which is how near-singularity is detected
-    downstream.
+    Wraps LAPACK dgttrf/dgttrs. exactly_singular says whether gttrf met an
+    exactly zero pivot. min_pivot, the magnitude of the smallest diagonal
+    entry of U (0.0 when exactly singular), is how near-singularity is
+    detected downstream; it is computed when asked for, so a factorization
+    that only solves costs gttrf alone.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
-        n = diag.size
         # dgttrf factors copies of its inputs (no overwrite_* flag is set)
         dl, d, du, du2, ipiv, info = _dgttrf(off, diag, off)
         if info < 0:
             raise ValueError(f"gttrf: illegal argument {-info}")
         self._parts = (dl, d, du, du2, ipiv)
         self.exactly_singular = info > 0
-        self.min_pivot = 0.0 if info > 0 else float(np.min(np.abs(d)))
-        self.n = n
+
+    @property
+    def min_pivot(self) -> float:
+        return 0.0 if self.exactly_singular else float(np.min(np.abs(self._parts[1])))
 
     def block_min_pivots(self, blocks: int) -> np.ndarray:
         """Smallest pivot magnitude within each of `blocks` equal diagonal
@@ -223,16 +228,28 @@ class LinearOperatorBanded:
 
     def shifted(self, sigma: float) -> "LinearOperatorBanded":
         """Operator plus sigma times the identity."""
-        return LinearOperatorBanded(self.domain, self.diag + sigma, self.off)
+        return self.add_diagonal(sigma)
 
-    def add_diagonal(self, extra: np.ndarray) -> "LinearOperatorBanded":
-        return LinearOperatorBanded(self.domain, self.diag + extra, self.off)
+    def add_diagonal(self, extra) -> "LinearOperatorBanded":
+        """Operator plus diag(extra), extra a scalar or n values. A float64
+        sum of the right shape is new and this operator's off-diagonal is
+        frozen already, so both are kept as they are, not checked and copied
+        again; any other sum goes through the constructor."""
+        diag = self.diag + extra
+        if diag.dtype != np.float64 or diag.shape != self.diag.shape:
+            return LinearOperatorBanded(self.domain, diag, self.off)
+        diag.setflags(write=False)
+        op = object.__new__(LinearOperatorBanded)
+        object.__setattr__(op, "domain", self.domain)
+        object.__setattr__(op, "diag", diag)
+        object.__setattr__(op, "off", self.off)
+        return op
 
     def factor(self) -> TridiagonalFactor:
         return TridiagonalFactor(self.diag, self.off)
 
     def norm_inf(self) -> float:
-        return float(np.max(_row_abs_sums(self.diag, self.off)))
+        return float(_row_abs_sums(self.diag, self.off).max())
 
 
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,6 +277,7 @@ def _row_abs_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 #: cancellation costs about eps times this much accuracy, which one step of
 #: refinement then squares away. Above it J is deflated first.
 BORDERED_COND_LIMIT = 1e8
+_TINY = np.finfo(float).tiny
 
 
 def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
@@ -269,16 +287,20 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
     B and C are (n, k) (a 1-D array counts as k = 1), D is (k, k) and g has
     k entries; returns x (n,) and y (k,). fac, op.factor() made once by a
     caller that solves several systems on the same J, saves refactoring it;
-    without it J is factored here. J is eliminated by blocks (Chan 1984): one multi-column gttrs for f and B, the k x k
-    Schur complement, then one step of iterative refinement against the
-    full bordered matrix. Where J is exactly singular or too close to it for
-    elimination to keep its accuracy (BORDERED_COND_LIMIT), its near-null
-    direction is deflated first (Govaerts 2000, ch. 3): J + s e_j e_j^T,
-    with j the node where the inverse-iteration vector of J peaks and
-    s = ||J||_inf, is regular, and the shift comes back as one extra border
-    that pins the extra unknown to x_j. The bordered matrix itself must be
-    regular: an exactly singular Schur complement raises LinAlgError, and a
-    numerically singular one gives non-finite or meaningless output.
+    without it J is factored here. J is eliminated by blocks (Chan 1984):
+    one multi-column gttrs for f and B, the k x k Schur complement, then one
+    step of iterative refinement against the full bordered matrix, whose
+    correction is one more gttrs. A single border thus costs one gttrf and
+    two gttrs, and its 1 x 1 Schur complement is divided by (_schur_solve),
+    which is what LAPACK's gesv computes for it. Where J is exactly singular
+    or too close to it for elimination to keep its accuracy
+    (BORDERED_COND_LIMIT), its near-null direction is deflated first
+    (Govaerts 2000, ch. 3): J + s e_j e_j^T, with j the node where the
+    inverse-iteration vector of J peaks and s = ||J||_inf, is regular, and
+    the shift comes back as one extra border that pins the extra unknown to
+    x_j. The bordered matrix itself must be regular: an exactly singular
+    Schur complement raises LinAlgError, and a numerically singular one
+    gives non-finite or meaningless output.
     """
     n = op.diag.size
     f = np.asarray(f, dtype=float)
@@ -298,11 +320,10 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
         Z = op.shifted(1e-10 * scale).factor().solve(cols)
     else:
         Z = fac.solve(cols)
-    growth = np.max(np.abs(Z), axis=0) / np.maximum(
-        np.max(np.abs(cols), axis=0), np.finfo(float).tiny
-    )
+    growth = np.abs(Z).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), _TINY)
     gx = g
-    if fac.exactly_singular or not scale * np.max(growth) < BORDERED_COND_LIMIT:
+    deflated = fac.exactly_singular or not scale * growth.max() < BORDERED_COND_LIMIT
+    if deflated:
         e_j = np.zeros(n)
         e_j[int(np.argmax(np.abs(Z[:, np.argmax(growth)])))] = 1.0
         fac = op.add_diagonal(scale * e_j).factor()
@@ -313,7 +334,7 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
         Z = fac.solve(np.column_stack((cols, -scale * e_j)))
     ZB = Z[:, 1:]
     S = D - C.T.dot(ZB)
-    y = np.linalg.solve(S, gx - C.T.dot(Z[:, 0]))
+    y = _schur_solve(S, gx - C.T.dot(Z[:, 0]))
     x = Z[:, 0] - ZB.dot(y)
     # (ndarray.dot costs a fraction of the call overhead of @ on these small
     # products.) One refinement step against the original bordered matrix;
@@ -322,8 +343,25 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
     rf = f - op.apply(x) - B[:, :k].dot(y[:k])
     rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
     zr = fac.solve(rf)
-    dy = np.linalg.solve(S, np.append(rg, np.zeros(y.size - k)) - C.T.dot(zr))
+    if deflated:
+        rg = np.append(rg, 0.0)
+    dy = _schur_solve(S, rg - C.T.dot(zr))
     return x + zr - ZB.dot(dy), (y + dy)[:k]
+
+
+def _schur_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(S, b) for a Schur complement S. A 1 x 1 S is divided
+    by directly: gesv's LU of it is S itself, so its solve is the one
+    division b / S, and an exactly zero S raises the LinAlgError gesv
+    reports. The division is on Python floats, which give gesv's IEEE
+    results (inf on overflow, nan from inf / inf) without numpy's
+    floating-point warnings."""
+    if S.shape[0] != 1:
+        return np.linalg.solve(S, b)
+    s = float(S[0, 0])
+    if s == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.array([float(b[0]) / s])
 
 
 @dataclass(frozen=True)
@@ -477,19 +515,22 @@ def track_tridiagonal_eigenpairs(
     branch then pinned its freed memory in the heap.
     """
     n, k = diag.size, len(guesses)
-    eps_a = np.finfo(float).eps * float(
-        np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
-    )
+    off_max = float(np.abs(off).max(initial=0.0))
+    eps_a = np.finfo(float).eps * (float(np.abs(diag).max()) + 2.0 * off_max)
     rtol = np.sqrt(n) * eps_a
+
+    def norm(v):
+        # what np.linalg.norm computes for a 1-D array, without its checks
+        return math.sqrt(v.dot(v))
 
     def quotient_and_residual(v):
         av = _tridiagonal_apply(diag, off, v)
         sigma = float(v @ av)
-        return sigma, np.linalg.norm(av - sigma * v)
+        return sigma, norm(av - sigma * v)
 
     vecs = []
     for g in guesses:
-        v = g / np.linalg.norm(g)
+        v = g / norm(g)
         sigma, res = quotient_and_residual(v)
         for _ in range(TRACK_MAX_ITER):
             if res <= rtol:
@@ -498,10 +539,10 @@ def track_tridiagonal_eigenpairs(
             if fac.exactly_singular:
                 return None
             x = fac.solve(v)
-            norm = np.linalg.norm(x)
-            if not np.isfinite(norm) or norm == 0.0:
+            size = norm(x)
+            if not math.isfinite(size) or size == 0.0:
                 return None
-            v = x / norm
+            v = x / size
             sigma, res = quotient_and_residual(v)
         if not res <= rtol:
             return None
@@ -512,7 +553,7 @@ def track_tridiagonal_eigenpairs(
         return None
     # stebz's count is exact for a matrix within a small multiple of
     # eps ||A|| of A; the shift clears the k-th interval by far more
-    lower = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off), initial=0.0)) - 1.0
+    lower = float(diag.min()) - 2.0 * off_max - 1.0
     shift = float(mu[-1]) + rho + 1e3 * eps_a
     if sturm_count(diag, off, lower, shift) != k:
         return None

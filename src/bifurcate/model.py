@@ -54,7 +54,7 @@ def _excess(nl: Nonlinearity, u) -> np.ndarray:
     evaluated in float64."""
     arr = np.asarray(u)
     if arr.dtype != np.longdouble:
-        arr = arr.astype(float)
+        arr = arr.astype(float, copy=False)
     one = arr.dtype.type
     return np.maximum(arr - one(nl.M), one(0.0))
 
@@ -72,8 +72,8 @@ def _power(r: np.ndarray, p: int) -> np.ndarray:
     # by repeated multiplication: the generic power routine (powl for long
     # double) costs several times as much, and at p = 3 the two agreed bit
     # for bit on every long-double sample tested
-    f = r.copy()
-    for _ in range(p - 1):
+    f = r * r if p > 1 else r.copy()
+    for _ in range(p - 2):
         f *= r
     return f
 

@@ -65,12 +65,19 @@ def degeneracy_tolerance(a: float) -> float:
 
 
 class NonConvergence(RuntimeError):
-    """Newton ran out of iterations or stalled below the minimum step."""
+    """Newton ran out of iterations or stalled below the minimum step.
 
-    def __init__(self, msg: str, last_iterate: np.ndarray, residual_norm: float):
+    residual_history holds the residual sup norm of each iterate, the start
+    first, when a Newton loop (_newton_rows, or the extended systems'
+    continuation._extended_newton) raised it; it is empty otherwise.
+    """
+
+    def __init__(self, msg: str, last_iterate: np.ndarray, residual_norm: float,
+                 residual_history=()):
         super().__init__(msg)
         self.last_iterate = last_iterate
         self.residual_norm = residual_norm
+        self.residual_history = tuple(residual_history)
 
 
 class SingularJacobian(RuntimeError):
@@ -114,18 +121,22 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "harvest", self.harvest_spec.build(self.domain))
         object.__setattr__(self, "laplacian", assemble_laplacian(self.domain))
+        object.__setattr__(self, "_harvest_ld", self.harvest.values.astype(np.longdouble))
 
     def residual_values(self, u: np.ndarray, a: float, c: float) -> np.ndarray:
         # The input dtype (float64 or long double) is preserved, and rows of
         # a (..., n) stack are evaluated independently, each exactly as it
-        # would be on its own.
+        # would be on its own. The terms are summed in place, in the order
+        # ((Delta_h u + a u) - f) - c h.
         u = np.asarray(u)
         one = u.dtype.type
         f = ramp_values(self.nonlinearity, u)
-        return (
-            self._nested_laplacian(u) + one(a) * u - f
-            - one(c) * self.harvest.values.astype(u.dtype)
-        )
+        h = self._harvest_ld if one is np.longdouble else self.harvest.values
+        out = self._nested_laplacian(u)
+        out += one(a) * u
+        out -= f
+        out -= one(c) * h.astype(u.dtype, copy=False)
+        return out
 
     def _nested_laplacian(self, v: np.ndarray) -> np.ndarray:
         """Delta_h v along the last axis in the dtype of v.
@@ -133,12 +144,17 @@ class Problem:
         Evaluated as nested first differences rather than through the
         expanded stencil: neighbor subtractions of a smooth field are exact
         in floating point, which keeps the evaluation noise near 1e-13
-        instead of the ~1e-9 the 1/h^2-scaled products would give.
+        instead of the ~1e-9 the 1/h^2-scaled products would give. These
+        are the operations of np.diff(n=2) on v padded with its zero
+        boundary values, without its and np.concatenate's Python layers.
         """
         one = v.dtype.type
-        z = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
-        padded = np.concatenate((z, v, z), axis=-1)
-        return np.diff(padded, n=2, axis=-1) / one(self.domain.spacing) ** 2
+        padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,), dtype=v.dtype)
+        padded[..., 1:-1] = v
+        d1 = np.subtract(padded[..., 1:], padded[..., :-1])
+        out = np.subtract(d1[..., 1:], d1[..., :-1])
+        out /= one(self.domain.spacing) ** 2
+        return out
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
         return self.laplacian.add_diagonal(a - ramp_slope(self.nonlinearity, u))
@@ -431,7 +447,8 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
     Returns one entry per start, in start order: (float64 iterate, residual
     norm, residual history) for a start that converged, the index of the
     ball for a start that exited there, else the SingularJacobian or
-    NonConvergence that ended it.
+    NonConvergence that ended it; a NonConvergence carries the row's
+    residual history.
     """
     ld = np.longdouble
     u = np.array(starts, dtype=float)
@@ -509,6 +526,7 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
                         f"(residual {rnorm[i]:.3e})",
                         u64[i],
                         float(rnorm[i]),
+                        history[i],
                     )
                 elif sound[i]:
                     out[rows[i]] = (u64[i], float(rnorm[i]), tuple(history[i]))
@@ -532,9 +550,14 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
         step = np.ones(len(rows))
         searching = np.arange(len(rows))
         switch = {}
+        first = True
         while searching.size:
             s, f0 = step[searching], rnorm[searching]
-            u_trial = u[searching] + s.astype(u.dtype)[:, None] * delta[searching]
+            if first:
+                # every row's trial at step 1, where 1 * delta is delta
+                u_trial = u + delta
+            else:
+                u_trial = u[searching] + s.astype(u.dtype)[:, None] * delta[searching]
             r_trial = problem.residual_values(u_trial, a, c)
             f_trial = _row_norms(r_trial)
             near = [] if wide else np.flatnonzero(f_trial <= FLOAT64_PHASE_TOL)
@@ -546,6 +569,10 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
             for j, k in enumerate(near):
                 if accept[k]:
                     switch[searching[k]] = (promoted[j], r_promoted[j])
+            if first and accept.all():
+                u, r, rnorm = u_trial, r_trial, f_trial
+                break
+            first = False
             moved = searching[accept]
             u[moved], r[moved], rnorm[moved] = (
                 u_trial[accept], r_trial[accept], f_trial[accept]
@@ -565,6 +592,7 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
                 f"line search stalled at residual {rnorm[i]:.3e}",
                 u[i].astype(float),
                 float(rnorm[i]),
+                history[i],
             )
         keep = ~stalled
         if balls is not None:

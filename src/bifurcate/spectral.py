@@ -7,6 +7,7 @@ Morse index, and degeneracy everywhere else in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def linearized_spectrum(
         if v[peak] < 0:
             v = -v
         target_sq = psi_sq if j == 1 else phi_sq
-        v *= np.sqrt(target_sq) / (np.sqrt(dom.spacing) * np.linalg.norm(v))
+        v *= math.sqrt(target_sq) / (math.sqrt(dom.spacing) * math.sqrt(v.dot(v)))
         fields.append(DiscreteField(dom, v))
     return SpectrumSlice(
         tuple(float(x) for x in vals),

@@ -569,6 +569,11 @@ class TestExtendedNewton:
         assert str(err.value) == f"{system} system is singular: Singular matrix"
         assert err.value.last_iterate.dtype == np.float64
         np.testing.assert_array_equal(err.value.last_iterate, u0)
+        # the start's sup|F|, measured before the one step
+        (r0,) = err.value.residual_history
+        assert r0 == float(np.max(np.abs(problem.residual_values(u0.astype(ld), *{
+            "bordered": (fold20.a, fold20.c), "fold": (fold20.a, fold20.c),
+            "degenerate-family": (lam2 + 0.05, 0.0)}[system]))))
 
     def test_growing_corrector_gives_up_where_projection_iterates_on(
         self, problem, modes, branch20, monkeypatch
@@ -605,6 +610,7 @@ class TestExtendedNewton:
         assert len(sups) == 2 and NEWTON_TOL < sups[0] < sups[1]
         assert str(err.value) == "bordered system did not converge"
         assert err.value.residual_norm == sups[1]
+        assert err.value.residual_history == tuple(sups)
         grown = u_pred.astype(np.longdouble) + (10.0 * steps[0]).astype(np.longdouble)
         np.testing.assert_array_equal(err.value.last_iterate, grown.astype(float))
 

@@ -23,6 +23,7 @@ from bifurcate.grid import (
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 import bifurcate.continuation as continuation_mod
 import bifurcate.diagram as diagram_mod
+import bifurcate.grid as grid_mod
 import bifurcate.spectral as spectral_mod
 from bifurcate.solver import (
     COUNT_MAX_ITER,
@@ -1122,6 +1123,28 @@ class TestVerifyStructure:
         assert count.expected == 2 and count.measured == 2 and count.passed
         assert not checks["oracle-equivalence@c=-1"].passed
 
+    def test_zero_threshold_window_pairs_junctions_by_fold(self):
+        """At M = 0 just inside the window the two index-1 degenerate points
+        sit at c = -0.44 and 0.43, within 1 of each other, and Mnatural
+        carries both. Each junction claim pairs the two sheets that meet at
+        one refined fold, never two folds nor the two ends of one sheet, and
+        the report verifies."""
+        problem = Problem(build_grid(49, 1.0), Nonlinearity(0.0, 3), HarvestSpec("bump"))
+        delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+        diag = assemble_diagram(problem, problem.modes()[1].eigenvalue + 0.1 * delta)
+        sharp, flat = sorted(dp.c for dp in diag.degenerate_points
+                             if dp.kind == "degenerate-index1")
+        assert -0.5 < sharp < 0.0 < flat < 0.5
+        report = verify_structure(diag, seed=0)
+        junctions = [chk for chk in report.checks if chk.claim.startswith("junction-match")]
+        assert [chk.claim for chk in junctions] == [
+            "junction-match[Mstar~Msharp]",
+            "junction-match[Msharp~Mnatural]",
+            "junction-match[Mnatural~Mflat]",
+        ]
+        assert all(chk.measured == 0.0 for chk in junctions)
+        assert report.failures() == ()
+
     def test_report_failure_listing(self):
         bad = ClaimCheck("made-up", 1, 2, "exact", False)
         good = ClaimCheck("fine", 1, 1, "exact", True)
@@ -1171,6 +1194,56 @@ class TestCoarseWindow:
                      if chk.claim == f"count@c={self.level(diagram_window99):.6g}")
         assert count.expected == 2
         assert report.failures() == ()
+
+
+class TestKernelCallCounts:
+    """Guards the cost of the hot paths during the n = 99 window assembly:
+    a single-border bordered solve made without a factorization (each
+    arclength corrector and chart projection step) costs one gttrf and two
+    gttrs and never calls np.linalg.solve, and tracked spectra take no
+    np.linalg.norm."""
+
+    def test_single_border_solve_and_tracked_spectra(self, diagram_window99, monkeypatch):
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(grid_mod, "_dgttrf", counted("gttrf", grid_mod._dgttrf))
+        monkeypatch.setattr(grid_mod, "_dgttrs", counted("gttrs", grid_mod._dgttrs))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
+        costs = Counter()
+        real_bordered = continuation_mod.solve_bordered
+
+        def bordered(op, B, C, D, f, g, fac=None):
+            before = calls.copy()
+            out = real_bordered(op, B, C, D, f, g, fac)
+            if fac is None and np.ndim(B) == 1:
+                spent = calls - before
+                costs[(spent["gttrf"], spent["gttrs"], spent["solve"])] += 1
+            return out
+
+        norms = []
+        real_track = spectral_mod.track_tridiagonal_eigenpairs
+
+        def track(*args):
+            before = calls["norm"]
+            out = real_track(*args)
+            norms.append(calls["norm"] - before)
+            return out
+
+        monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
+        monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
+        diag = assemble_diagram(diagram_window99.problem, diagram_window99.a)
+        assert sum(len(br.points) for br in diag.branches) == sum(
+            len(br.points) for br in diagram_window99.branches
+        )
+        assert list(costs) == [(1, 2, 0)] and costs[(1, 2, 0)] > 100
+        assert len(norms) > 100 and not any(norms)
 
 
 class TestChordTolerance:

@@ -363,6 +363,202 @@ def test_bordered_solve_with_exact_zero_pivot(k):
     _check_bordered(op, B, C, np.zeros((k, k)), seed=k)
 
 
+def _bordered_schur_reference(op, B, C, D, f, g):
+    """solve_bordered with every Schur complement solved by np.linalg.solve,
+    as it was written before a single border's 1 x 1 complement was divided
+    by directly."""
+    n = op.diag.size
+    f = np.asarray(f, dtype=float)
+    B = np.asarray(B, dtype=float).reshape(n, -1)
+    C = np.asarray(C, dtype=float).reshape(n, -1)
+    k = B.shape[1]
+    D = np.asarray(D, dtype=float).reshape(k, k)
+    g = np.asarray(g, dtype=float).reshape(k)
+    scale = op.norm_inf()
+    fac = op.factor()
+    cols = np.empty((n, k + 1), order="F")
+    cols[:, 0] = f
+    cols[:, 1:] = B
+    if fac.exactly_singular:
+        Z = op.shifted(1e-10 * scale).factor().solve(cols)
+    else:
+        Z = fac.solve(cols)
+    growth = np.max(np.abs(Z), axis=0) / np.maximum(
+        np.max(np.abs(cols), axis=0), np.finfo(float).tiny
+    )
+    gx = g
+    if fac.exactly_singular or not scale * np.max(growth) < grid_mod.BORDERED_COND_LIMIT:
+        e_j = np.zeros(n)
+        e_j[int(np.argmax(np.abs(Z[:, np.argmax(growth)])))] = 1.0
+        fac = op.add_diagonal(scale * e_j).factor()
+        B = np.column_stack((B, -scale * e_j))
+        C = np.column_stack((C, e_j))
+        D = np.block([[D, np.zeros((k, 1))], [np.zeros((1, k)), -np.ones((1, 1))]])
+        gx = np.append(g, 0.0)
+        Z = fac.solve(np.column_stack((cols, -scale * e_j)))
+    ZB = Z[:, 1:]
+    S = D - C.T.dot(ZB)
+    y = np.linalg.solve(S, gx - C.T.dot(Z[:, 0]))
+    x = Z[:, 0] - ZB.dot(y)
+    rf = f - op.apply(x) - B[:, :k].dot(y[:k])
+    rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
+    zr = fac.solve(rf)
+    dy = np.linalg.solve(S, np.append(rg, np.zeros(y.size - k)) - C.T.dot(zr))
+    return x + zr - ZB.dot(dy), (y + dy)[:k]
+
+
+def _single_border_operator(case, n):
+    """J regular, J singular to working precision (the solve deflates it),
+    or J with an exactly zero gttrf pivot."""
+    dom = build_grid(n, 1.0)
+    if case == "regular":
+        return assemble_laplacian(dom).shifted(20.0)
+    if case == "deflated":
+        return assemble_laplacian(dom).shifted(laplacian_eigenpairs(dom, 1)[0].eigenvalue)
+    diag = np.array([1.0, 1.0] + [2.0] * (n - 2))
+    off = np.array([1.0, 0.0] + [-1.0] * (n - 3))
+    return LinearOperatorBanded(dom, diag, off)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(["regular", "deflated", "exactly singular"]),
+    n=st.integers(min_value=5, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    two_d=st.booleans(),
+    zero_d=st.booleans(),
+)
+def test_single_border_solve_is_the_schur_solve_bit_for_bit(case, n, seed, two_d, zero_d):
+    """Dividing by the 1 x 1 Schur complement gives the bits that
+    np.linalg.solve gave, x and y alike, whether J is regular, deflated or
+    exactly singular, with the border given as (n,) or (n, 1)."""
+    op = _single_border_operator(case, n)
+    rng = np.random.default_rng(seed)
+    B, C, f = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+    D = 0.0 if zero_d else rng.standard_normal()
+    g = rng.standard_normal()
+    if two_d:
+        B, C, D, g = B[:, None], C[:, None], [[D]], [g]
+    x, y = solve_bordered(op, B, C, D, f, g)
+    x_ref, y_ref = _bordered_schur_reference(op, B, C, D, f, g)
+    assert x.tobytes() == x_ref.tobytes()
+    assert y.shape == y_ref.shape == (1,) and y.tobytes() == y_ref.tobytes()
+
+
+def test_single_border_with_zero_schur_complement_raises():
+    """A bordered matrix whose 1 x 1 Schur complement is exactly 0 raises
+    the LinAlgError np.linalg.solve raised for it."""
+    op = _single_border_operator("regular", 9)
+    zero = np.zeros(9)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _bordered_schur_reference(op, zero, zero, 0.0, np.ones(9), 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        solve_bordered(op, zero, zero, 0.0, np.ones(9), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["random", "near singular", "exactly singular"]),
+)
+def test_factor_pivot_keeps_its_meaning(n, seed, kind):
+    """min_pivot, now computed only when asked for, is still the smallest
+    |U_ii| that gttrf leaves (0.0 when exactly singular), and
+    exactly_singular still means gttrf reported a zero pivot."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    diag = rng.standard_normal(n)
+    if kind == "near singular":
+        diag = np.full(n, 2.0)
+        off = np.full(n - 1, -1.0)
+        diag -= float(np.linalg.eigvalsh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0])
+    elif kind == "exactly singular":
+        diag[:2], off[0] = 1.0, 1.0
+        if n > 2:
+            off[1] = 0.0
+    _, d, _, _, _, info = grid_mod._dgttrf(off, diag, off)
+    fac = TridiagonalFactor(diag, off)
+    assert fac.exactly_singular == (info > 0)
+    assert fac.min_pivot == (0.0 if info > 0 else float(np.min(np.abs(d))))
+    if kind == "exactly singular":
+        assert fac.exactly_singular and fac.min_pivot == 0.0
+
+
+def _track_reference(diag, off, guesses):
+    """grid.track_tridiagonal_eigenpairs with its vector norms taken by
+    np.linalg.norm, as it was written before they became sqrt(v . v)."""
+    n, k = diag.size, len(guesses)
+    eps_a = np.finfo(float).eps * float(
+        np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off), initial=0.0)
+    )
+    rtol = np.sqrt(n) * eps_a
+
+    def quotient_and_residual(v):
+        av = grid_mod._tridiagonal_apply(diag, off, v)
+        sigma = float(v @ av)
+        return sigma, np.linalg.norm(av - sigma * v)
+
+    vecs = []
+    for g in guesses:
+        v = g / np.linalg.norm(g)
+        sigma, res = quotient_and_residual(v)
+        for _ in range(grid_mod.TRACK_MAX_ITER):
+            if res <= rtol:
+                break
+            fac = TridiagonalFactor(diag - sigma, off)
+            if fac.exactly_singular:
+                return None
+            x = fac.solve(v)
+            norm = np.linalg.norm(x)
+            if not np.isfinite(norm) or norm == 0.0:
+                return None
+            v = x / norm
+            sigma, res = quotient_and_residual(v)
+        if not res <= rtol:
+            return None
+        vecs.append(v)
+    mu = grid_mod._rayleigh_quotients(diag, off, vecs)
+    rho = rtol + 4.0 * eps_a
+    if any(hi - lo <= 2.0 * rho for lo, hi in zip(mu[:-1], mu[1:])):
+        return None
+    lower = float(np.min(diag)) - 2.0 * float(np.max(np.abs(off), initial=0.0)) - 1.0
+    shift = float(mu[-1]) + rho + 1e3 * eps_a
+    if grid_mod.sturm_count(diag, off, lower, shift) != k:
+        return None
+    return mu, vecs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=10, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.floats(min_value=1e-8, max_value=1.0),
+    order=st.sampled_from(["ascending", "swapped"]),
+)
+def test_tracked_eigenpairs_unchanged(n, seed, size, order):
+    """Tracking the three lowest eigenpairs of a perturbed linearization
+    from the unperturbed eigenvectors gives the bits the np.linalg.norm
+    formulation gave, None included (swapped guesses are refused)."""
+    dom = build_grid(n, 1.0)
+    lap = assemble_laplacian(dom)
+    rng = np.random.default_rng(seed)
+    x = dom.nodes
+    base = 20.0 - 30.0 * np.sin(np.pi * x) ** 2
+    diag0 = -(lap.diag + base)
+    _, guesses = symmetric_tridiagonal_eigenpairs(diag0, -lap.off, 3)
+    if order == "swapped":
+        guesses = [guesses[1], guesses[0], guesses[2]]
+    diag = diag0 + size * rng.standard_normal(n) * np.max(np.abs(base))
+    got = grid_mod.track_tridiagonal_eigenpairs(diag, -lap.off, guesses)
+    want = _track_reference(diag, -lap.off, guesses)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0].tobytes() == want[0].tobytes()
+        assert [v.tobytes() for v in got[1]] == [v.tobytes() for v in want[1]]
+
+
 def test_exact_modes_match_closed_form():
     """The first two modes are the float64 rounding of the long-double
     closed form, sign-adjusted, bit for bit, and the eigensolver's vectors

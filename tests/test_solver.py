@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifurcate.grid import (
     PI_LONGDOUBLE,
@@ -81,6 +83,60 @@ def test_residual_preserves_long_double(problem, domain):
     v = np.full(domain.n_interior, 0.1, dtype=np.longdouble)
     out = problem.residual_values(v, 10.0, 0.0)
     assert out.dtype == np.longdouble
+
+
+def _nested_difference_residual(problem, u, a, c):
+    """Problem.residual_values as first written: np.diff of the zero-padded
+    field for Delta_h u, and f by repeated multiplication from a copy of
+    (u - M)+."""
+    u = np.asarray(u)
+    one = u.dtype.type
+    nl = problem.nonlinearity
+    r = np.maximum(u - one(nl.M), one(0.0))
+    f = r.copy()
+    for _ in range(nl.p_f - 1):
+        f *= r
+    z = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
+    lap = np.diff(np.concatenate((z, u, z), axis=-1), n=2, axis=-1)
+    lap = lap / one(problem.domain.spacing) ** 2
+    return lap + one(a) * u - f - one(c) * problem.harvest.values.astype(u.dtype)
+
+
+def _same_bits(x, y):
+    """Equal dtype, shape, values and signs of zero (long double carries
+    padding bytes, so its bytes are not compared)."""
+    return (
+        x.dtype == y.dtype and x.shape == y.shape
+        and np.array_equal(x, y, equal_nan=True)
+        and np.array_equal(np.signbit(x), np.signbit(y))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=200),
+    rows=st.sampled_from([(), (1,), (4,), (2, 3)]),
+    wide=st.booleans(),
+    M=st.floats(min_value=0.0, max_value=1.0),
+    p_f=st.integers(min_value=3, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    signed_zeros=st.booleans(),
+)
+def test_residual_is_the_nested_difference_formula_bit_for_bit(
+    n, rows, wide, M, p_f, seed, signed_zeros
+):
+    """The residual built in place from the padded field's differences gives
+    the bits of the np.diff formula, in float64 and long double, for one
+    field and for stacks of them, signed zeros at the boundary included."""
+    problem = Problem(build_grid(n, 1.0), Nonlinearity(M, p_f), HarvestSpec("bump"))
+    rng = np.random.default_rng(seed)
+    x = problem.domain.nodes
+    u = 10.0 ** rng.uniform(-3, 1) * (np.sin(np.pi * x) + 1e-3 * rng.standard_normal(rows + (n,)))
+    if signed_zeros:
+        u[..., 0], u[..., -1] = -0.0, 0.0
+    u = u.astype(np.longdouble if wide else float)
+    a, c = rng.uniform(-5.0, 60.0), rng.uniform(-10.0, 600.0)
+    assert _same_bits(problem.residual_values(u, a, c), _nested_difference_residual(problem, u, a, c))
 
 
 def test_jacobian_at_zero(problem, domain):
@@ -168,6 +224,9 @@ def test_newton_nonconvergence_paths(problem, domain, modes):
     assert (last.dtype, last.shape) == (np.float64, (399,))
     assert float(np.max(np.abs(last))) == 4.185293742554277
     assert _sha16(last) == "d36520119520f7da"
+    # the start's residual, then one per iteration
+    assert len(end.residual_history) == 3
+    assert end.residual_history[-1] == end.residual_norm
     # far beyond the fold there is nothing to converge to
     with pytest.raises(NonConvergence) as info:
         newton_solve(problem, DiscreteField.zero(domain), A_REF, 1e3)
@@ -177,6 +236,8 @@ def test_newton_nonconvergence_paths(problem, domain, modes):
     assert (last.dtype, last.shape) == (np.float64, (399,))
     assert float(np.max(np.abs(last))) == 2.5328466816961708
     assert _sha16(last) == "7802381668742ef5"
+    history = info.value.residual_history
+    assert len(history) >= 2 and history[-1] == info.value.residual_norm
 
 
 def test_last_allowed_step_is_tested(problem, modes):
@@ -193,6 +254,7 @@ def test_last_allowed_step_is_tested(problem, modes):
     assert isinstance(short, NonConvergence)
     assert str(short).startswith(f"no convergence in {steps - 1} iterations")
     assert short.residual_norm == want[2][-2] >= NEWTON_TOL
+    assert short.residual_history == want[2][:-1]
 
 
 def test_newton_deterministic(problem, domain, modes):
