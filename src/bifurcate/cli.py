@@ -3,15 +3,14 @@
 One run reads a structured YAML config (four named blocks plus a mandatory
 schema version), executes a single command against the toolkit and writes
 machine-readable outputs into a directory. Outputs are deterministic: the
-same config byte-reproduces every CSV and JSON artifact.
+same config byte-reproduces every CSV, JSON and .npy artifact.
 """
 
 import argparse
 import json
-import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -326,11 +325,44 @@ def _emit_curve_csv(curve, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSON payloads and the loader
+# Artifact files, the diagram payload and the loader
+
+STATES_FILE = "states.npy"
 
 
-def _values(arr) -> np.ndarray:
-    return np.asarray(arr, dtype=float)
+@contextmanager
+def _artifact(path, mode: str):
+    """Open path for writing; on any failure remove what was written, so no
+    truncated artifact is left behind."""
+    path = Path(path)
+    try:
+        with path.open(mode) as fh:
+            yield fh
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write json.dumps(doc, indent=2, sort_keys=True) + "\\n"."""
+    with _artifact(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_states(rows, n: int, path) -> None:
+    """Write rows, float64 vectors of length n, as one (len(rows), n) .npy
+    array: the bytes of np.save(path, np.stack(rows)), streamed row by row
+    so that no stacked copy is made."""
+    header = {
+        "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+        "fortran_order": False,
+        "shape": (len(rows), n),
+    }
+    with _artifact(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for row in rows:
+            fh.write(row.tobytes())
 
 
 def _jsonable(value):
@@ -351,84 +383,86 @@ def _jsonable(value):
     return value
 
 
-def _point_payload(p: SolutionPoint) -> dict:
-    return {
-        "u": _values(p.u.values),
-        "a": float(p.a),
-        "c": float(p.c),
-        "residual_norm": float(p.residual_norm),
-        "morse_index": int(p.morse_index),
-        "degenerate": bool(p.degenerate),
-        "tag": p.tag,
-    }
+def diagram_payload(diagram: BifurcationDiagram) -> tuple[dict, list]:
+    """The diagram as the diagram command writes it: the JSON document and
+    the rows of its states.npy.
 
+    Every state vector (point u, degenerate-point u and w, segment psi) is
+    a row, and the document holds its row index. A vector shared by several
+    entries, such as a fold listed in a branch's events and in
+    degenerate_points, is one row; rows are numbered in first-seen order.
+    The document names the states file under "states".
+    """
+    rows, index = [], {}
 
-def _degenerate_payload(dp: DegeneratePoint) -> dict:
-    return {
-        "a": float(dp.a),
-        "c": float(dp.c),
-        "u": _values(dp.u.values),
-        "w": _values(dp.w.values),
-        "morse_index_at_point": int(dp.morse_index_at_point),
-        "kind": dp.kind,
-        "residual_sup": float(dp.residual_sup),
-    }
+    def row(field: DiscreteField) -> int:
+        key = id(field.values)
+        if key not in index:
+            index[key] = len(rows)
+            rows.append(field.values)
+        return index[key]
 
+    def degenerate(dp: DegeneratePoint) -> dict:
+        return {
+            "a": float(dp.a),
+            "c": float(dp.c),
+            "u": row(dp.u),
+            "w": row(dp.w),
+            "morse_index_at_point": int(dp.morse_index_at_point),
+            "kind": dp.kind,
+            "residual_sup": float(dp.residual_sup),
+        }
 
-def _branch_payload(br: Branch) -> dict:
-    return {
-        "tag": br.tag,
-        "chart": br.chart,
-        "arclengths": _values(br.arclengths),
-        "t_proj": _values(br.t_proj),
-        "events": [
-            {
-                "kind": ev.kind,
-                "point_index": int(ev.point_index),
-                "degenerate_point": (
-                    None if ev.degenerate_point is None
-                    else _degenerate_payload(ev.degenerate_point)
-                ),
-            }
-            for ev in br.events
-        ],
-        "points": [_point_payload(p) for p in br.points],
-    }
-
-
-def _segment_payload(seg) -> dict | None:
-    if seg is None:
-        return None
-    return {
-        "a": float(seg.a),
-        "t_min": float(seg.t_min),
-        "t_max": float(seg.t_max),
-        "psi": _values(seg.psi.values),
-        "verified_residual": float(seg.verified_residual),
-    }
-
-
-def _diagram_arrays(diagram: BifurcationDiagram) -> dict:
-    """The diagram's JSON document with every float vector (states, null
-    vectors, arclengths, chart coordinates) left a float64 ndarray;
-    _write_json spells each one as its list of floats."""
-    return {
+    branches = [
+        {
+            "tag": br.tag,
+            "chart": br.chart,
+            "arclengths": [float(s) for s in br.arclengths],
+            "t_proj": [float(t) for t in br.t_proj],
+            "events": [
+                {
+                    "kind": ev.kind,
+                    "point_index": int(ev.point_index),
+                    "degenerate_point": (
+                        None if ev.degenerate_point is None
+                        else degenerate(ev.degenerate_point)
+                    ),
+                }
+                for ev in br.events
+            ],
+            "points": [
+                {
+                    "u": row(p.u),
+                    "a": float(p.a),
+                    "c": float(p.c),
+                    "residual_norm": float(p.residual_norm),
+                    "morse_index": int(p.morse_index),
+                    "degenerate": bool(p.degenerate),
+                    "tag": p.tag,
+                }
+                for p in br.points
+            ],
+        }
+        for br in diagram.branches
+    ]
+    seg = diagram.segment
+    doc = {
         "a": float(diagram.a),
         "c_min": float(diagram.c_min),
         "complete": bool(diagram.complete),
         "regime": diagram.regime,
-        "branches": [_branch_payload(br) for br in diagram.branches],
-        "degenerate_points": [
-            _degenerate_payload(dp) for dp in diagram.degenerate_points
-        ],
-        "segment": _segment_payload(diagram.segment),
+        "states": STATES_FILE,
+        "branches": branches,
+        "degenerate_points": [degenerate(dp) for dp in diagram.degenerate_points],
+        "segment": None if seg is None else {
+            "a": float(seg.a),
+            "t_min": float(seg.t_min),
+            "t_max": float(seg.t_max),
+            "psi": row(seg.psi),
+            "verified_residual": float(seg.verified_residual),
+        },
     }
-
-
-def diagram_payload(diagram: BifurcationDiagram) -> dict:
-    """The diagram as a JSON-native document (lists of floats for vectors),
-    as the diagram command writes it."""
-    return _jsonable(_diagram_arrays(diagram))
+    return doc, rows
 
 
 def _report_payload(report) -> dict | None:
@@ -451,124 +485,43 @@ def _report_payload(report) -> dict | None:
     }
 
 
-_JSON_INDENT = "  "
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _emit_json(value, pad: str, write, float_lists: dict) -> None:
-    """Write value at indent pad; float_lists caches, per item indent, the
-    C encoder used for lists of plain floats."""
-    if isinstance(value, str):
-        write(encode_basestring_ascii(value))
-    elif value is None:
-        write("null")
-    elif value is True:
-        write("true")
-    elif value is False:
-        write("false")
-    elif isinstance(value, int):
-        write(int.__repr__(value))
-    elif isinstance(value, float):
-        write(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        inner = pad + _JSON_INDENT
-        if set(map(type, value)) == {float}:
-            encode = float_lists.get(inner)
-            if encode is None:
-                encode = float_lists[inner] = json.JSONEncoder(
-                    check_circular=False, separators=(",\n" + inner, ": "),
-                ).encode
-            write("[\n" + inner)
-            write(encode(value)[1:-1])
-        else:
-            sep = "[\n" + inner
-            for item in value:
-                write(sep)
-                _emit_json(item, inner, write, float_lists)
-                sep = ",\n" + inner
-        write("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        inner = pad + _JSON_INDENT
-        sep = "{\n" + inner
-        for key, item in sorted(value.items()):
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _emit_json(item, inner, write, float_lists)
-            sep = ",\n" + inner
-        write("\n" + pad + "}")
-    elif isinstance(value, np.ndarray):
-        _emit_json(value.tolist(), pad, write, float_lists)
-    else:
-        raise TypeError(
-            f"Object of type {value.__class__.__name__} is not JSON serializable"
-        )
-
-
-def _write_json(doc: dict, path) -> None:
-    """Write the bytes of json.dumps(doc, indent=2, sort_keys=True) + "\\n".
-
-    The document is walked and written to the file as it goes instead of
-    being built as one string by json's pure-Python encoder (any indent
-    selects it). Lists of plain floats carry almost all of the bytes; each
-    one is encoded in a single call of json's C encoder, whose item
-    separator is the line break and indent of the list's items. An ndarray
-    is written as its tolist(), one array at a time, so a document of float64
-    vectors never holds all of its floats as Python objects at once. Every
-    other value is spelled as json spells it, and a value json cannot
-    encode raises TypeError. Dict keys must be strings.
-    """
-    path = Path(path)
-    try:
-        with path.open("w", encoding="ascii") as fh:
-            _emit_json(doc, "", fh.write, {})
-            fh.write("\n")
-    except BaseException:
-        path.unlink(missing_ok=True)  # leave no truncated artifact
-        raise
-
-
-def _load_point(problem: Problem, doc: dict, prev: SolutionPoint | None) -> SolutionPoint:
-    u = DiscreteField(problem.domain, np.array(doc["u"], dtype=float))
+def _load_point(problem, doc, fields, prev: SolutionPoint | None) -> SolutionPoint:
     return classify_state(
-        problem, u, doc["a"], doc["c"], rnorm=doc["residual_norm"],
+        problem, fields[doc["u"]], doc["a"], doc["c"], rnorm=doc["residual_norm"],
         prev=None if prev is None else prev.spectrum,
     )
 
 
-def _load_degenerate(problem: Problem, doc: dict) -> DegeneratePoint:
+def _load_degenerate(doc: dict, fields) -> DegeneratePoint:
     return DegeneratePoint(
         doc["a"],
         doc["c"],
-        DiscreteField(problem.domain, np.array(doc["u"], dtype=float)),
-        DiscreteField(problem.domain, np.array(doc["w"], dtype=float)),
+        fields[doc["u"]],
+        fields[doc["w"]],
         doc["morse_index_at_point"],
         doc["kind"],
         doc["residual_sup"],
     )
 
 
-def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagram:
-    """Rebuild a BifurcationDiagram from its JSON document.
+def load_diagram(doc: dict, states, problem: Problem | None = None) -> BifurcationDiagram:
+    """Rebuild a BifurcationDiagram from its JSON document and the array of
+    its states.npy.
 
-    Each point is reclassified by classify_state from its stored state, with
-    the stored residual norm taken as given and the spectrum tracked from
-    the branch's previous point. The certified classification is a function
-    of that state, so the payload round-trips bit for bit.
+    Each row becomes one DiscreteField, shared by every entry that refers
+    to it. Each point is reclassified by classify_state from its stored
+    state, with the stored residual norm taken as given and the spectrum
+    tracked from the branch's previous point. The certified classification
+    is a function of that state, so the diagram round-trips bit for bit and
+    writes the same two files again. A document without the "states" key
+    carries its vectors inline, a layout this loader refuses.
     """
+    if "states" not in doc:
+        raise ValueError(
+            "diagram document has no 'states' key: its state vectors are "
+            f"written inline, not as rows of {STATES_FILE}; rerun the diagram "
+            "command to write the current layout"
+        )
     if problem is None:
         cfg = RunConfig(
             dict(doc["config_echo"]["grid"]),
@@ -577,18 +530,25 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
             dict(doc["config_echo"]["output"]),
         )
         problem = cfg.build_problem()
+    states = np.asarray(states)
+    n = problem.domain.n_interior
+    if states.ndim != 2 or states.shape[1] != n:
+        raise ValueError(
+            f"states array has shape {states.shape}, expected (rows, {n})"
+        )
+    fields = [DiscreteField(problem.domain, values) for values in states]
     branches = []
     for b in doc["branches"]:
         points, prev = [], None
         for p in b["points"]:
-            prev = _load_point(problem, p, prev)
+            prev = _load_point(problem, p, fields, prev)
             points.append(prev)
         events = tuple(
             BranchEvent(
                 ev["kind"],
                 ev["point_index"],
                 None if ev["degenerate_point"] is None
-                else _load_degenerate(problem, ev["degenerate_point"]),
+                else _load_degenerate(ev["degenerate_point"], fields),
             )
             for ev in b["events"]
         )
@@ -601,14 +561,13 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
             tag=b["tag"],
         ))
     degenerate = tuple(
-        _load_degenerate(problem, dp) for dp in doc["degenerate_points"]
+        _load_degenerate(dp, fields) for dp in doc["degenerate_points"]
     )
     seg = doc["segment"]
     segment = None
     if seg is not None:
         segment = DegenerateSegment(
-            seg["a"], seg["t_min"], seg["t_max"],
-            DiscreteField(problem.domain, np.array(seg["psi"], dtype=float)),
+            seg["a"], seg["t_min"], seg["t_max"], fields[seg["psi"]],
             seg["verified_residual"],
         )
     return BifurcationDiagram(
@@ -624,8 +583,15 @@ def load_diagram(doc: dict, problem: Problem | None = None) -> BifurcationDiagra
 
 
 def diagrams_equal(d1: BifurcationDiagram, d2: BifurcationDiagram) -> bool:
-    """Field-level equality through the serialized form."""
-    return diagram_payload(d1) == diagram_payload(d2)
+    """Field-level equality through the serialized form: equal documents
+    and equal rows."""
+    doc1, rows1 = diagram_payload(d1)
+    doc2, rows2 = diagram_payload(d2)
+    return (
+        doc1 == doc2
+        and len(rows1) == len(rows2)
+        and all(map(np.array_equal, rows1, rows2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -940,10 +906,9 @@ def _cmd_diagram(problem, cfg, outdir):
         status = 1
     formats = cfg.output["formats"]
     if "json" in formats:
-        _write_json(
-            _doc(cfg, report=None, **_diagram_arrays(diagram)),
-            outdir / "diagram.json",
-        )
+        doc, rows = diagram_payload(diagram)
+        _write_states(rows, problem.domain.n_interior, outdir / STATES_FILE)
+        _write_json(_doc(cfg, report=None, **doc), outdir / "diagram.json")
     if "csv" in formats and diagram.branches:
         _emit_branches_csv(diagram.branches, outdir / "branches.csv")
     if "svg" in formats and diagram.branches:

@@ -598,8 +598,10 @@ def _extended_newton(
     without w0) and sup|F|. With stop_on_growth, an iteration whose sup|F|
     grows ends the solve as not converged: the iteration is not contracting
     (Den Heijer & Rheinboldt 1981). A singular step or no convergence raises
-    NonConvergence naming the system, with the last float64 iterate and the
-    sup|F| of every iterate (residual_history).
+    NonConvergence naming the system, with the last iterate measured (in
+    float64), its residual and the sup|F| of every iterate
+    (residual_history). max_iter counts measured iterates, so no step is
+    taken after the last one: its result would go unmeasured.
     """
     ld = np.longdouble
     a_free = row is not None and w0 is not None
@@ -618,7 +620,7 @@ def _extended_newton(
     v = None
     rF = res = np.inf
     history = []
-    for _ in range(max_iter):
+    for it in range(max_iter):
         F = problem.residual_values(u, a, c)
         r_prev, rF = rF, float(np.abs(F).max())
         history.append(rF)
@@ -638,7 +640,10 @@ def _extended_newton(
         res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
         if res < NEWTON_TOL:
             return ld(a), u, c, v, rF
-        if not np.isfinite(res) or res > 1e8 or (stop_on_growth and rF > r_prev):
+        if (
+            it == max_iter - 1 or not np.isfinite(res) or res > 1e8
+            or (stop_on_growth and rF > r_prev)
+        ):
             break
         u64 = u.astype(float)
         if w0 is None:

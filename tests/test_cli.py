@@ -1,9 +1,9 @@
 """Config parsing, artifact emission and end-to-end command runs.
 
-The CSV and JSON emitters are checked against frozen fold constants that
-earlier test modules pinned with independent oracles, against exact format
-strings, and for byte reproducibility across repeated runs. Command tests
-drive main() with real config files in temporary directories.
+The CSV, JSON and states.npy emitters are checked against frozen fold
+constants that earlier test modules pinned with independent oracles, against
+exact format strings, and for byte reproducibility across repeated runs.
+Command tests drive main() with real config files in temporary directories.
 """
 
 import json
@@ -58,9 +58,25 @@ def diagram_lam2(problem):
 
 
 def reference_json(doc) -> str:
-    """The layout every JSON artifact must have, byte for byte; an ndarray
-    in the document is spelled as its tolist()."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    """The layout every JSON artifact must have, byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def reload(diagram, problem):
+    """The diagram rebuilt from its payload after a trip through JSON text
+    and a stacked states array."""
+    doc, rows = diagram_payload(diagram)
+    return load_diagram(json.loads(json.dumps(doc)), np.stack(rows), problem=problem)
+
+
+def run_diagram(tmp_path, name="out"):
+    """The diagram command at a = 20 into tmp_path / name."""
+    cfg = write_config(tmp_path, (
+        "schema_version: 1\nrun:\n  command: diagram\n  a: 20.0\n"
+        f"output:\n  directory: {tmp_path / name}\n"
+    ))
+    assert main(["diagram", "--config", cfg]) == 0
+    return tmp_path / name
 
 
 @pytest.fixture(autouse=True)
@@ -234,26 +250,49 @@ class TestEmitCsv:
 
 class TestJsonRoundTrip:
     def test_payload_keys(self, diagram20):
-        doc = diagram_payload(diagram20)
+        doc, rows = diagram_payload(diagram20)
         assert set(doc) == {
-            "a", "c_min", "complete", "regime", "branches",
+            "a", "c_min", "complete", "regime", "states", "branches",
             "degenerate_points", "segment",
         }
+        assert doc["states"] == "states.npy"
         assert doc["regime"] == "between-lambda1-lambda2"
         assert doc["segment"] is None
         tags = {b["tag"] for b in doc["branches"]}
         assert tags == {"Mstar", "Msharp"}
+        assert all(r.dtype == np.float64 and r.shape == (399,) for r in rows)
+
+    @pytest.mark.parametrize("name", ["diagram20", "diagram_lam1", "diagram_lam2"])
+    def test_each_vector_is_one_row(self, name, request):
+        diagram = request.getfixturevalue(name)
+        doc, rows = diagram_payload(diagram)
+        fields = [p.u for br in diagram.branches for p in br.points]
+        for dp in [*diagram.degenerate_points, *(
+            ev.degenerate_point for br in diagram.branches for ev in br.events
+            if ev.degenerate_point is not None
+        )]:
+            fields += [dp.u, dp.w]
+        if diagram.segment is not None:
+            fields.append(diagram.segment.psi)
+        assert len(rows) == len({id(f.values) for f in fields}) < len(fields)
+        # no two rows hold the same values either
+        assert len(np.unique(np.stack(rows), axis=0)) == len(rows)
+        # a fold listed in a branch's events and in degenerate_points is one row
+        listed = {(dp["u"], dp["w"]) for dp in doc["degenerate_points"]}
+        for br in doc["branches"]:
+            for ev in br["events"]:
+                if ev["kind"] == "fold":
+                    dp = ev["degenerate_point"]
+                    assert (dp["u"], dp["w"]) in listed
 
     def test_reload_preserves_everything(self, problem, diagram20):
-        doc = json.loads(json.dumps(diagram_payload(diagram20)))
-        rebuilt = load_diagram(doc, problem=problem)
+        rebuilt = reload(diagram20, problem)
         assert diagrams_equal(rebuilt, diagram20)
         assert rebuilt.regime == diagram20.regime
         assert rebuilt.complete
 
     def test_segment_survives_reload(self, problem, diagram_lam2):
-        doc = json.loads(json.dumps(diagram_payload(diagram_lam2)))
-        rebuilt = load_diagram(doc, problem=problem)
+        rebuilt = reload(diagram_lam2, problem)
         assert diagrams_equal(rebuilt, diagram_lam2)
         seg = rebuilt.segment
         assert seg is not None
@@ -263,8 +302,7 @@ class TestJsonRoundTrip:
     def test_degenerate_ray_survives_reload(self, problem, diagram_lam1):
         # reloading reclassifies every point; the ray states are degenerate,
         # where that is most fragile
-        doc = json.loads(json.dumps(diagram_payload(diagram_lam1)))
-        rebuilt = load_diagram(doc, problem=problem)
+        rebuilt = reload(diagram_lam1, problem)
         assert diagrams_equal(rebuilt, diagram_lam1)
         ray = rebuilt.branch("ray")
         assert all(p.degenerate and p.tag == "degenerate-0" for p in ray.points)
@@ -274,7 +312,8 @@ class TestJsonRoundTrip:
         # point; only the first point of a branch gets the full eigensolve
         a = problem.modes()[1].eigenvalue + 0.5 * 0.962759859621
         window = assemble_diagram(problem, a)
-        doc = json.loads(json.dumps(diagram_payload(window)))
+        doc, rows = diagram_payload(window)
+        doc = json.loads(json.dumps(doc))
         outcome = {"certified": 0, "refused": 0}
         track = spectral_mod.track_tridiagonal_eigenpairs
 
@@ -284,7 +323,7 @@ class TestJsonRoundTrip:
             return pairs
 
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", spy)
-        rebuilt = load_diagram(doc, problem=problem)
+        rebuilt = load_diagram(doc, np.stack(rows), problem=problem)
         points = sum(len(b["points"]) for b in doc["branches"])
         assert outcome == {"certified": points - len(doc["branches"]), "refused": 0}
         for stored, br in zip(doc["branches"], rebuilt.branches):
@@ -297,10 +336,19 @@ class TestJsonRoundTrip:
         assert diagrams_equal(diagram20, diagram20)
         assert not diagrams_equal(diagram20, diagram_lam2)
 
+    def test_inline_and_misshapen_states_refused(self, problem, diagram20):
+        doc, rows = diagram_payload(diagram20)
+        states = np.stack(rows)
+        inline = {key: value for key, value in doc.items() if key != "states"}
+        with pytest.raises(ValueError, match="no 'states' key.*inline"):
+            load_diagram(inline, states, problem=problem)
+        with pytest.raises(ValueError, match=r"expected \(rows, 399\)"):
+            load_diagram(doc, states[:, 1:], problem=problem)
+
 
 class TestJsonWriter:
-    """The streaming writer against json.dumps on hand-made documents; the
-    command tests check it on every document the CLI writes."""
+    """The JSON layout on hand-made documents; the command tests check it on
+    every document the CLI writes."""
 
     @pytest.mark.parametrize("doc", [
         {"floats": [1.0, -0.0, 1e-300, 2.5e17, math.nan, math.inf, -math.inf]},
@@ -319,9 +367,6 @@ class TestJsonWriter:
         "top",
         None,
         12345678901234567890,
-        {"vec": np.array([0.1, -0.0, 1e-300, math.nan, -math.inf]),
-         "empty": np.zeros(0), "rows": [np.arange(3.0), np.ones(1)],
-         "nested": {"w": np.linspace(0.0, 1.0, 7)}},
     ])
     def test_matches_json_dumps(self, doc, tmp_path):
         path = tmp_path / "doc.json"
@@ -338,23 +383,14 @@ class TestJsonWriter:
             cli._write_json(doc, path)
         assert not path.exists()
 
-    def test_array_payload_writes_the_bytes_of_the_list_payload(
-        self, diagram_lam2, tmp_path,
-    ):
-        """The diagram command writes float vectors straight from their
-        arrays; the bytes are json.dumps of the JSON-native diagram_payload."""
-        path = tmp_path / "diagram.json"
-        cli._write_json(cli._diagram_arrays(diagram_lam2), path)
-        assert path.read_bytes() == reference_json(
-            diagram_payload(diagram_lam2)
-        ).encode("ascii")
-
-    def test_non_string_key_raises_type_error(self, tmp_path):
-        # json.dumps would print 1 as "1"; no CLI document has such keys
-        path = tmp_path / "doc.json"
-        with pytest.raises(TypeError):
-            cli._write_json({"ok": {1: 2.0}}, path)
-        assert not path.exists()
+    def test_states_are_the_bytes_of_np_save(self, diagram_lam2, tmp_path):
+        _, rows = diagram_payload(diagram_lam2)
+        cli._write_states(rows, 399, tmp_path / "states.npy")
+        np.save(tmp_path / "stacked.npy", np.stack(rows))
+        assert (tmp_path / "states.npy").read_bytes() == (
+            tmp_path / "stacked.npy").read_bytes()
+        cli._write_states([], 399, tmp_path / "empty.npy")
+        assert np.load(tmp_path / "empty.npy").shape == (0, 399)
 
 
 class TestRenderSvg:
@@ -419,22 +455,33 @@ class TestCountCommand:
 
 
 class TestDiagramCommand:
-    def test_produces_three_artifacts(self, tmp_path, written_json):
-        cfg = write_config(tmp_path, (
-            "schema_version: 1\nrun:\n  command: diagram\n  a: 20.0\n"
-            f"output:\n  directory: {tmp_path / 'out'}\n"
-        ))
-        assert main(["diagram", "--config", cfg]) == 0
-        out = tmp_path / "out"
-        assert (out / "diagram.json").exists()
-        assert (out / "branches.csv").exists()
-        assert (out / "diagram.svg").exists()
+    def test_produces_three_artifacts(self, tmp_path, written_json, diagram20):
+        out = run_diagram(tmp_path)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "branches.csv", "diagram.json", "diagram.svg", "states.npy",
+        ]
         doc = json.loads((out / "diagram.json").read_text())
         assert set(doc) >= {
-            "schema_version", "config_echo", "regime", "branches",
+            "schema_version", "config_echo", "regime", "states", "branches",
             "degenerate_points", "segment", "report",
         }
         assert doc["report"] is None
+        # the states are the rows of the payload, written as np.save writes
+        # their stack, and the document holds no state vector
+        _, rows = diagram_payload(diagram20)
+        np.save(tmp_path / "stacked.npy", np.stack(rows))
+        assert (out / "states.npy").read_bytes() == (
+            tmp_path / "stacked.npy").read_bytes()
+
+        def longest_list(value):
+            if isinstance(value, dict):
+                return max(map(longest_list, value.values()), default=0)
+            if isinstance(value, list):
+                return max([len(value), *map(longest_list, value)])
+            return 0
+
+        longest_branch = max(len(b["points"]) for b in doc["branches"])
+        assert longest_list(doc) == longest_branch < 399
         tags = {row.rsplit(",", 1)[1]
                 for row in (out / "branches.csv").read_text().splitlines()[1:]}
         assert tags == {"Mstar", "Msharp"}
@@ -447,26 +494,32 @@ class TestDiagramCommand:
         ))
         assert main(["diagram", "--config", cfg]) == 0
         assert main(["diagram", "--config", cfg, "--out", str(tmp_path / "o2")]) == 0
-        for name in ("diagram.json", "branches.csv", "diagram.svg"):
+        for name in ("diagram.json", "states.npy", "branches.csv", "diagram.svg"):
             b1 = (tmp_path / "o1" / name).read_bytes()
             b2 = (tmp_path / "o2" / name).read_bytes()
             assert b1 == b2
 
     def test_json_reloads_into_equal_diagram(self, tmp_path, diagram20):
-        cfg = write_config(tmp_path, (
-            "schema_version: 1\nrun:\n  command: diagram\n  a: 20.0\n"
-            f"output:\n  directory: {tmp_path / 'out'}\n"
-        ))
-        assert main(["diagram", "--config", cfg]) == 0
-        doc = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        out = run_diagram(tmp_path)
+        doc = json.loads((out / "diagram.json").read_text())
+        states = np.load(out / doc["states"])
         echo = doc["config_echo"]
         assert set(echo["run"]).isdisjoint({"tol", "k_eigs", "max_step"})
-        assert diagrams_equal(load_diagram(doc), diagram20)
+        rebuilt = load_diagram(doc, states)
+        assert diagrams_equal(rebuilt, diagram20)
+        # the reloaded diagram writes the same two files
+        payload, rows = diagram_payload(rebuilt)
+        again = tmp_path / "again"
+        again.mkdir()
+        cli._write_states(rows, 399, again / "states.npy")
+        cli._write_json({**doc, **payload}, again / "diagram.json")
+        for name in ("diagram.json", "states.npy"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
         # documents written while the run block still carried the solver
         # settings reload all the same
         old_run = {**echo["run"], "tol": 1e-10, "k_eigs": 3, "max_step": None}
         old = {**doc, "config_echo": {**echo, "run": old_run}}
-        assert diagrams_equal(load_diagram(old), diagram20)
+        assert diagrams_equal(load_diagram(old, states), diagram20)
 
     def test_formats_subset_respected(self, tmp_path):
         cfg = write_config(tmp_path, (
@@ -476,6 +529,7 @@ class TestDiagramCommand:
         assert main(["diagram", "--config", cfg]) == 0
         assert (tmp_path / "out" / "branches.csv").exists()
         assert not (tmp_path / "out" / "diagram.json").exists()
+        assert not (tmp_path / "out" / "states.npy").exists()
         assert not (tmp_path / "out" / "diagram.svg").exists()
 
     def test_incomplete_assembly_writes_partial_diagram(

@@ -623,6 +623,44 @@ class TestExtendedNewton:
         assert len(steps) >= 2
         assert pt.residual_norm < NEWTON_TOL
 
+    def test_exhausted_corrector_reports_the_iterate_it_returns(self, monkeypatch):
+        """A corrector that runs out of iterations raises with one iterate:
+        residual_norm, the last residual_history entry and last_iterate all
+        describe the last iterate measured, and no step is taken after it.
+        With one iteration that iterate is the predictor (n = 99, a = 20,
+        from the stable state at c = 1)."""
+        problem = Problem(build_grid(99, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        dom = problem.domain
+        phi = problem.modes()[0].eigenfunction.values
+        cap = critical_cap(problem.nonlinearity, 20.0)
+        u = newton_solve(problem, DiscreteField(dom, cap * phi), 20.0, 1.0).u.values
+        Tu, Tc = phi / (np.sqrt(2.0) * dom.l2_norm(phi)), 1.0 / np.sqrt(2.0)
+        real_solve, steps = continuation.solve_bordered, []
+
+        def counted(*args):
+            steps.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(continuation, "solve_bordered", counted)
+        with pytest.raises(NonConvergence) as err:
+            continuation._arclength_corrector(problem, 20.0, u, 1.0, Tu, Tc, 0.3, 1)
+        assert steps == []
+        last = err.value.last_iterate
+        np.testing.assert_array_equal(last, u + 0.3 * Tu)
+        ld = np.longdouble
+        sup = float(np.max(np.abs(
+            problem.residual_values(last.astype(ld), 20.0, ld(1.0 + 0.3 * Tc))
+        )))
+        assert err.value.residual_history == (err.value.residual_norm,)
+        assert err.value.residual_norm == sup > NEWTON_TOL
+
+        with pytest.raises(NonConvergence) as err:
+            continuation._arclength_corrector(problem, 20.0, u, 1.0, Tu, Tc, 0.3, 3)
+        assert len(steps) == 2
+        history = err.value.residual_history
+        assert len(history) == 3 and history[-1] == err.value.residual_norm
+        assert NEWTON_TOL < history[2] < history[1] < history[0]
+
 
 class TestDegenerateFamily:
     def test_exact_on_segment(self, problem, modes, sigma_curve):
