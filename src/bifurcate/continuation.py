@@ -481,7 +481,8 @@ def continue_branch(
             continue
 
         new = classify_state(
-            problem, DiscreteField(dom, u64), a, c64, rnorm=rF, prev=base.spectrum,
+            problem, DiscreteField._wrap(dom, u64), a, c64, rnorm=rF,
+            prev=base.spectrum,
         )
         points.append(new)
         svals.append(svals[-1] + dist)

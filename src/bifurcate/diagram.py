@@ -28,6 +28,7 @@ from .grid import DiscreteField, exact_mode_longdouble, laplacian_eigenpairs
 from .model import critical_cap, ramp_slope, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
+    FOLD_MAX_ITER,
     NEWTON_TOL,
     Diverged,
     NonConvergence,
@@ -47,6 +48,7 @@ from .continuation import (
     StepCounts,
     StepUnderflow,
     WrongKind,
+    _extended_newton,
     _segment_line,
     branch_derivative_at_zero,
     build_degenerate_segment,
@@ -395,6 +397,12 @@ def assemble_diagram(
     controller from a first step of ASSEMBLY_STEP0, with no ceiling, and
     holds at most max_points points; a start next to a degenerate edge sits
     EDGE_OFFSET off it in the chart coordinate.
+
+    The c window reaches down to c_min and is never widened. When an
+    above-lambda2 assembly fails and the index-1 family puts the lower
+    index-1 fold (Msharp to Mnatural) below c_min at this a, the
+    AssemblyIncomplete says the trace reached c_min first and gives that
+    fold's c; otherwise it says where a lies relative to lambda2 + delta.
     """
     if not a > 0:
         raise ValueError(f"need a > 0, got {a}")
@@ -436,23 +444,63 @@ def assemble_diagram(
         segment = build(problem, a, c_min, kw, branches, degenerate)
     except (StepUnderflow, NonConvergence, SingularJacobian, Diverged) as exc:
         partial = diagram(complete=False)
-        where = _window_position(problem, a) if regime == "above-lambda2" else ""
+        where = _window_position(problem, a, c_min) if regime == "above-lambda2" else ""
         raise AssemblyIncomplete(
             f"{regime} assembly stopped early: {exc}{where}", partial
         ) from exc
     return diagram()
 
 
-def _window_position(problem, a):
-    """Where a failed above-lambda2 assembly sits relative to the
-    four-solution window lambda2 + delta; delta is traced only here."""
+def _window_position(problem, a, c_min):
+    """Why a failed above-lambda2 assembly may have failed: its lower
+    index-1 fold lies below c_min, or else where a sits relative to the
+    four-solution window lambda2 + delta. The index-1 family, and with it
+    delta, is traced only here."""
     gap = a - problem.modes()[1].eigenvalue
     try:
-        delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+        curve = trace_index1_degenerate_curve(problem)
+        delta = delta_window(problem, curve)
     except (NonConvergence, WrongKind, ValueError) as exc:
         return f" (a - lambda2 = {gap:.6g}; the window half-width delta failed: {exc})"
+    fold_c = _lower_index1_fold(problem, curve, a)
+    if fold_c is not None and fold_c < c_min:
+        return (
+            f" (the trace reached c_min = {c_min:.6g} before the lower index-1 fold, "
+            f"which the index-1 family puts at c = {fold_c:.6g} at this a; "
+            "a c_min below it reaches that fold)"
+        )
     side = "past" if gap > delta else "within"
     return f" (a - lambda2 = {gap:.6g}, delta = {delta:.6g}: a lies {side} lambda2 + delta)"
+
+
+def _lower_index1_fold(problem, curve, a):
+    """c of the lowest crossing of growth rate a by the traced index-1
+    family on its c < 0 side, the fold between Msharp and Mnatural at a, or
+    None where the family does not reach a there.
+
+    The fold system at a (as refine_fold solves it) is seeded at the linear
+    interpolation, in a, of the two family samples that bracket a; where
+    it does not converge, the interpolated c is returned.
+    """
+    dom = problem.domain
+    phi = problem.modes()[0]
+    S = dom.inner(phi.eigenfunction.values, phi.eigenfunction.values)
+    lowest = None
+    for p, q in zip(curve.points, curve.points[1:]):
+        if not (p.c < 0 and q.c < 0 and p.a != q.a and min(p.a, q.a) <= a <= max(p.a, q.a)):
+            continue
+        frac = (a - p.a) / (q.a - p.a)
+        u0 = (1.0 - frac) * p.u.values + frac * q.u.values
+        c = (1.0 - frac) * p.c + frac * q.c
+        w0 = (1.0 - frac) * p.w.values + frac * q.w.values
+        w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
+        try:
+            c = float(_extended_newton(problem, a, u0, c, FOLD_MAX_ITER, w0=w0, S=S)[2])
+        except NonConvergence:
+            pass
+        if lowest is None or c < lowest:
+            lowest = c
+    return lowest
 
 
 def _both_directions(problem, start, window, chart, kw):

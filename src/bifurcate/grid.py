@@ -10,10 +10,13 @@ The Laplacian's eigenpairs come from their closed form
 (exact_mode_longdouble), never from an eigensolve; the eigensolvers serve
 the linearizations of the spectral module.
 
-The four LAPACK routines used here (dgttrf, dgttrs, dstebz, dstein) are
-bound from scipy's compiled LAPACK extension, scipy.linalg._flapack, loaded
-on its own (_load_flapack) rather than through scipy.linalg, whose Python
-layer would more than double the package's import time and loaded modules.
+The five LAPACK routines used here (dgtsv, dgttrf, dgttrs, dstebz, dstein)
+are bound from scipy's compiled LAPACK extension, scipy.linalg._flapack,
+loaded on its own (_load_flapack) rather than through scipy.linalg, whose
+Python layer would more than double the package's import time and loaded
+modules. A tridiagonal system solved once goes through dgtsv (_gtsv); one
+factored to be solved several times, through dgttrf/dgttrs
+(TridiagonalFactor).
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-_dgttrf, _dgttrs = _flapack.dgttrf, _flapack.dgttrs
+_dgtsv, _dgttrf, _dgttrs = _flapack.dgtsv, _flapack.dgttrf, _flapack.dgttrs
 _dstebz, _dstein = _flapack.dstebz, _flapack.dstein
 del _flapack
 
@@ -147,6 +150,18 @@ class DiscreteField:
         object.__setattr__(self, "values", values)
 
     @classmethod
+    def _wrap(cls, domain: DiscreteDomain, values: np.ndarray) -> "DiscreteField":
+        """A field around values, n finite float64 values that the caller
+        has just built and keeps no writable use of: frozen in place, not
+        checked and copied again. Any other array goes through the
+        constructor."""
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "domain", domain)
+        object.__setattr__(field, "values", values)
+        return field
+
+    @classmethod
     def from_callable(cls, domain: DiscreteDomain, fn) -> "DiscreteField":
         return cls(domain, fn(domain.nodes))
 
@@ -165,8 +180,11 @@ class DiscreteField:
 class TridiagonalFactor:
     """LU factorization (with partial pivoting) of a tridiagonal matrix.
 
-    Wraps LAPACK dgttrf/dgttrs. exactly_singular says whether gttrf met an
-    exactly zero pivot. min_pivot, the magnitude of the smallest diagonal
+    Wraps LAPACK dgttrf/dgttrs, for a matrix that one factorization serves
+    in several solves (solve_bordered, solver.time_march,
+    solver._checked_factor); a system solved once goes through _gtsv, which
+    gives the same bits in one call. exactly_singular says whether gttrf met
+    an exactly zero pivot. min_pivot, the magnitude of the smallest diagonal
     entry of U (0.0 when exactly singular), is how near-singularity is
     detected downstream; it is computed when asked for, so a factorization
     that only solves costs gttrf alone.
@@ -184,22 +202,29 @@ class TridiagonalFactor:
     def min_pivot(self) -> float:
         return 0.0 if self.exactly_singular else float(np.min(np.abs(self._parts[1])))
 
-    def block_min_pivots(self, blocks: int) -> np.ndarray:
-        """Smallest pivot magnitude within each of `blocks` equal diagonal
-        blocks, exact zeros included as 0.
-
-        Meant for a block-diagonal matrix (zero couplings at the seams):
-        pivoting then never crosses a seam, so each block's pivots are those
-        of factoring the block on its own.
-        """
-        return np.min(np.abs(self._parts[1]).reshape(blocks, -1), axis=1)
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         dl, d, du, du2, ipiv = self._parts
         x, info = _dgttrs(dl, d, du, du2, ipiv, rhs)
         if info != 0:
             raise np.linalg.LinAlgError(f"gttrs failed with info={info}")
         return x
+
+
+def _gtsv(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray):
+    """Solve the symmetric tridiagonal system (diag, off) x = rhs once, by
+    LAPACK dgtsv. Returns x, the diagonal of U and info.
+
+    dgtsv runs gttrf's elimination, with the same row-interchange test, and
+    gttrs's substitutions in one call, so x and U's diagonal are
+    TridiagonalFactor(diag, off)'s bit for bit. Its inputs are copied (no
+    overwrite_* flag is set). It stops at the first exactly zero pivot:
+    info > 0 is its 1-based row, the row of gttrf's first zero on U's
+    diagonal, and x and U's diagonal are then unfinished.
+    """
+    _, d, _, x, info = _dgtsv(off, diag, off, rhs)
+    if info < 0:
+        raise ValueError(f"gtsv: illegal argument {-info}")
+    return x, d, info
 
 
 @dataclass(frozen=True)
@@ -495,19 +520,19 @@ def track_tridiagonal_eigenpairs(
     certified.
 
     Each of the k guesses (1-D arrays, meant for the k smallest eigenvalues
-    in ascending order) runs Rayleigh-quotient iteration on gttrf/gttrs
-    until its float64 residual ||A v - sigma v|| (v of unit length) is at
-    most sqrt(n) eps ||A||_inf, then gets the long-double Rayleigh polish of
-    symmetric_tridiagonal_eigenpairs. Certificate (Parlett, The Symmetric
-    Eigenvalue Problem, ch. 4 and 10): that residual bound plus the
-    rounding of A v gives each polished value mu_j an interval of
-    half-width rho that holds an eigenvalue; the intervals must ascend in
-    the order of the guesses without overlap, and a Sturm count (LAPACK
-    stebz, range 'V') must find exactly k eigenvalues up to a shift just
-    above the k-th interval. The values are then the k smallest
-    eigenvalues, in order. Returns the polished values and unit vectors
-    (sign arbitrary) as symmetric_tridiagonal_eigenpairs does; that is the
-    fallback on None.
+    in ascending order) runs Rayleigh-quotient iteration, one gtsv call
+    (_gtsv) per step, until its float64 residual ||A v - sigma v|| (v of
+    unit length) is at most sqrt(n) eps ||A||_inf, then gets the
+    long-double Rayleigh polish of symmetric_tridiagonal_eigenpairs.
+    Certificate (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 10):
+    that residual bound plus the rounding of A v gives each polished value
+    mu_j an interval of half-width rho that holds an eigenvalue; the
+    intervals must ascend in the order of the guesses without overlap, and
+    a Sturm count (LAPACK stebz, range 'V') must find exactly k eigenvalues
+    up to a shift just above the k-th interval. The values are then the k
+    smallest eigenvalues, in order. Returns the polished values and unit
+    vectors (sign arbitrary) as symmetric_tridiagonal_eigenpairs does; that
+    is the fallback on None.
 
     The work stays in 1-D temporaries. Batching the k vectors into 2-D
     temporaries left about 15 times as many freed 12.8 kB holes among a
@@ -535,10 +560,9 @@ def track_tridiagonal_eigenpairs(
         for _ in range(TRACK_MAX_ITER):
             if res <= rtol:
                 break
-            fac = TridiagonalFactor(diag - sigma, off)
-            if fac.exactly_singular:
+            x, _, info = _gtsv(diag - sigma, off, v)
+            if info:
                 return None
-            x = fac.solve(v)
             size = norm(x)
             if not math.isfinite(size) or size == 0.0:
                 return None

@@ -19,8 +19,7 @@ from .grid import (
     DiscreteDomain,
     DiscreteField,
     LinearOperatorBanded,
-    TridiagonalFactor,
-    _row_abs_sums,
+    _gtsv,
     _tridiagonal_apply,
     assemble_laplacian,
     laplacian_eigenpairs,
@@ -426,8 +425,9 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
     the iterations of both stages.
 
     All rows of a stage share each residual evaluation over the (rows, n)
-    stack and one gttrf/gttrs over the block-diagonal stack of their float64
-    Jacobians; the zero seam couplings keep every block's pivots and
+    stack and one gtsv call over the block-diagonal stack of their float64
+    Jacobians (_block_solve), which yields each block's correction and
+    pivots at once; the zero seam couplings keep every block's pivots and
     solution those of the block alone, and each row has its own step length
     and iteration count, so each row ends exactly as it does alone.
 
@@ -473,6 +473,51 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
     return out
 
 
+def _stack_norms_inf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Infinity norm of each of a stack of symmetric tridiagonal matrices,
+    the rows of diag, that share the uniform off-diagonal off of
+    assemble_laplacian: np.max(grid._row_abs_sums(diag, off), axis=1) bit
+    for bit, from one maximum over |diag| per row. With every |off| equal
+    to o, an interior row sums to (|d_i| + o) + o and the end rows to
+    |d_0| + o and |d_n-1| + o; rounding is monotone, so the largest interior
+    sum is the one of the largest interior |d_i|. NaN and inf pass through
+    as they do in the row sums."""
+    ad = np.abs(diag)
+    o = abs(float(off[0]))
+    norms = ad[:, 1:-1].max(axis=1)
+    norms += o
+    norms += o
+    np.maximum(norms, ad[:, 0] + o, out=norms)
+    np.maximum(norms, ad[:, -1] + o, out=norms)
+    return norms
+
+
+def _block_solve(diag: np.ndarray, seams: np.ndarray, rhs: np.ndarray):
+    """Solve each block of a block-diagonal stack of symmetric tridiagonal
+    systems, the rows of diag and rhs, by gtsv calls on the stack. seams is
+    the stack's off-diagonal pattern (each block's couplings, then a zero
+    seam), at least as long as the stack needs.
+
+    Returns the (k, n) solutions and the smallest pivot magnitude of each
+    block. An exactly zero pivot stops gtsv in block (info - 1) // n; that
+    block gets pivot 0.0 and the stack is solved again without it, so a
+    stack without one costs one call. The solutions are None when a block
+    was dropped: its row was never solved.
+    """
+    k, n = diag.shape
+    pivots = np.zeros(k)
+    live = np.arange(k)
+    d_live, b_live = diag, rhs
+    while live.size:
+        x, d, info = _gtsv(d_live.ravel(), seams[:d_live.size - 1], b_live.ravel())
+        if not info:
+            pivots[live] = np.abs(d).reshape(live.size, n).min(axis=1)
+            break
+        live = np.delete(live, (info - 1) // n)
+        d_live, b_live = diag[live], rhs[live]
+    return (x.reshape(k, n) if live.size == k else None), pivots
+
+
 def _row_norms(r: np.ndarray) -> np.ndarray:
     """Sup norm of each row of r, as float64."""
     return np.max(np.abs(r), axis=1).astype(float, copy=False)
@@ -498,7 +543,6 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
     rnorm, history, iters = np.array(rnorm), list(history), np.array(iters)
     ld = np.longdouble
     wide = u.dtype == ld
-    n = problem.domain.n_interior
     lap = problem.laplacian
     # off-diagonal of a block-diagonal stack of k Jacobians: its first
     # k n - 1 entries, each block's couplings followed by a zero seam
@@ -508,16 +552,14 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
     while rows.size:
         u64 = u.astype(float) if wide else u
         diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
-        threshold = _pivot_threshold(problem, np.max(_row_abs_sums(diag, lap.off), axis=1))
-        fac = TridiagonalFactor(diag.ravel(), seams[:diag.size - 1])
-        pivots = fac.block_min_pivots(len(diag))
+        # the Jacobians share the Laplacian's uniform off-diagonal
+        threshold = _pivot_threshold(problem, _stack_norms_inf(diag, lap.off))
+        rhs = (-r).astype(float, copy=False)
+        delta, pivots = _block_solve(diag, seams, rhs)
         sound = pivots >= threshold
         converged = rnorm < NEWTON_TOL
         out_of_steps = iters == max_iter
         leaving = ~sound | converged | out_of_steps
-        rhs = (-r).astype(float, copy=False)
-        if sound.all():
-            delta = fac.solve(rhs.ravel()).reshape(rhs.shape)
         if leaving.any():
             for i in np.flatnonzero(leaving):
                 if out_of_steps[i] and not converged[i]:
@@ -540,11 +582,10 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
             if sound.all():
                 delta = delta[go]
             else:
-                # an exactly singular block would feed 0 * inf = NaN through
-                # its seam into the block above it: factor again without it
-                delta = TridiagonalFactor(
-                    diag[go].ravel(), seams[:go.size * n - 1]
-                ).solve(rhs[go].ravel()).reshape(len(go), n)
+                # an unsound block's solution can overflow and feed
+                # 0 * inf = NaN through its seams into its neighbours, and an
+                # exactly singular one was never solved: solve again without
+                delta = _block_solve(diag[go], seams, rhs[go])[0]
         delta = delta.astype(u.dtype, copy=False)
 
         step = np.ones(len(rows))

@@ -97,7 +97,7 @@ def linearized_spectrum(
             v = -v
         target_sq = psi_sq if j == 1 else phi_sq
         v *= math.sqrt(target_sq) / (math.sqrt(dom.spacing) * math.sqrt(v.dot(v)))
-        fields.append(DiscreteField(dom, v))
+        fields.append(DiscreteField._wrap(dom, v))
     return SpectrumSlice(
         tuple(float(x) for x in vals),
         tuple(fields),

@@ -24,6 +24,7 @@ from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 import bifurcate.continuation as continuation_mod
 import bifurcate.diagram as diagram_mod
 import bifurcate.grid as grid_mod
+import bifurcate.solver as solver_mod
 import bifurcate.spectral as spectral_mod
 from bifurcate.solver import (
     COUNT_MAX_ITER,
@@ -818,6 +819,30 @@ class TestAssembly:
             "index-1 family in t stalled)"
         )
 
+    @pytest.mark.parametrize("M, p_f, fold_c", [(0.25, 5, -10.2104), (0.5, 4, -10.6737)])
+    def test_window_short_of_its_lower_fold_names_the_fold(self, M, p_f, fold_c):
+        # on these steeper ramps the lower index-1 fold at lambda2 + delta/2
+        # lies just below the default c_min = -10: the failure names that
+        # fold's c, not the window half-width, and a c_min below it
+        # assembles the four sheets and three folds
+        problem = Problem(build_grid(49, 1.0), Nonlinearity(M, p_f), HarvestSpec("bump"))
+        delta = delta_window(problem, trace_index1_degenerate_curve(problem))
+        a = problem.modes()[1].eigenvalue + 0.5 * delta
+        with pytest.raises(AssemblyIncomplete) as err:
+            assemble_diagram(problem, a)
+        message = str(err.value)
+        assert "lambda2 + delta" not in message
+        assert message.endswith(
+            "(the trace reached c_min = -10 before the lower index-1 fold, which the "
+            f"index-1 family puts at c = {fold_c} at this a; a c_min below it "
+            "reaches that fold)"
+        )
+        diag = assemble_diagram(problem, a, c_min=fold_c - 0.1)
+        assert diag.complete
+        assert diag.tags() == ("Mstar", "Msharp", "Mnatural", "Mflat")
+        folds = [dp.c for dp in diag.degenerate_points]
+        assert len(folds) == 3 and folds[0] == pytest.approx(fold_c, abs=1e-4)
+
     @pytest.mark.parametrize("relabel, hits", [("endpoint", 2), ("index-change", 0)])
     def test_ambiguous_trace_ends_name_every_trace(
         self, problem, eigs, monkeypatch, relabel, hits
@@ -1197,23 +1222,33 @@ class TestCoarseWindow:
 
 
 class TestKernelCallCounts:
-    """Guards the cost of the hot paths during the n = 99 window assembly:
-    a single-border bordered solve made without a factorization (each
-    arclength corrector and chart projection step) costs one gttrf and two
-    gttrs and never calls np.linalg.solve, and tracked spectra take no
-    np.linalg.norm."""
+    """Guards the cost of the hot paths at n = 99. During the window
+    assembly, a single-border bordered solve made without a factorization
+    (each arclength corrector and chart projection step) costs one gttrf and
+    two gttrs and never calls np.linalg.solve, and tracked spectra take no
+    np.linalg.norm and one gtsv per Rayleigh-quotient step. In a count,
+    each Newton iteration of a stack costs one gtsv and no gttrf or
+    gttrs."""
+
+    @staticmethod
+    def counted(calls, name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
 
     def test_single_border_solve_and_tracked_spectra(self, diagram_window99, monkeypatch):
         calls = Counter()
 
         def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
+            return self.counted(calls, name, real)
 
         monkeypatch.setattr(grid_mod, "_dgttrf", counted("gttrf", grid_mod._dgttrf))
         monkeypatch.setattr(grid_mod, "_dgttrs", counted("gttrs", grid_mod._dgttrs))
+        monkeypatch.setattr(grid_mod, "_dgtsv", counted("gtsv", grid_mod._dgtsv))
+        monkeypatch.setattr(
+            grid_mod, "_tridiagonal_apply", counted("apply", grid_mod._tridiagonal_apply)
+        )
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
         costs = Counter()
@@ -1228,12 +1263,18 @@ class TestKernelCallCounts:
             return out
 
         norms = []
+        steps = Counter()
         real_track = spectral_mod.track_tridiagonal_eigenpairs
 
-        def track(*args):
-            before = calls["norm"]
-            out = real_track(*args)
-            norms.append(calls["norm"] - before)
+        def track(diag, off, guesses):
+            before = calls.copy()
+            out = real_track(diag, off, guesses)
+            spent = calls - before
+            norms.append(spent["norm"])
+            if out is not None:
+                # A v once per guess, once per step and once per polish
+                rayleigh_steps = spent["apply"] - 2 * len(guesses)
+                steps[(rayleigh_steps, spent["gtsv"], spent["gttrf"] + spent["gttrs"])] += 1
             return out
 
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
@@ -1244,6 +1285,46 @@ class TestKernelCallCounts:
         )
         assert list(costs) == [(1, 2, 0)] and costs[(1, 2, 0)] > 100
         assert len(norms) > 100 and not any(norms)
+        assert sum(steps.values()) > 100
+        assert sum(k * v for (k, _, _), v in steps.items()) > 100
+        assert all(gtsv == k and not lu for k, gtsv, lu in steps)
+
+    def test_each_newton_iteration_of_a_count_makes_one_gtsv_call(
+        self, diagram_window99, monkeypatch
+    ):
+        """Over one count, the stacked Newton's iterations (one infinity-norm
+        bound each) meet no singular Jacobian, and each makes exactly one
+        gtsv call and no gttrf or gttrs call."""
+        calls = Counter()
+        per_iteration = []
+        real_gtsv = grid_mod._dgtsv
+        real_norms = solver_mod._stack_norms_inf
+        real_rows = diagram_mod._newton_rows
+        ends = Counter()
+
+        def gtsv(*args, **kwargs):
+            per_iteration[-1] += 1
+            return real_gtsv(*args, **kwargs)
+
+        def norms(*args):
+            per_iteration.append(0)
+            return real_norms(*args)
+
+        def rows(*args, **kwargs):
+            out = real_rows(*args, **kwargs)
+            ends.update(type(end).__name__ for end in out)
+            return out
+
+        monkeypatch.setattr(grid_mod, "_dgtsv", gtsv)
+        monkeypatch.setattr(grid_mod, "_dgttrf", self.counted(calls, "gttrf", grid_mod._dgttrf))
+        monkeypatch.setattr(grid_mod, "_dgttrs", self.counted(calls, "gttrs", grid_mod._dgttrs))
+        monkeypatch.setattr(solver_mod, "_stack_norms_inf", norms)
+        monkeypatch.setattr(diagram_mod, "_newton_rows", rows)
+        found = count_solutions(diagram_window99.problem, diagram_window99.a, 0.0, 100, 0)
+        assert found.count == 4
+        assert "SingularJacobian" not in ends and ends["tuple"] + ends["int"] == 100
+        assert len(per_iteration) > 20 and set(per_iteration) == {1}
+        assert not calls
 
 
 class TestChordTolerance:

@@ -22,7 +22,7 @@ from bifurcate.grid import (
 from bifurcate import grid as grid_mod
 from bifurcate.diagram import _multistart_seeds
 from bifurcate.model import HarvestSpec, Nonlinearity, check_hypotheses
-from bifurcate.solver import Problem
+from bifurcate.solver import Problem, _block_solve
 
 # Reference values. The sine integrals against x(1-x)^2 have closed forms;
 # the trapezoid error for both happens to be O(h^4) because the integrands'
@@ -66,6 +66,15 @@ def test_field_validation(domain):
     f = DiscreteField.from_callable(domain, np.sin)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+def test_wrapped_field_is_the_constructed_field_without_a_copy(domain):
+    values = np.sin(domain.nodes)
+    wrapped = DiscreteField._wrap(domain, values)
+    assert wrapped == DiscreteField(domain, values)
+    assert wrapped.values is values
+    with pytest.raises(ValueError):
+        values[0] = 1.0
 
 
 def test_laplacian_stencil_small():
@@ -279,8 +288,10 @@ def test_factor_pivot_reveals_singular_shift(domain):
 
 
 def test_block_pivots_of_a_stack_match_each_block_alone(domain):
-    """Blocks stacked with zero couplings at the seams keep the pivots they
-    have when factored alone, an exactly singular block included."""
+    """Blocks stacked with zero couplings at the seams keep the pivots and
+    solutions they have when factored alone. gtsv stops in an exactly
+    singular middle block, and info names that block; the block solve gives
+    it pivot 0.0 and solves the other blocks again without it."""
     n = domain.n_interior
     lap = assemble_laplacian(domain)
     rng = np.random.default_rng(11)
@@ -290,11 +301,73 @@ def test_block_pivots_of_a_stack_match_each_block_alone(domain):
         np.zeros(n),  # tridiag(o, 0, o) of odd size: singular
         rng.uniform(-2.0, 2.0, n) * lap.off[0],
     ])
-    seams = np.tile(np.append(lap.off, 0.0), len(diags))[:-1]
-    stacked = TridiagonalFactor(diags.ravel(), seams)
+    rhs = rng.standard_normal(diags.shape)
+    seams = np.tile(np.append(lap.off, 0.0), len(diags))
     alone = [TridiagonalFactor(d, lap.off) for d in diags]
     assert alone[2].exactly_singular
-    assert stacked.block_min_pivots(len(diags)).tolist() == [f.min_pivot for f in alone]
+    _, _, info = grid_mod._gtsv(diags.ravel(), seams[:-1], rhs.ravel())
+    assert info > 0 and (info - 1) // n == 2
+    x, pivots = _block_solve(diags, seams, rhs)
+    assert x is None
+    assert pivots.tolist() == [f.min_pivot for f in alone]
+    regular = [0, 1, 3]
+    x, pivots = _block_solve(diags[regular], seams, rhs[regular])
+    assert pivots.tolist() == [alone[j].min_pivot for j in regular]
+    for row, j in zip(x, regular):
+        assert row.tobytes() == alone[j].solve(rhs[j]).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=60),
+    blocks=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["random", "interchanges", "signed zeros", "exactly singular"]),
+)
+def test_gtsv_is_gttrf_then_gttrs_bit_for_bit(n, blocks, seed, kind):
+    """One gtsv call gives the bits of TridiagonalFactor's gttrf and gttrs,
+    signed zeros included: the solution and U's diagonal, on single systems
+    (blocks = 1) and block stacks with zero seams. Diagonals far below the
+    couplings, or zero, force row interchanges. info > 0 exactly when gttrf
+    finds the matrix exactly singular."""
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal(n - 1)
+    diag = rng.standard_normal((blocks, n))
+    rhs = rng.standard_normal((blocks, n))
+    if kind == "interchanges":
+        diag *= 1e-3
+    elif kind == "signed zeros":
+        diag[rng.random(diag.shape) < 0.3] = 0.0
+        diag[rng.random(diag.shape) < 0.3] = -0.0
+        rhs[rng.random(rhs.shape) < 0.5] = 0.0
+        rhs[rng.random(rhs.shape) < 0.3] = -0.0
+    elif kind == "exactly singular":
+        # the leading 2 x 2 block [[1, 1], [1, 1]] of one block, decoupled
+        # from the rows below it
+        off[:2] = 1.0, 0.0
+        diag[rng.integers(blocks), :2] = 1.0
+    seams = np.tile(np.append(off, 0.0), blocks)[:-1]
+    fac = TridiagonalFactor(diag.ravel(), seams)
+    x, d, info = grid_mod._gtsv(diag.ravel(), seams, rhs.ravel())
+    assert (info > 0) == fac.exactly_singular
+    if kind == "exactly singular":
+        assert info > 0
+    if not info:
+        assert x.tobytes() == fac.solve(rhs.ravel()).tobytes()
+        assert d.tobytes() == grid_mod._dgttrf(seams, diag.ravel(), seams)[1].tobytes()
+
+
+def test_gtsv_leaves_its_inputs_unchanged(domain):
+    """dgtsv solves on copies of its bands and right-hand side, so callers
+    may keep using them."""
+    op = assemble_laplacian(domain).add_diagonal(np.linspace(0.0, 50.0, domain.n_interior))
+    diag, off = op.diag.copy(), op.off.copy()
+    rhs = np.linspace(-1.0, 1.0, domain.n_interior)
+    kept = rhs.copy()
+    x, _, info = grid_mod._gtsv(diag, off, rhs)
+    assert info == 0 and not np.shares_memory(x, rhs)
+    assert np.array_equal(diag, op.diag) and np.array_equal(off, op.off)
+    assert np.array_equal(rhs, kept)
 
 
 def _dense_bordered(op, B, C, D):

@@ -128,7 +128,7 @@ def _run_in_import_order(work: Path, scipy_first: bool) -> list[str]:
         *(imports[::-1] if scipy_first else imports),
         "from bifurcate import grid",
         "same = all(getattr(grid, '_' + name) is getattr(scipy.linalg.lapack, name)",
-        "           for name in ('dgttrf', 'dgttrs', 'dstebz', 'dstein'))",
+        "           for name in ('dgtsv', 'dgttrf', 'dgttrs', 'dstebz', 'dstein'))",
         "rcs = [bifurcate.cli.main([cmd, '--config', cmd + '.yaml'])",
         "       for cmd in ('diagram', 'count')]",
         "digests = [hashlib.sha256(open(path, 'rb').read()).hexdigest()",

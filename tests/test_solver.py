@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bifurcate.grid import (
     PI_LONGDOUBLE,
     DiscreteField,
+    _row_abs_sums,
+    assemble_laplacian,
     build_grid,
     exact_mode_longdouble,
     laplacian_eigenpairs,
@@ -21,6 +23,7 @@ from bifurcate.solver import (
     Problem,
     SingularJacobian,
     _newton_rows,
+    _stack_norms_inf,
     classify_state,
     jacobian,
     newton_solve,
@@ -166,6 +169,30 @@ def test_jacobian_directional_derivative(problem, domain, modes):
     ) / eps
     Jv = problem.jacobian_operator(u, A_REF).apply(v)
     assert np.max(np.abs(fd - Jv)) < 1e-3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=40),
+    rows=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    special=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+)
+def test_stack_norms_are_the_row_sum_maxima_bit_for_bit(n, rows, seed, special):
+    """The one-pass infinity norms of a stack of Jacobians equal the maxima
+    of their absolute row sums bit for bit, rows holding inf or NaN (in the
+    interior or at either end) included."""
+    rng = np.random.default_rng(seed)
+    off = assemble_laplacian(build_grid(n, float(rng.uniform(0.1, 10.0)))).off
+    diag = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 8, (rows, 1))
+    diag[rng.random(diag.shape) < 0.1] = 0.0
+    if special is not None:
+        for row in diag:
+            if rng.random() < 0.5:
+                row[rng.choice([0, n - 1, int(rng.integers(n))])] = special
+    got = _stack_norms_inf(diag, off)
+    want = np.max(_row_abs_sums(diag, off), axis=1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_newton_zero_solution(problem, domain):
