@@ -6,11 +6,14 @@ Conventions shared by everything in this module:
 
 - The continuation state is the pair (u, c) at fixed growth rate a, and
   distances between states use the product norm ||du||_L2 + |dc|.
-- Working iterates are long double while corrections come from float64
+- Iterates converge in long double while corrections come from float64
   factorizations, the same convention as newton_solve. A float64 vector of
   moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
   defect at this stencil scale, so the reported residuals are those of the
-  long-double iterate and the stored fields are float64 roundings.
+  long-double iterate and the stored fields are float64 roundings. Far from
+  convergence float64 is enough: the arclength corrector and the chart
+  projection iterate in float64 above solver.FLOAT64_PHASE_TOL, as
+  newton_solve does (_extended_newton).
 - Every extended system is solved by one Newton loop (_extended_newton):
   the state equation with c free, bordered by an affine row (the arclength
   corrector and the chart projection), by the test function g below (the
@@ -53,6 +56,7 @@ from .grid import (
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
+    FLOAT64_PHASE_TOL,
     FOLD_MAX_ITER,
     NEWTON_TOL,
     PROJECTION_MAX_ITER,
@@ -325,7 +329,10 @@ def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, max_iter):
     """One pseudo-arclength corrector: the state on the hyperplane through
     the predictor (ub, cb) + ds (Tu, Tc), orthogonal to (Tu, Tc) in the L2
     inner product plus c times c. A corrector whose residual grows is given
-    up at once. Returns the long-double (u, c) and the residual sup norm."""
+    up at once. The float64 predictor starts _extended_newton's float64
+    stage. Returns the long-double (u, c) and the residual sup norm of the
+    long-double iterate; a NonConvergence that ends in the float64 stage
+    carries a float64 norm."""
     row_u = problem.domain.spacing * Tu
     u_pred = ub + ds * Tu
     c_pred = cb + ds * Tc
@@ -603,6 +610,24 @@ def _extended_newton(
     float64), its residual and the sup|F| of every iterate
     (residual_history). max_iter counts measured iterates, so no step is
     taken after the last one: its result would go unmeasured.
+
+    Precision, for the affine-row systems (row given, w0 not): the two
+    stages of solver._newton_rows. A float64 u0 starts the float64 stage,
+    whose iterate, c, residual, sup norm and row N are float64 and whose
+    steps skip solve_bordered's refinement step (refine=False): the
+    long-double stage decides the last digits. The first iterate whose
+    float64 sup|F| is at or below FLOAT64_PHASE_TOL is promoted to long
+    double and measured again there; from then on everything is long
+    double and every step refined. A float64 start is promoted exactly; an
+    iterate that a float64 step made is promoted as the long-double sum of
+    that step and the iterate it was taken from, so that the rounding of
+    the float64 iterate (a sup|F| of about 4e-9 at n = 1599) costs no extra
+    long-double step. A long-double u0 starts in the long-double stage, and
+    so do the fold and index-1 family systems (w0 given), whatever u0 is.
+    Convergence is declared only in long double, against NEWTON_TOL, and
+    the history holds the promoted iterate's long-double sup|F|, not the
+    float64 one. A NonConvergence that ends in the float64 stage carries
+    the float64 residual of its last iterate.
     """
     ld = np.longdouble
     a_free = row is not None and w0 is not None
@@ -611,23 +636,39 @@ def _extended_newton(
         else "bordered system" if w0 is None
         else "fold system"
     )
-    u = np.asarray(u0, dtype=ld)
-    c = ld(c0)
+    wide = w0 is not None or np.asarray(u0).dtype == ld
+    u = np.asarray(u0, dtype=ld if wide else float)
+    c = ld(c0) if wide else float(c0)
     minus_h = -problem.harvest.values
     if row is not None:
         scale, e, row_c, offset = row
-        e_ld = np.asarray(e, dtype=ld)
         row_b = scale * e
+        e_ld, e64 = np.asarray(e, dtype=ld), np.asarray(e, dtype=float)
     v = None
+    step = None  # the last float64-stage step: iterate, du, c and dc
     rF = res = np.inf
     history = []
     for it in range(max_iter):
         F = problem.residual_values(u, a, c)
         r_prev, rF = rF, float(np.abs(F).max())
+        if not wide and rF <= FLOAT64_PHASE_TOL:
+            wide = True
+            if step is None:
+                u, c = u.astype(ld), ld(c)
+            else:
+                # the step's sum unrounded: the float64 u misses it by up to
+                # ~(4 / h^2) ulp(|u|) in sup|F|, the float64 floor
+                u_from, du, c_from, dc = step
+                u, c = u_from.astype(ld) + du.astype(ld), ld(c_from) + ld(dc)
+            F = problem.residual_values(u, a, c)
+            rF = float(np.abs(F).max())
         history.append(rF)
         checks = [rF]
         if row is not None:
-            N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
+            if wide:
+                N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
+            else:
+                N = float(scale) * (e64 @ u) + float(row_c) * c + float(offset)
             checks.append(abs(float(N)))
         if w0 is not None:
             try:
@@ -639,14 +680,14 @@ def _extended_newton(
                 )
             checks.append(_kernel_residual(problem, u, a, v, S))
         res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
-        if res < NEWTON_TOL:
+        if wide and res < NEWTON_TOL:
             return ld(a), u, c, v, rF
         if (
             it == max_iter - 1 or not np.isfinite(res) or res > 1e8
             or (stop_on_growth and rF > r_prev)
         ):
             break
-        u64 = u.astype(float)
+        u64 = u.astype(float, copy=False)
         if w0 is None:
             J, fac = problem.jacobian_operator(u64, float(a)), None
         else:
@@ -660,15 +701,21 @@ def _extended_newton(
         else:
             B, C, D, rhs = minus_h, g_u, 0.0, -float(g)
         try:
-            du, y = solve_bordered(J, B, C, D, -F.astype(float), rhs, fac)
+            du, y = solve_bordered(
+                J, B, C, D, -F.astype(float, copy=False), rhs, fac, refine=wide
+            )
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"{system} is singular: {exc}", u64, res, history)
         if not (np.isfinite(du).all() and np.isfinite(y).all()):
             break
         if a_free:
             a = a + ld(y[0])
-        u = u + du.astype(ld)
-        c = c + ld(y[-1])
+        if wide:
+            u = u + du.astype(ld)
+            c = c + ld(y[-1])
+        else:
+            step = (u, du, c, float(y[-1]))
+            u, c = u + du, c + step[3]
     raise NonConvergence(f"{system} did not converge", u.astype(float), res, history)
 
 
@@ -987,9 +1034,13 @@ def delta_window(problem: Problem, curve: DegenerateCurve) -> float:
     """Growth-rate elevation of a traced index-1 degenerate family above the
     second eigenvalue, measured at its two ends and taking the smaller.
 
-    This is the numerically certified half-width of the window above the
-    second eigenvalue in which the four-solution structure is anchored.
-    Raises if the curve fails to bend upward on both sides.
+    delta is a sampled quantity, not a property of the curve alone: the
+    smaller a above lambda2 at the two ends of the index-1 sweep. The sweep
+    of trace_index1_degenerate_curve extends sigma (default 1) in the chart
+    coordinate t past the segment ends, so delta depends on sigma (or on the
+    t_range given instead). It is not a certified half-width of the
+    four-solution window. Raises if the curve fails to bend upward on both
+    sides.
     """
     lam2 = problem.modes()[1].eigenvalue
     delta = min(curve.points[0].a, curve.points[-1].a) - lam2

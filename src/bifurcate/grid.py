@@ -305,7 +305,7 @@ BORDERED_COND_LIMIT = 1e8
 _TINY = np.finfo(float).tiny
 
 
-def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
+def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None, *, refine=True):
     """Solve [[J, B], [C^T, D]] [x; y] = [f; g] for the symmetric tridiagonal
     J of op and k <= 2 dense borders, in O(n).
 
@@ -317,7 +317,11 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
     step of iterative refinement against the full bordered matrix, whose
     correction is one more gttrs. A single border thus costs one gttrf and
     two gttrs, and its 1 x 1 Schur complement is divided by (_schur_solve),
-    which is what LAPACK's gesv computes for it. Where J is exactly singular
+    which is what LAPACK's gesv computes for it. refine=False skips the
+    refinement step (its residual, gttrs and Schur solve), so a single
+    border costs one gttrf and one gttrs: for a caller whose next iterate
+    does not need the last digits (the float64 stage of
+    continuation._extended_newton). Where J is exactly singular
     or too close to it for elimination to keep its accuracy
     (BORDERED_COND_LIMIT), its near-null direction is deflated first
     (Govaerts 2000, ch. 3): J + s e_j e_j^T, with j the node where the
@@ -361,6 +365,8 @@ def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None):
     S = D - C.T.dot(ZB)
     y = _schur_solve(S, gx - C.T.dot(Z[:, 0]))
     x = Z[:, 0] - ZB.dot(y)
+    if not refine:
+        return x, y[:k]
     # (ndarray.dot costs a fraction of the call overhead of @ on these small
     # products.) One refinement step against the original bordered matrix;
     # in the deflated case the extra unknown's row gets a zero residual,

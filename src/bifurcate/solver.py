@@ -50,8 +50,10 @@ FOLD_MAX_ITER = 16
 #: or more raises InsufficientSpectrum.
 K_EIGS = 3
 ARMIJO_MIN_STEP = 2.0**-20
-#: Residual sup norm above which a Newton row iterates in float64 (see
-#: _newton_rows); from the first accepted step at or below it, in long double.
+#: Residual sup norm above which a Newton row (see _newton_rows), an
+#: arclength corrector or a chart projection (continuation._extended_newton)
+#: iterates in float64; from the first iterate at or below it, in long
+#: double.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 

@@ -16,7 +16,14 @@ import pytest
 
 from bifurcate.grid import DiscreteField, build_grid, exact_mode_longdouble, inner_product
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
-from bifurcate.solver import NEWTON_TOL, NonConvergence, Problem, classify_state, newton_solve
+from bifurcate.solver import (
+    FLOAT64_PHASE_TOL,
+    NEWTON_TOL,
+    NonConvergence,
+    Problem,
+    classify_state,
+    newton_solve,
+)
 from bifurcate import continuation
 from bifurcate.continuation import (
     Branch,
@@ -523,7 +530,10 @@ class TestExtendedNewton:
     ):
         """A LinAlgError from a step's bordered solve comes out as a
         NonConvergence that names the system and carries the float64
-        iterate the step was taken from."""
+        iterate the step was taken from. The chart projection's start is
+        above FLOAT64_PHASE_TOL, so it is measured and stepped from in the
+        float64 stage; the fold and index-1 family systems are long double
+        throughout."""
         dom = problem.domain
         phi, psi = (m.eigenfunction.values for m in modes)
         h = problem.harvest.values
@@ -554,26 +564,30 @@ class TestExtendedNewton:
         real = continuation.solve_bordered
         steps = []
 
-        def singular_step(op, B, *rest):
+        def singular_step(op, B, *rest, **kw):
             # every step has the column dF/dc = -h; the test function's
             # solves are bordered by w0 and pass through
             if np.array_equal(np.asarray(B).reshape(h.size, -1)[:, -1], -h):
-                steps.append(B)
+                steps.append(kw)
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(op, B, *rest)
+            return real(op, B, *rest, **kw)
 
         monkeypatch.setattr(continuation, "solve_bordered", singular_step)
         with pytest.raises(NonConvergence) as err:
             run(u0)
-        assert len(steps) == 1
+        float64_stage = system == "bordered"
+        assert steps == [{"refine": not float64_stage}]
         assert str(err.value) == f"{system} system is singular: Singular matrix"
         assert err.value.last_iterate.dtype == np.float64
         np.testing.assert_array_equal(err.value.last_iterate, u0)
-        # the start's sup|F|, measured before the one step
+        # the start's sup|F|, measured before the one step in its stage's dtype
         (r0,) = err.value.residual_history
-        assert r0 == float(np.max(np.abs(problem.residual_values(u0.astype(ld), *{
+        start = u0 if float64_stage else u0.astype(ld)
+        sup0 = float(np.max(np.abs(problem.residual_values(start, *{
             "bordered": (fold20.a, fold20.c), "fold": (fold20.a, fold20.c),
             "degenerate-family": (lam2 + 0.05, 0.0)}[system]))))
+        assert r0 == sup0
+        assert not float64_stage or sup0 > FLOAT64_PHASE_TOL
 
     def test_growing_corrector_gives_up_where_projection_iterates_on(
         self, problem, modes, branch20, monkeypatch
@@ -581,18 +595,22 @@ class TestExtendedNewton:
         """A first step that overshoots tenfold makes sup|F| grow. The
         arclength corrector gives up at that iterate after one bordered
         solve; solve_at_projection, from the same start, keeps iterating
-        past the growth and converges."""
+        past the growth and converges. The predictor's float64 sup|F| is at
+        or below FLOAT64_PHASE_TOL, so both solves measure it again in long
+        double and step from there in long double."""
         real_solve, real_residual = continuation.solve_bordered, Problem.residual_values
-        steps, sups = [], []
+        steps, sups, dtypes = [], [], []
+        ld = np.longdouble
 
-        def overshoot(*args):
-            x, y = real_solve(*args)
+        def overshoot(*args, **kw):
+            x, y = real_solve(*args, **kw)
             steps.append(x)
             return (10.0 * x, 10.0 * y) if len(steps) == 1 else (x, y)
 
         def recorded(self, u, a, c):
             F = real_residual(self, u, a, c)
             sups.append(float(np.max(np.abs(F))))
+            dtypes.append(F.dtype)
             return F
 
         monkeypatch.setattr(continuation, "solve_bordered", overshoot)
@@ -607,39 +625,147 @@ class TestExtendedNewton:
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(problem, p.a, p.u.values, p.c, Tu, Tc, ds, 8)
         assert len(steps) == 1
-        assert len(sups) == 2 and NEWTON_TOL < sups[0] < sups[1]
+        assert dtypes == [np.float64, ld, ld] and sups[0] <= FLOAT64_PHASE_TOL
+        assert NEWTON_TOL < sups[1] < sups[2]
         assert str(err.value) == "bordered system did not converge"
-        assert err.value.residual_norm == sups[1]
-        assert err.value.residual_history == tuple(sups)
-        grown = u_pred.astype(np.longdouble) + (10.0 * steps[0]).astype(np.longdouble)
+        assert err.value.residual_norm == sups[2]
+        assert err.value.residual_history == tuple(sups[1:])
+        grown = u_pred.astype(ld) + (10.0 * steps[0]).astype(ld)
         np.testing.assert_array_equal(err.value.last_iterate, grown.astype(float))
 
         steps.clear()
         sups.clear()
+        dtypes.clear()
         phi = modes[0].eigenfunction
         t_pred = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
         pt = solve_at_projection(problem, p.a, phi, t_pred, u_pred, c_pred)
-        assert NEWTON_TOL < sups[0] < sups[1]
+        assert dtypes[:3] == [np.float64, ld, ld] and NEWTON_TOL < sups[1] < sups[2]
         assert len(steps) >= 2
         assert pt.residual_norm < NEWTON_TOL
 
-    def test_exhausted_corrector_reports_the_iterate_it_returns(self, monkeypatch):
-        """A corrector that runs out of iterations raises with one iterate:
-        residual_norm, the last residual_history entry and last_iterate all
-        describe the last iterate measured, and no step is taken after it.
-        With one iteration that iterate is the predictor (n = 99, a = 20,
-        from the stable state at c = 1)."""
+    @pytest.fixture(scope="class")
+    def tilted99(self):
+        """The stable state at a = 20, c = 1 on n = 99, and a unit direction
+        half along phi and half along c, far from the branch tangent: its
+        predictors at ds = 0.3 start well above FLOAT64_PHASE_TOL."""
         problem = Problem(build_grid(99, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         dom = problem.domain
         phi = problem.modes()[0].eigenfunction.values
         cap = critical_cap(problem.nonlinearity, 20.0)
         u = newton_solve(problem, DiscreteField(dom, cap * phi), 20.0, 1.0).u.values
-        Tu, Tc = phi / (np.sqrt(2.0) * dom.l2_norm(phi)), 1.0 / np.sqrt(2.0)
+        return problem, u, phi / (np.sqrt(2.0) * dom.l2_norm(phi)), 1.0 / np.sqrt(2.0)
+
+    @staticmethod
+    def spied(monkeypatch, solves=None):
+        """Record each residual evaluation as (iterate, long double or not,
+        sup|F|) and the refine flag of each bordered step, and append each
+        step's du to solves when given."""
+        measured, refines = [], []
+        real_residual, real_solve = Problem.residual_values, continuation.solve_bordered
+
+        def residual(self, u, a, c):
+            F = real_residual(self, u, a, c)
+            measured.append((u.copy(), F.dtype == np.longdouble, float(np.max(np.abs(F)))))
+            return F
+
+        def solve(*args, **kw):
+            refines.append(kw["refine"])
+            du, y = real_solve(*args, **kw)
+            if solves is not None:
+                solves.append(du)
+            return du, y
+
+        monkeypatch.setattr(Problem, "residual_values", residual)
+        monkeypatch.setattr(continuation, "solve_bordered", solve)
+        return measured, refines
+
+    def test_float64_stage_hands_over_at_the_switch(self, tilted99, monkeypatch):
+        """From a float64 predictor above FLOAT64_PHASE_TOL the corrector
+        steps in float64, without refinement, up to the first iterate whose
+        float64 sup|F| is at or below the switch. That iterate is promoted to
+        long double as the long-double sum of the last float64 step and the
+        iterate it was taken from, which the float64 iterate rounds, and
+        measured again; every later iterate and step is long double, and
+        convergence is declared on a long-double sup|F| below NEWTON_TOL."""
+        problem, u, Tu, Tc = tilted99
+        solves = []
+        measured, refines = self.spied(monkeypatch, solves)
+        u_ld, c_ld, rF = continuation._arclength_corrector(
+            problem, 20.0, u, 1.0, Tu, Tc, 0.3, 8
+        )
+        wide = [x for _, x, _ in measured]
+        sups = [sup for _, _, sup in measured]
+        k = wide.index(True)
+        assert k >= 2 and not any(wide[:k]) and all(wide[k:])
+        assert min(sups[:k - 1]) > FLOAT64_PHASE_TOL >= sups[k - 1]
+        ld = np.longdouble
+        promoted = measured[k - 2][0].astype(ld) + solves[k - 2].astype(ld)
+        assert measured[k - 1][0].dtype == np.float64
+        np.testing.assert_array_equal(measured[k][0], promoted)
+        np.testing.assert_array_equal(measured[k - 1][0], promoted.astype(float))
+        assert refines == [False] * (k - 1) + [True] * (len(measured) - k - 1)
+        assert all(sup >= NEWTON_TOL for sup in sups[k:-1])
+        assert sups[-1] == rF < NEWTON_TOL
+        assert u_ld.dtype == np.longdouble and isinstance(c_ld, np.longdouble)
+
+    def test_start_at_the_switch_takes_no_float64_step(self, problem, branch20, monkeypatch):
+        """A predictor whose float64 sup|F| is already at or below
+        FLOAT64_PHASE_TOL is promoted exactly, measured again in long double
+        and takes only long-double steps. A corrector that runs out of
+        iterations there reports the long-double sup|F| of its last
+        iterate."""
+        dom = problem.domain
+        p, q = branch20.points[1], branch20.points[2]
+        dist = dom.l2_norm(q.u.values - p.u.values) + abs(q.c - p.c)
+        Tu, Tc = (q.u.values - p.u.values) / dist, (q.c - p.c) / dist
+        args = (problem, p.a, p.u.values, p.c, Tu, Tc, 0.5 * dist)
+        measured, refines = self.spied(monkeypatch)
+        with pytest.raises(NonConvergence) as err:
+            continuation._arclength_corrector(*args, 1)
+        (u0, wide0, sup0), (u1, wide1, sup1) = measured
+        assert not wide0 and wide1 and NEWTON_TOL < sup1 and sup0 <= FLOAT64_PHASE_TOL
+        np.testing.assert_array_equal(u1, u0.astype(np.longdouble))
+        assert err.value.residual_history == (err.value.residual_norm,) == (sup1,)
+        assert refines == []
+
+        measured.clear()
+        _, _, rF = continuation._arclength_corrector(*args, 8)
+        assert [x for _, x, _ in measured] == [False] + [True] * (len(measured) - 1)
+        assert refines == [True] * (len(measured) - 2)
+        assert rF == measured[-1][2] < NEWTON_TOL
+
+    def test_long_double_start_stays_long_double(self, tilted99, monkeypatch):
+        """The same chart projection from the float64 predictor runs a
+        float64 stage; from its long-double promotion it measures and steps
+        in long double only, and converges there too."""
+        problem, u, Tu, Tc = tilted99
+        dom = problem.domain
+        phi = problem.modes()[0].eigenfunction
+        u_pred, c_pred = u + 0.3 * Tu, 1.0 + 0.3 * Tc
+        t = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
+        measured, refines = self.spied(monkeypatch)
+        solve_at_projection(problem, 20.0, phi, t, u_pred, c_pred)
+        assert not measured[0][1] and False in refines
+        measured.clear()
+        refines.clear()
+        pt = solve_at_projection(problem, 20.0, phi, t, u_pred.astype(np.longdouble), c_pred)
+        assert all(x for _, x, _ in measured) and all(refines)
+        assert len(refines) == len(measured) - 1
+        assert pt.residual_norm == measured[-1][2] < NEWTON_TOL
+
+    def test_exhausted_corrector_reports_the_iterate_it_returns(self, tilted99, monkeypatch):
+        """A corrector that runs out of iterations raises with one iterate:
+        residual_norm, the last residual_history entry and last_iterate all
+        describe the last iterate measured, and no step is taken after it.
+        With one iteration that iterate is the predictor (tilted99). Its
+        sup|F| is above FLOAT64_PHASE_TOL, so it is measured in the float64
+        stage, on the float64 predictor."""
+        problem, u, Tu, Tc = tilted99
         real_solve, steps = continuation.solve_bordered, []
 
-        def counted(*args):
-            steps.append(args)
-            return real_solve(*args)
+        def counted(*args, **kw):
+            steps.append(kw["refine"])
+            return real_solve(*args, **kw)
 
         monkeypatch.setattr(continuation, "solve_bordered", counted)
         with pytest.raises(NonConvergence) as err:
@@ -647,19 +773,17 @@ class TestExtendedNewton:
         assert steps == []
         last = err.value.last_iterate
         np.testing.assert_array_equal(last, u + 0.3 * Tu)
-        ld = np.longdouble
-        sup = float(np.max(np.abs(
-            problem.residual_values(last.astype(ld), 20.0, ld(1.0 + 0.3 * Tc))
-        )))
+        sup = float(np.max(np.abs(problem.residual_values(last, 20.0, 1.0 + 0.3 * Tc))))
         assert err.value.residual_history == (err.value.residual_norm,)
-        assert err.value.residual_norm == sup > NEWTON_TOL
+        assert err.value.residual_norm == sup > FLOAT64_PHASE_TOL
 
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(problem, 20.0, u, 1.0, Tu, Tc, 0.3, 3)
-        assert len(steps) == 2
+        # three iterates, all above the switch: two float64-stage steps
+        assert steps == [False, False]
         history = err.value.residual_history
         assert len(history) == 3 and history[-1] == err.value.residual_norm
-        assert NEWTON_TOL < history[2] < history[1] < history[0]
+        assert FLOAT64_PHASE_TOL < history[2] < history[1] < history[0]
 
 
 class TestDegenerateFamily:

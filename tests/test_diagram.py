@@ -1225,10 +1225,11 @@ class TestKernelCallCounts:
     """Guards the cost of the hot paths at n = 99. During the window
     assembly, a single-border bordered solve made without a factorization
     (each arclength corrector and chart projection step) costs one gttrf and
-    two gttrs and never calls np.linalg.solve, and tracked spectra take no
-    np.linalg.norm and one gtsv per Rayleigh-quotient step. In a count,
-    each Newton iteration of a stack costs one gtsv and no gttrf or
-    gttrs."""
+    one gttrs in the float64 stage, which skips the refinement step, and one
+    gttrf and two gttrs in the long-double stage; neither calls
+    np.linalg.solve. Tracked spectra take no np.linalg.norm and one gtsv per
+    Rayleigh-quotient step. In a count, each Newton iteration of a stack
+    costs one gtsv and no gttrf or gttrs."""
 
     @staticmethod
     def counted(calls, name, real):
@@ -1254,12 +1255,12 @@ class TestKernelCallCounts:
         costs = Counter()
         real_bordered = continuation_mod.solve_bordered
 
-        def bordered(op, B, C, D, f, g, fac=None):
+        def bordered(op, B, C, D, f, g, fac=None, *, refine=True):
             before = calls.copy()
-            out = real_bordered(op, B, C, D, f, g, fac)
+            out = real_bordered(op, B, C, D, f, g, fac, refine=refine)
             if fac is None and np.ndim(B) == 1:
                 spent = calls - before
-                costs[(spent["gttrf"], spent["gttrs"], spent["solve"])] += 1
+                costs[(refine, spent["gttrf"], spent["gttrs"], spent["solve"])] += 1
             return out
 
         norms = []
@@ -1283,11 +1284,65 @@ class TestKernelCallCounts:
         assert sum(len(br.points) for br in diag.branches) == sum(
             len(br.points) for br in diagram_window99.branches
         )
-        assert list(costs) == [(1, 2, 0)] and costs[(1, 2, 0)] > 100
+        assert set(costs) == {(False, 1, 1, 0), (True, 1, 2, 0)}
+        assert costs[(False, 1, 1, 0)] > 100 and costs[(True, 1, 2, 0)] > 100
         assert len(norms) > 100 and not any(norms)
         assert sum(steps.values()) > 100
         assert sum(k * v for (k, _, _), v in steps.items()) > 100
         assert all(gtsv == k and not lu for k, gtsv, lu in steps)
+
+    def test_correctors_measure_in_long_double_only_below_the_switch(
+        self, diagram_window99, monkeypatch
+    ):
+        """Each arclength corrector of the window assembly starts from a
+        float64 predictor. It measures in long double only from the first
+        iterate whose float64 sup|F| is at or below FLOAT64_PHASE_TOL, which
+        it promotes and measures again in long double, and never in float64
+        after that. A converged corrector ends on a long-double sup|F| below
+        NEWTON_TOL after at most three long-double residuals, where a
+        corrector that measured every iterate in long double would make one
+        per iterate."""
+        real_corrector = continuation_mod._arclength_corrector
+        real_residual = Problem.residual_values
+        measured = None
+        ends = []
+
+        def residual(self, u, a, c):
+            F = real_residual(self, u, a, c)
+            if measured is not None:
+                measured.append((F.dtype == np.longdouble, float(np.max(np.abs(F)))))
+            return F
+
+        def corrector(*args):
+            nonlocal measured
+            measured = []
+            try:
+                out = real_corrector(*args)
+            except NonConvergence:
+                ends.append((None, measured))
+                raise
+            else:
+                ends.append((out[2], measured))
+                return out
+            finally:
+                measured = None
+
+        monkeypatch.setattr(Problem, "residual_values", residual)
+        monkeypatch.setattr(continuation_mod, "_arclength_corrector", corrector)
+        assemble_diagram(diagram_window99.problem, diagram_window99.a)
+        per_converged = Counter()
+        for rF, seq in ends:
+            is_ld = [x for x, _ in seq]
+            wide = is_ld.index(True) if True in is_ld else len(seq)
+            assert wide >= 1 and not any(is_ld[:wide]) and all(is_ld[wide:])
+            assert all(sup > FLOAT64_PHASE_TOL for _, sup in seq[:wide - 1])
+            if wide < len(seq):
+                assert seq[wide - 1][1] <= FLOAT64_PHASE_TOL
+            if rF is not None:
+                assert is_ld[-1] and seq[-1][1] == rF < NEWTON_TOL
+                per_converged[len(seq) - wide] += 1
+        assert sum(per_converged.values()) > 100
+        assert max(per_converged) <= 3
 
     def test_each_newton_iteration_of_a_count_makes_one_gtsv_call(
         self, diagram_window99, monkeypatch

@@ -378,9 +378,10 @@ def _dense_bordered(op, B, C, D):
     return np.block([[J, B], [C.T, np.reshape(D, (B.shape[1],) * 2)]])
 
 
-def _check_bordered(op, B, C, D, seed):
+def _check_bordered(op, B, C, D, seed, refine):
     """solve_bordered against a dense solve of the same assembled matrix,
-    to within a small multiple of eps * cond of the bordered matrix."""
+    to within a small multiple of eps * cond of the bordered matrix, with
+    the refinement step or without it."""
     n = op.diag.size
     k = B.reshape(n, -1).shape[1]
     rng = np.random.default_rng(seed)
@@ -388,7 +389,7 @@ def _check_bordered(op, B, C, D, seed):
     g = rng.standard_normal(k)
     A = _dense_bordered(op, B, C, D)
     ref = np.linalg.solve(A, np.concatenate((f, g)))
-    x, y = solve_bordered(op, B, C, D, f, g)
+    x, y = solve_bordered(op, B, C, D, f, g, refine=refine)
     assert x.shape == (n,) and y.shape == (k,)
     bound = 100 * np.finfo(float).eps * np.linalg.cond(A) * np.max(np.abs(ref))
     assert np.max(np.abs(np.concatenate((x, y)) - ref)) < bound
@@ -400,7 +401,9 @@ def test_bordered_solve_regular(n, k):
     op = assemble_laplacian(build_grid(n, 1.0)).shifted(20.0)
     rng = np.random.default_rng(n + k)
     B, C = rng.standard_normal((2, n, k))
-    _check_bordered(op, B, C, rng.standard_normal((k, k)), seed=k)
+    D = rng.standard_normal((k, k))
+    for refine in (True, False):
+        _check_bordered(op, B, C, D, seed=k, refine=refine)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -416,7 +419,8 @@ def test_bordered_solve_at_polished_first_eigenvalue(n, k):
     x = dom.nodes
     B = np.column_stack((x * (1 - x) ** 2, np.cos(3 * x)))[:, :k]
     C = np.column_stack((pair.eigenfunction.values, x))[:, :k]
-    _check_bordered(op, B, C, np.zeros((k, k)), seed=3 * k)
+    for refine in (True, False):
+        _check_bordered(op, B, C, np.zeros((k, k)), seed=3 * k, refine=refine)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -433,13 +437,15 @@ def test_bordered_solve_with_exact_zero_pivot(k):
     rng = np.random.default_rng(5)
     B = rng.standard_normal((n, k))
     C = rng.standard_normal((n, k))
-    _check_bordered(op, B, C, np.zeros((k, k)), seed=k)
+    for refine in (True, False):
+        _check_bordered(op, B, C, np.zeros((k, k)), seed=k, refine=refine)
 
 
-def _bordered_schur_reference(op, B, C, D, f, g):
+def _bordered_schur_reference(op, B, C, D, f, g, refine=True):
     """solve_bordered with every Schur complement solved by np.linalg.solve,
     as it was written before a single border's 1 x 1 complement was divided
-    by directly."""
+    by directly; refine=False returns the solution before the refinement
+    step."""
     n = op.diag.size
     f = np.asarray(f, dtype=float)
     B = np.asarray(B, dtype=float).reshape(n, -1)
@@ -473,6 +479,8 @@ def _bordered_schur_reference(op, B, C, D, f, g):
     S = D - C.T.dot(ZB)
     y = np.linalg.solve(S, gx - C.T.dot(Z[:, 0]))
     x = Z[:, 0] - ZB.dot(y)
+    if not refine:
+        return x, y[:k]
     rf = f - op.apply(x) - B[:, :k].dot(y[:k])
     rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
     zr = fac.solve(rf)
@@ -500,11 +508,15 @@ def _single_border_operator(case, n):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     two_d=st.booleans(),
     zero_d=st.booleans(),
+    refine=st.booleans(),
 )
-def test_single_border_solve_is_the_schur_solve_bit_for_bit(case, n, seed, two_d, zero_d):
+def test_single_border_solve_is_the_schur_solve_bit_for_bit(
+    case, n, seed, two_d, zero_d, refine
+):
     """Dividing by the 1 x 1 Schur complement gives the bits that
     np.linalg.solve gave, x and y alike, whether J is regular, deflated or
-    exactly singular, with the border given as (n,) or (n, 1)."""
+    exactly singular, with the border given as (n,) or (n, 1), with the
+    refinement step or without it."""
     op = _single_border_operator(case, n)
     rng = np.random.default_rng(seed)
     B, C, f = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
@@ -512,8 +524,8 @@ def test_single_border_solve_is_the_schur_solve_bit_for_bit(case, n, seed, two_d
     g = rng.standard_normal()
     if two_d:
         B, C, D, g = B[:, None], C[:, None], [[D]], [g]
-    x, y = solve_bordered(op, B, C, D, f, g)
-    x_ref, y_ref = _bordered_schur_reference(op, B, C, D, f, g)
+    x, y = solve_bordered(op, B, C, D, f, g, refine=refine)
+    x_ref, y_ref = _bordered_schur_reference(op, B, C, D, f, g, refine)
     assert x.tobytes() == x_ref.tobytes()
     assert y.shape == y_ref.shape == (1,) and y.tobytes() == y_ref.tobytes()
 
