@@ -7,19 +7,20 @@ Conventions shared by everything in this module:
 - The continuation state is the pair (u, c) at fixed growth rate a, and
   distances between states use the product norm ||du||_L2 + |dc|.
 - Iterates converge in long double while corrections come from float64
-  factorizations, the same convention as newton_solve. A float64 vector of
+  solves, the same convention as newton_solve. A float64 vector of
   moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
   defect at this stencil scale, so the reported residuals are those of the
   long-double iterate and the stored fields are float64 roundings. Far from
-  convergence float64 is enough: the arclength corrector and the chart
-  projection iterate in float64 above solver.FLOAT64_PHASE_TOL, as
+  convergence float64 is enough: every extended system started from a
+  float64 state iterates in float64 above solver.FLOAT64_PHASE_TOL, as
   newton_solve does (_extended_newton).
 - Every extended system is solved by one Newton loop (_extended_newton):
   the state equation with c free, bordered by an affine row (the arclength
   corrector and the chart projection), by the test function g below (the
   fold system), or by both with a free too (the index-1 family). Each step
   is one bordered tridiagonal solve (grid.solve_bordered) on the symmetric
-  Jacobian J: one border, or two for the index-1 family.
+  Jacobian J: one border, or two for the index-1 family, unrefined (the
+  next step corrects its error).
 - Degenerate points are found from the minimally extended system (Griewank
   & Reddien 1984): the test function g(u, a) solves
   [[J, w0], [w0^T, 0]] [v; g] = [0; 1] for a fixed bordering vector w0 near
@@ -64,7 +65,7 @@ from .solver import (
     Problem,
     SingularJacobian,
     SolutionPoint,
-    _checked_factor,
+    _checked_solve,
     classify_state,
     newton_solve,
 )
@@ -407,8 +408,9 @@ def continue_branch(
     events: list[BranchEvent] = []
     counts = dict.fromkeys((f.name for f in fields(StepCounts)), 0)
 
-    fac = _checked_factor(problem, problem.jacobian_operator(start.u.values, a))
-    u_c = fac.solve(problem.harvest.values)
+    u_c = _checked_solve(
+        problem, problem.jacobian_operator(start.u.values, a), problem.harvest.values
+    )
     scale = dom.l2_norm(u_c) + 1.0
     Tu = direction * u_c / scale
     Tc = direction / scale
@@ -562,20 +564,19 @@ def _test_function(problem, u, a, w0):
     Solves [[J, w0], [w0^T, 0]] [v; g] = [0; 1] with J = J(u) symmetric, so
     g vanishes exactly where J is singular and v then spans its kernel. The
     float64 solve is refined once against the long-double J(u), which is
-    what lets v meet the kernel residual bound. Returns the float64 J and
-    its factorization (both shared with the Newton step), v and g in long
-    double. A singular bordered system raises LinAlgError.
+    what lets v meet the kernel residual bound. Returns the float64 J
+    (shared with the Newton step), v and g in long double. A singular
+    bordered system raises LinAlgError.
     """
     ld = np.longdouble
     J = problem.jacobian_operator(u.astype(float), float(a))
-    fac = J.factor()
     w0_ld = np.asarray(w0, dtype=ld)
-    v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0, fac)
+    v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0)
     v, g = v.astype(ld), ld(g[0])
     rv = _linearized_apply(problem, u, v, a) + g * w0_ld
     rg = w0_ld @ v - ld(1)
-    dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg), fac)
-    return J, fac, v + dv.astype(ld), g + ld(dg[0])
+    dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg))
+    return J, v + dv.astype(ld), g + ld(dg[0])
 
 
 def _kernel_residual(problem, u, a, v, S):
@@ -594,9 +595,9 @@ def _extended_newton(
     row = (scale, e, row_c, offset), or the test function g(u, a) = 0 of
     _test_function bordered by w0, or both, in which case a is free too.
 
-    Each step is one solve_bordered on J(u), which reuses the factorization
-    of J(u) that _test_function made, with the columns dF/da = u (a
-    free only) and dF/dc = -h and the rows scale e and g_u = f''(u) v^2
+    Each step is one solve_bordered on J(u) (with w0, the J that
+    _test_function built), with the columns dF/da = u (a free only) and
+    dF/dc = -h and the rows scale e and g_u = f''(u) v^2
     (J is symmetric and bordered by w0 on both sides), and g_a = -v.v (J
     depends on a through its diagonal). The iterate converges when sup|F|,
     |N| and the kernel residual of v scaled to square integral S
@@ -611,23 +612,21 @@ def _extended_newton(
     (residual_history). max_iter counts measured iterates, so no step is
     taken after the last one: its result would go unmeasured.
 
-    Precision, for the affine-row systems (row given, w0 not): the two
-    stages of solver._newton_rows. A float64 u0 starts the float64 stage,
-    whose iterate, c, residual, sup norm and row N are float64 and whose
-    steps skip solve_bordered's refinement step (refine=False): the
-    long-double stage decides the last digits. The first iterate whose
-    float64 sup|F| is at or below FLOAT64_PHASE_TOL is promoted to long
-    double and measured again there; from then on everything is long
-    double and every step refined. A float64 start is promoted exactly; an
+    Precision: the two stages of solver._newton_rows, for every extended
+    system, both taking the same unrefined float64 step. A float64 u0
+    starts the float64 stage, whose iterate, c, residual, sup norm and row
+    N are float64 (a, when free, accumulates in long double). The first
+    iterate whose float64 sup|F| is at or below FLOAT64_PHASE_TOL is
+    promoted to long double and measured again there; from then on
+    everything is long double. A float64 start is promoted exactly; an
     iterate that a float64 step made is promoted as the long-double sum of
     that step and the iterate it was taken from, so that the rounding of
     the float64 iterate (a sup|F| of about 4e-9 at n = 1599) costs no extra
-    long-double step. A long-double u0 starts in the long-double stage, and
-    so do the fold and index-1 family systems (w0 given), whatever u0 is.
-    Convergence is declared only in long double, against NEWTON_TOL, and
-    the history holds the promoted iterate's long-double sup|F|, not the
-    float64 one. A NonConvergence that ends in the float64 stage carries
-    the float64 residual of its last iterate.
+    long-double step. A long-double u0 (the index-1 sweep's) starts in the
+    long-double stage. Convergence is declared only in long double, against
+    NEWTON_TOL, and the history holds the promoted iterate's long-double
+    sup|F|, not the float64 one. A NonConvergence that ends in the float64
+    stage carries the float64 residual of its last iterate.
     """
     ld = np.longdouble
     a_free = row is not None and w0 is not None
@@ -636,7 +635,7 @@ def _extended_newton(
         else "bordered system" if w0 is None
         else "fold system"
     )
-    wide = w0 is not None or np.asarray(u0).dtype == ld
+    wide = np.asarray(u0).dtype == ld
     u = np.asarray(u0, dtype=ld if wide else float)
     c = ld(c0) if wide else float(c0)
     minus_h = -problem.harvest.values
@@ -672,7 +671,7 @@ def _extended_newton(
             checks.append(abs(float(N)))
         if w0 is not None:
             try:
-                J, fac, v, g = _test_function(problem, u, a, w0)
+                J, v, g = _test_function(problem, u, a, w0)
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(
                     f"test-function system is singular: {exc}", u.astype(float), np.inf,
@@ -689,7 +688,7 @@ def _extended_newton(
             break
         u64 = u.astype(float, copy=False)
         if w0 is None:
-            J, fac = problem.jacobian_operator(u64, float(a)), None
+            J = problem.jacobian_operator(u64, float(a))
         else:
             v64 = v.astype(float)
             g_u = ramp_curvature(problem.nonlinearity, u64) * v64**2
@@ -701,9 +700,7 @@ def _extended_newton(
         else:
             B, C, D, rhs = minus_h, g_u, 0.0, -float(g)
         try:
-            du, y = solve_bordered(
-                J, B, C, D, -F.astype(float, copy=False), rhs, fac, refine=wide
-            )
+            du, y = solve_bordered(J, B, C, D, -F.astype(float, copy=False), rhs)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"{system} is singular: {exc}", u64, res, history)
         if not (np.isfinite(du).all() and np.isfinite(y).all()):
@@ -1172,7 +1169,7 @@ def branch_derivative_at_zero(problem: Problem, a: float, chart: str = "phi"):
     ehat = renormalize_l2(e_f)
     h_coeff = inner_product(problem.harvest, ehat)
     rhs = problem.harvest.values - h_coeff * ehat.values
-    v = h_coeff / (a - lam) * ehat.values + problem.laplacian.shifted(a).factor().solve(rhs)
+    v = h_coeff / (a - lam) * ehat.values + problem.laplacian.shifted(a).solve(rhs)
     return float(dc_dt), DiscreteField(problem.domain, v)
 
 

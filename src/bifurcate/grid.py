@@ -14,9 +14,10 @@ The five LAPACK routines used here (dgtsv, dgttrf, dgttrs, dstebz, dstein)
 are bound from scipy's compiled LAPACK extension, scipy.linalg._flapack,
 loaded on its own (_load_flapack) rather than through scipy.linalg, whose
 Python layer would more than double the package's import time and loaded
-modules. A tridiagonal system solved once goes through dgtsv (_gtsv); one
-factored to be solved several times, through dgttrf/dgttrs
-(TridiagonalFactor).
+modules. Every tridiagonal system is solved by one dgtsv call (_gtsv,
+LinearOperatorBanded.solve), bordered ones included (solve_bordered), except
+solver.time_march's, whose one matrix serves thousands of solves and is
+factored once by dgttrf and solved by dgttrs (TridiagonalFactor).
 """
 
 from __future__ import annotations
@@ -181,13 +182,10 @@ class TridiagonalFactor:
     """LU factorization (with partial pivoting) of a tridiagonal matrix.
 
     Wraps LAPACK dgttrf/dgttrs, for a matrix that one factorization serves
-    in several solves (solve_bordered, solver.time_march,
-    solver._checked_factor); a system solved once goes through _gtsv, which
-    gives the same bits in one call. exactly_singular says whether gttrf met
-    an exactly zero pivot. min_pivot, the magnitude of the smallest diagonal
-    entry of U (0.0 when exactly singular), is how near-singularity is
-    detected downstream; it is computed when asked for, so a factorization
-    that only solves costs gttrf alone.
+    in many solves (solver.time_march); a system solved once goes through
+    _gtsv, which gives the same bits in one call. An exactly singular
+    matrix is not refused: gttrs divides by its zero pivot, and time_march
+    reports the non-finite iterate as Diverged.
     """
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
@@ -196,11 +194,6 @@ class TridiagonalFactor:
         if info < 0:
             raise ValueError(f"gttrf: illegal argument {-info}")
         self._parts = (dl, d, du, du2, ipiv)
-        self.exactly_singular = info > 0
-
-    @property
-    def min_pivot(self) -> float:
-        return 0.0 if self.exactly_singular else float(np.min(np.abs(self._parts[1])))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         dl, d, du, du2, ipiv = self._parts
@@ -273,6 +266,14 @@ class LinearOperatorBanded:
     def factor(self) -> TridiagonalFactor:
         return TridiagonalFactor(self.diag, self.off)
 
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with op x = rhs (rhs (n,) or (n, m)), by one gtsv call. An
+        exactly zero pivot leaves x unfinished, so it raises LinAlgError."""
+        x, _, info = _gtsv(self.diag, self.off, rhs)
+        if info:
+            raise np.linalg.LinAlgError(f"gtsv: exactly zero pivot in row {info}")
+        return x
+
     def norm_inf(self) -> float:
         return float(_row_abs_sums(self.diag, self.off).max())
 
@@ -299,85 +300,61 @@ def _row_abs_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 #: Largest condition estimate of J (norm of J times the growth of J^{-1} over
 #: a right-hand column) for which plain block elimination is trusted: its
-#: cancellation costs about eps times this much accuracy, which one step of
-#: refinement then squares away. Above it J is deflated first.
+#: cancellation costs about eps times this much accuracy, a step error of
+#: about 1e8 eps that the callers absorb (the Newton loop of
+#: continuation._extended_newton by its next step, _test_function by its
+#: long-double refinement). Above it J is deflated first.
 BORDERED_COND_LIMIT = 1e8
 _TINY = np.finfo(float).tiny
 
 
-def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g, fac=None, *, refine=True):
+def solve_bordered(op: LinearOperatorBanded, B, C, D, f, g):
     """Solve [[J, B], [C^T, D]] [x; y] = [f; g] for the symmetric tridiagonal
     J of op and k <= 2 dense borders, in O(n).
 
     B and C are (n, k) (a 1-D array counts as k = 1), D is (k, k) and g has
-    k entries; returns x (n,) and y (k,). fac, op.factor() made once by a
-    caller that solves several systems on the same J, saves refactoring it;
-    without it J is factored here. J is eliminated by blocks (Chan 1984):
-    one multi-column gttrs for f and B, the k x k Schur complement, then one
-    step of iterative refinement against the full bordered matrix, whose
-    correction is one more gttrs. A single border thus costs one gttrf and
-    two gttrs, and its 1 x 1 Schur complement is divided by (_schur_solve),
-    which is what LAPACK's gesv computes for it. refine=False skips the
-    refinement step (its residual, gttrs and Schur solve), so a single
-    border costs one gttrf and one gttrs: for a caller whose next iterate
-    does not need the last digits (the float64 stage of
-    continuation._extended_newton). Where J is exactly singular
-    or too close to it for elimination to keep its accuracy
+    k entries; returns x (n,) and y (k,). J is eliminated by blocks (Chan
+    1984): one gtsv call on the (n, k + 1) block [f, B], then the k x k
+    Schur complement, whose 1 x 1 case is divided by (_schur_solve), which
+    is what LAPACK's gesv computes for it. Where J is exactly singular or
+    too close to it for elimination to keep its accuracy
     (BORDERED_COND_LIMIT), its near-null direction is deflated first
     (Govaerts 2000, ch. 3): J + s e_j e_j^T, with j the node where the
     inverse-iteration vector of J peaks and s = ||J||_inf, is regular, and
     the shift comes back as one extra border that pins the extra unknown to
-    x_j. The bordered matrix itself must be regular: an exactly singular
-    Schur complement raises LinAlgError, and a numerically singular one
-    gives non-finite or meaningless output.
+    x_j. That costs one more gtsv call, and an exactly singular J one more
+    before it, on J + 1e-10 s I, for the near-null direction. Either
+    shifted matrix still exactly singular raises LinAlgError, and so does
+    an exactly singular Schur complement; a numerically singular bordered
+    matrix gives non-finite or meaningless output.
     """
     n = op.diag.size
-    f = np.asarray(f, dtype=float)
     B = np.asarray(B, dtype=float).reshape(n, -1)
     C = np.asarray(C, dtype=float).reshape(n, -1)
     k = B.shape[1]
     D = np.asarray(D, dtype=float).reshape(k, k)
     g = np.asarray(g, dtype=float).reshape(k)
     scale = op.norm_inf()
-    if fac is None:
-        fac = op.factor()
-    cols = np.empty((n, k + 1), order="F")  # gttrs's layout, and fast column maxima
+    cols = np.empty((n, k + 1), order="F")  # gtsv's layout, and fast column maxima
     cols[:, 0] = f
     cols[:, 1:] = B
-    if fac.exactly_singular:
+    Z, _, singular = _gtsv(op.diag, op.off, cols)
+    if singular:
         # only the direction of the near-null vector is needed from this
-        Z = op.shifted(1e-10 * scale).factor().solve(cols)
-    else:
-        Z = fac.solve(cols)
+        Z = op.shifted(1e-10 * scale).solve(cols)
     growth = np.abs(Z).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), _TINY)
-    gx = g
-    deflated = fac.exactly_singular or not scale * growth.max() < BORDERED_COND_LIMIT
-    if deflated:
+    if singular or not scale * growth.max() < BORDERED_COND_LIMIT:
         e_j = np.zeros(n)
         e_j[int(np.argmax(np.abs(Z[:, np.argmax(growth)])))] = 1.0
-        fac = op.add_diagonal(scale * e_j).factor()
-        B = np.column_stack((B, -scale * e_j))
         C = np.column_stack((C, e_j))
         D = np.block([[D, np.zeros((k, 1))], [np.zeros((1, k)), -np.ones((1, 1))]])
-        gx = np.append(g, 0.0)
-        Z = fac.solve(np.column_stack((cols, -scale * e_j)))
+        g = np.append(g, 0.0)
+        Z = op.add_diagonal(scale * e_j).solve(np.column_stack((cols, -scale * e_j)))
+    # ndarray.dot costs a fraction of the call overhead of @ on these small
+    # products
     ZB = Z[:, 1:]
-    S = D - C.T.dot(ZB)
-    y = _schur_solve(S, gx - C.T.dot(Z[:, 0]))
-    x = Z[:, 0] - ZB.dot(y)
-    if not refine:
-        return x, y[:k]
-    # (ndarray.dot costs a fraction of the call overhead of @ on these small
-    # products.) One refinement step against the original bordered matrix;
-    # in the deflated case the extra unknown's row gets a zero residual,
-    # which makes the correction solve the original system exactly.
-    rf = f - op.apply(x) - B[:, :k].dot(y[:k])
-    rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
-    zr = fac.solve(rf)
-    if deflated:
-        rg = np.append(rg, 0.0)
-    dy = _schur_solve(S, rg - C.T.dot(zr))
-    return x + zr - ZB.dot(dy), (y + dy)[:k]
+    y = _schur_solve(D - C.T.dot(ZB), g - C.T.dot(Z[:, 0]))
+    return Z[:, 0] - ZB.dot(y), y[:k]
 
 
 def _schur_solve(S: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -50,10 +50,11 @@ FOLD_MAX_ITER = 16
 #: or more raises InsufficientSpectrum.
 K_EIGS = 3
 ARMIJO_MIN_STEP = 2.0**-20
-#: Residual sup norm above which a Newton row (see _newton_rows), an
-#: arclength corrector or a chart projection (continuation._extended_newton)
-#: iterates in float64; from the first iterate at or below it, in long
-#: double.
+#: Residual sup norm above which a Newton row (see _newton_rows) or an
+#: extended system started from a float64 state
+#: (continuation._extended_newton) iterates in float64; from the first
+#: iterate at or below it, in long double. Both stages step by the same
+#: float64 solve.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 
@@ -235,12 +236,16 @@ def _pivot_threshold(problem: Problem, norm_inf):
     return PIVOT_RTOL * problem.domain.n_interior * norm_inf
 
 
-def _checked_factor(problem: Problem, op: LinearOperatorBanded):
-    fac = op.factor()
+def _checked_solve(problem: Problem, op: LinearOperatorBanded, rhs: np.ndarray):
+    """x with op x = rhs, by one gtsv call, unless op is numerically
+    singular: its smallest pivot |U_ii| (0.0 at an exact zero, where gtsv
+    stops) below _pivot_threshold raises SingularJacobian."""
+    x, d, info = _gtsv(op.diag, op.off, rhs)
     threshold = _pivot_threshold(problem, op.norm_inf())
-    if fac.exactly_singular or fac.min_pivot < threshold:
-        raise SingularJacobian(fac.min_pivot, threshold)
-    return fac
+    pivot = 0.0 if info else float(np.min(np.abs(d)))
+    if info or pivot < threshold:
+        raise SingularJacobian(pivot, threshold)
+    return x
 
 
 def classify_state(

@@ -530,10 +530,9 @@ class TestExtendedNewton:
     ):
         """A LinAlgError from a step's bordered solve comes out as a
         NonConvergence that names the system and carries the float64
-        iterate the step was taken from. The chart projection's start is
-        above FLOAT64_PHASE_TOL, so it is measured and stepped from in the
-        float64 stage; the fold and index-1 family systems are long double
-        throughout."""
+        iterate the step was taken from. Every start here is a float64 state
+        above FLOAT64_PHASE_TOL, so each system, the fold and index-1 family
+        systems too, measures it and steps from it in the float64 stage."""
         dom = problem.domain
         phi, psi = (m.eigenfunction.values for m in modes)
         h = problem.harvest.values
@@ -564,30 +563,27 @@ class TestExtendedNewton:
         real = continuation.solve_bordered
         steps = []
 
-        def singular_step(op, B, *rest, **kw):
+        def singular_step(op, B, *rest):
             # every step has the column dF/dc = -h; the test function's
             # solves are bordered by w0 and pass through
             if np.array_equal(np.asarray(B).reshape(h.size, -1)[:, -1], -h):
-                steps.append(kw)
+                steps.append(rest)
                 raise np.linalg.LinAlgError("Singular matrix")
-            return real(op, B, *rest, **kw)
+            return real(op, B, *rest)
 
         monkeypatch.setattr(continuation, "solve_bordered", singular_step)
         with pytest.raises(NonConvergence) as err:
             run(u0)
-        float64_stage = system == "bordered"
-        assert steps == [{"refine": not float64_stage}]
+        assert len(steps) == 1
         assert str(err.value) == f"{system} system is singular: Singular matrix"
         assert err.value.last_iterate.dtype == np.float64
         np.testing.assert_array_equal(err.value.last_iterate, u0)
-        # the start's sup|F|, measured before the one step in its stage's dtype
+        # the start's float64 sup|F|, measured before the one step
         (r0,) = err.value.residual_history
-        start = u0 if float64_stage else u0.astype(ld)
-        sup0 = float(np.max(np.abs(problem.residual_values(start, *{
+        sup0 = float(np.max(np.abs(problem.residual_values(u0, *{
             "bordered": (fold20.a, fold20.c), "fold": (fold20.a, fold20.c),
             "degenerate-family": (lam2 + 0.05, 0.0)}[system]))))
-        assert r0 == sup0
-        assert not float64_stage or sup0 > FLOAT64_PHASE_TOL
+        assert r0 == sup0 > FLOAT64_PHASE_TOL
 
     def test_growing_corrector_gives_up_where_projection_iterates_on(
         self, problem, modes, branch20, monkeypatch
@@ -658,9 +654,10 @@ class TestExtendedNewton:
     @staticmethod
     def spied(monkeypatch, solves=None):
         """Record each residual evaluation as (iterate, long double or not,
-        sup|F|) and the refine flag of each bordered step, and append each
-        step's du to solves when given."""
-        measured, refines = [], []
+        sup|F|) and, for each bordered step, whether the iterate it steps
+        from (the last one measured) is long double, and append each step's
+        du to solves when given."""
+        measured, stages = [], []
         real_residual, real_solve = Problem.residual_values, continuation.solve_bordered
 
         def residual(self, u, a, c):
@@ -668,20 +665,20 @@ class TestExtendedNewton:
             measured.append((u.copy(), F.dtype == np.longdouble, float(np.max(np.abs(F)))))
             return F
 
-        def solve(*args, **kw):
-            refines.append(kw["refine"])
-            du, y = real_solve(*args, **kw)
+        def solve(*args):
+            stages.append(measured[-1][1])
+            du, y = real_solve(*args)
             if solves is not None:
                 solves.append(du)
             return du, y
 
         monkeypatch.setattr(Problem, "residual_values", residual)
         monkeypatch.setattr(continuation, "solve_bordered", solve)
-        return measured, refines
+        return measured, stages
 
     def test_float64_stage_hands_over_at_the_switch(self, tilted99, monkeypatch):
         """From a float64 predictor above FLOAT64_PHASE_TOL the corrector
-        steps in float64, without refinement, up to the first iterate whose
+        steps from float64 iterates up to the first iterate whose
         float64 sup|F| is at or below the switch. That iterate is promoted to
         long double as the long-double sum of the last float64 step and the
         iterate it was taken from, which the float64 iterate rounds, and
@@ -689,7 +686,7 @@ class TestExtendedNewton:
         convergence is declared on a long-double sup|F| below NEWTON_TOL."""
         problem, u, Tu, Tc = tilted99
         solves = []
-        measured, refines = self.spied(monkeypatch, solves)
+        measured, stages = self.spied(monkeypatch, solves)
         u_ld, c_ld, rF = continuation._arclength_corrector(
             problem, 20.0, u, 1.0, Tu, Tc, 0.3, 8
         )
@@ -703,7 +700,7 @@ class TestExtendedNewton:
         assert measured[k - 1][0].dtype == np.float64
         np.testing.assert_array_equal(measured[k][0], promoted)
         np.testing.assert_array_equal(measured[k - 1][0], promoted.astype(float))
-        assert refines == [False] * (k - 1) + [True] * (len(measured) - k - 1)
+        assert stages == [False] * (k - 1) + [True] * (len(measured) - k - 1)
         assert all(sup >= NEWTON_TOL for sup in sups[k:-1])
         assert sups[-1] == rF < NEWTON_TOL
         assert u_ld.dtype == np.longdouble and isinstance(c_ld, np.longdouble)
@@ -719,19 +716,19 @@ class TestExtendedNewton:
         dist = dom.l2_norm(q.u.values - p.u.values) + abs(q.c - p.c)
         Tu, Tc = (q.u.values - p.u.values) / dist, (q.c - p.c) / dist
         args = (problem, p.a, p.u.values, p.c, Tu, Tc, 0.5 * dist)
-        measured, refines = self.spied(monkeypatch)
+        measured, stages = self.spied(monkeypatch)
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(*args, 1)
         (u0, wide0, sup0), (u1, wide1, sup1) = measured
         assert not wide0 and wide1 and NEWTON_TOL < sup1 and sup0 <= FLOAT64_PHASE_TOL
         np.testing.assert_array_equal(u1, u0.astype(np.longdouble))
         assert err.value.residual_history == (err.value.residual_norm,) == (sup1,)
-        assert refines == []
+        assert stages == []
 
         measured.clear()
         _, _, rF = continuation._arclength_corrector(*args, 8)
         assert [x for _, x, _ in measured] == [False] + [True] * (len(measured) - 1)
-        assert refines == [True] * (len(measured) - 2)
+        assert stages == [True] * (len(measured) - 2)
         assert rF == measured[-1][2] < NEWTON_TOL
 
     def test_long_double_start_stays_long_double(self, tilted99, monkeypatch):
@@ -743,15 +740,44 @@ class TestExtendedNewton:
         phi = problem.modes()[0].eigenfunction
         u_pred, c_pred = u + 0.3 * Tu, 1.0 + 0.3 * Tc
         t = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
-        measured, refines = self.spied(monkeypatch)
+        measured, stages = self.spied(monkeypatch)
         solve_at_projection(problem, 20.0, phi, t, u_pred, c_pred)
-        assert not measured[0][1] and False in refines
+        assert not measured[0][1] and False in stages
         measured.clear()
-        refines.clear()
+        stages.clear()
         pt = solve_at_projection(problem, 20.0, phi, t, u_pred.astype(np.longdouble), c_pred)
-        assert all(x for _, x, _ in measured) and all(refines)
-        assert len(refines) == len(measured) - 1
+        assert all(x for _, x, _ in measured) and all(stages)
+        assert len(stages) == len(measured) - 1
         assert pt.residual_norm == measured[-1][2] < NEWTON_TOL
+
+    def test_fold_system_follows_the_stage_rule(self, problem, modes, fold20, monkeypatch):
+        """The fold system takes the stages of the affine-row systems: from a
+        float64 start above FLOAT64_PHASE_TOL it measures and steps in
+        float64, then in long double only, and converges there onto the
+        refined fold; from a long-double start it stays long double."""
+        dom = problem.domain
+        phi = modes[0].eigenfunction.values
+        S1 = dom.inner(phi, phi)
+        u0 = fold20.u.values + 0.01 * phi
+        measured, stages = self.spied(monkeypatch)
+        _, u, c, _, rF = continuation._extended_newton(
+            problem, fold20.a, u0, fold20.c, 16, w0=fold20.w.values, S=S1
+        )
+        wide = [x for _, x, _ in measured]
+        k = wide.index(True)
+        assert k >= 2 and not any(wide[:k]) and all(wide[k:])
+        assert measured[0][2] > FLOAT64_PHASE_TOL >= measured[k - 1][2]
+        assert False in stages and stages == sorted(stages)
+        assert rF == measured[-1][2] < NEWTON_TOL and u.dtype == np.longdouble
+        assert abs(float(c) - fold20.c) < 1e-9
+
+        measured.clear()
+        stages.clear()
+        continuation._extended_newton(
+            problem, fold20.a, u0.astype(np.longdouble), fold20.c, 16,
+            w0=fold20.w.values, S=S1,
+        )
+        assert all(x for _, x, _ in measured) and all(stages)
 
     def test_exhausted_corrector_reports_the_iterate_it_returns(self, tilted99, monkeypatch):
         """A corrector that runs out of iterations raises with one iterate:
@@ -761,13 +787,7 @@ class TestExtendedNewton:
         sup|F| is above FLOAT64_PHASE_TOL, so it is measured in the float64
         stage, on the float64 predictor."""
         problem, u, Tu, Tc = tilted99
-        real_solve, steps = continuation.solve_bordered, []
-
-        def counted(*args, **kw):
-            steps.append(kw["refine"])
-            return real_solve(*args, **kw)
-
-        monkeypatch.setattr(continuation, "solve_bordered", counted)
+        _, steps = self.spied(monkeypatch)
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(problem, 20.0, u, 1.0, Tu, Tc, 0.3, 1)
         assert steps == []

@@ -1223,13 +1223,15 @@ class TestCoarseWindow:
 
 class TestKernelCallCounts:
     """Guards the cost of the hot paths at n = 99. During the window
-    assembly, a single-border bordered solve made without a factorization
-    (each arclength corrector and chart projection step) costs one gttrf and
-    one gttrs in the float64 stage, which skips the refinement step, and one
-    gttrf and two gttrs in the long-double stage; neither calls
-    np.linalg.solve. Tracked spectra take no np.linalg.norm and one gtsv per
-    Rayleigh-quotient step. In a count, each Newton iteration of a stack
-    costs one gtsv and no gttrf or gttrs."""
+    assembly, every single-border bordered solve (each step of the
+    arclength corrector, the chart projection and the fold system, and each
+    of the fold test function's two solves) costs one gtsv call, in the
+    float64 stage and in the long-double stage alike, and no gttrf, gttrs,
+    A v product or np.linalg.solve call; where J is deflated, one more gtsv
+    call and one np.linalg.solve for the 2 x 2 Schur complement.
+    Tracked spectra take no np.linalg.norm and one gtsv per Rayleigh-quotient
+    step. In a count, each Newton iteration of a stack costs one gtsv and no
+    gttrf or gttrs."""
 
     @staticmethod
     def counted(calls, name, real):
@@ -1254,13 +1256,21 @@ class TestKernelCallCounts:
         monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
         costs = Counter()
         real_bordered = continuation_mod.solve_bordered
+        real_residual = Problem.residual_values
+        wide = []
 
-        def bordered(op, B, C, D, f, g, fac=None, *, refine=True):
+        def residual(self, u, a, c):
+            F = real_residual(self, u, a, c)
+            wide.append(F.dtype == np.longdouble)
+            return F
+
+        def bordered(op, B, C, D, f, g):
             before = calls.copy()
-            out = real_bordered(op, B, C, D, f, g, fac, refine=refine)
-            if fac is None and np.ndim(B) == 1:
+            out = real_bordered(op, B, C, D, f, g)
+            if np.ndim(B) == 1:
                 spent = calls - before
-                costs[(refine, spent["gttrf"], spent["gttrs"], spent["solve"])] += 1
+                lu = spent["gttrf"] + spent["gttrs"]
+                costs[(wide[-1], spent["gtsv"], lu, spent["apply"], spent["solve"])] += 1
             return out
 
         norms = []
@@ -1278,14 +1288,19 @@ class TestKernelCallCounts:
                 steps[(rayleigh_steps, spent["gtsv"], spent["gttrf"] + spent["gttrs"])] += 1
             return out
 
+        monkeypatch.setattr(Problem, "residual_values", residual)
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
         diag = assemble_diagram(diagram_window99.problem, diagram_window99.a)
         assert sum(len(br.points) for br in diag.branches) == sum(
             len(br.points) for br in diagram_window99.branches
         )
-        assert set(costs) == {(False, 1, 1, 0), (True, 1, 2, 0)}
-        assert costs[(False, 1, 1, 0)] > 100 and costs[(True, 1, 2, 0)] > 100
+        # a deflated solve's 2 x 2 Schur complement goes to np.linalg.solve
+        assert all(
+            gtsv in (1, 2) and solve == gtsv - 1 and not lu and not apply
+            for _, gtsv, lu, apply, solve in costs
+        )
+        assert costs[(False, 1, 0, 0, 0)] > 100 and costs[(True, 1, 0, 0, 0)] > 100
         assert len(norms) > 100 and not any(norms)
         assert sum(steps.values()) > 100
         assert sum(k * v for (k, _, _), v in steps.items()) > 100

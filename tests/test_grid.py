@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bifurcate.grid import (
@@ -22,7 +22,13 @@ from bifurcate.grid import (
 from bifurcate import grid as grid_mod
 from bifurcate.diagram import _multistart_seeds
 from bifurcate.model import HarvestSpec, Nonlinearity, check_hypotheses
-from bifurcate.solver import Problem, _block_solve
+from bifurcate.solver import (
+    PIVOT_RTOL,
+    Problem,
+    SingularJacobian,
+    _block_solve,
+    _checked_solve,
+)
 
 # Reference values. The sine integrals against x(1-x)^2 have closed forms;
 # the trapezoid error for both happens to be O(h^4) because the integrands'
@@ -278,13 +284,37 @@ def test_factor_leaves_its_bands_unchanged(domain):
     assert np.array_equal(diag, op.diag) and np.array_equal(off, op.off)
 
 
+def _gtsv_pivot(op):
+    """The smallest |U_ii| of op's LU as gtsv leaves it, 0.0 at an exact zero
+    pivot (where gtsv stops)."""
+    _, d, info = grid_mod._gtsv(op.diag, op.off, np.ones(op.diag.size))
+    return 0.0 if info else float(np.min(np.abs(d)))
+
+
+def test_operator_solve_roundtrip_and_exact_zero_pivot(domain):
+    """LinearOperatorBanded.solve is one gtsv call, on one or several
+    right-hand columns; an exactly zero pivot, where gtsv leaves x
+    unfinished, raises LinAlgError."""
+    op = assemble_laplacian(domain).shifted(20.0)
+    rng = np.random.default_rng(7)
+    b = rng.standard_normal((domain.n_interior, 2))
+    x = op.solve(b)
+    assert x.tobytes() == np.column_stack([op.factor().solve(col) for col in b.T]).tobytes()
+    n = 9
+    singular = LinearOperatorBanded(
+        build_grid(n, 1.0), [1.0, 1.0] + [2.0] * (n - 2), [1.0, 0.0] + [-1.0] * (n - 3)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="exactly zero pivot in row 2"):
+        singular.solve(np.ones(n))
+
+
 def test_factor_pivot_reveals_singular_shift(domain):
+    """The smallest pivot of the LU that gtsv computes is large for a
+    regular shift of the Laplacian and tiny at its first eigenvalue."""
     lap = assemble_laplacian(domain)
     lam1 = float(exact_mode_longdouble(domain, 1)[0])
-    healthy = lap.shifted(20.0).factor().min_pivot
-    singular = lap.shifted(lam1).factor().min_pivot
-    assert healthy > 1e4
-    assert singular < 1e-4
+    assert _gtsv_pivot(lap.shifted(20.0)) > 1e4
+    assert _gtsv_pivot(lap.shifted(lam1)) < 1e-4
 
 
 def test_block_pivots_of_a_stack_match_each_block_alone(domain):
@@ -303,18 +333,19 @@ def test_block_pivots_of_a_stack_match_each_block_alone(domain):
     ])
     rhs = rng.standard_normal(diags.shape)
     seams = np.tile(np.append(lap.off, 0.0), len(diags))
-    alone = [TridiagonalFactor(d, lap.off) for d in diags]
-    assert alone[2].exactly_singular
+    alone = [grid_mod._gtsv(d, lap.off, r) for d, r in zip(diags, rhs)]
+    pivots_alone = [0.0 if info else float(np.min(np.abs(d))) for _, d, info in alone]
+    assert alone[2][2] > 0 and pivots_alone[2] == 0.0
     _, _, info = grid_mod._gtsv(diags.ravel(), seams[:-1], rhs.ravel())
     assert info > 0 and (info - 1) // n == 2
     x, pivots = _block_solve(diags, seams, rhs)
     assert x is None
-    assert pivots.tolist() == [f.min_pivot for f in alone]
+    assert pivots.tolist() == pivots_alone
     regular = [0, 1, 3]
     x, pivots = _block_solve(diags[regular], seams, rhs[regular])
-    assert pivots.tolist() == [alone[j].min_pivot for j in regular]
+    assert pivots.tolist() == [pivots_alone[j] for j in regular]
     for row, j in zip(x, regular):
-        assert row.tobytes() == alone[j].solve(rhs[j]).tobytes()
+        assert row.tobytes() == alone[j][0].tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -325,7 +356,7 @@ def test_block_pivots_of_a_stack_match_each_block_alone(domain):
     kind=st.sampled_from(["random", "interchanges", "signed zeros", "exactly singular"]),
 )
 def test_gtsv_is_gttrf_then_gttrs_bit_for_bit(n, blocks, seed, kind):
-    """One gtsv call gives the bits of TridiagonalFactor's gttrf and gttrs,
+    """One gtsv call gives the bits of gttrf then gttrs,
     signed zeros included: the solution and U's diagonal, on single systems
     (blocks = 1) and block stacks with zero seams. Diagonals far below the
     couplings, or zero, force row interchanges. info > 0 exactly when gttrf
@@ -347,14 +378,15 @@ def test_gtsv_is_gttrf_then_gttrs_bit_for_bit(n, blocks, seed, kind):
         off[:2] = 1.0, 0.0
         diag[rng.integers(blocks), :2] = 1.0
     seams = np.tile(np.append(off, 0.0), blocks)[:-1]
-    fac = TridiagonalFactor(diag.ravel(), seams)
+    dl, d_ref, du, du2, ipiv, info_ref = grid_mod._dgttrf(seams, diag.ravel(), seams)
     x, d, info = grid_mod._gtsv(diag.ravel(), seams, rhs.ravel())
-    assert (info > 0) == fac.exactly_singular
+    assert (info > 0) == (info_ref > 0)
     if kind == "exactly singular":
         assert info > 0
     if not info:
-        assert x.tobytes() == fac.solve(rhs.ravel()).tobytes()
-        assert d.tobytes() == grid_mod._dgttrf(seams, diag.ravel(), seams)[1].tobytes()
+        x_ref, _ = grid_mod._dgttrs(dl, d_ref, du, du2, ipiv, rhs.ravel())
+        assert x.tobytes() == x_ref.tobytes()
+        assert d.tobytes() == d_ref.tobytes()
 
 
 def test_gtsv_leaves_its_inputs_unchanged(domain):
@@ -378,10 +410,9 @@ def _dense_bordered(op, B, C, D):
     return np.block([[J, B], [C.T, np.reshape(D, (B.shape[1],) * 2)]])
 
 
-def _check_bordered(op, B, C, D, seed, refine):
+def _check_bordered(op, B, C, D, seed):
     """solve_bordered against a dense solve of the same assembled matrix,
-    to within a small multiple of eps * cond of the bordered matrix, with
-    the refinement step or without it."""
+    to within a small multiple of eps * cond of the bordered matrix."""
     n = op.diag.size
     k = B.reshape(n, -1).shape[1]
     rng = np.random.default_rng(seed)
@@ -389,7 +420,7 @@ def _check_bordered(op, B, C, D, seed, refine):
     g = rng.standard_normal(k)
     A = _dense_bordered(op, B, C, D)
     ref = np.linalg.solve(A, np.concatenate((f, g)))
-    x, y = solve_bordered(op, B, C, D, f, g, refine=refine)
+    x, y = solve_bordered(op, B, C, D, f, g)
     assert x.shape == (n,) and y.shape == (k,)
     bound = 100 * np.finfo(float).eps * np.linalg.cond(A) * np.max(np.abs(ref))
     assert np.max(np.abs(np.concatenate((x, y)) - ref)) < bound
@@ -402,8 +433,7 @@ def test_bordered_solve_regular(n, k):
     rng = np.random.default_rng(n + k)
     B, C = rng.standard_normal((2, n, k))
     D = rng.standard_normal((k, k))
-    for refine in (True, False):
-        _check_bordered(op, B, C, D, seed=k, refine=refine)
+    _check_bordered(op, B, C, D, seed=k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -415,17 +445,16 @@ def test_bordered_solve_at_polished_first_eigenvalue(n, k):
     dom = build_grid(n, 1.0)
     pair = laplacian_eigenpairs(dom, 1)[0]
     op = assemble_laplacian(dom).shifted(pair.eigenvalue)
-    assert op.factor().min_pivot < 1e-6 * op.norm_inf()
+    assert _gtsv_pivot(op) < 1e-6 * op.norm_inf()
     x = dom.nodes
     B = np.column_stack((x * (1 - x) ** 2, np.cos(3 * x)))[:, :k]
     C = np.column_stack((pair.eigenfunction.values, x))[:, :k]
-    for refine in (True, False):
-        _check_bordered(op, B, C, np.zeros((k, k)), seed=3 * k, refine=refine)
+    _check_bordered(op, B, C, np.zeros((k, k)), seed=3 * k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bordered_solve_with_exact_zero_pivot(k):
-    """gttrf meets an exact zero pivot (the leading 2x2 block of J is
+    """gtsv meets an exact zero pivot (the leading 2x2 block of J is
     [[1, 1], [1, 1]] and the rest is decoupled from it), yet the border
     reaches the null vector (1, -1, 0, ...) and the bordered matrix is
     regular."""
@@ -433,19 +462,17 @@ def test_bordered_solve_with_exact_zero_pivot(k):
     diag = np.array([1.0, 1.0] + [2.0] * (n - 2))
     off = np.array([1.0, 0.0] + [-1.0] * (n - 3))
     op = LinearOperatorBanded(build_grid(n, 1.0), diag, off)
-    assert op.factor().exactly_singular
+    assert _gtsv_pivot(op) == 0.0
     rng = np.random.default_rng(5)
     B = rng.standard_normal((n, k))
     C = rng.standard_normal((n, k))
-    for refine in (True, False):
-        _check_bordered(op, B, C, np.zeros((k, k)), seed=k, refine=refine)
+    _check_bordered(op, B, C, np.zeros((k, k)), seed=k)
 
 
-def _bordered_schur_reference(op, B, C, D, f, g, refine=True):
+def _bordered_schur_reference(op, B, C, D, f, g):
     """solve_bordered with every Schur complement solved by np.linalg.solve,
     as it was written before a single border's 1 x 1 complement was divided
-    by directly; refine=False returns the solution before the refinement
-    step."""
+    by directly."""
     n = op.diag.size
     f = np.asarray(f, dtype=float)
     B = np.asarray(B, dtype=float).reshape(n, -1)
@@ -454,43 +481,30 @@ def _bordered_schur_reference(op, B, C, D, f, g, refine=True):
     D = np.asarray(D, dtype=float).reshape(k, k)
     g = np.asarray(g, dtype=float).reshape(k)
     scale = op.norm_inf()
-    fac = op.factor()
     cols = np.empty((n, k + 1), order="F")
     cols[:, 0] = f
     cols[:, 1:] = B
-    if fac.exactly_singular:
-        Z = op.shifted(1e-10 * scale).factor().solve(cols)
-    else:
-        Z = fac.solve(cols)
+    Z, _, info = grid_mod._gtsv(op.diag, op.off, cols)
+    if info:
+        Z = op.shifted(1e-10 * scale).solve(cols)
     growth = np.max(np.abs(Z), axis=0) / np.maximum(
         np.max(np.abs(cols), axis=0), np.finfo(float).tiny
     )
-    gx = g
-    if fac.exactly_singular or not scale * np.max(growth) < grid_mod.BORDERED_COND_LIMIT:
+    if info or not scale * np.max(growth) < grid_mod.BORDERED_COND_LIMIT:
         e_j = np.zeros(n)
         e_j[int(np.argmax(np.abs(Z[:, np.argmax(growth)])))] = 1.0
-        fac = op.add_diagonal(scale * e_j).factor()
-        B = np.column_stack((B, -scale * e_j))
         C = np.column_stack((C, e_j))
         D = np.block([[D, np.zeros((k, 1))], [np.zeros((1, k)), -np.ones((1, 1))]])
-        gx = np.append(g, 0.0)
-        Z = fac.solve(np.column_stack((cols, -scale * e_j)))
+        g = np.append(g, 0.0)
+        Z = op.add_diagonal(scale * e_j).solve(np.column_stack((cols, -scale * e_j)))
     ZB = Z[:, 1:]
-    S = D - C.T.dot(ZB)
-    y = np.linalg.solve(S, gx - C.T.dot(Z[:, 0]))
-    x = Z[:, 0] - ZB.dot(y)
-    if not refine:
-        return x, y[:k]
-    rf = f - op.apply(x) - B[:, :k].dot(y[:k])
-    rg = g - C[:, :k].T.dot(x) - D[:k, :k].dot(y[:k])
-    zr = fac.solve(rf)
-    dy = np.linalg.solve(S, np.append(rg, np.zeros(y.size - k)) - C.T.dot(zr))
-    return x + zr - ZB.dot(dy), (y + dy)[:k]
+    y = np.linalg.solve(D - C.T.dot(ZB), g - C.T.dot(Z[:, 0]))
+    return Z[:, 0] - ZB.dot(y), y[:k]
 
 
 def _single_border_operator(case, n):
     """J regular, J singular to working precision (the solve deflates it),
-    or J with an exactly zero gttrf pivot."""
+    or J with an exactly zero gtsv pivot."""
     dom = build_grid(n, 1.0)
     if case == "regular":
         return assemble_laplacian(dom).shifted(20.0)
@@ -508,15 +522,11 @@ def _single_border_operator(case, n):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     two_d=st.booleans(),
     zero_d=st.booleans(),
-    refine=st.booleans(),
 )
-def test_single_border_solve_is_the_schur_solve_bit_for_bit(
-    case, n, seed, two_d, zero_d, refine
-):
+def test_single_border_solve_is_the_schur_solve_bit_for_bit(case, n, seed, two_d, zero_d):
     """Dividing by the 1 x 1 Schur complement gives the bits that
     np.linalg.solve gave, x and y alike, whether J is regular, deflated or
-    exactly singular, with the border given as (n,) or (n, 1), with the
-    refinement step or without it."""
+    exactly singular, with the border given as (n,) or (n, 1)."""
     op = _single_border_operator(case, n)
     rng = np.random.default_rng(seed)
     B, C, f = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
@@ -524,8 +534,8 @@ def test_single_border_solve_is_the_schur_solve_bit_for_bit(
     g = rng.standard_normal()
     if two_d:
         B, C, D, g = B[:, None], C[:, None], [[D]], [g]
-    x, y = solve_bordered(op, B, C, D, f, g, refine=refine)
-    x_ref, y_ref = _bordered_schur_reference(op, B, C, D, f, g, refine)
+    x, y = solve_bordered(op, B, C, D, f, g)
+    x_ref, y_ref = _bordered_schur_reference(op, B, C, D, f, g)
     assert x.tobytes() == x_ref.tobytes()
     assert y.shape == y_ref.shape == (1,) and y.tobytes() == y_ref.tobytes()
 
@@ -541,16 +551,55 @@ def test_single_border_with_zero_schur_complement_raises():
         solve_bordered(op, zero, zero, 0.0, np.ones(9), 1.0)
 
 
+@pytest.mark.parametrize("case, failing, calls", [
+    ("regular", None, 1),
+    ("deflated", None, 2),
+    ("exactly singular", None, 3),
+    ("deflated", 2, 2),
+    ("exactly singular", 2, 2),
+    ("exactly singular", 3, 3),
+])
+def test_bordered_solve_gtsv_calls_and_their_failures(case, failing, calls, monkeypatch):
+    """One gtsv call solves a regular J, one more the deflated J, and an
+    exactly singular J takes one on J + 1e-10 s I before those. A shifted or
+    deflated J that gtsv still finds exactly singular (info > 0 on that
+    call, reported here by a patched gtsv) raises LinAlgError, since gtsv
+    leaves its x unfinished."""
+    op = _single_border_operator(case, 9)
+    rng = np.random.default_rng(4)
+    B, C, f = rng.standard_normal((3, 9))
+    real, made = grid_mod._gtsv, []
+
+    def gtsv(diag, off, rhs):
+        x, d, info = real(diag, off, rhs)
+        made.append(info)
+        return (x, d, 1) if len(made) == failing else (x, d, info)
+
+    monkeypatch.setattr(grid_mod, "_gtsv", gtsv)
+    if failing is None:
+        x, y = solve_bordered(op, B, C, 0.0, f, 1.0)
+        assert np.isfinite(x).all() and np.isfinite(y).all()
+    else:
+        with pytest.raises(np.linalg.LinAlgError, match="exactly zero pivot"):
+            solve_bordered(op, B, C, 0.0, f, 1.0)
+    assert len(made) == calls
+    assert made[0] == (case == "exactly singular") * 2
+    assert not any(made[1:])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=3, max_value=200),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     kind=st.sampled_from(["random", "near singular", "exactly singular"]),
 )
+@example(n=9, seed=0, kind="exactly singular")
 def test_factor_pivot_keeps_its_meaning(n, seed, kind):
-    """min_pivot, now computed only when asked for, is still the smallest
-    |U_ii| that gttrf leaves (0.0 when exactly singular), and
-    exactly_singular still means gttrf reported a zero pivot."""
+    """The factorization pivot taken from gtsv's U diagonal is the smallest
+    |U_ii| that gttrf leaves, and gtsv's info > 0, pivot 0.0, means gttrf
+    reported an exactly zero pivot. solver._checked_solve raises SingularJacobian with
+    that pivot below its threshold (SingularJacobian(0.0, threshold) at an
+    exact zero), and returns gtsv's x otherwise."""
     rng = np.random.default_rng(seed)
     off = rng.standard_normal(n - 1)
     diag = rng.standard_normal(n)
@@ -563,12 +612,22 @@ def test_factor_pivot_keeps_its_meaning(n, seed, kind):
         diag[:2], off[0] = 1.0, 1.0
         if n > 2:
             off[1] = 0.0
-    _, d, _, _, _, info = grid_mod._dgttrf(off, diag, off)
-    fac = TridiagonalFactor(diag, off)
-    assert fac.exactly_singular == (info > 0)
-    assert fac.min_pivot == (0.0 if info > 0 else float(np.min(np.abs(d))))
+    _, d_ref, _, _, _, info_ref = grid_mod._dgttrf(off, diag, off)
+    x, d, info = grid_mod._gtsv(diag, off, np.ones(n))
+    assert (info > 0) == (info_ref > 0)
+    pivot = 0.0 if info else float(np.min(np.abs(d)))
+    assert pivot == (0.0 if info_ref else float(np.min(np.abs(d_ref))))
     if kind == "exactly singular":
-        assert fac.exactly_singular and fac.min_pivot == 0.0
+        assert info > 0
+    problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+    op = LinearOperatorBanded(problem.domain, diag, off)
+    threshold = PIVOT_RTOL * n * op.norm_inf()
+    if info or pivot < threshold:
+        with pytest.raises(SingularJacobian) as err:
+            _checked_solve(problem, op, np.ones(n))
+        assert (err.value.min_pivot, err.value.threshold) == (pivot, threshold)
+    else:
+        assert _checked_solve(problem, op, np.ones(n)).tobytes() == x.tobytes()
 
 
 def _track_reference(diag, off, guesses):
@@ -592,10 +651,9 @@ def _track_reference(diag, off, guesses):
         for _ in range(grid_mod.TRACK_MAX_ITER):
             if res <= rtol:
                 break
-            fac = TridiagonalFactor(diag - sigma, off)
-            if fac.exactly_singular:
+            x, _, info = grid_mod._gtsv(diag - sigma, off, v)
+            if info:
                 return None
-            x = fac.solve(v)
             norm = np.linalg.norm(x)
             if not np.isfinite(norm) or norm == 0.0:
                 return None

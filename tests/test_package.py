@@ -156,3 +156,45 @@ def test_lapack_routines_and_results_are_the_same_in_either_import_order(tmp_pat
     package_first, scipy_first = runs
     assert package_first[:3] == scipy_first[:3] == ["True", "0", "0"]
     assert package_first == scipy_first
+
+
+def test_bench_tracer_wraps_names_that_exist_and_restores_them(monkeypatch):
+    """bench/tracer.py patches the package by name. Its install() must find
+    every layer it wraps (a method it names raises AttributeError if gone;
+    a function it wraps must be bound in at least one module, or its span
+    would silently record nothing), and uninstall() must put back every
+    binding it replaced. The file is loaded read-only, with no bytecode
+    written next to it."""
+    import importlib.util
+
+    import bifurcate.cli  # noqa: F401 (install() patches every package module)
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("_bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+
+    owners = [sys.modules[name] for name in tracer_mod.MODULES]
+    owners += [bifurcate.grid.LinearOperatorBanded, bifurcate.solver.Problem]
+    before = [dict(vars(owner)) for owner in owners]
+
+    tracer = tracer_mod.Tracer()
+    real_wrap, wrappers = tracer._wrap, []
+
+    def wrap(*args, **kwargs):
+        wrappers.append(real_wrap(*args, **kwargs))
+        return wrappers[-1]
+
+    tracer._wrap = wrap
+    tracer.install()
+    try:
+        installed = {id(getattr(owner, attr)) for owner, attr, _ in tracer._patches}
+        assert len(wrappers) > 10
+        assert [w.__wrapped__.__qualname__ for w in wrappers if id(w) not in installed] == []
+        for owner, attr, original in tracer._patches:
+            assert getattr(owner, attr).__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    assert tracer._patches == []
+    for owner, saved in zip(owners, before):
+        assert [k for k, v in saved.items() if vars(owner).get(k) is not v] == []
