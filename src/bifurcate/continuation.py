@@ -734,7 +734,8 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
             0.0,
         )
     mu = np.abs(np.asarray(point.spectrum.eigenvalues))
-    j = int(np.argmin(mu))
+    # a vanishing eigenvalue beyond the computed ones is the (index+1)-th
+    j = int(np.argmin(mu)) if mu.min() < point.spectrum.tol else point.morse_index
     if j == 0:
         kind = "fold-index0"
         target = inner_product(phi.eigenfunction, phi.eigenfunction)

@@ -1237,12 +1237,14 @@ def stability_crosscheck(point: SolutionPoint) -> str:
     """Dynamic test of the Morse classification: 'pass', 'fail' or
     'inconclusive'.
 
-    Index zero must attract a small random perturbation back to the point;
-    positive index must repel a kick along the first eigendirection, with
-    the deviation staying aligned to it. For c = 0 the static criterion
-    (nonnegative with maximum beyond the threshold) must agree as well.
-    Degenerate points drift too slowly along the neutral direction to settle
-    either way and typically come back inconclusive.
+    Index zero must attract a small random perturbation back to the point:
+    a combination of the two lowest eigendirections with standard normal
+    weights drawn from CROSSCHECK_SEED. Positive index must repel a kick
+    along the first eigendirection, with the deviation staying aligned to
+    it. For c = 0 the static criterion (nonnegative with maximum beyond the
+    threshold) must agree as well. Degenerate points drift too slowly along
+    the neutral direction to settle either way and typically come back
+    inconclusive.
     """
     problem = point.state.problem
     dom = problem.domain
@@ -1257,9 +1259,7 @@ def stability_crosscheck(point: SolutionPoint) -> str:
     modes = point.spectrum.eigenfunctions
     if point.morse_index == 0:
         rng = np.random.default_rng(CROSSCHECK_SEED)
-        direction = sum(
-            rng.standard_normal() * m.values for m in modes[: min(3, len(modes))]
-        )
+        direction = sum(rng.standard_normal() * m.values for m in modes[:2])
     else:
         direction = modes[0].values.copy()
     direction /= l2(direction)

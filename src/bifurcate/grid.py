@@ -496,7 +496,7 @@ TRACK_MAX_ITER = 4
 
 
 def track_tridiagonal_eigenpairs(
-    diag: np.ndarray, off: np.ndarray, guesses
+    diag: np.ndarray, off: np.ndarray, guesses, floor: float
 ) -> tuple[np.ndarray, list[np.ndarray]] | None:
     """The k smallest eigenpairs of a symmetric tridiagonal matrix A, tracked
     from guesses of their eigenvectors, or None when they cannot be
@@ -512,8 +512,9 @@ def track_tridiagonal_eigenpairs(
     mu_j an interval of half-width rho that holds an eigenvalue; the
     intervals must ascend in the order of the guesses without overlap, and
     a Sturm count (LAPACK stebz, range 'V') must find exactly k eigenvalues
-    up to a shift just above the k-th interval. The values are then the k
-    smallest eigenvalues, in order. Returns the polished values and unit
+    up to a shift just above both the k-th interval and floor. The values
+    are then the k smallest eigenvalues, in order, and every other
+    eigenvalue lies above floor. Returns the polished values and unit
     vectors (sign arbitrary) as symmetric_tridiagonal_eigenpairs does; that
     is the fallback on None.
 
@@ -523,8 +524,7 @@ def track_tridiagonal_eigenpairs(
     branch then pinned its freed memory in the heap.
     """
     n, k = diag.size, len(guesses)
-    off_max = float(np.abs(off).max(initial=0.0))
-    eps_a = np.finfo(float).eps * (float(np.abs(diag).max()) + 2.0 * off_max)
+    lower, eps_a = sturm_bounds(diag, off)
     rtol = np.sqrt(n) * eps_a
 
     def norm(v):
@@ -559,12 +559,20 @@ def track_tridiagonal_eigenpairs(
     if any(hi - lo <= 2.0 * rho for lo, hi in zip(mu[:-1], mu[1:])):
         return None
     # stebz's count is exact for a matrix within a small multiple of
-    # eps ||A|| of A; the shift clears the k-th interval by far more
-    lower = float(diag.min()) - 2.0 * off_max - 1.0
-    shift = float(mu[-1]) + rho + 1e3 * eps_a
+    # eps ||A|| of A; the shift clears the k-th interval and floor by far more
+    shift = max(float(mu[-1]) + rho, floor) + 1e3 * eps_a
     if sturm_count(diag, off, lower, shift) != k:
         return None
     return mu, vecs
+
+
+def sturm_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """(lower, eps_a) of the symmetric tridiagonal matrix A = (diag, off): a
+    number below its whole spectrum (the Gershgorin bound, less one), and
+    eps ||A||_inf, the scale of sturm_count's backward error."""
+    off_max = float(np.abs(off).max(initial=0.0))
+    eps_a = np.finfo(float).eps * (float(np.abs(diag).max()) + 2.0 * off_max)
+    return float(diag.min()) - 2.0 * off_max - 1.0, eps_a
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, lo: float, hi: float) -> int:

@@ -44,11 +44,13 @@ NEWTON_MAX_ITER = 50
 COUNT_MAX_ITER = 30
 PROJECTION_MAX_ITER = 12
 FOLD_MAX_ITER = 16
-#: Eigenvalues of the linearization computed per state. f' >= 0, so no state
-#: has more negative eigenvalues than the zero state, which has at most two
-#: for a < lambda3: three always certify the index, and a state of index 3
-#: or more raises InsufficientSpectrum.
-K_EIGS = 3
+#: Eigenpairs of the linearization computed per state: mu1 and mu2, which
+#: the diagram reports. One Sturm count certifies that no other eigenvalue
+#: reaches the degeneracy tolerance, so the Morse index and degeneracy flag
+#: follow from these two; f' >= 0 puts every state's third eigenvalue at or
+#: above lambda3 - a, so that holds below lambda3. Where one does reach it,
+#: two more counts classify the state exactly (spectral).
+K_EIGS = 2
 ARMIJO_MIN_STEP = 2.0**-20
 #: Residual sup norm above which a Newton row (see _newton_rows) or an
 #: extended system started from a float64 state
@@ -302,10 +304,12 @@ def newton_ball(problem: Problem, point: SolutionPoint, capture: float):
     12.6; Dennis & Schnabel 1983, Thm 5.2.1) needs three numbers:
 
     - beta >= ||J(u*)^-1||_2 = 1 / min |mu| over the whole spectrum of the
-      symmetric J. From the k = 3 spectrum, each mu_j loses the residual
+      symmetric J. From the k = 2 spectrum, each mu_j loses the residual
       norm of its eigenfunction plus rounding, and a Sturm count must find
       no eigenvalue within the smallest of the results, less the count's
       own backward error (grid.sturm_count); beta is one over what is left.
+      A state whose eigenvalue nearest zero is not among the two gets no
+      ball.
     - L(rho) = f''(max u* + rho) = p (p - 1) (max u* + rho - M)+^(p - 2),
       which bounds ||J(x) - J(y)||_2 <= L ||x - y||_inf <= L ||x - y||_2 on
       the ball of radius rho, since J depends on u only through the

@@ -2,7 +2,8 @@
 
 The linearization of the steady equation at u is the symmetric operator
 -(Delta_h + a I - diag(f'(u))); its lowest eigenvalues decide stability,
-Morse index, and degeneracy everywhere else in the package.
+Morse index, and degeneracy everywhere else in the package. Two eigenpairs
+and Sturm counts (Sylvester's law of inertia) classify a state.
 """
 
 from __future__ import annotations
@@ -15,25 +16,26 @@ import numpy as np
 from .grid import (
     DiscreteField,
     inner_product,
+    sturm_bounds,
+    sturm_count,
     symmetric_tridiagonal_eigenpairs,
     track_tridiagonal_eigenpairs,
 )
-from .solver import ProblemState, degeneracy_tolerance, jacobian
-
-
-class InsufficientSpectrum(ValueError):
-    """k eigenvalues were not enough to certify the Morse index."""
+from .solver import K_EIGS, ProblemState, degeneracy_tolerance, jacobian
 
 
 @dataclass(frozen=True)
 class SpectrumSlice:
-    """The k lowest eigenpairs of the linearization, ascending.
+    """The k lowest eigenpairs of the linearization, ascending, with the
+    Morse index and degeneracy flag of the whole spectrum.
 
     The pairs come from a full eigensolve or, along a branch, are tracked
     from the previous point's slice and certified by a Sturm count
-    (linearized_spectrum); both give the same conventions. Eigenfunctions
-    carry the quadrature L2 normalization of the ambient Laplacian
-    eigenfunctions: the first matches the squared norm of the
+    (linearized_spectrum); both give the same conventions. index counts the
+    eigenvalues below -tol and degenerate says whether one lies within tol
+    of zero, over the whole spectrum, not only the k computed ones.
+    Eigenfunctions carry the quadrature L2 normalization of the ambient
+    Laplacian eigenfunctions: the first matches the squared norm of the
     (max-normalized) ground mode, the second that of the second mode, and
     further ones reuse the first target. The first eigenfunction is
     sign-fixed positive; higher ones get their largest-magnitude entry made
@@ -45,6 +47,8 @@ class SpectrumSlice:
     eigenfunctions: tuple[DiscreteField, ...]
     a: float
     tol: float
+    index: int
+    degenerate: bool
 
     @property
     def k(self) -> int:
@@ -59,20 +63,51 @@ class SpectrumSlice:
         return self.eigenvalues[1]
 
 
+def classified_eigenpairs(diag, off, k: int, tol: float, guesses):
+    """(values, unit vectors, index, degenerate) of the symmetric tridiagonal
+    matrix A = (diag, off): its k lowest eigenpairs, ascending, the number
+    of its eigenvalues below -tol, and whether one lies in (-tol, tol).
+
+    With guesses (vectors meant for the k lowest eigenpairs) the pairs are
+    tracked and certified by one Sturm count up to a shift above both mu_k
+    and tol (grid.track_tridiagonal_eigenpairs), so every other eigenvalue
+    lies above tol. With guesses None, or when that certificate fails, the
+    full eigensolve gives the k lowest pairs, and one Sturm count up to tol
+    checks the others where mu_k < tol. When no other eigenvalue reaches
+    tol, the index and flag read the k values alone; otherwise two Sturm
+    counts, in (lower, -tol] and (-tol, tol], give them exactly.
+    """
+    pairs = None
+    if guesses is not None:
+        pairs = track_tridiagonal_eigenpairs(diag, off, guesses, tol)
+    tracked = pairs is not None
+    vals, vecs = pairs if tracked else symmetric_tridiagonal_eigenpairs(diag, off, k)
+    clear = tracked or vals[-1] >= tol
+    if not clear:
+        lower, eps_a = sturm_bounds(diag, off)
+        clear = sturm_count(diag, off, lower, tol + 1e3 * eps_a) == k
+    if clear:
+        return vals, vecs, int(np.sum(vals < -tol)), bool(np.any(np.abs(vals) < tol))
+    index = sturm_count(diag, off, lower, -tol)
+    return vals, vecs, index, sturm_count(diag, off, -tol, tol) > 0
+
+
 def linearized_spectrum(
-    state: ProblemState, k: int = 3, prev: SpectrumSlice | None = None
+    state: ProblemState, k: int = K_EIGS, prev: SpectrumSlice | None = None
 ) -> SpectrumSlice:
-    """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the state.
+    """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the state,
+    with its Morse index and degeneracy flag (classified_eigenpairs).
 
     With prev, the spectrum of a nearby state on the same grid (the previous
     point of a branch), its k eigenpairs are tracked by Rayleigh-quotient
     iteration and accepted only when certified: residual intervals disjoint
     and ascending, and a Sturm count placing exactly k eigenvalues below a
-    shift just above the k-th (grid.track_tridiagonal_eigenpairs). Start
-    points (prev=None) and points whose certificate fails get the full
-    eigensolve: bisection plus inverse iteration on the tridiagonal band.
-    Either way each eigenvalue is polished in long double, and the residual
-    of every returned pair is comfortably below 1e-10.
+    shift just above the k-th and above the degeneracy tolerance
+    (grid.track_tridiagonal_eigenpairs). Start points (prev=None) and
+    points whose certificate fails get the full eigensolve: bisection plus
+    inverse iteration on the tridiagonal band. Either way each eigenvalue is
+    polished in long double, and the residual of every returned pair is
+    comfortably below 1e-10.
     """
     if k < 2:
         raise ValueError(
@@ -80,13 +115,11 @@ def linearized_spectrum(
         )
     dom = state.problem.domain
     J = jacobian(state)
-    pairs = None
+    tol = degeneracy_tolerance(state.a)
+    guesses = None
     if prev is not None and prev.k == k and prev.eigenfunctions[0].domain == dom:
         guesses = [f.values for f in prev.eigenfunctions]
-        pairs = track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses)
-    if pairs is None:
-        pairs = symmetric_tridiagonal_eigenpairs(-J.diag, -J.off, k)
-    vals, vecs = pairs
+    vals, vecs, index, degenerate = classified_eigenpairs(-J.diag, -J.off, k, tol, guesses)
     phi, psi = (p.eigenfunction for p in state.problem.modes())
     phi_sq, psi_sq = inner_product(phi, phi), inner_product(psi, psi)
     fields = []
@@ -102,23 +135,15 @@ def linearized_spectrum(
         tuple(float(x) for x in vals),
         tuple(fields),
         state.a,
-        degeneracy_tolerance(state.a),
+        tol,
+        index,
+        degenerate,
     )
 
 
 def morse_index(spectrum: SpectrumSlice) -> tuple[int, bool]:
-    """(number of negative eigenvalues, degenerate flag) of a spectrum slice.
-
-    Eigenvalues within the degeneracy tolerance of zero are counted as zero
-    and set the flag. Raises InsufficientSpectrum when every computed
-    eigenvalue is negative, since the true index could then exceed k - 1.
-    """
-    mu = np.array(spectrum.eigenvalues)
-    tol = spectrum.tol
-    negatives = int(np.sum(mu < -tol))
-    if negatives == spectrum.k:
-        raise InsufficientSpectrum(
-            f"all {spectrum.k} computed eigenvalues are negative; "
-            "recompute with larger k to certify the index"
-        )
-    return negatives, bool(np.any(np.abs(mu) < tol))
+    """(number of eigenvalues below -tol, degenerate flag) of the state a
+    spectrum slice belongs to: eigenvalues within the degeneracy tolerance
+    of zero are counted as zero and set the flag. Both were certified over
+    the whole spectrum when the slice was computed."""
+    return spectrum.index, spectrum.degenerate

@@ -395,6 +395,16 @@ class TestDegeneratePoints:
         for dp in folds:
             _assert_kernel_conventions(problem, modes, dp)
 
+    def test_vanishing_eigenvalue_past_the_computed_pairs(self, problem, domain):
+        # at the discrete lambda3 the zero state's vanishing eigenvalue is the
+        # third, which the two computed pairs do not hold; its index names it
+        lam3, mode3 = exact_mode_longdouble(domain, 3)
+        zero = np.zeros(domain.n_interior, dtype=np.longdouble)
+        dp = continuation._package_degenerate(
+            problem, float(lam3), zero, np.longdouble(0.0), mode3, None
+        )
+        assert (dp.kind, dp.morse_index_at_point) == ("degenerate-index2", 2)
+
     def test_bracket_validation(self, problem, branch20, stable20):
         with pytest.raises(ValueError):
             refine_fold(problem, branch20.points[0], branch20.points[1])

@@ -1230,7 +1230,8 @@ class TestKernelCallCounts:
     A v product or np.linalg.solve call; where J is deflated, one more gtsv
     call and one np.linalg.solve for the 2 x 2 Schur complement.
     Tracked spectra take no np.linalg.norm and one gtsv per Rayleigh-quotient
-    step. In a count, each Newton iteration of a stack costs one gtsv and no
+    step, for two vectors of at most TRACK_MAX_ITER steps each, and each
+    tracked point's classification takes one Sturm count. In a count, each Newton iteration of a stack costs one gtsv and no
     gttrf or gttrs."""
 
     @staticmethod
@@ -1277,20 +1278,36 @@ class TestKernelCallCounts:
         steps = Counter()
         real_track = spectral_mod.track_tridiagonal_eigenpairs
 
-        def track(diag, off, guesses):
+        def track(diag, off, guesses, floor):
             before = calls.copy()
-            out = real_track(diag, off, guesses)
+            out = real_track(diag, off, guesses, floor)
             spent = calls - before
             norms.append(spent["norm"])
             if out is not None:
                 # A v once per guess, once per step and once per polish
                 rayleigh_steps = spent["apply"] - 2 * len(guesses)
-                steps[(rayleigh_steps, spent["gtsv"], spent["gttrf"] + spent["gttrs"])] += 1
+                steps[(len(guesses), rayleigh_steps, spent["gtsv"],
+                       spent["gttrf"] + spent["gttrs"])] += 1
+            return out
+
+        monkeypatch.setattr(grid_mod, "sturm_count", counted("sturm", grid_mod.sturm_count))
+        monkeypatch.setattr(
+            spectral_mod, "sturm_count", counted("sturm", spectral_mod.sturm_count)
+        )
+        sturm_per_point = Counter()
+        real_spectrum = spectral_mod.linearized_spectrum
+
+        def spectrum(state, k, prev=None):
+            before = calls.copy()
+            out = real_spectrum(state, k, prev)
+            if prev is not None:
+                sturm_per_point[(calls - before)["sturm"]] += 1
             return out
 
         monkeypatch.setattr(Problem, "residual_values", residual)
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
+        monkeypatch.setattr(spectral_mod, "linearized_spectrum", spectrum)
         diag = assemble_diagram(diagram_window99.problem, diagram_window99.a)
         assert sum(len(br.points) for br in diag.branches) == sum(
             len(br.points) for br in diagram_window99.branches
@@ -1303,8 +1320,14 @@ class TestKernelCallCounts:
         assert costs[(False, 1, 0, 0, 0)] > 100 and costs[(True, 1, 0, 0, 0)] > 100
         assert len(norms) > 100 and not any(norms)
         assert sum(steps.values()) > 100
-        assert sum(k * v for (k, _, _), v in steps.items()) > 100
-        assert all(gtsv == k and not lu for k, gtsv, lu in steps)
+        assert sum(k * v for (_, k, _, _), v in steps.items()) > 100
+        assert all(
+            pairs == 2 and gtsv == k <= 2 * grid_mod.TRACK_MAX_ITER and not lu
+            for pairs, k, gtsv, lu in steps
+        )
+        # one Sturm count per tracked point, made by the tracker itself
+        assert sum(sturm_per_point.values()) >= sum(steps.values())
+        assert set(sturm_per_point) == {1}
 
     def test_correctors_measure_in_long_double_only_below_the_switch(
         self, diagram_window99, monkeypatch

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bifurcate import spectral as spectral_mod
 from bifurcate.diagram import assemble_diagram
@@ -20,8 +22,8 @@ from bifurcate.solver import (
     newton_solve,
 )
 from bifurcate.spectral import (
-    InsufficientSpectrum,
     SpectrumSlice,
+    classified_eigenpairs,
     linearized_spectrum,
     morse_index,
 )
@@ -96,13 +98,64 @@ def test_morse_index_of_zero_state(problem, a, expected):
     assert morse_index(spec) == expected
 
 
-def test_morse_index_insufficient_k(problem):
-    # above the third eigenvalue every computed eigenvalue is negative
-    spec = linearized_spectrum(zero_state(problem, 100.0), 3)
-    with pytest.raises(InsufficientSpectrum):
-        morse_index(spec)
-    wider = linearized_spectrum(zero_state(problem, 100.0), 5)
-    assert morse_index(wider) == (3, False)
+def test_morse_index_beyond_the_computed_pairs(problem):
+    # above lambda3 both computed eigenvalues are negative, and the Sturm
+    # counts find the third negative one
+    spec = linearized_spectrum(zero_state(problem, 100.0), 2)
+    assert spec.mu2 < -spec.tol
+    assert morse_index(spec) == (3, False)
+    assert morse_index(linearized_spectrum(zero_state(problem, 100.0), 5)) == (3, False)
+
+
+def test_zero_state_at_lambda3_is_degenerate_with_index_two(problem, domain):
+    # at the discrete lambda3 the vanishing eigenvalue is the third, which
+    # is not computed
+    lam3 = float(exact_mode_longdouble(domain, 3)[0])
+    spec = linearized_spectrum(zero_state(problem, lam3), 2)
+    assert max(spec.eigenvalues) < -spec.tol
+    assert morse_index(spec) == (2, True)
+    assert morse_index(linearized_spectrum(zero_state(problem, lam3), 3)) == (2, True)
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.sampled_from([1.0, 1e2, 1e4]),
+    tol=st.sampled_from([1e-6, 2e-5, 1e-4]),
+    j=st.integers(min_value=0, max_value=3),
+    place=st.floats(min_value=-3.0, max_value=3.0).filter(lambda x: abs(abs(x) - 1.0) > 0.05),
+    tracked=st.booleans(),
+)
+@example(n=10, seed=1, scale=1.0, tol=1e-6, j=2, place=0.5, tracked=True)
+@example(n=10, seed=1, scale=1.0, tol=1e-6, j=2, place=0.5, tracked=False)
+@example(n=10, seed=2, scale=1e2, tol=2e-5, j=2, place=-2.0, tracked=True)
+@example(n=10, seed=3, scale=1.0, tol=1e-4, j=1, place=0.0, tracked=True)
+@example(n=10, seed=4, scale=1e4, tol=1e-6, j=3, place=0.3, tracked=False)
+def test_two_pairs_and_a_count_classify_like_the_dense_spectrum(
+    n, seed, scale, tol, j, place, tracked
+):
+    """The index and degeneracy flag from the two lowest eigenpairs plus
+    Sturm counts equal those of np.linalg.eigvalsh on the dense matrix. The
+    (j+1)-th eigenvalue is shifted to place * tol, so it lies within tol of
+    zero for |place| < 1, and for j >= 2 a third eigenvalue lies below
+    -tol or within tol of zero. The pairs come from the full eigensolve or
+    are tracked from exact eigenvectors."""
+    rng = np.random.default_rng(seed)
+    diag = scale * rng.standard_normal(n)
+    off = scale * rng.standard_normal(n - 1)
+    j = min(j, n - 1)
+    diag -= np.linalg.eigvalsh(_tridiagonal(diag, off))[j] - place * tol
+    lam, vecs = np.linalg.eigh(_tridiagonal(diag, off))
+    want = (int(np.sum(lam < -tol)), bool(np.any(np.abs(lam) < tol)))
+    guesses = [vecs[:, 0], vecs[:, 1]] if tracked else None
+    vals, _, index, degenerate = classified_eigenpairs(diag, off, 2, tol, guesses)
+    assert (index, degenerate) == want
+    assert np.allclose(vals, lam[:2], rtol=0.0, atol=1e-9 * scale)
 
 
 def test_spectrum_requires_two_eigenvalues(problem):
@@ -261,37 +314,42 @@ class TestTrackedSpectrum:
         phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
         pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
         spec = pt.spectrum
-        order = (1, 0, 2)
+        assert spec.k == 2
+        order = (1, 0)
         swapped = SpectrumSlice(
             tuple(spec.eigenvalues[j] for j in order),
             tuple(spec.eigenfunctions[j] for j in order),
             spec.a,
             spec.tol,
+            spec.index,
+            spec.degenerate,
         )
         J = jacobian(pt.state)
         guesses = [f.values for f in swapped.eigenfunctions]
-        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None
+        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, spec.tol) is None
         _assert_same_spectrum(
-            linearized_spectrum(pt.state, 3, swapped), linearized_spectrum(pt.state, 3)
+            linearized_spectrum(pt.state, 2, swapped), linearized_spectrum(pt.state, 2)
         )
         # the unswapped slice certifies and agrees
-        again = linearized_spectrum(pt.state, 3, spec)
+        again = linearized_spectrum(pt.state, 2, spec)
         assert _gap(again, spec) < TRACKED_GAP
+        assert morse_index(again) == morse_index(spec)
 
     def test_skipped_eigenvalue_falls_back_bit_for_bit(self, problem, domain):
-        # guesses for the second to fourth eigenpairs: the Sturm count finds
-        # four eigenvalues below the third tracked one
+        # guesses for the second and third eigenpairs: the Sturm count finds
+        # three eigenvalues below the second tracked one
         phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
         pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
-        wide = linearized_spectrum(pt.state, 4)
+        wide = linearized_spectrum(pt.state, 3)
         shifted = SpectrumSlice(
-            wide.eigenvalues[1:], wide.eigenfunctions[1:], wide.a, wide.tol
+            wide.eigenvalues[1:], wide.eigenfunctions[1:], wide.a, wide.tol,
+            wide.index, wide.degenerate,
         )
         J = jacobian(pt.state)
         guesses = [f.values for f in shifted.eigenfunctions]
-        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None
+        assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, wide.tol) is None
         _assert_same_spectrum(
-            linearized_spectrum(pt.state, 3, shifted), linearized_spectrum(pt.state, 3)
+            linearized_spectrum(pt.state, 2, shifted), linearized_spectrum(pt.state, 2)
         )
 
     def test_prev_on_another_grid_falls_back(self, problem):
@@ -308,13 +366,13 @@ class TestTrackedSpectrum:
         # values agree. Where it does not, the result is the full eigensolve.
         diagram, _ = bench_diagrams(399, "window")
         target = diagram.branch("Mstar").points[0]
-        full = linearized_spectrum(target.state, 3)
+        full = linearized_spectrum(target.state, 2)
         J = jacobian(target.state)
         refused = 0
         for p in diagram.branch("Msharp").points[::10]:
             guesses = [f.values for f in p.spectrum.eigenfunctions]
-            got = linearized_spectrum(target.state, 3, p.spectrum)
-            if track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses) is None:
+            got = linearized_spectrum(target.state, 2, p.spectrum)
+            if track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, full.tol) is None:
                 refused += 1
                 _assert_same_spectrum(got, full)
             else:
