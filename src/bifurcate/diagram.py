@@ -81,7 +81,9 @@ class SolutionSet:
 
     radii holds, member by member, the certified Newton ball radius of
     solver.newton_ball (Euclidean on R^n) or the reason the member has
-    none; exited counts the starts that ended inside such a ball.
+    none; exited counts the starts that ended inside the ball of a member
+    kept in an earlier stack (count_solutions), so it depends on the
+    stacking while the members and radii do not.
     """
 
     members: tuple[SolutionPoint, ...]
@@ -125,12 +127,29 @@ def _rel_distance(u: DiscreteField, v: DiscreteField) -> float:
     return dist / max(nu, nv, 1.0)
 
 
+# Float64 elements per stacked array in count_solutions: the random starts
+# are solved max(1, _STACK_ELEMENTS // n) rows at a time (257 at n = 99, 64
+# at n = 399, 15 at n = 1599), about 200 KiB per stacked array. Each
+# lockstep round of the stacked Newton pays a fixed interpreter cost (a
+# Jacobian build and a gtsv call per iteration, a residual call per
+# line-search trial) whatever its width, so wider stacks pay it fewer
+# times. Measured against 32-row stacks that hold the fixed starts too, on
+# a 2-vCPU host (seed 9, best of 3, members bit-identical): the five window
+# levels of verify_structure took 184 -> 113 ms at n = 99 and
+# 965 -> 1031 ms at n = 1599, where each round is dearer and there are more
+# of them; the six n = 399 counts of one bench oracle pass took
+# 0.417 -> 0.397 s, and the pass's max RSS went 45.5 -> 46.8 MB (45.7 MB
+# with 48 rows).
+_STACK_ELEMENTS = 64 * 399
+
+
 def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
-    """Deterministic start fields, yielded as (k, n) stacks of at most
-    _CHUNK starts so that only one chunk is alive at a time: zero, +-span
-    times each of the first two modes, then random low-frequency
-    combinations. span is twice the critical cap K_a for a > 0. The fields
-    do not depend on the chunk size."""
+    """Deterministic start fields in start order, yielded as (k, n) stacks
+    so that only one stack is alive at a time: first the seeding stack of
+    the five fixed starts, zero and +-span times each of the first two
+    modes, then random low-frequency combinations in stacks of
+    max(1, _STACK_ELEMENTS // n) rows. span is twice the critical cap K_a
+    for a > 0. The fields do not depend on the stacking."""
     dom = problem.domain
     if a > 0:
         span = 2.0 * critical_cap(problem.nonlinearity, a)
@@ -138,25 +157,21 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
         span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
     phi, psi = (p.eigenfunction.values for p in problem.modes())
     fixed = [np.zeros(dom.n_interior), span * phi, -span * phi, span * psi, -span * psi]
+    yield np.array(fixed[:n_starts])
     basis = np.stack([
         p.eigenfunction.values
         for p in laplacian_eigenpairs(dom, 4, harvest=problem.harvest)
     ])
     rng = np.random.default_rng(seed)
-    for lo in range(0, n_starts, _CHUNK):
-        chunk = np.empty((min(_CHUNK, n_starts - lo), dom.n_interior))
-        for i, row in enumerate(chunk, lo):
+    width = max(1, _STACK_ELEMENTS // dom.n_interior)
+    for lo in range(len(fixed), n_starts, width):
+        # the draws of one call come in the order of one call per start
+        weights = rng.uniform(-span, span, size=(min(width, n_starts - lo), 4))
+        stack = np.empty((len(weights), dom.n_interior))
+        for row, w in zip(stack, weights):
             # one product per start: a stacked product rounds differently
-            row[:] = fixed[i] if i < len(fixed) else rng.uniform(-span, span, size=4) @ basis
-        yield chunk
-
-
-# Starts per batched Newton solve in count_solutions. Larger chunks cut the
-# per-iteration interpreter overhead further but grow the working set; with
-# 32, the arrays of a 400-start count peak 2.6 MB above those of the
-# one-start-at-a-time loop at n = 399 (4.1 against 1.4 MB) and 10.9 MB
-# above at n = 1599 (16.5 against 5.6 MB), measured with tracemalloc.
-_CHUNK = 32
+            row[:] = w @ basis
+        yield stack
 
 
 def count_solutions(
@@ -164,21 +179,23 @@ def count_solutions(
 ) -> SolutionSet:
     """Enumerate the steady states at (a, c) by multistart Newton.
 
-    The starts are solved in fixed chunks by solver._newton_rows, the damped
+    The starts are solved in stacks by solver._newton_rows, the damped
     Newton of newton_solve, at most COUNT_MAX_ITER iterations each; starts
     that stall, run out of iterations or meet a singular Jacobian are
     discarded. The converged iterates are deduplicated in start order at
     relative L2 distance DEDUP_REL; each survivor is classified when it is
     first kept, so each member carries its Morse index, and given the
     radius of its certified Newton ball (solver.newton_ball) or the reason
-    it has none. A start of a later chunk whose float64 iterate enters the
-    half ball of a member kept in an earlier chunk stops there: the ball
-    holds no other zero and the damped Newton cannot leave it, so the start
-    would have ended on that member, within half DEDUP_REL of it, or
-    failed, and either way been discarded. Balls of members kept in the
-    same chunk are not used, since the first start to converge need not be
-    the first in start order. Deterministic for a fixed seed, and
-    bit-identical whatever the chunking.
+    it has none. The five fixed starts of _multistart_seeds form a stack of
+    their own, which seeds the balls, and the random starts follow in
+    stacks of max(1, _STACK_ELEMENTS // n) rows. A start of a later stack
+    whose float64 iterate enters the half ball of a member kept in an
+    earlier stack stops there: the ball holds no other zero and the damped
+    Newton cannot leave it, so the start would have ended on that member,
+    within half DEDUP_REL of it, or failed, and either way been discarded.
+    Balls of members kept in the same stack are not used, since the first
+    start to converge need not be the first in start order. Deterministic
+    for a fixed seed, and bit-identical whatever the stacking.
     """
     if n_starts < 50:
         raise ValueError(f"need n_starts >= 50, got {n_starts}")

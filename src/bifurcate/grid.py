@@ -497,7 +497,7 @@ TRACK_MAX_ITER = 4
 
 def track_tridiagonal_eigenpairs(
     diag: np.ndarray, off: np.ndarray, guesses, floor: float
-) -> tuple[np.ndarray, list[np.ndarray]] | None:
+) -> tuple[np.ndarray, list[np.ndarray], bool] | None:
     """The k smallest eigenpairs of a symmetric tridiagonal matrix A, tracked
     from guesses of their eigenvectors, or None when they cannot be
     certified.
@@ -514,9 +514,13 @@ def track_tridiagonal_eigenpairs(
     a Sturm count (LAPACK stebz, range 'V') must find exactly k eigenvalues
     up to a shift just above both the k-th interval and floor. The values
     are then the k smallest eigenvalues, in order, and every other
-    eigenvalue lies above floor. Returns the polished values and unit
-    vectors (sign arbitrary) as symmetric_tridiagonal_eigenpairs does; that
-    is the fallback on None.
+    eigenvalue lies above floor. When that count finds more than k because
+    floor lies above the k-th interval, a second count up to a shift just
+    above the k-th interval alone can still certify the k values, with
+    some other eigenvalue at or below floor. Returns the polished values
+    and unit vectors (sign arbitrary) as symmetric_tridiagonal_eigenpairs
+    does, that being the fallback on None, and whether every other
+    eigenvalue lies above floor.
 
     The work stays in 1-D temporaries. Batching the k vectors into 2-D
     temporaries left about 15 times as many freed 12.8 kB holes among a
@@ -560,10 +564,13 @@ def track_tridiagonal_eigenpairs(
         return None
     # stebz's count is exact for a matrix within a small multiple of
     # eps ||A|| of A; the shift clears the k-th interval and floor by far more
-    shift = max(float(mu[-1]) + rho, floor) + 1e3 * eps_a
-    if sturm_count(diag, off, lower, shift) != k:
-        return None
-    return mu, vecs
+    own = float(mu[-1]) + rho
+    count = sturm_count(diag, off, lower, max(own, floor) + 1e3 * eps_a)
+    if count == k:
+        return mu, vecs, True
+    if floor > own and sturm_count(diag, off, lower, own + 1e3 * eps_a) == k:
+        return mu, vecs, False
+    return None
 
 
 def sturm_bounds(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:

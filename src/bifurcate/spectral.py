@@ -69,23 +69,28 @@ def classified_eigenpairs(diag, off, k: int, tol: float, guesses):
     of its eigenvalues below -tol, and whether one lies in (-tol, tol).
 
     With guesses (vectors meant for the k lowest eigenpairs) the pairs are
-    tracked and certified by one Sturm count up to a shift above both mu_k
-    and tol (grid.track_tridiagonal_eigenpairs), so every other eigenvalue
-    lies above tol. With guesses None, or when that certificate fails, the
-    full eigensolve gives the k lowest pairs, and one Sturm count up to tol
-    checks the others where mu_k < tol. When no other eigenvalue reaches
-    tol, the index and flag read the k values alone; otherwise two Sturm
-    counts, in (lower, -tol] and (-tol, tol], give them exactly.
+    tracked and certified by Sturm counts (grid.track_tridiagonal_eigenpairs):
+    one up to a shift above both mu_k and tol, which also shows that every
+    other eigenvalue lies above tol, or, where that one finds more, a second
+    up to a shift just above mu_k. With guesses None, or when neither count
+    certifies the pairs, the full eigensolve gives the k lowest pairs, and
+    one Sturm count up to tol checks the others where mu_k < tol. When no
+    other eigenvalue reaches tol, the index and flag read the k values
+    alone; otherwise two Sturm counts, in (lower, -tol] and (-tol, tol],
+    give them exactly.
     """
     pairs = None
     if guesses is not None:
         pairs = track_tridiagonal_eigenpairs(diag, off, guesses, tol)
-    tracked = pairs is not None
-    vals, vecs = pairs if tracked else symmetric_tridiagonal_eigenpairs(diag, off, k)
-    clear = tracked or vals[-1] >= tol
+    if pairs is not None:
+        vals, vecs, clear = pairs
+    else:
+        vals, vecs = symmetric_tridiagonal_eigenpairs(diag, off, k)
+        clear = vals[-1] >= tol
     if not clear:
         lower, eps_a = sturm_bounds(diag, off)
-        clear = sturm_count(diag, off, lower, tol + 1e3 * eps_a) == k
+        # a track that is not clear has counted more than k up to tol already
+        clear = pairs is None and sturm_count(diag, off, lower, tol + 1e3 * eps_a) == k
     if clear:
         return vals, vecs, int(np.sum(vals < -tol)), bool(np.any(np.abs(vals) < tol))
     index = sturm_count(diag, off, lower, -tol)

@@ -209,8 +209,13 @@ class TestCountSolutions:
 
 def _seeds(problem, a, n_starts, seed):
     """The start fields of count_solutions as one list, in start order."""
-    return [u for chunk in diagram_mod._multistart_seeds(problem, a, n_starts, seed)
-            for u in chunk]
+    return [u for stack in diagram_mod._multistart_seeds(problem, a, n_starts, seed)
+            for u in stack]
+
+
+def _stack_rows(monkeypatch, problem, rows):
+    """Make count_solutions solve its random starts rows at a time."""
+    monkeypatch.setattr(diagram_mod, "_STACK_ELEMENTS", rows * problem.domain.n_interior)
 
 
 def _per_start_count(problem, a, c, n_starts, seed):
@@ -300,8 +305,8 @@ def _oracle_level(problem, level):
 
 
 class TestBatchedOracle:
-    """count_solutions solves its starts in stacked chunks; every member
-    must match one newton_solve per start bit for bit."""
+    """count_solutions solves its starts in stacks; every member must match
+    one newton_solve per start bit for bit."""
 
     @pytest.mark.parametrize("fixture", ["problem99", "problem"])
     @pytest.mark.parametrize("level", ["stalls", "degenerate"])
@@ -364,10 +369,15 @@ class TestBatchedOracle:
 
         starts = _seeds(problem, lam2, 60, 0)
         starts = (starts[:5] + [on_segment] + starts[5:])[:-1]
+        real_seeds = diagram_mod._multistart_seeds
 
         def with_segment_start(problem, a, n_starts, seed):
-            for lo in range(0, n_starts, diagram_mod._CHUNK):
-                yield np.array(starts[lo:lo + diagram_mod._CHUNK])
+            # the stacks of _multistart_seeds, the first random start on the
+            # segment
+            lo = 0
+            for stack in real_seeds(problem, a, n_starts, seed):
+                yield np.array(starts[lo:lo + len(stack)])
+                lo += len(stack)
 
         monkeypatch.setattr(diagram_mod, "_multistart_seeds", with_segment_start)
         want, outcomes = _per_start_count(problem, lam2, 0.0, 60, 0)
@@ -421,12 +431,37 @@ class TestBatchedOracle:
         assert len(spectra) == got.count
 
     @pytest.mark.parametrize("level", ["stalls", "degenerate"])
-    @pytest.mark.parametrize("chunk", [1, 7, 60])
-    def test_members_invariant_under_chunking(self, problem, monkeypatch, level, chunk):
+    @pytest.mark.parametrize("rows", [1, 7, 60])
+    def test_members_invariant_under_chunking(self, problem, monkeypatch, level, rows):
+        """Random starts one row per stack, seven, and all 55 in one stack
+        give the members of the default width bit for bit."""
         a, c, _ = _oracle_level(problem, level)
         want = count_solutions(problem, a, c, 60, 0)
-        monkeypatch.setattr(diagram_mod, "_CHUNK", chunk)
+        _stack_rows(monkeypatch, problem, rows)
         _assert_bit_identical(count_solutions(problem, a, c, 60, 0).members, want.members)
+
+    @pytest.mark.parametrize("fixture", ["problem99", "problem"])
+    def test_seeding_stack_then_budgeted_width(self, fixture, request, monkeypatch):
+        """_multistart_seeds yields the five fixed starts as a stack of their
+        own, then the random starts in stacks of _STACK_ELEMENTS // n rows
+        (257 at n = 99, 64 at n = 399); the fields are bit-identical to
+        those of one random start per stack."""
+        problem = request.getfixturevalue(fixture)
+        a = problem.modes()[1].eigenvalue + 0.5 * DELTA_WINDOW
+        stacks = list(diagram_mod._multistart_seeds(problem, a, 400, 0))
+        n = problem.domain.n_interior
+        width = diagram_mod._STACK_ELEMENTS // n
+        assert width == {99: 257, 399: 64}[n]
+        assert [len(s) for s in stacks] == [5] + [width] * (395 // width) + [395 % width]
+        span = 2.0 * critical_cap(problem.nonlinearity, a)
+        phi, psi = (p.eigenfunction.values for p in problem.modes())
+        fixed = np.array([np.zeros(n), span * phi, -span * phi, span * psi, -span * psi])
+        assert stacks[0].tobytes() == fixed.tobytes()
+        # a budget below one row still gives one row per stack
+        monkeypatch.setattr(diagram_mod, "_STACK_ELEMENTS", 1)
+        ones = list(diagram_mod._multistart_seeds(problem, a, 400, 0))
+        assert [len(s) for s in ones] == [5] + [1] * 395
+        assert np.concatenate(ones).tobytes() == np.concatenate(stacks).tobytes()
 
 
 def _without_balls(monkeypatch):
@@ -437,7 +472,7 @@ def _without_balls(monkeypatch):
 class TestNewtonBalls:
     """Each member kept by count_solutions carries a certified Newton ball
     (solver.newton_ball) or the reason it has none, and starts of later
-    chunks that enter a ball stop there. The members must not change."""
+    stacks that enter a ball stop there. The members must not change."""
 
     @pytest.mark.parametrize("window", ["diagram_window99", "diagram_window"])
     def test_window_levels_match_the_reference(self, window, request, monkeypatch):
@@ -476,16 +511,24 @@ class TestNewtonBalls:
         _without_balls(monkeypatch)
         _assert_bit_identical(count_solutions(problem, a, c, 100, 0).members, got.members)
 
-    @pytest.mark.parametrize("chunk", [1, 32, 400])
-    def test_members_invariant_under_chunking(self, problem, eigs, monkeypatch, chunk):
+    @pytest.mark.parametrize("rows", [1, 32, 400])
+    def test_members_invariant_under_chunking(self, problem, eigs, monkeypatch, rows):
+        """Random starts one row per stack, 32, and all 395 in one stack
+        give the members and radii of the default width. The seeding stack
+        of the five fixed starts gives balls to every later stack, so starts
+        exit at every width, all random starts in one stack included; with
+        no balls none does."""
         a, c = eigs[1] + 0.5 * DELTA_WINDOW, 0.2 * C_NATURAL_FOLD_NEG
         want = count_solutions(problem, a, c, 400, 0)
-        monkeypatch.setattr(diagram_mod, "_CHUNK", chunk)
+        _stack_rows(monkeypatch, problem, rows)
         got = count_solutions(problem, a, c, 400, 0)
         _assert_bit_identical(got.members, want.members)
         assert got.radii == want.radii
-        # one chunk has no earlier chunk, so no balls
-        assert (got.exited == 0) == (chunk == 400)
+        assert got.exited > 0
+        _without_balls(monkeypatch)
+        plain = count_solutions(problem, a, c, 400, 0)
+        _assert_bit_identical(plain.members, want.members)
+        assert plain.exited == 0
 
     def test_damped_newton_inside_a_ball_ends_on_its_member(self):
         """From random points of a member's ball, including its rim, the
@@ -1381,6 +1424,44 @@ class TestKernelCallCounts:
                 per_converged[len(seq) - wide] += 1
         assert sum(per_converged.values()) > 100
         assert max(per_converged) <= 3
+
+    def test_tracks_above_lambda3_need_no_eigensolve(self, problem, monkeypatch):
+        """At a = 95, above the third eigenvalue, the zero state's third
+        eigenvalue lies below the degeneracy tolerance, so the tracker's
+        count up to tol finds more than two. Its second count, at the tracked
+        pairs' own shift, certifies them, and the two classifying counts give
+        the index and flag: the branch through the zero state makes its one
+        full eigensolve at its start point, and four Sturm counts per tracked
+        point. Every index and flag is that of np.linalg.eigvalsh on the
+        dense matrix."""
+        calls = Counter()
+        monkeypatch.setattr(spectral_mod, "symmetric_tridiagonal_eigenpairs", self.counted(
+            calls, "eigensolve", spectral_mod.symmetric_tridiagonal_eigenpairs))
+        monkeypatch.setattr(
+            grid_mod, "sturm_count", self.counted(calls, "sturm", grid_mod.sturm_count)
+        )
+        monkeypatch.setattr(
+            spectral_mod, "sturm_count", self.counted(calls, "sturm", spectral_mod.sturm_count)
+        )
+        start = newton_solve(problem, DiscreteField.zero(problem.domain), 95.0, 0.0)
+        assert calls["eigensolve"] == 1
+        before = calls.copy()
+        branch = continuation_mod.continue_branch(
+            problem, start, 1, (-100.0, 100.0), max_points=13
+        )
+        assert len(branch.points) == 13
+        spent = calls - before
+        assert spent == Counter(sturm=4 * 12)
+        for p in branch.points:
+            J = solver_mod.jacobian(p.state)
+            dense = np.diag(-J.diag) + np.diag(-J.off, 1) + np.diag(-J.off, -1)
+            lam = np.linalg.eigvalsh(dense)
+            tol = p.spectrum.tol
+            # the third eigenvalue reaches tol: the tracker's first count fails
+            assert lam[2] < tol
+            assert (p.morse_index, p.degenerate) == (
+                int(np.sum(lam < -tol)), bool(np.any(np.abs(lam) < tol))
+            )
 
     def test_each_newton_iteration_of_a_count_makes_one_gtsv_call(
         self, diagram_window99, monkeypatch

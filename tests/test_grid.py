@@ -704,10 +704,11 @@ def test_tracked_eigenpairs_unchanged(n, seed, size, order):
 
 @pytest.mark.parametrize("gap_over_tol", [0.5, 2.0])
 def test_tracked_eigenpairs_floor_clears_the_untracked_spectrum(gap_over_tol):
-    """With a floor, the tracker certifies only when no eigenvalue past the
-    tracked ones lies at or below it: the shifted discrete Laplacian's third
-    eigenvalue placed at gap_over_tol * tol refuses the two lowest pairs
-    below 1 and certifies them, bit for bit as without a floor, above."""
+    """With a floor, the tracker says whether every eigenvalue past the
+    tracked ones lies above it: the shifted discrete Laplacian's third
+    eigenvalue placed at gap_over_tol * tol leaves the two lowest pairs
+    certified, bit for bit as without a floor, by the second count at their
+    own shift below 1, and clears the floor above."""
     dom = build_grid(99, 1.0)
     lap = assemble_laplacian(dom)
     tol = 1e-4
@@ -716,12 +717,10 @@ def test_tracked_eigenpairs_floor_clears_the_untracked_spectrum(gap_over_tol):
     guesses = [exact_mode_longdouble(dom, k)[1].astype(float) for k in (1, 2)]
     plain = grid_mod.track_tridiagonal_eigenpairs(diag, -lap.off, guesses, -np.inf)
     floored = grid_mod.track_tridiagonal_eigenpairs(diag, -lap.off, guesses, tol)
-    assert plain is not None and np.all(plain[0] < -tol)
-    if gap_over_tol < 1.0:
-        assert floored is None
-    else:
-        assert floored[0].tobytes() == plain[0].tobytes()
-        assert [v.tobytes() for v in floored[1]] == [v.tobytes() for v in plain[1]]
+    assert plain is not None and np.all(plain[0] < -tol) and plain[2]
+    assert floored[2] == (gap_over_tol > 1.0)
+    assert floored[0].tobytes() == plain[0].tobytes()
+    assert [v.tobytes() for v in floored[1]] == [v.tobytes() for v in plain[1]]
 
 
 def test_exact_modes_match_closed_form():
