@@ -389,7 +389,7 @@ def continue_branch(
         raise ValueError("direction must be +1 or -1")
     if start.degenerate:
         raise ValueError("continuation must start from a nondegenerate point")
-    if start.state.problem is not problem:
+    if start.problem is not problem:
         raise ValueError("start point belongs to a different problem")
     c_lo, c_hi = sorted(map(float, c_limits))
     if not c_lo <= start.c <= c_hi:
@@ -450,7 +450,7 @@ def continue_branch(
             frac = (target - cb) / (ds * Tc)
             init = DiscreteField(dom, ub + frac * ds * Tu)
             try:
-                end_pt = newton_solve(problem, init, a, target)
+                end_pt = newton_solve(problem, init, a, target, prev=base.spectrum)
             except (NonConvergence, SingularJacobian):
                 reject("boundary", f"no solution found at the c={target} boundary")
                 continue
@@ -969,7 +969,6 @@ def trace_fold_curve(
 
 def trace_index1_degenerate_curve(
     problem: Problem,
-    t_range=None,
     *,
     sigma: float = 1.0,
 ) -> DegenerateCurve:
@@ -983,18 +982,15 @@ def trace_index1_degenerate_curve(
     F = 0, the chart row and the test function g = 0) is marched outward
     from both segment ends (_march, INDEX1_SWEEP_STEPS), predicting
     the offset u - t psi, a, c and the bordering kernel vector by secants.
-    When t_range is omitted it extends sigma beyond the segment on both
-    sides; an explicit range must cover the segment.
+    The sweep extends sigma >= 0 beyond the segment on both sides.
     """
     dom = problem.domain
     psi = problem.modes()[1]
     psi_v = psi.eigenfunction.values
     seg_lo, seg_hi, _, _ = _segment_line(problem)
-    if t_range is None:
-        t_range = (seg_lo - sigma, seg_hi + sigma)
-    t_lo, t_hi = map(float, t_range)
-    if t_lo > seg_lo or t_hi < seg_hi:
+    if sigma < 0:
         raise ValueError("t window must cover the degenerate segment")
+    t_lo, t_hi = seg_lo - float(sigma), seg_hi + float(sigma)
     S2 = dom.inner(psi_v, psi_v)
     lam2 = psi.eigenvalue
     n = dom.n_interior
@@ -1035,10 +1031,9 @@ def delta_window(problem: Problem, curve: DegenerateCurve) -> float:
     delta is a sampled quantity, not a property of the curve alone: the
     smaller a above lambda2 at the two ends of the index-1 sweep. The sweep
     of trace_index1_degenerate_curve extends sigma (default 1) in the chart
-    coordinate t past the segment ends, so delta depends on sigma (or on the
-    t_range given instead). It is not a certified half-width of the
-    four-solution window. Raises if the curve fails to bend upward on both
-    sides.
+    coordinate t past the segment ends, so delta depends on sigma. It is not
+    a certified half-width of the four-solution window. Raises if the curve
+    fails to bend upward on both sides.
     """
     lam2 = problem.modes()[1].eigenvalue
     delta = min(curve.points[0].a, curve.points[-1].a) - lam2

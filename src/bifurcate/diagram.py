@@ -691,9 +691,7 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
         elif flat is None:
             point = flat = classify_state(problem, u, a, 0.0, rnorm=r)
         else:
-            point = dataclasses.replace(
-                flat, state=problem.state(u, a, 0.0), residual_norm=r
-            )
+            point = dataclasses.replace(flat, u=u, residual_norm=r)
         ray_pts.append(point)
     norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
     branches.append(Branch(
@@ -1128,7 +1126,7 @@ def _violates_static_criterion(point: SolutionPoint) -> bool:
     state is exempt when the growth rate does not exceed the principal
     eigenvalue; there it is stable with maximum zero, outside the scope of
     the criterion (whose converse needs a nontrivial state)."""
-    problem = point.state.problem
+    problem = point.problem
     u = point.u.values
     lam1 = problem.modes()[0].eigenvalue
     if point.a <= lam1 + 1e-8 and float(np.max(np.abs(u))) < 1e-8:
@@ -1263,7 +1261,7 @@ def stability_crosscheck(point: SolutionPoint) -> str:
     the neutral direction to settle either way and typically come back
     inconclusive.
     """
-    problem = point.state.problem
+    problem = point.problem
     dom = problem.domain
     u, a, c = point.u.values, point.a, point.c
 

@@ -269,7 +269,6 @@ class HypothesisReport:
     """
 
     checks: tuple[HypothesisCheck, ...]
-    sample_span: float
 
     _REQUIRED = ("i", "ii", "iii", "iv", "a", "b", "b_prime", "c", "alpha")
 
@@ -407,4 +406,4 @@ def check_hypotheses(
         )
     )
 
-    return HypothesisReport(tuple(checks), span)
+    return HypothesisReport(tuple(checks))

@@ -33,6 +33,7 @@ from .model import (
     ramp_slope,
     ramp_values,
 )
+from .spectral import K_EIGS, SpectrumSlice, linearized_spectrum
 
 #: Residual sup norm below which a state counts as steady. Every downstream
 #: bound (fold re-verification, ray certification, the oracle) is tied to it.
@@ -44,13 +45,6 @@ NEWTON_MAX_ITER = 50
 COUNT_MAX_ITER = 30
 PROJECTION_MAX_ITER = 12
 FOLD_MAX_ITER = 16
-#: Eigenpairs of the linearization computed per state: mu1 and mu2, which
-#: the diagram reports. One Sturm count certifies that no other eigenvalue
-#: reaches the degeneracy tolerance, so the Morse index and degeneracy flag
-#: follow from these two; f' >= 0 puts every state's third eigenvalue at or
-#: above lambda3 - a, so that holds below lambda3. Where one does reach it,
-#: two more counts classify the state exactly (spectral).
-K_EIGS = 2
 ARMIJO_MIN_STEP = 2.0**-20
 #: Residual sup norm above which a Newton row (see _newton_rows) or an
 #: extended system started from a float64 state
@@ -59,13 +53,6 @@ ARMIJO_MIN_STEP = 2.0**-20
 #: float64 solve.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
-
-
-def degeneracy_tolerance(a: float) -> float:
-    """Threshold below which an eigenvalue of the linearization counts as
-    zero. Scales with the growth rate so the notion is uniform across
-    regimes; shared by solver, spectral and continuation."""
-    return 1e-6 * max(1.0, abs(a))
 
 
 class NonConvergence(RuntimeError):
@@ -163,9 +150,6 @@ class Problem:
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
         return self.laplacian.add_diagonal(a - ramp_slope(self.nonlinearity, u))
 
-    def state(self, u: DiscreteField, a: float, c: float) -> "ProblemState":
-        return ProblemState(self, u, a, c)
-
     def modes(self):
         """First two Laplacian eigenpairs, phi and psi, from the closed form
         with the harvest sign convention (grid.laplacian_eigenpairs), built
@@ -178,58 +162,35 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class ProblemState:
-    """A candidate triple (u, a, c) on a problem."""
+class SolutionPoint:
+    """A converged (or analytically exact) steady state (u, a, c) of a
+    problem with its spectrum attached. The Morse index, degeneracy flag
+    and tag are read from the spectrum, the one record of the
+    classification."""
 
     problem: Problem
     u: DiscreteField
     a: float
     c: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.c)):
-            raise ValueError(f"non-finite parameters a={self.a}, c={self.c}")
-        if self.u.domain != self.problem.domain:
-            raise ValueError("state field lives on a different grid than the problem")
-
-
-@dataclass(frozen=True)
-class SolutionPoint:
-    """A converged (or analytically exact) steady state with its
-    classification attached."""
-
-    state: ProblemState
     residual_norm: float
-    morse_index: int
-    spectrum: "SpectrumSlice"  # noqa: F821 (spectral imports this module)
-    degenerate: bool
-    tag: str
+    spectrum: SpectrumSlice
     residual_history: tuple[float, ...] = ()
 
     @property
-    def u(self) -> DiscreteField:
-        return self.state.u
+    def morse_index(self) -> int:
+        return self.spectrum.index
 
     @property
-    def a(self) -> float:
-        return self.state.a
+    def degenerate(self) -> bool:
+        return self.spectrum.degenerate
 
     @property
-    def c(self) -> float:
-        return self.state.c
-
-
-def _classification_tag(index: int, degenerate: bool) -> str:
-    if degenerate:
-        return f"degenerate-{index}"
-    if index == 0:
-        return "stable"
-    return f"index-{index}"
-
-
-def jacobian(state: ProblemState) -> LinearOperatorBanded:
-    """Linearization Delta_h + a I - diag(f'(u)) at the state."""
-    return state.problem.jacobian_operator(state.u.values, state.a)
+    def tag(self) -> str:
+        if self.degenerate:
+            return f"degenerate-{self.morse_index}"
+        if self.morse_index == 0:
+            return "stable"
+        return f"index-{self.morse_index}"
 
 
 def _pivot_threshold(problem: Problem, norm_inf):
@@ -258,23 +219,24 @@ def classify_state(
     *,
     residual_history: tuple[float, ...] = (),
     rnorm: float | None = None,
-    prev: "SpectrumSlice | None" = None,  # noqa: F821
+    prev: SpectrumSlice | None = None,
 ) -> SolutionPoint:
     """Wrap an already-steady field as a SolutionPoint.
 
-    Attaches the spectrum and its Morse classification but runs no Newton
-    iteration, so it also accepts degenerate states (where newton_solve
-    would raise SingularJacobian). With rnorm omitted the residual sup norm
-    is measured, and ValueError is raised unless it is below NEWTON_TOL. A caller
-    that converged the state by its own criteria (a Newton or extended
-    system solve, a certified exact state, a stored diagram) passes that
-    residual as rnorm, and it is taken as given. prev, the spectrum of the
-    previous point of a branch, lets linearized_spectrum track the
-    eigenpairs from it instead of solving afresh.
+    Attaches the spectrum, which carries the Morse classification, but runs
+    no Newton iteration, so it also accepts degenerate states (where
+    newton_solve would raise SingularJacobian). ValueError is raised for a
+    non-finite a or c, and by linearized_spectrum for a field on another
+    grid. With rnorm omitted the residual sup norm is measured, and
+    ValueError is raised unless it is below NEWTON_TOL. A caller that
+    converged the state by its own criteria (a Newton or extended system
+    solve, a certified exact state, a stored diagram) passes that residual
+    as rnorm, and it is taken as given. prev, the spectrum of the previous
+    point of a branch, lets linearized_spectrum track the eigenpairs from
+    it instead of solving afresh.
     """
-    from .spectral import linearized_spectrum, morse_index
-
-    state = problem.state(u, a, c)
+    if not (np.isfinite(a) and np.isfinite(c)):
+        raise ValueError(f"non-finite parameters a={a}, c={c}")
     if rnorm is None:
         rnorm = float(np.max(np.abs(problem.residual_values(u.values, a, c))))
         if not rnorm < NEWTON_TOL:
@@ -282,17 +244,8 @@ def classify_state(
                 f"field is not a steady state: residual sup norm {rnorm:.3e} "
                 f">= {NEWTON_TOL:.3e}"
             )
-    spectrum = linearized_spectrum(state, K_EIGS, prev)
-    index, degenerate = morse_index(spectrum)
-    return SolutionPoint(
-        state,
-        rnorm,
-        index,
-        spectrum,
-        degenerate,
-        _classification_tag(index, degenerate),
-        residual_history,
-    )
+    spectrum = linearized_spectrum(problem, u, a, K_EIGS, prev)
+    return SolutionPoint(problem, u, a, c, rnorm, spectrum, residual_history)
 
 
 def newton_ball(problem: Problem, point: SolutionPoint, capture: float):
@@ -664,20 +617,22 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
 
 
 def newton_solve(
-    problem: Problem, init: DiscreteField, a: float, c: float
+    problem: Problem, init: DiscreteField, a: float, c: float,
+    prev: SpectrumSlice | None = None,
 ) -> SolutionPoint:
     """Damped Newton from init at fixed (a, c), at most NEWTON_MAX_ITER
     iterations: the one-start case of _newton_rows. Raises the
     SingularJacobian or NonConvergence that ended it; the reported
     residual_norm is the converged residual of the long-double iterate, the
-    stored field its float64 rounding."""
+    stored field its float64 rounding. prev, the spectrum of a nearby state,
+    is handed to classify_state."""
     (end,) = _newton_rows(problem, [init.values], a, c, NEWTON_MAX_ITER)
     if isinstance(end, Exception):
         raise end
     u64, rnorm, history = end
     return classify_state(
         problem, DiscreteField(problem.domain, u64), a, c,
-        residual_history=history, rnorm=rnorm,
+        residual_history=history, rnorm=rnorm, prev=prev,
     )
 
 

@@ -21,7 +21,21 @@ from .grid import (
     symmetric_tridiagonal_eigenpairs,
     track_tridiagonal_eigenpairs,
 )
-from .solver import K_EIGS, ProblemState, degeneracy_tolerance, jacobian
+
+#: Eigenpairs of the linearization computed per state: mu1 and mu2, which
+#: the diagram reports. One Sturm count certifies that no other eigenvalue
+#: reaches the degeneracy tolerance, so the Morse index and degeneracy flag
+#: follow from these two; f' >= 0 puts every state's third eigenvalue at or
+#: above lambda3 - a, so that holds below lambda3. Where one does reach it,
+#: two more counts classify the state exactly (classified_eigenpairs).
+K_EIGS = 2
+
+
+def degeneracy_tolerance(a: float) -> float:
+    """Threshold below which an eigenvalue of the linearization counts as
+    zero. Scales with the growth rate so the notion is uniform across
+    regimes; other modules read it as SpectrumSlice.tol."""
+    return 1e-6 * max(1.0, abs(a))
 
 
 @dataclass(frozen=True)
@@ -45,7 +59,6 @@ class SpectrumSlice:
 
     eigenvalues: tuple[float, ...]
     eigenfunctions: tuple[DiscreteField, ...]
-    a: float
     tol: float
     index: int
     degenerate: bool
@@ -98,10 +111,13 @@ def classified_eigenpairs(diag, off, k: int, tol: float, guesses):
 
 
 def linearized_spectrum(
-    state: ProblemState, k: int = K_EIGS, prev: SpectrumSlice | None = None
+    problem, u: DiscreteField, a: float, k: int = K_EIGS,
+    prev: SpectrumSlice | None = None,
 ) -> SpectrumSlice:
-    """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the state,
-    with its Morse index and degeneracy flag (classified_eigenpairs).
+    """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the field u
+    of the problem (a solver.Problem), with its Morse index and degeneracy
+    flag (classified_eigenpairs). Raises ValueError when u lives on another
+    grid than the problem.
 
     With prev, the spectrum of a nearby state on the same grid (the previous
     point of a branch), its k eigenpairs are tracked by Rayleigh-quotient
@@ -118,14 +134,16 @@ def linearized_spectrum(
         raise ValueError(
             f"need at least two eigenvalues (index and degeneracy), got k={k}"
         )
-    dom = state.problem.domain
-    J = jacobian(state)
-    tol = degeneracy_tolerance(state.a)
+    dom = problem.domain
+    if u.domain != dom:
+        raise ValueError("state field lives on a different grid than the problem")
+    J = problem.jacobian_operator(u.values, a)
+    tol = degeneracy_tolerance(a)
     guesses = None
     if prev is not None and prev.k == k and prev.eigenfunctions[0].domain == dom:
         guesses = [f.values for f in prev.eigenfunctions]
     vals, vecs, index, degenerate = classified_eigenpairs(-J.diag, -J.off, k, tol, guesses)
-    phi, psi = (p.eigenfunction for p in state.problem.modes())
+    phi, psi = (p.eigenfunction for p in problem.modes())
     phi_sq, psi_sq = inner_product(phi, phi), inner_product(psi, psi)
     fields = []
     for j in range(k):
@@ -139,16 +157,7 @@ def linearized_spectrum(
     return SpectrumSlice(
         tuple(float(x) for x in vals),
         tuple(fields),
-        state.a,
         tol,
         index,
         degenerate,
     )
-
-
-def morse_index(spectrum: SpectrumSlice) -> tuple[int, bool]:
-    """(number of eigenvalues below -tol, degenerate flag) of the state a
-    spectrum slice belongs to: eigenvalues within the degeneracy tolerance
-    of zero are counted as zero and set the flag. Both were certified over
-    the whole spectrum when the slice was computed."""
-    return spectrum.index, spectrum.degenerate

@@ -848,10 +848,6 @@ class TestDegenerateFamily:
         for p in sigma_curve.points:
             _assert_kernel_conventions(problem, modes, p)
 
-    def test_window_must_cover_segment(self, problem):
-        with pytest.raises(ValueError):
-            trace_index1_degenerate_curve(problem, t_range=(-0.1, 0.3))
-
     def test_delta_window_rejects_sunken_curve(self, problem, modes, sigma_curve):
         lam2 = modes[1].eigenvalue
         bad_pt = dataclasses.replace(sigma_curve.points[0], a=lam2 - 1.0)

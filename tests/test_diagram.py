@@ -418,13 +418,13 @@ class TestBatchedOracle:
 
     def test_classifies_only_survivors(self, problem, eigs, monkeypatch):
         spectra = []
-        original = spectral_mod.linearized_spectrum
+        original = solver_mod.linearized_spectrum
 
-        def counting(state, k=3, prev=None):
-            spectra.append(state)
-            return original(state, k, prev)
+        def counting(problem, u, a, k=3, prev=None):
+            spectra.append(u)
+            return original(problem, u, a, k, prev)
 
-        monkeypatch.setattr(spectral_mod, "linearized_spectrum", counting)
+        monkeypatch.setattr(solver_mod, "linearized_spectrum", counting)
         a = eigs[1] + 0.5 * DELTA_WINDOW
         got = count_solutions(problem, a, 0.2 * C_NATURAL_FOLD_NEG, n_starts=200, seed=0)
         assert got.count == 4
@@ -1338,11 +1338,11 @@ class TestKernelCallCounts:
             spectral_mod, "sturm_count", counted("sturm", spectral_mod.sturm_count)
         )
         sturm_per_point = Counter()
-        real_spectrum = spectral_mod.linearized_spectrum
+        real_spectrum = solver_mod.linearized_spectrum
 
-        def spectrum(state, k, prev=None):
+        def spectrum(problem, u, a, k, prev=None):
             before = calls.copy()
-            out = real_spectrum(state, k, prev)
+            out = real_spectrum(problem, u, a, k, prev)
             if prev is not None:
                 sturm_per_point[(calls - before)["sturm"]] += 1
             return out
@@ -1350,7 +1350,7 @@ class TestKernelCallCounts:
         monkeypatch.setattr(Problem, "residual_values", residual)
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
-        monkeypatch.setattr(spectral_mod, "linearized_spectrum", spectrum)
+        monkeypatch.setattr(solver_mod, "linearized_spectrum", spectrum)
         diag = assemble_diagram(diagram_window99.problem, diagram_window99.a)
         assert sum(len(br.points) for br in diag.branches) == sum(
             len(br.points) for br in diagram_window99.branches
@@ -1453,7 +1453,7 @@ class TestKernelCallCounts:
         spent = calls - before
         assert spent == Counter(sturm=4 * 12)
         for p in branch.points:
-            J = solver_mod.jacobian(p.state)
+            J = problem.jacobian_operator(p.u.values, p.a)
             dense = np.diag(-J.diag) + np.diag(-J.off, 1) + np.diag(-J.off, -1)
             lam = np.linalg.eigvalsh(dense)
             tol = p.spectrum.tol
@@ -1462,6 +1462,33 @@ class TestKernelCallCounts:
             assert (p.morse_index, p.degenerate) == (
                 int(np.sum(lam < -tol)), bool(np.any(np.abs(lam) < tol))
             )
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_branch_to_a_c_limit_solves_only_its_start(self, problem, monkeypatch, direction):
+        """A branch from the stable state at a = 20 traced to its c limit
+        makes its only full eigensolve at its start point: the end point,
+        solved at the limit by newton_solve, tracks the last accepted
+        point's pairs like every corrector step. Its classification is that
+        of the full eigensolve."""
+        calls = Counter()
+        monkeypatch.setattr(spectral_mod, "symmetric_tridiagonal_eigenpairs", self.counted(
+            calls, "eigensolve", spectral_mod.symmetric_tridiagonal_eigenpairs))
+        amp = critical_cap(problem.nonlinearity, 20.0)
+        phi = problem.modes()[0].eigenfunction
+        start = newton_solve(problem, DiscreteField(problem.domain, amp * phi.values), 20.0, 0.0)
+        assert calls["eigensolve"] == 1
+        branch = continuation_mod.continue_branch(problem, start, direction, (-50.0, 50.0))
+        assert [ev.kind for ev in branch.events] == ["endpoint"]
+        end = branch.points[-1]
+        assert end.c == 50.0 * direction
+        assert calls["eigensolve"] == 1
+        full = classify_state(problem, end.u, end.a, end.c, rnorm=end.residual_norm)
+        assert calls["eigensolve"] == 2
+        assert (end.morse_index, end.degenerate, end.tag) == (
+            full.morse_index, full.degenerate, full.tag
+        )
+        assert np.allclose(end.spectrum.eigenvalues, full.spectrum.eigenvalues,
+                           rtol=1e-10, atol=1e-10)
 
     def test_each_newton_iteration_of_a_count_makes_one_gtsv_call(
         self, diagram_window99, monkeypatch
@@ -1565,5 +1592,7 @@ class TestStabilityCrosscheck:
     def test_detects_a_misclassified_point(self, stable20):
         """A stable state relabeled as index 1 must flunk the dynamic test:
         the kick decays instead of growing."""
-        forged = dataclasses.replace(stable20, morse_index=1)
+        forged = dataclasses.replace(
+            stable20, spectrum=dataclasses.replace(stable20.spectrum, index=1)
+        )
         assert stability_crosscheck(forged) == "fail"

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -8,7 +9,7 @@ import bifurcate
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Settings fixed as module constants (solver.NEWTON_TOL, solver.K_EIGS, the
+# Settings fixed as module constants (solver.NEWTON_TOL, spectral.K_EIGS, the
 # sweeps' *_SWEEP_STEPS, ...) that no public callable may take again.
 FIXED_SETTINGS = {
     "tol", "k_eigs", "min_step", "dt0", "min_dt", "max_dt", "eps_seed", "eps_t",
@@ -21,6 +22,34 @@ TRACER_ONLY = {"max_step", "step0"}
 
 def test_public_names_resolve():
     assert [name for name in bifurcate.__all__ if not hasattr(bifurcate, name)] == []
+
+
+#: The package's modules in dependency order: each imports from earlier ones only.
+LAYERS = ("grid", "model", "spectral", "solver", "continuation", "diagram", "cli")
+
+
+def _package_imports(tree):
+    """(node, module name) of every relative import, the package's own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [a.name for a in node.names]
+            yield from ((node, name) for name in names)
+
+
+def test_imports_run_one_way():
+    """Every package import sits at module top and reaches an earlier layer
+    only, so spectral imports nothing from solver."""
+    src = ROOT / "src" / "bifurcate"
+    backward, nested = [], []
+    for rank, layer in enumerate(LAYERS):
+        tree = ast.parse((src / f"{layer}.py").read_text())
+        top = {id(node) for node in tree.body}
+        for node, name in _package_imports(tree):
+            if id(node) not in top:
+                nested.append(f"{layer}:{node.lineno}")
+            if name not in LAYERS[:rank]:
+                backward.append(f"{layer} -> {name}")
+    assert backward == [] and nested == []
 
 
 def test_fixed_settings_are_not_options():

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,13 +23,14 @@ from bifurcate.solver import (
     NonConvergence,
     Problem,
     SingularJacobian,
+    SolutionPoint,
     _newton_rows,
     _stack_norms_inf,
     classify_state,
-    jacobian,
     newton_solve,
     time_march,
 )
+from bifurcate.spectral import linearized_spectrum
 
 A_REF = 20.0
 
@@ -143,15 +145,13 @@ def test_residual_is_the_nested_difference_formula_bit_for_bit(
 
 
 def test_jacobian_at_zero(problem, domain):
-    state = problem.state(DiscreteField.zero(domain), A_REF, 0.0)
-    J = jacobian(state)
+    J = problem.jacobian_operator(np.zeros(domain.n_interior), A_REF)
     assert np.allclose(J.diag, problem.laplacian.diag + A_REF, atol=0)
     assert np.array_equal(J.off, problem.laplacian.off)
 
 
 def test_jacobian_constant_state(problem, domain):
-    state = problem.state(DiscreteField(domain, np.ones(domain.n_interior)), A_REF, 0.0)
-    J = jacobian(state)
+    J = problem.jacobian_operator(np.ones(domain.n_interior), A_REF)
     fprime = 3 * 0.8**2
     assert np.allclose(J.diag, problem.laplacian.diag + A_REF - fprime, rtol=1e-15)
 
@@ -323,11 +323,31 @@ def test_classify_state_takes_a_given_residual(problem, domain, modes, u_plus):
 
 
 def test_state_validation(problem, domain):
-    with pytest.raises(ValueError):
-        problem.state(DiscreteField.zero(domain), np.inf, 0.0)
+    with pytest.raises(ValueError, match="non-finite parameters"):
+        classify_state(problem, DiscreteField.zero(domain), np.inf, 0.0, rnorm=0.0)
     other = build_grid(11, 1.0)
-    with pytest.raises(ValueError):
-        problem.state(DiscreteField.zero(other), 10.0, 0.0)
+    with pytest.raises(ValueError, match="different grid"):
+        linearized_spectrum(problem, DiscreteField.zero(other), 10.0)
+    with pytest.raises(ValueError, match="different grid"):
+        classify_state(problem, DiscreteField.zero(other), 10.0, 0.0, rnorm=0.0)
+
+
+def test_classification_is_read_from_the_spectrum(u_plus):
+    """A point stores no index, flag or tag: replacing its spectrum's index
+    and flag moves all three together."""
+    assert [f.name for f in fields(SolutionPoint)] == [
+        "problem", "u", "a", "c", "residual_norm", "spectrum", "residual_history"
+    ]
+    assert (u_plus.morse_index, u_plus.degenerate, u_plus.tag) == (0, False, "stable")
+    for index, degenerate, tag in [
+        (1, False, "index-1"), (2, False, "index-2"), (0, True, "degenerate-0"),
+        (1, True, "degenerate-1"),
+    ]:
+        forged = replace(
+            u_plus, spectrum=replace(u_plus.spectrum, index=index, degenerate=degenerate)
+        )
+        assert (forged.morse_index, forged.degenerate, forged.tag) == (index, degenerate, tag)
+        assert forged.spectrum.eigenvalues == u_plus.spectrum.eigenvalues
 
 
 def test_march_decay_below_first_eigenvalue(problem, domain):

@@ -14,18 +14,12 @@ from bifurcate.grid import (
     track_tridiagonal_eigenpairs,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity
-from bifurcate.solver import (
-    Problem,
-    classify_state,
-    degeneracy_tolerance,
-    jacobian,
-    newton_solve,
-)
+from bifurcate.solver import Problem, classify_state, newton_solve
 from bifurcate.spectral import (
     SpectrumSlice,
     classified_eigenpairs,
+    degeneracy_tolerance,
     linearized_spectrum,
-    morse_index,
 )
 
 
@@ -40,11 +34,21 @@ def psi(domain, problem):
 
 
 def zero_state(problem, a):
-    return problem.state(DiscreteField.zero(problem.domain), a, 0.0)
+    """The (problem, u, a) arguments of linearized_spectrum at u = 0."""
+    return problem, DiscreteField.zero(problem.domain), a
+
+
+def state_of(point):
+    """The (problem, u, a) arguments of linearized_spectrum at a point."""
+    return point.problem, point.u, point.a
+
+
+def morse_index(spec):
+    return spec.index, spec.degenerate
 
 
 def test_spectrum_at_zero_is_shifted_laplacian(problem, domain):
-    spec = linearized_spectrum(zero_state(problem, 20.0), 3)
+    spec = linearized_spectrum(*zero_state(problem, 20.0), 3)
     for k, mu in enumerate(spec.eigenvalues, start=1):
         assert mu == pytest.approx(
             float(exact_mode_longdouble(domain, k)[0]) - 20.0, abs=1e-10
@@ -54,7 +58,7 @@ def test_spectrum_at_zero_is_shifted_laplacian(problem, domain):
 
 
 def test_spectrum_ascending(problem):
-    spec = linearized_spectrum(zero_state(problem, 20.0), 3)
+    spec = linearized_spectrum(*zero_state(problem, 20.0), 3)
     assert list(spec.eigenvalues) == sorted(spec.eigenvalues)
 
 
@@ -63,8 +67,8 @@ def test_segment_states_have_vanishing_second_eigenvalue(problem, domain, psi, t
     # u = t*psi with t in [-M/beta, M] stays below the ramp threshold, so the
     # linearization is exactly the shifted Laplacian and mu2 = 0
     lam2 = psi.eigenvalue
-    state = problem.state(DiscreteField(domain, t * psi.eigenfunction.values), lam2, 0.0)
-    spec = linearized_spectrum(state, 3)
+    u = DiscreteField(domain, t * psi.eigenfunction.values)
+    spec = linearized_spectrum(problem, u, lam2, 3)
     assert abs(spec.mu2) < 1e-10
     index, degenerate = morse_index(spec)
     assert (index, degenerate) == (1, True)
@@ -74,7 +78,7 @@ def test_rayleigh_quotient_consistency(problem, domain, psi):
     phi_field = laplacian_eigenpairs(domain, 1)[0].eigenfunction
     start = DiscreteField(domain, 3 * phi_field.values)
     pt = newton_solve(problem, start, 20.0, 0.0)
-    J = jacobian(pt.state)
+    J = pt.problem.jacobian_operator(pt.u.values, pt.a)
     for mu, w in zip(pt.spectrum.eigenvalues, pt.spectrum.eigenfunctions):
         quotient = -domain.inner(J.apply(w.values), w.values) / domain.inner(
             w.values, w.values
@@ -94,27 +98,27 @@ def test_frozen_spectrum_of_positive_state(problem, domain):
     [(5.0, (0, False)), (20.0, (1, False)), (45.0, (2, False))],
 )
 def test_morse_index_of_zero_state(problem, a, expected):
-    spec = linearized_spectrum(zero_state(problem, a), 3)
+    spec = linearized_spectrum(*zero_state(problem, a), 3)
     assert morse_index(spec) == expected
 
 
 def test_morse_index_beyond_the_computed_pairs(problem):
     # above lambda3 both computed eigenvalues are negative, and the Sturm
     # counts find the third negative one
-    spec = linearized_spectrum(zero_state(problem, 100.0), 2)
+    spec = linearized_spectrum(*zero_state(problem, 100.0), 2)
     assert spec.mu2 < -spec.tol
     assert morse_index(spec) == (3, False)
-    assert morse_index(linearized_spectrum(zero_state(problem, 100.0), 5)) == (3, False)
+    assert morse_index(linearized_spectrum(*zero_state(problem, 100.0), 5)) == (3, False)
 
 
 def test_zero_state_at_lambda3_is_degenerate_with_index_two(problem, domain):
     # at the discrete lambda3 the vanishing eigenvalue is the third, which
     # is not computed
     lam3 = float(exact_mode_longdouble(domain, 3)[0])
-    spec = linearized_spectrum(zero_state(problem, lam3), 2)
+    spec = linearized_spectrum(*zero_state(problem, lam3), 2)
     assert max(spec.eigenvalues) < -spec.tol
     assert morse_index(spec) == (2, True)
-    assert morse_index(linearized_spectrum(zero_state(problem, lam3), 3)) == (2, True)
+    assert morse_index(linearized_spectrum(*zero_state(problem, lam3), 3)) == (2, True)
 
 
 def _tridiagonal(diag, off):
@@ -160,14 +164,14 @@ def test_two_pairs_and_a_count_classify_like_the_dense_spectrum(
 
 def test_spectrum_requires_two_eigenvalues(problem):
     with pytest.raises(ValueError):
-        linearized_spectrum(zero_state(problem, 20.0), 1)
+        linearized_spectrum(*zero_state(problem, 20.0), 1)
 
 
 def test_eigenfunction_normalization_targets(problem, domain, psi):
     phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
     phi_sq = inner_product(phi, phi)
     psi_sq = inner_product(psi.eigenfunction, psi.eigenfunction)
-    spec = linearized_spectrum(zero_state(problem, 20.0), 3)
+    spec = linearized_spectrum(*zero_state(problem, 20.0), 3)
     w1, w2, w3 = spec.eigenfunctions
     assert inner_product(w1, w1) == pytest.approx(phi_sq, abs=1e-12)
     assert inner_product(w2, w2) == pytest.approx(psi_sq, abs=1e-12)
@@ -175,7 +179,7 @@ def test_eigenfunction_normalization_targets(problem, domain, psi):
 
 
 def test_first_eigenfunction_positive(problem, domain):
-    spec = linearized_spectrum(zero_state(problem, 20.0), 2)
+    spec = linearized_spectrum(*zero_state(problem, 20.0), 2)
     assert np.min(spec.eigenfunctions[0].values) > 0
     phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
     pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
@@ -183,7 +187,7 @@ def test_first_eigenfunction_positive(problem, domain):
 
 
 def test_degeneracy_tolerance_shared(problem):
-    spec = linearized_spectrum(zero_state(problem, 20.0), 2)
+    spec = linearized_spectrum(*zero_state(problem, 20.0), 2)
     assert spec.tol == degeneracy_tolerance(20.0)
     assert degeneracy_tolerance(20.0) == pytest.approx(2e-5, rel=1e-12)
     assert degeneracy_tolerance(0.5) == pytest.approx(1e-6, rel=1e-12)
@@ -319,19 +323,18 @@ class TestTrackedSpectrum:
         swapped = SpectrumSlice(
             tuple(spec.eigenvalues[j] for j in order),
             tuple(spec.eigenfunctions[j] for j in order),
-            spec.a,
             spec.tol,
             spec.index,
             spec.degenerate,
         )
-        J = jacobian(pt.state)
+        J = pt.problem.jacobian_operator(pt.u.values, pt.a)
         guesses = [f.values for f in swapped.eigenfunctions]
         assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, spec.tol) is None
         _assert_same_spectrum(
-            linearized_spectrum(pt.state, 2, swapped), linearized_spectrum(pt.state, 2)
+            linearized_spectrum(*state_of(pt), 2, swapped), linearized_spectrum(*state_of(pt), 2)
         )
         # the unswapped slice certifies and agrees
-        again = linearized_spectrum(pt.state, 2, spec)
+        again = linearized_spectrum(*state_of(pt), 2, spec)
         assert _gap(again, spec) < TRACKED_GAP
         assert morse_index(again) == morse_index(spec)
 
@@ -340,24 +343,24 @@ class TestTrackedSpectrum:
         # three eigenvalues below the second tracked one
         phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
         pt = newton_solve(problem, DiscreteField(domain, 3 * phi.values), 20.0, 0.0)
-        wide = linearized_spectrum(pt.state, 3)
+        wide = linearized_spectrum(*state_of(pt), 3)
         shifted = SpectrumSlice(
-            wide.eigenvalues[1:], wide.eigenfunctions[1:], wide.a, wide.tol,
+            wide.eigenvalues[1:], wide.eigenfunctions[1:], wide.tol,
             wide.index, wide.degenerate,
         )
-        J = jacobian(pt.state)
+        J = pt.problem.jacobian_operator(pt.u.values, pt.a)
         guesses = [f.values for f in shifted.eigenfunctions]
         assert track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, wide.tol) is None
         _assert_same_spectrum(
-            linearized_spectrum(pt.state, 2, shifted), linearized_spectrum(pt.state, 2)
+            linearized_spectrum(*state_of(pt), 2, shifted), linearized_spectrum(*state_of(pt), 2)
         )
 
     def test_prev_on_another_grid_falls_back(self, problem):
         coarse = _bench_problem(99)
-        prev = linearized_spectrum(zero_state(coarse, 20.0), 3)
+        prev = linearized_spectrum(*zero_state(coarse, 20.0), 3)
         state = zero_state(problem, 20.0)
         _assert_same_spectrum(
-            linearized_spectrum(state, 3, prev), linearized_spectrum(state, 3)
+            linearized_spectrum(*state, 3, prev), linearized_spectrum(*state, 3)
         )
 
     def test_prev_from_another_branch_is_certified_or_refused(self, bench_diagrams):
@@ -366,12 +369,12 @@ class TestTrackedSpectrum:
         # values agree. Where it does not, the result is the full eigensolve.
         diagram, _ = bench_diagrams(399, "window")
         target = diagram.branch("Mstar").points[0]
-        full = linearized_spectrum(target.state, 2)
-        J = jacobian(target.state)
+        full = linearized_spectrum(*state_of(target), 2)
+        J = target.problem.jacobian_operator(target.u.values, target.a)
         refused = 0
         for p in diagram.branch("Msharp").points[::10]:
             guesses = [f.values for f in p.spectrum.eigenfunctions]
-            got = linearized_spectrum(target.state, 2, p.spectrum)
+            got = linearized_spectrum(*state_of(target), 2, p.spectrum)
             if track_tridiagonal_eigenpairs(-J.diag, -J.off, guesses, full.tol) is None:
                 refused += 1
                 _assert_same_spectrum(got, full)
