@@ -56,6 +56,7 @@ from .grid import (
     solve_bordered,
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
+from .spectral import K_EIGS
 from .solver import (
     FLOAT64_PHASE_TOL,
     FOLD_MAX_ITER,
@@ -441,6 +442,7 @@ def continue_branch(
 
     while len(points) < max_points:
         base = points[-1]
+        older = points[-2].spectrum if len(points) > 1 else None
         ub = base.u.values
         cb = base.c
 
@@ -450,7 +452,9 @@ def continue_branch(
             frac = (target - cb) / (ds * Tc)
             init = DiscreteField(dom, ub + frac * ds * Tu)
             try:
-                end_pt = newton_solve(problem, init, a, target, prev=base.spectrum)
+                end_pt = newton_solve(
+                    problem, init, a, target, prev=_secant_guesses(older, base.spectrum)
+                )
             except (NonConvergence, SingularJacobian):
                 reject("boundary", f"no solution found at the c={target} boundary")
                 continue
@@ -491,7 +495,7 @@ def continue_branch(
 
         new = classify_state(
             problem, DiscreteField._wrap(dom, u64), a, c64, rnorm=rF,
-            prev=base.spectrum,
+            prev=_secant_guesses(older, base.spectrum),
         )
         points.append(new)
         svals.append(svals[-1] + dist)
@@ -509,6 +513,26 @@ def continue_branch(
         ds = min(max(proposal, 0.5 * ds), 2.0 * ds, ceiling)
 
     return partial()
+
+
+def _facing(spectrum, refs) -> tuple[np.ndarray, ...]:
+    """The values of spectrum's eigenfunctions, each turned to face its
+    counterpart in refs (as they are where refs is None), so that a secant
+    through successive spectra never meets a sign flip."""
+    vs = [f.values for f in spectrum.eigenfunctions]
+    if refs is None:
+        return tuple(vs)
+    return tuple(v if v @ g >= 0 else -v for v, g in zip(vs, refs))
+
+
+def _secant_guesses(older, base) -> tuple[np.ndarray, ...]:
+    """Guesses for the eigenvectors of the state one chord past base: the
+    secant 2 v - w through base's eigenfunctions v and older's w (turned to
+    face v), or base's own v where older is None."""
+    vs = _facing(base, None)
+    if older is None:
+        return vs
+    return tuple(2.0 * v - w for v, w in zip(vs, _facing(older, vs)))
 
 
 def _flips(prev, new) -> bool:
@@ -540,7 +564,7 @@ def _detect_event(problem, prev, new):
             return ("degeneracy", None)
         past = classify_state(
             problem, DiscreteField(problem.domain, u_ld.astype(float)), new.a,
-            float(c_ld), rnorm=rF, prev=new.spectrum,
+            float(c_ld), rnorm=rF, prev=_secant_guesses(prev.spectrum, new.spectrum),
         )
         if past.degenerate or not _flips(prev, past):
             return ("degeneracy", None)
@@ -716,9 +740,12 @@ def _extended_newton(
     raise NonConvergence(f"{system} did not converge", u.astype(float), res, history)
 
 
-def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
+def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, prev=None):
     """Classify a converged extended-system iterate, fix the kernel vector's
-    normalization and sign by kind, and re-verify the residual invariants."""
+    normalization and sign by kind, and re-verify the residual invariants.
+    Returns the DegeneratePoint and the state's spectrum; prev, a nearby
+    state's spectrum or guesses for its eigenvectors, is handed to
+    classify_state."""
     ld = np.longdouble
     dom = problem.domain
     sp = ld(dom.spacing)
@@ -726,6 +753,7 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
 
     point = classify_state(
         problem, DiscreteField(dom, u_ld.astype(float)), a, float(c_ld), rnorm=0.0,
+        prev=prev,
     )
     if not point.degenerate:
         raise NonConvergence(
@@ -775,7 +803,7 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind):
     )
     if expected_kind is not None and kind != expected_kind:
         raise WrongKind(expected_kind, dp)
-    return dp
+    return dp, point.spectrum
 
 
 def refine_fold(
@@ -792,7 +820,8 @@ def refine_fold(
     {F(u, c) = 0, g(u) = 0} for (u, c) (Griewank & Reddien 1984), seeded at
     the eigenvalue-weighted interpolation of the bracket; g is bordered by
     the eigenfunction of the endpoint closer to the crossing, and its
-    bordered solve also yields the kernel vector. The returned kind
+    bordered solve also yields the kernel vector. That endpoint's spectrum
+    seeds the point's classification (linearized_spectrum). The returned kind
     reflects which eigenvalue actually vanished; pass expected_kind to get a
     WrongKind error (carrying the point) when a different one does.
     """
@@ -819,7 +848,9 @@ def refine_fold(
     S = inner_product(phi.eigenfunction, phi.eigenfunction)
     w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
     _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S)
-    return _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind)
+    return _package_degenerate(
+        problem, a, u_ld, c_ld, w_ld, expected_kind, prev=donor.spectrum
+    )[0]
 
 
 def fold_normal_form_checks(problem: Problem, dp: DegeneratePoint) -> dict:
@@ -868,13 +899,13 @@ def _march(x0, x_stop, carry0, state0, solve, steps, what):
 
     solve(x, guess) returns (result, carry), the state in result.u. The
     guess predicts every carry component by the secant q + r (q - p)
-    through the last two accepted carries; the first step gets carry0 as
-    given. steps is (first, smallest, largest step). A solve raising
-    NonConvergence, SingularJacobian or WrongKind halves the step, and each
-    accept grows it by STEP_GROWTH up to the largest. Below the smallest the
-    march raises NonConvergence naming what, the stalled x, the last
-    accepted x and the last failure; its last_iterate is the last accepted
-    state (state0 before any accept).
+    through the last two accepted carries, or repeats q where p is None;
+    the first step gets carry0 as given. steps is (first, smallest,
+    largest step). A solve raising NonConvergence, SingularJacobian or
+    WrongKind halves the step, and each accept grows it by STEP_GROWTH up
+    to the largest. Below the smallest the march raises NonConvergence
+    naming what, the stalled x, the last accepted x and the last failure;
+    its last_iterate is the last accepted state (state0 before any accept).
     """
     x, carry, state = float(x0), carry0, state0
     x_prev = prev = None
@@ -883,7 +914,7 @@ def _march(x0, x_stop, carry0, state0, solve, steps, what):
         x_new = x + math.copysign(min(step, abs(x_stop - x)), x_stop - x)
         if prev is not None and x != x_prev:
             r = (x_new - x) / (x - x_prev)
-            guess = tuple(q + r * (q - p) for q, p in zip(carry, prev))
+            guess = tuple(q if p is None else q + r * (q - p) for q, p in zip(carry, prev))
         else:
             guess = carry
         try:
@@ -910,7 +941,8 @@ def trace_fold_curve(
     Natural-parameter marching (_march, FOLD_SWEEP_STEPS) up and down from
     the seed: at each new a the minimally extended fold system is re-solved
     from a secant predictor in a (the predicted kernel vector borders its
-    test function), and both window edges are hit exactly. Each interior
+    test function, and the predicted eigenvectors seed each point's
+    spectrum), and both window edges are hit exactly. Each interior
     point gets the identity check dc/da = int(u w)/int(h w) against the
     secant slope, recorded in slope_check as relative mismatches.
     """
@@ -926,14 +958,15 @@ def trace_fold_curve(
     S = dom.inner(seed.w.values, seed.w.values)
 
     def solve_at(a, guess):
-        u0, c0, w0 = guess
+        u0, c0, w0, *vecs = guess
+        vecs = None if vecs[0] is None else vecs
         _, u_ld, c_ld, w_ld, _ = _extended_newton(
             problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S
         )
-        dp = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind)
-        return dp, (dp.u.values, dp.c, dp.w.values)
+        dp, spectrum = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind, vecs)
+        return dp, (dp.u.values, dp.c, dp.w.values, *_facing(spectrum, vecs))
 
-    start = (seed.u.values, seed.c, seed.w.values)
+    start = (seed.u.values, seed.c, seed.w.values) + (None,) * K_EIGS
     up, down = (
         [dp for _, dp in _march(
             seed.a, a_stop, start, seed.u.values, solve_at,
@@ -982,6 +1015,10 @@ def trace_index1_degenerate_curve(
     F = 0, the chart row and the test function g = 0) is marched outward
     from both segment ends (_march, INDEX1_SWEEP_STEPS), predicting
     the offset u - t psi, a, c and the bordering kernel vector by secants.
+    Each sample's spectrum is tracked (linearized_spectrum): inside, from
+    the eigenvectors of the sample below it in t, the first sample alone
+    paying a full eigensolve; outside, from the march's secant prediction
+    of them.
     The sweep extends sigma >= 0 beyond the segment on both sides.
     """
     dom = problem.domain
@@ -998,24 +1035,36 @@ def trace_index1_degenerate_curve(
     psi_ld = psi_v.astype(np.longdouble)
 
     def solve_at(t, guess):
-        a0, y0, c0, z0 = guess
+        a0, y0, c0, z0, *vecs = guess
+        vecs = None if vecs[0] is None else vecs
         t_psi = np.longdouble(t) * psi_ld
         row = (dom.spacing, psi_v, 0.0, -np.longdouble(t) * np.longdouble(S2))
         aa, u_ld, cc, v, _ = _extended_newton(
             problem, a0, t_psi + y0, c0, FOLD_MAX_ITER, row=row, w0=z0, S=S2
         )
-        dp = _package_degenerate(problem, float(aa), u_ld, cc, v, "degenerate-index1")
-        return dp, (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
+        dp, spectrum = _package_degenerate(
+            problem, float(aa), u_ld, cc, v, "degenerate-index1", vecs
+        )
+        carry = (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
+        return dp, carry + _facing(spectrum, vecs)
 
     dt0 = INDEX1_SWEEP_STEPS[0]
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
         inside_ts = np.array([seg_lo])
     on_line = (lam2, np.zeros(n), 0.0, psi_v)
-    samples = [(float(t), solve_at(float(t), on_line)[0]) for t in inside_ts]
-    for (t_edge, edge), t_stop in ((samples[-1], t_hi), (samples[0], t_lo)):
+    samples = []
+    vecs = first_vecs = (None,) * K_EIGS
+    for t in inside_ts:
+        dp, carry = solve_at(float(t), on_line + vecs)
+        samples.append((float(t), dp))
+        vecs = carry[4:]
+        if first_vecs[0] is None:
+            first_vecs = vecs
+    ends = ((samples[-1], t_hi, vecs), (samples[0], t_lo, first_vecs))
+    for (t_edge, edge), t_stop, edge_vecs in ends:
         samples += _march(
-            t_edge, t_stop, on_line, edge.u.values, solve_at,
+            t_edge, t_stop, on_line + edge_vecs, edge.u.values, solve_at,
             INDEX1_SWEEP_STEPS, "index-1 family in t",
         )
     samples.sort(key=lambda pair: pair[0])

@@ -438,19 +438,29 @@ def exact_mode_longdouble(domain: DiscreteDomain, k: int):
 
 
 def _rayleigh_quotients(diag: np.ndarray, off: np.ndarray, vecs) -> np.ndarray:
-    """Rayleigh quotient of each vector in vecs, accumulated in long double.
+    """Rayleigh quotient of each vector in vecs, in float64 energy form.
 
-    LAPACK's bisection eigenvalues are only accurate to ~eps*||A|| which at the
-    1/h^2 operator scale is ~6e-11; the long-double Rayleigh quotient of the
-    returned vector recovers ~1e-13.
+    v^T A v = sum_i (d_i + (e_{i-1} + e_i)) v_i^2 - sum_i e_i (v_{i+1} - v_i)^2,
+    with e_{-1} = e_{n-1} = 0. LAPACK's bisection eigenvalues are only
+    accurate to ~eps ||A||, about 1e-10 at the 1/h^2 scale of n = 399, and
+    v^T (A v) summed in float64 cancels 1/h^2-sized terms (errors to 3e-12
+    there); the energy form cancels none. Where the off-diagonal is
+    uniform, as in every linearization, e_{i-1} + e_i is exactly 2 e and
+    its sum with d_i is exact (Sterbenz) in every inner row, so each row sum
+    carries the size of the potential, not of 1/h^2. On branch
+    eigenvectors at n = 399 the quotient lies within 3.3e-14 of the exact
+    quotient of the stored matrix.
     """
-    d = diag.astype(np.longdouble)
-    e = off.astype(np.longdouble)
+    rows = diag.copy()
+    if off.size:
+        pairs = off.copy()
+        pairs[1:] += off[:-1]
+        rows[:-1] += pairs
+        rows[-1] += off[-1]
     out = []
-    for vec in vecs:
-        v = vec.astype(np.longdouble)
-        av = _tridiagonal_apply(d, e, v)
-        out.append(float((v @ av) / (v @ v)))
+    for v in vecs:
+        dv = v[1:] - v[:-1]
+        out.append(float((rows @ (v * v) - off @ (dv * dv)) / (v @ v)))
     return np.array(out)
 
 
@@ -468,8 +478,9 @@ def symmetric_tridiagonal_eigenpairs(
     """k smallest eigenpairs of a symmetric tridiagonal matrix.
 
     Bisection for the eigenvalues (LAPACK dstebz, by index, in blocks),
-    inverse iteration for the eigenvectors (dstein), then a long-double
-    Rayleigh polish per eigenvalue: the calls and checks of
+    inverse iteration for the eigenvectors (dstein), then each eigenvalue
+    is the vector's float64 energy-form Rayleigh quotient
+    (_rayleigh_quotients): the calls and checks of
     scipy.linalg.eigh_tridiagonal(select="i"), with its ValueError on
     non-finite input. Vectors come back euclidean-orthonormal, as a list of
     1-D arrays in ascending eigenvalue order.
@@ -505,11 +516,12 @@ def track_tridiagonal_eigenpairs(
     Each of the k guesses (1-D arrays, meant for the k smallest eigenvalues
     in ascending order) runs Rayleigh-quotient iteration, one gtsv call
     (_gtsv) per step, until its float64 residual ||A v - sigma v|| (v of
-    unit length) is at most sqrt(n) eps ||A||_inf, then gets the
-    long-double Rayleigh polish of symmetric_tridiagonal_eigenpairs.
+    unit length) is at most sqrt(n) eps ||A||_inf, and its value mu_j is
+    then its energy-form Rayleigh quotient, as in
+    symmetric_tridiagonal_eigenpairs.
     Certificate (Parlett, The Symmetric Eigenvalue Problem, ch. 4 and 10):
-    that residual bound plus the rounding of A v gives each polished value
-    mu_j an interval of half-width rho that holds an eigenvalue; the
+    that residual bound plus the rounding of A v and of mu_j gives each
+    value mu_j an interval of half-width rho that holds an eigenvalue; the
     intervals must ascend in the order of the guesses without overlap, and
     a Sturm count (LAPACK stebz, range 'V') must find exactly k eigenvalues
     up to a shift just above both the k-th interval and floor. The values
@@ -517,7 +529,7 @@ def track_tridiagonal_eigenpairs(
     eigenvalue lies above floor. When that count finds more than k because
     floor lies above the k-th interval, a second count up to a shift just
     above the k-th interval alone can still certify the k values, with
-    some other eigenvalue at or below floor. Returns the polished values
+    some other eigenvalue at or below floor. Returns the values
     and unit vectors (sign arbitrary) as symmetric_tridiagonal_eigenpairs
     does, that being the fallback on None, and whether every other
     eigenvalue lies above floor.

@@ -11,6 +11,7 @@ pure function of its arguments; concurrent solves are safe.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,7 +220,7 @@ def classify_state(
     *,
     residual_history: tuple[float, ...] = (),
     rnorm: float | None = None,
-    prev: SpectrumSlice | None = None,
+    prev: SpectrumSlice | Sequence[np.ndarray] | None = None,
 ) -> SolutionPoint:
     """Wrap an already-steady field as a SolutionPoint.
 
@@ -232,8 +233,9 @@ def classify_state(
     converged the state by its own criteria (a Newton or extended system
     solve, a certified exact state, a stored diagram) passes that residual
     as rnorm, and it is taken as given. prev, the spectrum of the previous
-    point of a branch, lets linearized_spectrum track the eigenpairs from
-    it instead of solving afresh.
+    point of a branch or guesses for the K_EIGS eigenvectors, lets
+    linearized_spectrum track the eigenpairs from it instead of solving
+    afresh.
     """
     if not (np.isfinite(a) and np.isfinite(c)):
         raise ValueError(f"non-finite parameters a={a}, c={c}")
@@ -618,14 +620,14 @@ def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entr
 
 def newton_solve(
     problem: Problem, init: DiscreteField, a: float, c: float,
-    prev: SpectrumSlice | None = None,
+    prev: SpectrumSlice | Sequence[np.ndarray] | None = None,
 ) -> SolutionPoint:
     """Damped Newton from init at fixed (a, c), at most NEWTON_MAX_ITER
     iterations: the one-start case of _newton_rows. Raises the
     SingularJacobian or NonConvergence that ended it; the reported
     residual_norm is the converged residual of the long-double iterate, the
-    stored field its float64 rounding. prev, the spectrum of a nearby state,
-    is handed to classify_state."""
+    stored field its float64 rounding. prev, the spectrum of a nearby state
+    or guesses for the eigenvectors, is handed to classify_state."""
     (end,) = _newton_rows(problem, [init.values], a, c, NEWTON_MAX_ITER)
     if isinstance(end, Exception):
         raise end

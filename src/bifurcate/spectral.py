@@ -9,6 +9,7 @@ and Sturm counts (Sylvester's law of inertia) classify a state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class SpectrumSlice:
     Morse index and degeneracy flag of the whole spectrum.
 
     The pairs come from a full eigensolve or, along a branch, are tracked
-    from the previous point's slice and certified by a Sturm count
+    from the previous points' slices and certified by a Sturm count
     (linearized_spectrum); both give the same conventions. index counts the
     eigenvalues below -tol and degenerate says whether one lies within tol
     of zero, over the whole spectrum, not only the k computed ones.
@@ -112,7 +113,7 @@ def classified_eigenpairs(diag, off, k: int, tol: float, guesses):
 
 def linearized_spectrum(
     problem, u: DiscreteField, a: float, k: int = K_EIGS,
-    prev: SpectrumSlice | None = None,
+    prev: SpectrumSlice | Sequence[np.ndarray] | None = None,
 ) -> SpectrumSlice:
     """k lowest eigenpairs of -(Delta_h + a I - diag(f'(u))) at the field u
     of the problem (a solver.Problem), with its Morse index and degeneracy
@@ -120,15 +121,23 @@ def linearized_spectrum(
     grid than the problem.
 
     With prev, the spectrum of a nearby state on the same grid (the previous
-    point of a branch), its k eigenpairs are tracked by Rayleigh-quotient
-    iteration and accepted only when certified: residual intervals disjoint
-    and ascending, and a Sturm count placing exactly k eigenvalues below a
-    shift just above the k-th and above the degeneracy tolerance
-    (grid.track_tridiagonal_eigenpairs). Start points (prev=None) and
-    points whose certificate fails get the full eigensolve: bisection plus
-    inverse iteration on the tridiagonal band. Either way each eigenvalue is
-    polished in long double, and the residual of every returned pair is
-    comfortably below 1e-10.
+    point of a branch) or k guesses for the eigenvectors (arrays on this
+    grid, ascending, as a secant through earlier spectra predicts them),
+    the k eigenpairs are tracked from its eigenfunctions, or from the
+    guesses, by Rayleigh-quotient iteration and accepted only when
+    certified: residual intervals disjoint and ascending, and a Sturm count
+    placing exactly k eigenvalues below a shift just above the k-th and
+    above the degeneracy tolerance (grid.track_tridiagonal_eigenpairs).
+    Start points (prev=None) and points whose certificate fails get the
+    full eigensolve: bisection plus inverse iteration on the tridiagonal
+    band. Either way each eigenvalue is its vector's float64 energy-form
+    Rayleigh quotient (grid._rayleigh_quotients). The residual
+    ||A v - mu v||_2 of a tracked pair, v of unit length, is held to the
+    tracker's stopping bound sqrt(n) eps ||A||_inf, which grows as n^2.5:
+    2.8e-9 at n = 399 and 9.1e-8 at n = 1599 on the unit interval, where
+    branch pairs come within 1 % of it. On the returned eigenfunctions,
+    which are not of unit length, that is a sup-norm residual of up to
+    4e-9 and 2.2e-7.
     """
     if k < 2:
         raise ValueError(
@@ -140,8 +149,11 @@ def linearized_spectrum(
     J = problem.jacobian_operator(u.values, a)
     tol = degeneracy_tolerance(a)
     guesses = None
-    if prev is not None and prev.k == k and prev.eigenfunctions[0].domain == dom:
-        guesses = [f.values for f in prev.eigenfunctions]
+    if isinstance(prev, SpectrumSlice):
+        if prev.k == k and prev.eigenfunctions[0].domain == dom:
+            guesses = [f.values for f in prev.eigenfunctions]
+    elif prev is not None and len(prev) == k:
+        guesses = prev
     vals, vecs, index, degenerate = classified_eigenpairs(-J.diag, -J.off, k, tol, guesses)
     phi, psi = (p.eigenfunction for p in problem.modes())
     phi_sq, psi_sq = inner_product(phi, phi), inner_product(psi, psi)

@@ -10,6 +10,7 @@ values from converged runs of this module.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bifurcate.solver import (
     newton_solve,
 )
 from bifurcate import continuation
+from bifurcate import spectral as spectral_mod
 from bifurcate.continuation import (
     Branch,
     DegenerateCurve,
@@ -400,7 +402,7 @@ class TestDegeneratePoints:
         # third, which the two computed pairs do not hold; its index names it
         lam3, mode3 = exact_mode_longdouble(domain, 3)
         zero = np.zeros(domain.n_interior, dtype=np.longdouble)
-        dp = continuation._package_degenerate(
+        dp, _ = continuation._package_degenerate(
             problem, float(lam3), zero, np.longdouble(0.0), mode3, None
         )
         assert (dp.kind, dp.morse_index_at_point) == ("degenerate-index2", 2)
@@ -431,6 +433,63 @@ class TestDegeneratePoints:
         lhs = dom.inner(fp * fold20.u.values - f, fold20.w.values)
         rhs = fold20.c * dom.inner(problem.harvest.values, fold20.w.values)
         assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _spectra_spent(monkeypatch, trace):
+    """trace()'s result, with the full eigensolves, certified tracks and
+    refused tracks its classifications made."""
+    counts = Counter()
+    real_eig = spectral_mod.symmetric_tridiagonal_eigenpairs
+    real_track = spectral_mod.track_tridiagonal_eigenpairs
+
+    def eig(*args):
+        counts["eigensolve"] += 1
+        return real_eig(*args)
+
+    def track(*args):
+        pairs = real_track(*args)
+        counts["refused" if pairs is None else "tracked"] += 1
+        return pairs
+
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral_mod, "symmetric_tridiagonal_eigenpairs", eig)
+        mp.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
+        return trace(), counts
+
+
+def _samples(curve):
+    return [(p.a, p.c, p.kind, p.morse_index_at_point) for p in curve.points]
+
+
+class TestDegenerateCurveSpectra:
+    """The fold sweep and the index-1 family track each sample's spectrum
+    from the eigenvectors their march predicts: a full eigensolve only
+    where a march starts without a spectrum, and the same samples, kinds
+    and indices as a full eigensolve at every sample."""
+
+    def test_index1_family_pays_one_eigensolve(self, problem, sigma_curve, monkeypatch):
+        curve, counts = _spectra_spent(
+            monkeypatch, lambda: trace_index1_degenerate_curve(problem, sigma=1.0)
+        )
+        assert counts == Counter(eigensolve=1, tracked=len(curve.points) - 1)
+        assert _samples(curve) == _samples(sigma_curve)
+        monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", lambda *a: None)
+        full = trace_index1_degenerate_curve(problem, sigma=1.0)
+        assert _samples(full) == _samples(curve)
+        assert delta_window(problem, full) == delta_window(problem, curve)
+
+    def test_fold_sweep_pays_one_eigensolve_per_direction(
+        self, problem, modes, fold20, fold_sweep, monkeypatch
+    ):
+        window = (modes[0].eigenvalue + 0.5, 30.0)
+        curve, counts = _spectra_spent(
+            monkeypatch, lambda: trace_fold_curve(problem, fold20, window)
+        )
+        assert counts["eigensolve"] == 2 and counts["refused"] == 0
+        assert counts["tracked"] >= len(curve.points) - 3
+        assert _samples(curve) == _samples(fold_sweep)
+        monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", lambda *a: None)
+        assert _samples(trace_fold_curve(problem, fold20, window)) == _samples(curve)
 
 
 class TestFoldSweep:

@@ -1274,8 +1274,12 @@ class TestKernelCallCounts:
     call and one np.linalg.solve for the 2 x 2 Schur complement.
     Tracked spectra take no np.linalg.norm and one gtsv per Rayleigh-quotient
     step, for two vectors of at most TRACK_MAX_ITER steps each, and each
-    tracked point's classification takes one Sturm count. In a count, each Newton iteration of a stack costs one gtsv and no
-    gttrf or gttrs."""
+    tracked point's classification takes one Sturm count. No track is
+    refused, the start point's is the assembly's one full eigensolve, and
+    guesses extrapolated along the branch need fewer Rayleigh-quotient steps
+    per tracked point than the previous point's own eigenvectors. In a
+    count, each Newton iteration of a stack costs one gtsv and no gttrf or
+    gttrs."""
 
     @staticmethod
     def counted(calls, name, real):
@@ -1326,12 +1330,18 @@ class TestKernelCallCounts:
             out = real_track(diag, off, guesses, floor)
             spent = calls - before
             norms.append(spent["norm"])
-            if out is not None:
-                # A v once per guess, once per step and once per polish
-                rayleigh_steps = spent["apply"] - 2 * len(guesses)
+            if out is None:
+                calls["refused"] += 1
+            else:
+                # A v once per guess and once per step; the energy-form
+                # Rayleigh quotient applies no A
+                rayleigh_steps = spent["apply"] - len(guesses)
                 steps[(len(guesses), rayleigh_steps, spent["gtsv"],
                        spent["gttrf"] + spent["gttrs"])] += 1
             return out
+
+        def steps_per_tracked_point():
+            return sum(k * v for (_, k, _, _), v in steps.items()) / sum(steps.values())
 
         monkeypatch.setattr(grid_mod, "sturm_count", counted("sturm", grid_mod.sturm_count))
         monkeypatch.setattr(
@@ -1351,6 +1361,8 @@ class TestKernelCallCounts:
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
         monkeypatch.setattr(solver_mod, "linearized_spectrum", spectrum)
+        monkeypatch.setattr(spectral_mod, "symmetric_tridiagonal_eigenpairs", counted(
+            "eigensolve", spectral_mod.symmetric_tridiagonal_eigenpairs))
         diag = assemble_diagram(diagram_window99.problem, diagram_window99.a)
         assert sum(len(br.points) for br in diag.branches) == sum(
             len(br.points) for br in diagram_window99.branches
@@ -1371,6 +1383,16 @@ class TestKernelCallCounts:
         # one Sturm count per tracked point, made by the tracker itself
         assert sum(sturm_per_point.values()) >= sum(steps.values())
         assert set(sturm_per_point) == {1}
+        # every point past the start, refined folds included, is tracked
+        assert calls["refused"] == 0 and calls["eigensolve"] == 1
+        extrapolated = steps_per_tracked_point()
+        steps.clear()
+        real_guesses = continuation_mod._secant_guesses
+        monkeypatch.setattr(
+            continuation_mod, "_secant_guesses", lambda older, base: real_guesses(None, base)
+        )
+        assemble_diagram(diagram_window99.problem, diagram_window99.a)
+        assert extrapolated < steps_per_tracked_point()
 
     def test_correctors_measure_in_long_double_only_below_the_switch(
         self, diagram_window99, monkeypatch

@@ -226,7 +226,7 @@ def test_eigenpair_count_validation(domain):
 def test_eigenpairs_bit_identical_to_scipy_eigh_tridiagonal(n, k):
     """The direct dstebz/dstein calls give the vectors of
     scipy.linalg.eigh_tridiagonal(select='i'), bit for bit, and so the same
-    polished values; the band is a linearization's, -Laplacian plus a
+    values; the band is a linearization's, -Laplacian plus a
     varying diagonal."""
     from scipy.linalg import eigh_tridiagonal
 

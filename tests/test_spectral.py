@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bifurcate import grid as grid_mod
 from bifurcate import spectral as spectral_mod
 from bifurcate.diagram import assemble_diagram
 from bifurcate.grid import (
@@ -84,6 +87,18 @@ def test_rayleigh_quotient_consistency(problem, domain, psi):
             w.values, w.values
         )
         assert quotient == pytest.approx(mu, abs=1e-9)
+
+
+def test_energy_form_quotient_on_a_nonuniform_band():
+    """The energy form is an identity for every symmetric tridiagonal
+    matrix, not only for a linearization's uniform off-diagonal: on a random
+    band with a varying off-diagonal it matches exact arithmetic to
+    rounding."""
+    rng = np.random.default_rng(7)
+    n = 60
+    diag = rng.uniform(-50.0, 50.0, n)
+    off = rng.uniform(-20.0, 20.0, n - 1)
+    _assert_quotients_exact(diag, off, [rng.standard_normal(n) for _ in range(3)])
 
 
 def test_frozen_spectrum_of_positive_state(problem, domain):
@@ -229,6 +244,19 @@ def _assert_same_spectrum(got, want):
         assert np.array_equal(f.values, g.values)
 
 
+def _assert_quotients_exact(diag, off, vecs):
+    """Each Rayleigh quotient of grid._rayleigh_quotients lies within 1e-13
+    of v^T A v / v^T v for the symmetric tridiagonal A = (diag, off),
+    computed in exact rational arithmetic on the float64 numbers as
+    stored."""
+    d, e = [Fraction(float(x)) for x in diag], [Fraction(float(x)) for x in off]
+    for mu, v in zip(grid_mod._rayleigh_quotients(diag, off, vecs), vecs):
+        w = [Fraction(float(x)) for x in v]
+        num = sum(di * wi * wi for di, wi in zip(d, w))
+        num += 2 * sum(ei * wi * wj for ei, wi, wj in zip(e, w, w[1:]))
+        assert abs(Fraction(float(mu)) - num / sum(wi * wi for wi in w)) <= Fraction(1e-13)
+
+
 def _gap(got, want):
     return max(
         abs(x - y) / max(1.0, abs(y)) for x, y in zip(got.eigenvalues, want.eigenvalues)
@@ -313,6 +341,29 @@ class TestTrackedSpectrum:
             for ev1, ev2 in zip(b1.events, b2.events):
                 if ev1.degenerate_point is not None:
                     assert abs(ev1.degenerate_point.c - ev2.degenerate_point.c) <= 1e-9
+
+    @pytest.mark.parametrize("regime", ["at-lambda2", "window"])
+    def test_energy_form_quotient_matches_exact_arithmetic(self, bench_diagrams, regime):
+        """The float64 energy-form Rayleigh quotient of a branch eigenvector
+        at n = 399 lies within 1e-13 of the exact quotient of the stored
+        matrix, at every tenth point of each branch and at both points that
+        bracket each fold."""
+        diagram, _ = bench_diagrams(399, regime)
+        points, brackets = [], 0
+        for br in diagram.branches:
+            picked = set(range(0, len(br.points), 10))
+            for ev in br.events:
+                if ev.kind == "fold":
+                    low, high = br.points[ev.point_index: ev.point_index + 2]
+                    mu_l, mu_h = low.spectrum.eigenvalues, high.spectrum.eigenvalues
+                    assert any(x * y < 0 for x, y in zip(mu_l, mu_h))
+                    picked |= {ev.point_index, ev.point_index + 1}
+                    brackets += 1
+            points += [br.points[i] for i in sorted(picked)]
+        assert brackets >= 2
+        for p in points:
+            J = p.problem.jacobian_operator(p.u.values, p.a)
+            _assert_quotients_exact(-J.diag, -J.off, [f.values for f in p.spectrum.eigenfunctions])
 
     def test_swapped_eigenpairs_fall_back_bit_for_bit(self, problem, domain):
         phi = laplacian_eigenpairs(domain, 1)[0].eigenfunction
