@@ -85,12 +85,12 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _line_of(text: str, key: str):
+def _at_line(text: str, key: str) -> str:
+    """' (line N)' for the first line of text that sets key, or ''."""
     for i, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0]
-        if stripped.strip().startswith(f"{key}:"):
-            return i
-    return None
+        if line.split("#", 1)[0].strip().startswith(f"{key}:"):
+            return f" (line {i})"
+    return ""
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,13 @@ _OUTPUT_DEFAULTS = {
     "formats": list(FORMATS),
     "svg_axis": "u_max",
 }
+#: The numeric keys of each block and their types; run.a and run.c may be null.
+_NUMERIC_KEYS = {
+    "grid": {"n_interior": int, "length": float},
+    "model": {"M": float, "p_f": int, "scale": float},
+    "run": {"a": float, "c": float, "c_min": float, "sigma": float, "n_starts": int,
+            "seed": int, "direction": int},
+}
 
 
 def _merge_block(name: str, raw, defaults: dict, text: str) -> dict:
@@ -160,11 +167,23 @@ def _merge_block(name: str, raw, defaults: dict, text: str) -> dict:
             out[key] = value
             continue
         if key not in defaults:
-            line = _line_of(text, key)
-            at = f" (line {line})" if line else ""
-            raise ConfigError(f"unknown key {key!r} in block {name!r}{at}")
+            raise ConfigError(f"unknown key {key!r} in block {name!r}{_at_line(text, key)}")
         out[key] = value
     return out
+
+
+def _number(value, kind, name: str, source: str, text: str):
+    """value converted to kind (int or float); a value of another type,
+    booleans included, raises ConfigError naming block.key and its line."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise ConfigError(
+        f"{source}: {name} must be {what}, got {value!r}{_at_line(text, name.split('.')[1])}"
+    )
 
 
 def parse_config(text: str, source: str = "<config>") -> RunConfig:
@@ -193,21 +212,17 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
     known = {"grid", "model", "run", "output"}
     for key in doc:
         if key not in known:
-            line = _line_of(text, key)
-            at = f" (line {line})" if line else ""
-            raise ConfigError(f"{source}: unknown block {key!r}{at}")
+            raise ConfigError(f"{source}: unknown block {key!r}{_at_line(text, key)}")
 
     grid = _merge_block("grid", doc.get("grid"), _GRID_DEFAULTS, text)
     model = _merge_block("model", doc.get("model"), _MODEL_DEFAULTS, text)
     run = _merge_block("run", doc.get("run"), _RUN_DEFAULTS, text)
     output = _merge_block("output", doc.get("output"), _OUTPUT_DEFAULTS, text)
 
-    grid["n_interior"] = int(grid["n_interior"])
-    grid["length"] = float(grid["length"])
-    model["M"] = float(model["M"])
-    model["p_f"] = int(model["p_f"])
-    model["scale"] = float(model["scale"])
-    run["n_starts"] = int(run["n_starts"])
+    for name, block in (("grid", grid), ("model", model), ("run", run)):
+        for key, kind in _NUMERIC_KEYS[name].items():
+            if block[key] is not None or key not in ("a", "c"):
+                block[key] = _number(block[key], kind, f"{name}.{key}", source, text)
 
     command = run.get("command")
     if command is not None and command not in COMMANDS:
@@ -230,14 +245,17 @@ def parse_config(text: str, source: str = "<config>") -> RunConfig:
                 raise ConfigError(
                     f"{source}: run.{key} must be a two-element list"
                 )
-            run[key] = [float(rng[0]), float(rng[1])]
+            run[key] = [_number(v, float, f"run.{key}", source, text) for v in rng]
             if not run[key][0] < run[key][1]:
                 raise ConfigError(f"{source}: run.{key} must be increasing")
 
-    run["direction"] = int(run["direction"])
     if run["direction"] not in (1, -1):
         raise ConfigError(f"{source}: run.direction must be 1 or -1")
 
+    if not isinstance(output["formats"], list):
+        raise ConfigError(
+            f"{source}: output.formats must be a list{_at_line(text, 'formats')}"
+        )
     bad = [f for f in output["formats"] if f not in FORMATS]
     if bad:
         raise ConfigError(f"{source}: unknown output formats {bad}")

@@ -25,7 +25,9 @@ Conventions shared by everything in this module:
   & Reddien 1984): the test function g(u, a) solves
   [[J, w0], [w0^T, 0]] [v; g] = [0; 1] for a fixed bordering vector w0 near
   the kernel, vanishes exactly where J is singular, and v is the kernel
-  vector there.
+  vector there. _fold_system alone solves this fold system at fixed a.
+- closed_form_states alone builds and certifies the exact degenerate states:
+  the ray t phi at lambda1 and the segment t psi at lambda2, at c = 0.
 - Kernel vectors w are normalized so their square integral matches that of
   the first Laplacian eigenfunction for index-0 kinds and the second for
   index-1 kinds, and their sign follows the corresponding eigenfunction
@@ -56,7 +58,6 @@ from .grid import (
     solve_bordered,
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
-from .spectral import K_EIGS
 from .solver import (
     FLOAT64_PHASE_TOL,
     FOLD_MAX_ITER,
@@ -843,14 +844,21 @@ def refine_fold(
     donor = low if wl <= wh else high
     w0 = donor.spectrum.eigenfunctions[j].values
 
-    dom = problem.domain
-    phi = problem.modes()[0]
-    S = inner_product(phi.eigenfunction, phi.eigenfunction)
-    w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-    _, u_ld, c_ld, w_ld, _ = _extended_newton(problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S)
+    u_ld, c_ld, w_ld = _fold_system(problem, a, u0, c0, w0)
     return _package_degenerate(
         problem, a, u_ld, c_ld, w_ld, expected_kind, prev=donor.spectrum
     )[0]
+
+
+def _fold_system(problem, a, u0, c0, w0):
+    """The fold system {F(u, c) = 0, g(u) = 0} at fixed a from (u0, c0), g
+    bordered by w0 scaled to the first mode's square integral, at most
+    FOLD_MAX_ITER iterations. Returns the long-double u, c and kernel v."""
+    phi = problem.modes()[0].eigenfunction
+    S = inner_product(phi, phi)
+    w0 = w0 * np.sqrt(S / problem.domain.inner(w0, w0))
+    _, u, c, v, _ = _extended_newton(problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S)
+    return u, c, v
 
 
 def fold_normal_form_checks(problem: Problem, dp: DegeneratePoint) -> dict:
@@ -939,12 +947,13 @@ def trace_fold_curve(
     """Sweep a degenerate point across a window of growth rates.
 
     Natural-parameter marching (_march, FOLD_SWEEP_STEPS) up and down from
-    the seed: at each new a the minimally extended fold system is re-solved
+    the seed: at each new a the fold system (_fold_system) is re-solved
     from a secant predictor in a (the predicted kernel vector borders its
     test function, and the predicted eigenvectors seed each point's
-    spectrum), and both window edges are hit exactly. Each interior
-    point gets the identity check dc/da = int(u w)/int(h w) against the
-    secant slope, recorded in slope_check as relative mismatches.
+    spectrum), and both window edges are hit exactly. The seed is
+    classified once, and both directions track from its eigenvectors. Each
+    interior point gets the identity check dc/da = int(u w)/int(h w) against
+    the secant slope, recorded in slope_check as relative mismatches.
     """
     a_lo, a_hi = map(float, a_range)
     if not a_lo < a_hi:
@@ -955,18 +964,15 @@ def trace_fold_curve(
     if not a_lo <= seed.a <= a_hi:
         raise ValueError("seed growth rate outside the window")
     dom = problem.domain
-    S = dom.inner(seed.w.values, seed.w.values)
 
     def solve_at(a, guess):
         u0, c0, w0, *vecs = guess
-        vecs = None if vecs[0] is None else vecs
-        _, u_ld, c_ld, w_ld, _ = _extended_newton(
-            problem, a, u0, c0, FOLD_MAX_ITER, w0=w0, S=S
-        )
+        u_ld, c_ld, w_ld = _fold_system(problem, a, u0, c0, w0)
         dp, spectrum = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind, vecs)
         return dp, (dp.u.values, dp.c, dp.w.values, *_facing(spectrum, vecs))
 
-    start = (seed.u.values, seed.c, seed.w.values) + (None,) * K_EIGS
+    seeded = classify_state(problem, seed.u, seed.a, seed.c, rnorm=seed.residual_sup)
+    start = (seed.u.values, seed.c, seed.w.values, *_facing(seeded.spectrum, None))
     up, down = (
         [dp for _, dp in _march(
             seed.a, a_stop, start, seed.u.values, solve_at,
@@ -987,13 +993,11 @@ def trace_fold_curve(
         w = p.w.values
         formula = dom.inner(p.u.values, w) / dom.inner(problem.harvest.values, w)
         try:
-            sides = []
-            for sign in (-1.0, 1.0):
-                _, _, c_ld, _, _ = _extended_newton(
-                    problem, p.a + sign * probe, p.u.values, p.c, FOLD_MAX_ITER, w0=w, S=S
-                )
-                sides.append(float(c_ld))
-            secant = (sides[1] - sides[0]) / (2.0 * probe)
+            lo, hi = (
+                float(_fold_system(problem, p.a + sign * probe, p.u.values, p.c, w)[1])
+                for sign in (-1.0, 1.0)
+            )
+            secant = (hi - lo) / (2.0 * probe)
         except NonConvergence:
             continue
         checks.append(abs(secant - formula) / max(abs(formula), 1e-12))
@@ -1009,8 +1013,9 @@ def trace_index1_degenerate_curve(
     projection t, swept across and beyond the exact segment.
 
     Inside [-M/beta, M] the family is the exact line (a at the second
-    eigenvalue, u = t psi, c = 0, kernel psi) and each sample, spaced by the
-    first step of INDEX1_SWEEP_STEPS, is solved directly from that seed.
+    eigenvalue, u = t psi, c = 0, kernel psi): each sample, spaced by the
+    first step of INDEX1_SWEEP_STEPS, is the closed-form state of
+    closed_form_states with kernel psi, packaged with no solve.
     Outside, the minimally extended system (unknowns u, a, c; equations
     F = 0, the chart row and the test function g = 0) is marched outward
     from both segment ends (_march, INDEX1_SWEEP_STEPS), predicting
@@ -1024,19 +1029,17 @@ def trace_index1_degenerate_curve(
     dom = problem.domain
     psi = problem.modes()[1]
     psi_v = psi.eigenfunction.values
-    seg_lo, seg_hi, _, _ = _segment_line(problem)
+    seg_lo, seg_hi = _segment_ends(problem)
     if sigma < 0:
         raise ValueError("t window must cover the degenerate segment")
     t_lo, t_hi = seg_lo - float(sigma), seg_hi + float(sigma)
     S2 = dom.inner(psi_v, psi_v)
     lam2 = psi.eigenvalue
-    n = dom.n_interior
 
     psi_ld = psi_v.astype(np.longdouble)
 
     def solve_at(t, guess):
         a0, y0, c0, z0, *vecs = guess
-        vecs = None if vecs[0] is None else vecs
         t_psi = np.longdouble(t) * psi_ld
         row = (dom.spacing, psi_v, 0.0, -np.longdouble(t) * np.longdouble(S2))
         aa, u_ld, cc, v, _ = _extended_newton(
@@ -1052,15 +1055,17 @@ def trace_index1_degenerate_curve(
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
         inside_ts = np.array([seg_lo])
-    on_line = (lam2, np.zeros(n), 0.0, psi_v)
+    mode_ld, states, _ = closed_form_states(problem, 2, inside_ts, NEWTON_TOL, "segment states")
     samples = []
-    vecs = first_vecs = (None,) * K_EIGS
-    for t in inside_ts:
-        dp, carry = solve_at(float(t), on_line + vecs)
+    vecs = first_vecs = None
+    for t, u_ld in zip(inside_ts, states):
+        dp, spectrum = _package_degenerate(
+            problem, lam2, u_ld, np.longdouble(0), mode_ld, "degenerate-index1", vecs
+        )
         samples.append((float(t), dp))
-        vecs = carry[4:]
-        if first_vecs[0] is None:
-            first_vecs = vecs
+        vecs = _facing(spectrum, vecs)
+        first_vecs = first_vecs or vecs
+    on_line = (lam2, np.zeros(dom.n_interior), 0.0, psi_v)
     ends = ((samples[-1], t_hi, vecs), (samples[0], t_lo, first_vecs))
     for (t_edge, edge), t_stop, edge_vecs in ends:
         samples += _march(
@@ -1091,6 +1096,29 @@ def delta_window(problem: Problem, curve: DegenerateCurve) -> float:
             f"curve does not rise above the second eigenvalue (delta={delta:.3e})"
         )
     return float(delta)
+
+
+def lower_index1_fold(problem: Problem, curve: DegenerateCurve, a: float) -> float | None:
+    """c of the lowest crossing of growth rate a by a traced index-1
+    family on its c < 0 side, the fold between Msharp and Mnatural at a, or
+    None where the family does not reach a there. The fold system at a is
+    seeded at the interpolation, in a, of the two samples that bracket a;
+    where it does not converge, the interpolated c is returned."""
+    lowest = None
+    for p, q in zip(curve.points, curve.points[1:]):
+        if not (p.c < 0 and q.c < 0 and p.a != q.a and min(p.a, q.a) <= a <= max(p.a, q.a)):
+            continue
+        frac = (a - p.a) / (q.a - p.a)
+        u0 = (1.0 - frac) * p.u.values + frac * q.u.values
+        c = (1.0 - frac) * p.c + frac * q.c
+        w0 = (1.0 - frac) * p.w.values + frac * q.w.values
+        try:
+            c = float(_fold_system(problem, a, u0, c, w0)[1])
+        except NonConvergence:
+            pass
+        if lowest is None or c < lowest:
+            lowest = c
+    return lowest
 
 
 def _czero_seed(problem, a, e_vals, positive):
@@ -1126,7 +1154,8 @@ def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
     second in the psi chart (the side with positive chart coordinate). The
     window must start strictly above the relevant eigenvalue. Points carry
     c = 0 and their own growth rates; arclengths accumulate
-    ||du||_L2 + |da|. The sweep marches with CZERO_SWEEP_STEPS (_march).
+    ||du||_L2 + |da|. The sweep marches with CZERO_SWEEP_STEPS (_march),
+    tracking each spectrum from the eigenvectors the march predicts.
     """
     phi, psi = problem.modes()
     if which == "dagger":
@@ -1156,16 +1185,18 @@ def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
         return Branch(tuple(points), tuple(svals), chart, tuple(tvals), tuple(events))
 
     def solve_at(a, guess):
-        pt = newton_solve(problem, DiscreteField(dom, guess[0]), a, 0.0)
+        u0, *vecs = guess
+        pt = newton_solve(problem, DiscreteField(dom, u0), a, 0.0, prev=vecs)
         if dom.l2_norm(pt.u.values) < 1e-6:
             raise NonConvergence(
                 "collapsed onto the zero state", pt.u.values, pt.residual_norm
             )
-        return pt, (pt.u.values,)
+        return pt, (pt.u.values, *_facing(pt.spectrum, vecs))
 
+    start = (seed.u.values, *_facing(seed.spectrum, None))
     try:
         for a, pt in _march(
-            a_lo, a_hi, (seed.u.values,), seed.u.values, solve_at,
+            a_lo, a_hi, start, seed.u.values, solve_at,
             CZERO_SWEEP_STEPS, "zero-harvest sweep in a",
         ):
             base = points[-1]
@@ -1222,47 +1253,48 @@ def build_degenerate_segment(problem: Problem) -> DegenerateSegment:
     """Construct and verify the analytic degenerate segment at the second
     eigenvalue.
 
-    The states t*psi for t in [-M/beta, M] keep the ramp inactive, so with
-    the exact long-double sine samples of psi and the closed-form discrete
-    eigenvalue they satisfy the steady equation to rounding. Verification
-    evaluates the long-double residual at SEGMENT_CHECKS values of t and
-    requires the worst case below SEGMENT_TOL, raising NonConvergence with the worst state
-    otherwise; the returned segment stores the float64 eigenfunction for
-    downstream use.
+    The states t*psi for t in [-M/beta, M] keep the ramp inactive, so in
+    closed form they satisfy the steady equation to rounding. Their residual
+    must lie below SEGMENT_TOL at SEGMENT_CHECKS values of t
+    (closed_form_states); the segment stores the float64 eigenfunction.
     """
-    ld = np.longdouble
     psi_pair = problem.modes()[1]
-    t_lo, t_hi, lam2_ld, psi_ld = _segment_line(problem)
+    t_lo, t_hi = _segment_ends(problem)
     ts = np.linspace(t_lo, t_hi, SEGMENT_CHECKS) if t_hi > t_lo else np.array([t_lo])
-    states = [ld(t) * psi_ld for t in ts]
-    sups = [
-        float(np.max(np.abs(problem.residual_values(u, lam2_ld, ld(0)))))
-        for u in states
-    ]
-    k = int(np.argmax(sups))
-    worst = sups[k]
-    if not worst < SEGMENT_TOL:
-        raise NonConvergence(
-            f"segment states fail extended-precision verification "
-            f"({worst:.3e} >= {SEGMENT_TOL:.3e})",
-            states[k].astype(float),
-            worst,
-        )
+    _, _, sups = closed_form_states(problem, 2, ts, SEGMENT_TOL, "segment states")
     return DegenerateSegment(
-        float(psi_pair.eigenvalue), float(t_lo), float(t_hi), psi_pair.eigenfunction, worst
+        float(psi_pair.eigenvalue), float(t_lo), float(t_hi), psi_pair.eigenfunction,
+        max(sups),
     )
 
 
-def _segment_line(problem: Problem):
-    """The exact line of degenerate states at the second eigenvalue: its
-    chart ends -M/beta and M (beta the magnitude of the negative extreme of
-    the float64 psi), and the closed-form long-double second eigenvalue and
-    mode, signed like the float64 psi."""
-    psi64 = problem.modes()[1].eigenfunction.values
-    beta = -float(np.min(psi64))
+def _segment_ends(problem: Problem) -> tuple[float, float]:
+    """The chart ends -M/beta and M of the degenerate segment, beta the
+    magnitude of the negative extreme of the float64 psi."""
+    beta = -float(np.min(problem.modes()[1].eigenfunction.values))
     if beta <= 0:
         raise ValueError("second eigenfunction has no negative part")
-    lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
-    if float(np.dot(psi_ld.astype(float), psi64)) < 0:
-        psi_ld = -psi_ld
-    return -problem.nonlinearity.M / beta, problem.nonlinearity.M, lam2_ld, psi_ld
+    return -problem.nonlinearity.M / beta, problem.nonlinearity.M
+
+
+def closed_form_states(problem: Problem, k: int, ts, bound: float, what: str):
+    """The exact states t e_k, t in ts, at (a, c) = (lambda_k, 0): the ray
+    (k = 1) or the segment (k = 2). e_k and lambda_k are the closed form
+    (grid.exact_mode_longdouble), e_k signed like problem.modes()[k - 1].
+    Returns (e_k, the long-double states, each one's long-double residual
+    sup norm); raises NonConvergence naming what, with the worst state,
+    unless every residual lies below bound."""
+    ld = np.longdouble
+    lam, mode = exact_mode_longdouble(problem.domain, k)
+    if float(np.dot(mode.astype(float), problem.modes()[k - 1].eigenfunction.values)) < 0:
+        mode = -mode
+    states = [ld(t) * mode for t in ts]
+    sups = [float(np.max(np.abs(problem.residual_values(u, lam, ld(0))))) for u in states]
+    j = int(np.argmax(sups))
+    if not sups[j] < bound:
+        raise NonConvergence(
+            f"{what} fail extended-precision verification at t={ts[j]:.6g} "
+            f"({sups[j]:.3e} >= {bound:.3e})",
+            states[j].astype(float), sups[j],
+        )
+    return mode, states, sups

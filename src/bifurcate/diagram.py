@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField, exact_mode_longdouble, laplacian_eigenpairs
+from .grid import DiscreteField, laplacian_eigenpairs
 from .model import critical_cap, ramp_slope, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
-    FOLD_MAX_ITER,
     NEWTON_TOL,
     Diverged,
     NonConvergence,
@@ -48,13 +47,13 @@ from .continuation import (
     StepCounts,
     StepUnderflow,
     WrongKind,
-    _extended_newton,
-    _segment_line,
     branch_derivative_at_zero,
     build_degenerate_segment,
+    closed_form_states,
     continue_branch,
     delta_window,
     fold_normal_form_checks,
+    lower_index1_fold,
     solve_at_projection,
     trace_index1_degenerate_curve,
 )
@@ -479,7 +478,7 @@ def _window_position(problem, a, c_min):
         delta = delta_window(problem, curve)
     except (NonConvergence, WrongKind, ValueError) as exc:
         return f" (a - lambda2 = {gap:.6g}; the window half-width delta failed: {exc})"
-    fold_c = _lower_index1_fold(problem, curve, a)
+    fold_c = lower_index1_fold(problem, curve, a)
     if fold_c is not None and fold_c < c_min:
         return (
             f" (the trace reached c_min = {c_min:.6g} before the lower index-1 fold, "
@@ -488,36 +487,6 @@ def _window_position(problem, a, c_min):
         )
     side = "past" if gap > delta else "within"
     return f" (a - lambda2 = {gap:.6g}, delta = {delta:.6g}: a lies {side} lambda2 + delta)"
-
-
-def _lower_index1_fold(problem, curve, a):
-    """c of the lowest crossing of growth rate a by the traced index-1
-    family on its c < 0 side, the fold between Msharp and Mnatural at a, or
-    None where the family does not reach a there.
-
-    The fold system at a (as refine_fold solves it) is seeded at the linear
-    interpolation, in a, of the two family samples that bracket a; where
-    it does not converge, the interpolated c is returned.
-    """
-    dom = problem.domain
-    phi = problem.modes()[0]
-    S = dom.inner(phi.eigenfunction.values, phi.eigenfunction.values)
-    lowest = None
-    for p, q in zip(curve.points, curve.points[1:]):
-        if not (p.c < 0 and q.c < 0 and p.a != q.a and min(p.a, q.a) <= a <= max(p.a, q.a)):
-            continue
-        frac = (a - p.a) / (q.a - p.a)
-        u0 = (1.0 - frac) * p.u.values + frac * q.u.values
-        c = (1.0 - frac) * p.c + frac * q.c
-        w0 = (1.0 - frac) * p.w.values + frac * q.w.values
-        w0 = w0 * np.sqrt(S / dom.inner(w0, w0))
-        try:
-            c = float(_extended_newton(problem, a, u0, c, FOLD_MAX_ITER, w0=w0, S=S)[2])
-        except NonConvergence:
-            pass
-        if lowest is None or c < lowest:
-            lowest = c
-    return lowest
 
 
 def _both_directions(problem, start, window, chart, kw):
@@ -670,21 +639,14 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     phi = problem.modes()[0]
     M = problem.nonlinearity.M
     dom = problem.domain
-    lam1_ld, phi_ld = exact_mode_longdouble(dom, 1)
     ts = np.linspace(-M, M, 41) if M > 0 else np.array([0.0])
+    _, states, sups = closed_form_states(problem, 1, ts, NEWTON_TOL, "ray states")
     ray_pts = []
     # On the ray |u| <= M, so f' vanishes and every ray state has the
     # Jacobian Delta_h + a I: one classification serves them all. The check
     # is exact, and a state where f' does not vanish is classified itself.
     flat = None
-    for t in ts:
-        u_ld = np.longdouble(t) * phi_ld
-        r = float(np.max(np.abs(problem.residual_values(u_ld, lam1_ld, 0.0))))
-        if not r < NEWTON_TOL:
-            raise NonConvergence(
-                f"ray state t={t:.6g} fails extended-precision verification "
-                f"({r:.3e})", u_ld.astype(float), r,
-            )
+    for u_ld, r in zip(states, sups):
         u = DiscreteField(dom, u_ld.astype(float))
         if np.any(ramp_slope(problem.nonlinearity, u.values)):
             point = classify_state(problem, u, a, 0.0, rnorm=r)
@@ -1147,17 +1109,16 @@ def _check_static_stability(czero_set) -> ClaimCheck:
 
 def _check_segment_degeneracy(diagram) -> ClaimCheck:
     """Sampled states on the neutral segment must have a vanishing second
-    eigenvalue. Each sample's residual is that of the exact state t psi at
-    lambda2 in long double, as the segment was certified (the float64
-    rounding of a segment state misses NEWTON_TOL on fine grids)."""
+    eigenvalue. Each sample's residual is that of the exact state t psi in
+    long double (closed_form_states, held to NEWTON_TOL): the float64
+    rounding of a segment state misses NEWTON_TOL on fine grids."""
     seg = diagram.segment
     problem = diagram.problem
-    _, _, lam2_ld, psi_ld = _segment_line(problem)
+    ts = np.linspace(seg.t_min, seg.t_max, 5)
+    _, _, sups = closed_form_states(problem, 2, ts, NEWTON_TOL, "segment samples")
     worst = 0.0
-    for t in np.linspace(seg.t_min, seg.t_max, 5):
-        r = problem.residual_values(np.longdouble(t) * psi_ld, lam2_ld, 0.0)
-        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0,
-                            rnorm=float(np.max(np.abs(r))))
+    for t, r in zip(ts, sups):
+        pt = classify_state(problem, seg.state_at(float(t)), diagram.a, 0.0, rnorm=r)
         worst = max(worst, abs(pt.spectrum.eigenvalues[1]))
     return ClaimCheck(
         "segment-second-eigenvalue-zero", "|mu2| <= 1e-10", worst, 1e-10,

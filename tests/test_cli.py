@@ -701,6 +701,32 @@ class TestGateAndErrors:
         assert main(["count", "--config", str(tmp_path / "nope.yaml")]) == 1
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,body,message", [
+        ("diagram", "grid:\n  n_interior: null\n",
+         "grid.n_interior must be an integer, got None (line 3)"),
+        ("diagram", "model:\n  M: [1, 2]\n", "model.M must be a number, got [1, 2] (line 3)"),
+        ("continue", "run:\n  direction: null\n",
+         "run.direction must be an integer, got None (line 3)"),
+        ("diagram", "output:\n  formats: 5\n", "output.formats must be a list (line 3)"),
+        ("count", "run:\n  n_starts: {a: 1}\n",
+         "run.n_starts must be an integer, got {'a': 1} (line 3)"),
+        ("diagram", "run:\n  a: [1, 2]\n", "run.a must be a number, got [1, 2] (line 3)"),
+        ("diagram", "run:\n  a: 20.0\n  c_min: abc\n",
+         "run.c_min must be a number, got 'abc' (line 4)"),
+        ("count", "run:\n  a: 40.0\n  c: -0.005\n  seed: abc\n",
+         "run.seed must be an integer, got 'abc' (line 5)"),
+    ], ids=[
+        "grid.n_interior", "model.M", "run.direction", "output.formats", "run.n_starts",
+        "run.a", "run.c_min", "run.seed",
+    ])
+    def test_wrongly_typed_value_exits_one(self, tmp_path, capsys, command, body, message):
+        """A config value of the wrong type is refused when the config is
+        parsed, naming the block, key and line, never as a traceback."""
+        cfg = write_config(tmp_path, "schema_version: 1\n" + body)
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "schema_version: 1\nrun:\n  a: [1.0\n")
         assert main(["count", "--config", cfg]) == 1

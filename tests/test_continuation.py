@@ -462,10 +462,10 @@ def _samples(curve):
 
 
 class TestDegenerateCurveSpectra:
-    """The fold sweep and the index-1 family track each sample's spectrum
-    from the eigenvectors their march predicts: a full eigensolve only
-    where a march starts without a spectrum, and the same samples, kinds
-    and indices as a full eigensolve at every sample."""
+    """The fold sweep, the index-1 family and the zero-harvest sweep track
+    each sample's spectrum from the eigenvectors their march predicts: a
+    full eigensolve only where a seed is classified, and the same samples,
+    kinds and indices as a full eigensolve at every sample."""
 
     def test_index1_family_pays_one_eigensolve(self, problem, sigma_curve, monkeypatch):
         curve, counts = _spectra_spent(
@@ -478,18 +478,45 @@ class TestDegenerateCurveSpectra:
         assert _samples(full) == _samples(curve)
         assert delta_window(problem, full) == delta_window(problem, curve)
 
-    def test_fold_sweep_pays_one_eigensolve_per_direction(
+    def test_sweeps_classify_their_seeds_once(
         self, problem, modes, fold20, fold_sweep, monkeypatch
     ):
-        window = (modes[0].eigenvalue + 0.5, 30.0)
+        """The fold sweep over a in [lambda1 + 0.5, 30] from the a = 20 fold
+        classifies its seed once and tracks both directions from it. The
+        zero-harvest 'dagger' sweep over [lambda1 + 0.5, 60] makes its full
+        eigensolves in the seed search alone (seven here), where it made one
+        per sample when its march carried no eigenvectors."""
+        lam1 = modes[0].eigenvalue
+        window = (lam1 + 0.5, 30.0)
         curve, counts = _spectra_spent(
             monkeypatch, lambda: trace_fold_curve(problem, fold20, window)
         )
-        assert counts["eigensolve"] == 2 and counts["refused"] == 0
-        assert counts["tracked"] >= len(curve.points) - 3
+        assert counts["eigensolve"] == 1 and counts["refused"] == 0
+        assert counts["tracked"] >= len(curve.points) - 1
         assert _samples(curve) == _samples(fold_sweep)
+
+        seeded = Counter()
+        real_seed = continuation._czero_seed
+
+        def seed(*args):
+            out, spent = _spectra_spent(monkeypatch, lambda: real_seed(*args))
+            seeded.update(spent)
+            return out
+
+        monkeypatch.setattr(continuation, "_czero_seed", seed)
+        branch, counts = _spectra_spent(
+            monkeypatch, lambda: continue_czero_branch(problem, "dagger", (lam1 + 0.5, 60.0))
+        )
+        assert len(branch.points) == 54
+        assert counts["eigensolve"] == seeded["eigensolve"] == 7
+        assert counts["refused"] == 0 and counts["tracked"] >= len(branch.points) - 1
+
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", lambda *a: None)
         assert _samples(trace_fold_curve(problem, fold20, window)) == _samples(curve)
+        full = continue_czero_branch(problem, "dagger", (lam1 + 0.5, 60.0))
+        assert [(p.a, p.morse_index, p.degenerate) for p in full.points] == [
+            (p.a, p.morse_index, p.degenerate) for p in branch.points
+        ]
 
 
 class TestFoldSweep:
@@ -557,8 +584,13 @@ class TestMarchStall:
         }[family]
         real = getattr(continuation, name)
         # the march starts at x0 and steps upward first; solves at or below
-        # x0 (the segment samples, the zero-harvest seed) pass through
-        seen = {"accepts": 0, "x": x0, "state": fold20.u.values}
+        # x0 (the zero-harvest seed) pass through. The index-1 march starts
+        # from the segment's edge sample, the closed-form state M psi, which
+        # no solve makes.
+        psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
+        psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
+        edge = (np.longdouble(M) * psi_ld).astype(float)
+        seen = {"accepts": 0, "x": x0, "state": edge if family == "index1" else fold20.u.values}
 
         def failing(*args, **kwargs):
             x = x_of(args, kwargs)
@@ -889,6 +921,40 @@ class TestDegenerateFamily:
             assert abs(p.c) < 1e-10
             assert np.max(np.abs(p.u.values - t * psi)) < 1e-8
             assert np.max(np.abs(p.w.values - psi)) < 1e-8
+
+    def test_on_segment_samples_are_the_closed_form_states(self, problem, modes, monkeypatch):
+        """Each on-segment sample is the closed-form state t psi_ld at
+        (lambda2, c = 0), bit for bit, and no extended system is solved for
+        it: _extended_newton runs only for the march's samples, each at a
+        chart coordinate off the segment."""
+        lam2 = modes[1].eigenvalue
+        psi = modes[1].eigenfunction.values
+        S2 = np.longdouble(problem.domain.inner(psi, psi))
+        psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
+        psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
+        seg = build_degenerate_segment(problem)
+        solved = []
+        real = continuation._extended_newton
+
+        def spied(*args, **kwargs):
+            # the chart row's offset -t <psi, psi> gives t back exactly
+            solved.append(float(-kwargs["row"][3] / S2))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "_extended_newton", spied)
+        curve = trace_index1_degenerate_curve(problem)
+        on = [
+            (t, p) for t, p in zip(curve.parameter, curve.points)
+            if seg.t_min <= t <= seg.t_max
+        ]
+        assert len(on) == 9 and on[0][0] == seg.t_min and on[-1][0] == seg.t_max
+        for t, p in on:
+            assert p.a == lam2 and p.c == 0.0
+            np.testing.assert_array_equal(
+                p.u.values, (np.longdouble(t) * psi_ld).astype(float)
+            )
+        assert len(solved) >= len(curve.points) - len(on)
+        assert all(t < seg.t_min or t > seg.t_max for t in solved)
 
     def test_rises_off_segment_on_both_sides(self, problem, modes, sigma_curve):
         lam2 = modes[1].eigenvalue

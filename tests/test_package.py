@@ -52,6 +52,21 @@ def test_imports_run_one_way():
     assert backward == [] and nested == []
 
 
+def test_diagram_reaches_continuation_through_public_names():
+    """diagram takes the closed-form ray and segment states and the fold
+    system from continuation's public functions: it imports no
+    underscore-prefixed name from continuation, and neither the long-double
+    mode nor the fold system's iteration cap from anywhere."""
+    tree = ast.parse((ROOT / "src" / "bifurcate" / "diagram.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert [n for m, n in imported if m == "continuation" and n.startswith("_")] == []
+    assert {"exact_mode_longdouble", "FOLD_MAX_ITER"}.isdisjoint(n for _, n in imported)
+
+
 def test_fixed_settings_are_not_options():
     """No public function takes a fixed setting, and no public class takes
     one with a default (a required field such as SpectrumSlice.tol is data
