@@ -34,6 +34,7 @@ from .continuation import (
     DegenerateSegment,
     StepUnderflow,
     WrongKind,
+    chart_coordinate,
     continue_branch,
     continue_czero_branch,
     delta_window,
@@ -530,9 +531,11 @@ def load_diagram(doc: dict, states, problem: Problem | None = None) -> Bifurcati
     to it. Each point is reclassified by classify_state from its stored
     state, with the stored residual norm taken as given and the spectrum
     tracked from the branch's previous point. The certified classification
-    is a function of that state, so the diagram round-trips bit for bit and
-    writes the same two files again. A document without the "states" key
-    carries its vectors inline, a layout this loader refuses.
+    is a function of that state, and so are each branch's arclengths and
+    t_proj, derived again (the stored lists are not read), so the diagram
+    round-trips bit for bit and writes the same two files again. A document
+    without the "states" key carries its vectors inline, a layout this
+    loader refuses.
     """
     if "states" not in doc:
         raise ValueError(
@@ -570,14 +573,7 @@ def load_diagram(doc: dict, states, problem: Problem | None = None) -> Bifurcati
             )
             for ev in b["events"]
         )
-        branches.append(Branch(
-            tuple(points),
-            tuple(b["arclengths"]),
-            b["chart"],
-            tuple(b["t_proj"]),
-            events,
-            tag=b["tag"],
-        ))
+        branches.append(Branch(tuple(points), b["chart"], events, tag=b["tag"]))
     degenerate = tuple(
         _load_degenerate(dp, fields) for dp in doc["degenerate_points"]
     )
@@ -768,10 +764,7 @@ def render_svg(diagram: BifurcationDiagram, path, y_axis: str = "u_max") -> None
 
 def _projection(diagram: BifurcationDiagram, dp: DegeneratePoint) -> float:
     chart = diagram.branches[0].chart if diagram.branches else "phi"
-    k = 0 if chart == "phi" else 1
-    e = diagram.problem.modes()[k].eigenfunction.values
-    dom = diagram.problem.domain
-    return float(dom.inner(dp.u.values, e) / dom.inner(e, e))
+    return chart_coordinate(diagram.problem, chart, dp.u.values)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,14 +1022,8 @@ def main(argv=None) -> int:
         if args.command != "check-hypotheses":
             _gate(problem, cfg, args.force)
         return _HANDLERS[args.command](problem, cfg, outdir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
-        NonConvergence, SingularJacobian, Diverged,
+        ValueError, OSError, NonConvergence, SingularJacobian, Diverged,
         StepUnderflow, WrongKind, AssemblyIncomplete,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

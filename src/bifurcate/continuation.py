@@ -5,7 +5,9 @@ growth rate or a projection coordinate varies.
 Conventions shared by everything in this module:
 
 - The continuation state is the pair (u, c) at fixed growth rate a, and
-  distances between states use the product norm ||du||_L2 + |dc|.
+  distances between states use the product norm ||du||_L2 + |dc| (plus
+  |da| along the zero-harvest sweep, where a varies). A Branch stores only
+  its points and derives its chart coordinates and arclengths from them.
 - Iterates converge in long double while corrections come from float64
   solves, the same convention as newton_solve. A float64 vector of
   moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
@@ -45,8 +47,10 @@ Conventions shared by everything in this module:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import astuple, dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +65,7 @@ from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
     FLOAT64_PHASE_TOL,
     FOLD_MAX_ITER,
+    NEWTON_MAX_ITER,
     NEWTON_TOL,
     PROJECTION_MAX_ITER,
     NonConvergence,
@@ -68,6 +73,7 @@ from .solver import (
     SingularJacobian,
     SolutionPoint,
     _checked_solve,
+    _newton_rows,
     classify_state,
     newton_solve,
 )
@@ -167,20 +173,20 @@ class BranchEvent:
 class Branch:
     """An ordered run of solution points along one continuation trace.
 
-    t_proj[i] is the chart coordinate of points[i]: the L2 projection of u
-    onto the first ('phi') or second ('psi') Laplacian eigenfunction, divided
-    by that eigenfunction's square integral. arclengths are cumulative
-    product-norm distances along the trace. steps counts the arclength steps
-    of the continue_branch traces the branch was stitched from; of the
-    pieces a trace is cut into, the first carries its counts and the others
-    none, so a diagram's branches count each step once (all zero for
+    t_proj and arclengths are derived from the points, once per branch, on
+    first use: t_proj[i] is the chart coordinate of points[i]
+    (chart_coordinate: the L2 projection of u onto the first ('phi') or
+    second ('psi') Laplacian eigenfunction, divided by that eigenfunction's
+    square integral), and arclengths[i] the cumulative product-norm chord
+    ||du||_L2 + |da| + |dc| from points[0]. steps counts the arclength
+    steps of the continue_branch traces the branch was stitched from; of
+    the pieces a trace is cut into, the first carries its counts and the
+    others none, so a diagram's branches count each step once (all zero for
     branches built otherwise). It is not part of any output file.
     """
 
     points: tuple[SolutionPoint, ...]
-    arclengths: tuple[float, ...]
     chart: str
-    t_proj: tuple[float, ...]
     events: tuple[BranchEvent, ...] = ()
     tag: str = ""
     steps: StepCounts = StepCounts()
@@ -188,10 +194,18 @@ class Branch:
     def __post_init__(self):
         if self.chart not in ("phi", "psi"):
             raise ValueError(f"unknown chart {self.chart!r}")
-        if not (
-            len(self.points) == len(self.arclengths) == len(self.t_proj)
-        ):
-            raise ValueError("points, arclengths and t_proj must align")
+
+    @cached_property
+    def t_proj(self) -> tuple[float, ...]:
+        return tuple(chart_coordinate(p.problem, self.chart, p.u.values) for p in self.points)
+
+    @cached_property
+    def arclengths(self) -> tuple[float, ...]:
+        chords = (
+            p.problem.domain.l2_norm(p.u.values - q.u.values) + abs(p.a - q.a) + abs(p.c - q.c)
+            for q, p in zip(self.points, self.points[1:])
+        )
+        return tuple(itertools.accumulate(chords, initial=0.0)) if self.points else ()
 
     def c_values(self) -> np.ndarray:
         return np.array([p.c for p in self.points])
@@ -290,6 +304,14 @@ def _chart_pair(problem: Problem, chart: str):
     if chart == "psi":
         return psi
     raise ValueError(f"unknown chart {chart!r}; expected 'phi' or 'psi'")
+
+
+def chart_coordinate(problem: Problem, chart: str, u: np.ndarray) -> float:
+    """<u, e>/<e, e> for the state values u, e the first ('phi') or second
+    ('psi') Laplacian eigenfunction."""
+    e = _chart_pair(problem, chart).eigenfunction.values
+    dom = problem.domain
+    return dom.inner(e, u) / dom.inner(e, e)
 
 
 def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.ndarray:
@@ -396,17 +418,13 @@ def continue_branch(
     c_lo, c_hi = sorted(map(float, c_limits))
     if not c_lo <= start.c <= c_hi:
         raise ValueError("start lies outside the c window")
+    _chart_pair(problem, chart)  # an unknown chart fails before tracing
     ceiling = math.inf if max_step is None else float(max_step)
 
     dom = problem.domain
-    pair = _chart_pair(problem, chart)
-    e_vals = pair.eigenfunction.values
-    e_sq = dom.inner(e_vals, e_vals)
     a = start.a
 
     points = [start]
-    svals = [0.0]
-    tvals = [dom.inner(e_vals, start.u.values) / e_sq]
     events: list[BranchEvent] = []
     counts = dict.fromkeys((f.name for f in fields(StepCounts)), 0)
 
@@ -418,10 +436,7 @@ def continue_branch(
     Tc = direction / scale
 
     def partial() -> Branch:
-        return Branch(
-            tuple(points), tuple(svals), chart, tuple(tvals), tuple(events),
-            steps=StepCounts(**counts),
-        )
+        return Branch(tuple(points), chart, tuple(events), steps=StepCounts(**counts))
 
     ds = min(float(step0), ceiling)
     last_ds = None  # the step of the last accepted point
@@ -434,11 +449,12 @@ def continue_branch(
         ds *= 0.5
         if ds < MIN_ARCLENGTH_STEP:
             step = "none" if last_ds is None else f"{last_ds:.6g}"
+            branch = partial()
             raise StepUnderflow(
                 f"step underflow: {why} (last accepted point {len(points) - 1}: "
-                f"c={points[-1].c:.10g}, t={tvals[-1]:.10g}, ds={step}; "
-                f"steps {StepCounts(**counts)})",
-                partial(),
+                f"c={points[-1].c:.10g}, t={branch.t_proj[-1]:.10g}, ds={step}; "
+                f"steps {branch.steps})",
+                branch,
             )
 
     while len(points) < max_points:
@@ -459,10 +475,7 @@ def continue_branch(
             except (NonConvergence, SingularJacobian):
                 reject("boundary", f"no solution found at the c={target} boundary")
                 continue
-            dist = dom.l2_norm(end_pt.u.values - ub) + abs(end_pt.c - cb)
             points.append(end_pt)
-            svals.append(svals[-1] + dist)
-            tvals.append(dom.inner(e_vals, end_pt.u.values) / e_sq)
             events.append(BranchEvent("endpoint", len(points) - 1))
             counts["accepted"] += 1
             break
@@ -499,8 +512,6 @@ def continue_branch(
             prev=_secant_guesses(older, base.spectrum),
         )
         points.append(new)
-        svals.append(svals[-1] + dist)
-        tvals.append(dom.inner(e_vals, u64) / e_sq)
         counts["accepted"] += 1
         Tu, Tc, kappa, d_prev, last_ds = Tu_new, Tc_new, kappa_new, dist, ds
 
@@ -1124,23 +1135,27 @@ def lower_index1_fold(problem: Problem, curve: DegenerateCurve, a: float) -> flo
 def _czero_seed(problem, a, e_vals, positive):
     """First point of a zero-harvest family at growth rate a: try the offset
     start (M + CZERO_SEED_OFFSET) e, then a geometric amplitude scan (the Newton basin of
-    the eigenfunction start can collapse onto zero when M = 0)."""
+    the eigenfunction start can collapse onto zero when M = 0). Each start
+    is solved by solver._newton_rows, and only a state that passes the norm,
+    chart-sign and positivity checks is classified."""
     dom = problem.domain
     M = problem.nonlinearity.M
     K = critical_cap(problem.nonlinearity, a)
     amplitudes = [M + CZERO_SEED_OFFSET] + list(np.geomspace(0.05, 2.0 * max(K, 1.0), 10))
     for s in amplitudes:
-        try:
-            pt = newton_solve(problem, DiscreteField(dom, s * e_vals), a, 0.0)
-        except (NonConvergence, SingularJacobian):
+        (end,) = _newton_rows(problem, [s * e_vals], a, 0.0, NEWTON_MAX_ITER)
+        if isinstance(end, Exception):
             continue
-        if dom.l2_norm(pt.u.values) < 1e-6 or pt.degenerate:
+        u, rnorm, history = end
+        if dom.l2_norm(u) < 1e-6 or dom.inner(u, e_vals) <= 0:
             continue
-        if dom.inner(pt.u.values, e_vals) <= 0:
+        if positive and float(np.min(u)) < -1e-8:
             continue
-        if positive and float(np.min(pt.u.values)) < -1e-8:
-            continue
-        return pt
+        pt = classify_state(
+            problem, DiscreteField(dom, u), a, 0.0, residual_history=history, rnorm=rnorm
+        )
+        if not pt.degenerate:
+            return pt
     raise NonConvergence(
         f"no nonzero zero-harvest state found at a={a:.6g}", np.zeros(dom.n_interior), np.nan
     )
@@ -1153,7 +1168,7 @@ def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
     the phi chart; which='ddagger' follows the sign-changing family above the
     second in the psi chart (the side with positive chart coordinate). The
     window must start strictly above the relevant eigenvalue. Points carry
-    c = 0 and their own growth rates; arclengths accumulate
+    c = 0 and their own growth rates, so the branch's arclengths accumulate
     ||du||_L2 + |da|. The sweep marches with CZERO_SWEEP_STEPS (_march),
     tracking each spectrum from the eigenvectors the march predicts.
     """
@@ -1173,16 +1188,13 @@ def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
         raise ValueError("window must start strictly above the bifurcation eigenvalue")
 
     dom = problem.domain
-    e_sq = dom.inner(e_vals, e_vals)
     seed = _czero_seed(problem, a_lo, e_vals, positive)
 
     points = [seed]
-    svals = [0.0]
-    tvals = [dom.inner(e_vals, seed.u.values) / e_sq]
     events: list[BranchEvent] = []
 
     def partial() -> Branch:
-        return Branch(tuple(points), tuple(svals), chart, tuple(tvals), tuple(events))
+        return Branch(tuple(points), chart, tuple(events))
 
     def solve_at(a, guess):
         u0, *vecs = guess
@@ -1195,15 +1207,11 @@ def continue_czero_branch(problem: Problem, which: str, a_range) -> Branch:
 
     start = (seed.u.values, *_facing(seed.spectrum, None))
     try:
-        for a, pt in _march(
+        for _, pt in _march(
             a_lo, a_hi, start, seed.u.values, solve_at,
             CZERO_SWEEP_STEPS, "zero-harvest sweep in a",
         ):
-            base = points[-1]
-            dist = dom.l2_norm(pt.u.values - base.u.values) + abs(a - base.a)
             points.append(pt)
-            svals.append(svals[-1] + dist)
-            tvals.append(dom.inner(e_vals, pt.u.values) / e_sq)
             if pt.degenerate:
                 events.append(BranchEvent("degeneracy", len(points) - 1))
                 break

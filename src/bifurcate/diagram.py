@@ -49,6 +49,7 @@ from .continuation import (
     WrongKind,
     branch_derivative_at_zero,
     build_degenerate_segment,
+    chart_coordinate,
     closed_form_states,
     continue_branch,
     delta_window,
@@ -315,15 +316,11 @@ def _reversed(br: Branch) -> Branch:
     """The branch run backwards: an event between points i and i + 1 moves
     to m - 2 - i, an endpoint at i to m - 1 - i (m points)."""
     m = len(br.points)
-    total = br.arclengths[-1]
     events = tuple(
         dataclasses.replace(ev, point_index=m - 1 - ev.point_index - (ev.kind != "endpoint"))
         for ev in reversed(br.events)
     )
-    arclengths = tuple(total - v for v in reversed(br.arclengths))
-    return dataclasses.replace(
-        br, points=br.points[::-1], arclengths=arclengths, t_proj=br.t_proj[::-1], events=events
-    )
+    return dataclasses.replace(br, points=br.points[::-1], events=events)
 
 
 def _stitch(down: Branch, up: Branch, tag: str) -> Branch:
@@ -334,39 +331,29 @@ def _stitch(down: Branch, up: Branch, tag: str) -> Branch:
     if down.points[0] is not up.points[0]:
         raise ValueError("stitched traces must share their first point")
     back = _reversed(down)
-    m, total = len(down.points), back.arclengths[-1]
+    m = len(down.points)
     events = back.events + tuple(
         dataclasses.replace(ev, point_index=m - 1 + ev.point_index) for ev in up.events
     )
     return Branch(
-        back.points + up.points[1:],
-        back.arclengths + tuple(total + v for v in up.arclengths[1:]),
-        down.chart, back.t_proj + up.t_proj[1:], events, tag, down.steps + up.steps,
+        back.points + up.points[1:], down.chart, events, tag, down.steps + up.steps
     )
 
 
-def _cut(problem, br: Branch, cuts, tags, chart) -> list[Branch]:
+def _cut(br: Branch, cuts, tags, chart) -> list[Branch]:
     """Cut a trace at cuts, (lo, hi) point indices, into pieces tagged tags:
     the piece before a cut ends at point hi, the one after starts at lo. A
     fold cut is the pair bracketing the fold, so both pieces carry its
     event; the origin cut is one shared point. A piece tagged Mstar is
-    charted in phi, any other in chart, with t_proj recomputed as
-    <u, e>/<e, e> as continue_branch computes it, and arclengths from zero.
-    The first piece carries the trace's step counts, the others none."""
-    dom = problem.domain
+    charted in phi, any other in chart. The first piece carries the trace's
+    step counts, the others none."""
     starts = [0] + [lo for lo, _ in cuts]
     ends = [hi for _, hi in cuts] + [len(br.points) - 1]
     pieces = []
     for tag, first, last in zip(tags, starts, ends):
-        piece_chart = "phi" if tag == "Mstar" else chart
-        e = problem.modes()[0 if piece_chart == "phi" else 1].eigenfunction.values
-        e_sq = dom.inner(e, e)
-        points = br.points[first:last + 1]
         pieces.append(Branch(
-            points,
-            tuple(v - br.arclengths[first] for v in br.arclengths[first:last + 1]),
-            piece_chart,
-            tuple(dom.inner(e, p.u.values) / e_sq for p in points),
+            br.points[first:last + 1],
+            "phi" if tag == "Mstar" else chart,
             events=tuple(
                 dataclasses.replace(ev, point_index=ev.point_index - first)
                 for ev in br.events
@@ -605,14 +592,14 @@ def _add_curve(problem, back, window, chart, kw, tags, branches, degenerate, *, 
         lambda ev: ev.kind == "fold", through.events[: len(sheets) - 1]
     ))
     cuts = [(ev.point_index, ev.point_index + 1) for ev in folds]
-    pieces = _cut(problem, through, cuts, sheets, chart)
+    pieces = _cut(through, cuts, sheets, chart)
     if failure is not None:
         pieces.pop()
     if pieces:
         first = _stitch(back, pieces[0], pieces[0].tag)
         if origin:
             k = int(np.argmin(np.abs(first.t_values())))
-            branches.extend(_cut(problem, first, [(k, k)], tags[:2], chart))
+            branches.extend(_cut(first, [(k, k)], tags[:2], chart))
         else:
             branches.append(first)
         branches.extend(_reversed(p) for p in pieces[1:])
@@ -655,14 +642,7 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
         else:
             point = dataclasses.replace(flat, u=u, residual_norm=r)
         ray_pts.append(point)
-    norm = np.sqrt(dom.inner(phi.eigenfunction.values, phi.eigenfunction.values))
-    branches.append(Branch(
-        tuple(ray_pts),
-        tuple(norm * (t - ts[0]) for t in ts),
-        "phi",
-        tuple(float(t) for t in ts),
-        tag="ray",
-    ))
+    branches.append(Branch(tuple(ray_pts), "phi", tag="ray"))
     start, edge_kw = _edge_start(problem, a, phi, M, EDGE_OFFSET, kw)
     pair = _both_directions(problem, start, (c_min, 1.0), "phi", edge_kw)
     toward_cmin = _pick_terminal(pair, "endpoint")
@@ -1136,13 +1116,12 @@ def _check_dichotomy(diagram, czero_set) -> ClaimCheck:
     equations to solver accuracy and belongs to the segment numerically."""
     seg = diagram.segment
     psi = diagram.problem.modes()[1].eigenfunction
-    dom = diagram.problem.domain
     slack = (1e3 * NEWTON_TOL) ** (1.0 / diagram.problem.nonlinearity.p_f)
     bad = 0
     for p in czero_set:
         if p.morse_index == 0 and not p.degenerate:
             continue
-        t = dom.inner(p.u.values, psi.values) / dom.inner(psi.values, psi.values)
+        t = chart_coordinate(diagram.problem, "psi", p.u.values)
         on_segment = (
             seg is not None
             and seg.t_min - slack <= t <= seg.t_max + slack

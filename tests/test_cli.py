@@ -245,7 +245,7 @@ class TestEmitCsv:
 
     def test_empty_branch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty branch"):
-            emit_csv(Branch((), (), "phi", ()), tmp_path / "x.csv")
+            emit_csv(Branch((), "phi"), tmp_path / "x.csv")
 
 
 class TestJsonRoundTrip:

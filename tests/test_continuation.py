@@ -483,9 +483,9 @@ class TestDegenerateCurveSpectra:
     ):
         """The fold sweep over a in [lambda1 + 0.5, 30] from the a = 20 fold
         classifies its seed once and tracks both directions from it. The
-        zero-harvest 'dagger' sweep over [lambda1 + 0.5, 60] makes its full
-        eigensolves in the seed search alone (seven here), where it made one
-        per sample when its march carried no eigenvectors."""
+        zero-harvest 'dagger' sweep over [lambda1 + 0.5, 60] makes one full
+        eigensolve: its seed search classifies only the state it keeps, and
+        the march tracks every later sample from that one."""
         lam1 = modes[0].eigenvalue
         window = (lam1 + 0.5, 30.0)
         curve, counts = _spectra_spent(
@@ -508,7 +508,7 @@ class TestDegenerateCurveSpectra:
             monkeypatch, lambda: continue_czero_branch(problem, "dagger", (lam1 + 0.5, 60.0))
         )
         assert len(branch.points) == 54
-        assert counts["eigensolve"] == seeded["eigensolve"] == 7
+        assert counts["eigensolve"] == seeded["eigensolve"] == 1
         assert counts["refused"] == 0 and counts["tracked"] >= len(branch.points) - 1
 
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", lambda *a: None)
@@ -584,13 +584,20 @@ class TestMarchStall:
         }[family]
         real = getattr(continuation, name)
         # the march starts at x0 and steps upward first; solves at or below
-        # x0 (the zero-harvest seed) pass through. The index-1 march starts
-        # from the segment's edge sample, the closed-form state M psi, which
-        # no solve makes.
-        psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
-        psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
-        edge = (np.longdouble(M) * psi_ld).astype(float)
-        seen = {"accepts": 0, "x": x0, "state": edge if family == "index1" else fold20.u.values}
+        # x0 pass through. The index-1 march starts from the segment's edge
+        # sample, the closed-form state M psi, which no solve makes, and the
+        # zero-harvest march from its seed, which the seed search solves
+        # without newton_solve.
+        if family == "index1":
+            psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
+            psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
+            start = (np.longdouble(M) * psi_ld).astype(float)
+        elif family == "czero":
+            phi = modes[0].eigenfunction.values
+            start = continuation._czero_seed(problem, x0, phi, True).u.values
+        else:
+            start = fold20.u.values
+        seen = {"accepts": 0, "x": x0, "state": start}
 
         def failing(*args, **kwargs):
             x = x_of(args, kwargs)

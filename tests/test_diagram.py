@@ -9,6 +9,7 @@ with the oracle-based verifier replayed on every regime.
 """
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -42,6 +43,7 @@ from bifurcate.continuation import (
     StepCounts,
     StepUnderflow,
     _extended_newton,
+    chart_coordinate,
     delta_window,
     trace_index1_degenerate_curve,
 )
@@ -759,10 +761,13 @@ class TestAssembly:
         assert ray.t_values()[-1] == pytest.approx(0.2, abs=1e-12)
         assert all(abs(p.c) < 1e-12 for p in ray.points)
         # each ray state is certified by the residual Newton converges on,
-        # evaluated in long double on the closed-form mode
+        # evaluated in long double on the closed-form mode at the ray's own
+        # parameters (its t_proj, derived from the float64 states, may miss
+        # them by an ulp)
         problem = diagram_lam1.problem
+        M = problem.nonlinearity.M
         lam1_ld, phi_ld = exact_mode_longdouble(problem.domain, 1)
-        for t, p in zip(ray.t_values(), ray.points):
+        for t, p in zip(np.linspace(-M, M, 41), ray.points):
             r = problem.residual_values(np.longdouble(t) * phi_ld, lam1_ld, 0.0)
             assert p.residual_norm == float(np.max(np.abs(r))) < 1e-12
         assert len(diagram_lam1.degenerate_points) == 1
@@ -971,8 +976,7 @@ class TestAssembly:
                 return br
             k = br.events[0].point_index + 5
             raise StepUnderflow("step underflow: forced", dataclasses.replace(
-                br, points=br.points[:k], arclengths=br.arclengths[:k],
-                t_proj=br.t_proj[:k], events=br.events[:1],
+                br, points=br.points[:k], events=br.events[:1],
             ))
 
         monkeypatch.setattr(diagram_mod, "continue_branch", stops_past_the_fold)
@@ -1051,6 +1055,24 @@ class TestOnePassAssembly:
         events = {id(dp) for br in diag.branches for dp in br.fold_points()}
         points = [id(dp) for dp in diag.degenerate_points]
         assert len(set(points)) == len(points) and set(points) == events
+
+    @pytest.mark.parametrize("fixture", ["diagram_lam1", "diagram_lam2", "diagram_window"])
+    def test_arclengths_and_chart_coordinates_are_those_of_the_states(self, fixture, request):
+        """Every branch's arclengths are the running sum from 0 of its
+        product-norm chords ||du||_L2 + |da| + |dc|, and its t_proj the
+        chart coordinates of its states, bit for bit, however the branch
+        was cut, reversed or stitched (the ray included)."""
+        diag = request.getfixturevalue(fixture)
+        dom = diag.problem.domain
+        for br in diag.branches:
+            chords = [
+                dom.l2_norm(p.u.values - q.u.values) + abs(p.a - q.a) + abs(p.c - q.c)
+                for q, p in zip(br.points, br.points[1:])
+            ]
+            assert br.arclengths == tuple(itertools.accumulate(chords, initial=0.0))
+            assert br.t_proj == tuple(
+                chart_coordinate(diag.problem, br.chart, p.u.values) for p in br.points
+            )
 
     def test_high_threshold_window_on_a_coarse_grid(self):
         """At n = 99 with M = 0.5 the window diagram assembles in one pass
