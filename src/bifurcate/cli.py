@@ -494,10 +494,11 @@ def _report_payload(report) -> dict | None:
         "checks": [
             {
                 "claim": chk.claim,
-                "expected": _jsonable(chk.expected),
                 "measured": _jsonable(chk.measured),
-                "tolerance": _jsonable(chk.tolerance),
-                "passed": bool(chk.passed),
+                "relation": chk.relation,
+                "bound": _jsonable(chk.bound),
+                "note": chk.note,
+                "passed": chk.passed,
             }
             for chk in report.checks
         ],
@@ -942,8 +943,8 @@ def _cmd_verify(problem, cfg, outdir):
     ), outdir / "verification_report.json")
     for chk in report.checks:
         status = "pass" if chk.passed else "FAIL"
-        print(f"[{status}] {chk.claim}: expected {chk.expected}, "
-              f"measured {chk.measured}")
+        note = f" ({chk.note})" if chk.note else ""
+        print(f"[{status}] {chk.claim}: {chk.measured} {chk.relation} {chk.bound}{note}")
     if not regime_ok:
         print(f"[FAIL] regime: expected {run['regime']}, "
               f"detected {diagram.regime}")

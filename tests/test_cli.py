@@ -568,6 +568,11 @@ class TestVerifyCommand:
         assert doc["regime_matches"] is True
         assert doc["report"]["passed"] is True
         assert all(c["passed"] for c in doc["report"]["checks"])
+        # every record states its relation and bound
+        assert all(
+            set(c) == {"claim", "measured", "relation", "bound", "note", "passed"}
+            and c["bound"] is not None for c in doc["report"]["checks"]
+        )
         assert written_json == ["verification_report.json"]
 
     def test_wrong_regime_exits_two(self, tmp_path, capsys):

@@ -10,12 +10,17 @@ inside the edge; up to p_f = 7 at n = 49 the diagrams verify. From a start
 doubled far off the edge (p_f = 9 at lambda1, p_f = 8 at lambda2) that
 step is halved, the trace stops at the first state that classifies as
 degenerate, short of the edge, and verification fails: strict xfails.
+
+Two steep-ramp windows are pinned too. At lambda2 + delta/2 their lower
+index-1 fold lies below the default c_min, so assembly stops at c_min with
+AssemblyIncomplete (strict xfails); with c_min = -40 they verify.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bifurcate.continuation import delta_window, trace_index1_degenerate_curve
 from bifurcate.diagram import AssemblyIncomplete, assemble_diagram, verify_structure
 from bifurcate.grid import build_grid
 from bifurcate.model import HarvestSpec, Nonlinearity
@@ -25,17 +30,29 @@ from bifurcate.solver import Problem
 BUDGET = 100
 
 
-def _assembles_or_fails_cleanly(n, M, p_f, a, c_min):
+def _diagram(n, M, p_f, a, *c_min):
+    """assemble_diagram at a, which may name lambda1, lambda2 or the window's
+    midpoint lambda2 + delta/2."""
     problem = Problem(build_grid(n, 1.0), Nonlinearity(M, p_f), HarvestSpec("bump"))
     phi, psi = problem.modes()
+    if a == "window":
+        a = psi.eigenvalue + 0.5 * delta_window(problem, trace_index1_degenerate_curve(problem))
     a = {"lambda1": phi.eigenvalue, "lambda2": psi.eigenvalue}.get(a, a)
+    return assemble_diagram(problem, a, *c_min)
+
+
+def _verifies(diagram):
+    report = verify_structure(diagram, BUDGET, 0)
+    failed = [(c.claim, c.measured, c.relation, c.bound, c.note) for c in report.failures()]
+    assert report.passed, failed
+
+
+def _assembles_or_fails_cleanly(n, M, p_f, a, c_min):
     try:
-        diagram = assemble_diagram(problem, a, c_min)
+        diagram = _diagram(n, M, p_f, a, c_min)
     except AssemblyIncomplete:
         return
-    report = verify_structure(diagram, BUDGET, 0)
-    failed = [(c.claim, c.expected, c.measured) for c in report.checks if not c.passed]
-    assert report.passed, failed
+    _verifies(diagram)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -72,3 +89,22 @@ def test_steeper_ramp_next_to_degenerate_edge(p_f, a):
     # M = 0.3, with its normal form 22 times off; lambda2: the Mflat and
     # Msharp ends miss the segment (connectivity)
     _assembles_or_fails_cleanly(49, 0.3, p_f, a, -10.0)
+
+
+#: Steep ramps whose window midpoint lambda2 + delta/2 at n = 49 has its lower
+#: index-1 fold below the default c_min = -10: at c = -10.21 and -10.67.
+STEEP_WINDOWS = [(0.25, 5), (0.5, 4)]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssemblyIncomplete,
+    reason="the default c_min = -10 stops assembly above the lower index-1 fold",
+)
+@pytest.mark.parametrize("M, p_f", STEEP_WINDOWS)
+def test_steep_window_reaches_its_lower_index1_fold(M, p_f):
+    _verifies(_diagram(49, M, p_f, "window"))
+
+
+@pytest.mark.parametrize("M, p_f", STEEP_WINDOWS)
+def test_steep_window_verifies_with_c_min_below_that_fold(M, p_f):
+    _verifies(_diagram(49, M, p_f, "window", -40.0))

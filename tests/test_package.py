@@ -1,6 +1,7 @@
 import ast
 import inspect
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,22 @@ def test_import_and_diagram_run_load_no_unused_modules(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout == "0 []\n"
     assert (tmp_path / "out" / "diagram.json").exists()
+
+
+def test_import_refuses_a_long_double_without_extended_precision(tmp_path):
+    """Where np.longdouble is float64 (52 mantissa bits against x87's 63)
+    the package's counts come out wrong without an error, so importing it
+    raises ImportError naming the platform and the mantissa bits."""
+    script = "import numpy as np\nnp.longdouble = np.float64\nimport bifurcate\n"
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert run.returncode != 0
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: bifurcate needs numpy's long double")
+    assert platform.system() in last and last.endswith("it carries 52")
 
 
 def _run_in_import_order(work: Path, scipy_first: bool) -> list[str]:
