@@ -648,7 +648,7 @@ def _extended_newton(
     (residual_history). max_iter counts measured iterates, so no step is
     taken after the last one: its result would go unmeasured.
 
-    Precision: the two stages of solver._newton_rows, for every extended
+    Precision: the two stages of solver._newton_pool, for every extended
     system, both taking the same unrefined float64 step. A float64 u0
     starts the float64 stage, whose iterate, c, residual, sup norm and row
     N are float64 (a, when free, accumulates in long double). The first

@@ -35,7 +35,7 @@ from .solver import (
     Problem,
     SingularJacobian,
     SolutionPoint,
-    _newton_rows,
+    _newton_pool,
     classify_state,
     newton_ball,
     newton_solve,
@@ -73,15 +73,24 @@ REGIMES = (
 )
 
 
+#: How a start of count_solutions ends: the first start to converge on a
+#: state keeps it as a member, a later one is a duplicate; a ball exit stops
+#: inside the certified ball of a member of an earlier start; the other
+#: starts fail as their Newton rows do (solver._newton_pool).
+OUTCOMES = ("member", "duplicate", "ball-exit", "stalled", "out-of-iterations",
+            "singular-jacobian")
+
+
 @dataclass(frozen=True)
 class SolutionSet:
     """Deduplicated steady states found at one (a, c) by multistart Newton.
 
     radii holds, member by member, the certified Newton ball radius of
     solver.newton_ball (Euclidean on R^n) or the reason the member has
-    none; exited counts the starts that ended inside the ball of a member
-    kept in an earlier stack (count_solutions), so it depends on the
-    stacking while the members and radii do not.
+    none. outcomes counts the starts by how they ended, one count per
+    OUTCOMES entry, summing to n_starts. exited, its ball-exit count,
+    depends on the pool width and on when each member's ball went live
+    (count_solutions), while the members and radii do not.
     """
 
     members: tuple[SolutionPoint, ...]
@@ -90,7 +99,7 @@ class SolutionSet:
     n_starts: int
     dedup_threshold: float
     radii: tuple[float | str, ...]
-    exited: int
+    outcomes: dict[str, int]
 
     def __post_init__(self):
         for i in range(len(self.members)):
@@ -103,6 +112,10 @@ class SolutionSet:
     @property
     def count(self) -> int:
         return len(self.members)
+
+    @property
+    def exited(self) -> int:
+        return self.outcomes["ball-exit"]
 
     def morse_indices(self) -> tuple[int, ...]:
         return tuple(sorted(p.morse_index for p in self.members))
@@ -125,29 +138,31 @@ def _rel_distance(u: DiscreteField, v: DiscreteField) -> float:
     return dist / max(nu, nv, 1.0)
 
 
-# Float64 elements per stacked array in count_solutions: the random starts
-# are solved max(1, _STACK_ELEMENTS // n) rows at a time (257 at n = 99, 64
-# at n = 399, 15 at n = 1599), about 200 KiB per stacked array. Each
-# lockstep round of the stacked Newton pays a fixed interpreter cost (a
-# Jacobian build and a gtsv call per iteration, a residual call per
-# line-search trial) whatever its width, so wider stacks pay it fewer
-# times. Measured against 32-row stacks that hold the fixed starts too, on
-# a 2-vCPU host (seed 9, best of 3, members bit-identical): the five window
-# levels of verify_structure took 184 -> 113 ms at n = 99 and
-# 965 -> 1031 ms at n = 1599, where each round is dearer and there are more
-# of them; the six n = 399 counts of one bench oracle pass took
-# 0.417 -> 0.397 s, and the pass's max RSS went 45.5 -> 46.8 MB (45.7 MB
-# with 48 rows).
+# Float64 elements per pool buffer in count_solutions: its starts stream
+# through one pool of max(1, _STACK_ELEMENTS // n) rows (257 at n = 99, 64
+# at n = 399, 15 at n = 1599), about 200 KiB per float64 buffer, allocated
+# once per count. Each lockstep round of the pooled Newton pays a fixed
+# interpreter cost (a Jacobian build and a gtsv call, a residual call per
+# line-search trial and per admission) whatever its width, so a wider pool
+# pays it fewer times. Measured against the stacks the pool replaced, on a
+# 2-vCPU host (seed 9, members bit-identical): a bench oracle pass at
+# n = 399 went from 737 lockstep rounds and about 38,000 minor page faults
+# to 504 rounds and about 920 (25 in a later pass); the five window levels
+# at n = 1599 took 1.46-1.49 s of CPU time, against 1.67-1.68 s for 32-row
+# stacks holding the fixed starts and 1.87-1.97 s for the 15-row stacks
+# (best of 3).
 _STACK_ELEMENTS = 64 * 399
 
 
-def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
-    """Deterministic start fields in start order, yielded as (k, n) stacks
-    so that only one stack is alive at a time: first the seeding stack of
-    the five fixed starts, zero and +-span times each of the first two
-    modes, then random low-frequency combinations in stacks of
-    max(1, _STACK_ELEMENTS // n) rows. span is twice the critical cap K_a
-    for a > 0. The fields do not depend on the stacking."""
+def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed, finalized=None):
+    """Deterministic start fields, yielded one at a time in start order as
+    a pool admits them: first the five fixed starts, zero and +-span times
+    each of the first two modes, then random low-frequency combinations.
+    span is twice the critical cap K_a for a > 0. Given finalized, a
+    callable returning how many starts have ended, the generator yields
+    None, a start not ready (solver._newton_pool), until the fixed starts
+    have all ended, so that their members' balls are live for every
+    random start."""
     dom = problem.domain
     if a > 0:
         span = 2.0 * critical_cap(problem.nonlinearity, a)
@@ -155,21 +170,18 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed):
         span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
     phi, psi = (p.eigenfunction.values for p in problem.modes())
     fixed = [np.zeros(dom.n_interior), span * phi, -span * phi, span * psi, -span * psi]
-    yield np.array(fixed[:n_starts])
+    yield from fixed[:n_starts]
+    while finalized is not None and finalized() < len(fixed):
+        yield None
     basis = np.stack([
         p.eigenfunction.values
         for p in laplacian_eigenpairs(dom, 4, harvest=problem.harvest)
     ])
     rng = np.random.default_rng(seed)
-    width = max(1, _STACK_ELEMENTS // dom.n_interior)
-    for lo in range(len(fixed), n_starts, width):
-        # the draws of one call come in the order of one call per start
-        weights = rng.uniform(-span, span, size=(min(width, n_starts - lo), 4))
-        stack = np.empty((len(weights), dom.n_interior))
-        for row, w in zip(stack, weights):
-            # one product per start: a stacked product rounds differently
-            row[:] = w @ basis
-        yield stack
+    # the draws of one call come in the order of one call per start
+    for w in rng.uniform(-span, span, size=(max(n_starts - len(fixed), 0), 4)):
+        # one product per start: a stacked product rounds differently
+        yield w @ basis
 
 
 def count_solutions(
@@ -177,49 +189,59 @@ def count_solutions(
 ) -> SolutionSet:
     """Enumerate the steady states at (a, c) by multistart Newton.
 
-    The starts are solved in stacks by solver._newton_rows, the damped
+    The starts of _multistart_seeds stream through one pool of
+    max(1, _STACK_ELEMENTS // n) rows (solver._newton_pool), the damped
     Newton of newton_solve, at most COUNT_MAX_ITER iterations each; starts
     that stall, run out of iterations or meet a singular Jacobian are
-    discarded. The converged iterates are deduplicated in start order at
-    relative L2 distance DEDUP_REL; each survivor is classified when it is
-    first kept, so each member carries its Morse index, and given the
-    radius of its certified Newton ball (solver.newton_ball) or the reason
-    it has none. The five fixed starts of _multistart_seeds form a stack of
-    their own, which seeds the balls, and the random starts follow in
-    stacks of max(1, _STACK_ELEMENTS // n) rows. A start of a later stack
-    whose float64 iterate enters the half ball of a member kept in an
-    earlier stack stops there: the ball holds no other zero and the damped
-    Newton cannot leave it, so the start would have ended on that member,
-    within half DEDUP_REL of it, or failed, and either way been discarded.
-    Balls of members kept in the same stack are not used, since the first
-    start to converge need not be the first in start order. Deterministic
-    for a fixed seed, and bit-identical whatever the stacking.
+    discarded. Each start is finalized in start order, once every earlier
+    start has ended: a converged iterate is deduplicated at relative L2
+    distance DEDUP_REL against the members kept so far, and a survivor is
+    classified when it is kept, so each member carries its Morse index, and
+    given the radius of its certified Newton ball (solver.newton_ball) or
+    the reason it has none. A member's ball goes live when it is kept, so
+    every start still in the pool comes after it in start order, and a
+    start whose float64 iterate enters the half ball stops there: the ball
+    holds no other zero and the damped Newton cannot leave it, so the start
+    would have ended on that member, within half DEDUP_REL of it, or
+    failed, and either way been discarded. The random starts wait until the
+    five fixed starts have ended, so that the balls of the members those
+    find, where most starts end, are live from their first step. The
+    members, radii and every outcome but the ball exits (and the
+    duplicates and failures they replace) are therefore bit-identical
+    whatever the width; deterministic for a fixed seed.
     """
     if n_starts < 50:
         raise ValueError(f"need n_starts >= 50, got {n_starts}")
     dom = problem.domain
     kept: list[tuple[SolutionPoint, float | str]] = []
-    centers, radii = [], []
-    exited = 0
-    for starts in _multistart_seeds(problem, a, n_starts, seed):
-        balls = (np.stack(centers), np.array(radii)) if centers else None
-        for end in _newton_rows(problem, starts, a, c, COUNT_MAX_ITER, balls):
-            if isinstance(end, int):
-                exited += 1
-                continue
-            if isinstance(end, Exception):
-                continue
-            u64, rnorm, history = end
-            u = DiscreteField(dom, u64)
-            if all(_rel_distance(u, m.u) > DEDUP_REL for m, _ in kept):
-                point = classify_state(problem, u, a, c, residual_history=history,
-                                       rnorm=rnorm)
-                capture = 0.5 * DEDUP_REL * max(dom.l2_norm(u64), 1.0) / np.sqrt(dom.spacing)
-                radius = newton_ball(problem, point, capture)
-                kept.append((point, radius))
-                if not isinstance(radius, str):
-                    centers.append(u64)
-                    radii.append(radius)
+    balls: list[tuple[np.ndarray, float]] = []
+    outcomes = dict.fromkeys(OUTCOMES, 0)
+    ended: dict[int, tuple] = {}
+    width = max(1, _STACK_ELEMENTS // dom.n_interior)
+
+    def finalized() -> int:
+        return sum(outcomes.values())
+
+    starts = _multistart_seeds(problem, a, n_starts, seed, finalized)
+    for i, ending, end in _newton_pool(problem, starts, a, c, COUNT_MAX_ITER, width, balls):
+        ended[i] = ending, end
+        while finalized() in ended:
+            ending, end = ended.pop(finalized())
+            if ending == "converged":
+                u64, rnorm, history = end
+                u = DiscreteField(dom, u64)
+                ending = "duplicate"
+                if all(_rel_distance(u, m.u) > DEDUP_REL for m, _ in kept):
+                    ending = "member"
+                    point = classify_state(problem, u, a, c, residual_history=history,
+                                           rnorm=rnorm)
+                    capture = (0.5 * DEDUP_REL * max(dom.l2_norm(u64), 1.0)
+                               / np.sqrt(dom.spacing))
+                    radius = newton_ball(problem, point, capture)
+                    kept.append((point, radius))
+                    if not isinstance(radius, str):
+                        balls.append((u64, radius))
+            outcomes[ending] += 1
     kept.sort(key=lambda m: (
         np.sqrt(dom.inner(m[0].u.values, m[0].u.values)),
         float(m[0].u.values.max()),
@@ -227,7 +249,7 @@ def count_solutions(
     ))
     return SolutionSet(
         tuple(p for p, _ in kept), a, c, n_starts, DEDUP_REL,
-        tuple(r for _, r in kept), exited,
+        tuple(r for _, r in kept), outcomes,
     )
 
 

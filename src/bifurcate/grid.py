@@ -220,6 +220,19 @@ def _gtsv(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray):
     return x, d, info
 
 
+def _gtsv_in_place(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                   rhs: np.ndarray):
+    """_gtsv on operands it may overwrite, with every overwrite flag set:
+    lower and upper are two distinct arrays holding the off-diagonal. On
+    contiguous float64 operands dgtsv works in them, and the returned x and
+    U diagonal are rhs and diag; the bits are _gtsv's."""
+    _, d, _, x, info = _dgtsv(lower, diag, upper, rhs, overwrite_dl=1, overwrite_d=1,
+                              overwrite_du=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"gtsv: illegal argument {-info}")
+    return x, d, info
+
+
 @dataclass(frozen=True)
 class LinearOperatorBanded:
     """Symmetric tridiagonal operator on the interior nodes of a domain."""

@@ -49,30 +49,32 @@ class Nonlinearity:
         return self.p_f >= 3
 
 
-def _excess(nl: Nonlinearity, u) -> np.ndarray:
-    """(u - M)+ elementwise; long double stays long double, the rest is
-    evaluated in float64."""
+def _excess(nl: Nonlinearity, u, out=None) -> np.ndarray:
+    """(u - M)+ elementwise, into out when given; long double stays long
+    double, the rest is evaluated in float64."""
     arr = np.asarray(u)
     if arr.dtype != np.longdouble:
         arr = arr.astype(float, copy=False)
     one = arr.dtype.type
-    return np.maximum(arr - one(nl.M), one(0.0))
+    return np.maximum(np.subtract(arr, one(nl.M), out=out), one(0.0), out=out)
 
 
-def ramp_values(nl: Nonlinearity, u) -> np.ndarray:
+def ramp_values(nl: Nonlinearity, u, out=None, work=None) -> np.ndarray:
     """f alone, ((u - M)+)^p_f, for array u of any shape.
 
     The residual needs no derivatives; this is the f of eval_nonlinearity
-    without computing f' and f'' alongside it.
+    without computing f' and f'' alongside it. Given out and work, arrays
+    of u's shape and dtype, f is written into out and (u - M)+ into work,
+    and no array is allocated; the values are the same bits.
     """
-    return _power(_excess(nl, u), nl.p_f)
+    return _power(_excess(nl, u, work), nl.p_f, out)
 
 
-def _power(r: np.ndarray, p: int) -> np.ndarray:
+def _power(r: np.ndarray, p: int, out=None) -> np.ndarray:
     # by repeated multiplication: the generic power routine (powl for long
     # double) costs several times as much, and at p = 3 the two agreed bit
     # for bit on every long-double sample tested
-    f = r * r if p > 1 else r.copy()
+    f = np.multiply(r, r, out=out) if p > 1 else np.positive(r, out=out)
     for _ in range(p - 2):
         f *= r
     return f
@@ -82,10 +84,18 @@ def _slope(r: np.ndarray, p: int) -> np.ndarray:
     return p * r ** (p - 1)
 
 
-def ramp_slope(nl: Nonlinearity, u) -> np.ndarray:
+def ramp_slope(nl: Nonlinearity, u, out=None) -> np.ndarray:
     """f' alone, p_f ((u - M)+)^(p_f - 1), for array u of any shape: all the
-    linearization needs, without computing f and f'' alongside it."""
-    return _slope(_excess(nl, u), nl.p_f)
+    linearization needs, without computing f and f'' alongside it. Given
+    out, an array of u's shape and dtype (which may be u itself), f' is
+    written into it, by the same operations in place."""
+    if out is None:
+        return _slope(_excess(nl, u), nl.p_f)
+    r = _excess(nl, u, out)
+    # the in-place operators take numpy's paths of r ** (p - 1) and p * r
+    r **= nl.p_f - 1
+    r *= nl.p_f
+    return r
 
 
 def _curvature(r: np.ndarray, p: int) -> np.ndarray:

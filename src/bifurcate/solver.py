@@ -21,6 +21,7 @@ from .grid import (
     DiscreteField,
     LinearOperatorBanded,
     _gtsv,
+    _gtsv_in_place,
     _tridiagonal_apply,
     assemble_laplacian,
     laplacian_eigenpairs,
@@ -47,7 +48,7 @@ COUNT_MAX_ITER = 30
 PROJECTION_MAX_ITER = 12
 FOLD_MAX_ITER = 16
 ARMIJO_MIN_STEP = 2.0**-20
-#: Residual sup norm above which a Newton row (see _newton_rows) or an
+#: Residual sup norm above which a Newton row (see _newton_pool) or an
 #: extended system started from a float64 state
 #: (continuation._extended_newton) iterates in float64; from the first
 #: iterate at or below it, in long double. Both stages step by the same
@@ -60,7 +61,7 @@ class NonConvergence(RuntimeError):
     """Newton ran out of iterations or stalled below the minimum step.
 
     residual_history holds the residual sup norm of each iterate, the start
-    first, when a Newton loop (_newton_rows, or the extended systems'
+    first, when a Newton loop (_newton_pool, or the extended systems'
     continuation._extended_newton) raised it; it is empty otherwise.
     """
 
@@ -115,23 +116,34 @@ class Problem:
         object.__setattr__(self, "laplacian", assemble_laplacian(self.domain))
         object.__setattr__(self, "_harvest_ld", self.harvest.values.astype(np.longdouble))
 
-    def residual_values(self, u: np.ndarray, a: float, c: float) -> np.ndarray:
-        # The input dtype (float64 or long double) is preserved, and rows of
-        # a (..., n) stack are evaluated independently, each exactly as it
-        # would be on its own. The terms are summed in place, in the order
-        # ((Delta_h u + a u) - f) - c h.
+    def residual_values(self, u: np.ndarray, a: float, c: float, out=None,
+                        work=None) -> np.ndarray:
+        """F(u) at (a, c) in the dtype of u (float64 or long double).
+
+        Rows of a (..., n) stack are evaluated independently, each exactly
+        as it would be on its own. The terms are summed in place, in the
+        order ((Delta_h u + a u) - f) - c h. The result is written into out,
+        an array of u's shape and dtype, and work, an array of u's dtype of
+        shape (2, m) with m at least (n + 2) times the rows of u, is the
+        scratch, its leading entries viewed as contiguous arrays; each is
+        allocated when omitted, so a caller that passes both allocates no
+        array of u's size. The bits do not depend on which are passed.
+        """
         u = np.asarray(u)
         one = u.dtype.type
-        f = ramp_values(self.nonlinearity, u)
+        scratch = excess = None
+        if work is not None:
+            scratch, excess = work[1, :u.size].reshape(u.shape), work[0, :u.size].reshape(u.shape)
+        out = self._nested_laplacian(u, out, work)
+        out += np.multiply(one(a), u, out=scratch)
+        out -= ramp_values(self.nonlinearity, u, out=scratch, work=excess)
         h = self._harvest_ld if one is np.longdouble else self.harvest.values
-        out = self._nested_laplacian(u)
-        out += one(a) * u
-        out -= f
         out -= one(c) * h.astype(u.dtype, copy=False)
         return out
 
-    def _nested_laplacian(self, v: np.ndarray) -> np.ndarray:
-        """Delta_h v along the last axis in the dtype of v.
+    def _nested_laplacian(self, v: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Delta_h v along the last axis in the dtype of v, into out when
+        given, with the work of residual_values as scratch when given.
 
         Evaluated as nested first differences rather than through the
         expanded stencil: neighbor subtractions of a smooth field are exact
@@ -140,12 +152,18 @@ class Problem:
         are the operations of np.diff(n=2) on v padded with its zero
         boundary values, without its and np.concatenate's Python layers.
         """
-        one = v.dtype.type
-        padded = np.zeros(v.shape[:-1] + (v.shape[-1] + 2,), dtype=v.dtype)
+        n = v.shape[-1]
+        if work is None:
+            padded, d1 = np.zeros(v.shape[:-1] + (n + 2,), dtype=v.dtype), None
+        else:
+            rows = v.size // n
+            padded = work[1, :rows * (n + 2)].reshape(*v.shape[:-1], n + 2)
+            padded[..., ::n + 1] = 0.0
+            d1 = work[0, :rows * (n + 1)].reshape(*v.shape[:-1], n + 1)
         padded[..., 1:-1] = v
-        d1 = np.subtract(padded[..., 1:], padded[..., :-1])
-        out = np.subtract(d1[..., 1:], d1[..., :-1])
-        out /= one(self.domain.spacing) ** 2
+        d1 = np.subtract(padded[..., 1:], padded[..., :-1], out=d1)
+        out = np.subtract(d1[..., 1:], d1[..., :-1], out=out)
+        out /= v.dtype.type(self.domain.spacing) ** 2
         return out
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
@@ -352,9 +370,13 @@ def _ball_index(u: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
     return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
 
-def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
-                 balls=None):
-    """Damped Newton from each of a stack of start fields at fixed (a, c).
+def _newton_pool(problem: Problem, starts, a: float, c: float, max_iter: int,
+                 width: int, balls=()):
+    """Damped Newton from each of a stream of start fields at fixed (a, c),
+    width rows at a time: a generator of (start index, ending, end) as rows
+    end, in the order they end. starts yields the fields in start order, or
+    None for a start not ready yet; the pool then takes no start until its
+    next round, and raises RuntimeError if no row is live to wait on.
 
     Line search: safeguarded quadratic backtracking on the residual sup
     norm (Dennis & Schnabel, Numerical Methods for Unconstrained
@@ -371,84 +393,372 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int,
     SingularJacobian; the iterate of the last allowed step is tested like
     any other.
 
-    Precision: two stages of one loop (_newton_stage), both solving their
-    corrections through the float64 factorization at the float64 iterate.
-    A start whose residual norm is above FLOAT64_PHASE_TOL begins in the
-    float64 stage, which holds its iterate, residual and step in float64. A
-    trial whose float64 norm is at or below the switch is measured again in
-    long double, on the exact long-double promotion of the float64 trial,
-    and the Armijo test decides on that norm; once such a trial is accepted
-    the row leaves for the long-double stage with its promoted iterate,
-    long-double residual, history and iteration count. A start already at
-    or below the switch begins there. The split is forced by the stencil: a
-    float64 vector of amplitude ~4 cannot represent the steady state to
-    better than a (4 / h^2) ulp(|u|) / 2 sup-norm defect, about 2e-10 at
-    n = 399 and 4e-9 at n = 1599, far below the switch but at or above
-    NEWTON_TOL, so a pure float64 iteration stalls right at the tolerance.
-    The convergence test, and the residual and history entries at or below
-    the switch, are long double; a NonConvergence that ends in the float64
-    stage carries a float64 norm. COUNT_MAX_ITER and NEWTON_MAX_ITER count
-    the iterations of both stages.
+    Precision: two stages, both solving their corrections through the
+    float64 factorization at the float64 iterate. A start whose residual
+    norm is above FLOAT64_PHASE_TOL begins in the float64 stage, which
+    holds its iterate, residual and step in float64. A trial whose float64
+    norm is at or below the switch is measured again in long double, on the
+    exact long-double promotion of the float64 trial, and the Armijo test
+    decides on that norm; once such a trial is accepted the row moves to
+    the long-double stage with its promoted iterate, long-double residual,
+    history and iteration count. A start already at or below the switch
+    begins there. The split is forced by the stencil: a float64 vector of
+    amplitude ~4 cannot represent the steady state to better than a
+    (4 / h^2) ulp(|u|) / 2 sup-norm defect, about 2e-10 at n = 399 and
+    4e-9 at n = 1599, far below the switch but at or above NEWTON_TOL, so a
+    pure float64 iteration stalls right at the tolerance. The convergence
+    test, and the residual and history entries at or below the switch, are
+    long double; a NonConvergence that ends in the float64 stage carries a
+    float64 norm. max_iter counts the iterations of both stages.
 
-    All rows of a stage share each residual evaluation over the (rows, n)
-    stack and one gtsv call over the block-diagonal stack of their float64
-    Jacobians (_block_solve), which yields each block's correction and
-    pivots at once; the zero seam couplings keep every block's pivots and
-    solution those of the block alone, and each row has its own step length
-    and iteration count, so each row ends exactly as it does alone.
+    The pool: at most width rows are live, in buffers allocated once per
+    call that every round writes in place (_NewtonPool). A round makes one
+    gtsv call over the block-diagonal stack of every live row's float64
+    Jacobian, the float64 stage's rows first, which yields each block's
+    correction and pivots at once; the zero seam couplings keep every
+    block's pivots and solution those of the block alone. Each stage then
+    shares each residual evaluation of its line search over its rows, and
+    each row has its own step length and iteration count, so each row ends
+    exactly as it does alone, whatever the width and whatever rows share
+    its rounds. The pool takes the starts in order, width at first and
+    then one into each slot freed by a row that ends, at the end of each
+    round, as long as they are ready.
 
-    Early exit: balls = (centers, radii) holds zeros u* as a (k, n) float64
-    stack and their newton_ball radii rho. After each step of the float64
-    stage, a row whose iterate lies within rho / 2 of a center (_ball_index,
-    which keeps a margin for the rounding of the distance) ends there,
-    before any hand-off to the long-double stage. Soundness: from the half
-    ball the full Newton point lies within 5 rho / 12 of u*, and a damped
-    step is a convex combination of the iterate and that point, so the row
-    cannot leave the half ball; computed steps miss the exact ones by
-    orders of magnitude less than the rho / 12 to spare. The ball holds one
-    zero, so the row would have ended on u*, within newton_ball's capture
-    distance, or failed: a caller that keeps zeros farther apart than that
-    keeps the same set either way.
+    Early exit: balls is a list of (center, radius) pairs, a zero u* as a
+    float64 field and its newton_ball radius rho, that the caller may
+    extend between two ends. After each step of the float64 stage, a row
+    whose iterate lies within rho / 2 of a center (_ball_index, which keeps
+    a margin for the rounding of the distance) ends there, before any
+    hand-off to the long-double stage. Soundness: from the half ball the
+    full Newton point lies within 5 rho / 12 of u*, and a damped step is a
+    convex combination of the iterate and that point, so the row cannot
+    leave the half ball; computed steps miss the exact ones by orders of
+    magnitude less than the rho / 12 to spare. The ball holds one zero, so
+    the row would have ended on u*, within newton_ball's capture distance,
+    or failed: a caller that keeps zeros farther apart than that keeps the
+    same set either way.
 
-    Returns one entry per start, in start order: (float64 iterate, residual
-    norm, residual history) for a start that converged, the index of the
-    ball for a start that exited there, else the SingularJacobian or
-    NonConvergence that ended it; a NonConvergence carries the row's
-    residual history.
+    Each row ends once: "converged" with the end
+    (float64 iterate, residual norm, residual history), "ball-exit" with
+    the index of the ball in balls, and "stalled", "out-of-iterations" or
+    "singular-jacobian" with the NonConvergence or SingularJacobian that
+    ended it; a NonConvergence carries the row's residual history.
     """
-    ld = np.longdouble
-    u = np.array(starts, dtype=float)
-    r = problem.residual_values(u, a, c)
-    rnorm = _row_norms(r)
-    out: list = [None] * len(u)
-    near = rnorm <= FLOAT64_PHASE_TOL
-    u_near = u[near].astype(ld)
-    r_near = problem.residual_values(u_near, a, c)
-    handed = [
-        (i, v, rv, x, [x], 0) for i, v, rv, x in
-        zip(np.flatnonzero(near), u_near, r_near, _row_norms(r_near).tolist())
-    ]
-    rows = [(i, u[i], r[i], x, [x], 0) for i, x in zip(np.flatnonzero(~near),
-                                                        rnorm[~near].tolist())]
-    # each stage stacks its rows into arrays of its own; dropping these names
-    # lets the stacked copies be the only ones alive
-    del u, r, u_near, r_near
-    handed += _newton_stage(problem, a, c, max_iter, out, rows, balls)
-    handed.sort(key=lambda row: row[0])
-    _newton_stage(problem, a, c, max_iter, out, handed)
+    return _NewtonPool(problem, a, c, max_iter, width).run(iter(starts), balls)
+
+
+def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
+    """_newton_pool with every start in one pool and no balls: one end per
+    start, in start order."""
+    out: list = [None] * len(starts)
+    for i, _, end in _newton_pool(problem, starts, a, c, max_iter, max(1, len(starts))):
+        out[i] = end
     return out
 
 
-def _stack_norms_inf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+class _Stage:
+    """The live rows of one precision stage of a _NewtonPool, float64 or
+    long double, packed into the first k rows of buffers of the pool's
+    width that every round writes in place: iterates u, residuals r, the
+    trial pair of the line search, the corrections delta, and the work of
+    Problem.residual_values, whose two rows also serve as scratch between
+    residual evaluations (view). Per row: its start index, residual norm,
+    residual history and iterations taken."""
+
+    def __init__(self, dtype, width: int, n: int):
+        self.dtype = np.dtype(dtype)
+        self.u, self.r = np.empty((width, n), dtype), np.empty((width, n), dtype)
+        self.u_trial, self.r_trial = np.empty((width, n), dtype), np.empty((width, n), dtype)
+        self.delta = np.empty((width, n), dtype)
+        self.work = np.empty((2, width * (n + 2)), dtype)
+        self.index, self.iters = np.zeros((2, width), dtype=np.intp)
+        self.rnorm = np.zeros(width)
+        self.history: list = [None] * width
+        self.k = 0
+
+    def view(self, row: int, m: int) -> np.ndarray:
+        """A contiguous (m, n) view of one row of the residual work."""
+        n = self.u.shape[1]
+        return self.work[row, :m * n].reshape(m, n)
+
+    def drop(self, gone):
+        """Remove the rows at positions gone (ascending, below k): the last
+        rows move into the holes."""
+        if not len(gone):
+            return
+        k = self.k - len(gone)
+        holes = [i for i in gone if i < k]
+        movers = sorted(set(range(k, self.k)).difference(gone))
+        for i, j in zip(holes, movers):
+            self.u[i], self.r[i], self.delta[i] = self.u[j], self.r[j], self.delta[j]
+            self.index[i], self.rnorm[i], self.iters[i] = self.index[j], self.rnorm[j], self.iters[j]
+            self.history[i] = self.history[j]
+        self.k = k
+
+
+class _NewtonPool:
+    """The buffers and rounds of one _newton_pool call: a float64 and a
+    long-double _Stage, whose buffers are the only arrays of the pool's
+    size. The shared gtsv call of a round works in float64 buffers free at
+    that point: the Jacobian diagonals in the residual work's first row, the
+    two off-diagonal copies in the trial pair and the right-hand sides, the
+    long-double rows' included, in the float64 corrections."""
+
+    def __init__(self, problem: Problem, a: float, c: float, max_iter: int, width: int):
+        n = problem.domain.n_interior
+        self.problem, self.a, self.c, self.max_iter, self.width = problem, a, c, max_iter, width
+        self.f64 = _Stage(float, width, n)
+        self.ld = _Stage(np.longdouble, width, n)
+        self.admitted, self.exhausted = 0, False
+        self.n_balls, self.balls = 0, None
+
+    def run(self, starts, balls):
+        """The rounds: admit, solve, step each stage, until no row is live
+        and no start is left."""
+        self.admit(starts)
+        while self.f64.k + self.ld.k:
+            yield from self.solve()
+            yield from self.step(self.ld)
+            yield from self.step(self.f64, balls)
+            self.admit(starts)
+        if not self.exhausted:
+            raise RuntimeError("the next start is not ready and no row is live")
+
+    def residual(self, stage: _Stage, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.problem.residual_values(u, self.a, self.c, out=out, work=stage.work)
+
+    def admit(self, starts):
+        """Fill the free slots with the next starts, in start order, up to
+        the first that is not ready. A start whose residual norm is at or
+        below FLOAT64_PHASE_TOL enters the long-double stage."""
+        f, w = self.f64, self.ld
+        lo = f.k
+        for _ in range(self.width - f.k - w.k):
+            try:
+                u0 = next(starts)
+            except StopIteration:
+                self.exhausted = True
+                break
+            if u0 is None:
+                break
+            f.u[f.k], f.index[f.k] = u0, self.admitted
+            self.admitted += 1
+            f.k += 1
+        m = f.k - lo
+        if not m:
+            return
+        x = _row_norms(self.residual(f, f.u[lo:f.k], f.r[lo:f.k]), f.view(0, m))
+        f.rnorm[lo:f.k], f.iters[lo:f.k] = x, 0
+        f.history[lo:f.k] = [[v] for v in x.tolist()]
+        near = lo + (x <= FLOAT64_PHASE_TOL).nonzero()[0]
+        if near.size:
+            rows = slice(w.k, w.k + near.size)
+            w.u[rows] = f.u[near]
+            x = _row_norms(self.residual(w, w.u[rows], w.r[rows]), w.view(0, near.size))
+            w.index[rows], w.rnorm[rows], w.iters[rows] = f.index[near], x, 0
+            w.history[rows] = [[v] for v in x.tolist()]
+            w.k += near.size
+            f.drop(near)
+
+    def system(self):
+        """Write the float64 Jacobian diagonal and -F of every live row, the
+        float64 stage's rows first, into diag and the float64 stage's
+        delta, and return those two views."""
+        f, w = self.f64, self.ld
+        k64, k = f.k, f.k + w.k
+        nl = self.problem.nonlinearity
+        diag, rhs = f.view(0, k), f.delta[:k]
+        ramp_slope(nl, f.u[:k64], out=diag[:k64])
+        np.negative(f.r[:k64], out=rhs[:k64])
+        if w.k:
+            # the float64 rounding of each long-double iterate
+            np.copyto(diag[k64:], w.u[:w.k], casting="same_kind")
+            ramp_slope(nl, diag[k64:], out=diag[k64:])
+            np.negative(w.r[:w.k], out=rhs[k64:], casting="same_kind")
+        np.subtract(self.a, diag, out=diag)
+        diag += self.problem.laplacian.diag
+        return diag, rhs
+
+    def solve_stack(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve the block-diagonal stack of the rows of diag and rhs by one
+        gtsv call in place, rhs becoming the corrections, and return each
+        block's smallest pivot magnitude. An exactly zero pivot stops gtsv;
+        the pivots then come from _block_solve on rebuilt operands, and the
+        corrections are left unfinished."""
+        k, n = diag.shape
+        off = self.problem.laplacian.off
+        lower, upper = self.f64.u_trial[:k], self.f64.r_trial[:k]
+        for seams in (lower, upper):
+            seams[:, :-1] = off
+            seams[:, -1] = 0.0
+        _, d, info = _gtsv_in_place(diag.reshape(-1), lower.reshape(-1)[:-1],
+                                    upper.reshape(-1)[:-1], rhs.reshape(-1))
+        if info:
+            diag, rhs = self.system()
+            return _block_solve(diag, np.tile(np.append(off, 0.0), k), rhs)[1]
+        return np.abs(d, out=d).reshape(k, n).min(axis=1)
+
+    def solve(self):
+        """The corrections of every live row; yields the rows that end
+        before stepping (converged, out of iterations or singular) and
+        drops them."""
+        f, w = self.f64, self.ld
+        k64 = f.k
+        diag, rhs = self.system()
+        # the Jacobians share the Laplacian's uniform off-diagonal
+        norms = _stack_norms_inf(diag, self.problem.laplacian.off, f.view(1, len(diag)))
+        threshold = _pivot_threshold(self.problem, norms)
+        pivots = self.solve_stack(diag, rhs)
+        sound = pivots >= threshold
+        w.delta[:w.k] = rhs[k64:]
+        yield from self.leave(f, sound[:k64], pivots[:k64], threshold[:k64])
+        yield from self.leave(w, sound[k64:], pivots[k64:], threshold[k64:])
+        if not sound.all() and f.k + w.k:
+            # an unsound block's solution can overflow and feed 0 * inf =
+            # NaN through its seams into its neighbours, and an exactly
+            # singular one stops gtsv: solve again without them
+            diag, rhs = self.system()
+            self.solve_stack(diag, rhs)
+            w.delta[:w.k] = rhs[f.k:]
+
+    def leave(self, st: _Stage, sound, pivots, threshold):
+        """Yield and drop the rows of the stage that end before stepping,
+        given their blocks' soundness, pivots and thresholds."""
+        k = st.k
+        if not k:
+            return
+        rnorm = st.rnorm[:k]
+        converged = rnorm < NEWTON_TOL
+        out_of_steps = st.iters[:k] == self.max_iter
+        leaving = (~sound | converged | out_of_steps).nonzero()[0]
+        for i in leaving:
+            u64 = st.u[i].astype(float)
+            if out_of_steps[i] and not converged[i]:
+                end = "out-of-iterations", NonConvergence(
+                    f"no convergence in {self.max_iter} iterations "
+                    f"(residual {rnorm[i]:.3e})",
+                    u64, float(rnorm[i]), st.history[i],
+                )
+            elif sound[i]:
+                end = "converged", (u64, float(rnorm[i]), tuple(st.history[i]))
+            else:
+                end = "singular-jacobian", SingularJacobian(float(pivots[i]),
+                                                            float(threshold[i]))
+            yield (int(st.index[i]), *end)
+        st.drop(leaving)
+
+    def step(self, st: _Stage, balls=()):
+        """One damped step of every row of the stage along its correction;
+        yields the rows that stall or, in the float64 stage, exit in a
+        ball, and moves the float64 rows whose accepted trial is at or
+        below the switch to the long-double stage."""
+        k = st.k
+        if not k:
+            return
+        w = self.ld
+        rnorm, delta = st.rnorm[:k], st.delta[:k]
+        step = np.ones(k)
+        searching = np.arange(k)
+        # row -> long-double slot holding its accepted, promoted trial
+        switch: dict = {}
+        first = True
+        while searching.size:
+            m = searching.size
+            s, f0 = step[searching], rnorm[searching]
+            u, r = st.u[:k], st.r[:k]
+            u_trial, r_trial = st.u_trial[:m], st.r_trial[:m]
+            if first:
+                # every row's trial at step 1, where 1 * delta is delta
+                np.add(u, delta, out=u_trial)
+            else:
+                np.take(u, searching, axis=0, out=u_trial, mode="clip")
+                # the work is free until the residual evaluation
+                scaled = np.take(delta, searching, axis=0, out=st.view(1, m), mode="clip")
+                scaled *= s.astype(st.dtype)[:, None]
+                u_trial += scaled
+            self.residual(st, u_trial, r_trial)
+            f_trial = _row_norms(r_trial, st.view(0, m))
+            near = (f_trial <= FLOAT64_PHASE_TOL).nonzero()[0] if st is self.f64 else ()
+            if len(near):
+                promoted, r_promoted = w.u_trial[:len(near)], w.r_trial[:len(near)]
+                promoted[...] = u_trial[near]
+                self.residual(w, promoted, r_promoted)
+                f_trial[near] = _row_norms(r_promoted, w.view(0, len(near)))
+            accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
+            for j, i in enumerate(near):
+                if accept[i]:
+                    slot = w.k + len(switch)
+                    w.u[slot], w.r[slot] = promoted[j], r_promoted[j]
+                    switch[searching[i]] = slot
+            rejected = ~accept
+            if first and 2 * accept.sum() > m:
+                # the trials become the iterates; the fewer rejected rows
+                # are copied back
+                st.u, st.u_trial = st.u_trial, st.u
+                st.r, st.r_trial = st.r_trial, st.r
+                if rejected.any():
+                    u_trial[rejected], r_trial[rejected] = u[rejected], r[rejected]
+            elif accept.any():
+                u[searching[accept]], r[searching[accept]] = u_trial[accept], r_trial[accept]
+            rnorm[searching[accept]] = f_trial[accept]
+            if not rejected.any():
+                break
+            first = False
+            s, f0, f_trial = s[rejected], f0[rejected], f_trial[rejected]
+            searching = searching[rejected]
+            # fmax turns the NaN of a non-finite trial into the lower bound
+            q = (f_trial - f0 + s * f0) / s**2
+            step[searching] = np.minimum(np.fmax(f0 / (2.0 * q), 0.1 * s), 0.5 * s)
+            searching = searching[step[searching] >= ARMIJO_MIN_STEP]
+        st.iters[:k] += 1
+        for h, x in zip(st.history[:k], rnorm.tolist()):
+            h.append(x)
+        gone = step < ARMIJO_MIN_STEP
+        for i in gone.nonzero()[0]:
+            yield (int(st.index[i]), "stalled", NonConvergence(
+                f"line search stalled at residual {rnorm[i]:.3e}",
+                st.u[i].astype(float), float(rnorm[i]), st.history[i],
+            ))
+        if balls:
+            ball = _ball_index(st.u[:k], *self.ball_arrays(balls))
+            exits = ~gone & (ball >= 0)
+            for i in exits.nonzero()[0]:
+                yield (int(st.index[i]), "ball-exit", int(ball[i]))
+            gone |= exits
+        if switch:
+            slot = w.k
+            for i, reserved in switch.items():
+                if gone[i]:
+                    continue
+                if reserved != slot:
+                    w.u[slot], w.r[slot] = w.u[reserved], w.r[reserved]
+                w.index[slot], w.rnorm[slot], w.iters[slot] = st.index[i], rnorm[i], st.iters[i]
+                w.history[slot] = st.history[i]
+                slot += 1
+            w.k = slot
+            gone[list(switch)] = True
+        st.drop(gone.nonzero()[0])
+
+    def ball_arrays(self, balls):
+        """(centers, radii) of balls as a (k, n) stack and an array, built
+        again only when balls has grown."""
+        if len(balls) != self.n_balls:
+            centers, radii = zip(*balls)
+            self.n_balls, self.balls = len(balls), (np.stack(centers), np.array(radii))
+        return self.balls
+
+
+def _stack_norms_inf(diag: np.ndarray, off: np.ndarray, scratch=None) -> np.ndarray:
     """Infinity norm of each of a stack of symmetric tridiagonal matrices,
     the rows of diag, that share the uniform off-diagonal off of
     assemble_laplacian: np.max(grid._row_abs_sums(diag, off), axis=1) bit
-    for bit, from one maximum over |diag| per row. With every |off| equal
-    to o, an interior row sums to (|d_i| + o) + o and the end rows to
-    |d_0| + o and |d_n-1| + o; rounding is monotone, so the largest interior
-    sum is the one of the largest interior |d_i|. NaN and inf pass through
-    as they do in the row sums."""
-    ad = np.abs(diag)
+    for bit, from one maximum over |diag| per row, which is written into
+    scratch (diag's shape) when given. With every |off| equal to o, an
+    interior row sums to (|d_i| + o) + o and the end rows to |d_0| + o and
+    |d_n-1| + o; rounding is monotone, so the largest interior sum is the
+    one of the largest interior |d_i|. NaN and inf pass through as they do
+    in the row sums."""
+    ad = np.abs(diag, out=scratch)
     o = abs(float(off[0]))
     norms = ad[:, 1:-1].max(axis=1)
     norms += o
@@ -460,15 +770,14 @@ def _stack_norms_inf(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 def _block_solve(diag: np.ndarray, seams: np.ndarray, rhs: np.ndarray):
     """Solve each block of a block-diagonal stack of symmetric tridiagonal
-    systems, the rows of diag and rhs, by gtsv calls on the stack. seams is
-    the stack's off-diagonal pattern (each block's couplings, then a zero
-    seam), at least as long as the stack needs.
+    systems, the rows of diag and rhs, by gtsv calls on copies of the
+    stack. seams is the stack's off-diagonal pattern (each block's
+    couplings, then a zero seam), at least as long as the stack needs.
 
     Returns the (k, n) solutions and the smallest pivot magnitude of each
     block. An exactly zero pivot stops gtsv in block (info - 1) // n; that
-    block gets pivot 0.0 and the stack is solved again without it, so a
-    stack without one costs one call. The solutions are None when a block
-    was dropped: its row was never solved.
+    block gets pivot 0.0 and the stack is solved again without it. The
+    solutions are None when a block was dropped: its row was never solved.
     """
     k, n = diag.shape
     pivots = np.zeros(k)
@@ -484,138 +793,10 @@ def _block_solve(diag: np.ndarray, seams: np.ndarray, rhs: np.ndarray):
     return (x.reshape(k, n) if live.size == k else None), pivots
 
 
-def _row_norms(r: np.ndarray) -> np.ndarray:
-    """Sup norm of each row of r, as float64."""
-    return np.max(np.abs(r), axis=1).astype(float, copy=False)
-
-
-def _newton_stage(problem: Problem, a: float, c: float, max_iter: int, out, entries,
-                  balls=None):
-    """The loop of _newton_rows over one stage, in the dtype of its iterates:
-    float64 or long double. Only the float64 stage is given balls.
-
-    entries lists the stage's rows in start order, each as (start index,
-    iterate, residual, residual norm, history, iterations taken); the list
-    is emptied once the rows are stacked, so that only the stacked copies
-    stay alive. Each row that ends here gets its entry in out. The float64
-    stage returns the rows it hands to the long-double stage, in the same
-    form; the long-double stage hands none on.
-    """
-    if not entries:
-        return []
-    index, u, r, rnorm, history, iters = zip(*entries)
-    entries.clear()
-    rows, u, r = np.array(index), np.stack(u), np.stack(r)
-    rnorm, history, iters = np.array(rnorm), list(history), np.array(iters)
-    ld = np.longdouble
-    wide = u.dtype == ld
-    lap = problem.laplacian
-    # off-diagonal of a block-diagonal stack of k Jacobians: its first
-    # k n - 1 entries, each block's couplings followed by a zero seam
-    seams = np.tile(np.append(lap.off, 0.0), len(rows))
-    handed = []
-
-    while rows.size:
-        u64 = u.astype(float) if wide else u
-        diag = lap.diag + (a - ramp_slope(problem.nonlinearity, u64))
-        # the Jacobians share the Laplacian's uniform off-diagonal
-        threshold = _pivot_threshold(problem, _stack_norms_inf(diag, lap.off))
-        rhs = (-r).astype(float, copy=False)
-        delta, pivots = _block_solve(diag, seams, rhs)
-        sound = pivots >= threshold
-        converged = rnorm < NEWTON_TOL
-        out_of_steps = iters == max_iter
-        leaving = ~sound | converged | out_of_steps
-        if leaving.any():
-            for i in np.flatnonzero(leaving):
-                if out_of_steps[i] and not converged[i]:
-                    out[rows[i]] = NonConvergence(
-                        f"no convergence in {max_iter} iterations "
-                        f"(residual {rnorm[i]:.3e})",
-                        u64[i],
-                        float(rnorm[i]),
-                        history[i],
-                    )
-                elif sound[i]:
-                    out[rows[i]] = (u64[i], float(rnorm[i]), tuple(history[i]))
-                else:
-                    out[rows[i]] = SingularJacobian(float(pivots[i]), float(threshold[i]))
-            go = np.flatnonzero(~leaving)
-            rows, u, r, rnorm, iters = rows[go], u[go], r[go], rnorm[go], iters[go]
-            history = [history[i] for i in go]
-            if not go.size:
-                break
-            if sound.all():
-                delta = delta[go]
-            else:
-                # an unsound block's solution can overflow and feed
-                # 0 * inf = NaN through its seams into its neighbours, and an
-                # exactly singular one was never solved: solve again without
-                delta = _block_solve(diag[go], seams, rhs[go])[0]
-        delta = delta.astype(u.dtype, copy=False)
-
-        step = np.ones(len(rows))
-        searching = np.arange(len(rows))
-        switch = {}
-        first = True
-        while searching.size:
-            s, f0 = step[searching], rnorm[searching]
-            if first:
-                # every row's trial at step 1, where 1 * delta is delta
-                u_trial = u + delta
-            else:
-                u_trial = u[searching] + s.astype(u.dtype)[:, None] * delta[searching]
-            r_trial = problem.residual_values(u_trial, a, c)
-            f_trial = _row_norms(r_trial)
-            near = [] if wide else np.flatnonzero(f_trial <= FLOAT64_PHASE_TOL)
-            if len(near):
-                promoted = u_trial[near].astype(ld)
-                r_promoted = problem.residual_values(promoted, a, c)
-                f_trial[near] = _row_norms(r_promoted)
-            accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
-            for j, k in enumerate(near):
-                if accept[k]:
-                    switch[searching[k]] = (promoted[j], r_promoted[j])
-            if first and accept.all():
-                u, r, rnorm = u_trial, r_trial, f_trial
-                break
-            first = False
-            moved = searching[accept]
-            u[moved], r[moved], rnorm[moved] = (
-                u_trial[accept], r_trial[accept], f_trial[accept]
-            )
-            s, f0, f_trial = s[~accept], f0[~accept], f_trial[~accept]
-            searching = searching[~accept]
-            # fmax turns the NaN of a non-finite trial into the lower bound
-            q = (f_trial - f0 + s * f0) / s**2
-            step[searching] = np.minimum(np.fmax(f0 / (2.0 * q), 0.1 * s), 0.5 * s)
-            searching = searching[step[searching] >= ARMIJO_MIN_STEP]
-        iters += 1
-        for h, x in zip(history, rnorm.tolist()):
-            h.append(x)
-        stalled = step < ARMIJO_MIN_STEP
-        for i in np.flatnonzero(stalled):
-            out[rows[i]] = NonConvergence(
-                f"line search stalled at residual {rnorm[i]:.3e}",
-                u[i].astype(float),
-                float(rnorm[i]),
-                history[i],
-            )
-        keep = ~stalled
-        if balls is not None:
-            ball = _ball_index(u, *balls)
-            for i in np.flatnonzero(keep & (ball >= 0)):
-                out[rows[i]] = int(ball[i])
-            keep &= ball < 0
-        for i, (v, rv) in switch.items():
-            if keep[i]:
-                handed.append((rows[i], v, rv, rnorm[i], history[i], iters[i]))
-        keep[list(switch)] = False
-        if not keep.all():
-            rows, u, r, rnorm, iters = rows[keep], u[keep], r[keep], rnorm[keep], iters[keep]
-            history = [h for h, k in zip(history, keep) if k]
-
-    return handed
+def _row_norms(r: np.ndarray, scratch=None) -> np.ndarray:
+    """Sup norm of each row of r, as float64; |r| is written into scratch
+    (r's shape and dtype) when given."""
+    return np.max(np.abs(r, out=scratch), axis=1).astype(float, copy=False)
 
 
 def newton_solve(

@@ -711,8 +711,8 @@ class TestExtendedNewton:
             steps.append(x)
             return (10.0 * x, 10.0 * y) if len(steps) == 1 else (x, y)
 
-        def recorded(self, u, a, c):
-            F = real_residual(self, u, a, c)
+        def recorded(self, u, a, c, **buffers):
+            F = real_residual(self, u, a, c, **buffers)
             sups.append(float(np.max(np.abs(F))))
             dtypes.append(F.dtype)
             return F
@@ -768,8 +768,8 @@ class TestExtendedNewton:
         measured, stages = [], []
         real_residual, real_solve = Problem.residual_values, continuation.solve_bordered
 
-        def residual(self, u, a, c):
-            F = real_residual(self, u, a, c)
+        def residual(self, u, a, c, **buffers):
+            F = real_residual(self, u, a, c, **buffers)
             measured.append((u.copy(), F.dtype == np.longdouble, float(np.max(np.abs(F)))))
             return F
 

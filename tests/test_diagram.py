@@ -13,6 +13,7 @@ import dataclasses
 import inspect
 import itertools
 import re
+import threading
 from collections import Counter
 
 import numpy as np
@@ -209,18 +210,44 @@ class TestCountSolutions:
     def test_set_rejects_members_below_threshold(self, problem0):
         pt = newton_solve(problem0, DiscreteField.zero(problem0.domain), 20.0, -1.0)
         with pytest.raises(ValueError):
-            SolutionSet((pt, pt), 20.0, -1.0, 60, 1e-4, (1.0, 1.0), 0)
+            SolutionSet((pt, pt), 20.0, -1.0, 60, 1e-4, (1.0, 1.0),
+                        dict.fromkeys(diagram_mod.OUTCOMES, 0))
 
 
 def _seeds(problem, a, n_starts, seed):
     """The start fields of count_solutions as one list, in start order."""
-    return [u for stack in diagram_mod._multistart_seeds(problem, a, n_starts, seed)
-            for u in stack]
+    return list(diagram_mod._multistart_seeds(problem, a, n_starts, seed))
 
 
 def _stack_rows(monkeypatch, problem, rows):
-    """Make count_solutions solve its random starts rows at a time."""
+    """Make count_solutions pool its starts rows at a time."""
     monkeypatch.setattr(diagram_mod, "_STACK_ELEMENTS", rows * problem.domain.n_interior)
+
+
+def _start_endings(monkeypatch):
+    """Record, start by start, how each row of count_solutions' pool ends
+    (solver._newton_pool); returns the list that each count's dict of start
+    index to ending is appended to."""
+    counts, real_pool = [], diagram_mod._newton_pool
+
+    def pool(*args, **kwargs):
+        endings = {}
+        counts.append(endings)
+        for i, ending, end in real_pool(*args, **kwargs):
+            endings[i] = ending
+            yield i, ending, end
+
+    monkeypatch.setattr(diagram_mod, "_newton_pool", pool)
+    return counts
+
+
+def _assert_same_but_exits(got, want):
+    """Two records of _start_endings for the same starts: every start that
+    exits in a ball in neither ends the same way in both."""
+    assert sorted(got) == sorted(want) == list(range(len(want)))
+    for i, ending in want.items():
+        if "ball-exit" not in (ending, got[i]):
+            assert got[i] == ending, i
 
 
 def _per_start_count(problem, a, c, n_starts, seed):
@@ -373,18 +400,9 @@ class TestBatchedOracle:
             _assert_same_end(got, want)
 
         starts = _seeds(problem, lam2, 60, 0)
+        # the first random start on the segment
         starts = (starts[:5] + [on_segment] + starts[5:])[:-1]
-        real_seeds = diagram_mod._multistart_seeds
-
-        def with_segment_start(problem, a, n_starts, seed):
-            # the stacks of _multistart_seeds, the first random start on the
-            # segment
-            lo = 0
-            for stack in real_seeds(problem, a, n_starts, seed):
-                yield np.array(starts[lo:lo + len(stack)])
-                lo += len(stack)
-
-        monkeypatch.setattr(diagram_mod, "_multistart_seeds", with_segment_start)
+        monkeypatch.setattr(diagram_mod, "_multistart_seeds", lambda *args, **kwargs: iter(starts))
         want, outcomes = _per_start_count(problem, lam2, 0.0, 60, 0)
         assert outcomes["singular"] >= 2
         _assert_bit_identical(count_solutions(problem, lam2, 0.0, 60, 0).members, want)
@@ -421,6 +439,14 @@ class TestBatchedOracle:
         lengths = [len(end[2]) for end in stacked if not isinstance(end, Exception)]
         assert sum(0 < k < m - 1 for k, m in zip(handoffs, lengths)) >= 5
 
+    def test_pool_raises_when_a_start_is_never_ready(self, problem99):
+        """A stream whose next start is not ready while no row is live would
+        wait forever: the pool raises instead of ending with starts left."""
+        starts = itertools.chain([np.zeros(problem99.domain.n_interior)], itertools.repeat(None))
+        pool = solver_mod._newton_pool(problem99, starts, 20.0, 0.0, COUNT_MAX_ITER, 4)
+        with pytest.raises(RuntimeError, match="not ready"):
+            list(pool)
+
     def test_classifies_only_survivors(self, problem, eigs, monkeypatch):
         spectra = []
         original = solver_mod.linearized_spectrum
@@ -438,35 +464,82 @@ class TestBatchedOracle:
     @pytest.mark.parametrize("level", ["stalls", "degenerate"])
     @pytest.mark.parametrize("rows", [1, 7, 60])
     def test_members_invariant_under_chunking(self, problem, monkeypatch, level, rows):
-        """Random starts one row per stack, seven, and all 55 in one stack
-        give the members of the default width bit for bit."""
+        """A pool of one row, of seven, and of all 60 starts gives the
+        members, radii and histories of the default width bit for bit, and
+        every start that exits in a ball at neither width ends the same way
+        at both."""
         a, c, _ = _oracle_level(problem, level)
+        endings = _start_endings(monkeypatch)
         want = count_solutions(problem, a, c, 60, 0)
         _stack_rows(monkeypatch, problem, rows)
-        _assert_bit_identical(count_solutions(problem, a, c, 60, 0).members, want.members)
+        got = count_solutions(problem, a, c, 60, 0)
+        _assert_bit_identical(got.members, want.members)
+        assert got.radii == want.radii
+        _assert_same_but_exits(*endings)
 
     @pytest.mark.parametrize("fixture", ["problem99", "problem"])
     def test_seeding_stack_then_budgeted_width(self, fixture, request, monkeypatch):
-        """_multistart_seeds yields the five fixed starts as a stack of their
-        own, then the random starts in stacks of _STACK_ELEMENTS // n rows
-        (257 at n = 99, 64 at n = 399); the fields are bit-identical to
-        those of one random start per stack."""
+        """_multistart_seeds yields the five fixed starts and then the random
+        ones, one field at a time, and count_solutions' pool of
+        _STACK_ELEMENTS // n rows (257 at n = 99, 64 at n = 399, one row for
+        a budget below one) admits them in start order. The fixed starts
+        seed the balls: the random starts wait until all five have ended.
+        From then on every round starts with a full pool while starts
+        remain, each slot freed by a row that ends taking the next start."""
         problem = request.getfixturevalue(fixture)
         a = problem.modes()[1].eigenvalue + 0.5 * DELTA_WINDOW
-        stacks = list(diagram_mod._multistart_seeds(problem, a, 400, 0))
+        seeds = _seeds(problem, a, 400, 0)
         n = problem.domain.n_interior
-        width = diagram_mod._STACK_ELEMENTS // n
-        assert width == {99: 257, 399: 64}[n]
-        assert [len(s) for s in stacks] == [5] + [width] * (395 // width) + [395 % width]
+        assert len(seeds) == 400 and all(u.shape == (n,) for u in seeds)
         span = 2.0 * critical_cap(problem.nonlinearity, a)
         phi, psi = (p.eigenfunction.values for p in problem.modes())
         fixed = np.array([np.zeros(n), span * phi, -span * phi, span * psi, -span * psi])
-        assert stacks[0].tobytes() == fixed.tobytes()
-        # a budget below one row still gives one row per stack
-        monkeypatch.setattr(diagram_mod, "_STACK_ELEMENTS", 1)
-        ones = list(diagram_mod._multistart_seeds(problem, a, 400, 0))
-        assert [len(s) for s in ones] == [5] + [1] * 395
-        assert np.concatenate(ones).tobytes() == np.concatenate(stacks).tobytes()
+        assert np.array(seeds[:5]).tobytes() == fixed.tobytes()
+        real_pool, real_seeds = diagram_mod._newton_pool, diagram_mod._multistart_seeds
+        real_norms = solver_mod._stack_norms_inf
+        for budget, width in ((diagram_mod._STACK_ELEMENTS, {99: 257, 399: 64}[n]), (1, 1)):
+            monkeypatch.setattr(diagram_mod, "_STACK_ELEMENTS", budget)
+            events, widths = [], []
+
+            def seeds_logged(*args, **kwargs):
+                taken = 0
+                for u in real_seeds(*args, **kwargs):
+                    if u is not None:
+                        events.append(("take", taken))
+                        taken += 1
+                    yield u
+
+            def pool(problem, starts, a, c, max_iter, width, balls):
+                widths.append(width)
+                for end in real_pool(problem, starts, a, c, max_iter, width, balls):
+                    events.append(("end", end[0]))
+                    yield end
+
+            def norms(*args):
+                # one call per round, before its solve
+                events.append(("round", None))
+                return real_norms(*args)
+
+            monkeypatch.setattr(diagram_mod, "_multistart_seeds", seeds_logged)
+            monkeypatch.setattr(diagram_mod, "_newton_pool", pool)
+            monkeypatch.setattr(solver_mod, "_stack_norms_inf", norms)
+            got = count_solutions(problem, a, 0.2 * C_NATURAL_FOLD_NEG, 400, 0)
+            assert widths == [width] and got.count == 4
+            taken = [i for kind, i in events if kind == "take"]
+            assert taken == list(range(400))
+            assert sorted(i for kind, i in events if kind == "end") == taken
+            live = took = fixed_ended = 0
+            for kind, i in events:
+                if kind == "take":
+                    assert i < 5 or fixed_ended == 5
+                    live, took = live + 1, took + 1
+                elif kind == "end":
+                    live, fixed_ended = live - 1, fixed_ended + (i < 5)
+                elif fixed_ended == 5:
+                    assert live == width or took == 400
+                assert live <= width
+            first = min(width, 5)
+            assert events[:first + 1] == [("take", i) for i in range(first)] + [("round", None)]
 
 
 def _without_balls(monkeypatch):
@@ -518,22 +591,73 @@ class TestNewtonBalls:
 
     @pytest.mark.parametrize("rows", [1, 32, 400])
     def test_members_invariant_under_chunking(self, problem, eigs, monkeypatch, rows):
-        """Random starts one row per stack, 32, and all 395 in one stack
-        give the members and radii of the default width. The seeding stack
-        of the five fixed starts gives balls to every later stack, so starts
-        exit at every width, all random starts in one stack included; with
-        no balls none does."""
+        """A pool of one row, of 32, and of all 400 starts gives the members,
+        radii and histories of the default width, and every start that
+        exits in a ball at neither width ends the same way at both. Each
+        member's ball goes live once every earlier start has ended, so
+        starts exit at every width, all starts in one pool included; with
+        no balls none does, and the members are the same again."""
         a, c = eigs[1] + 0.5 * DELTA_WINDOW, 0.2 * C_NATURAL_FOLD_NEG
+        endings = _start_endings(monkeypatch)
         want = count_solutions(problem, a, c, 400, 0)
         _stack_rows(monkeypatch, problem, rows)
         got = count_solutions(problem, a, c, 400, 0)
         _assert_bit_identical(got.members, want.members)
         assert got.radii == want.radii
         assert got.exited > 0
+        _assert_same_but_exits(*endings)
+        if rows == 1:
+            # alone in the pool, each start meets the balls of every member
+            # kept before it: the most exits of any width
+            assert got.exited >= want.exited
         _without_balls(monkeypatch)
         plain = count_solutions(problem, a, c, 400, 0)
         _assert_bit_identical(plain.members, want.members)
         assert plain.exited == 0
+        _assert_same_but_exits(endings[-1], endings[0])
+
+    def test_outcomes_account_for_every_start(self, diagram_window):
+        """At every level verify_structure counts in the n = 399 window (the
+        four samples and c = 0), the outcomes count every start once and
+        exited is their ball-exit count. A member is one start's outcome,
+        so the members count themselves; the no-state level has no member,
+        no duplicate and no exit, and every other level exits most starts."""
+        levels = [*diagram_mod._count_samples(diagram_window), 0.0]
+        for c in levels:
+            got = count_solutions(diagram_window.problem, diagram_window.a, c, 400, 9)
+            assert tuple(got.outcomes) == diagram_mod.OUTCOMES
+            assert sum(got.outcomes.values()) == got.n_starts == 400
+            assert got.exited == got.outcomes["ball-exit"]
+            assert got.outcomes["member"] == got.count
+            if got.count:
+                assert got.exited > 200
+            else:
+                assert got.outcomes["duplicate"] == got.exited == 0
+                assert got.outcomes["stalled"] > 300
+
+    def test_concurrent_counts_match_sequential(self, problem, eigs):
+        """Two threads that count at the same time, at two levels, return
+        the SolutionSets of the two counts run one after the other, bit for
+        bit: each count owns its pool."""
+        a = eigs[1] + 0.5 * DELTA_WINDOW
+        levels = (0.2 * C_NATURAL_FOLD_NEG, 287.35)
+        want = [count_solutions(problem, a, c, 200, 3) for c in levels]
+        got = [None, None]
+        barrier = threading.Barrier(2)
+
+        def count(k):
+            barrier.wait(timeout=60)
+            got[k] = count_solutions(problem, a, levels[k], 200, 3)
+
+        threads = [threading.Thread(target=count, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+            assert not t.is_alive()
+        for g, w in zip(got, want):
+            _assert_bit_identical(g.members, w.members)
+            assert (g.radii, g.outcomes) == (w.radii, w.outcomes)
 
     def test_damped_newton_inside_a_ball_ends_on_its_member(self):
         """From random points of a member's ball, including its rim, the
@@ -583,9 +707,9 @@ class TestDampedNewton:
         rows = []
         original = Problem.residual_values
 
-        def counting(self, u, a, c):
+        def counting(self, u, a, c, **buffers):
             rows.append(len(u))
-            return original(self, u, a, c)
+            return original(self, u, a, c, **buffers)
 
         monkeypatch.setattr(Problem, "residual_values", counting)
         a = eigs[1] + 0.5 * DELTA_WINDOW
@@ -670,8 +794,8 @@ class TestDampedNewton:
         norms = {np.dtype(float): set(), np.dtype(np.longdouble): set()}
         original = Problem.residual_values
 
-        def recording(self, u, a, c):
-            r = original(self, u, a, c)
+        def recording(self, u, a, c, **buffers):
+            r = original(self, u, a, c, **buffers)
             norms[r.dtype].update(np.max(np.abs(r), axis=-1).astype(float).ravel().tolist())
             return r
 
@@ -1406,8 +1530,8 @@ class TestKernelCallCounts:
         real_residual = Problem.residual_values
         wide = []
 
-        def residual(self, u, a, c):
-            F = real_residual(self, u, a, c)
+        def residual(self, u, a, c, **buffers):
+            F = real_residual(self, u, a, c, **buffers)
             wide.append(F.dtype == np.longdouble)
             return F
 
@@ -1509,8 +1633,8 @@ class TestKernelCallCounts:
         measured = None
         ends = []
 
-        def residual(self, u, a, c):
-            F = real_residual(self, u, a, c)
+        def residual(self, u, a, c, **buffers):
+            F = real_residual(self, u, a, c, **buffers)
             if measured is not None:
                 measured.append((F.dtype == np.longdouble, float(np.max(np.abs(F)))))
             return F
@@ -1614,14 +1738,15 @@ class TestKernelCallCounts:
     def test_each_newton_iteration_of_a_count_makes_one_gtsv_call(
         self, diagram_window99, monkeypatch
     ):
-        """Over one count, the stacked Newton's iterations (one infinity-norm
+        """Over one count, the pooled Newton's rounds (one infinity-norm
         bound each) meet no singular Jacobian, and each makes exactly one
-        gtsv call and no gttrf or gttrs call."""
+        gtsv call, over both precision stages' rows, and no gttrf or gttrs
+        call."""
         calls = Counter()
         per_iteration = []
         real_gtsv = grid_mod._dgtsv
         real_norms = solver_mod._stack_norms_inf
-        real_rows = diagram_mod._newton_rows
+        real_pool = diagram_mod._newton_pool
         ends = Counter()
 
         def gtsv(*args, **kwargs):
@@ -1632,20 +1757,23 @@ class TestKernelCallCounts:
             per_iteration.append(0)
             return real_norms(*args)
 
-        def rows(*args, **kwargs):
-            out = real_rows(*args, **kwargs)
-            ends.update(type(end).__name__ for end in out)
-            return out
+        def pool(*args, **kwargs):
+            for end in real_pool(*args, **kwargs):
+                ends[end[1]] += 1
+                yield end
 
         monkeypatch.setattr(grid_mod, "_dgtsv", gtsv)
         monkeypatch.setattr(grid_mod, "_dgttrf", self.counted(calls, "gttrf", grid_mod._dgttrf))
         monkeypatch.setattr(grid_mod, "_dgttrs", self.counted(calls, "gttrs", grid_mod._dgttrs))
         monkeypatch.setattr(solver_mod, "_stack_norms_inf", norms)
-        monkeypatch.setattr(diagram_mod, "_newton_rows", rows)
+        monkeypatch.setattr(diagram_mod, "_newton_pool", pool)
         found = count_solutions(diagram_window99.problem, diagram_window99.a, 0.0, 100, 0)
         assert found.count == 4
-        assert "SingularJacobian" not in ends and ends["tuple"] + ends["int"] == 100
-        assert len(per_iteration) > 20 and set(per_iteration) == {1}
+        assert "singular-jacobian" not in ends and ends["converged"] + ends["ball-exit"] == 100
+        # all 100 starts fit one pool at n = 99, so there are as many rounds
+        # as the longest-lived row needs: one per Jacobian it factors
+        assert len(per_iteration) >= max(len(m.residual_history) for m in found.members)
+        assert set(per_iteration) == {1}
         assert not calls
 
 

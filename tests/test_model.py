@@ -14,6 +14,7 @@ from bifurcate.model import (
     critical_cap,
     eval_nonlinearity,
     ramp_curvature,
+    ramp_slope,
     ramp_values,
 )
 from bifurcate.solver import Problem
@@ -84,6 +85,29 @@ def test_ramp_curvature_bit_identical_to_eval_nonlinearity(p, dtype):
     r = np.maximum(u - dtype(0.2), dtype(0.0))
     expected = p * (p - 1) * r ** (p - 2) if p >= 2 else np.zeros_like(r)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_ramp_into_buffers_bit_identical(p, dtype):
+    """f and f' written into caller buffers (out, and work for f; for f',
+    out may be u itself) are the bits of the allocating evaluation, which
+    equal eval_nonlinearity's, signed zeros included."""
+    nl = Nonlinearity(M=0.2, p_f=p, validate=False)
+    u = _long_double_samples().astype(dtype)
+    u[:, 0], u[:, 1] = 0.2, -0.0
+    f, fp, _ = eval_nonlinearity(nl, u)
+    out, work = np.full_like(u, np.nan), np.full_like(u, np.nan)
+    assert ramp_values(nl, u, out=out, work=work) is out
+    slope = np.full_like(u, np.nan)
+    assert ramp_slope(nl, u, out=slope) is slope
+    in_place = u.copy()
+    ramp_slope(nl, in_place, out=in_place)
+    for got, want in ((ramp_values(nl, u), f), (out, f), (ramp_slope(nl, u), fp),
+                      (slope, fp), (in_place, fp)):
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_nonlinearity_validation():

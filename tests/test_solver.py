@@ -132,7 +132,9 @@ def test_residual_is_the_nested_difference_formula_bit_for_bit(
 ):
     """The residual built in place from the padded field's differences gives
     the bits of the np.diff formula, in float64 and long double, for one
-    field and for stacks of them, signed zeros at the boundary included."""
+    field and for stacks of them, signed zeros at the boundary included;
+    so does its evaluation into a caller's out and a larger work holding
+    stale values."""
     problem = Problem(build_grid(n, 1.0), Nonlinearity(M, p_f), HarvestSpec("bump"))
     rng = np.random.default_rng(seed)
     x = problem.domain.nodes
@@ -141,7 +143,12 @@ def test_residual_is_the_nested_difference_formula_bit_for_bit(
         u[..., 0], u[..., -1] = -0.0, 0.0
     u = u.astype(np.longdouble if wide else float)
     a, c = rng.uniform(-5.0, 60.0), rng.uniform(-10.0, 600.0)
-    assert _same_bits(problem.residual_values(u, a, c), _nested_difference_residual(problem, u, a, c))
+    want = _nested_difference_residual(problem, u, a, c)
+    assert _same_bits(problem.residual_values(u, a, c), want)
+    out = np.full_like(u, np.nan)
+    work = np.full((2, (u.size // n + 3) * (n + 2)), np.inf, dtype=u.dtype)
+    assert problem.residual_values(u, a, c, out=out, work=work) is out
+    assert _same_bits(out, want)
 
 
 def test_jacobian_at_zero(problem, domain):
