@@ -7,14 +7,18 @@ import platform as _platform
 
 import numpy as _np
 
-# Every certified residual and the oracle's counts rest on np.longdouble
-# being x87 extended precision (63 explicit mantissa bits) or wider. Where it
-# is float64 they come out wrong without an error: the README count (n = 399,
-# 800 starts) finds 3 states instead of 4. So the import is refused.
+# Every Newton iterate and residual certificate is float64 or a float64 Pair
+# (solver.Ladder). One thing still needs numpy's long double to be x87
+# extended precision (63 explicit mantissa bits) or wider: the closed-form
+# Laplacian modes of grid.exact_mode_longdouble, which the lambda1 ray and
+# the lambda2 segment are built from and certified on. Where it is float64
+# those modes carry only float64's digits, and the segment's certificate
+# fails from n = 99 on, the ray's at n = 1599. So the import is refused.
 if _np.finfo(_np.longdouble).nmant < 63:
     raise ImportError(
         f"bifurcate needs numpy's long double to carry at least 63 mantissa "
-        f"bits (x87 extended precision); on {_platform.system()} "
+        f"bits (x87 extended precision) for the closed-form modes of "
+        f"grid.exact_mode_longdouble; on {_platform.system()} "
         f"{_platform.machine()} it carries {_np.finfo(_np.longdouble).nmant}"
     )
 

@@ -8,14 +8,13 @@ Conventions shared by everything in this module:
   distances between states use the product norm ||du||_L2 + |dc| (plus
   |da| along the zero-harvest sweep, where a varies). A Branch stores only
   its points and derives its chart coordinates and arclengths from them.
-- Iterates converge in long double while corrections come from float64
-  solves, the same convention as newton_solve. A float64 vector of
-  moderate amplitude cannot represent a steady state below a ~1e-10 sup-norm
-  defect at this stencil scale, so the reported residuals are those of the
-  long-double iterate and the stored fields are float64 roundings. Far from
-  convergence float64 is enough: every extended system started from a
-  float64 state iterates in float64 above solver.FLOAT64_PHASE_TOL, as
-  newton_solve does (_extended_newton).
+- Iterates climb newton_solve's precision ladder (solver.Ladder): a
+  float64 vector of moderate amplitude cannot represent a steady state
+  below a ~1e-10 sup-norm defect at this stencil scale, so an iterate is a
+  float64 field above solver.FLOAT64_PHASE_TOL and a float64 Pair
+  hi + lo from there on, while every correction comes from a float64
+  solve (_extended_newton). The reported residuals are those of the Pair
+  and the stored fields its hi.
 - Every extended system is solved by one Newton loop (_extended_newton):
   the state equation with c free, bordered by an affine row (the arclength
   corrector and the chart projection), by the test function g below (the
@@ -63,12 +62,13 @@ from .grid import (
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
-    FLOAT64_PHASE_TOL,
     FOLD_MAX_ITER,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     PROJECTION_MAX_ITER,
+    Ladder,
     NonConvergence,
+    Pair,
     Problem,
     SingularJacobian,
     SolutionPoint,
@@ -76,6 +76,7 @@ from .solver import (
     _newton_rows,
     classify_state,
     newton_solve,
+    two_sum,
 )
 
 MIN_ARCLENGTH_STEP = 1e-8
@@ -88,8 +89,8 @@ CZERO_SWEEP_STEPS = (0.25, 1e-6, 1.0)
 #: Offset above the threshold M of the first amplitude a zero-harvest seed
 #: tries.
 CZERO_SEED_OFFSET = 0.05
-#: Chart samples of the degenerate segment checked in long double, and the
-#: bound their residual must stay below.
+#: Chart samples of the degenerate segment checked as Pairs, and the bound
+#: their residual must stay below.
 SEGMENT_CHECKS = 9
 SEGMENT_TOL = 1e-12
 #: Chord tolerance of the arclength tracer in the product norm: the step is
@@ -314,13 +315,21 @@ def chart_coordinate(problem: Problem, chart: str, u: np.ndarray) -> float:
     return dom.inner(e, u) / dom.inner(e, e)
 
 
-def _linearized_apply(problem: Problem, u: np.ndarray, w: np.ndarray, a) -> np.ndarray:
-    """(Delta_h + a - f'(u)) w in the dtype of the inputs, with the Laplacian
-    as nested first differences so neighbor cancellation stays exact."""
-    w = np.asarray(w)
-    one = w.dtype.type
-    fp = ramp_slope(problem.nonlinearity, u)
-    return problem._nested_laplacian(w) + (one(a) - fp.astype(w.dtype)) * w
+def _linearized_apply(problem: Problem, u: np.ndarray, w, a: float) -> np.ndarray:
+    """J(u) w = (Delta_h + a - f'(u)) w in float64 at the float64 u and a,
+    with the Laplacian as nested first differences so neighbour
+    cancellation stays exact. A Pair w is applied part by part, J w.hi +
+    J w.lo, so the digits that w.hi's rounding drops count too. At a Pair
+    state the caller passes the hi of the state and of a: J at the Pair
+    differs by (a.lo - f''(hi) lo) w, below 1e-14 |w|, far under the
+    NEWTON_TOL these products are held to."""
+    d = a - ramp_slope(problem.nonlinearity, u)
+    if isinstance(w, Pair):
+        return (
+            (problem._nested_laplacian(w.hi) + d * w.hi)
+            + (problem._nested_laplacian(w.lo) + d * w.lo)
+        )
+    return problem._nested_laplacian(w) + d * w
 
 
 def solve_at_projection(
@@ -345,9 +354,7 @@ def solve_at_projection(
         raise ValueError("chart field is identically zero")
     row = (1.0, dom.spacing * e_vals / e_sq, 0.0, -float(t_target))
     _, u, c, _, rF = _extended_newton(problem, a, u0, c0, PROJECTION_MAX_ITER, row=row)
-    return classify_state(
-        problem, DiscreteField(problem.domain, u.astype(float)), a, float(c), rnorm=rF,
-    )
+    return classify_state(problem, DiscreteField(problem.domain, u.hi), a, float(c.hi), rnorm=rF)
 
 
 def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, max_iter):
@@ -355,9 +362,9 @@ def _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, max_iter):
     the predictor (ub, cb) + ds (Tu, Tc), orthogonal to (Tu, Tc) in the L2
     inner product plus c times c. A corrector whose residual grows is given
     up at once. The float64 predictor starts _extended_newton's float64
-    stage. Returns the long-double (u, c) and the residual sup norm of the
-    long-double iterate; a NonConvergence that ends in the float64 stage
-    carries a float64 norm."""
+    stage. Returns the Pairs u and c and the Pair's residual sup norm; a
+    NonConvergence that ends in the float64 stage carries a float64
+    norm."""
     row_u = problem.domain.spacing * Tu
     u_pred = ub + ds * Tu
     c_pred = cb + ds * Tc
@@ -481,15 +488,13 @@ def continue_branch(
             break
 
         try:
-            u_ld, c_ld, rF = _arclength_corrector(
-                problem, a, ub, cb, Tu, Tc, ds, MAX_CORRECTOR
-            )
+            u, c, rF = _arclength_corrector(problem, a, ub, cb, Tu, Tc, ds, MAX_CORRECTOR)
         except NonConvergence:
             reject("nonconvergence", f"the corrector did not converge near c={cb:.6g}")
             continue
 
-        u64 = u_ld.astype(float)
-        c64 = float(c_ld)
+        u64 = u.hi
+        c64 = float(c.hi)
         dist = dom.l2_norm(u64 - ub) + abs(c64 - cb)
         if dist < 1e-13:
             reject("collapse", f"the corrector collapsed onto the point at c={cb:.6g}")
@@ -567,7 +572,7 @@ def _detect_event(problem, prev, new):
     if new.degenerate:
         dist = problem.domain.l2_norm(new.u.values - prev.u.values) + abs(new.c - prev.c)
         try:
-            u_ld, c_ld, rF = _arclength_corrector(
+            u, c, rF = _arclength_corrector(
                 problem, new.a, new.u.values, new.c,
                 (new.u.values - prev.u.values) / dist, (new.c - prev.c) / dist,
                 dist, MAX_CORRECTOR,
@@ -575,8 +580,8 @@ def _detect_event(problem, prev, new):
         except NonConvergence:
             return ("degeneracy", None)
         past = classify_state(
-            problem, DiscreteField(problem.domain, u_ld.astype(float)), new.a,
-            float(c_ld), rnorm=rF, prev=_secant_guesses(prev.spectrum, new.spectrum),
+            problem, DiscreteField(problem.domain, u.hi), new.a, float(c.hi), rnorm=rF,
+            prev=_secant_guesses(prev.spectrum, new.spectrum),
         )
         if past.degenerate or not _flips(prev, past):
             return ("degeneracy", None)
@@ -594,32 +599,31 @@ def _detect_event(problem, prev, new):
     return None
 
 
-def _test_function(problem, u, a, w0):
-    """The minimally extended system's test function at (u, a).
+def _test_function(problem, J, u, a, w0):
+    """The minimally extended system's test function at the float64 (u, a),
+    a Pair state's hi, with J = J(u) symmetric.
 
-    Solves [[J, w0], [w0^T, 0]] [v; g] = [0; 1] with J = J(u) symmetric, so
-    g vanishes exactly where J is singular and v then spans its kernel. The
-    float64 solve is refined once against the long-double J(u), which is
-    what lets v meet the kernel residual bound. Returns the float64 J
-    (shared with the Newton step), v and g in long double. A singular
-    bordered system raises LinAlgError.
+    Solves [[J, w0], [w0^T, 0]] [v; g] = [0; 1], so g vanishes exactly where
+    J is singular and v then spans its kernel. The float64 solve is refined
+    once against the nested-difference J(u) v (_linearized_apply), which is
+    what lets v meet the kernel residual bound; v is returned as the Pair
+    of the solve and its refinement, g as a float. A singular bordered
+    system raises LinAlgError.
     """
-    ld = np.longdouble
-    J = problem.jacobian_operator(u.astype(float), float(a))
-    w0_ld = np.asarray(w0, dtype=ld)
     v, g = solve_bordered(J, w0, w0, 0.0, np.zeros(u.size), 1.0)
-    v, g = v.astype(ld), ld(g[0])
-    rv = _linearized_apply(problem, u, v, a) + g * w0_ld
-    rg = w0_ld @ v - ld(1)
-    dv, dg = solve_bordered(J, w0, w0, 0.0, -rv.astype(float), -float(rg))
-    return J, v + dv.astype(ld), g + ld(dg[0])
+    g = g[0]
+    rv = _linearized_apply(problem, u, v, a) + g * w0
+    dv, dg = solve_bordered(J, w0, w0, 0.0, -rv, 1.0 - w0 @ v)
+    return two_sum(v, dv), g + dg[0]
 
 
 def _kernel_residual(problem, u, a, v, S):
-    """Sup norm of J(u) w in long double, w = v scaled to square integral S
-    (the bound _package_degenerate re-verifies)."""
-    w = v * np.sqrt(np.longdouble(S) / (np.longdouble(problem.domain.spacing) * (v @ v)))
-    return float(np.max(np.abs(_linearized_apply(problem, u, w, a))))
+    """Sup norm of J(u) w at the float64 (u, a), w the Pair v scaled to
+    square integral S (the bound _package_degenerate re-verifies). The
+    scale multiplies the sup norm, with its one rounding, instead of both
+    parts of v."""
+    scale = np.sqrt(S / (problem.domain.spacing * (v.hi @ v.hi)))
+    return float(scale * np.max(np.abs(_linearized_apply(problem, u, v, a))))
 
 
 def _extended_newton(
@@ -632,146 +636,130 @@ def _extended_newton(
     _test_function bordered by w0, or both, in which case a is free too.
 
     Each step is one solve_bordered on J(u) (with w0, the J that
-    _test_function built), with the columns dF/da = u (a free only) and
+    _test_function uses too), with the columns dF/da = u (a free only) and
     dF/dc = -h and the rows scale e and g_u = f''(u) v^2
     (J is symmetric and bordered by w0 on both sides), and g_a = -v.v (J
     depends on a through its diagonal). The iterate converges when sup|F|,
     |N| and the kernel residual of v scaled to square integral S
     (_kernel_residual) are all below NEWTON_TOL. The borders keep the step
     regular where J alone is singular, provided they do not annihilate its
-    kernel. Returns the long-double (a, u, c), the kernel vector v (None
-    without w0) and sup|F|. With stop_on_growth, an iteration whose sup|F|
-    grows ends the solve as not converged: the iteration is not contracting
-    (Den Heijer & Rheinboldt 1981). A singular step or no convergence raises
-    NonConvergence naming the system, with the last iterate measured (in
-    float64), its residual and the sup|F| of every iterate
-    (residual_history). max_iter counts measured iterates, so no step is
-    taken after the last one: its result would go unmeasured.
+    kernel. Returns the Pairs a, u and c, the kernel vector v as a Pair
+    (None without w0) and sup|F|. With stop_on_growth, an iteration whose
+    sup|F| grows ends the solve as not converged: the iteration is not
+    contracting (Den Heijer & Rheinboldt 1981). A singular step or no
+    convergence raises NonConvergence naming the system, with the last
+    iterate measured (its float64 field, hi in the pair stage), its
+    residual and the sup|F| of every iterate (residual_history). max_iter
+    counts measured iterates, so no step is taken after the last one: its
+    result would go unmeasured.
 
-    Precision: the two stages of solver._newton_pool, for every extended
-    system, both taking the same unrefined float64 step. A float64 u0
-    starts the float64 stage, whose iterate, c, residual, sup norm and row
-    N are float64 (a, when free, accumulates in long double). The first
-    iterate whose float64 sup|F| is at or below FLOAT64_PHASE_TOL is
-    promoted to long double and measured again there; from then on
-    everything is long double. A float64 start is promoted exactly; an
-    iterate that a float64 step made is promoted as the long-double sum of
-    that step and the iterate it was taken from, so that the rounding of
-    the float64 iterate (a sup|F| of about 4e-9 at n = 1599) costs no extra
-    long-double step. A long-double u0 (the index-1 sweep's) starts in the
-    long-double stage. Convergence is declared only in long double, against
-    NEWTON_TOL, and the history holds the promoted iterate's long-double
-    sup|F|, not the float64 one. A NonConvergence that ends in the float64
-    stage carries the float64 residual of its last iterate.
+    Precision: the two stages of solver._newton_pool (solver.Ladder), both
+    taking the same unrefined float64 step from J(hi), which is built once
+    per iterate and serves the residual, the test function and the step.
+    The float64 u0 starts the float64 stage, whose iterate, residual and
+    sup norm are float64. The first iterate whose float64 sup|F| is at or
+    below FLOAT64_PHASE_TOL is promoted to a Pair and measured again there:
+    a start exactly, with lo = 0, and an iterate that a float64 step made
+    as that step's unrounded sum, so that the rounding of the float64
+    iterate (a sup|F| of about 4e-9 at n = 1599) costs no extra step. From
+    then on the iterate is a Pair and every step a Pair update. c, and a
+    when free, are Pairs from the start, but the float64 stage measures at
+    their hi only. The row N is evaluated on the hi parts in float64, whose
+    rounding (about 1e-16 of its terms) lies far below NEWTON_TOL.
+    Convergence is declared only on a Pair, against NEWTON_TOL, and the
+    history holds the promoted iterate's Pair sup|F|, not the float64 one.
+    A NonConvergence that ends in the float64 stage carries the float64
+    residual of its last iterate.
     """
-    ld = np.longdouble
     a_free = row is not None and w0 is not None
     system = (
         "degenerate-family system" if a_free
         else "bordered system" if w0 is None
         else "fold system"
     )
-    wide = np.asarray(u0).dtype == ld
-    u = np.asarray(u0, dtype=ld if wide else float)
-    c = ld(c0) if wide else float(c0)
+    ladder = Ladder(problem)
+    u, lo = np.asarray(u0, dtype=float), None  # lo is None in the float64 stage
+    a, c = Pair(float(a), 0.0), Pair(float(c0), 0.0)
     minus_h = -problem.harvest.values
     if row is not None:
         scale, e, row_c, offset = row
         row_b = scale * e
-        e_ld, e64 = np.asarray(e, dtype=ld), np.asarray(e, dtype=float)
     v = None
-    step = None  # the last float64-stage step: iterate, du, c and dc
+    step = None  # the last float64-stage step: iterate and du
     rF = res = np.inf
     history = []
     for it in range(max_iter):
-        F = problem.residual_values(u, a, c)
+        J = problem.jacobian_operator(u, a.hi)
+        F = problem.residual_values(u, a.hi, c.hi)
         r_prev, rF = rF, float(np.abs(F).max())
-        if not wide and rF <= FLOAT64_PHASE_TOL:
-            wide = True
-            if step is None:
-                u, c = u.astype(ld), ld(c)
-            else:
-                # the step's sum unrounded: the float64 u misses it by up to
-                # ~(4 / h^2) ulp(|u|) in sup|F|, the float64 floor
-                u_from, du, c_from, dc = step
-                u, c = u_from.astype(ld) + du.astype(ld), ld(c_from) + ld(dc)
-            F = problem.residual_values(u, a, c)
+        if lo is None and ladder.hands_over(rF):
+            u, lo = (u, np.zeros_like(u)) if step is None else ladder.promote(*step)
+        if lo is not None:
+            F = ladder.residual(F, J.diag, lo, u, a.lo, c.lo)
             rF = float(np.abs(F).max())
         history.append(rF)
         checks = [rF]
         if row is not None:
-            if wide:
-                N = ld(scale) * (e_ld @ u) + ld(row_c) * c + ld(offset)
-            else:
-                N = float(scale) * (e64 @ u) + float(row_c) * c + float(offset)
+            N = scale * (e @ u) + row_c * c.hi + offset
             checks.append(abs(float(N)))
         if w0 is not None:
             try:
-                J, v, g = _test_function(problem, u, a, w0)
+                v, g = _test_function(problem, J, u, a.hi, w0)
             except np.linalg.LinAlgError as exc:
                 raise NonConvergence(
-                    f"test-function system is singular: {exc}", u.astype(float), np.inf,
-                    history,
+                    f"test-function system is singular: {exc}", u.copy(), np.inf, history,
                 )
-            checks.append(_kernel_residual(problem, u, a, v, S))
+            checks.append(_kernel_residual(problem, u, a.hi, v, S))
         res = max(checks)  # sup|F| first, so a NaN state gives a NaN res
-        if wide and res < NEWTON_TOL:
-            return ld(a), u, c, v, rF
+        if lo is not None and res < NEWTON_TOL:
+            return a, Pair(u, lo), c, v, rF
         if (
             it == max_iter - 1 or not np.isfinite(res) or res > 1e8
             or (stop_on_growth and rF > r_prev)
         ):
             break
-        u64 = u.astype(float, copy=False)
-        if w0 is None:
-            J = problem.jacobian_operator(u64, float(a))
-        else:
-            v64 = v.astype(float)
-            g_u = ramp_curvature(problem.nonlinearity, u64) * v64**2
+        if w0 is not None:
+            g_u = ramp_curvature(problem.nonlinearity, u) * v.hi**2
         if a_free:
-            B, C = np.column_stack((u64, minus_h)), np.column_stack((row_b, g_u))
-            D, rhs = [[0.0, row_c], [-(v64 @ v64), 0.0]], [-float(N), -float(g)]
+            B, C = np.column_stack((u, minus_h)), np.column_stack((row_b, g_u))
+            D, rhs = [[0.0, row_c], [-(v.hi @ v.hi), 0.0]], [-float(N), -float(g)]
         elif w0 is None:
             B, C, D, rhs = minus_h, row_b, row_c, -float(N)
         else:
             B, C, D, rhs = minus_h, g_u, 0.0, -float(g)
         try:
-            du, y = solve_bordered(J, B, C, D, -F.astype(float, copy=False), rhs)
+            du, y = solve_bordered(J, B, C, D, -F, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"{system} is singular: {exc}", u64, res, history)
+            raise NonConvergence(f"{system} is singular: {exc}", u.copy(), res, history)
         if not (np.isfinite(du).all() and np.isfinite(y).all()):
             break
         if a_free:
-            a = a + ld(y[0])
-        if wide:
-            u = u + du.astype(ld)
-            c = c + ld(y[-1])
+            a = ladder.update(a, y[0])
+        c = ladder.update(c, y[-1])
+        if lo is None:
+            step = (u, du)
+            u = u + du
         else:
-            step = (u, du, c, float(y[-1]))
-            u, c = u + du, c + step[3]
-    raise NonConvergence(f"{system} did not converge", u.astype(float), res, history)
+            u, lo = ladder.update(Pair(u, lo), du)
+    raise NonConvergence(f"{system} did not converge", u.copy(), res, history)
 
 
-def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, prev=None):
-    """Classify a converged extended-system iterate, fix the kernel vector's
-    normalization and sign by kind, and re-verify the residual invariants.
-    Returns the DegeneratePoint and the state's spectrum; prev, a nearby
-    state's spectrum or guesses for its eigenvectors, is handed to
-    classify_state."""
-    ld = np.longdouble
+def _package_degenerate(problem, a, u, c, w, expected_kind, prev=None):
+    """Classify a converged extended-system iterate, the Pairs a, u, c and
+    w, fix the kernel vector's normalization and sign by kind, and
+    re-verify the residual invariants on the Pairs. Returns the
+    DegeneratePoint, which stores the hi parts, and the state's spectrum;
+    prev, a nearby state's spectrum or guesses for its eigenvectors, is
+    handed to classify_state."""
     dom = problem.domain
-    sp = ld(dom.spacing)
     phi, psi = problem.modes()
 
     point = classify_state(
-        problem, DiscreteField(dom, u_ld.astype(float)), a, float(c_ld), rnorm=0.0,
-        prev=prev,
+        problem, DiscreteField(dom, u.hi), float(a.hi), float(c.hi), rnorm=0.0, prev=prev,
     )
     if not point.degenerate:
         raise NonConvergence(
-            "extended system converged onto a nondegenerate state",
-            u_ld.astype(float),
-            0.0,
+            "extended system converged onto a nondegenerate state", u.hi.copy(), 0.0,
         )
     mu = np.abs(np.asarray(point.spectrum.eigenvalues))
     # a vanishing eigenvalue beyond the computed ones is the (index+1)-th
@@ -786,29 +774,26 @@ def _package_degenerate(problem, a, u_ld, c_ld, w_ld, expected_kind, prev=None):
         kind = f"degenerate-index{j}"
         target = inner_product(phi.eigenfunction, phi.eigenfunction)
 
-    w = w_ld * np.sqrt(ld(target) / (sp * (w_ld @ w_ld)))
+    w64 = w.hi * np.sqrt(target / (dom.spacing * (w.hi @ w.hi)))
     if kind == "fold-index0":
-        if w[np.argmax(np.abs(w))] < 0:
-            w = -w
+        if w64[np.argmax(np.abs(w64))] < 0:
+            w64 = -w64
     else:
         ref = psi.eigenfunction.values if j == 1 else phi.eigenfunction.values
-        if float(np.dot(ref, w.astype(float))) < 0:
-            w = -w
+        if float(np.dot(ref, w64)) < 0:
+            w64 = -w64
 
-    F = problem.residual_values(u_ld, a, c_ld)
-    G = _linearized_apply(problem, u_ld, w, a)
-    res = max(float(np.max(np.abs(F))), float(np.max(np.abs(G))))
+    F = Ladder(problem).evaluate(u, a, c)
+    res = max(float(np.max(np.abs(F))), _kernel_residual(problem, u.hi, a.hi, w, target))
     if not res < NEWTON_TOL:
         raise NonConvergence(
-            f"degenerate point failed re-verification ({res:.3e})",
-            u_ld.astype(float),
-            res,
+            f"degenerate point failed re-verification ({res:.3e})", u.hi.copy(), res,
         )
     dp = DegeneratePoint(
-        float(a),
-        float(c_ld),
-        DiscreteField(dom, u_ld.astype(float)),
-        DiscreteField(dom, w.astype(float)),
+        float(a.hi),
+        float(c.hi),
+        DiscreteField(dom, u.hi),
+        DiscreteField(dom, w64),
         point.morse_index,
         kind,
         res,
@@ -855,16 +840,16 @@ def refine_fold(
     donor = low if wl <= wh else high
     w0 = donor.spectrum.eigenfunctions[j].values
 
-    u_ld, c_ld, w_ld = _fold_system(problem, a, u0, c0, w0)
+    u, c, w = _fold_system(problem, a, u0, c0, w0)
     return _package_degenerate(
-        problem, a, u_ld, c_ld, w_ld, expected_kind, prev=donor.spectrum
+        problem, Pair(a, 0.0), u, c, w, expected_kind, prev=donor.spectrum
     )[0]
 
 
 def _fold_system(problem, a, u0, c0, w0):
     """The fold system {F(u, c) = 0, g(u) = 0} at fixed a from (u0, c0), g
     bordered by w0 scaled to the first mode's square integral, at most
-    FOLD_MAX_ITER iterations. Returns the long-double u, c and kernel v."""
+    FOLD_MAX_ITER iterations. Returns the Pairs u, c and kernel v."""
     phi = problem.modes()[0].eigenfunction
     S = inner_product(phi, phi)
     w0 = w0 * np.sqrt(S / problem.domain.inner(w0, w0))
@@ -978,8 +963,8 @@ def trace_fold_curve(
 
     def solve_at(a, guess):
         u0, c0, w0, *vecs = guess
-        u_ld, c_ld, w_ld = _fold_system(problem, a, u0, c0, w0)
-        dp, spectrum = _package_degenerate(problem, a, u_ld, c_ld, w_ld, seed.kind, vecs)
+        u, c, w = _fold_system(problem, a, u0, c0, w0)
+        dp, spectrum = _package_degenerate(problem, Pair(a, 0.0), u, c, w, seed.kind, vecs)
         return dp, (dp.u.values, dp.c, dp.w.values, *_facing(spectrum, vecs))
 
     seeded = classify_state(problem, seed.u, seed.a, seed.c, rnorm=seed.residual_sup)
@@ -1005,7 +990,7 @@ def trace_fold_curve(
         formula = dom.inner(p.u.values, w) / dom.inner(problem.harvest.values, w)
         try:
             lo, hi = (
-                float(_fold_system(problem, p.a + sign * probe, p.u.values, p.c, w)[1])
+                float(_fold_system(problem, p.a + sign * probe, p.u.values, p.c, w)[1].hi)
                 for sign in (-1.0, 1.0)
             )
             secant = (hi - lo) / (2.0 * probe)
@@ -1047,31 +1032,27 @@ def trace_index1_degenerate_curve(
     S2 = dom.inner(psi_v, psi_v)
     lam2 = psi.eigenvalue
 
-    psi_ld = psi_v.astype(np.longdouble)
-
     def solve_at(t, guess):
         a0, y0, c0, z0, *vecs = guess
-        t_psi = np.longdouble(t) * psi_ld
-        row = (dom.spacing, psi_v, 0.0, -np.longdouble(t) * np.longdouble(S2))
-        aa, u_ld, cc, v, _ = _extended_newton(
+        t_psi = t * psi_v
+        row = (dom.spacing, psi_v, 0.0, -t * S2)
+        aa, u, cc, v, _ = _extended_newton(
             problem, a0, t_psi + y0, c0, FOLD_MAX_ITER, row=row, w0=z0, S=S2
         )
-        dp, spectrum = _package_degenerate(
-            problem, float(aa), u_ld, cc, v, "degenerate-index1", vecs
-        )
-        carry = (float(aa), (u_ld - t_psi).astype(float), float(cc), dp.w.values)
+        dp, spectrum = _package_degenerate(problem, aa, u, cc, v, "degenerate-index1", vecs)
+        carry = (float(aa.hi), u.hi - t_psi, float(cc.hi), dp.w.values)
         return dp, carry + _facing(spectrum, vecs)
 
     dt0 = INDEX1_SWEEP_STEPS[0]
     inside_ts = np.linspace(seg_lo, seg_hi, max(2, int(round((seg_hi - seg_lo) / dt0)) + 1))
     if seg_hi == seg_lo:
         inside_ts = np.array([seg_lo])
-    mode_ld, states, _ = closed_form_states(problem, 2, inside_ts, NEWTON_TOL, "segment states")
+    mode, states, _ = closed_form_states(problem, 2, inside_ts, NEWTON_TOL, "segment states")
     samples = []
     vecs = first_vecs = None
-    for t, u_ld in zip(inside_ts, states):
+    for t, u in zip(inside_ts, states):
         dp, spectrum = _package_degenerate(
-            problem, lam2, u_ld, np.longdouble(0), mode_ld, "degenerate-index1", vecs
+            problem, Pair(lam2, 0.0), u, Pair(0.0, 0.0), mode, "degenerate-index1", vecs
         )
         samples.append((float(t), dp))
         vecs = _facing(spectrum, vecs)
@@ -1124,7 +1105,7 @@ def lower_index1_fold(problem: Problem, curve: DegenerateCurve, a: float) -> flo
         c = (1.0 - frac) * p.c + frac * q.c
         w0 = (1.0 - frac) * p.w.values + frac * q.w.values
         try:
-            c = float(_fold_system(problem, a, u0, c, w0)[1])
+            c = float(_fold_system(problem, a, u0, c, w0)[1].hi)
         except NonConvergence:
             pass
         if lowest is None or c < lowest:
@@ -1289,20 +1270,29 @@ def closed_form_states(problem: Problem, k: int, ts, bound: float, what: str):
     """The exact states t e_k, t in ts, at (a, c) = (lambda_k, 0): the ray
     (k = 1) or the segment (k = 2). e_k and lambda_k are the closed form
     (grid.exact_mode_longdouble), e_k signed like problem.modes()[k - 1].
-    Returns (e_k, the long-double states, each one's long-double residual
-    sup norm); raises NonConvergence naming what, with the worst state,
-    unless every residual lies below bound."""
-    ld = np.longdouble
+    Each state t e_k is formed in long double from it and split, exactly,
+    into the Pair of its float64 rounding and the rest, and so are e_k and
+    lambda_k. Returns (e_k, the states, each one's Pair residual sup norm
+    at the Pair lambda_k), e_k and the states as Pairs; raises
+    NonConvergence naming what, with the worst state's hi, unless every
+    residual lies below bound."""
     lam, mode = exact_mode_longdouble(problem.domain, k)
     if float(np.dot(mode.astype(float), problem.modes()[k - 1].eigenfunction.values)) < 0:
         mode = -mode
-    states = [ld(t) * mode for t in ts]
-    sups = [float(np.max(np.abs(problem.residual_values(u, lam, ld(0))))) for u in states]
+    lam, states = _split(lam), [_split(t * mode) for t in ts]
+    ladder = Ladder(problem)
+    sups = [float(np.max(np.abs(ladder.evaluate(u, lam, Pair(0.0, 0.0))))) for u in states]
     j = int(np.argmax(sups))
     if not sups[j] < bound:
         raise NonConvergence(
             f"{what} fail extended-precision verification at t={ts[j]:.6g} "
             f"({sups[j]:.3e} >= {bound:.3e})",
-            states[j].astype(float), sups[j],
+            states[j].hi, sups[j],
         )
-    return mode, states, sups
+    return _split(mode), states, sups
+
+
+def _split(x) -> Pair:
+    """The Pair of a wider float: its float64 rounding and the exact rest."""
+    hi = np.asarray(x).astype(float)
+    return Pair(hi, (x - hi).astype(float)) if hi.ndim else Pair(float(hi), float(x - hi))

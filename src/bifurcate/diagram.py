@@ -640,9 +640,9 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     # c = 0 carries a ray of degenerate states t*phi (t <= M); the display
     # clips it to [-M, M]. For c < 0 the stable sheet hangs off the ray's
     # upper edge.
-    # The ray is built from the closed-form long-double mode and certified
-    # in long double (as the degenerate segment is): multiples of the
-    # float64 eigenvector miss the steady-state tolerance on fine grids.
+    # The ray is built from the closed-form mode and certified as Pairs (as
+    # the degenerate segment is): multiples of the float64 eigenvector miss
+    # the steady-state tolerance on fine grids.
     phi = problem.modes()[0]
     M = problem.nonlinearity.M
     dom = problem.domain
@@ -653,8 +653,8 @@ def _assemble_at_lambda1(problem, a, c_min, kw, branches, degenerate):
     # Jacobian Delta_h + a I: one classification serves them all. The check
     # is exact, and a state where f' does not vanish is classified itself.
     flat = None
-    for u_ld, r in zip(states, sups):
-        u = DiscreteField(dom, u_ld.astype(float))
+    for state, r in zip(states, sups):
+        u = DiscreteField(dom, state.hi)
         if np.any(ramp_slope(problem.nonlinearity, u.values)):
             point = classify_state(problem, u, a, 0.0, rnorm=r)
         elif flat is None:
@@ -1137,9 +1137,9 @@ def _check_static_stability(czero_set) -> ClaimCheck:
 
 def _check_segment_degeneracy(diagram) -> ClaimCheck:
     """Sampled states on the neutral segment must have a vanishing second
-    eigenvalue. Each sample's residual is that of the exact state t psi in
-    long double (closed_form_states, held to NEWTON_TOL): the float64
-    rounding of a segment state misses NEWTON_TOL on fine grids.
+    eigenvalue. Each sample's residual is that of the exact state t psi as
+    a Pair (closed_form_states, held to NEWTON_TOL): the float64 rounding
+    of a segment state misses NEWTON_TOL on fine grids.
 
     Where f' is exactly zero at every sample, as it is for u <= M, each
     sample's J = Delta_h + a I has the one uniform diagonal fl(-2/h^2 + a),

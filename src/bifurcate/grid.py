@@ -292,11 +292,12 @@ class LinearOperatorBanded:
 
 
 def _tridiagonal_apply(diag: np.ndarray, off: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The symmetric tridiagonal matrix (diag, off) times v, in the dtype the
-    operands promote to."""
+    """The symmetric tridiagonal matrix (diag, off) times v, or each matrix
+    of a stack, the rows of diag, times the matching row of v, all sharing
+    the one off-diagonal."""
     out = diag * v
-    out[:-1] += off * v[1:]
-    out[1:] += off * v[:-1]
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
     return out
 
 
@@ -316,7 +317,7 @@ def _row_abs_sums(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 #: cancellation costs about eps times this much accuracy, a step error of
 #: about 1e8 eps that the callers absorb (the Newton loop of
 #: continuation._extended_newton by its next step, _test_function by its
-#: long-double refinement). Above it J is deflated first.
+#: refinement). Above it J is deflated first.
 BORDERED_COND_LIMIT = 1e8
 _TINY = np.finfo(float).tiny
 

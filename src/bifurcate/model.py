@@ -50,30 +50,25 @@ class Nonlinearity:
 
 
 def _excess(nl: Nonlinearity, u, out=None) -> np.ndarray:
-    """(u - M)+ elementwise, into out when given; long double stays long
-    double, the rest is evaluated in float64."""
-    arr = np.asarray(u)
-    if arr.dtype != np.longdouble:
-        arr = arr.astype(float, copy=False)
-    one = arr.dtype.type
-    return np.maximum(np.subtract(arr, one(nl.M), out=out), one(0.0), out=out)
+    """(u - M)+ elementwise in float64, into out when given."""
+    arr = np.asarray(u, dtype=float)
+    return np.maximum(np.subtract(arr, nl.M, out=out), 0.0, out=out)
 
 
 def ramp_values(nl: Nonlinearity, u, out=None, work=None) -> np.ndarray:
     """f alone, ((u - M)+)^p_f, for array u of any shape.
 
     The residual needs no derivatives; this is the f of eval_nonlinearity
-    without computing f' and f'' alongside it. Given out and work, arrays
-    of u's shape and dtype, f is written into out and (u - M)+ into work,
-    and no array is allocated; the values are the same bits.
+    without computing f' and f'' alongside it. Given out and work, float64
+    arrays of u's shape, f is written into out and (u - M)+ into work, and
+    no array is allocated; the values are the same bits.
     """
     return _power(_excess(nl, u, work), nl.p_f, out)
 
 
 def _power(r: np.ndarray, p: int, out=None) -> np.ndarray:
-    # by repeated multiplication: the generic power routine (powl for long
-    # double) costs several times as much, and at p = 3 the two agreed bit
-    # for bit on every long-double sample tested
+    # by repeated multiplication: the generic power routine costs several
+    # times as much, and rounds at most once per multiplication apart
     f = np.multiply(r, r, out=out) if p > 1 else np.positive(r, out=out)
     for _ in range(p - 2):
         f *= r
@@ -87,8 +82,8 @@ def _slope(r: np.ndarray, p: int) -> np.ndarray:
 def ramp_slope(nl: Nonlinearity, u, out=None) -> np.ndarray:
     """f' alone, p_f ((u - M)+)^(p_f - 1), for array u of any shape: all the
     linearization needs, without computing f and f'' alongside it. Given
-    out, an array of u's shape and dtype (which may be u itself), f' is
-    written into it, by the same operations in place."""
+    out, a float64 array of u's shape (which may be a float64 u itself), f'
+    is written into it, by the same operations in place."""
     if out is None:
         return _slope(_excess(nl, u), nl.p_f)
     r = _excess(nl, u, out)
@@ -110,11 +105,8 @@ def ramp_curvature(nl: Nonlinearity, u) -> np.ndarray:
 
 
 def eval_nonlinearity(nl: Nonlinearity, u):
-    """f, f', f'' of the ramp at u (scalar or array, evaluated elementwise).
-
-    Long-double input is evaluated in long double (the Newton working
-    precision); everything else goes through float64.
-    """
+    """f, f', f'' of the ramp at u (scalar or array, evaluated elementwise
+    in float64)."""
     r = _excess(nl, u)
     p = nl.p_f
     f = _power(r, p)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -49,10 +50,9 @@ PROJECTION_MAX_ITER = 12
 FOLD_MAX_ITER = 16
 ARMIJO_MIN_STEP = 2.0**-20
 #: Residual sup norm above which a Newton row (see _newton_pool) or an
-#: extended system started from a float64 state
-#: (continuation._extended_newton) iterates in float64; from the first
-#: iterate at or below it, in long double. Both stages step by the same
-#: float64 solve.
+#: extended system (continuation._extended_newton) iterates on a float64
+#: field; from the first iterate at or below it, on a Pair (Ladder). Both
+#: stages step by the same float64 solve.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 
@@ -114,36 +114,34 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "harvest", self.harvest_spec.build(self.domain))
         object.__setattr__(self, "laplacian", assemble_laplacian(self.domain))
-        object.__setattr__(self, "_harvest_ld", self.harvest.values.astype(np.longdouble))
 
     def residual_values(self, u: np.ndarray, a: float, c: float, out=None,
                         work=None) -> np.ndarray:
-        """F(u) at (a, c) in the dtype of u (float64 or long double).
+        """F(u) at (a, c) in float64; the residual of a Pair is
+        Ladder.residual's, which starts from this one at its hi.
 
         Rows of a (..., n) stack are evaluated independently, each exactly
         as it would be on its own. The terms are summed in place, in the
         order ((Delta_h u + a u) - f) - c h. The result is written into out,
-        an array of u's shape and dtype, and work, an array of u's dtype of
-        shape (2, m) with m at least (n + 2) times the rows of u, is the
-        scratch, its leading entries viewed as contiguous arrays; each is
-        allocated when omitted, so a caller that passes both allocates no
-        array of u's size. The bits do not depend on which are passed.
+        a float64 array of u's shape, and work, a float64 array of shape
+        (2, m) with m at least (n + 2) times the rows of u, is the scratch,
+        its leading entries viewed as contiguous arrays; each is allocated
+        when omitted, so a caller that passes both allocates no array of
+        u's size. The bits do not depend on which are passed.
         """
-        u = np.asarray(u)
-        one = u.dtype.type
+        u = np.asarray(u, dtype=float)
         scratch = excess = None
         if work is not None:
             scratch, excess = work[1, :u.size].reshape(u.shape), work[0, :u.size].reshape(u.shape)
         out = self._nested_laplacian(u, out, work)
-        out += np.multiply(one(a), u, out=scratch)
+        out += np.multiply(float(a), u, out=scratch)
         out -= ramp_values(self.nonlinearity, u, out=scratch, work=excess)
-        h = self._harvest_ld if one is np.longdouble else self.harvest.values
-        out -= one(c) * h.astype(u.dtype, copy=False)
+        out -= float(c) * self.harvest.values
         return out
 
     def _nested_laplacian(self, v: np.ndarray, out=None, work=None) -> np.ndarray:
-        """Delta_h v along the last axis in the dtype of v, into out when
-        given, with the work of residual_values as scratch when given.
+        """Delta_h v along the last axis in float64, into out when given,
+        with the work of residual_values as scratch when given.
 
         Evaluated as nested first differences rather than through the
         expanded stencil: neighbor subtractions of a smooth field are exact
@@ -154,7 +152,7 @@ class Problem:
         """
         n = v.shape[-1]
         if work is None:
-            padded, d1 = np.zeros(v.shape[:-1] + (n + 2,), dtype=v.dtype), None
+            padded, d1 = np.zeros(v.shape[:-1] + (n + 2,)), None
         else:
             rows = v.size // n
             padded = work[1, :rows * (n + 2)].reshape(*v.shape[:-1], n + 2)
@@ -163,7 +161,7 @@ class Problem:
         padded[..., 1:-1] = v
         d1 = np.subtract(padded[..., 1:], padded[..., :-1], out=d1)
         out = np.subtract(d1[..., 1:], d1[..., :-1], out=out)
-        out /= v.dtype.type(self.domain.spacing) ** 2
+        out /= np.float64(self.domain.spacing) ** 2
         return out
 
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
@@ -178,6 +176,96 @@ class Problem:
             cached = tuple(laplacian_eigenpairs(self.domain, 2, harvest=self.harvest))
             object.__setattr__(self, "_modes", cached)
         return cached
+
+
+class Pair(NamedTuple):
+    """A value carried as the unevaluated float64 sum hi + lo (Dekker, A
+    floating-point technique for extending the available precision, Numer.
+    Math. 18, 1971): hi is the float64 nearest the sum and lo the rest, so
+    the pair holds about twice float64's digits. hi and lo are two floats
+    or two arrays of one shape."""
+
+    hi: Any
+    lo: Any
+
+
+def two_sum(x, y) -> Pair:
+    """x + y exactly, as fl(x + y) and its rounding error (Knuth, The Art of
+    Computer Programming 2, 4.2.2, Theorem B): six float64 operations and no
+    branch, for floats and arrays alike."""
+    s = x + y
+    z = s - x
+    return Pair(s, (x - (s - z)) + (y - z))
+
+
+class Ladder:
+    """The precision ladder that every Newton loop of the package climbs,
+    _NewtonPool's rows and continuation._extended_newton alike.
+
+    A float64 vector of amplitude ~4 cannot represent a steady state to
+    better than a (4 / h^2) ulp(|u|) / 2 sup-norm defect, about 2e-10 at
+    n = 399 and 4e-9 at n = 1599: far below the switch FLOAT64_PHASE_TOL,
+    but at or above NEWTON_TOL, so a pure float64 iteration stalls right at
+    the tolerance. So an iterate is a float64 field while its residual sup
+    norm is above the switch (hands_over), and from the first iterate at or
+    below it a Pair u = hi + lo, which carries the digits hi loses. Four
+    operations make the ladder:
+
+    - hands_over: the test against the switch.
+    - promote: the hand-over's Pair. An iterate u = fl(u_from + du) that a
+      float64 step made is promoted as two_sum(u_from, du), the step's
+      unrounded sum, so its rounding costs no extra step; its hi is u bit
+      for bit. An iterate no step made is its own hi, with lo = 0.
+    - residual: F(hi + lo) = F(hi) + J(hi) lo + a_lo hi - c_lo h, where a
+      and c are Pairs, F(hi) is the float64 residual_values and J(hi) the
+      float64 Jacobian the Newton step builds at hi. The nested-difference
+      F(hi) is accurate to about 1e-13, and the linear term puts back what
+      hi's rounding moved; the dropped term, f''(hi) lo^2 / 2, is about
+      1e-31.
+    - update: the Pair u + du of a float64 correction du.
+
+    evaluate measures a Pair state from scratch, for a certificate outside
+    a loop.
+    """
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+
+    @staticmethod
+    def hands_over(norm):
+        return norm <= FLOAT64_PHASE_TOL
+
+    @staticmethod
+    def promote(u_from, du) -> Pair:
+        return two_sum(u_from, du)
+
+    def residual(self, F: np.ndarray, diag: np.ndarray, lo: np.ndarray, hi=None,
+                 a_lo: float = 0.0, c_lo: float = 0.0) -> np.ndarray:
+        """F(hi + lo) into F, which holds F(hi) at (a.hi, c.hi); diag is
+        J(hi)'s diagonal (rows of a stack share the Laplacian's
+        off-diagonal), and hi is needed only with a nonzero a_lo."""
+        F += _tridiagonal_apply(diag, self.problem.laplacian.off, lo)
+        if a_lo:
+            F += a_lo * hi
+        if c_lo:
+            F -= c_lo * self.problem.harvest.values
+        return F
+
+    def evaluate(self, u: Pair, a: Pair, c: Pair) -> np.ndarray:
+        """F(u.hi + u.lo) at (a.hi + a.lo, c.hi + c.lo), J(hi) built here."""
+        F = self.problem.residual_values(u.hi, a.hi, c.hi)
+        diag = self.problem.jacobian_operator(u.hi, a.hi).diag
+        return self.residual(F, diag, u.lo, u.hi, a.lo, c.lo)
+
+    @staticmethod
+    def update(u: Pair, du) -> Pair:
+        """u + du as a Pair: two_sum of hi and du, whose error joins lo, and
+        two_sum again so that hi is the float64 nearest the sum. It is
+        exact when the one rounded operation, the error plus lo, is: both
+        lie within an ulp of the sum, so what it can lose is below that ulp
+        times 2^-53."""
+        s, e = two_sum(u.hi, du)
+        return two_sum(s, e + u.lo)
 
 
 @dataclass(frozen=True)
@@ -287,8 +375,9 @@ def newton_ball(problem: Problem, point: SolutionPoint, capture: float):
       which bounds ||J(x) - J(y)||_2 <= L ||x - y||_inf <= L ||x - y||_2 on
       the ball of radius rho, since J depends on u only through the
       diagonal f'(u) and f'' is nondecreasing for p >= 2.
-    - eta = beta ||F(u*)||_2, with the residual of the float64 field u*
-      evaluated in long double.
+    - eta = beta ||F(u*)||_2, with the residual of the float64 field u*:
+      the Pair residual (Ladder) of u* with lo = 0, which is its float64
+      residual_values.
 
     rho solves beta L(rho) rho = 1/2; the left side is nondecreasing in rho
     and 0 at rho = 0 (L(0) itself is 0 for the zero state at M = 0), so it
@@ -326,9 +415,7 @@ def newton_ball(problem: Problem, point: SolutionPoint, capture: float):
     if not gap > 1e3 * eps_a or sturm_count(diag, off, -gap, gap) != 0:
         return "smallest eigenvalue magnitude not certified"
     beta = 1.0 / (gap - 1e3 * eps_a)
-    f0 = float(np.linalg.norm(
-        problem.residual_values(u.astype(np.longdouble), point.a, point.c)
-    ))
+    f0 = float(np.linalg.norm(problem.residual_values(u, point.a, point.c)))
     top = float(np.max(u))
 
     def contraction(rho):
@@ -393,23 +480,20 @@ def _newton_pool(problem: Problem, starts, a: float, c: float, max_iter: int,
     SingularJacobian; the iterate of the last allowed step is tested like
     any other.
 
-    Precision: two stages, both solving their corrections through the
-    float64 factorization at the float64 iterate. A start whose residual
-    norm is above FLOAT64_PHASE_TOL begins in the float64 stage, which
-    holds its iterate, residual and step in float64. A trial whose float64
-    norm is at or below the switch is measured again in long double, on the
-    exact long-double promotion of the float64 trial, and the Armijo test
-    decides on that norm; once such a trial is accepted the row moves to
-    the long-double stage with its promoted iterate, long-double residual,
-    history and iteration count. A start already at or below the switch
-    begins there. The split is forced by the stencil: a float64 vector of
-    amplitude ~4 cannot represent the steady state to better than a
-    (4 / h^2) ulp(|u|) / 2 sup-norm defect, about 2e-10 at n = 399 and
-    4e-9 at n = 1599, far below the switch but at or above NEWTON_TOL, so a
-    pure float64 iteration stalls right at the tolerance. The convergence
-    test, and the residual and history entries at or below the switch, are
-    long double; a NonConvergence that ends in the float64 stage carries a
-    float64 norm. max_iter counts the iterations of both stages.
+    Precision: the two stages of the Ladder, both solving their corrections
+    through the float64 factorization at the float64 iterate, hi in the
+    pair stage. A start whose residual norm is above FLOAT64_PHASE_TOL
+    begins in the float64 stage, which holds its iterate, residual and step
+    in float64. A trial whose float64 norm is at or below the switch is
+    measured again as a Pair, promoted from the iterate and the step that
+    made it (Ladder.promote), and the Armijo test decides on that norm;
+    once such a trial is accepted the row moves to the pair stage with its
+    Pair, residual, history and iteration count. A start already at or
+    below the switch begins there with lo = 0, where its Pair residual is
+    its float64 one. The convergence test, and the residual and history
+    entries at or below the switch, are the Pair's; a NonConvergence that
+    ends in the float64 stage carries a float64 norm. max_iter counts the
+    iterations of both stages.
 
     The pool: at most width rows are live, in buffers allocated once per
     call that every round writes in place (_NewtonPool). A round makes one
@@ -429,7 +513,7 @@ def _newton_pool(problem: Problem, starts, a: float, c: float, max_iter: int,
     extend between two ends. After each step of the float64 stage, a row
     whose iterate lies within rho / 2 of a center (_ball_index, which keeps
     a margin for the rounding of the distance) ends there, before any
-    hand-off to the long-double stage. Soundness: from the half ball the
+    hand-off to the pair stage. Soundness: from the half ball the
     full Newton point lies within 5 rho / 12 of u*, and a damped step is a
     convex combination of the iterate and that point, so the row cannot
     leave the half ball; computed steps miss the exact ones by orders of
@@ -438,8 +522,8 @@ def _newton_pool(problem: Problem, starts, a: float, c: float, max_iter: int,
     or failed: a caller that keeps zeros farther apart than that keeps the
     same set either way.
 
-    Each row ends once: "converged" with the end
-    (float64 iterate, residual norm, residual history), "ball-exit" with
+    Each row ends once: "converged" with the end (float64 iterate, hi in
+    the pair stage, residual norm, residual history), "ball-exit" with
     the index of the ball in balls, and "stalled", "out-of-iterations" or
     "singular-jacobian" with the NonConvergence or SingularJacobian that
     ended it; a NonConvergence carries the row's residual history.
@@ -458,19 +542,22 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
 
 class _Stage:
     """The live rows of one precision stage of a _NewtonPool, float64 or
-    long double, packed into the first k rows of buffers of the pool's
-    width that every round writes in place: iterates u, residuals r, the
-    trial pair of the line search, the corrections delta, and the work of
-    Problem.residual_values, whose two rows also serve as scratch between
-    residual evaluations (view). Per row: its start index, residual norm,
-    residual history and iterations taken."""
+    pair, packed into the first k rows of buffers of the pool's width that
+    every round writes in place: iterates u (hi in the pair stage, beside
+    lo), residuals r, the trial pair of the line search (and lo_trial), the
+    corrections delta, and the work of Problem.residual_values, whose two
+    rows also serve as scratch between residual evaluations (view). Per
+    row: its start index, residual norm, residual history and iterations
+    taken. The row buffers are one allocation, whose pages are touched only
+    as rows are used."""
 
-    def __init__(self, dtype, width: int, n: int):
-        self.dtype = np.dtype(dtype)
-        self.u, self.r = np.empty((width, n), dtype), np.empty((width, n), dtype)
-        self.u_trial, self.r_trial = np.empty((width, n), dtype), np.empty((width, n), dtype)
-        self.delta = np.empty((width, n), dtype)
-        self.work = np.empty((2, width * (n + 2)), dtype)
+    def __init__(self, width: int, n: int, pair: bool):
+        block = np.empty((7 if pair else 5, width, n))
+        self.u, self.r, self.u_trial, self.r_trial, self.delta = block[:5]
+        self.lo = self.lo_trial = None
+        if pair:
+            self.lo, self.lo_trial = block[5], block[6]
+        self.work = np.empty((2, width * (n + 2)))
         self.index, self.iters = np.zeros((2, width), dtype=np.intp)
         self.rnorm = np.zeros(width)
         self.history: list = [None] * width
@@ -491,6 +578,8 @@ class _Stage:
         movers = sorted(set(range(k, self.k)).difference(gone))
         for i, j in zip(holes, movers):
             self.u[i], self.r[i], self.delta[i] = self.u[j], self.r[j], self.delta[j]
+            if self.lo is not None:
+                self.lo[i] = self.lo[j]
             self.index[i], self.rnorm[i], self.iters[i] = self.index[j], self.rnorm[j], self.iters[j]
             self.history[i] = self.history[j]
         self.k = k
@@ -498,17 +587,18 @@ class _Stage:
 
 class _NewtonPool:
     """The buffers and rounds of one _newton_pool call: a float64 and a
-    long-double _Stage, whose buffers are the only arrays of the pool's
-    size. The shared gtsv call of a round works in float64 buffers free at
-    that point: the Jacobian diagonals in the residual work's first row, the
-    two off-diagonal copies in the trial pair and the right-hand sides, the
-    long-double rows' included, in the float64 corrections."""
+    pair _Stage, whose buffers are the only arrays of the pool's size. The
+    shared gtsv call of a round works in buffers of the float64 stage free
+    at that point: the Jacobian diagonals in the residual work's first row,
+    the two off-diagonal copies in the trial pair and the right-hand sides,
+    the pair rows' included, in the corrections."""
 
     def __init__(self, problem: Problem, a: float, c: float, max_iter: int, width: int):
         n = problem.domain.n_interior
         self.problem, self.a, self.c, self.max_iter, self.width = problem, a, c, max_iter, width
-        self.f64 = _Stage(float, width, n)
-        self.ld = _Stage(np.longdouble, width, n)
+        self.ladder = Ladder(problem)
+        self.f64 = _Stage(width, n, pair=False)
+        self.pair = _Stage(width, n, pair=True)
         self.admitted, self.exhausted = 0, False
         self.n_balls, self.balls = 0, None
 
@@ -516,9 +606,9 @@ class _NewtonPool:
         """The rounds: admit, solve, step each stage, until no row is live
         and no start is left."""
         self.admit(starts)
-        while self.f64.k + self.ld.k:
+        while self.f64.k + self.pair.k:
             yield from self.solve()
-            yield from self.step(self.ld)
+            yield from self.step(self.pair)
             yield from self.step(self.f64, balls)
             self.admit(starts)
         if not self.exhausted:
@@ -527,11 +617,18 @@ class _NewtonPool:
     def residual(self, stage: _Stage, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         return self.problem.residual_values(u, self.a, self.c, out=out, work=stage.work)
 
+    def jacobian_diagonal(self, u: np.ndarray, out=None) -> np.ndarray:
+        """The diagonal of the float64 Jacobian at each row of u."""
+        diag = ramp_slope(self.problem.nonlinearity, u, out=out)
+        np.subtract(self.a, diag, out=diag)
+        diag += self.problem.laplacian.diag
+        return diag
+
     def admit(self, starts):
         """Fill the free slots with the next starts, in start order, up to
         the first that is not ready. A start whose residual norm is at or
-        below FLOAT64_PHASE_TOL enters the long-double stage."""
-        f, w = self.f64, self.ld
+        below FLOAT64_PHASE_TOL enters the pair stage with lo = 0."""
+        f, w = self.f64, self.pair
         lo = f.k
         for _ in range(self.width - f.k - w.k):
             try:
@@ -550,13 +647,12 @@ class _NewtonPool:
         x = _row_norms(self.residual(f, f.u[lo:f.k], f.r[lo:f.k]), f.view(0, m))
         f.rnorm[lo:f.k], f.iters[lo:f.k] = x, 0
         f.history[lo:f.k] = [[v] for v in x.tolist()]
-        near = lo + (x <= FLOAT64_PHASE_TOL).nonzero()[0]
+        near = lo + self.ladder.hands_over(x).nonzero()[0]
         if near.size:
             rows = slice(w.k, w.k + near.size)
-            w.u[rows] = f.u[near]
-            x = _row_norms(self.residual(w, w.u[rows], w.r[rows]), w.view(0, near.size))
-            w.index[rows], w.rnorm[rows], w.iters[rows] = f.index[near], x, 0
-            w.history[rows] = [[v] for v in x.tolist()]
+            w.u[rows], w.lo[rows], w.r[rows] = f.u[near], 0.0, f.r[near]
+            w.index[rows], w.rnorm[rows], w.iters[rows] = f.index[near], f.rnorm[near], 0
+            w.history[rows] = [f.history[i] for i in near]
             w.k += near.size
             f.drop(near)
 
@@ -564,19 +660,13 @@ class _NewtonPool:
         """Write the float64 Jacobian diagonal and -F of every live row, the
         float64 stage's rows first, into diag and the float64 stage's
         delta, and return those two views."""
-        f, w = self.f64, self.ld
+        f, w = self.f64, self.pair
         k64, k = f.k, f.k + w.k
-        nl = self.problem.nonlinearity
         diag, rhs = f.view(0, k), f.delta[:k]
-        ramp_slope(nl, f.u[:k64], out=diag[:k64])
+        self.jacobian_diagonal(f.u[:k64], out=diag[:k64])
+        self.jacobian_diagonal(w.u[:w.k], out=diag[k64:])
         np.negative(f.r[:k64], out=rhs[:k64])
-        if w.k:
-            # the float64 rounding of each long-double iterate
-            np.copyto(diag[k64:], w.u[:w.k], casting="same_kind")
-            ramp_slope(nl, diag[k64:], out=diag[k64:])
-            np.negative(w.r[:w.k], out=rhs[k64:], casting="same_kind")
-        np.subtract(self.a, diag, out=diag)
-        diag += self.problem.laplacian.diag
+        np.negative(w.r[:w.k], out=rhs[k64:])
         return diag, rhs
 
     def solve_stack(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -602,7 +692,7 @@ class _NewtonPool:
         """The corrections of every live row; yields the rows that end
         before stepping (converged, out of iterations or singular) and
         drops them."""
-        f, w = self.f64, self.ld
+        f, w = self.f64, self.pair
         k64 = f.k
         diag, rhs = self.system()
         # the Jacobians share the Laplacian's uniform off-diagonal
@@ -632,7 +722,7 @@ class _NewtonPool:
         out_of_steps = st.iters[:k] == self.max_iter
         leaving = (~sound | converged | out_of_steps).nonzero()[0]
         for i in leaving:
-            u64 = st.u[i].astype(float)
+            u64 = st.u[i].copy()
             if out_of_steps[i] and not converged[i]:
                 end = "out-of-iterations", NonConvergence(
                     f"no convergence in {self.max_iter} iterations "
@@ -651,44 +741,56 @@ class _NewtonPool:
         """One damped step of every row of the stage along its correction;
         yields the rows that stall or, in the float64 stage, exit in a
         ball, and moves the float64 rows whose accepted trial is at or
-        below the switch to the long-double stage."""
+        below the switch to the pair stage."""
         k = st.k
         if not k:
             return
-        w = self.ld
+        w, ladder = self.pair, self.ladder
         rnorm, delta = st.rnorm[:k], st.delta[:k]
         step = np.ones(k)
         searching = np.arange(k)
-        # row -> long-double slot holding its accepted, promoted trial
+        # row -> pair slot holding its accepted, promoted trial
         switch: dict = {}
         first = True
         while searching.size:
             m = searching.size
             s, f0 = step[searching], rnorm[searching]
-            u, r = st.u[:k], st.r[:k]
+            u, r, lo = st.u[:k], st.r[:k], None if st.lo is None else st.lo[:k]
             u_trial, r_trial = st.u_trial[:m], st.r_trial[:m]
-            if first:
+            if lo is not None:
+                lo_trial = st.lo_trial[:m]
+                u_trial[...], lo_trial[...] = ladder.update(
+                    Pair(u[searching], lo[searching]), delta[searching] * s[:, None]
+                )
+            elif first:
                 # every row's trial at step 1, where 1 * delta is delta
                 np.add(u, delta, out=u_trial)
             else:
                 np.take(u, searching, axis=0, out=u_trial, mode="clip")
                 # the work is free until the residual evaluation
                 scaled = np.take(delta, searching, axis=0, out=st.view(1, m), mode="clip")
-                scaled *= s.astype(st.dtype)[:, None]
+                scaled *= s[:, None]
                 u_trial += scaled
             self.residual(st, u_trial, r_trial)
+            if lo is not None:
+                ladder.residual(r_trial, self.jacobian_diagonal(u_trial, out=st.view(1, m)),
+                                lo_trial)
             f_trial = _row_norms(r_trial, st.view(0, m))
-            near = (f_trial <= FLOAT64_PHASE_TOL).nonzero()[0] if st is self.f64 else ()
+            near = () if lo is not None else ladder.hands_over(f_trial).nonzero()[0]
             if len(near):
-                promoted, r_promoted = w.u_trial[:len(near)], w.r_trial[:len(near)]
-                promoted[...] = u_trial[near]
-                self.residual(w, promoted, r_promoted)
-                f_trial[near] = _row_norms(r_promoted, w.view(0, len(near)))
+                rows = searching[near]
+                # its hi is the float64 trial, bit for bit
+                promoted = ladder.promote(u[rows], delta[rows] * s[near, None])
+                r_promoted = ladder.residual(
+                    r_trial[near], self.jacobian_diagonal(promoted.hi), promoted.lo
+                )
+                f_trial[near] = _row_norms(r_promoted)
             accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
             for j, i in enumerate(near):
                 if accept[i]:
                     slot = w.k + len(switch)
-                    w.u[slot], w.r[slot] = promoted[j], r_promoted[j]
+                    w.u[slot], w.lo[slot] = promoted.hi[j], promoted.lo[j]
+                    w.r[slot] = r_promoted[j]
                     switch[searching[i]] = slot
             rejected = ~accept
             if first and 2 * accept.sum() > m:
@@ -696,10 +798,15 @@ class _NewtonPool:
                 # are copied back
                 st.u, st.u_trial = st.u_trial, st.u
                 st.r, st.r_trial = st.r_trial, st.r
+                if lo is not None:
+                    st.lo, st.lo_trial = st.lo_trial, st.lo
+                    lo_trial[rejected] = lo[rejected]
                 if rejected.any():
                     u_trial[rejected], r_trial[rejected] = u[rejected], r[rejected]
             elif accept.any():
                 u[searching[accept]], r[searching[accept]] = u_trial[accept], r_trial[accept]
+                if lo is not None:
+                    lo[searching[accept]] = lo_trial[accept]
             rnorm[searching[accept]] = f_trial[accept]
             if not rejected.any():
                 break
@@ -717,7 +824,7 @@ class _NewtonPool:
         for i in gone.nonzero()[0]:
             yield (int(st.index[i]), "stalled", NonConvergence(
                 f"line search stalled at residual {rnorm[i]:.3e}",
-                st.u[i].astype(float), float(rnorm[i]), st.history[i],
+                st.u[i].copy(), float(rnorm[i]), st.history[i],
             ))
         if balls:
             ball = _ball_index(st.u[:k], *self.ball_arrays(balls))
@@ -731,7 +838,7 @@ class _NewtonPool:
                 if gone[i]:
                     continue
                 if reserved != slot:
-                    w.u[slot], w.r[slot] = w.u[reserved], w.r[reserved]
+                    w.u[slot], w.lo[slot], w.r[slot] = w.u[reserved], w.lo[reserved], w.r[reserved]
                 w.index[slot], w.rnorm[slot], w.iters[slot] = st.index[i], rnorm[i], st.iters[i]
                 w.history[slot] = st.history[i]
                 slot += 1
@@ -806,8 +913,8 @@ def newton_solve(
     """Damped Newton from init at fixed (a, c), at most NEWTON_MAX_ITER
     iterations: the one-start case of _newton_rows. Raises the
     SingularJacobian or NonConvergence that ended it; the reported
-    residual_norm is the converged residual of the long-double iterate, the
-    stored field its float64 rounding. prev, the spectrum of a nearby state
+    residual_norm is the converged residual of the Pair iterate, the stored
+    field its hi. prev, the spectrum of a nearby state
     or guesses for the eigenvectors, is handed to classify_state."""
     (end,) = _newton_rows(problem, [init.values], a, c, NEWTON_MAX_ITER)
     if isinstance(end, Exception):

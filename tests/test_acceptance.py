@@ -210,7 +210,7 @@ def test_criterion_04_chart_slopes(problem, lams):
 
 
 def test_criterion_05_degenerate_segment_regime(problem, diagram_lam2,
-                                                segment_states):
+                                                segment_states, split, pair_residual):
     dom = problem.domain
     ld = np.longdouble
     pi_ld = ld("3.14159265358979323846264338327950288")
@@ -221,8 +221,8 @@ def test_criterion_05_degenerate_segment_regime(problem, diagram_lam2,
 
     worst_res, worst_mu2 = 0.0, 0.0
     for t, point in zip((-0.2, -0.1, 0.0, 0.1, 0.2), segment_states):
-        r = problem.residual_values(ld(t) * psi_ld, lam2_ld, ld(0))
-        worst_res = max(worst_res, float(np.max(np.abs(r))))
+        r = pair_residual(problem, split(ld(t) * psi_ld), split(lam2_ld))
+        worst_res = max(worst_res, r)
         worst_mu2 = max(worst_mu2, abs(float(point.spectrum.eigenvalues[1])))
 
     checks = [worst_res < 1e-12, worst_mu2 < 1e-10]

@@ -11,6 +11,7 @@ values from converged runs of this module.
 
 import dataclasses
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlin
 from bifurcate.solver import (
     FLOAT64_PHASE_TOL,
     NEWTON_TOL,
+    Ladder,
     NonConvergence,
+    Pair,
     Problem,
     classify_state,
     newton_solve,
@@ -35,6 +38,7 @@ from bifurcate.continuation import (
     WrongKind,
     branch_derivative_at_zero,
     build_degenerate_segment,
+    closed_form_states,
     continue_branch,
     continue_czero_branch,
     delta_window,
@@ -352,7 +356,7 @@ class TestStepController:
             u, c, rF = corrector(*args)
             steps.append(args[6])
             if len(steps) == 3:
-                u = u + off_branch
+                u = Pair(u.hi + off_branch, u.lo)
             return u, c, rF
 
         monkeypatch.setattr(continuation, "_arclength_corrector", jumps_once)
@@ -397,13 +401,13 @@ class TestDegeneratePoints:
         for dp in folds:
             _assert_kernel_conventions(problem, modes, dp)
 
-    def test_vanishing_eigenvalue_past_the_computed_pairs(self, problem, domain):
+    def test_vanishing_eigenvalue_past_the_computed_pairs(self, problem, domain, split):
         # at the discrete lambda3 the zero state's vanishing eigenvalue is the
         # third, which the two computed pairs do not hold; its index names it
         lam3, mode3 = exact_mode_longdouble(domain, 3)
-        zero = np.zeros(domain.n_interior, dtype=np.longdouble)
+        zero = np.zeros(domain.n_interior)
         dp, _ = continuation._package_degenerate(
-            problem, float(lam3), zero, np.longdouble(0.0), mode3, None
+            problem, split(lam3), Pair(zero, zero), Pair(0.0, 0.0), split(mode3), None
         )
         assert (dp.kind, dp.morse_index_at_point) == ("degenerate-index2", 2)
 
@@ -560,18 +564,19 @@ class TestMarchStall:
         lam1 = modes[0].eigenvalue
         M = problem.nonlinearity.M
         psi = modes[1].eigenfunction.values
-        S2 = np.longdouble(problem.domain.inner(psi, psi))
+        S2 = problem.domain.inner(psi, psi)
         name, x_of, x0, state_of, sweep, what, min_step = {
             "fold": (
                 "_extended_newton", lambda args, kw: args[1], fold20.a,
-                lambda out: out[1].astype(float),
+                lambda out: out[1].hi,
                 lambda: trace_fold_curve(problem, fold20, (lam1 + 0.5, 30.0)),
                 "fold sweep in a", 1e-4,
             ),
             "index1": (
-                # the chart row's offset -t <psi, psi> gives t back exactly
-                "_extended_newton", lambda args, kw: float(-kw["row"][3] / S2), M,
-                lambda out: out[1].astype(float),
+                # the chart row's offset -t <psi, psi> gives t back to an
+                # ulp, far below the digits the message prints
+                "_extended_newton", lambda args, kw: -kw["row"][3] / S2, M,
+                lambda out: out[1].hi,
                 lambda: trace_index1_degenerate_curve(problem),
                 "index-1 family in t", 1e-5,
             ),
@@ -644,7 +649,6 @@ class TestExtendedNewton:
         dom = problem.domain
         phi, psi = (m.eigenfunction.values for m in modes)
         h = problem.harvest.values
-        ld = np.longdouble
         S1, S2 = dom.inner(phi, phi), dom.inner(psi, psi)
         t, lam2 = problem.nonlinearity.M + 0.5, modes[1].eigenvalue
         u0, run = {
@@ -664,7 +668,7 @@ class TestExtendedNewton:
                 t * psi + 0.01 * phi,
                 lambda u0: continuation._extended_newton(
                     problem, lam2 + 0.05, u0, 0.0, 16,
-                    row=(dom.spacing, psi, 0.0, -ld(t) * ld(S2)), w0=psi, S=S2,
+                    row=(dom.spacing, psi, 0.0, -t * S2), w0=psi, S=S2,
                 ),
             ),
         }[system]
@@ -700,25 +704,18 @@ class TestExtendedNewton:
         arclength corrector gives up at that iterate after one bordered
         solve; solve_at_projection, from the same start, keeps iterating
         past the growth and converges. The predictor's float64 sup|F| is at
-        or below FLOAT64_PHASE_TOL, so both solves measure it again in long
-        double and step from there in long double."""
-        real_solve, real_residual = continuation.solve_bordered, Problem.residual_values
-        steps, sups, dtypes = [], [], []
-        ld = np.longdouble
+        or below FLOAT64_PHASE_TOL, so both solves promote it at once and
+        measure and step on the Pair from there."""
+        real_solve = continuation.solve_bordered
+        steps = []
 
         def overshoot(*args, **kw):
             x, y = real_solve(*args, **kw)
             steps.append(x)
             return (10.0 * x, 10.0 * y) if len(steps) == 1 else (x, y)
 
-        def recorded(self, u, a, c, **buffers):
-            F = real_residual(self, u, a, c, **buffers)
-            sups.append(float(np.max(np.abs(F))))
-            dtypes.append(F.dtype)
-            return F
-
         monkeypatch.setattr(continuation, "solve_bordered", overshoot)
-        monkeypatch.setattr(Problem, "residual_values", recorded)
+        measured, _ = self.spied(monkeypatch)
         dom = problem.domain
         p, q = branch20.points[1], branch20.points[2]
         dist = dom.l2_norm(q.u.values - p.u.values) + abs(q.c - p.c)
@@ -729,21 +726,23 @@ class TestExtendedNewton:
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(problem, p.a, p.u.values, p.c, Tu, Tc, ds, 8)
         assert len(steps) == 1
-        assert dtypes == [np.float64, ld, ld] and sups[0] <= FLOAT64_PHASE_TOL
-        assert NEWTON_TOL < sups[1] < sups[2]
+        sups = [sup for _, _, sup, _, _ in measured]
+        assert [lo is not None for _, lo, _, _, _ in measured] == [True, True]
+        assert measured[0][3] <= FLOAT64_PHASE_TOL and NEWTON_TOL < sups[0] < sups[1]
         assert str(err.value) == "bordered system did not converge"
-        assert err.value.residual_norm == sups[2]
-        assert err.value.residual_history == tuple(sups[1:])
-        grown = u_pred.astype(ld) + (10.0 * steps[0]).astype(ld)
-        np.testing.assert_array_equal(err.value.last_iterate, grown.astype(float))
+        assert err.value.residual_norm == sups[1]
+        assert err.value.residual_history == tuple(sups)
+        # the Pair update of the exact start by the grown step: its hi is the
+        # float64 sum
+        np.testing.assert_array_equal(err.value.last_iterate, u_pred + 10.0 * steps[0])
 
         steps.clear()
-        sups.clear()
-        dtypes.clear()
+        measured.clear()
         phi = modes[0].eigenfunction
         t_pred = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
         pt = solve_at_projection(problem, p.a, phi, t_pred, u_pred, c_pred)
-        assert dtypes[:3] == [np.float64, ld, ld] and NEWTON_TOL < sups[1] < sups[2]
+        assert all(lo is not None for _, lo, _, _, _ in measured)
+        assert NEWTON_TOL < measured[0][2] < measured[1][2]
         assert len(steps) >= 2
         assert pt.residual_norm < NEWTON_TOL
 
@@ -761,64 +760,77 @@ class TestExtendedNewton:
 
     @staticmethod
     def spied(monkeypatch, solves=None):
-        """Record each residual evaluation as (iterate, long double or not,
-        sup|F|) and, for each bordered step, whether the iterate it steps
-        from (the last one measured) is long double, and append each step's
-        du to solves when given."""
+        """Record each measured iterate as [hi, lo, sup|F|, float64 sup|F|,
+        c]: residual_values gives its float64 residual, and Ladder.residual,
+        once it corrects that to the Pair's, lo and the Pair's sup|F| (lo
+        None and the float64 sup|F| in the float64 stage). For each bordered
+        step, record whether the iterate it steps from (the last one
+        measured) is a Pair, and append its du to solves when given."""
         measured, stages = [], []
-        real_residual, real_solve = Problem.residual_values, continuation.solve_bordered
+        real_residual, real_pair = Problem.residual_values, Ladder.residual
+        real_solve = continuation.solve_bordered
 
         def residual(self, u, a, c, **buffers):
             F = real_residual(self, u, a, c, **buffers)
-            measured.append((u.copy(), F.dtype == np.longdouble, float(np.max(np.abs(F)))))
+            sup = float(np.max(np.abs(F)))
+            measured.append([u.copy(), None, sup, sup, c])
             return F
 
+        def pair(self, F, diag, lo, *args):
+            out = real_pair(self, F, diag, lo, *args)
+            measured[-1][1:3] = [lo.copy(), float(np.max(np.abs(out)))]
+            return out
+
         def solve(*args):
-            stages.append(measured[-1][1])
+            stages.append(measured[-1][1] is not None)
             du, y = real_solve(*args)
             if solves is not None:
                 solves.append(du)
             return du, y
 
         monkeypatch.setattr(Problem, "residual_values", residual)
+        monkeypatch.setattr(Ladder, "residual", pair)
         monkeypatch.setattr(continuation, "solve_bordered", solve)
         return measured, stages
 
     def test_float64_stage_hands_over_at_the_switch(self, tilted99, monkeypatch):
         """From a float64 predictor above FLOAT64_PHASE_TOL the corrector
-        steps from float64 iterates up to the first iterate whose
-        float64 sup|F| is at or below the switch. That iterate is promoted to
-        long double as the long-double sum of the last float64 step and the
-        iterate it was taken from, which the float64 iterate rounds, and
-        measured again; every later iterate and step is long double, and
-        convergence is declared on a long-double sup|F| below NEWTON_TOL."""
+        steps from float64 iterates up to the first iterate whose float64
+        sup|F| is at or below the switch. That iterate is promoted to a
+        Pair: its hi is the float64 iterate and hi + lo is the last float64
+        step's unrounded sum, exactly; it is measured again as a Pair, every
+        later iterate and step is a Pair's, and convergence is declared on
+        a Pair sup|F| below NEWTON_TOL."""
         problem, u, Tu, Tc = tilted99
         solves = []
         measured, stages = self.spied(monkeypatch, solves)
-        u_ld, c_ld, rF = continuation._arclength_corrector(
+        u_pair, c_pair, rF = continuation._arclength_corrector(
             problem, 20.0, u, 1.0, Tu, Tc, 0.3, 8
         )
-        wide = [x for _, x, _ in measured]
-        sups = [sup for _, _, sup in measured]
-        k = wide.index(True)
-        assert k >= 2 and not any(wide[:k]) and all(wide[k:])
-        assert min(sups[:k - 1]) > FLOAT64_PHASE_TOL >= sups[k - 1]
-        ld = np.longdouble
-        promoted = measured[k - 2][0].astype(ld) + solves[k - 2].astype(ld)
-        assert measured[k - 1][0].dtype == np.float64
-        np.testing.assert_array_equal(measured[k][0], promoted)
-        np.testing.assert_array_equal(measured[k - 1][0], promoted.astype(float))
-        assert stages == [False] * (k - 1) + [True] * (len(measured) - k - 1)
-        assert all(sup >= NEWTON_TOL for sup in sups[k:-1])
-        assert sups[-1] == rF < NEWTON_TOL
-        assert u_ld.dtype == np.longdouble and isinstance(c_ld, np.longdouble)
+        pair = [lo is not None for _, lo, _, _, _ in measured]
+        k = pair.index(True)
+        assert k >= 1 and not any(pair[:k]) and all(pair[k:])
+        assert min(sup64 for *_, sup64, _ in measured[:k]) > FLOAT64_PHASE_TOL
+        assert measured[k][3] <= FLOAT64_PHASE_TOL
+        u_from, du = measured[k - 1][0], solves[k - 1]
+        hi, lo = measured[k][0], measured[k][1]
+        np.testing.assert_array_equal(hi, u_from + du)
+        assert all(
+            Fraction(x) + Fraction(y) == Fraction(p) + Fraction(q)
+            for x, y, p, q in zip(hi, lo, u_from, du)
+        )
+        assert lo.any()
+        assert stages == [False] * k + [True] * (len(measured) - k - 1)
+        assert all(sup >= NEWTON_TOL for _, _, sup, _, _ in measured[k:-1])
+        assert measured[-1][2] == rF < NEWTON_TOL
+        assert isinstance(u_pair, Pair) and isinstance(c_pair, Pair)
 
     def test_start_at_the_switch_takes_no_float64_step(self, problem, branch20, monkeypatch):
         """A predictor whose float64 sup|F| is already at or below
-        FLOAT64_PHASE_TOL is promoted exactly, measured again in long double
-        and takes only long-double steps. A corrector that runs out of
-        iterations there reports the long-double sup|F| of its last
-        iterate."""
+        FLOAT64_PHASE_TOL is promoted exactly, as itself with lo = 0, whose
+        Pair sup|F| is its float64 one, and takes only Pair steps. A
+        corrector that runs out of iterations there reports the Pair sup|F|
+        of its last iterate."""
         dom = problem.domain
         p, q = branch20.points[1], branch20.points[2]
         dist = dom.l2_norm(q.u.values - p.u.values) + abs(q.c - p.c)
@@ -827,22 +839,25 @@ class TestExtendedNewton:
         measured, stages = self.spied(monkeypatch)
         with pytest.raises(NonConvergence) as err:
             continuation._arclength_corrector(*args, 1)
-        (u0, wide0, sup0), (u1, wide1, sup1) = measured
-        assert not wide0 and wide1 and NEWTON_TOL < sup1 and sup0 <= FLOAT64_PHASE_TOL
-        np.testing.assert_array_equal(u1, u0.astype(np.longdouble))
-        assert err.value.residual_history == (err.value.residual_norm,) == (sup1,)
+        ((u0, lo0, sup0, sup64, _),) = measured
+        np.testing.assert_array_equal(u0, p.u.values + 0.5 * dist * Tu)
+        assert lo0 is not None and not lo0.any()
+        assert NEWTON_TOL < sup0 == sup64 <= FLOAT64_PHASE_TOL
+        assert err.value.residual_history == (err.value.residual_norm,) == (sup0,)
         assert stages == []
 
         measured.clear()
         _, _, rF = continuation._arclength_corrector(*args, 8)
-        assert [x for _, x, _ in measured] == [False] + [True] * (len(measured) - 1)
-        assert stages == [True] * (len(measured) - 2)
+        assert all(lo is not None for _, lo, _, _, _ in measured)
+        assert stages == [True] * (len(measured) - 1)
         assert rF == measured[-1][2] < NEWTON_TOL
 
     def test_long_double_start_stays_long_double(self, tilted99, monkeypatch):
         """The same chart projection from the float64 predictor runs a
-        float64 stage; from its long-double promotion it measures and steps
-        in long double only, and converges there too."""
+        float64 stage; from the float64 field that stage handed over, at or
+        below the switch, a projection is on the Pair from its first
+        measurement, measures and steps on the Pair only, and converges
+        there too."""
         problem, u, Tu, Tc = tilted99
         dom = problem.domain
         phi = problem.modes()[0].eigenfunction
@@ -850,19 +865,20 @@ class TestExtendedNewton:
         t = dom.inner(phi.values, u_pred) / dom.inner(phi.values, phi.values)
         measured, stages = self.spied(monkeypatch)
         solve_at_projection(problem, 20.0, phi, t, u_pred, c_pred)
-        assert not measured[0][1] and False in stages
+        assert measured[0][1] is None and False in stages
+        handed, _, _, _, c_handed = next(m for m in measured if m[1] is not None)
         measured.clear()
         stages.clear()
-        pt = solve_at_projection(problem, 20.0, phi, t, u_pred.astype(np.longdouble), c_pred)
-        assert all(x for _, x, _ in measured) and all(stages)
+        pt = solve_at_projection(problem, 20.0, phi, t, handed, c_handed)
+        assert all(lo is not None for _, lo, _, _, _ in measured) and all(stages)
         assert len(stages) == len(measured) - 1
         assert pt.residual_norm == measured[-1][2] < NEWTON_TOL
 
     def test_fold_system_follows_the_stage_rule(self, problem, modes, fold20, monkeypatch):
         """The fold system takes the stages of the affine-row systems: from a
         float64 start above FLOAT64_PHASE_TOL it measures and steps in
-        float64, then in long double only, and converges there onto the
-        refined fold; from a long-double start it stays long double."""
+        float64, then on the Pair only, and converges there onto the
+        refined fold; from the field it handed over it stays on the Pair."""
         dom = problem.domain
         phi = modes[0].eigenfunction.values
         S1 = dom.inner(phi, phi)
@@ -871,21 +887,21 @@ class TestExtendedNewton:
         _, u, c, _, rF = continuation._extended_newton(
             problem, fold20.a, u0, fold20.c, 16, w0=fold20.w.values, S=S1
         )
-        wide = [x for _, x, _ in measured]
-        k = wide.index(True)
-        assert k >= 2 and not any(wide[:k]) and all(wide[k:])
-        assert measured[0][2] > FLOAT64_PHASE_TOL >= measured[k - 1][2]
+        pair = [lo is not None for _, lo, _, _, _ in measured]
+        k = pair.index(True)
+        assert k >= 1 and not any(pair[:k]) and all(pair[k:])
+        assert measured[0][3] > FLOAT64_PHASE_TOL >= measured[k][3]
         assert False in stages and stages == sorted(stages)
-        assert rF == measured[-1][2] < NEWTON_TOL and u.dtype == np.longdouble
-        assert abs(float(c) - fold20.c) < 1e-9
+        assert rF == measured[-1][2] < NEWTON_TOL and isinstance(u, Pair)
+        assert abs(c.hi - fold20.c) < 1e-9
 
+        handed, c_handed = measured[k][0], measured[k][4]
         measured.clear()
         stages.clear()
         continuation._extended_newton(
-            problem, fold20.a, u0.astype(np.longdouble), fold20.c, 16,
-            w0=fold20.w.values, S=S1,
+            problem, fold20.a, handed, c_handed, 16, w0=fold20.w.values, S=S1,
         )
-        assert all(x for _, x, _ in measured) and all(stages)
+        assert all(lo is not None for _, lo, _, _, _ in measured) and all(stages)
 
     def test_exhausted_corrector_reports_the_iterate_it_returns(self, tilted99, monkeypatch):
         """A corrector that runs out of iterations raises with one iterate:
@@ -931,12 +947,12 @@ class TestDegenerateFamily:
 
     def test_on_segment_samples_are_the_closed_form_states(self, problem, modes, monkeypatch):
         """Each on-segment sample is the closed-form state t psi_ld at
-        (lambda2, c = 0), bit for bit, and no extended system is solved for
-        it: _extended_newton runs only for the march's samples, each at a
-        chart coordinate off the segment."""
+        (lambda2, c = 0), its Pair's hi bit for bit, and no extended system
+        is solved for it: _extended_newton runs only for the march's
+        samples, each at a chart coordinate off the segment."""
         lam2 = modes[1].eigenvalue
         psi = modes[1].eigenfunction.values
-        S2 = np.longdouble(problem.domain.inner(psi, psi))
+        S2 = problem.domain.inner(psi, psi)
         psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
         psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
         seg = build_degenerate_segment(problem)
@@ -944,8 +960,8 @@ class TestDegenerateFamily:
         real = continuation._extended_newton
 
         def spied(*args, **kwargs):
-            # the chart row's offset -t <psi, psi> gives t back exactly
-            solved.append(float(-kwargs["row"][3] / S2))
+            # the chart row's offset -t <psi, psi> gives t back to an ulp
+            solved.append(-kwargs["row"][3] / S2)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(continuation, "_extended_newton", spied)
@@ -1067,6 +1083,35 @@ class TestFourSolutionWindow:
         assert np.all(signs(window_pieces["flat_up"]) == 1)
 
 
+class TestClosedFormStates:
+    @pytest.mark.parametrize("n", [399, 1599, 2399])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pair_residual_matches_long_double(
+        self, n, k, split, pair_residual, longdouble_residual
+    ):
+        """On the lambda1 ray (k = 1) and the lambda2 segment (k = 2), each
+        closed-form state t e_k split into a Pair, with lambda_k a Pair, has
+        the sup|F| of its long-double residual to 1e-13, and
+        closed_form_states reports exactly those Pair sups. Node by node the
+        two differ most where e_k changes sign: there the float64 first
+        differences of hi round (about 1.2e-13 at n = 2399), which the sup,
+        taken near the extremes of e_k, does not see."""
+        problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        lam, mode = exact_mode_longdouble(problem.domain, k)
+        ts = np.linspace(-0.2, 0.2, 5)
+        e_k, states, sups = closed_form_states(problem, k, ts, 1.0, "states")
+        ld = np.longdouble
+        sign = 1 if float(np.dot(mode.astype(float), e_k.hi)) > 0 else -1
+        np.testing.assert_array_equal(e_k.hi, sign * split(mode).hi)
+        for t, u, sup in zip(ts, states, sups):
+            x = ld(t) * mode
+            np.testing.assert_array_equal(u.hi, split(sign * x).hi)
+            np.testing.assert_array_equal(u.lo, split(sign * x).lo)
+            assert sup == pair_residual(problem, u, split(lam))
+            reference = float(np.max(np.abs(longdouble_residual(problem, x, lam, 0.0))))
+            assert abs(sup - reference) <= 1e-13
+
+
 class TestAtSecondEigenvalue:
     def test_segment_construction(self, problem, modes):
         seg = build_degenerate_segment(problem)
@@ -1081,19 +1126,22 @@ class TestAtSecondEigenvalue:
             seg.state_at(0.3)
 
     @pytest.mark.parametrize("n", [49, 99, 399, 1599])
-    def test_segment_certified_by_the_newton_residual(self, n):
-        """The stored residual is the worst long-double residual_values sup
-        over the sampled segment states."""
+    def test_segment_certified_by_the_newton_residual(
+        self, n, split, pair_residual, longdouble_residual
+    ):
+        """The stored residual is the worst Pair residual sup over the
+        sampled segment states, each the closed-form state split into a
+        Pair; the long-double residual of the same states agrees to 1e-13."""
         problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         seg = build_degenerate_segment(problem)
         lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
-        sups = [
-            float(np.max(np.abs(problem.residual_values(
-                np.longdouble(t) * psi_ld, lam2_ld, np.longdouble(0)
-            ))))
-            for t in np.linspace(seg.t_min, seg.t_max, 9)
-        ]
+        ts = np.linspace(seg.t_min, seg.t_max, 9)
+        sups = [pair_residual(problem, split(np.longdouble(t) * psi_ld), split(lam2_ld))
+                for t in ts]
         assert seg.verified_residual == max(sups) < 1e-12
+        for t, sup in zip(ts, sups):
+            r_ld = longdouble_residual(problem, np.longdouble(t) * psi_ld, lam2_ld, 0.0)
+            assert abs(sup - float(np.max(np.abs(r_ld)))) <= 1e-13
 
     def test_segment_failure_is_nonconvergence(self):
         """At n = 2399 the exact states miss the 1e-12 bound at rounding

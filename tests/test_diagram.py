@@ -410,8 +410,8 @@ class TestBatchedOracle:
     def test_precision_stages_mixed_in_one_stack(self, problem):
         """One stack at a = lambda2, c = -1 holds rows on every path through
         the two precision stages of _newton_rows: a member perturbed by 1e-8
-        starts in the long-double stage, most starts are handed to it
-        part-way, some stall in the float64 stage, and the start on the
+        starts in the pair stage, most starts are handed to it part-way,
+        some stall in the float64 stage, and the start on the
         degenerate segment of test_degenerate_start_dropped_alone meets a
         singular Jacobian (c does not enter the Jacobian). Each row gets the
         entry it gets alone."""
@@ -430,8 +430,8 @@ class TestBatchedOracle:
         assert all(x <= FLOAT64_PHASE_TOL for x in stacked[8][2])
         assert endings[-1] == "singular"
         assert endings.count("stalled") >= 2
-        # handed off part-way: long-double steps follow the first history
-        # entry at or below the switch
+        # handed off part-way: Pair steps follow the first history entry at
+        # or below the switch
         handoffs = [
             [x <= FLOAT64_PHASE_TOL for x in end[2]].index(True)
             for end in stacked if not isinstance(end, Exception)
@@ -695,8 +695,8 @@ class TestNewtonBalls:
 
 
 class TestDampedNewton:
-    """The line search and the float64 and long-double stages of
-    _newton_rows, the damped Newton behind newton_solve and count_solutions."""
+    """The line search and the float64 and pair stages of _newton_rows, the
+    damped Newton behind newton_solve and count_solutions."""
 
     def test_stalled_start_spends_few_residual_rows(self, problem, eigs, monkeypatch):
         """Above the top fold of the window nothing converges: the starts
@@ -736,15 +736,15 @@ class TestDampedNewton:
             assert Counter(map(_ending, ends))["last step"] >= 10
 
     def test_handoff_on_the_last_allowed_step(self, problem):
-        """A row handed to the long-double stage on its last allowed step is
-        tested there before its iterations run out, as in
-        test_last_allowed_step_is_tested. At the README level, start 12
-        converges on the step that hands it off and start 3 one step later;
-        with a cap at that step, start 12 keeps the entry a larger cap gives
-        it and start 3 ends out of iterations at the long-double residual
-        of its handoff, converging with one more step allowed."""
+        """A row handed to the pair stage on its last allowed step is tested
+        there before its iterations run out, as in
+        test_last_allowed_step_is_tested. At the README level, start 15
+        converges on the step that hands it off and start 8 one step later;
+        with a cap at that step, start 15 keeps the entry a larger cap gives
+        it and start 8 ends out of iterations at the Pair residual of its
+        handoff, converging with one more step allowed."""
         seeds = _seeds(problem, 40.0, 16, 0)
-        late, direct = seeds[3], seeds[12]
+        late, direct = seeds[8], seeds[15]
         want = [_newton_rows(problem, [u0], 40.0, -0.005, COUNT_MAX_ITER)[0]
                 for u0 in (late, direct)]
         step = len(want[1][2]) - 1
@@ -760,14 +760,14 @@ class TestDampedNewton:
         _assert_same_end(got, want[0])
 
     @pytest.mark.parametrize("n", [99, 399, 1599])
-    def test_float64_residual_is_exact_enough(self, n):
+    def test_float64_residual_is_exact_enough(self, n, longdouble_residual):
         """At the converged members of the README count, the float64 and the
         long-double residual of the same field differ by less than
         NEWTON_TOL / 10, so the float64 stage's test of a trial against the
         switch FLOAT64_PHASE_TOL is not misled. The float64 stage iterates on
-        float64 fields, which sit up to half an ulp from the long-double
-        field they stand for; that rounding moves the residual by at most
-        about (4 / h^2) ulp(|u|) / 2, which stays a hundred times below the
+        float64 fields, which sit up to half an ulp from the exact field
+        they stand for; that rounding moves the residual by at most about
+        (4 / h^2) ulp(|u|) / 2, which stays a hundred times below the
         switch, so float64 iterates can reach it."""
         problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         a, c = 40.0, -0.005
@@ -777,38 +777,44 @@ class TestDampedNewton:
         for m in members:
             u = m.u.values
             f64 = problem.residual_values(u, a, c)
-            gap = np.max(np.abs(f64 - problem.residual_values(u.astype(np.longdouble), a, c)))
+            gap = np.max(np.abs(f64 - longdouble_residual(problem, u, a, c)))
             assert gap < NEWTON_TOL / 10
             # a long-double field whose float64 rounding is u
             v = u.astype(np.longdouble) + (
                 rng.uniform(-0.49, 0.49, n) * np.spacing(u)
             ).astype(np.longdouble)
             assert np.array_equal(v.astype(float), u)
-            gap = np.max(np.abs(f64 - problem.residual_values(v, a, c)))
+            gap = np.max(np.abs(f64 - longdouble_residual(problem, v, a, c)))
             assert gap < FLOAT64_PHASE_TOL / 100
 
     def test_reported_residuals_are_long_double(self, problem, monkeypatch):
         """Residuals above FLOAT64_PHASE_TOL are evaluated in float64, and
         every converged entry's residual, like every history entry at or
-        below the switch, is the sup norm of a long-double evaluation."""
-        norms = {np.dtype(float): set(), np.dtype(np.longdouble): set()}
-        original = Problem.residual_values
+        below the switch, is the sup norm of a Pair residual (the float64
+        residual at hi corrected by Ladder.residual)."""
+        f64, pair = set(), set()
+        real_residual, real_pair = Problem.residual_values, solver_mod.Ladder.residual
 
         def recording(self, u, a, c, **buffers):
-            r = original(self, u, a, c, **buffers)
-            norms[r.dtype].update(np.max(np.abs(r), axis=-1).astype(float).ravel().tolist())
+            r = real_residual(self, u, a, c, **buffers)
+            f64.update(np.max(np.abs(r), axis=-1).ravel().tolist())
+            return r
+
+        def corrected(self, F, *args):
+            r = real_pair(self, F, *args)
+            pair.update(np.max(np.abs(r), axis=-1).ravel().tolist())
             return r
 
         monkeypatch.setattr(Problem, "residual_values", recording)
+        monkeypatch.setattr(solver_mod.Ladder, "residual", corrected)
         seeds = _seeds(problem, 40.0, 100, 0)
         ends = _newton_rows(problem, seeds, 40.0, -0.005, COUNT_MAX_ITER)
         converged = [end for end in ends if not isinstance(end, Exception)]
         assert len(converged) >= 50
-        f64, ld = norms[np.dtype(float)], norms[np.dtype(np.longdouble)]
         for u64, rnorm, history in converged:
             assert rnorm < NEWTON_TOL
-            assert rnorm in ld
-            assert all(x in ld for x in history if x <= FLOAT64_PHASE_TOL)
+            assert rnorm in pair
+            assert all(x in pair for x in history if x <= FLOAT64_PHASE_TOL)
             assert all(x in f64 for x in history if x > FLOAT64_PHASE_TOL)
 
 
@@ -878,7 +884,9 @@ class TestAssembly:
         assert cs[1] == pytest.approx(C_NATURAL_FOLD_POS, rel=1e-6)
         assert cs[2] == pytest.approx(C_FOLD_WINDOW, rel=1e-6)
 
-    def test_at_lambda1_ray_and_crescent(self, diagram_lam1):
+    def test_at_lambda1_ray_and_crescent(
+        self, diagram_lam1, split, pair_residual, longdouble_residual
+    ):
         assert diagram_lam1.regime == "at-lambda1"
         assert set(diagram_lam1.tags()) == {"ray", "Mstar"}
         ray = diagram_lam1.branch("ray")
@@ -888,22 +896,26 @@ class TestAssembly:
         assert ray.t_values()[-1] == pytest.approx(0.2, abs=1e-12)
         assert all(abs(p.c) < 1e-12 for p in ray.points)
         # each ray state is certified by the residual Newton converges on,
-        # evaluated in long double on the closed-form mode at the ray's own
+        # the Pair residual of the closed-form state t phi at the ray's own
         # parameters (its t_proj, derived from the float64 states, may miss
-        # them by an ulp)
+        # them by an ulp), which the long-double residual of the same state
+        # matches; the stored field is the Pair's hi
         problem = diagram_lam1.problem
         M = problem.nonlinearity.M
         lam1_ld, phi_ld = exact_mode_longdouble(problem.domain, 1)
         for t, p in zip(np.linspace(-M, M, 41), ray.points):
-            r = problem.residual_values(np.longdouble(t) * phi_ld, lam1_ld, 0.0)
-            assert p.residual_norm == float(np.max(np.abs(r))) < 1e-12
+            u = split(np.longdouble(t) * phi_ld)
+            assert p.residual_norm == pair_residual(problem, u, split(lam1_ld)) < 1e-12
+            r_ld = longdouble_residual(problem, np.longdouble(t) * phi_ld, lam1_ld, 0.0)
+            assert abs(p.residual_norm - float(np.max(np.abs(r_ld)))) <= 1e-13
+            np.testing.assert_array_equal(p.u.values, u.hi)
         assert len(diagram_lam1.degenerate_points) == 1
         assert abs(diagram_lam1.degenerate_points[0].c) < 1e-9
 
     def test_at_lambda1_on_a_fine_grid(self):
         """At n = 1599 multiples of the float64 first eigenvector miss the
-        steady-state tolerance; the ray is certified in long double instead
-        and the diagram completes."""
+        steady-state tolerance; the ray is certified as Pairs of the
+        closed-form states instead and the diagram completes."""
         problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         diag = assemble_diagram(problem, problem.modes()[0].eigenvalue)
         assert diag.complete and diag.regime == "at-lambda1"
@@ -1340,8 +1352,8 @@ class TestVerifyStructure:
 
     def test_at_lambda2_on_a_fine_grid_records_the_segment_claim(self):
         """At n = 1599 the float64 rounding of a segment state misses
-        NEWTON_TOL; the segment claim takes the long-double residual of the
-        exact state, so the report comes back with the claim recorded,
+        NEWTON_TOL; the segment claim takes the Pair residual of the exact
+        state, so the report comes back with the claim recorded,
         whatever its verdict, and nothing is raised."""
         problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         diag = assemble_diagram(problem, problem.modes()[1].eigenvalue)
@@ -1351,6 +1363,24 @@ class TestVerifyStructure:
         report = verify_structure(diag, oracle_budget=60, seed=0)
         ids = [chk.claim for chk in report.checks]
         assert ids.count("segment-second-eigenvalue-zero") == 1
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="at n = 1599 the lambda1 junction's normal-form claim measures 316.54 "
+        "against its bound 0.05: on the ray both formulas are 0 and the FD "
+        "c-curvature divides rounding noise in c by 4e-4 (ROADMAP item 1)",
+    )
+    def test_at_lambda1_verifies_at_n1599(self):
+        """verify_structure(seed=1) at lambda1 on n = 1599 fails the junction's
+        normal-form claim alone; any other failing claim is an error, not
+        this marker's failure."""
+        problem = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        report = verify_structure(assemble_diagram(problem, problem.modes()[0].eigenvalue), seed=1)
+        failed = [(c.claim, round(c.measured, 2)) for c in report.checks if not c.passed]
+        others = [claim for claim, _ in failed if not claim.startswith("normal-form@")]
+        if others:
+            raise RuntimeError(f"claims other than the junction's normal form fail: {others}")
+        assert failed == []
 
     def test_at_lambda2_segment_claim_passes_at_n799(self):
         """The raw |mu2| = 1.058e-10 at n = 799 is the rounding e of J's
@@ -1492,7 +1522,7 @@ class TestKernelCallCounts:
     assembly, every single-border bordered solve (each step of the
     arclength corrector, the chart projection and the fold system, and each
     of the fold test function's two solves) costs one gtsv call, in the
-    float64 stage and in the long-double stage alike, and no gttrf, gttrs,
+    float64 stage and in the pair stage alike, and no gttrf, gttrs,
     A v product or np.linalg.solve call; where J is deflated, one more gtsv
     call and one np.linalg.solve for the 2 x 2 Schur complement.
     Tracked spectra take no np.linalg.norm and one gtsv per Rayleigh-quotient
@@ -1527,13 +1557,16 @@ class TestKernelCallCounts:
         monkeypatch.setattr(np.linalg, "norm", counted("norm", np.linalg.norm))
         costs = Counter()
         real_bordered = continuation_mod.solve_bordered
-        real_residual = Problem.residual_values
+        real_residual, real_pair = Problem.residual_values, solver_mod.Ladder.residual
         wide = []
 
         def residual(self, u, a, c, **buffers):
-            F = real_residual(self, u, a, c, **buffers)
-            wide.append(F.dtype == np.longdouble)
-            return F
+            wide.append(False)
+            return real_residual(self, u, a, c, **buffers)
+
+        def pair(self, *args):
+            wide[-1] = True
+            return real_pair(self, *args)
 
         def bordered(op, B, C, D, f, g):
             before = calls.copy()
@@ -1581,6 +1614,7 @@ class TestKernelCallCounts:
             return out
 
         monkeypatch.setattr(Problem, "residual_values", residual)
+        monkeypatch.setattr(solver_mod.Ladder, "residual", pair)
         monkeypatch.setattr(continuation_mod, "solve_bordered", bordered)
         monkeypatch.setattr(spectral_mod, "track_tridiagonal_eigenpairs", track)
         monkeypatch.setattr(solver_mod, "linearized_spectrum", spectrum)
@@ -1621,23 +1655,30 @@ class TestKernelCallCounts:
         self, diagram_window99, monkeypatch
     ):
         """Each arclength corrector of the window assembly starts from a
-        float64 predictor. It measures in long double only from the first
+        float64 predictor. It measures each iterate's float64 residual, and
+        corrects it to the Pair's (Ladder.residual) only from the first
         iterate whose float64 sup|F| is at or below FLOAT64_PHASE_TOL, which
-        it promotes and measures again in long double, and never in float64
-        after that. A converged corrector ends on a long-double sup|F| below
-        NEWTON_TOL after at most three long-double residuals, where a
-        corrector that measured every iterate in long double would make one
-        per iterate."""
+        it promotes to a Pair, and at every iterate after that. A converged
+        corrector ends on a Pair sup|F| below NEWTON_TOL after at most three
+        Pair residuals, where a corrector that measured every iterate as a
+        Pair would make one per iterate."""
         real_corrector = continuation_mod._arclength_corrector
-        real_residual = Problem.residual_values
+        real_residual, real_pair = Problem.residual_values, solver_mod.Ladder.residual
         measured = None
         ends = []
 
         def residual(self, u, a, c, **buffers):
             F = real_residual(self, u, a, c, **buffers)
             if measured is not None:
-                measured.append((F.dtype == np.longdouble, float(np.max(np.abs(F)))))
+                sup = float(np.max(np.abs(F)))
+                measured.append([False, sup, sup])
             return F
+
+        def pair(self, *args):
+            out = real_pair(self, *args)
+            if measured is not None:
+                measured[-1][0::2] = [True, float(np.max(np.abs(out)))]
+            return out
 
         def corrector(*args):
             nonlocal measured
@@ -1654,19 +1695,20 @@ class TestKernelCallCounts:
                 measured = None
 
         monkeypatch.setattr(Problem, "residual_values", residual)
+        monkeypatch.setattr(solver_mod.Ladder, "residual", pair)
         monkeypatch.setattr(continuation_mod, "_arclength_corrector", corrector)
         assemble_diagram(diagram_window99.problem, diagram_window99.a)
         per_converged = Counter()
         for rF, seq in ends:
-            is_ld = [x for x, _ in seq]
-            wide = is_ld.index(True) if True in is_ld else len(seq)
-            assert wide >= 1 and not any(is_ld[:wide]) and all(is_ld[wide:])
-            assert all(sup > FLOAT64_PHASE_TOL for _, sup in seq[:wide - 1])
-            if wide < len(seq):
-                assert seq[wide - 1][1] <= FLOAT64_PHASE_TOL
+            is_pair = [x for x, _, _ in seq]
+            k = is_pair.index(True) if True in is_pair else len(seq)
+            assert not any(is_pair[:k]) and all(is_pair[k:])
+            assert all(sup64 > FLOAT64_PHASE_TOL for _, sup64, _ in seq[:k])
+            if k < len(seq):
+                assert seq[k][1] <= FLOAT64_PHASE_TOL
             if rF is not None:
-                assert is_ld[-1] and seq[-1][1] == rF < NEWTON_TOL
-                per_converged[len(seq) - wide] += 1
+                assert is_pair[-1] and seq[-1][2] == rF < NEWTON_TOL
+                per_converged[len(seq) - k] += 1
         assert sum(per_converged.values()) > 100
         assert max(per_converged) <= 3
 
@@ -1807,7 +1849,7 @@ class TestChordTolerance:
                     problem, diag.a, um, cm, 8,
                     row=(1.0, row, dc, -(row @ um + dc * cm)),
                 )
-                dev = dom.l2_norm(u.astype(float) - um) + abs(float(c) - cm)
+                dev = dom.l2_norm(u.hi - um) + abs(c.hi - cm)
                 worst = max(worst, dev)
         assert worst <= bound
 

@@ -2,6 +2,7 @@ import ast
 import inspect
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +67,39 @@ def test_diagram_reaches_continuation_through_public_names():
     ]
     assert [n for m, n in imported if m == "continuation" and n.startswith("_")] == []
     assert {"exact_mode_longdouble", "FOLD_MAX_ITER"}.isdisjoint(n for _, n in imported)
+
+
+def _top_level_label(tree, line):
+    """The name of the top-level def, class or assigned constant of tree
+    that spans line, or 'guard' for a top-level if."""
+    for stmt in tree.body:
+        if stmt.lineno <= line <= stmt.end_lineno:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                return stmt.name
+            if isinstance(stmt, ast.Assign):
+                return stmt.targets[0].id
+            if isinstance(stmt, ast.If):
+                return "guard"
+            return f"line {line}"
+    return f"line {line}"
+
+
+def test_long_double_is_confined_to_the_closed_form_modes():
+    """Every Newton iterate and residual certificate is float64 or a float64
+    Pair: numpy's long double type is named (longdouble as a word, so not
+    inside the name exact_mode_longdouble) only in grid's closed-form modes,
+    exact_mode_longdouble and PI_LONGDOUBLE, and in the import guard that
+    refuses a platform whose long double could not carry them."""
+    found = set()
+    for path in sorted((ROOT / "src" / "bifurcate").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        for number, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"\blongdouble\b", line):
+                found.add((path.stem, _top_level_label(tree, number)))
+    assert found == {
+        ("grid", "exact_mode_longdouble"), ("grid", "PI_LONGDOUBLE"), ("__init__", "guard"),
+    }
 
 
 def test_fixed_settings_are_not_options():
@@ -167,6 +201,36 @@ def test_import_refuses_a_long_double_without_extended_precision(tmp_path):
     last = run.stderr.strip().splitlines()[-1]
     assert last.startswith("ImportError: bifurcate needs numpy's long double")
     assert platform.system() in last and last.endswith("it carries 52")
+
+
+def test_readme_count_needs_no_long_double(monkeypatch):
+    """The multistart oracle climbs the float64 ladder alone: with the
+    closed-form modes built in float64, as they would be where numpy's long
+    double is float64, the README count (n = 399, 800 starts) still finds
+    its four states with Morse indices (0, 1, 1, 2)."""
+    import numpy as np
+
+    from bifurcate import grid
+    from bifurcate.diagram import count_solutions
+
+    built = []
+
+    def float64_mode(domain, k):
+        built.append(k)
+        h = domain.length / (domain.n_interior + 1)
+        raw = np.sin(k * np.pi * domain.nodes / domain.length)
+        lam = (4.0 / h**2) * np.sin(k * np.pi * h / (2.0 * domain.length)) ** 2
+        return lam, raw / np.max(np.abs(raw))
+
+    monkeypatch.setattr(grid, "exact_mode_longdouble", float64_mode)
+    problem = bifurcate.Problem(
+        bifurcate.build_grid(399, 1.0), bifurcate.Nonlinearity(0.2, 3),
+        bifurcate.HarvestSpec("bump"),
+    )
+    problem.modes()
+    assert built == [1, 2]
+    members = count_solutions(problem, 40.0, -0.005, 800, 9).members
+    assert sorted(m.morse_index for m in members) == [0, 1, 1, 2]
 
 
 def _run_in_import_order(work: Path, scipy_first: bool) -> list[str]:

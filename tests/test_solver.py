@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,16 @@ from bifurcate.grid import (
     laplacian_eigenpairs,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
+from bifurcate import continuation
+from bifurcate.diagram import count_solutions
 from bifurcate.solver import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
+    PROJECTION_MAX_ITER,
     Diverged,
+    Ladder,
     NonConvergence,
+    Pair,
     Problem,
     SingularJacobian,
     SolutionPoint,
@@ -65,10 +71,13 @@ def test_residual_pure_harvest(problem, domain):
     )
 
 
-def test_residual_on_first_eigenray(problem, domain, modes):
+def test_residual_on_first_eigenray(
+    problem, domain, modes, split, pair_residual, longdouble_residual
+):
     # u = t*phi at a = lambda1 with t <= M keeps f inactive, so the state is
     # steady in exact arithmetic; verify at the float64 level and then, for
-    # the sharp claim, with long-double sine samples
+    # the sharp claim, on long-double sine samples split into a Pair, whose
+    # residual the long-double one matches
     lam1 = modes[0].eigenvalue
     t = 0.2
     u64 = t * modes[0].eigenfunction.values
@@ -79,37 +88,22 @@ def test_residual_on_first_eigenray(problem, domain, modes):
         1, domain.n_interior + 1, dtype=ld
     )
     phi_ld = np.sin(PI_LONGDOUBLE * x)
-    r_ld = problem.residual_values(ld(t) * phi_ld, lam1, 0.0)
-    assert r_ld.dtype == ld
-    assert np.max(np.abs(r_ld)) < 1e-12
+    r_pair = pair_residual(problem, split(ld(t) * phi_ld), lam1)
+    assert r_pair < 1e-12
+    r_ld = longdouble_residual(problem, ld(t) * phi_ld, lam1, 0.0)
+    assert abs(r_pair - float(np.max(np.abs(r_ld)))) <= 1e-13
 
 
-def test_residual_preserves_long_double(problem, domain):
-    v = np.full(domain.n_interior, 0.1, dtype=np.longdouble)
+def test_residual_is_float64(problem, domain):
+    """A long-double field is evaluated as its float64 rounding."""
+    v = np.full(domain.n_interior, 0.1, dtype=np.longdouble) + np.longdouble(2.0) ** -60
     out = problem.residual_values(v, 10.0, 0.0)
-    assert out.dtype == np.longdouble
-
-
-def _nested_difference_residual(problem, u, a, c):
-    """Problem.residual_values as first written: np.diff of the zero-padded
-    field for Delta_h u, and f by repeated multiplication from a copy of
-    (u - M)+."""
-    u = np.asarray(u)
-    one = u.dtype.type
-    nl = problem.nonlinearity
-    r = np.maximum(u - one(nl.M), one(0.0))
-    f = r.copy()
-    for _ in range(nl.p_f - 1):
-        f *= r
-    z = np.zeros(u.shape[:-1] + (1,), dtype=u.dtype)
-    lap = np.diff(np.concatenate((z, u, z), axis=-1), n=2, axis=-1)
-    lap = lap / one(problem.domain.spacing) ** 2
-    return lap + one(a) * u - f - one(c) * problem.harvest.values.astype(u.dtype)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, problem.residual_values(v.astype(float), 10.0, 0.0))
 
 
 def _same_bits(x, y):
-    """Equal dtype, shape, values and signs of zero (long double carries
-    padding bytes, so its bytes are not compared)."""
+    """Equal dtype, shape, values and signs of zero."""
     return (
         x.dtype == y.dtype and x.shape == y.shape
         and np.array_equal(x, y, equal_nan=True)
@@ -121,29 +115,26 @@ def _same_bits(x, y):
 @given(
     n=st.integers(min_value=3, max_value=200),
     rows=st.sampled_from([(), (1,), (4,), (2, 3)]),
-    wide=st.booleans(),
     M=st.floats(min_value=0.0, max_value=1.0),
     p_f=st.integers(min_value=3, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     signed_zeros=st.booleans(),
 )
 def test_residual_is_the_nested_difference_formula_bit_for_bit(
-    n, rows, wide, M, p_f, seed, signed_zeros
+    nested_difference_residual, n, rows, M, p_f, seed, signed_zeros
 ):
     """The residual built in place from the padded field's differences gives
-    the bits of the np.diff formula, in float64 and long double, for one
-    field and for stacks of them, signed zeros at the boundary included;
-    so does its evaluation into a caller's out and a larger work holding
-    stale values."""
+    the bits of the np.diff formula, for one field and for stacks of them,
+    signed zeros at the boundary included; so does its evaluation into a
+    caller's out and a larger work holding stale values."""
     problem = Problem(build_grid(n, 1.0), Nonlinearity(M, p_f), HarvestSpec("bump"))
     rng = np.random.default_rng(seed)
     x = problem.domain.nodes
     u = 10.0 ** rng.uniform(-3, 1) * (np.sin(np.pi * x) + 1e-3 * rng.standard_normal(rows + (n,)))
     if signed_zeros:
         u[..., 0], u[..., -1] = -0.0, 0.0
-    u = u.astype(np.longdouble if wide else float)
     a, c = rng.uniform(-5.0, 60.0), rng.uniform(-10.0, 600.0)
-    want = _nested_difference_residual(problem, u, a, c)
+    want = nested_difference_residual(problem, u, a, c)
     assert _same_bits(problem.residual_values(u, a, c), want)
     out = np.full_like(u, np.nan)
     work = np.full((2, (u.size // n + 3) * (n + 2)), np.inf, dtype=u.dtype)
@@ -428,3 +419,106 @@ def test_superharmonic_near_zero_harvest(problem, u_plus):
         f = np.maximum(pt.u.values - problem.nonlinearity.M, 0.0) ** 3
         surplus = A_REF * pt.u.values - f - c * problem.harvest.values
         assert np.min(surplus) > -1e-10
+
+
+class TestPairArithmetic:
+    """The float64 Pair of solver.Ladder, against exact rationals and against
+    the long-double residual."""
+
+    @staticmethod
+    def exact(*xs):
+        return sum(map(Fraction, xs), Fraction(0))
+
+    def test_promotion_is_exact(self):
+        """The promotion of a float64 step is its unrounded sum: hi is the
+        float64 iterate the step made, bit for bit, hi + lo equals
+        u_from + du exactly, and |lo| is at most half an ulp of hi."""
+        rng = np.random.default_rng(3)
+        u_from = rng.uniform(-4.0, 4.0, 400)
+        du = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-17.0, -1.0, 400)
+        hi, lo = Ladder.promote(u_from, du)
+        np.testing.assert_array_equal(hi, u_from + du)
+        assert all(self.exact(h, l) == self.exact(x, d) for h, l, x, d in zip(hi, lo, u_from, du))
+        assert np.all(np.abs(lo) <= 0.5 * np.spacing(np.abs(hi)))
+        assert lo.any()
+        # scalars, as c and a are carried
+        c = Ladder.promote(569.17, 3.3e-9)
+        assert self.exact(*c) == self.exact(569.17, 3.3e-9) and isinstance(c, Pair)
+
+    def test_update_is_exact_on_the_ladders_steps(self, monkeypatch):
+        """Every Pair update that the README count's Newton rows and the a = 20
+        fold refinement make at n = 99, their iterates' and their c's, is
+        exact: hi + lo gains du exactly, and hi stays the float64 nearest
+        the sum."""
+        updates = []
+        real = Ladder.update
+
+        def recorded(u, du):
+            out = real(u, du)
+            updates.append((u, du, out))
+            return out
+
+        monkeypatch.setattr(Ladder, "update", staticmethod(recorded))
+        problem = Problem(build_grid(99, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        assert len(count_solutions(problem, 40.0, -0.005, 50, 0).members) == 4
+        branch = continuation.continue_branch(
+            problem, continuation._czero_seed(
+                problem, 20.0, problem.modes()[0].eigenfunction.values, True
+            ), +1, (-10.0, 1e6)
+        )
+        assert branch.fold_points()
+        arrays = [(u, du, out) for u, du, out in updates if np.ndim(du)]
+        scalars = [(u, du, out) for u, du, out in updates if not np.ndim(du)]
+        assert len(arrays) > 20 and len(scalars) > 50
+        for u, du, out in arrays + scalars:
+            his, los, dus = (np.ravel(x) for x in (u.hi, u.lo, du))
+            new_hi, new_lo = np.ravel(out.hi), np.ravel(out.lo)
+            assert all(
+                self.exact(h, l) == self.exact(x, y, d)
+                for h, l, x, y, d in zip(new_hi, new_lo, his, los, dus)
+            )
+            assert np.all(np.abs(new_lo) <= 0.5 * np.spacing(np.abs(new_hi)))
+
+    def test_update_error_is_below_the_second_word(self):
+        """Where the one rounded operation of an update, the error of hi + du
+        plus lo, does round, the Pair misses the exact sum by less than
+        ulp(hi) 2^-53."""
+        rng = np.random.default_rng(5)
+        hi = rng.uniform(0.5, 4.0, 400)
+        lo = rng.uniform(-0.5, 0.5, 400) * np.spacing(hi)
+        du = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.uniform(-20.0, -8.0, 400)
+        new = Ladder.update(Pair(hi, lo), du)
+        misses = [
+            abs(self.exact(h, l) - self.exact(x, y, d)) / Fraction(float(np.spacing(x)))
+            for h, l, x, y, d in zip(new.hi, new.lo, hi, lo, du)
+        ]
+        assert max(misses) < Fraction(1, 2**53)
+        assert any(misses)
+
+    @pytest.mark.parametrize("n", [99, 399, 1599])
+    def test_pair_residual_matches_long_double_on_branch_states(
+        self, n, split, longdouble_residual
+    ):
+        """On converged branch states, three chart solves across the stable
+        branch at a = 20 through c = 1, the Pair residual agrees with the
+        long-double residual of the same state node by node to 1e-13. The
+        converged Pair is first rounded to the long-double state nearest it,
+        which its split represents exactly, so both evaluate one state."""
+        problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        dom = problem.domain
+        phi = problem.modes()[0].eigenfunction.values
+        cap = critical_cap(problem.nonlinearity, 20.0)
+        pt = newton_solve(problem, DiscreteField(dom, cap * phi), 20.0, 1.0)
+        e_sq = dom.inner(phi, phi)
+        t0 = dom.inner(pt.u.values, phi) / e_sq
+        ld = np.longdouble
+        for scale in (0.9, 1.0, 1.1):
+            row = (1.0, dom.spacing * phi / e_sq, 0.0, -scale * t0)
+            _, u, c, _, rF = continuation._extended_newton(
+                problem, 20.0, scale * pt.u.values, pt.c, PROJECTION_MAX_ITER, row=row
+            )
+            assert rF < NEWTON_TOL
+            x, cx = ld(u.hi) + ld(u.lo), ld(c.hi) + ld(c.lo)
+            F = Ladder(problem).evaluate(split(x), Pair(20.0, 0.0), split(cx))
+            reference = longdouble_residual(problem, x, 20.0, cx)
+            assert float(np.max(np.abs(F - reference))) <= 1e-13
