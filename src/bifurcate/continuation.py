@@ -653,9 +653,10 @@ def _extended_newton(
     counts measured iterates, so no step is taken after the last one: its
     result would go unmeasured.
 
-    Precision: the two stages of solver._newton_pool (solver.Ladder), both
-    taking the same unrefined float64 step from J(hi), which is built once
-    per iterate and serves the residual, the test function and the step.
+    Precision: the float64 and pair stages of solver.Ladder, the ladder a
+    solver._newton_pool row climbs from unpaired to paired, both taking the
+    same unrefined float64 step from J(hi), which is built once per iterate
+    and serves the residual, the test function and the step.
     The float64 u0 starts the float64 stage, whose iterate, residual and
     sup norm are float64. The first iterate whose float64 sup|F| is at or
     below FLOAT64_PHASE_TOL is promoted to a Pair and measured again there:

@@ -200,10 +200,11 @@ def count_solutions(
     given the radius of its certified Newton ball (solver.newton_ball) or
     the reason it has none. A member's ball goes live when it is kept, so
     every start still in the pool comes after it in start order, and a
-    start whose float64 iterate enters the half ball stops there: the ball
-    holds no other zero and the damped Newton cannot leave it, so the start
-    would have ended on that member, within half DEDUP_REL of it, or
-    failed, and either way been discarded. The random starts wait until the
+    start whose row enters the half ball on a step it began unpaired, its
+    iterate still a float64 field, stops there: the ball holds no other
+    zero and the damped Newton cannot leave it, so the start would have
+    ended on that member, within half DEDUP_REL of it, or failed, and
+    either way been discarded. The random starts wait until the
     five fixed starts have ended, so that the balls of the members those
     find, where most starts end, are live from their first step. The
     members, radii and every outcome but the ball exits (and the

@@ -51,8 +51,8 @@ FOLD_MAX_ITER = 16
 ARMIJO_MIN_STEP = 2.0**-20
 #: Residual sup norm above which a Newton row (see _newton_pool) or an
 #: extended system (continuation._extended_newton) iterates on a float64
-#: field; from the first iterate at or below it, on a Pair (Ladder). Both
-#: stages step by the same float64 solve.
+#: field; from the first iterate at or below it, on a Pair (Ladder): the row
+#: is paired. Unpaired and paired iterates step by the same float64 solve.
 FLOAT64_PHASE_TOL = 1e-6
 PIVOT_RTOL = 1e-13
 
@@ -63,6 +63,8 @@ class NonConvergence(RuntimeError):
     residual_history holds the residual sup norm of each iterate, the start
     first, when a Newton loop (_newton_pool, or the extended systems'
     continuation._extended_newton) raised it; it is empty otherwise.
+    residual_norm is a Pair's sup norm when the iterate ended paired, and a
+    float64 one otherwise.
     """
 
     def __init__(self, msg: str, last_iterate: np.ndarray, residual_norm: float,
@@ -480,51 +482,49 @@ def _newton_pool(problem: Problem, starts, a: float, c: float, max_iter: int,
     SingularJacobian; the iterate of the last allowed step is tested like
     any other.
 
-    Precision: the two stages of the Ladder, both solving their corrections
-    through the float64 factorization at the float64 iterate, hi in the
-    pair stage. A start whose residual norm is above FLOAT64_PHASE_TOL
-    begins in the float64 stage, which holds its iterate, residual and step
-    in float64. A trial whose float64 norm is at or below the switch is
-    measured again as a Pair, promoted from the iterate and the step that
-    made it (Ladder.promote), and the Armijo test decides on that norm;
-    once such a trial is accepted the row moves to the pair stage with its
-    Pair, residual, history and iteration count. A start already at or
-    below the switch begins there with lo = 0, where its Pair residual is
-    its float64 one. The convergence test, and the residual and history
-    entries at or below the switch, are the Pair's; a NonConvergence that
-    ends in the float64 stage carries a float64 norm. max_iter counts the
-    iterations of both stages.
+    Precision: the Ladder, every row solving its correction through the
+    float64 factorization at its float64 iterate, hi in a paired row. A
+    start whose residual norm is above FLOAT64_PHASE_TOL begins unpaired,
+    its iterate, residual and step held in float64. A trial whose float64
+    norm is at or below the switch is measured again as a Pair, promoted
+    from the iterate and the step that made it (Ladder.promote), and the
+    Armijo test decides on that norm; once such a trial is accepted the
+    row is paired, and from then on steps by Ladder.update and is measured
+    by Ladder.residual. A start already at or below the switch is admitted
+    paired with lo = 0, where its Pair residual is its float64 one. The
+    convergence test, and the residual and history entries at or below the
+    switch, are the Pair's; a NonConvergence that ends on an unpaired row
+    carries a float64 norm. max_iter counts every iteration of a row.
 
     The pool: at most width rows are live, in buffers allocated once per
     call that every round writes in place (_NewtonPool). A round makes one
     gtsv call over the block-diagonal stack of every live row's float64
-    Jacobian, the float64 stage's rows first, which yields each block's
-    correction and pivots at once; the zero seam couplings keep every
-    block's pivots and solution those of the block alone. Each stage then
-    shares each residual evaluation of its line search over its rows, and
-    each row has its own step length and iteration count, so each row ends
-    exactly as it does alone, whatever the width and whatever rows share
-    its rounds. The pool takes the starts in order, width at first and
-    then one into each slot freed by a row that ends, at the end of each
-    round, as long as they are ready.
+    Jacobian, which yields each block's correction and pivots at once; the
+    zero seam couplings keep every block's pivots and solution those of
+    the block alone. The rows then share each residual evaluation of the
+    line search, and each row has its own step length and iteration count,
+    so each row ends exactly as it does alone, whatever the width and
+    whatever rows share its rounds. The pool takes the starts in order,
+    width at first and then one into each slot freed by a row that ends,
+    at the end of each round, as long as they are ready.
 
     Early exit: balls is a list of (center, radius) pairs, a zero u* as a
     float64 field and its newton_ball radius rho, that the caller may
-    extend between two ends. After each step of the float64 stage, a row
-    whose iterate lies within rho / 2 of a center (_ball_index, which keeps
-    a margin for the rounding of the distance) ends there, before any
-    hand-off to the pair stage. Soundness: from the half ball the
-    full Newton point lies within 5 rho / 12 of u*, and a damped step is a
-    convex combination of the iterate and that point, so the row cannot
-    leave the half ball; computed steps miss the exact ones by orders of
-    magnitude less than the rho / 12 to spare. The ball holds one zero, so
-    the row would have ended on u*, within newton_ball's capture distance,
-    or failed: a caller that keeps zeros farther apart than that keeps the
-    same set either way.
+    extend between two ends. After each step of a row that was unpaired
+    when the step began, the row ends if its iterate lies within rho / 2 of
+    a center (_ball_index, which keeps a margin for the rounding of the
+    distance), whether or not that step paired it. Soundness: from the half
+    ball the full Newton point lies within 5 rho / 12 of u*, and a damped
+    step is a convex combination of the iterate and that point, so the row
+    cannot leave the half ball; computed steps miss the exact ones by
+    orders of magnitude less than the rho / 12 to spare. The ball holds one
+    zero, so the row would have ended on u*, within newton_ball's capture
+    distance, or failed: a caller that keeps zeros farther apart than that
+    keeps the same set either way.
 
-    Each row ends once: "converged" with the end (float64 iterate, hi in
-    the pair stage, residual norm, residual history), "ball-exit" with
-    the index of the ball in balls, and "stalled", "out-of-iterations" or
+    Each row ends once: "converged" with the end (float64 iterate, hi in a
+    paired row, residual norm, residual history), "ball-exit" with the
+    index of the ball in balls, and "stalled", "out-of-iterations" or
     "singular-jacobian" with the NonConvergence or SingularJacobian that
     ended it; a NonConvergence carries the row's residual history.
     """
@@ -540,82 +540,56 @@ def _newton_rows(problem: Problem, starts, a: float, c: float, max_iter: int):
     return out
 
 
-class _Stage:
-    """The live rows of one precision stage of a _NewtonPool, float64 or
-    pair, packed into the first k rows of buffers of the pool's width that
-    every round writes in place: iterates u (hi in the pair stage, beside
-    lo), residuals r, the trial pair of the line search (and lo_trial), the
+class _NewtonPool:
+    """The buffers and rounds of one _newton_pool call. The live rows are
+    packed into the first k rows of buffers of the pool's width that every
+    round writes in place: float64 iterates u (a paired row's hi),
+    residuals r, the trial pair of the line search (u_trial, r_trial), the
     corrections delta, and the work of Problem.residual_values, whose two
     rows also serve as scratch between residual evaluations (view). Per
-    row: its start index, residual norm, residual history and iterations
-    taken. The row buffers are one allocation, whose pages are touched only
-    as rows are used."""
+    row: its start index, whether it is paired, a paired row's lo, its
+    residual norm, residual history and iterations taken. The row buffers
+    are one allocation, whose pages are touched only as rows are used; a
+    paired row's lo is an array of its own, since the few paired rows sit
+    in any slot and a lo buffer would be touched at every one of them. The
+    shared gtsv call of a round works in buffers free at that point: the
+    Jacobian diagonals in the residual work's first row, the two
+    off-diagonal copies in the trial pair and the right-hand sides in
+    delta."""
 
-    def __init__(self, width: int, n: int, pair: bool):
-        block = np.empty((7 if pair else 5, width, n))
-        self.u, self.r, self.u_trial, self.r_trial, self.delta = block[:5]
-        self.lo = self.lo_trial = None
-        if pair:
-            self.lo, self.lo_trial = block[5], block[6]
+    def __init__(self, problem: Problem, a: float, c: float, max_iter: int, width: int):
+        n = problem.domain.n_interior
+        self.problem, self.a, self.c, self.max_iter, self.width = problem, a, c, max_iter, width
+        self.ladder = Ladder(problem)
+        self.u, self.r, self.u_trial, self.r_trial, self.delta = np.empty((5, width, n))
         self.work = np.empty((2, width * (n + 2)))
         self.index, self.iters = np.zeros((2, width), dtype=np.intp)
         self.rnorm = np.zeros(width)
+        self.paired = np.zeros(width, dtype=bool)
+        self.lo: list = [None] * width
         self.history: list = [None] * width
         self.k = 0
+        self.admitted, self.exhausted = 0, False
+        self.n_balls, self.balls = 0, None
+
+    def run(self, starts, balls):
+        """The rounds: admit, solve, step, until no row is live and no start
+        is left."""
+        self.admit(starts)
+        while self.k:
+            yield from self.solve()
+            yield from self.step(balls)
+            self.admit(starts)
+        if not self.exhausted:
+            raise RuntimeError("the next start is not ready and no row is live")
 
     def view(self, row: int, m: int) -> np.ndarray:
         """A contiguous (m, n) view of one row of the residual work."""
         n = self.u.shape[1]
         return self.work[row, :m * n].reshape(m, n)
 
-    def drop(self, gone):
-        """Remove the rows at positions gone (ascending, below k): the last
-        rows move into the holes."""
-        if not len(gone):
-            return
-        k = self.k - len(gone)
-        holes = [i for i in gone if i < k]
-        movers = sorted(set(range(k, self.k)).difference(gone))
-        for i, j in zip(holes, movers):
-            self.u[i], self.r[i], self.delta[i] = self.u[j], self.r[j], self.delta[j]
-            if self.lo is not None:
-                self.lo[i] = self.lo[j]
-            self.index[i], self.rnorm[i], self.iters[i] = self.index[j], self.rnorm[j], self.iters[j]
-            self.history[i] = self.history[j]
-        self.k = k
-
-
-class _NewtonPool:
-    """The buffers and rounds of one _newton_pool call: a float64 and a
-    pair _Stage, whose buffers are the only arrays of the pool's size. The
-    shared gtsv call of a round works in buffers of the float64 stage free
-    at that point: the Jacobian diagonals in the residual work's first row,
-    the two off-diagonal copies in the trial pair and the right-hand sides,
-    the pair rows' included, in the corrections."""
-
-    def __init__(self, problem: Problem, a: float, c: float, max_iter: int, width: int):
-        n = problem.domain.n_interior
-        self.problem, self.a, self.c, self.max_iter, self.width = problem, a, c, max_iter, width
-        self.ladder = Ladder(problem)
-        self.f64 = _Stage(width, n, pair=False)
-        self.pair = _Stage(width, n, pair=True)
-        self.admitted, self.exhausted = 0, False
-        self.n_balls, self.balls = 0, None
-
-    def run(self, starts, balls):
-        """The rounds: admit, solve, step each stage, until no row is live
-        and no start is left."""
-        self.admit(starts)
-        while self.f64.k + self.pair.k:
-            yield from self.solve()
-            yield from self.step(self.pair)
-            yield from self.step(self.f64, balls)
-            self.admit(starts)
-        if not self.exhausted:
-            raise RuntimeError("the next start is not ready and no row is live")
-
-    def residual(self, stage: _Stage, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.problem.residual_values(u, self.a, self.c, out=out, work=stage.work)
+    def residual(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.problem.residual_values(u, self.a, self.c, out=out, work=self.work)
 
     def jacobian_diagonal(self, u: np.ndarray, out=None) -> np.ndarray:
         """The diagonal of the float64 Jacobian at each row of u."""
@@ -627,10 +601,9 @@ class _NewtonPool:
     def admit(self, starts):
         """Fill the free slots with the next starts, in start order, up to
         the first that is not ready. A start whose residual norm is at or
-        below FLOAT64_PHASE_TOL enters the pair stage with lo = 0."""
-        f, w = self.f64, self.pair
-        lo = f.k
-        for _ in range(self.width - f.k - w.k):
+        below FLOAT64_PHASE_TOL is admitted paired, with lo = 0."""
+        first = self.k
+        for _ in range(self.width - self.k):
             try:
                 u0 = next(starts)
             except StopIteration:
@@ -638,36 +611,25 @@ class _NewtonPool:
                 break
             if u0 is None:
                 break
-            f.u[f.k], f.index[f.k] = u0, self.admitted
+            self.u[self.k], self.index[self.k] = u0, self.admitted
             self.admitted += 1
-            f.k += 1
-        m = f.k - lo
-        if not m:
+            self.k += 1
+        if first == self.k:
             return
-        x = _row_norms(self.residual(f, f.u[lo:f.k], f.r[lo:f.k]), f.view(0, m))
-        f.rnorm[lo:f.k], f.iters[lo:f.k] = x, 0
-        f.history[lo:f.k] = [[v] for v in x.tolist()]
-        near = lo + self.ladder.hands_over(x).nonzero()[0]
-        if near.size:
-            rows = slice(w.k, w.k + near.size)
-            w.u[rows], w.lo[rows], w.r[rows] = f.u[near], 0.0, f.r[near]
-            w.index[rows], w.rnorm[rows], w.iters[rows] = f.index[near], f.rnorm[near], 0
-            w.history[rows] = [f.history[i] for i in near]
-            w.k += near.size
-            f.drop(near)
+        rows = slice(first, self.k)
+        x = _row_norms(self.residual(self.u[rows], self.r[rows]), self.view(0, self.k - first))
+        self.rnorm[rows], self.iters[rows] = x, 0
+        self.history[rows] = [[v] for v in x.tolist()]
+        self.paired[rows] = self.ladder.hands_over(x)
+        self.lo[rows] = [np.zeros(self.u.shape[1]) if p else None for p in self.paired[rows]]
 
     def system(self):
-        """Write the float64 Jacobian diagonal and -F of every live row, the
-        float64 stage's rows first, into diag and the float64 stage's
-        delta, and return those two views."""
-        f, w = self.f64, self.pair
-        k64, k = f.k, f.k + w.k
-        diag, rhs = f.view(0, k), f.delta[:k]
-        self.jacobian_diagonal(f.u[:k64], out=diag[:k64])
-        self.jacobian_diagonal(w.u[:w.k], out=diag[k64:])
-        np.negative(f.r[:k64], out=rhs[:k64])
-        np.negative(w.r[:w.k], out=rhs[k64:])
-        return diag, rhs
+        """Write the float64 Jacobian diagonal and -F of every live row into
+        the residual work's first row and delta, and return those two
+        views."""
+        k = self.k
+        diag = self.jacobian_diagonal(self.u[:k], out=self.view(0, k))
+        return diag, np.negative(self.r[:k], out=self.delta[:k])
 
     def solve_stack(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve the block-diagonal stack of the rows of diag and rhs by one
@@ -677,7 +639,7 @@ class _NewtonPool:
         corrections are left unfinished."""
         k, n = diag.shape
         off = self.problem.laplacian.off
-        lower, upper = self.f64.u_trial[:k], self.f64.r_trial[:k]
+        lower, upper = self.u_trial[:k], self.r_trial[:k]
         for seams in (lower, upper):
             seams[:, :-1] = off
             seams[:, -1] = 0.0
@@ -692,121 +654,97 @@ class _NewtonPool:
         """The corrections of every live row; yields the rows that end
         before stepping (converged, out of iterations or singular) and
         drops them."""
-        f, w = self.f64, self.pair
-        k64 = f.k
         diag, rhs = self.system()
         # the Jacobians share the Laplacian's uniform off-diagonal
-        norms = _stack_norms_inf(diag, self.problem.laplacian.off, f.view(1, len(diag)))
+        norms = _stack_norms_inf(diag, self.problem.laplacian.off, self.view(1, self.k))
         threshold = _pivot_threshold(self.problem, norms)
         pivots = self.solve_stack(diag, rhs)
         sound = pivots >= threshold
-        w.delta[:w.k] = rhs[k64:]
-        yield from self.leave(f, sound[:k64], pivots[:k64], threshold[:k64])
-        yield from self.leave(w, sound[k64:], pivots[k64:], threshold[k64:])
-        if not sound.all() and f.k + w.k:
-            # an unsound block's solution can overflow and feed 0 * inf =
-            # NaN through its seams into its neighbours, and an exactly
-            # singular one stops gtsv: solve again without them
-            diag, rhs = self.system()
-            self.solve_stack(diag, rhs)
-            w.delta[:w.k] = rhs[f.k:]
-
-    def leave(self, st: _Stage, sound, pivots, threshold):
-        """Yield and drop the rows of the stage that end before stepping,
-        given their blocks' soundness, pivots and thresholds."""
-        k = st.k
-        if not k:
-            return
-        rnorm = st.rnorm[:k]
+        rnorm = self.rnorm[:self.k]
         converged = rnorm < NEWTON_TOL
-        out_of_steps = st.iters[:k] == self.max_iter
+        out_of_steps = self.iters[:self.k] == self.max_iter
         leaving = (~sound | converged | out_of_steps).nonzero()[0]
         for i in leaving:
-            u64 = st.u[i].copy()
+            u64 = self.u[i].copy()
             if out_of_steps[i] and not converged[i]:
                 end = "out-of-iterations", NonConvergence(
                     f"no convergence in {self.max_iter} iterations "
                     f"(residual {rnorm[i]:.3e})",
-                    u64, float(rnorm[i]), st.history[i],
+                    u64, float(rnorm[i]), self.history[i],
                 )
             elif sound[i]:
-                end = "converged", (u64, float(rnorm[i]), tuple(st.history[i]))
+                end = "converged", (u64, float(rnorm[i]), tuple(self.history[i]))
             else:
                 end = "singular-jacobian", SingularJacobian(float(pivots[i]),
                                                             float(threshold[i]))
-            yield (int(st.index[i]), *end)
-        st.drop(leaving)
+            yield (int(self.index[i]), *end)
+        self.drop(leaving)
+        if not sound.all() and self.k:
+            # an unsound block's solution can overflow and feed 0 * inf =
+            # NaN through its seams into its neighbours, and an exactly
+            # singular one stops gtsv: solve again without them
+            self.solve_stack(*self.system())
 
-    def step(self, st: _Stage, balls=()):
-        """One damped step of every row of the stage along its correction;
-        yields the rows that stall or, in the float64 stage, exit in a
-        ball, and moves the float64 rows whose accepted trial is at or
-        below the switch to the pair stage."""
-        k = st.k
-        if not k:
-            return
-        w, ladder = self.pair, self.ladder
-        rnorm, delta = st.rnorm[:k], st.delta[:k]
+    def step(self, balls=()):
+        """One damped step of every live row along its correction; pairs
+        the rows whose accepted trial is at or below the switch and yields
+        the rows that stall or exit in a ball."""
+        k, ladder = self.k, self.ladder
+        rnorm, delta, paired = self.rnorm[:k], self.delta[:k], self.paired[:k]
+        unpaired = ~paired
         step = np.ones(k)
         searching = np.arange(k)
-        # row -> pair slot holding its accepted, promoted trial
-        switch: dict = {}
         first = True
         while searching.size:
             m = searching.size
             s, f0 = step[searching], rnorm[searching]
-            u, r, lo = st.u[:k], st.r[:k], None if st.lo is None else st.lo[:k]
-            u_trial, r_trial = st.u_trial[:m], st.r_trial[:m]
-            if lo is not None:
-                lo_trial = st.lo_trial[:m]
-                u_trial[...], lo_trial[...] = ladder.update(
-                    Pair(u[searching], lo[searching]), delta[searching] * s[:, None]
-                )
-            elif first:
+            u, r = self.u[:k], self.r[:k]
+            u_trial, r_trial = self.u_trial[:m], self.r_trial[:m]
+            if first:
                 # every row's trial at step 1, where 1 * delta is delta
                 np.add(u, delta, out=u_trial)
             else:
                 np.take(u, searching, axis=0, out=u_trial, mode="clip")
                 # the work is free until the residual evaluation
-                scaled = np.take(delta, searching, axis=0, out=st.view(1, m), mode="clip")
+                scaled = np.take(delta, searching, axis=0, out=self.view(1, m), mode="clip")
                 scaled *= s[:, None]
                 u_trial += scaled
-            self.residual(st, u_trial, r_trial)
-            if lo is not None:
-                ladder.residual(r_trial, self.jacobian_diagonal(u_trial, out=st.view(1, m)),
-                                lo_trial)
-            f_trial = _row_norms(r_trial, st.view(0, m))
-            near = () if lo is not None else ladder.hands_over(f_trial).nonzero()[0]
-            if len(near):
-                rows = searching[near]
+            # the trials measured as Pairs, by position, and their lo
+            pairs = paired[searching]
+            at = pairs.nonzero()[0]
+            if at.size:
+                rows = searching[at]
+                pair = Pair(u[rows], np.stack([self.lo[i] for i in rows]))
+                u_trial[at], lo = ladder.update(pair, delta[rows] * s[at, None])
+            self.residual(u_trial, r_trial)
+            f_trial = _row_norms(r_trial, self.view(0, m))
+            handing = ~pairs & ladder.hands_over(f_trial)
+            if handing.any():
+                rows = searching[handing]
                 # its hi is the float64 trial, bit for bit
-                promoted = ladder.promote(u[rows], delta[rows] * s[near, None])
-                r_promoted = ladder.residual(
-                    r_trial[near], self.jacobian_diagonal(promoted.hi), promoted.lo
-                )
-                f_trial[near] = _row_norms(r_promoted)
+                promoted = ladder.promote(u[rows], delta[rows] * s[handing, None]).lo
+                lo = np.concatenate((lo, promoted)) if at.size else promoted
+                at = np.concatenate((at, handing.nonzero()[0]))
+            if at.size:
+                diag = self.jacobian_diagonal(u_trial[at], out=self.view(1, at.size))
+                r_pair = ladder.residual(r_trial[at], diag, lo)
+                r_trial[at], f_trial[at] = r_pair, _row_norms(r_pair)
             accept = np.isfinite(f_trial) & (f_trial <= (1.0 - 1e-4 * s) * f0)
-            for j, i in enumerate(near):
-                if accept[i]:
-                    slot = w.k + len(switch)
-                    w.u[slot], w.lo[slot] = promoted.hi[j], promoted.lo[j]
-                    w.r[slot] = r_promoted[j]
-                    switch[searching[i]] = slot
+            if at.size:
+                kept = accept[at]
+                for i, lo_i in zip(searching[at[kept]], lo[kept]):
+                    self.lo[i] = lo_i
+                paired[searching[handing & accept]] = True
             rejected = ~accept
             if first and 2 * accept.sum() > m:
                 # the trials become the iterates; the fewer rejected rows
                 # are copied back
-                st.u, st.u_trial = st.u_trial, st.u
-                st.r, st.r_trial = st.r_trial, st.r
-                if lo is not None:
-                    st.lo, st.lo_trial = st.lo_trial, st.lo
-                    lo_trial[rejected] = lo[rejected]
+                self.u, self.u_trial = self.u_trial, self.u
+                self.r, self.r_trial = self.r_trial, self.r
                 if rejected.any():
                     u_trial[rejected], r_trial[rejected] = u[rejected], r[rejected]
             elif accept.any():
                 u[searching[accept]], r[searching[accept]] = u_trial[accept], r_trial[accept]
-                if lo is not None:
-                    lo[searching[accept]] = lo_trial[accept]
             rnorm[searching[accept]] = f_trial[accept]
             if not rejected.any():
                 break
@@ -817,34 +755,42 @@ class _NewtonPool:
             q = (f_trial - f0 + s * f0) / s**2
             step[searching] = np.minimum(np.fmax(f0 / (2.0 * q), 0.1 * s), 0.5 * s)
             searching = searching[step[searching] >= ARMIJO_MIN_STEP]
-        st.iters[:k] += 1
-        for h, x in zip(st.history[:k], rnorm.tolist()):
+        self.iters[:k] += 1
+        for h, x in zip(self.history[:k], rnorm.tolist()):
             h.append(x)
         gone = step < ARMIJO_MIN_STEP
         for i in gone.nonzero()[0]:
-            yield (int(st.index[i]), "stalled", NonConvergence(
+            yield (int(self.index[i]), "stalled", NonConvergence(
                 f"line search stalled at residual {rnorm[i]:.3e}",
-                st.u[i].copy(), float(rnorm[i]), st.history[i],
+                self.u[i].copy(), float(rnorm[i]), self.history[i],
             ))
-        if balls:
-            ball = _ball_index(st.u[:k], *self.ball_arrays(balls))
-            exits = ~gone & (ball >= 0)
-            for i in exits.nonzero()[0]:
-                yield (int(st.index[i]), "ball-exit", int(ball[i]))
-            gone |= exits
-        if switch:
-            slot = w.k
-            for i, reserved in switch.items():
-                if gone[i]:
-                    continue
-                if reserved != slot:
-                    w.u[slot], w.lo[slot], w.r[slot] = w.u[reserved], w.lo[reserved], w.r[reserved]
-                w.index[slot], w.rnorm[slot], w.iters[slot] = st.index[i], rnorm[i], st.iters[i]
-                w.history[slot] = st.history[i]
-                slot += 1
-            w.k = slot
-            gone[list(switch)] = True
-        st.drop(gone.nonzero()[0])
+        if balls and unpaired.any():
+            rows = unpaired.nonzero()[0]
+            # rows paired before this step are left out of the product; the
+            # trial buffer is free until the next round
+            u = self.u[:k] if rows.size == k else np.take(
+                self.u, rows, axis=0, out=self.u_trial[:rows.size])
+            ball = _ball_index(u, *self.ball_arrays(balls))
+            exits = ~gone[rows] & (ball >= 0)
+            for i, b in zip(rows[exits], ball[exits]):
+                yield (int(self.index[i]), "ball-exit", int(b))
+            gone[rows[exits]] = True
+        self.drop(gone.nonzero()[0])
+
+    def drop(self, gone):
+        """Remove the rows at positions gone (ascending, below k): the last
+        rows move into the holes."""
+        if not len(gone):
+            return
+        k = self.k - len(gone)
+        holes = [i for i in gone if i < k]
+        movers = sorted(set(range(k, self.k)).difference(gone))
+        for i, j in zip(holes, movers):
+            self.u[i], self.r[i], self.delta[i] = self.u[j], self.r[j], self.delta[j]
+            self.index[i], self.rnorm[i], self.iters[i] = self.index[j], self.rnorm[j], self.iters[j]
+            self.paired[i], self.lo[i] = self.paired[j], self.lo[j]
+            self.history[i] = self.history[j]
+        self.k = k
 
     def ball_arrays(self, balls):
         """(centers, radii) of balls as a (k, n) stack and an array, built

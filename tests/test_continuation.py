@@ -852,7 +852,7 @@ class TestExtendedNewton:
         assert stages == [True] * (len(measured) - 1)
         assert rF == measured[-1][2] < NEWTON_TOL
 
-    def test_long_double_start_stays_long_double(self, tilted99, monkeypatch):
+    def test_pair_start_stays_on_the_pair(self, tilted99, monkeypatch):
         """The same chart projection from the float64 predictor runs a
         float64 stage; from the float64 field that stage handed over, at or
         below the switch, a projection is on the Pair from its first

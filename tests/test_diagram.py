@@ -408,13 +408,13 @@ class TestBatchedOracle:
         _assert_bit_identical(count_solutions(problem, lam2, 0.0, 60, 0).members, want)
 
     def test_precision_stages_mixed_in_one_stack(self, problem):
-        """One stack at a = lambda2, c = -1 holds rows on every path through
-        the two precision stages of _newton_rows: a member perturbed by 1e-8
-        starts in the pair stage, most starts are handed to it part-way,
-        some stall in the float64 stage, and the start on the
-        degenerate segment of test_degenerate_start_dropped_alone meets a
-        singular Jacobian (c does not enter the Jacobian). Each row gets the
-        entry it gets alone."""
+        """One stack at a = lambda2, c = -1 holds rows on every path up the
+        precision ladder of _newton_rows: a member perturbed by 1e-8 is
+        admitted as a paired row, most starts become paired part-way, some
+        stall unpaired, and the start on the degenerate segment of
+        test_degenerate_start_dropped_alone meets a singular Jacobian (c
+        does not enter the Jacobian). Each row gets the entry it gets
+        alone."""
         lam2 = problem.modes()[1].eigenvalue
         psi = problem.modes()[1].eigenfunction.values
         c = -1.0
@@ -616,15 +616,32 @@ class TestNewtonBalls:
         assert plain.exited == 0
         _assert_same_but_exits(endings[-1], endings[0])
 
+    # Outcomes, in OUTCOMES order, at each level verify_structure counts in
+    # the n = 399 window (the four samples, then c = 0) with seed 9, and of
+    # the README count with seed 9, as recorded.
+    WINDOW_OUTCOMES = (
+        (4, 1, 395, 0, 0, 0),
+        (4, 1, 395, 0, 0, 0),
+        (2, 2, 394, 1, 1, 0),
+        (0, 0, 0, 396, 4, 0),
+        (4, 0, 396, 0, 0, 0),
+    )
+    README_OUTCOMES = (4, 1, 795, 0, 0, 0)
+
     def test_outcomes_account_for_every_start(self, diagram_window):
         """At every level verify_structure counts in the n = 399 window (the
         four samples and c = 0), the outcomes count every start once and
         exited is their ball-exit count. A member is one start's outcome,
         so the members count themselves; the no-state level has no member,
-        no duplicate and no exit, and every other level exits most starts."""
+        no duplicate and no exit, and every other level exits most starts.
+        Each level's outcomes, ball exits included, and the README count's
+        are the recorded ones: a change to when a row ends shows here."""
         levels = [*diagram_mod._count_samples(diagram_window), 0.0]
-        for c in levels:
+        readme = count_solutions(diagram_window.problem, 40.0, -0.005, 800, 9)
+        assert tuple(readme.outcomes.values()) == self.README_OUTCOMES
+        for c, want in zip(levels, self.WINDOW_OUTCOMES, strict=True):
             got = count_solutions(diagram_window.problem, diagram_window.a, c, 400, 9)
+            assert tuple(got.outcomes.values()) == want, c
             assert tuple(got.outcomes) == diagram_mod.OUTCOMES
             assert sum(got.outcomes.values()) == got.n_starts == 400
             assert got.exited == got.outcomes["ball-exit"]
@@ -695,8 +712,8 @@ class TestNewtonBalls:
 
 
 class TestDampedNewton:
-    """The line search and the float64 and pair stages of _newton_rows, the
-    damped Newton behind newton_solve and count_solutions."""
+    """The line search and the unpaired and paired rows of _newton_rows,
+    the damped Newton behind newton_solve and count_solutions."""
 
     def test_stalled_start_spends_few_residual_rows(self, problem, eigs, monkeypatch):
         """Above the top fold of the window nothing converges: the starts
@@ -736,8 +753,8 @@ class TestDampedNewton:
             assert Counter(map(_ending, ends))["last step"] >= 10
 
     def test_handoff_on_the_last_allowed_step(self, problem):
-        """A row handed to the pair stage on its last allowed step is tested
-        there before its iterations run out, as in
+        """A row paired on its last allowed step is tested as a paired row
+        before its iterations run out, as in
         test_last_allowed_step_is_tested. At the README level, start 15
         converges on the step that hands it off and start 8 one step later;
         with a cap at that step, start 15 keeps the entry a larger cap gives
@@ -763,8 +780,8 @@ class TestDampedNewton:
     def test_float64_residual_is_exact_enough(self, n, longdouble_residual):
         """At the converged members of the README count, the float64 and the
         long-double residual of the same field differ by less than
-        NEWTON_TOL / 10, so the float64 stage's test of a trial against the
-        switch FLOAT64_PHASE_TOL is not misled. The float64 stage iterates on
+        NEWTON_TOL / 10, so an unpaired row's test of a trial against the
+        switch FLOAT64_PHASE_TOL is not misled. An unpaired row iterates on
         float64 fields, which sit up to half an ulp from the exact field
         they stand for; that rounding moves the residual by at most about
         (4 / h^2) ulp(|u|) / 2, which stays a hundred times below the
@@ -787,7 +804,7 @@ class TestDampedNewton:
             gap = np.max(np.abs(f64 - longdouble_residual(problem, v, a, c)))
             assert gap < FLOAT64_PHASE_TOL / 100
 
-    def test_reported_residuals_are_long_double(self, problem, monkeypatch):
+    def test_reported_residuals_are_pair_residuals(self, problem, monkeypatch):
         """Residuals above FLOAT64_PHASE_TOL are evaluated in float64, and
         every converged entry's residual, like every history entry at or
         below the switch, is the sup norm of a Pair residual (the float64
@@ -1651,7 +1668,7 @@ class TestKernelCallCounts:
         assemble_diagram(diagram_window99.problem, diagram_window99.a)
         assert extrapolated < steps_per_tracked_point()
 
-    def test_correctors_measure_in_long_double_only_below_the_switch(
+    def test_correctors_measure_pairs_only_below_the_switch(
         self, diagram_window99, monkeypatch
     ):
         """Each arclength corrector of the window assembly starts from a
@@ -1782,7 +1799,7 @@ class TestKernelCallCounts:
     ):
         """Over one count, the pooled Newton's rounds (one infinity-norm
         bound each) meet no singular Jacobian, and each makes exactly one
-        gtsv call, over both precision stages' rows, and no gttrf or gttrs
+        gtsv call, over every live row, paired or not, and no gttrf or gttrs
         call."""
         calls = Counter()
         per_iteration = []

@@ -11,9 +11,10 @@ doubled far off the edge (p_f = 9 at lambda1, p_f = 8 at lambda2) that
 step is halved, the trace stops at the first state that classifies as
 degenerate, short of the edge, and verification fails: strict xfails.
 
-Two steep-ramp windows are pinned too. At lambda2 + delta/2 their lower
-index-1 fold lies below the default c_min, so assembly stops at c_min with
-AssemblyIncomplete (strict xfails); with c_min = -40 they verify.
+Two steep-ramp windows are pinned too, at n = 49, 99 and 199. At
+lambda2 + delta/2 their lower index-1 fold lies below the default c_min, so
+assembly stops at c_min with AssemblyIncomplete (strict xfails); with
+c_min = -40 they verify.
 """
 
 import pytest
@@ -91,9 +92,12 @@ def test_steeper_ramp_next_to_degenerate_edge(p_f, a):
     _assembles_or_fails_cleanly(49, 0.3, p_f, a, -10.0)
 
 
-#: Steep ramps whose window midpoint lambda2 + delta/2 at n = 49 has its lower
-#: index-1 fold below the default c_min = -10: at c = -10.21 and -10.67.
+#: Steep ramps whose window midpoint lambda2 + delta/2 has its lower index-1
+#: fold below the default c_min = -10: at c = -10.21 and -10.67 at n = 49,
+#: -10.12 and -10.58 at n = 99 and 199.
 STEEP_WINDOWS = [(0.25, 5), (0.5, 4)]
+#: Grids of the steep windows.
+STEEP_WINDOW_GRIDS = [49, 99, 199]
 
 
 @pytest.mark.xfail(
@@ -101,10 +105,12 @@ STEEP_WINDOWS = [(0.25, 5), (0.5, 4)]
     reason="the default c_min = -10 stops assembly above the lower index-1 fold",
 )
 @pytest.mark.parametrize("M, p_f", STEEP_WINDOWS)
-def test_steep_window_reaches_its_lower_index1_fold(M, p_f):
-    _verifies(_diagram(49, M, p_f, "window"))
+@pytest.mark.parametrize("n", STEEP_WINDOW_GRIDS)
+def test_steep_window_reaches_its_lower_index1_fold(n, M, p_f):
+    _verifies(_diagram(n, M, p_f, "window"))
 
 
 @pytest.mark.parametrize("M, p_f", STEEP_WINDOWS)
-def test_steep_window_verifies_with_c_min_below_that_fold(M, p_f):
-    _verifies(_diagram(49, M, p_f, "window", -40.0))
+@pytest.mark.parametrize("n", STEEP_WINDOW_GRIDS)
+def test_steep_window_verifies_with_c_min_below_that_fold(n, M, p_f):
+    _verifies(_diagram(n, M, p_f, "window", -40.0))

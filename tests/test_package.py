@@ -157,12 +157,15 @@ def test_failing_hypothesis_test_is_a_plain_failure(tmp_path):
 UNUSED_MODULES = (
     "scipy.optimize", "scipy.sparse", "scipy.spatial", "scipy.special",
     "scipy.fft", "decimal", "scipy.linalg", "numpy.f2py", "numpy.testing",
+    "numpy.ma",
 )
 
 
 def test_import_and_diagram_run_load_no_unused_modules(tmp_path):
-    """A fresh interpreter that imports the package and runs the CLI
-    diagram command loads none of UNUSED_MODULES or their submodules."""
+    """A fresh interpreter that imports the package, runs the CLI diagram
+    command and verifies the n = 99 window diagram at lambda2 + delta/2
+    with 100 starts, which runs the multistart oracle's pool, loads none of
+    UNUSED_MODULES or their submodules."""
     config = tmp_path / "run.yaml"
     config.write_text(
         "schema_version: 1\ngrid:\n  n_interior: 49\n"
@@ -173,6 +176,11 @@ def test_import_and_diagram_run_load_no_unused_modules(tmp_path):
         "import sys\n"
         "import bifurcate, bifurcate.cli\n"
         f"rc = bifurcate.cli.main(['diagram', '--config', {str(config)!r}])\n"
+        "p = bifurcate.Problem(bifurcate.build_grid(99, 1.0), bifurcate.Nonlinearity(0.2, 3),\n"
+        "                      bifurcate.HarvestSpec('bump'))\n"
+        "delta = bifurcate.delta_window(p, bifurcate.trace_index1_degenerate_curve(p))\n"
+        "d = bifurcate.assemble_diagram(p, p.modes()[1].eigenvalue + 0.5 * delta)\n"
+        "assert not bifurcate.verify_structure(d, 100, 0).failures()\n"
         f"unused = {UNUSED_MODULES!r}\n"
         "print(rc, [u for u in unused "
         "if any(m == u or m.startswith(u + '.') for m in sys.modules)])\n"
