@@ -55,10 +55,13 @@ import numpy as np
 
 from .grid import (
     DiscreteField,
-    exact_mode_longdouble,
+    Pair,
+    exact_mode,
     inner_product,
+    pair_scale,
     renormalize_l2,
     solve_bordered,
+    two_sum,
 )
 from .model import critical_cap, ramp_curvature, ramp_slope
 from .solver import (
@@ -68,7 +71,6 @@ from .solver import (
     PROJECTION_MAX_ITER,
     Ladder,
     NonConvergence,
-    Pair,
     Problem,
     SingularJacobian,
     SolutionPoint,
@@ -76,7 +78,6 @@ from .solver import (
     _newton_rows,
     classify_state,
     newton_solve,
-    two_sum,
 )
 
 MIN_ARCLENGTH_STEP = 1e-8
@@ -1269,18 +1270,17 @@ def _segment_ends(problem: Problem) -> tuple[float, float]:
 
 def closed_form_states(problem: Problem, k: int, ts, bound: float, what: str):
     """The exact states t e_k, t in ts, at (a, c) = (lambda_k, 0): the ray
-    (k = 1) or the segment (k = 2). e_k and lambda_k are the closed form
-    (grid.exact_mode_longdouble), e_k signed like problem.modes()[k - 1].
-    Each state t e_k is formed in long double from it and split, exactly,
-    into the Pair of its float64 rounding and the rest, and so are e_k and
-    lambda_k. Returns (e_k, the states, each one's Pair residual sup norm
-    at the Pair lambda_k), e_k and the states as Pairs; raises
+    (k = 1) or the segment (k = 2). e_k and lambda_k are the closed form as
+    Pairs (grid.exact_mode), e_k signed like problem.modes()[k - 1], and
+    each state t e_k is the Pair of Dekker's product of t and e_k
+    (grid.pair_scale). Returns (e_k, the states, each one's Pair residual
+    sup norm at the Pair lambda_k), e_k and the states as Pairs; raises
     NonConvergence naming what, with the worst state's hi, unless every
     residual lies below bound."""
-    lam, mode = exact_mode_longdouble(problem.domain, k)
-    if float(np.dot(mode.astype(float), problem.modes()[k - 1].eigenfunction.values)) < 0:
-        mode = -mode
-    lam, states = _split(lam), [_split(t * mode) for t in ts]
+    lam, mode = exact_mode(problem.domain, k)
+    if float(np.dot(mode.hi, problem.modes()[k - 1].eigenfunction.values)) < 0:
+        mode = Pair(-mode.hi, -mode.lo)
+    states = [pair_scale(t, mode) for t in ts]
     ladder = Ladder(problem)
     sups = [float(np.max(np.abs(ladder.evaluate(u, lam, Pair(0.0, 0.0))))) for u in states]
     j = int(np.argmax(sups))
@@ -1290,10 +1290,4 @@ def closed_form_states(problem: Problem, k: int, ts, bound: float, what: str):
             f"({sups[j]:.3e} >= {bound:.3e})",
             states[j].hi, sups[j],
         )
-    return _split(mode), states, sups
-
-
-def _split(x) -> Pair:
-    """The Pair of a wider float: its float64 rounding and the exact rest."""
-    hi = np.asarray(x).astype(float)
-    return Pair(hi, (x - hi).astype(float)) if hi.ndim else Pair(float(hi), float(x - hi))
+    return mode, states, sups

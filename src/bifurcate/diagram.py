@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DiscreteField, laplacian_eigenpairs
+from .grid import DiscreteField, two_sum
 from .model import critical_cap, ramp_slope, ramp_values
 from .solver import (
     COUNT_MAX_ITER,
@@ -163,20 +163,16 @@ def _multistart_seeds(problem: Problem, a: float, n_starts: int, seed, finalized
     None, a start not ready (solver._newton_pool), until the fixed starts
     have all ended, so that their members' balls are live for every
     random start."""
-    dom = problem.domain
     if a > 0:
         span = 2.0 * critical_cap(problem.nonlinearity, a)
     else:
         span = 2.0 * max(1.0, abs(a), problem.nonlinearity.M + 1.0)
     phi, psi = (p.eigenfunction.values for p in problem.modes())
-    fixed = [np.zeros(dom.n_interior), span * phi, -span * phi, span * psi, -span * psi]
+    fixed = [np.zeros_like(phi), span * phi, -span * phi, span * psi, -span * psi]
     yield from fixed[:n_starts]
     while finalized is not None and finalized() < len(fixed):
         yield None
-    basis = np.stack([
-        p.eigenfunction.values
-        for p in laplacian_eigenpairs(dom, 4, harvest=problem.harvest)
-    ])
+    basis = np.stack([p.eigenfunction.values for p in problem.modes(4)])
     rng = np.random.default_rng(seed)
     # the draws of one call come in the order of one call per start
     for w in rng.uniform(-span, span, size=(max(n_starts - len(fixed), 0), 4)):
@@ -1159,11 +1155,8 @@ def _check_segment_degeneracy(diagram) -> ClaimCheck:
     ]
     e = 0.0
     if not any(ramp_slope(problem.nonlinearity, u.values).any() for u in states):
-        x, y = float(problem.laplacian.diag[0]), float(diagram.a)
-        s = x + y
-        z = s - x
-        # -J's diagonal is -s where -(x + y) = -s - e is exact
-        e = (x - (s - z)) + (y - z)
+        # J's one diagonal value is s = fl(-2/h^2 + a), and -2/h^2 + a = s + e
+        e = two_sum(float(problem.laplacian.diag[0]), float(diagram.a)).lo
     return ClaimCheck(
         "segment-second-eigenvalue-zero", max(abs(m - e) for m in mu2), "<=",
         SEGMENT_MU2_TOL,

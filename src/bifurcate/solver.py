@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -21,12 +20,14 @@ from .grid import (
     DiscreteDomain,
     DiscreteField,
     LinearOperatorBanded,
+    Pair,
     _gtsv,
     _gtsv_in_place,
     _tridiagonal_apply,
     assemble_laplacian,
     laplacian_eigenpairs,
     sturm_count,
+    two_sum,
 )
 from .model import (
     HarvestSpec,
@@ -169,35 +170,16 @@ class Problem:
     def jacobian_operator(self, u: np.ndarray, a: float) -> LinearOperatorBanded:
         return self.laplacian.add_diagonal(a - ramp_slope(self.nonlinearity, u))
 
-    def modes(self):
-        """First two Laplacian eigenpairs, phi and psi, from the closed form
-        with the harvest sign convention (grid.laplacian_eigenpairs), built
-        once per problem and cached."""
-        cached = getattr(self, "_modes", None)
-        if cached is None:
-            cached = tuple(laplacian_eigenpairs(self.domain, 2, harvest=self.harvest))
+    def modes(self, k: int = 2):
+        """First k Laplacian eigenpairs, phi and psi by default, from the
+        closed form with the harvest sign convention
+        (grid.laplacian_eigenpairs), built once per problem and cached: a
+        call for more than the cache holds rebuilds it with k."""
+        cached = getattr(self, "_modes", ())
+        if len(cached) < k:
+            cached = tuple(laplacian_eigenpairs(self.domain, k, harvest=self.harvest))
             object.__setattr__(self, "_modes", cached)
-        return cached
-
-
-class Pair(NamedTuple):
-    """A value carried as the unevaluated float64 sum hi + lo (Dekker, A
-    floating-point technique for extending the available precision, Numer.
-    Math. 18, 1971): hi is the float64 nearest the sum and lo the rest, so
-    the pair holds about twice float64's digits. hi and lo are two floats
-    or two arrays of one shape."""
-
-    hi: Any
-    lo: Any
-
-
-def two_sum(x, y) -> Pair:
-    """x + y exactly, as fl(x + y) and its rounding error (Knuth, The Art of
-    Computer Programming 2, 4.2.2, Theorem B): six float64 operations and no
-    branch, for floats and arrays alike."""
-    s = x + y
-    z = s - x
-    return Pair(s, (x - (s - z)) + (y - z))
+        return cached[:k]
 
 
 class Ladder:
@@ -237,9 +219,7 @@ class Ladder:
     def hands_over(norm):
         return norm <= FLOAT64_PHASE_TOL
 
-    @staticmethod
-    def promote(u_from, du) -> Pair:
-        return two_sum(u_from, du)
+    promote = staticmethod(two_sum)
 
     def residual(self, F: np.ndarray, diag: np.ndarray, lo: np.ndarray, hi=None,
                  a_lo: float = 0.0, c_lo: float = 0.0) -> np.ndarray:

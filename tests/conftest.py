@@ -47,6 +47,26 @@ def _longdouble_residual(problem, u, a, c):
     return _nested_difference_residual(problem, np.asarray(u, dtype=ld), ld(a), ld(c))
 
 
+#: pi to long-double precision; np.pi widened from float64 carries a phase
+#: error that is visible when verifying eigenvector identities beyond 1e-12.
+PI_LONGDOUBLE = np.longdouble("3.141592653589793238462643383279502884")
+
+
+def _exact_mode_longdouble(domain, k):
+    """Closed-form k-th eigenpair of the discrete -Laplacian in long double:
+    (4/h^2) sin^2(k pi h / (2L)) and the samples of sin(k pi x / L) scaled
+    to unit sup norm (positive first node). The long-double reference that
+    grid.exact_mode's Pairs are held to, exact to a few units of 2^-64 times
+    k where numpy's long double is x87 extended precision."""
+    ld = np.longdouble
+    L = ld(domain.length)
+    h = L / ld(domain.n_interior + 1)
+    x = np.arange(1, domain.n_interior + 1, dtype=ld) * h
+    raw = np.sin(k * PI_LONGDOUBLE * x / L)
+    lam = (ld(4) / h**2) * np.sin(k * PI_LONGDOUBLE * h / (2 * L)) ** 2
+    return lam, raw / np.max(np.abs(raw))
+
+
 def _split(x):
     """The Pair of a long-double array or scalar: its float64 rounding and
     the exact rest."""
@@ -74,6 +94,16 @@ def nested_difference_residual():
 @pytest.fixture(scope="session")
 def longdouble_residual():
     return _longdouble_residual
+
+
+@pytest.fixture(scope="session")
+def exact_mode_longdouble():
+    """_exact_mode_longdouble, or a skip where numpy's long double carries
+    fewer than x87's 63 explicit mantissa bits (float64 on Windows and on
+    Apple silicon), since it is then no reference."""
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("numpy's long double is not x87 extended precision here")
+    return _exact_mode_longdouble
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bifurcate.grid import DiscreteField, build_grid, exact_mode_longdouble, inner_product
+from bifurcate.grid import DiscreteField, build_grid, exact_mode, inner_product, pair_scale
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap, eval_nonlinearity
 from bifurcate.solver import (
     FLOAT64_PHASE_TOL,
@@ -401,13 +401,13 @@ class TestDegeneratePoints:
         for dp in folds:
             _assert_kernel_conventions(problem, modes, dp)
 
-    def test_vanishing_eigenvalue_past_the_computed_pairs(self, problem, domain, split):
+    def test_vanishing_eigenvalue_past_the_computed_pairs(self, problem, domain):
         # at the discrete lambda3 the zero state's vanishing eigenvalue is the
         # third, which the two computed pairs do not hold; its index names it
-        lam3, mode3 = exact_mode_longdouble(domain, 3)
+        lam3, mode3 = exact_mode(domain, 3)
         zero = np.zeros(domain.n_interior)
         dp, _ = continuation._package_degenerate(
-            problem, split(lam3), Pair(zero, zero), Pair(0.0, 0.0), split(mode3), None
+            problem, lam3, Pair(zero, zero), Pair(0.0, 0.0), mode3, None
         )
         assert (dp.kind, dp.morse_index_at_point) == ("degenerate-index2", 2)
 
@@ -594,9 +594,10 @@ class TestMarchStall:
         # zero-harvest march from its seed, which the seed search solves
         # without newton_solve.
         if family == "index1":
-            psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
-            psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
-            start = (np.longdouble(M) * psi_ld).astype(float)
+            psi_pair = exact_mode(problem.domain, 2)[1]
+            if psi_pair.hi @ psi < 0:
+                psi_pair = Pair(-psi_pair.hi, -psi_pair.lo)
+            start = pair_scale(M, psi_pair).hi
         elif family == "czero":
             phi = modes[0].eigenfunction.values
             start = continuation._czero_seed(problem, x0, phi, True).u.values
@@ -946,15 +947,17 @@ class TestDegenerateFamily:
             assert np.max(np.abs(p.w.values - psi)) < 1e-8
 
     def test_on_segment_samples_are_the_closed_form_states(self, problem, modes, monkeypatch):
-        """Each on-segment sample is the closed-form state t psi_ld at
-        (lambda2, c = 0), its Pair's hi bit for bit, and no extended system
+        """Each on-segment sample is the closed-form state t psi at
+        (lambda2, c = 0), the hi of Dekker's product of t and the Pair psi
+        (grid.exact_mode) bit for bit, and no extended system
         is solved for it: _extended_newton runs only for the march's
         samples, each at a chart coordinate off the segment."""
         lam2 = modes[1].eigenvalue
         psi = modes[1].eigenfunction.values
         S2 = problem.domain.inner(psi, psi)
-        psi_ld = exact_mode_longdouble(problem.domain, 2)[1]
-        psi_ld = psi_ld if psi_ld.astype(float) @ psi > 0 else -psi_ld
+        psi_pair = exact_mode(problem.domain, 2)[1]
+        if psi_pair.hi @ psi < 0:
+            psi_pair = Pair(-psi_pair.hi, -psi_pair.lo)
         seg = build_degenerate_segment(problem)
         solved = []
         real = continuation._extended_newton
@@ -973,9 +976,7 @@ class TestDegenerateFamily:
         assert len(on) == 9 and on[0][0] == seg.t_min and on[-1][0] == seg.t_max
         for t, p in on:
             assert p.a == lam2 and p.c == 0.0
-            np.testing.assert_array_equal(
-                p.u.values, (np.longdouble(t) * psi_ld).astype(float)
-            )
+            np.testing.assert_array_equal(p.u.values, pair_scale(t, psi_pair).hi)
         assert len(solved) >= len(curve.points) - len(on)
         assert all(t < seg.t_min or t > seg.t_max for t in solved)
 
@@ -1087,29 +1088,34 @@ class TestClosedFormStates:
     @pytest.mark.parametrize("n", [399, 1599, 2399])
     @pytest.mark.parametrize("k", [1, 2])
     def test_pair_residual_matches_long_double(
-        self, n, k, split, pair_residual, longdouble_residual
+        self, n, k, split, pair_residual, longdouble_residual, exact_mode_longdouble
     ):
         """On the lambda1 ray (k = 1) and the lambda2 segment (k = 2), each
-        closed-form state t e_k split into a Pair, with lambda_k a Pair, has
-        the sup|F| of its long-double residual to 1e-13, and
-        closed_form_states reports exactly those Pair sups. Node by node the
-        two differ most where e_k changes sign: there the float64 first
-        differences of hi round (about 1.2e-13 at n = 2399), which the sup,
-        taken near the extremes of e_k, does not see."""
+        closed-form state is Dekker's product of t and the Pair e_k
+        (grid.exact_mode, signed like the problem's mode), and
+        closed_form_states reports exactly those states' Pair residual sups
+        at the Pair lambda_k. The Pair residual is the certificate's: on the
+        long-double closed-form state t e_k split into a Pair, with lambda_k
+        a Pair, it has the sup|F| of the long-double residual to 1e-13. Node
+        by node the two differ most where e_k changes sign: there the
+        float64 first differences of hi round (about 1.2e-13 at n = 2399),
+        which the sup, taken near the extremes of e_k, does not see."""
         problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        lam_pair, mode_pair = exact_mode(problem.domain, k)
         lam, mode = exact_mode_longdouble(problem.domain, k)
         ts = np.linspace(-0.2, 0.2, 5)
         e_k, states, sups = closed_form_states(problem, k, ts, 1.0, "states")
+        sign = 1 if float(np.dot(mode_pair.hi, e_k.hi)) > 0 else -1
+        np.testing.assert_array_equal(e_k.hi, sign * mode_pair.hi)
+        np.testing.assert_array_equal(e_k.lo, sign * mode_pair.lo)
         ld = np.longdouble
-        sign = 1 if float(np.dot(mode.astype(float), e_k.hi)) > 0 else -1
-        np.testing.assert_array_equal(e_k.hi, sign * split(mode).hi)
         for t, u, sup in zip(ts, states, sups):
+            np.testing.assert_array_equal(u.hi, pair_scale(t, e_k).hi)
+            np.testing.assert_array_equal(u.lo, pair_scale(t, e_k).lo)
+            assert sup == pair_residual(problem, u, lam_pair)
             x = ld(t) * mode
-            np.testing.assert_array_equal(u.hi, split(sign * x).hi)
-            np.testing.assert_array_equal(u.lo, split(sign * x).lo)
-            assert sup == pair_residual(problem, u, split(lam))
             reference = float(np.max(np.abs(longdouble_residual(problem, x, lam, 0.0))))
-            assert abs(sup - reference) <= 1e-13
+            assert abs(pair_residual(problem, split(x), split(lam)) - reference) <= 1e-13
 
 
 class TestAtSecondEigenvalue:
@@ -1127,36 +1133,70 @@ class TestAtSecondEigenvalue:
 
     @pytest.mark.parametrize("n", [49, 99, 399, 1599])
     def test_segment_certified_by_the_newton_residual(
-        self, n, split, pair_residual, longdouble_residual
+        self, n, pair_residual, longdouble_residual
     ):
         """The stored residual is the worst Pair residual sup over the
-        sampled segment states, each the closed-form state split into a
-        Pair; the long-double residual of the same states agrees to 1e-13."""
+        sampled segment states, each Dekker's product of t and the Pair psi
+        (grid.exact_mode); the long-double residual of the same states, hi +
+        lo rounded to long double, agrees to 1e-13."""
         problem = Problem(build_grid(n, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         seg = build_degenerate_segment(problem)
-        lam2_ld, psi_ld = exact_mode_longdouble(problem.domain, 2)
+        lam2, psi = exact_mode(problem.domain, 2)
+        if psi.hi @ seg.psi.values < 0:
+            psi = Pair(-psi.hi, -psi.lo)
         ts = np.linspace(seg.t_min, seg.t_max, 9)
-        sups = [pair_residual(problem, split(np.longdouble(t) * psi_ld), split(lam2_ld))
-                for t in ts]
+        states = [pair_scale(t, psi) for t in ts]
+        sups = [pair_residual(problem, u, lam2) for u in states]
         assert seg.verified_residual == max(sups) < 1e-12
-        for t, sup in zip(ts, sups):
-            r_ld = longdouble_residual(problem, np.longdouble(t) * psi_ld, lam2_ld, 0.0)
+        ld = np.longdouble
+        for u, sup in zip(states, sups):
+            x, lam = u.hi.astype(ld) + u.lo, ld(lam2.hi) + lam2.lo
+            r_ld = longdouble_residual(problem, x, lam, 0.0)
             assert abs(sup - float(np.max(np.abs(r_ld)))) <= 1e-13
 
-    def test_segment_failure_is_nonconvergence(self):
-        """At n = 2399 the exact states miss the 1e-12 bound at rounding
-        level (1.015e-12). The failure carries the worst sampled state, a
-        multiple of psi inside the segment, and its residual."""
-        problem = Problem(build_grid(2399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+    def test_segment_failure_is_nonconvergence(self, monkeypatch):
+        """A segment whose exact states miss SEGMENT_TOL fails as
+        NonConvergence carrying the worst sampled state, a multiple of psi
+        inside the segment, and its residual. No mesh misses the bound any
+        more (test_closed_form_states_certify_on_fine_meshes), so the bound
+        is lowered here below what n = 399 reaches (4.3e-16)."""
+        monkeypatch.setattr(continuation, "SEGMENT_TOL", 1e-16)
+        problem = Problem(build_grid(399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         with pytest.raises(NonConvergence, match="segment states") as err:
             build_degenerate_segment(problem)
-        assert 1e-12 <= err.value.residual_norm < 2e-12
+        assert 1e-16 <= err.value.residual_norm < 1e-15
         dom = problem.domain
         psi = problem.modes()[1].eigenfunction.values
         u = err.value.last_iterate
         t = dom.inner(u, psi) / dom.inner(psi, psi)
         assert 0.2 / psi.min() - 1e-9 <= t <= 0.2 + 1e-9
         assert np.max(np.abs(u - t * psi)) < 1e-9
+
+    def test_closed_form_states_certify_on_fine_meshes(self):
+        """The lambda2 segment certifies below SEGMENT_TOL at n = 2399, which
+        the long-double closed form missed (1.0008e-12), and the lambda1
+        ray's 41 states at n = 1599 certify at or below 1e-14 (2.3e-13 with
+        the long-double form). The segment's worst Pair residual is the
+        exact one to 1e-15 node by node: exact rationals of its hi + lo, of
+        lambda2's Pair and of the float64 h^2 the residual divides by."""
+        problem = Problem(build_grid(2399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        seg = build_degenerate_segment(problem)
+        assert seg.verified_residual < continuation.SEGMENT_TOL
+        ts = np.linspace(seg.t_min, seg.t_max, continuation.SEGMENT_CHECKS)
+        _, states, sups = closed_form_states(problem, 2, ts, 1.0, "segment states")
+        worst = states[int(np.argmax(sups))]
+        lam2 = exact_mode(problem.domain, 2)[0]
+        F = Ladder(problem).evaluate(worst, lam2, Pair(0.0, 0.0))
+        h2 = Fraction(float(np.float64(problem.domain.spacing) ** 2))
+        lam = Fraction(lam2.hi) + Fraction(lam2.lo)
+        x = [Fraction(0)] + [Fraction(h) + Fraction(lo) for h, lo in zip(worst.hi, worst.lo)]
+        x.append(Fraction(0))
+        exact = [float((x[j - 1] - 2 * x[j] + x[j + 1]) / h2 + lam * x[j])
+                 for j in range(1, len(x) - 1)]
+        assert np.max(np.abs(F - np.array(exact))) <= 1e-15
+        fine = Problem(build_grid(1599, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+        _, _, sups = closed_form_states(fine, 1, np.linspace(-0.2, 0.2, 41), 1e-14, "ray")
+        assert max(sups) <= 1e-14
 
     def test_branch_from_segment_edge(self, problem, modes):
         psi = modes[1].eigenfunction

@@ -22,8 +22,9 @@ import pytest
 from bifurcate.grid import (
     DiscreteField,
     build_grid,
-    exact_mode_longdouble,
+    exact_mode,
     laplacian_eigenpairs,
+    pair_scale,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
 import bifurcate.continuation as continuation_mod
@@ -902,7 +903,7 @@ class TestAssembly:
         assert cs[2] == pytest.approx(C_FOLD_WINDOW, rel=1e-6)
 
     def test_at_lambda1_ray_and_crescent(
-        self, diagram_lam1, split, pair_residual, longdouble_residual
+        self, diagram_lam1, pair_residual, longdouble_residual
     ):
         assert diagram_lam1.regime == "at-lambda1"
         assert set(diagram_lam1.tags()) == {"ray", "Mstar"}
@@ -913,17 +914,20 @@ class TestAssembly:
         assert ray.t_values()[-1] == pytest.approx(0.2, abs=1e-12)
         assert all(abs(p.c) < 1e-12 for p in ray.points)
         # each ray state is certified by the residual Newton converges on,
-        # the Pair residual of the closed-form state t phi at the ray's own
-        # parameters (its t_proj, derived from the float64 states, may miss
-        # them by an ulp), which the long-double residual of the same state
-        # matches; the stored field is the Pair's hi
+        # the Pair residual of the closed-form state t phi, Dekker's product
+        # of the ray's own parameter t (its t_proj, derived from the float64
+        # states, may miss it by an ulp) and the Pair phi, which the
+        # long-double residual of the same state matches; the stored field
+        # is the Pair's hi
         problem = diagram_lam1.problem
         M = problem.nonlinearity.M
-        lam1_ld, phi_ld = exact_mode_longdouble(problem.domain, 1)
+        lam1, phi = exact_mode(problem.domain, 1)
+        ld = np.longdouble
         for t, p in zip(np.linspace(-M, M, 41), ray.points):
-            u = split(np.longdouble(t) * phi_ld)
-            assert p.residual_norm == pair_residual(problem, u, split(lam1_ld)) < 1e-12
-            r_ld = longdouble_residual(problem, np.longdouble(t) * phi_ld, lam1_ld, 0.0)
+            u = pair_scale(t, phi)
+            assert p.residual_norm == pair_residual(problem, u, lam1) < 1e-12
+            x, lam = u.hi.astype(ld) + u.lo, ld(lam1.hi) + lam1.lo
+            r_ld = longdouble_residual(problem, x, lam, 0.0)
             assert abs(p.residual_norm - float(np.max(np.abs(r_ld)))) <= 1e-13
             np.testing.assert_array_equal(p.u.values, u.hi)
         assert len(diagram_lam1.degenerate_points) == 1
@@ -1146,11 +1150,14 @@ class TestAssembly:
         np.testing.assert_array_equal(star.c_values(), diagram20.branch("Mstar").c_values())
         assert partial.degenerate_points == (star.events[-1].degenerate_point,)
 
-    def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self):
-        """At n = 2399 the exact segment states miss the 1e-12 bound at
-        rounding level (1.015e-12); assembly reports the failed
-        certification as a typed failure with the partial diagram."""
-        problem = Problem(build_grid(2399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
+    def test_at_lambda2_segment_failure_is_incomplete_not_a_bare_error(self, monkeypatch):
+        """A segment whose exact states miss SEGMENT_TOL makes assembly
+        report the failed certification as a typed failure with the partial
+        diagram. No mesh misses the bound any more (n = 2399 certifies at
+        2.2e-15), so the bound is lowered here below what n = 399 reaches
+        (4.3e-16)."""
+        monkeypatch.setattr(continuation_mod, "SEGMENT_TOL", 1e-16)
+        problem = Problem(build_grid(399, 1.0), Nonlinearity(0.2, 3), HarvestSpec("bump"))
         with pytest.raises(AssemblyIncomplete, match="segment states") as err:
             assemble_diagram(problem, problem.modes()[1].eigenvalue)
         assert isinstance(err.value.__cause__, NonConvergence)

@@ -13,7 +13,7 @@ from bifurcate.grid import (
     build_grid,
     inner_product,
     l2_norm,
-    exact_mode_longdouble,
+    exact_mode,
     laplacian_eigenpairs,
     renormalize_l2,
     solve_bordered,
@@ -147,7 +147,7 @@ def test_eigenvalue_second_order_consistency(domain):
     # discrete eigenvalues undershoot (k pi)^2 by (k pi h)^2/12 to leading order
     h = domain.spacing
     for k in (1, 2, 3):
-        lam = float(exact_mode_longdouble(domain, k)[0])
+        lam = exact_mode(domain, k)[0].hi
         continuum = (k * np.pi) ** 2
         rel = (continuum - lam) / continuum
         predicted = (k * np.pi * h) ** 2 / 12.0
@@ -155,7 +155,7 @@ def test_eigenvalue_second_order_consistency(domain):
 
 
 def test_frozen_eigenvalues(domain):
-    lam = [float(exact_mode_longdouble(domain, k)[0]) for k in (1, 2, 3)]
+    lam = [exact_mode(domain, k)[0].hi for k in (1, 2, 3)]
     assert lam[0] == pytest.approx(9.869553667292095, abs=1e-9)
     assert lam[1] == pytest.approx(39.477605868608435, abs=1e-9)
     assert lam[2] == pytest.approx(88.82233023982288, abs=1e-9)
@@ -312,7 +312,7 @@ def test_factor_pivot_reveals_singular_shift(domain):
     """The smallest pivot of the LU that gtsv computes is large for a
     regular shift of the Laplacian and tiny at its first eigenvalue."""
     lap = assemble_laplacian(domain)
-    lam1 = float(exact_mode_longdouble(domain, 1)[0])
+    lam1 = exact_mode(domain, 1)[0].hi
     assert _gtsv_pivot(lap.shifted(20.0)) > 1e4
     assert _gtsv_pivot(lap.shifted(lam1)) < 1e-4
 
@@ -730,9 +730,9 @@ def test_tracked_eigenpairs_floor_clears_the_untracked_spectrum(gap_over_tol):
     dom = build_grid(99, 1.0)
     lap = assemble_laplacian(dom)
     tol = 1e-4
-    lam3 = float(exact_mode_longdouble(dom, 3)[0])
+    lam3 = exact_mode(dom, 3)[0].hi
     diag = -lap.diag - (lam3 - gap_over_tol * tol)
-    guesses = [exact_mode_longdouble(dom, k)[1].astype(float) for k in (1, 2)]
+    guesses = [exact_mode(dom, k)[1].hi for k in (1, 2)]
     plain = grid_mod.track_tridiagonal_eigenpairs(diag, -lap.off, guesses, -np.inf)
     floored = grid_mod.track_tridiagonal_eigenpairs(diag, -lap.off, guesses, tol)
     assert plain is not None and np.all(plain[0] < -tol) and plain[2]
@@ -742,23 +742,66 @@ def test_tracked_eigenpairs_floor_clears_the_untracked_spectrum(gap_over_tol):
 
 
 def test_exact_modes_match_closed_form():
-    """The first two modes are the float64 rounding of the long-double
-    closed form, sign-adjusted, bit for bit, and the eigensolver's vectors
-    agree with them."""
+    """The float64 modes are the hi parts of exact_mode's Pairs, with a unit
+    positive peak and a positive first node, sign-adjusted bit for bit, and
+    the eigensolver's vectors agree with them."""
     for n in (49, 399, 1599):
         domain = build_grid(n, 1.0)
         x = domain.nodes
         harvest = DiscreteField(domain, x * (1 - x) ** 2)
         _, vecs = _laplacian_band_eigenpairs(domain, 2)
         for k, pair in enumerate(laplacian_eigenpairs(domain, 2, harvest=harvest), start=1):
-            lam, mode = exact_mode_longdouble(domain, k)
-            assert mode.dtype == np.longdouble
-            assert float(np.max(np.abs(mode))) == 1.0 and mode[0] > 0
-            assert pair.eigenvalue == float(lam)
+            lam, mode = exact_mode(domain, k)
+            assert mode.hi.dtype == mode.lo.dtype == np.float64
+            assert mode.hi.max() == 1.0 and mode.hi[0] > 0
+            assert pair.eigenvalue == lam.hi
             values = pair.eigenfunction.values
-            assert np.array_equal(values, np.sign(values[0]) * mode.astype(float))
+            assert np.array_equal(values, np.sign(values[0]) * mode.hi)
             ref = vecs[k - 1] / vecs[k - 1][np.argmax(np.abs(vecs[k - 1]))]
-            assert np.max(np.abs(mode.astype(float) - np.sign(ref[0]) * ref)) < 1e-9
+            assert np.max(np.abs(mode.hi - np.sign(ref[0]) * ref)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [99, 399, 1599])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_exact_mode_pairs_match_long_double_closed_form(n, k, exact_mode_longdouble):
+    """Node by node, hi + lo of e_k lies within 1e-18 of the long-double
+    closed form scaled to its positive peak, and lambda_k within 1e-18
+    relative: the long-double sines are exact to a few units of 2^-64
+    times k (at most 8.0e-19 measured, at k = 4), the Pairs to about 1e-27."""
+    domain = build_grid(n, 1.0)
+    lam, mode = exact_mode(domain, k)
+    lam_ld, mode_ld = exact_mode_longdouble(domain, k)
+    mode_ld = mode_ld / np.max(mode_ld)
+    ld = np.longdouble
+    assert np.max(np.abs(mode.hi.astype(ld) + mode.lo - mode_ld)) <= 1e-18
+    assert abs(ld(lam.hi) + ld(lam.lo) - lam_ld) <= 1e-18 * lam_ld
+
+
+@pytest.mark.parametrize("n, length", [(49, 1.0), (400, 1.0), (99, 2.5)])
+def test_exact_mode_hi_is_the_correctly_rounded_closed_form(n, length):
+    """Against 120-bit sines (mpmath), every hi of e_k, k = 1 to 4, is the
+    closed form rounded to nearest, but at the nodes where it is exactly 0,
+    where the Pair is below 1e-28, and so is lambda_k's hi; each Pair is
+    within 1e-26 of the closed form (relative, for lambda_k)."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    domain = build_grid(n, length)
+    for k in (1, 2, 3, 4):
+        lam, mode = exact_mode(domain, k)
+        with mpmath.workprec(120):
+            exact = [mp.sin(mp.pi * (k * j) / (n + 1)) for j in range(1, n + 1)]
+            exact = [v / max(exact) for v in exact]
+            lam_exact = 4 * (mp.mpf(n + 1) / length) ** 2 * mp.sin(k * mp.pi / (2 * (n + 1))) ** 2
+            pair_error = max(abs(mp.mpf(h) + mp.mpf(lo) - v)
+                             for h, lo, v in zip(mode.hi, mode.lo, exact))
+            lam_error = abs(mp.mpf(lam.hi) + mp.mpf(lam.lo) - lam_exact) / lam_exact
+        zero = [k * j % (n + 1) == 0 for j in range(1, n + 1)]
+        assert [h for h, z in zip(mode.hi, zero) if not z] == [
+            float(v) for v, z in zip(exact, zero) if not z
+        ]
+        assert all(abs(h) < 1e-28 for h, z in zip(mode.hi, zero) if z)
+        assert pair_error < 1e-26 and lam_error < 1e-26
+        assert lam.hi == float(lam_exact)
 
 
 def test_laplacian_modes_need_no_eigensolver(monkeypatch):

@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifurcate.grid import (
-    PI_LONGDOUBLE,
     DiscreteField,
     _row_abs_sums,
     assemble_laplacian,
     build_grid,
-    exact_mode_longdouble,
+    exact_mode,
     laplacian_eigenpairs,
 )
 from bifurcate.model import HarvestSpec, Nonlinearity, critical_cap
@@ -72,7 +71,7 @@ def test_residual_pure_harvest(problem, domain):
 
 
 def test_residual_on_first_eigenray(
-    problem, domain, modes, split, pair_residual, longdouble_residual
+    problem, domain, modes, split, pair_residual, longdouble_residual, exact_mode_longdouble
 ):
     # u = t*phi at a = lambda1 with t <= M keeps f inactive, so the state is
     # steady in exact arithmetic; verify at the float64 level and then, for
@@ -84,10 +83,7 @@ def test_residual_on_first_eigenray(
     r64 = np.max(np.abs(problem.residual_values(u64, lam1, 0.0)))
     assert r64 < 1e-9
     ld = np.longdouble
-    x = (ld(domain.length) / ld(domain.n_interior + 1)) * np.arange(
-        1, domain.n_interior + 1, dtype=ld
-    )
-    phi_ld = np.sin(PI_LONGDOUBLE * x)
+    phi_ld = exact_mode_longdouble(domain, 1)[1]
     r_pair = pair_residual(problem, split(ld(t) * phi_ld), lam1)
     assert r_pair < 1e-12
     r_ld = longdouble_residual(problem, ld(t) * phi_ld, lam1, 0.0)
@@ -226,7 +222,7 @@ def _sha16(values):
 
 
 def test_newton_singular_at_eigenvalue(problem, domain):
-    lam1 = float(exact_mode_longdouble(domain, 1)[0])
+    lam1 = exact_mode(domain, 1)[0].hi
     with pytest.raises(SingularJacobian) as info:
         newton_solve(problem, DiscreteField.zero(domain), lam1, 0.0)
     assert str(info.value) == "Jacobian numerically singular (pivot 7.199e-07 < 2.554e-05)"

@@ -11,7 +11,7 @@ from bifurcate.diagram import assemble_diagram
 from bifurcate.grid import (
     DiscreteField,
     build_grid,
-    exact_mode_longdouble,
+    exact_mode,
     inner_product,
     laplacian_eigenpairs,
     track_tridiagonal_eigenpairs,
@@ -54,7 +54,7 @@ def test_spectrum_at_zero_is_shifted_laplacian(problem, domain):
     spec = linearized_spectrum(*zero_state(problem, 20.0), 3)
     for k, mu in enumerate(spec.eigenvalues, start=1):
         assert mu == pytest.approx(
-            float(exact_mode_longdouble(domain, k)[0]) - 20.0, abs=1e-10
+            exact_mode(domain, k)[0].hi - 20.0, abs=1e-10
         )
     assert spec.mu1 == pytest.approx(-10.13, abs=1e-2)
     assert spec.mu2 == pytest.approx(19.48, abs=1e-2)
@@ -129,7 +129,7 @@ def test_morse_index_beyond_the_computed_pairs(problem):
 def test_zero_state_at_lambda3_is_degenerate_with_index_two(problem, domain):
     # at the discrete lambda3 the vanishing eigenvalue is the third, which
     # is not computed
-    lam3 = float(exact_mode_longdouble(domain, 3)[0])
+    lam3 = exact_mode(domain, 3)[0].hi
     spec = linearized_spectrum(*zero_state(problem, lam3), 2)
     assert max(spec.eigenvalues) < -spec.tol
     assert morse_index(spec) == (2, True)
